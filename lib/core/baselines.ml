@@ -19,8 +19,6 @@ let random_faults ~seed ~components ~apiservers ~horizon ~n =
           Strategy.Partition_window { a; b; from = cut_at; until = cut_at + cut_len };
         ])
 
-let has_prefix p key = String.length key >= String.length p && String.equal (String.sub key 0 (String.length p)) p
-
 let meta_info (key, op) =
   ignore op;
   match Kube.Resource.kind_of_key key with
@@ -28,7 +26,7 @@ let meta_info (key, op) =
   | `Pvc | `Cassdc | `Rset | `Lock | `Deployment | `Other ->
       (* HBase substrate: region placements and the server registry are
          the cluster-topology events these baselines key on. *)
-      has_prefix "region/" key || has_prefix "rs/" key
+      String.starts_with ~prefix:"region/" key || String.starts_with ~prefix:"rs/" key
 
 let crashtuner ~events ~components ?(reaction_delay = 2_000) ?(downtime = 150_000) () =
   List.concat_map

@@ -10,10 +10,13 @@ type cell = { component : string; key : string; pattern : pattern }
 type t = {
   targets : Planner.target list;
   keys : string list;  (** distinct reference keys *)
-  all_cells : cell list;  (** the space, in enumeration order *)
-  valid : (cell, unit) Hashtbl.t;  (** same cells, O(1) membership *)
-  marked : (cell, unit) Hashtbl.t;
+  cells : cell array;  (** the space, in enumeration order; a cell's id is its index *)
+  ids : (cell, int) Hashtbl.t;
+  marks : Bytes.t;  (** one byte per id, nonzero once marked *)
+  mutable covered : int;
 }
+
+type footprint = int array
 
 let enumerate targets keys =
   List.concat_map
@@ -28,53 +31,40 @@ let enumerate targets keys =
         keys)
     targets
 
-let create ~config ~events =
+let of_targets targets ~events =
   let keys = List.sort_uniq String.compare (List.map (fun (_, key, _) -> key) events) in
-  let targets = Planner.targets_of_config config in
-  let all_cells = enumerate targets keys in
-  let valid = Hashtbl.create (max 16 (List.length all_cells)) in
-  List.iter (fun cell -> Hashtbl.replace valid cell ()) all_cells;
-  { targets; keys; all_cells; valid; marked = Hashtbl.create 128 }
+  let cells = Array.of_list (enumerate targets keys) in
+  let ids = Hashtbl.create (max 16 (Array.length cells)) in
+  Array.iteri (fun id cell -> Hashtbl.replace ids cell id) cells;
+  { targets; keys; cells; ids; marks = Bytes.make (Array.length cells) '\000'; covered = 0 }
 
-let create_hbase ~config ~events =
-  let keys = List.sort_uniq String.compare (List.map (fun (_, key, _) -> key) events) in
-  let targets = Planner.targets_hbase config in
-  let all_cells = enumerate targets keys in
-  let valid = Hashtbl.create (max 16 (List.length all_cells)) in
-  List.iter (fun cell -> Hashtbl.replace valid cell ()) all_cells;
-  { targets; keys; all_cells; valid; marked = Hashtbl.create 128 }
+let create ~config ~events = of_targets (Planner.targets_of_config config) ~events
+
+let create_hbase ~config ~events = of_targets (Planner.targets_hbase config) ~events
 
 let matching_keys t prefix =
   match prefix with
   | None -> t.keys
-  | Some p ->
-      List.filter
-        (fun key ->
-          String.length key >= String.length p
-          && String.equal (String.sub key 0 (String.length p)) p)
-        t.keys
+  | Some prefix -> List.filter (String.starts_with ~prefix) t.keys
 
 let all_components t = List.map (fun target -> target.Planner.component) t.targets
 
-let is_apiserver name =
-  String.length name >= 4 && String.equal (String.sub name 0 4) "api-"
+let is_apiserver name = String.starts_with ~prefix:"api-" name
 
 (* "etcd" (single backend), "etcd-<k>" (a replica of the replicated
    backend) or "zk-<role>" (the HBase substrate's ZooKeeper pair):
    faulting either side of the store makes every consumer's view
    potentially stale. *)
-let is_store name =
-  (String.length name >= 4 && String.equal (String.sub name 0 4) "etcd")
-  || (String.length name >= 3 && String.equal (String.sub name 0 3) "zk-")
+let is_store name = String.starts_with ~prefix:"etcd" name || String.starts_with ~prefix:"zk-" name
 
-let rec cells_of t (strategy : Strategy.t) =
+(* Ids of the in-space cells a strategy exercises, in generation order;
+   combo parts may repeat an id. *)
+let rec ids_of t (strategy : Strategy.t) =
   let scoped components ~key_prefix pattern =
     List.concat_map
       (fun component ->
         List.filter_map
-          (fun key ->
-            let cell = { component; key; pattern } in
-            if Hashtbl.mem t.valid cell then Some cell else None)
+          (fun key -> Hashtbl.find_opt t.ids { component; key; pattern })
           (matching_keys t key_prefix))
       components
   in
@@ -115,37 +105,45 @@ let rec cells_of t (strategy : Strategy.t) =
            pinned to it: staleness raw material for all consumers. *)
         scoped (all_components t) ~key_prefix:None `Staleness
       else []
-  | Strategy.Combo parts -> List.concat_map (cells_of t) parts
+  | Strategy.Combo parts -> List.concat_map (ids_of t) parts
 
-let note t strategy =
-  List.iter (fun cell -> Hashtbl.replace t.marked cell ()) (cells_of t strategy)
+let cells_of t strategy = List.map (fun id -> t.cells.(id)) (ids_of t strategy)
 
-let gain t strategy =
-  let fresh = Hashtbl.create 16 in
-  List.iter
-    (fun cell -> if not (Hashtbl.mem t.marked cell) then Hashtbl.replace fresh cell ())
-    (cells_of t strategy);
-  Hashtbl.length fresh
+let footprint t strategy = Array.of_list (List.sort_uniq Int.compare (ids_of t strategy))
 
-let cells t = t.all_cells
+let is_marked t id = Bytes.get t.marks id <> '\000'
 
-let total t = List.length t.all_cells
+let fresh t footprint =
+  Array.fold_left (fun n id -> if is_marked t id then n else n + 1) 0 footprint
 
-let covered t = Hashtbl.length t.marked
+let mark t footprint =
+  Array.iter
+    (fun id ->
+      if not (is_marked t id) then begin
+        Bytes.set t.marks id '\001';
+        t.covered <- t.covered + 1
+      end)
+    footprint
+
+let note t strategy = mark t (footprint t strategy)
+
+let cells t = Array.to_list t.cells
+
+let total t = Array.length t.cells
+
+let covered t = t.covered
 
 let ratio t =
   let n = total t in
   if n = 0 then 0.0 else float_of_int (covered t) /. float_of_int n
 
 let by_pattern t =
+  let ids = List.init (total t) Fun.id in
   List.map
     (fun pattern ->
-      let in_pattern = List.filter (fun c -> c.pattern = pattern) t.all_cells in
-      let done_ = List.filter (Hashtbl.mem t.marked) in_pattern in
-      (pattern, List.length done_, List.length in_pattern))
+      let in_pattern = List.filter (fun id -> t.cells.(id).pattern = pattern) ids in
+      (pattern, List.length (List.filter (is_marked t) in_pattern), List.length in_pattern))
     [ `Staleness; `Obs_gap; `Time_travel ]
 
 let uncovered t =
-  t.all_cells
-  |> List.filter (fun c -> not (Hashtbl.mem t.marked c))
-  |> List.sort compare
+  List.filteri (fun id _ -> not (is_marked t id)) (cells t) |> List.sort compare

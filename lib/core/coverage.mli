@@ -33,21 +33,33 @@ val create_hbase :
     servers). *)
 
 val note : t -> Strategy.t -> unit
-(** Marks the cells a strategy exercises. Scoping is conservative: a
-    delay/drop with a key filter marks the matching keys for its
-    destination; one without marks all of the destination's consumed
-    keys; a partition of an apiserver marks staleness cells for every
-    component (they may be downstream of it); a crash marks the victim's
-    time-travel cells. *)
+(** Marks the cells a strategy exercises: [mark t (footprint t s)].
+    Scoping is conservative: a delay/drop with a key filter marks the
+    matching keys for its destination; one without marks all of the
+    destination's consumed keys; a partition of an apiserver marks
+    staleness cells for every component (they may be downstream of it);
+    a crash marks the victim's time-travel cells. *)
 
 val cells_of : t -> Strategy.t -> cell list
 (** The in-space cells the strategy would exercise (what {!note} would
     mark), without marking anything. May contain duplicates for combo
     strategies whose parts overlap. *)
 
-val gain : t -> Strategy.t -> int
-(** How many currently-uncovered cells the strategy would newly cover —
-    the coverage-guided scheduler's ranking signal. *)
+type footprint
+(** The distinct in-space cells a strategy exercises, as dense cell ids
+    of one space: exactly the set {!note} marks. Computing it once lets a
+    caller re-ask {!fresh} without re-scoping the strategy. *)
+
+val footprint : t -> Strategy.t -> footprint
+
+val fresh : t -> footprint -> int
+(** How many of the footprint's cells are still unmarked — the
+    coverage-guided scheduler's ranking signal. Never increases as cells
+    are marked. *)
+
+val mark : t -> footprint -> unit
+(** Marks the footprint's cells; each cell counts once toward
+    {!covered}, however often it is marked. *)
 
 val cells : t -> cell list
 (** Every cell of the space, in enumeration order — the raw material for

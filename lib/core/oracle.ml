@@ -343,11 +343,8 @@ let check_wedged_rollouts t =
                 match v with
                 | Kube.Resource.Rset r ->
                     let prefix = Kube.Resource.rsets_prefix ^ dep ^ "-g" in
-                    if
-                      (not (String.equal key target_rs))
-                      && String.length key >= String.length prefix
-                      && String.equal (String.sub key 0 (String.length prefix)) prefix
-                    then (key, r.Kube.Resource.rs_replicas) :: acc
+                    if (not (String.equal key target_rs)) && String.starts_with ~prefix key then
+                      (key, r.Kube.Resource.rs_replicas) :: acc
                     else acc
                 | _ -> acc)
               t.mirror []

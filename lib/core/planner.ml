@@ -103,10 +103,8 @@ let targets_hbase (config : Hbaselike.Cluster.config) =
   in
   master :: servers
 
-let has_prefix key p =
-  String.length key >= String.length p && String.equal (String.sub key 0 (String.length p)) p
-
-let consumed_by target key = List.exists (has_prefix key) target.watched_prefixes
+let consumed_by target key =
+  List.exists (fun prefix -> String.starts_with ~prefix key) target.watched_prefixes
 
 type plan = { strategy : Strategy.t; rationale : string }
 

@@ -65,10 +65,7 @@ let refresh_from_quorum t rs_name =
 (* Parse "<dep>-g<k>" back to a generation; None for foreign rsets. *)
 let generation_of_rs dep rs_name =
   let prefix = dep ^ "-g" in
-  if
-    String.length rs_name > String.length prefix
-    && String.equal (String.sub rs_name 0 (String.length prefix)) prefix
-  then
+  if String.starts_with ~prefix rs_name then
     int_of_string_opt
       (String.sub rs_name (String.length prefix) (String.length rs_name - String.length prefix))
   else None

@@ -75,9 +75,7 @@ let lock_key name = locks_prefix ^ name
 let deployment_key name = deployments_prefix ^ name
 
 let kind_of_key key =
-  let has_prefix p =
-    String.length key >= String.length p && String.equal (String.sub key 0 (String.length p)) p
-  in
+  let has_prefix prefix = String.starts_with ~prefix key in
   if has_prefix pods_prefix then `Pod
   else if has_prefix nodes_prefix then `Node
   else if has_prefix pvcs_prefix then `Pvc

@@ -79,6 +79,55 @@ let baselines_cannot_touch_gap_cells () =
   | Some (0, total) when total > 0 -> ()
   | _ -> Alcotest.fail "fault injection must not reach observability-gap cells"
 
+(* Lazy-greedy scheduling trusts a cached gain as an upper bound: marking
+   any footprint must never raise another footprint's fresh count. *)
+let fresh_never_increases_after_mark () =
+  let c = space () in
+  let config = Kube.Cluster.default_config in
+  let components =
+    List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_of_config config)
+  in
+  let apiservers = [ "api-1"; "api-2" ] in
+  let strategies =
+    List.map
+      (fun plan -> plan.Sieve.Planner.strategy)
+      (Sieve.Planner.candidates ~config ~events ~horizon:1_000_000 ())
+    @ Sieve.Baselines.cofi ~events ~components ~apiservers ()
+    @ Sieve.Baselines.random_faults ~seed:3L ~components ~apiservers ~horizon:1_000_000 ~n:20
+  in
+  let footprints = Array.of_list (List.map (Sieve.Coverage.footprint c) strategies) in
+  let last = Array.map (Sieve.Coverage.fresh c) footprints in
+  Array.iter
+    (fun marked ->
+      Sieve.Coverage.mark c marked;
+      Array.iteri
+        (fun i fp ->
+          let now = Sieve.Coverage.fresh c fp in
+          if now > last.(i) then Alcotest.failf "fresh rose from %d to %d" last.(i) now;
+          last.(i) <- now)
+        footprints)
+    footprints;
+  Alcotest.(check bool) "every footprint fully marked" true (Array.for_all (( = ) 0) last)
+
+let combo_overlap_counts_once () =
+  let c = space () in
+  (* cassop consumes pods/a and pvcs/c; the second part repeats pvcs/c. *)
+  let combo =
+    Sieve.Strategy.Combo
+      [
+        Sieve.Strategy.observability_gap ~dst:"cassop" ~from:0 ~until:1 ();
+        Sieve.Strategy.observability_gap ~dst:"cassop" ~key_prefix:"pvcs/" ~from:0 ~until:1 ();
+      ]
+  in
+  Alcotest.(check int) "cells_of repeats the overlap" 3
+    (List.length (Sieve.Coverage.cells_of c combo));
+  let fp = Sieve.Coverage.footprint c combo in
+  Alcotest.(check int) "fresh counts it once" 2 (Sieve.Coverage.fresh c fp);
+  Sieve.Coverage.mark c fp;
+  Sieve.Coverage.note c combo;
+  Alcotest.(check int) "covered counts it once" 2 (Sieve.Coverage.covered c);
+  Alcotest.(check int) "nothing fresh after mark" 0 (Sieve.Coverage.fresh c fp)
+
 let suites =
   [
     ( "coverage",
@@ -93,5 +142,8 @@ let suites =
         Alcotest.test_case "planner covers everything" `Quick planner_covers_everything;
         Alcotest.test_case "baselines cannot touch gap cells" `Quick
           baselines_cannot_touch_gap_cells;
+        Alcotest.test_case "fresh never increases after mark" `Quick
+          fresh_never_increases_after_mark;
+        Alcotest.test_case "combo overlap counts once" `Quick combo_overlap_counts_once;
       ] );
   ]

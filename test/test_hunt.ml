@@ -206,8 +206,120 @@ let campaign_dedups_findings () =
         && Sys.file_exists (Filename.concat dir "finding.json")))
     signatures
 
+(* --- schedule -------------------------------------------------------- *)
+
+(* The greedy [Schedule.order] must reproduce: every round rescans all
+   pending candidates, recomputing each gain from [Coverage.cells_of]
+   against its own marked set, and takes the first strictly greater
+   (priority, gain). Returns the order and the distinct cells marked. *)
+let naive_order ?priority coverage (plans : Sieve.Planner.plan array) =
+  let n = Array.length plans in
+  let prio = match priority with None -> Array.make n 0 | Some f -> Array.map f plans in
+  let cells = Array.map (fun p -> Sieve.Coverage.cells_of coverage p.Sieve.Planner.strategy) plans in
+  let marked = Hashtbl.create 128 in
+  let gain i =
+    let fresh = Hashtbl.create 16 in
+    List.iter (fun c -> if not (Hashtbl.mem marked c) then Hashtbl.replace fresh c ()) cells.(i);
+    Hashtbl.length fresh
+  in
+  let pending = Array.make n true in
+  let out = ref [] in
+  for _ = 1 to n do
+    let best = ref (-1) and best_key = ref (min_int, -1) in
+    for i = 0 to n - 1 do
+      if pending.(i) then begin
+        let key = (prio.(i), gain i) in
+        if key > !best_key then begin
+          best := i;
+          best_key := key
+        end
+      end
+    done;
+    pending.(!best) <- false;
+    List.iter (fun c -> Hashtbl.replace marked c ()) cells.(!best);
+    out := !best :: !out
+  done;
+  (List.rev !out, Hashtbl.length marked)
+
+(* Every corpus case (kube, REP, HB): its planner candidates and a
+   constructor for a fresh coverage space over its reference history. *)
+let corpus_candidates =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (case : Sieve.Bugs.case) ->
+            let horizon = case.Sieve.Bugs.horizon in
+            let commits =
+              Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case)
+            in
+            let events =
+              List.map (fun (c : Sieve.Runner.commit) -> (c.time, c.key, c.op)) commits
+            in
+            match case.Sieve.Bugs.spec with
+            | Sieve.Substrate.Kube { config; _ } ->
+                ( case.Sieve.Bugs.id,
+                  Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()),
+                  fun () -> Sieve.Coverage.create ~config ~events )
+            | Sieve.Substrate.Hbase { config; _ } ->
+                ( case.Sieve.Bugs.id,
+                  Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()),
+                  fun () -> Sieve.Coverage.create_hbase ~config ~events ))
+          (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated () @ Sieve.Bugs.hbase ())))
+
+(* Bounds the naive reference's quadratic cost per instance. *)
+let max_subset = 96
+
+(* One instance orders a random, shuffled subset of every case's
+   candidates, under priorities drawn from [0, range] (none when range is
+   0), so equal-priority and equal-gain ties are common. *)
+let qcheck_order_matches_naive =
+  QCheck.Test.make ~count:25 ~name:"lazy greedy order = naive greedy on every corpus case"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, range) ->
+      Array.iteri
+        (fun k (id, candidates, space) ->
+          let rng = Dsim.Rng.create (Int64.of_int ((seed * 16) + k)) in
+          let pool = Array.copy candidates in
+          Dsim.Rng.shuffle rng pool;
+          let size = Dsim.Rng.int rng (min (Array.length pool) max_subset + 1) in
+          let plans = Array.sub pool 0 size in
+          let priority =
+            if range = 0 then None
+            else
+              Some
+                (fun (p : Sieve.Planner.plan) ->
+                  Hashtbl.hash (seed, Sieve.Strategy.describe p.strategy) mod (range + 1))
+          in
+          let coverage = space () in
+          let got = Hunt.Schedule.order ?priority coverage plans in
+          let expect, expect_covered = naive_order ?priority (space ()) plans in
+          if got <> expect then
+            QCheck.Test.fail_reportf "%s: order differs on %d of %d candidates" id size
+              (Array.length candidates);
+          if Sieve.Coverage.covered coverage <> expect_covered then
+            QCheck.Test.fail_reportf "%s: covered %d, naive %d" id
+              (Sieve.Coverage.covered coverage) expect_covered)
+        (Lazy.force corpus_candidates);
+      true)
+
+let order_matches_naive_on_full_cases () =
+  Array.iter
+    (fun (id, plans, space) ->
+      let coverage = space () in
+      let got = Hunt.Schedule.order coverage plans in
+      let expect, expect_covered = naive_order (space ()) plans in
+      Alcotest.(check (list int)) (id ^ " order") expect got;
+      Alcotest.(check int) (id ^ " covered") expect_covered (Sieve.Coverage.covered coverage))
+    (Lazy.force corpus_candidates)
+
 let suites =
   [
+    ( "hunt.schedule",
+      [
+        Qcheck_util.to_alcotest qcheck_order_matches_naive;
+        Alcotest.test_case "order = naive greedy on full candidate arrays" `Slow
+          order_matches_naive_on_full_cases;
+      ] );
     ( "hunt.journal",
       [
         Alcotest.test_case "entries roundtrip through json" `Quick journal_roundtrip;
