@@ -1118,8 +1118,28 @@ let minimize () =
 (* ------------------------------------------------------------------ *)
 (* MICRO: Bechamel micro-benchmarks.                                  *)
 
+(* Minor words allocated, read with [Gc.minor_words]. Bechamel's own
+   [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor-word count on OCaml 5.1 only moves at a minor collection, so a
+   run that allocates less than a minor heap reads as 0 or as a whole
+   heap. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "words"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
+
 let micro () =
-  Sieve.Report.section "MICRO — substrate micro-benchmarks (Bechamel, wall clock)";
+  Sieve.Report.section
+    "MICRO — substrate micro-benchmarks (Bechamel, wall clock and minor allocation)";
   let open Bechamel in
   let test_kv_put =
     Test.make ~name:"kv.put x100" (Staged.stage (fun () ->
@@ -1196,23 +1216,29 @@ let micro () =
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let alloc = minor_words in
+  let cell ols_result render =
+    match Analyze.OLS.estimates ols_result with Some (estimate :: _) -> render estimate | _ -> "?"
+  in
   Printf.printf "\n";
   let rows =
     List.concat_map
       (fun test ->
-        let results = Benchmark.all cfg [ instance ] test in
-        let analyzed = Analyze.all ols instance results in
+        let results = Benchmark.all cfg [ clock; alloc ] test in
+        let words = Analyze.all ols alloc results in
         Hashtbl.fold
-          (fun name ols_result acc ->
-            match Analyze.OLS.estimates ols_result with
-            | Some (estimate :: _) ->
-                [ name; Printf.sprintf "%.1f us/run" (estimate /. 1000.0) ] :: acc
-            | _ -> [ name; "?" ] :: acc)
-          analyzed [])
+          (fun name time acc ->
+            [
+              name;
+              cell time (fun ns -> Printf.sprintf "%.1f us/run" (ns /. 1000.0));
+              cell (Hashtbl.find words name) (Printf.sprintf "%.0f words/run");
+            ]
+            :: acc)
+          (Analyze.all ols clock results) [])
       tests
   in
-  Sieve.Report.table ~header:[ "benchmark"; "wall time" ] rows
+  Sieve.Report.table ~header:[ "benchmark"; "wall time"; "minor allocation" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* HUNT: campaign-engine throughput across worker domains.            *)

@@ -89,12 +89,9 @@ let run_test ?(check_conformance = false) ?(diagnose = false) test =
    fired. *)
 let violation_entry outcome =
   let trace = Substrate.trace outcome.live in
-  match Dsim.Trace.find_all trace ~kind:"oracle.violation" with
-  | e :: _ -> Some e
-  | [] -> (
-      match Dsim.Trace.find_all trace ~kind:"conformance.violation" with
-      | e :: _ -> Some e
-      | [] -> None)
+  match Dsim.Trace.find_first trace ~kind:"oracle.violation" with
+  | Some _ as e -> e
+  | None -> Dsim.Trace.find_first trace ~kind:"conformance.violation"
 
 let causal_chain outcome =
   match violation_entry outcome with

@@ -1,9 +1,9 @@
 (** Deterministic discrete-event simulation kernel.
 
     Everything in this reproduction runs on one {!Engine}: a virtual
-    clock, a deterministic event heap ({!Pqueue}) and a splittable PRNG
-    ({!Rng}). {!Network} models RPC and one-way messaging between named
-    nodes with latency, partitions and crash/restart (with incarnation
+    clock, a deterministic event heap and a splittable PRNG ({!Rng}).
+    {!Network} models RPC and one-way messaging between named nodes
+    with latency, partitions and crash/restart (with incarnation
     fencing); {!Fault} turns failure schedules into replayable data;
     {!Trace} records everything that happened as causally-linked
     structured entries; {!Metrics} aggregates counters, gauges, latency
@@ -11,7 +11,6 @@
     machine-readable run artifacts. *)
 
 module Rng = Rng
-module Pqueue = Pqueue
 module Engine = Engine
 module Network = Network
 module Fault = Fault

@@ -1,7 +1,10 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock, a deterministic event heap and the
-    root PRNG. All concurrency in the simulated infrastructure is
+    root PRNG. Each scheduled event is one timer record, which is also
+    its heap entry; events fire in ascending [(time, seq)] order, [seq]
+    being the scheduling order, so equal-time events run first come,
+    first served. All concurrency in the simulated infrastructure is
     cooperative: a component runs to completion inside its event handler
     and schedules future work with {!schedule}. Two runs with the same
     seed and the same schedule of calls are bit-for-bit identical. *)

@@ -1,16 +1,38 @@
-type hist = {
+(* Every metric lives in a cell owned by the registry's table for its
+   kind. A handle is the cell itself, found or created once; the by-name
+   functions resolve a handle per call. A cell joins snapshots on its
+   first write ([written]), so resolving a handle that is never written
+   adds no name. *)
+
+type level = { mutable value : float }  (* all-float record: stored unboxed *)
+
+type counter = { mutable count : int; mutable c_written : bool }
+
+type gauge = { level : level; mutable g_written : bool }
+
+type histogram = {
   mutable data : float array;
   mutable n : int;
-  mutable sum : float;
+  sum : level;
   mutable sorted : float array option;  (* cache, invalidated by observe *)
+  mutable h_written : bool;
+}
+
+type series = {
+  mutable times : int array;
+  mutable values : float array;
+  mutable len : int;
+  mutable s_written : bool;
 }
 
 type t = {
-  counts : (string, int ref) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  series : (string, (int * float) list ref) Hashtbl.t;  (* newest first *)
+  counts : (string, counter) Hashtbl.t;
+  histograms : (string, histogram) Hashtbl.t;
+  gauges : (string, gauge) Hashtbl.t;
+  series : (string, series) Hashtbl.t;
 }
+
+type registry = t
 
 let create () =
   {
@@ -20,70 +42,94 @@ let create () =
     series = Hashtbl.create 16;
   }
 
+let resolve tbl name fresh =
+  match Hashtbl.find_opt tbl name with
+  | Some cell -> cell
+  | None ->
+      let cell = fresh () in
+      Hashtbl.replace tbl name cell;
+      cell
+
+let written_names tbl written =
+  Hashtbl.fold (fun name cell acc -> if written cell then name :: acc else acc) tbl []
+  |> List.sort String.compare
+
 (* --- counters ------------------------------------------------------- *)
 
-let counter t name =
-  match Hashtbl.find_opt t.counts name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counts name r;
-      r
+module Counter = struct
+  type t = counter
 
-let incr t name = Stdlib.incr (counter t name)
+  let resolve (m : registry) name =
+    resolve m.counts name (fun () -> { count = 0; c_written = false })
 
-let add t name n =
-  let r = counter t name in
-  r := !r + n
+  let incr c =
+    c.c_written <- true;
+    c.count <- c.count + 1
 
-let count t name = match Hashtbl.find_opt t.counts name with Some r -> !r | None -> 0
+  let add c n =
+    c.c_written <- true;
+    c.count <- c.count + n
+end
 
-let sorted_names tbl =
-  Hashtbl.fold (fun name _ acc -> name :: acc) tbl [] |> List.sort String.compare
+let incr t name = Counter.incr (Counter.resolve t name)
 
-let counters t = List.map (fun name -> (name, count t name)) (sorted_names t.counts)
+let add t name n = Counter.add (Counter.resolve t name) n
+
+let count t name = match Hashtbl.find_opt t.counts name with Some c -> c.count | None -> 0
+
+let counters t =
+  List.map (fun name -> (name, count t name)) (written_names t.counts (fun c -> c.c_written))
 
 (* --- gauges --------------------------------------------------------- *)
 
-let gauge_ref t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r
-  | None ->
-      let r = ref 0.0 in
-      Hashtbl.replace t.gauges name r;
-      r
+module Gauge = struct
+  type t = gauge
 
-let set_gauge t name v = gauge_ref t name := v
+  let resolve (m : registry) name =
+    resolve m.gauges name (fun () -> { level = { value = 0.0 }; g_written = false })
 
-let add_gauge t name delta =
-  let r = gauge_ref t name in
-  r := !r +. delta
+  let set g v =
+    g.g_written <- true;
+    g.level.value <- v
 
-let gauge t name = match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.0
+  let add g delta =
+    g.g_written <- true;
+    g.level.value <- g.level.value +. delta
+end
 
-let gauges t = List.map (fun name -> (name, gauge t name)) (sorted_names t.gauges)
+let set_gauge t name v = Gauge.set (Gauge.resolve t name) v
+
+let add_gauge t name delta = Gauge.add (Gauge.resolve t name) delta
+
+let gauge t name =
+  match Hashtbl.find_opt t.gauges name with Some g -> g.level.value | None -> 0.0
+
+let gauges t =
+  List.map (fun name -> (name, gauge t name)) (written_names t.gauges (fun g -> g.g_written))
 
 (* --- histograms ----------------------------------------------------- *)
 
-let histogram t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-      let h = { data = Array.make 16 0.0; n = 0; sum = 0.0; sorted = None } in
-      Hashtbl.replace t.histograms name h;
-      h
+module Histogram = struct
+  type t = histogram
 
-let observe t name sample =
-  let h = histogram t name in
-  if h.n = Array.length h.data then begin
-    let bigger = Array.make (2 * Array.length h.data) 0.0 in
-    Array.blit h.data 0 bigger 0 h.n;
-    h.data <- bigger
-  end;
-  h.data.(h.n) <- sample;
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. sample;
-  h.sorted <- None
+  let resolve (m : registry) name =
+    resolve m.histograms name (fun () ->
+        { data = Array.make 16 0.0; n = 0; sum = { value = 0.0 }; sorted = None; h_written = false })
+
+  let observe h sample =
+    h.h_written <- true;
+    if h.n = Array.length h.data then begin
+      let bigger = Array.make (2 * Array.length h.data) 0.0 in
+      Array.blit h.data 0 bigger 0 h.n;
+      h.data <- bigger
+    end;
+    h.data.(h.n) <- sample;
+    h.n <- h.n + 1;
+    h.sum.value <- h.sum.value +. sample;
+    h.sorted <- None
+end
+
+let observe t name sample = Histogram.observe (Histogram.resolve t name) sample
 
 let samples t name =
   match Hashtbl.find_opt t.histograms name with Some h -> h.n | None -> 0
@@ -91,7 +137,7 @@ let samples t name =
 let mean t name =
   match Hashtbl.find_opt t.histograms name with
   | None -> 0.0
-  | Some h -> if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
+  | Some h -> if h.n = 0 then 0.0 else h.sum.value /. float_of_int h.n
 
 let sorted_samples h =
   match h.sorted with
@@ -120,19 +166,39 @@ let percentile t name p =
         end
       end
 
-let histograms t = sorted_names t.histograms
+let histograms t = written_names t.histograms (fun h -> h.h_written)
 
 (* --- series --------------------------------------------------------- *)
 
-let sample t name ~time v =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r := (time, v) :: !r
-  | None -> Hashtbl.replace t.series name (ref [ (time, v) ])
+module Series = struct
+  type t = series
+
+  let resolve (m : registry) name =
+    resolve m.series name (fun () -> { times = [||]; values = [||]; len = 0; s_written = false })
+
+  let sample s ~time v =
+    s.s_written <- true;
+    if s.len = Array.length s.times then begin
+      let capacity = max 16 (2 * s.len) in
+      let times = Array.make capacity 0 and values = Array.make capacity 0.0 in
+      Array.blit s.times 0 times 0 s.len;
+      Array.blit s.values 0 values 0 s.len;
+      s.times <- times;
+      s.values <- values
+    end;
+    s.times.(s.len) <- time;
+    s.values.(s.len) <- v;
+    s.len <- s.len + 1
+end
+
+let sample t name ~time v = Series.sample (Series.resolve t name) ~time v
 
 let series t name =
-  match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
+  match Hashtbl.find_opt t.series name with
+  | Some s -> List.init s.len (fun i -> (s.times.(i), s.values.(i)))
+  | None -> []
 
-let series_names t = sorted_names t.series
+let series_names t = written_names t.series (fun s -> s.s_written)
 
 (* --- export --------------------------------------------------------- *)
 
@@ -167,12 +233,6 @@ let to_json t =
                       (series t name)) ))
              (series_names t)) );
     ]
-
-let reset t =
-  Hashtbl.reset t.counts;
-  Hashtbl.reset t.histograms;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.series
 
 let pp ppf t =
   List.iter (fun (name, v) -> Format.fprintf ppf "%-32s %d@." name v) (counters t);

@@ -4,11 +4,65 @@
     Histogram samples live in a growable array with a cached sorted
     copy: {!observe} is amortized O(1) and invalidates the cache, the
     first {!percentile}/query after a write pays one sort, and repeated
-    queries are O(1). *)
+    queries are O(1).
+
+    Hot writers hold a handle ({!Counter}, {!Gauge}, {!Histogram},
+    {!Series}) resolved once from its name, so an update is a field
+    write with no name hashing or allocation; the by-name functions
+    resolve a handle per call. Either way a name is registered on its
+    first write, so resolving a handle that is never written adds
+    nothing to a snapshot. *)
 
 type t
 
 val create : unit -> t
+
+(** {2 Handles} *)
+
+module Counter : sig
+  type metrics := t
+
+  type t
+
+  val resolve : metrics -> string -> t
+
+  val incr : t -> unit
+
+  val add : t -> int -> unit
+end
+
+module Gauge : sig
+  type metrics := t
+
+  type t
+
+  val resolve : metrics -> string -> t
+
+  val set : t -> float -> unit
+
+  val add : t -> float -> unit
+  (** Adds a (possibly negative) delta. *)
+end
+
+module Histogram : sig
+  type metrics := t
+
+  type t
+
+  val resolve : metrics -> string -> t
+
+  val observe : t -> float -> unit
+end
+
+module Series : sig
+  type metrics := t
+
+  type t
+
+  val resolve : metrics -> string -> t
+
+  val sample : t -> time:int -> float -> unit
+end
 
 (** {2 Counters} *)
 
@@ -75,7 +129,5 @@ val to_json : t -> Json.t
     (count/mean/min/p50/p90/p99/max) and full series. Deterministic
     field order (sorted by name), so two identical runs produce
     byte-identical snapshots. *)
-
-val reset : t -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -35,15 +35,22 @@ type t = {
   mutable latency_model : latency_model;
   nodes : (address, node) Hashtbl.t;
   mutable cuts : Link.t list;
+  calls : Metrics.Counter.t;
+  timeouts : Metrics.Counter.t;
+  casts : Metrics.Counter.t;
 }
 
 let create ?(min_latency = 500) ?(max_latency = 2000) engine =
+  let metrics = Engine.metrics engine in
   {
     engine;
     rng = Rng.split (Engine.rng engine);
     latency_model = Uniform { min = min_latency; max = max_latency };
     nodes = Hashtbl.create 16;
     cuts = [];
+    calls = Metrics.Counter.resolve metrics "net.calls";
+    timeouts = Metrics.Counter.resolve metrics "net.timeouts";
+    casts = Metrics.Counter.resolve metrics "net.casts";
   }
 
 let engine t = t.engine
@@ -107,7 +114,7 @@ let restart t addr =
     n.on_restart ()
   end
 
-let partitioned t a b = List.mem (Link.make a b) t.cuts
+let partitioned t a b = match t.cuts with [] -> false | cuts -> List.mem (Link.make a b) cuts
 
 let partition t a b =
   let link = Link.make a b in
@@ -131,46 +138,54 @@ let heal_all t =
 
 let default_timeout = 1_000_000
 
+(* One record per call, shared by its request, reply and timeout
+   events; the continuation runs at most once. *)
+type call = {
+  net : t;
+  src : address;
+  dst : address;
+  src_incarnation : int;
+  k : (response, error) result -> unit;
+  mutable completed : bool;
+}
+
+let finish c result =
+  if not c.completed then begin
+    c.completed <- true;
+    (match result with Error Timeout -> Metrics.Counter.incr c.net.timeouts | _ -> ());
+    c.k result
+  end
+
+(* The reply is lost if the link is now cut, the caller died, or the
+   caller restarted into a new incarnation. *)
+let reply_arrives c timeout resp =
+  let t = c.net in
+  if
+    (not (partitioned t c.src c.dst))
+    && is_up t c.src
+    && incarnation t c.src = c.src_incarnation
+  then begin
+    Engine.cancel timeout;
+    finish c (Ok resp)
+  end
+
 let call t ~src ~dst ?(timeout = default_timeout) req k =
-  Metrics.incr (Engine.metrics t.engine) "net.calls";
+  Metrics.Counter.incr t.calls;
   match Hashtbl.find_opt t.nodes dst with
   | None -> k (Error Unreachable)
   | Some dst_node ->
-      let src_incarnation = incarnation t src in
-      let completed = ref false in
-      let finish result =
-        if not !completed then begin
-          completed := true;
-          (match result with
-          | Error Timeout -> Metrics.incr (Engine.metrics t.engine) "net.timeouts"
-          | _ -> ());
-          k result
-        end
-      in
-      let timeout_timer =
-        Engine.schedule t.engine ~delay:timeout (fun () -> finish (Error Timeout))
-      in
-      let deliver_reply resp =
+      let c = { net = t; src; dst; src_incarnation = incarnation t src; k; completed = false } in
+      let timeout = Engine.schedule t.engine ~delay:timeout (fun () -> finish c (Error Timeout)) in
+      let reply resp =
         ignore
-          (Engine.schedule t.engine ~delay:(latency t) (fun () ->
-               (* The reply is lost if the link is now cut, the caller died,
-                  or the caller restarted into a new incarnation. *)
-               if
-                 (not (partitioned t src dst))
-                 && is_up t src
-                 && incarnation t src = src_incarnation
-               then begin
-                 Engine.cancel timeout_timer;
-                 finish (Ok resp)
-               end))
+          (Engine.schedule t.engine ~delay:(latency t) (fun () -> reply_arrives c timeout resp))
       in
       ignore
         (Engine.schedule t.engine ~delay:(latency t) (fun () ->
-             if (not (partitioned t src dst)) && dst_node.up then
-               dst_node.serve ~src req deliver_reply))
+             if (not (partitioned t src dst)) && dst_node.up then dst_node.serve ~src req reply))
 
 let cast t ~src ~dst payload =
-  Metrics.incr (Engine.metrics t.engine) "net.casts";
+  Metrics.Counter.incr t.casts;
   match Hashtbl.find_opt t.nodes dst with
   | None -> ()
   | Some dst_node ->

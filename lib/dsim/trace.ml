@@ -13,55 +13,47 @@ let pp_entry ppf e =
   | Some c -> Format.fprintf ppf "  (#%d <- #%d)" e.id c
   | None -> Format.fprintf ppf "  (#%d)" e.id
 
+(* Live entries sit in recording order, so their ids ascend; for a
+   trace the engine wrote they are also dense, which makes {!find} index
+   arithmetic. Free slots hold [vacant]. *)
 type t = {
-  mutable buf : entry option array;
+  mutable buf : entry array;
   mutable start : int;  (* physical index of the oldest live entry *)
   mutable len : int;
   capacity : int option;
   mutable next_id : int;
   mutable dropped : int;
-  by_id : (int, entry) Hashtbl.t;
 }
+
+let vacant = { id = 0; time = 0; actor = ""; kind = ""; detail = ""; cause = None }
 
 let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
   | _ -> ());
   let initial = match capacity with Some c -> c | None -> 64 in
-  {
-    buf = Array.make initial None;
-    start = 0;
-    len = 0;
-    capacity;
-    next_id = 1;
-    dropped = 0;
-    by_id = Hashtbl.create 256;
-  }
+  { buf = Array.make initial vacant; start = 0; len = 0; capacity; next_id = 1; dropped = 0 }
 
 let push t e =
-  (match t.capacity with
+  match t.capacity with
   | None ->
       if t.len = Array.length t.buf then begin
-        let bigger = Array.make (2 * Array.length t.buf) None in
+        let bigger = Array.make (2 * Array.length t.buf) vacant in
         Array.blit t.buf 0 bigger 0 t.len;
         t.buf <- bigger
       end;
-      t.buf.(t.len) <- Some e;
+      t.buf.(t.len) <- e;
       t.len <- t.len + 1
   | Some cap ->
       if t.len < cap then begin
-        t.buf.((t.start + t.len) mod cap) <- Some e;
+        t.buf.((t.start + t.len) mod cap) <- e;
         t.len <- t.len + 1
       end
       else begin
-        (match t.buf.(t.start) with
-        | Some evicted -> Hashtbl.remove t.by_id evicted.id
-        | None -> ());
-        t.buf.(t.start) <- Some e;
+        t.buf.(t.start) <- e;
         t.start <- (t.start + 1) mod cap;
         t.dropped <- t.dropped + 1
-      end);
-  Hashtbl.replace t.by_id e.id e
+      end
 
 let emit t ~time ~actor ~kind ?cause detail =
   let id = t.next_id in
@@ -72,10 +64,7 @@ let emit t ~time ~actor ~kind ?cause detail =
 let record t ~time ~actor ~kind ?cause detail =
   ignore (emit t ~time ~actor ~kind ?cause detail)
 
-let nth_live t i =
-  match t.buf.((t.start + i) mod Array.length t.buf) with
-  | Some e -> e
-  | None -> assert false
+let nth_live t i = t.buf.((t.start + i) mod Array.length t.buf)
 
 let entries t = List.init t.len (nth_live t)
 
@@ -88,33 +77,56 @@ let dropped t = t.dropped
 let capacity t = t.capacity
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
+  Array.fill t.buf 0 (Array.length t.buf) vacant;
   t.start <- 0;
   t.len <- 0;
   t.next_id <- 1;
-  t.dropped <- 0;
-  Hashtbl.reset t.by_id
+  t.dropped <- 0
 
-let find t ~id = Hashtbl.find_opt t.by_id id
+(* Direct offset from the oldest live id; an imported trace with gaps
+   misses it and falls back to binary search over the ascending ids. *)
+let find t ~id =
+  if t.len = 0 then None
+  else begin
+    let i = id - (nth_live t 0).id in
+    if i >= 0 && i < t.len && (nth_live t i).id = id then Some (nth_live t i)
+    else begin
+      let rec search lo hi =
+        if lo >= hi then None
+        else begin
+          let mid = (lo + hi) / 2 in
+          let e = nth_live t mid in
+          if e.id = id then Some e else if e.id < id then search (mid + 1) hi else search lo mid
+        end
+      in
+      search 0 t.len
+    end
+  end
+
+let find_first t ~kind =
+  let rec go i =
+    if i >= t.len then None
+    else
+      let e = nth_live t i in
+      if String.equal e.kind kind then Some e else go (i + 1)
+  in
+  go 0
 
 let find_all t ~kind = List.filter (fun e -> String.equal e.kind kind) (entries t)
 
 let filter t f = List.filter f (entries t)
 
+(* Every cycle has an edge whose cause does not precede its entry, so
+   stopping at such an edge bounds the walk. *)
 let chain t ~id =
-  let rec go acc visited id =
-    match Hashtbl.find_opt t.by_id id with
+  let rec go acc id =
+    match find t ~id with
     | None -> acc
-    | Some e ->
-        if List.mem id visited then acc
-        else begin
-          let acc = e :: acc in
-          match e.cause with
-          | Some c -> go acc (id :: visited) c
-          | None -> acc
-        end
+    | Some e -> (
+        let acc = e :: acc in
+        match e.cause with Some c when c < e.id -> go acc c | Some _ | None -> acc)
   in
-  go [] [] id
+  go [] id
 
 let pp_chain ppf entries =
   List.iteri
@@ -172,9 +184,14 @@ let of_jsonl input =
         | Ok j -> (
             match entry_of_json j with
             | Error msg -> err := Some (Printf.sprintf "line %d: %s" !line_no msg)
+            | Ok e when e.id < t.next_id ->
+                err :=
+                  Some
+                    (Printf.sprintf "line %d: trace entry id %d is not increasing (ids ascend from 1)"
+                       !line_no e.id)
             | Ok e ->
                 push t e;
-                t.next_id <- max t.next_id (e.id + 1)))
+                t.next_id <- e.id + 1))
     (String.split_on_char '\n' input);
   match !err with Some msg -> Error msg | None -> Ok t
 

@@ -54,7 +54,12 @@ val clear : t -> unit
 (** Empties the trace and restarts ids from 1. *)
 
 val find : t -> id:int -> entry option
-(** Constant-time lookup among live entries. *)
+(** Lookup among live entries: constant time when ids are dense (every
+    trace the engine records), a binary search over the ascending ids
+    otherwise (an imported trace with gaps). *)
+
+val find_first : t -> kind:string -> entry option
+(** The oldest live entry of this kind, without building a list. *)
 
 val find_all : t -> kind:string -> entry list
 
@@ -64,8 +69,9 @@ val chain : t -> id:int -> entry list
 (** Walks the cause links backwards from [id] and returns the causal
     chain oldest-first, ending with entry [id] itself. The walk stops
     at an entry with no cause, at a cause that was evicted from the
-    ring buffer, or (defensively) at a cycle. [[]] when [id] is not
-    live. *)
+    ring buffer, or at a cause whose id is not below its entry's (the
+    engine never records one; every cycle contains one). [[]] when
+    [id] is not live. *)
 
 val pp_chain : Format.formatter -> entry list -> unit
 (** Prints a {!chain} as an indented "why" walkthrough, one entry per
@@ -82,7 +88,8 @@ val to_jsonl : t -> string
 val of_jsonl : string -> (t, string) result
 (** Reads a {!to_jsonl} dump back into an unbounded trace, preserving
     entry ids (so {!chain} works on the imported trace). Blank lines
-    are ignored; the first malformed line aborts with its error. *)
+    are ignored; the first malformed line, or the first whose id is not
+    above the previous line's, aborts with its line number. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the whole trace, one entry per line. *)

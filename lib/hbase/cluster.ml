@@ -121,11 +121,12 @@ let start t =
        (String.concat "," (server_names t.config)));
   Master.start t.master;
   List.iter Regionserver.start t.region_servers;
+  let gauge = Dsim.Metrics.Gauge.resolve (metrics t) "lag.zk-follower" in
+  let series = Dsim.Metrics.Series.resolve (metrics t) "lag.zk-follower" in
   Dsim.Engine.every t.engine ~period:t.config.obs_sample_period (fun () ->
       let lag = float_of_int (truth_rev t - Zk.follower_caught_up_to t.zk) in
-      let m = metrics t in
-      Dsim.Metrics.set_gauge m "lag.zk-follower" lag;
-      Dsim.Metrics.sample m "lag.zk-follower" ~time:(Dsim.Engine.now t.engine) lag;
+      Dsim.Metrics.Gauge.set gauge lag;
+      Dsim.Metrics.Series.sample series ~time:(Dsim.Engine.now t.engine) lag;
       true)
 
 (* --- workload -------------------------------------------------------- *)

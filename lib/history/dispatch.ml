@@ -27,6 +27,9 @@ type 'a t = {
   mutable next_id : int;
   mutable live : int;
   mutable iterating : int;  (* defer compaction while > 0 *)
+  mutable all : 'a entry array option;
+      (* every live entry in delivery order; dropped by add, remove,
+         set_order and clear, rebuilt by the next [iter_all] *)
 }
 
 let new_node () = { child_chars = ""; children = [||]; bucket = None }
@@ -34,28 +37,36 @@ let new_node () = { child_chars = ""; children = [||]; bucket = None }
 let new_bucket () = { entries = [||]; len = 0; dead = 0 }
 
 let create () =
-  { root = new_node (); by_id = Hashtbl.create 64; next_id = 0; live = 0; iterating = 0 }
+  {
+    root = new_node ();
+    by_id = Hashtbl.create 64;
+    next_id = 0;
+    live = 0;
+    iterating = 0;
+    all = None;
+  }
 
 let size t = t.live
 
-let child_of node c =
+(* Index of [c] among [node]'s children, or -1. *)
+let child_index node c =
   let rec go i =
-    if i >= String.length node.child_chars then None
-    else if node.child_chars.[i] = c then Some node.children.(i)
+    if i >= String.length node.child_chars then -1
+    else if node.child_chars.[i] = c then i
     else go (i + 1)
   in
   go 0
 
 let child_or_create node c =
-  match child_of node c with
-  | Some n -> n
-  | None ->
+  match child_index node c with
+  | -1 ->
       let n = new_node () in
       node.child_chars <- node.child_chars ^ String.make 1 c;
       let grown = Array.make (Array.length node.children + 1) n in
       Array.blit node.children 0 grown 0 (Array.length node.children);
       node.children <- grown;
       n
+  | i -> node.children.(i)
 
 let bucket_of_prefix t prefix =
   let node =
@@ -108,6 +119,7 @@ let add t ?prefix payload =
   bucket_push bucket entry;
   Hashtbl.replace t.by_id id (entry, bucket);
   t.live <- t.live + 1;
+  t.all <- None;
   id
 
 let remove t id =
@@ -118,6 +130,7 @@ let remove t id =
       entry.live <- false;
       bucket.dead <- bucket.dead + 1;
       t.live <- t.live - 1;
+      t.all <- None;
       if t.iterating = 0 && bucket.dead > bucket.len - bucket.dead then bucket_compact bucket;
       true
 
@@ -127,60 +140,95 @@ let find t id = Option.map (fun (e, _) -> e.payload) (Hashtbl.find_opt t.by_id i
 
 let set_order t id ~order =
   match Hashtbl.find_opt t.by_id id with
-  | Some (entry, _) -> entry.order <- order
+  | Some (entry, _) ->
+      entry.order <- order;
+      t.all <- None
   | None -> ()
 
 let clear t =
   Hashtbl.reset t.by_id;
   t.live <- 0;
+  t.all <- None;
   let rec wipe node =
     node.bucket <- None;
     Array.iter wipe node.children
   in
   wipe t.root
 
-(* Snapshot the matched buckets' lengths up front, then sort the live
-   matches: additions from inside a callback land past the snapshot
-   and are skipped; removals flip [live] and are re-checked per push. *)
-let collect_matching t ~key =
-  let acc = ref [] in
-  let take bucket =
-    for i = bucket.len - 1 downto 0 do
-      let e = bucket.entries.(i) in
-      if e.live then acc := e :: !acc
-    done
+let delivery_order a b =
+  if a.order = b.order then Int.compare a.id b.id else Int.compare a.order b.order
+
+(* The buckets on [key]'s trie path that hold a live entry. *)
+let matched_buckets t ~key =
+  let rec go node i acc =
+    let acc =
+      match node.bucket with Some b when b.len > b.dead -> b :: acc | Some _ | None -> acc
+    in
+    if i >= String.length key then acc
+    else
+      match child_index node key.[i] with -1 -> acc | c -> go node.children.(c) (i + 1) acc
   in
-  Option.iter take t.root.bucket;
-  let node = ref (Some t.root) in
-  String.iter
-    (fun c ->
-      match !node with
-      | None -> ()
-      | Some n ->
-          let next = child_of n c in
-          (match next with Some nn -> Option.iter take nn.bucket | None -> ());
-          node := next)
-    key;
-  List.sort (fun a b -> if a.order = b.order then compare a.id b.id else compare a.order b.order) !acc
+  go t.root 0 []
+
+let rec first_live (entries : _ entry array) i =
+  if entries.(i).live then entries.(i) else first_live entries (i + 1)
+
+(* A snapshot of the live matches, in delivery order: additions from
+   inside a callback land past it and are skipped; removals flip [live],
+   which the walk re-checks per entry. *)
+let collect_matching t ~key =
+  match matched_buckets t ~key with
+  | [] -> [||]
+  | first :: _ as buckets ->
+      let n = List.fold_left (fun n b -> n + b.len - b.dead) 0 buckets in
+      let out = Array.make n (first_live first.entries 0) in
+      let k = ref 0 in
+      List.iter
+        (fun b ->
+          for i = 0 to b.len - 1 do
+            let e = b.entries.(i) in
+            if e.live then begin
+              out.(!k) <- e;
+              incr k
+            end
+          done)
+        buckets;
+      Array.sort delivery_order out;
+      out
 
 let collect_all t =
-  let acc = Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t.by_id [] in
-  List.sort (fun a b -> if a.order = b.order then compare a.id b.id else compare a.order b.order) acc
+  match t.all with
+  | Some all -> all
+  | None ->
+      let all = Array.of_list (Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t.by_id []) in
+      Array.sort delivery_order all;
+      t.all <- Some all;
+      all
 
-let iter_entries t entries f =
+(* The cached [all] array is never written after it is built, so a walk
+   over it is safe against any mutation its callbacks make. *)
+let walk t (entries : _ entry array) f =
   t.iterating <- t.iterating + 1;
-  Fun.protect
-    ~finally:(fun () -> t.iterating <- t.iterating - 1)
-    (fun () -> List.iter (fun (e : _ entry) -> if e.live then f e.id e.payload) entries)
+  match
+    for i = 0 to Array.length entries - 1 do
+      let e = entries.(i) in
+      if e.live then f e.id e.payload
+    done
+  with
+  | () -> t.iterating <- t.iterating - 1
+  | exception exn ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      t.iterating <- t.iterating - 1;
+      Printexc.raise_with_backtrace exn backtrace
 
-let iter_matching t ~key f = iter_entries t (collect_matching t ~key) f
+let iter_matching t ~key f = walk t (collect_matching t ~key) f
 
-let iter_all t f = iter_entries t (collect_all t) f
+let iter_all t f = walk t (collect_all t) f
 
 let matching t ~key =
-  List.filter_map
-    (fun (e : _ entry) -> if e.live then Some e.payload else None)
-    (collect_matching t ~key)
+  Array.fold_right
+    (fun (e : _ entry) acc -> if e.live then e.payload :: acc else acc)
+    (collect_matching t ~key) []
 
 module Batch = struct
   type 'v stream_box = { stream : int; mutable events : 'v Event.t list (* newest first *) }

@@ -60,7 +60,9 @@ val iter_matching : 'a t -> key:string -> (int -> 'a -> unit) -> unit
 
 val iter_all : 'a t -> (int -> 'a -> unit) -> unit
 (** Every live watcher, in order — for bookmark/seal-style broadcast
-    where prefixes don't apply. *)
+    where prefixes don't apply. The ordered snapshot is cached until
+    the next {!add}, {!remove}, {!set_order} or {!clear}, so repeated
+    broadcasts over an unchanged set cost O(n) and allocate nothing. *)
 
 val matching : 'a t -> key:string -> 'a list
 (** The matching payloads, in order — the reference answer the qcheck

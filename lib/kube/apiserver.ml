@@ -28,6 +28,7 @@ type t = {
   epoch_seal : int option;  (* seal subscriber streams every N revisions *)
   mutable last_seal_rev : int;
   mutable tap : Tap.t option;  (* conformance observation point, read-only *)
+  rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
 }
 
 let name t = t.name
@@ -237,7 +238,7 @@ let handle_watch t (w : Messages.watch_request) reply =
   end
 
 let serve t ~src:_ request reply =
-  Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) ("rpc." ^ t.name);
+  Dsim.Metrics.Counter.incr t.rpc;
   match request with
   | Messages.Api_list { prefix; quorum } ->
       if quorum then forward t (Messages.Etcd_range { prefix }) reply
@@ -281,6 +282,7 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?(bookmark_period =
     epoch_seal;
     last_seal_rev = 0;
     tap = None;
+    rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics (Dsim.Network.engine net)) ("rpc." ^ name);
   }
 
 let start t =

@@ -138,36 +138,46 @@ let metrics t = Dsim.Engine.metrics t.engine
 (* Revision lag is the live measurement of partial-history divergence:
    how many committed revisions a component's view is behind the ground
    truth right now. Sampled into both a gauge (latest value) and a
-   virtual-time series (for the timeline view). *)
-let sample_lags t =
+   virtual-time series (for the timeline view). The metric names are
+   resolved once; each tick only reads revisions and writes values. *)
+let lag_sampler t =
   let metrics = metrics t in
-  let now = Dsim.Engine.now t.engine in
-  let truth = truth_rev t in
-  let sample name rev =
-    let lag = float_of_int (max 0 (truth - rev)) in
-    Dsim.Metrics.set_gauge metrics ("lag." ^ name) lag;
-    Dsim.Metrics.sample metrics ("lag." ^ name) ~time:now lag
+  let lag name view_rev =
+    let gauge = Dsim.Metrics.Gauge.resolve metrics ("lag." ^ name) in
+    let series = Dsim.Metrics.Series.resolve metrics ("lag." ^ name) in
+    fun ~now ~truth ->
+      let lag = float_of_int (max 0 (truth - view_rev ())) in
+      Dsim.Metrics.Gauge.set gauge lag;
+      Dsim.Metrics.Series.sample series ~time:now lag
   in
-  List.iter (fun a -> sample (Apiserver.name a) (Apiserver.rev a)) t.apiservers;
-  List.iter (fun k -> sample (Kubelet.name k) (Kubelet.view_rev k)) t.kubelets;
-  Option.iter (fun s -> sample (Scheduler.name s) (Scheduler.view_rev s)) t.scheduler;
-  Option.iter
-    (fun v -> sample (Volume_controller.name v) (Volume_controller.view_rev v))
-    t.volume_controller;
-  Option.iter
-    (fun o -> sample (Cassandra_operator.name o) (Cassandra_operator.view_rev o))
-    t.operator;
-  Option.iter (fun r -> sample (Replicaset.name r) (Replicaset.view_rev r)) t.replicaset;
-  Option.iter
-    (fun n -> sample (Node_controller.name n) (Node_controller.view_rev n))
-    t.node_controller;
-  Option.iter (fun d -> sample (Deployment.name d) (Deployment.view_rev d)) t.deployment;
-  List.iter
-    (fun a ->
-      Dsim.Metrics.set_gauge metrics
-        ("api.subscribers." ^ Apiserver.name a)
-        (float_of_int (Apiserver.subscriber_count a)))
-    t.apiservers
+  let component name view_rev = Option.map (fun c -> lag (name c) (fun () -> view_rev c)) in
+  let lags =
+    List.map (fun a -> lag (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
+    @ List.map (fun k -> lag (Kubelet.name k) (fun () -> Kubelet.view_rev k)) t.kubelets
+    @ List.filter_map Fun.id
+        [
+          component Scheduler.name Scheduler.view_rev t.scheduler;
+          component Volume_controller.name Volume_controller.view_rev t.volume_controller;
+          component Cassandra_operator.name Cassandra_operator.view_rev t.operator;
+          component Replicaset.name Replicaset.view_rev t.replicaset;
+          component Node_controller.name Node_controller.view_rev t.node_controller;
+          component Deployment.name Deployment.view_rev t.deployment;
+        ]
+  in
+  let subscribers =
+    List.map
+      (fun a ->
+        (a, Dsim.Metrics.Gauge.resolve metrics ("api.subscribers." ^ Apiserver.name a)))
+      t.apiservers
+  in
+  fun () ->
+    let now = Dsim.Engine.now t.engine in
+    let truth = truth_rev t in
+    List.iter (fun sample -> sample ~now ~truth) lags;
+    List.iter
+      (fun (a, gauge) ->
+        Dsim.Metrics.Gauge.set gauge (float_of_int (Apiserver.subscriber_count a)))
+      subscribers
 
 let create ?(config = default_config) () =
   let engine = Dsim.Engine.create ~seed:config.seed () in
@@ -271,8 +281,9 @@ let start t =
   Option.iter Replicaset.start t.replicaset;
   Option.iter Node_controller.start t.node_controller;
   Option.iter Deployment.start t.deployment;
+  let sample_lags = lag_sampler t in
   Dsim.Engine.every t.engine ~period:t.config.obs_sample_period (fun () ->
-      sample_lags t;
+      sample_lags ();
       true)
 
 let run t ~until = Dsim.Engine.run ~until t.engine

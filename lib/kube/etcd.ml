@@ -28,6 +28,7 @@ type t = {
   origins : (int, string) Hashtbl.t;  (* revision -> originating component *)
   commit_ids : (int, int) Hashtbl.t;  (* revision -> trace entry id of the commit *)
   leases : Etcdlike.Lease.t;
+  rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
 }
 
 let name t = t.name
@@ -174,7 +175,7 @@ let propose_delete repl t ~origin key =
 
 let serve t ~src request reply =
   t.requests_served <- t.requests_served + 1;
-  Dsim.Metrics.incr (Dsim.Engine.metrics (Dsim.Network.engine t.net)) ("rpc." ^ t.name);
+  Dsim.Metrics.Counter.incr t.rpc;
   match request, t.backend with
   | Messages.Etcd_range { prefix }, Single kv ->
       reply (Messages.Items { items = Etcdlike.Kv.range kv ~prefix; rev = Etcdlike.Kv.rev kv })
@@ -232,6 +233,7 @@ let serve t ~src request reply =
    pushed downstream link back to the commit. *)
 let install_commit_listener t =
   let engine = Dsim.Network.engine t.net in
+  let commits = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) "etcd.commits" in
   on_commit t (fun event ->
       let rev = event.History.Event.rev in
       let id =
@@ -239,7 +241,7 @@ let install_commit_listener t =
           (Printf.sprintf "rev %d %s" rev (History.Event.describe event))
       in
       Hashtbl.replace t.commit_ids rev id;
-      Dsim.Metrics.incr (Dsim.Engine.metrics engine) "etcd.commits")
+      Dsim.Metrics.Counter.incr commits)
 
 let create ~net ~intercept ?(name = "etcd") ?watch_window ?(bookmark_period = 200_000)
     ?replication () =
@@ -265,6 +267,7 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?(bookmark_period = 20
       origins = Hashtbl.create 256;
       commit_ids = Hashtbl.create 256;
       leases = Etcdlike.Lease.create ();
+      rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics (Dsim.Network.engine net)) ("rpc." ^ name);
     }
   in
   let engine = Dsim.Network.engine net in

@@ -7,20 +7,29 @@ type t = {
   net : Dsim.Network.t;
   intercept : Intercept.t;
   edge : Intercept.edge;
+  label : string;  (* the edge as [Intercept.pp_edge] prints it, for trace details *)
   deliver : item -> unit;
   dst_incarnation : int;
+  inflight : Dsim.Metrics.Gauge.t;
+  latency : Dsim.Metrics.Histogram.t;
+  delivered : Dsim.Metrics.Counter.t;
   mutable closed : bool;
   mutable last_due : int;  (* FIFO frontier: delivery time of the previous item *)
   mutable in_flight : int;
 }
 
 let create ~net ~intercept ~edge ~deliver () =
+  let metrics = Dsim.Engine.metrics (Dsim.Network.engine net) in
   {
     net;
     intercept;
     edge;
+    label = Format.asprintf "%a" Intercept.pp_edge edge;
     deliver;
     dst_incarnation = Dsim.Network.incarnation net edge.Intercept.dst;
+    inflight = Dsim.Metrics.Gauge.resolve metrics ("pipe.inflight." ^ edge.Intercept.dst);
+    latency = Dsim.Metrics.Histogram.resolve metrics ("watch.latency." ^ edge.Intercept.dst);
+    delivered = Dsim.Metrics.Counter.resolve metrics "pipe.delivered";
     closed = false;
     last_due = 0;
     in_flight = 0;
@@ -40,46 +49,41 @@ let deliverable t =
   && Dsim.Network.is_up t.net t.edge.Intercept.dst
   && Dsim.Network.incarnation t.net t.edge.Intercept.dst = t.dst_incarnation
 
-let inflight_gauge t = "pipe.inflight." ^ t.edge.Intercept.dst
+let arrive t ~sent item =
+  let engine = Dsim.Network.engine t.net in
+  t.in_flight <- t.in_flight - 1;
+  Dsim.Metrics.Gauge.add t.inflight (-1.0);
+  if deliverable t then begin
+    Dsim.Metrics.Histogram.observe t.latency (float_of_int (Dsim.Engine.now engine - sent));
+    (* Events become trace entries so the commit -> delivery ->
+       reconcile chain is walkable; bookmarks and seals are
+       transport metadata and stay out of the trace. *)
+    (match item with
+    | Event event ->
+        Dsim.Metrics.Counter.incr t.delivered;
+        ignore
+          (Dsim.Engine.emit engine ~actor:t.edge.Intercept.dst ~kind:"pipe.deliver"
+             (t.label ^ " " ^ History.Event.describe event))
+    | Bookmark _ | Seal _ -> ());
+    t.deliver item
+  end
+  else if not t.closed then begin
+    (* A TCP stream does not lose one segment and carry on: a
+       blocked delivery kills the whole stream. The subscriber
+       notices the silence (no bookmarks) and re-lists. *)
+    t.closed <- true;
+    Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.broken";
+    Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.broken" t.label
+  end
 
 let enqueue t ~extra item =
   let engine = Dsim.Network.engine t.net in
-  let metrics = Dsim.Engine.metrics engine in
   let sent = Dsim.Engine.now engine in
   let due = max (sent + Dsim.Network.sample_latency t.net + extra) t.last_due in
   t.last_due <- due;
   t.in_flight <- t.in_flight + 1;
-  Dsim.Metrics.add_gauge metrics (inflight_gauge t) 1.0;
-  ignore
-    (Dsim.Engine.schedule_at engine ~time:due (fun () ->
-         t.in_flight <- t.in_flight - 1;
-         Dsim.Metrics.add_gauge metrics (inflight_gauge t) (-1.0);
-         if deliverable t then begin
-           Dsim.Metrics.observe metrics
-             ("watch.latency." ^ t.edge.Intercept.dst)
-             (float_of_int (Dsim.Engine.now engine - sent));
-           (* Events become trace entries so the commit -> delivery ->
-              reconcile chain is walkable; bookmarks and seals are
-              transport metadata and stay out of the trace. *)
-           (match item with
-           | Event event ->
-               Dsim.Metrics.incr metrics "pipe.delivered";
-               ignore
-                 (Dsim.Engine.emit engine ~actor:t.edge.Intercept.dst ~kind:"pipe.deliver"
-                    (Format.asprintf "%a %s" Intercept.pp_edge t.edge
-                       (History.Event.describe event)))
-           | Bookmark _ | Seal _ -> ());
-           t.deliver item
-         end
-         else if not t.closed then begin
-           (* A TCP stream does not lose one segment and carry on: a
-              blocked delivery kills the whole stream. The subscriber
-              notices the silence (no bookmarks) and re-lists. *)
-           t.closed <- true;
-           Dsim.Metrics.incr metrics "pipe.broken";
-           Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.broken"
-             (Format.asprintf "%a" Intercept.pp_edge t.edge)
-         end))
+  Dsim.Metrics.Gauge.add t.inflight 1.0;
+  ignore (Dsim.Engine.schedule_at engine ~time:due (fun () -> arrive t ~sent item))
 
 let send t item =
   if not t.closed then
@@ -92,5 +96,5 @@ let send t item =
             let engine = Dsim.Network.engine t.net in
             Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.dropped";
             Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.drop"
-              (Format.asprintf "%a %s" Intercept.pp_edge t.edge (History.Event.describe event))
+              (t.label ^ " " ^ History.Event.describe event)
         | Intercept.Delay extra -> enqueue t ~extra item)

@@ -126,6 +126,41 @@ let set_order_reorders_delivery () =
   Dispatch.iter_matching t ~key:"anything" (fun _ v -> seen := v :: !seen);
   Alcotest.(check (list string)) "pinned order" [ "c"; "b"; "a" ] (List.rev !seen)
 
+(* Broadcast walks a cached ordered snapshot: each mutation between two
+   broadcasts must show in the next one, and mutations made inside a
+   broadcast follow the same snapshot rules as a keyed fan-out. *)
+let iter_all_tracks_every_mutation () =
+  let t = Dispatch.create () in
+  let all () =
+    let seen = ref [] in
+    Dispatch.iter_all t (fun _ v -> seen := v :: !seen);
+    List.rev !seen
+  in
+  let a = Dispatch.add t ~prefix:"x" "a" in
+  let b = Dispatch.add t "b" in
+  let c = Dispatch.add t ~prefix:"y" "c" in
+  Alcotest.(check (list string)) "registration order" [ "a"; "b"; "c" ] (all ());
+  Alcotest.(check (list string)) "cached, unchanged" [ "a"; "b"; "c" ] (all ());
+  Dispatch.set_order t c ~order:0;
+  Alcotest.(check (list string)) "after set_order" [ "c"; "a"; "b" ] (all ());
+  ignore (Dispatch.remove t a);
+  Alcotest.(check (list string)) "after remove" [ "c"; "b" ] (all ());
+  let d = Dispatch.add t "d" in
+  Alcotest.(check (list string)) "after add" [ "c"; "b"; "d" ] (all ());
+  let seen = ref [] in
+  Dispatch.iter_all t (fun id v ->
+      seen := v :: !seen;
+      if id = c then begin
+        ignore (Dispatch.remove t d);
+        ignore (Dispatch.add t "late")
+      end);
+  Alcotest.(check (list string)) "removal honoured, addition skipped" [ "c"; "b" ]
+    (List.rev !seen);
+  Alcotest.(check (list string)) "addition visible next time" [ "c"; "b"; "late" ] (all ());
+  Dispatch.clear t;
+  Alcotest.(check (list string)) "after clear" [] (all ());
+  ignore b
+
 (* 50 listeners, interleaved arrivals: flush order is first-event-pending
    order, and each listener's batch preserves its own arrival order —
    the determinism pin batched delivery rides on. *)
@@ -180,6 +215,7 @@ let suites =
         Alcotest.test_case "cancel self mid-iteration" `Quick cancel_self_mid_iteration;
         Alcotest.test_case "add mid-iteration not visited" `Quick add_mid_iteration_not_visited;
         Alcotest.test_case "set_order reorders delivery" `Quick set_order_reorders_delivery;
+        Alcotest.test_case "iter_all tracks every mutation" `Quick iter_all_tracks_every_mutation;
         Alcotest.test_case "batched delivery: 50-listener ordering pin" `Quick
           batch_ordering_pin_50_listeners;
         Alcotest.test_case "batched delivery: reentrant offer deferred" `Quick

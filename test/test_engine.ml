@@ -114,8 +114,152 @@ let deterministic_replay () =
   in
   Alcotest.(check (list int)) "replay identical" (run ()) (run ())
 
+(* --- the event queue ----------------------------------------------------
+   The engine's heap orders timers by (time, seq); these drive it through
+   [schedule]/[step] only. *)
+
+let recorder () =
+  let log = ref [] in
+  (log, fun tag () -> log := tag :: !log)
+
+let empty_queue () =
+  let e = Dsim.Engine.create () in
+  Alcotest.(check int) "pending" 0 (Dsim.Engine.pending e);
+  Alcotest.(check bool) "step on empty" false (Dsim.Engine.step e)
+
+let pops_in_time_order () =
+  let e = Dsim.Engine.create () in
+  let log, note = recorder () in
+  List.iter (fun time -> ignore (Dsim.Engine.schedule_at e ~time (note time))) [ 30; 10; 20; 5; 25 ];
+  Dsim.Engine.run e;
+  Alcotest.(check (list int)) "times ascend" [ 5; 10; 20; 25; 30 ] (List.rev !log)
+
+let ties_break_by_seq () =
+  (* Equal-time timers scheduled around earlier and later ones, so the
+     heap reshuffles between them: they still fire in scheduling order. *)
+  let e = Dsim.Engine.create () in
+  let log, note = recorder () in
+  List.iter
+    (fun (time, tag) -> ignore (Dsim.Engine.schedule_at e ~time (note tag)))
+    [ (5, "5.1"); (9, "a"); (5, "5.2"); (1, "b"); (5, "5.3"); (7, "c") ];
+  ignore
+    (Dsim.Engine.schedule_at e ~time:1 (fun () ->
+         ignore (Dsim.Engine.schedule_at e ~time:5 (note "5.4"))));
+  Dsim.Engine.run e;
+  Alcotest.(check (list string)) "fifo within a timestamp"
+    [ "b"; "5.1"; "5.2"; "5.3"; "5.4"; "c"; "a" ]
+    (List.rev !log)
+
+let interleaved_push_pop () =
+  let e = Dsim.Engine.create () in
+  let log, note = recorder () in
+  ignore (Dsim.Engine.schedule e ~delay:10 (note "b"));
+  ignore (Dsim.Engine.schedule e ~delay:5 (note "a"));
+  ignore (Dsim.Engine.step e);
+  Alcotest.(check (list string)) "earliest first" [ "a" ] !log;
+  Alcotest.(check int) "clock at 5" 5 (Dsim.Engine.now e);
+  ignore (Dsim.Engine.schedule e ~delay:1 (note "c"));
+  ignore (Dsim.Engine.step e);
+  Alcotest.(check (list string)) "later push overtakes" [ "c"; "a" ] !log;
+  ignore (Dsim.Engine.step e);
+  Alcotest.(check (list string)) "then the rest" [ "b"; "c"; "a" ] !log
+
+(* Allocated in a helper so no stack slot of the test keeps it alive. *)
+let[@inline never] schedule_payload e weak i ~time =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak i (Some payload);
+  ignore (Dsim.Engine.schedule_at e ~time (fun () -> ignore (Bytes.length payload)))
+
+let popped_value_is_collectable () =
+  (* A fired timer must not stay referenced from the heap's backing
+     array (neither its own slot nor the duplicate left by moving the
+     tail to the root), or arbitrarily large closures stay pinned for a
+     whole trial. *)
+  let e = Dsim.Engine.create () in
+  let weak = Weak.create 3 in
+  List.iteri (fun i time -> schedule_payload e weak i ~time) [ 1; 2; 3 ];
+  ignore (Dsim.Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check int) "the rest still pending" 2 (Dsim.Engine.pending e);
+  Alcotest.(check bool) "fired closure was collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "pending closure is kept" true (Weak.check weak 2);
+  Dsim.Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "drained heap pins nothing" [ false; false; false ]
+    (List.init 3 (Weak.check weak));
+  (* Keeps the engine, and with it the heap array, alive past the check. *)
+  Alcotest.(check int) "drained" 0 (Dsim.Engine.pending e)
+
+let qcheck_sorted_drain =
+  QCheck.Test.make ~name:"drain yields sorted (time, seq)" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 200) (int_range 0 1000))
+    (fun times ->
+      let e = Dsim.Engine.create () in
+      let log, note = recorder () in
+      List.iteri (fun seq time -> ignore (Dsim.Engine.schedule_at e ~time (note (time, seq)))) times;
+      Dsim.Engine.run e;
+      let fired = List.rev !log in
+      List.length fired = List.length times && fired = List.sort compare fired)
+
+let qcheck_length_tracks =
+  QCheck.Test.make ~name:"length counts pushes minus pops" ~count:200
+    QCheck.(pair (int_range 0 100) (int_range 0 100))
+    (fun (pushes, pops) ->
+      let e = Dsim.Engine.create () in
+      for i = 1 to pushes do
+        ignore (Dsim.Engine.schedule e ~delay:i ignore)
+      done;
+      for _ = 1 to pops do
+        ignore (Dsim.Engine.step e)
+      done;
+      Dsim.Engine.pending e = max 0 (pushes - pops))
+
+(* --- allocation budget --------------------------------------------------
+   Minor words per operation, averaged over 10k operations after one
+   warm-up. A heap block is at least two words, so an average below one
+   word means no per-operation allocation. *)
+
+let words_per_op f =
+  let n = 10_000 in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let event_costs_one_timer_record () =
+  let e = Dsim.Engine.create () in
+  let words =
+    words_per_op (fun () ->
+        ignore (Dsim.Engine.schedule e ~delay:1 ignore);
+        ignore (Dsim.Engine.step e))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per scheduled-and-fired event <= 6" words)
+    true (words < 7.0)
+
+let cancelled_pop_allocates_nothing () =
+  let e = Dsim.Engine.create () in
+  for _ = 0 to 10_000 do
+    Dsim.Engine.cancel (Dsim.Engine.schedule e ~delay:1 ignore)
+  done;
+  let words = words_per_op (fun () -> ignore (Dsim.Engine.step e)) in
+  Alcotest.(check int) "all popped" 0 (Dsim.Engine.pending e);
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per cancelled pop" words) true (words < 1.0)
+
 let suites =
   [
+    ( "pqueue",
+      [
+        Alcotest.test_case "empty queue" `Quick empty_queue;
+        Alcotest.test_case "pops in time order" `Quick pops_in_time_order;
+        Alcotest.test_case "ties break by seq" `Quick ties_break_by_seq;
+        Alcotest.test_case "interleaved push/pop" `Quick interleaved_push_pop;
+        Alcotest.test_case "popped value is collectable" `Quick popped_value_is_collectable;
+        Qcheck_util.to_alcotest qcheck_sorted_drain;
+        Qcheck_util.to_alcotest qcheck_length_tracks;
+      ] );
     ( "engine",
       [
         Alcotest.test_case "runs in time order" `Quick runs_in_time_order;
@@ -130,5 +274,7 @@ let suites =
         Alcotest.test_case "max_events bounds run" `Quick max_events_bounds_run;
         Alcotest.test_case "trace records at now" `Quick trace_records_at_now;
         Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
+        Alcotest.test_case "event costs one timer record" `Quick event_costs_one_timer_record;
+        Alcotest.test_case "cancelled pop allocates nothing" `Quick cancelled_pop_allocates_nothing;
       ] );
   ]

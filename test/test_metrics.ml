@@ -29,14 +29,6 @@ let empty_histogram_zero () =
   Alcotest.(check (float 0.0)) "mean" 0.0 (Dsim.Metrics.mean m "none");
   Alcotest.(check (float 0.0)) "p99" 0.0 (Dsim.Metrics.percentile m "none" 0.99)
 
-let reset_clears () =
-  let m = Dsim.Metrics.create () in
-  Dsim.Metrics.incr m "a";
-  Dsim.Metrics.observe m "h" 1.0;
-  Dsim.Metrics.reset m;
-  Alcotest.(check int) "counter cleared" 0 (Dsim.Metrics.count m "a");
-  Alcotest.(check int) "histogram cleared" 0 (Dsim.Metrics.samples m "h")
-
 let percentile_extremes () =
   let m = Dsim.Metrics.create () in
   List.iter (Dsim.Metrics.observe m "h") [ 5.0; 1.0; 3.0 ];
@@ -116,6 +108,59 @@ let json_snapshot_parses () =
           Alcotest.(check (option (float 0.0))) "series value" (Some 7.0) (Dsim.Json.to_float v)
       | _ -> Alcotest.fail "series missing or ill-shaped"
 
+(* Writes through a resolved handle are field stores: averaged over 10k
+   writes after a warm-up, no write allocates a block (at least two
+   words). Series and histogram arrays grow by doubling; past the warm-up
+   the growth lands in the major heap, outside this count. *)
+let handle_writes_allocate_nothing () =
+  let m = Dsim.Metrics.create () in
+  let counter = Dsim.Metrics.Counter.resolve m "c" in
+  let gauge = Dsim.Metrics.Gauge.resolve m "g" in
+  let histogram = Dsim.Metrics.Histogram.resolve m "h" in
+  let series = Dsim.Metrics.Series.resolve m "s" in
+  let words_per_op f =
+    let n = 10_000 in
+    for i = 1 to n do
+      f i
+    done;
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      f i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let check what f =
+    let words = words_per_op f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.2f words per write" what words) true (words < 1.0)
+  in
+  check "counter incr" (fun _ -> Dsim.Metrics.Counter.incr counter);
+  check "gauge set" (fun _ -> Dsim.Metrics.Gauge.set gauge 2.5);
+  check "gauge add" (fun _ -> Dsim.Metrics.Gauge.add gauge (-1.0));
+  check "histogram observe" (fun _ -> Dsim.Metrics.Histogram.observe histogram 3.0);
+  check "series sample" (fun i -> Dsim.Metrics.Series.sample series ~time:i 4.0);
+  Alcotest.(check int) "counter" 20_000 (Dsim.Metrics.count m "c");
+  Alcotest.(check int) "samples" 20_000 (Dsim.Metrics.samples m "h");
+  Alcotest.(check int) "series points" 20_000 (List.length (Dsim.Metrics.series m "s"))
+
+let resolved_handles_register_on_first_write () =
+  let m = Dsim.Metrics.create () in
+  let counter = Dsim.Metrics.Counter.resolve m "c" in
+  let gauge = Dsim.Metrics.Gauge.resolve m "g" in
+  let _histogram = Dsim.Metrics.Histogram.resolve m "h" in
+  let _series = Dsim.Metrics.Series.resolve m "s" in
+  let empty = Dsim.Json.to_string (Dsim.Metrics.to_json (Dsim.Metrics.create ())) in
+  Alcotest.(check string) "unwritten handles list nothing" empty
+    (Dsim.Json.to_string (Dsim.Metrics.to_json m));
+  Dsim.Metrics.Counter.incr counter;
+  Dsim.Metrics.incr m "c";
+  Dsim.Metrics.Gauge.add gauge 1.5;
+  Alcotest.(check (list (pair string int))) "by name and by handle share a cell" [ ("c", 2) ]
+    (Dsim.Metrics.counters m);
+  Alcotest.(check (list (pair string (float 0.0)))) "gauge listed once written" [ ("g", 1.5) ]
+    (Dsim.Metrics.gauges m);
+  Alcotest.(check (list string)) "histogram still unlisted" [] (Dsim.Metrics.histograms m);
+  Alcotest.(check (list string)) "series still unlisted" [] (Dsim.Metrics.series_names m)
+
 let qcheck_percentile_is_member =
   QCheck.Test.make ~name:"percentile returns an observed sample" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_range 0.0 1000.0)) (float_range 0.01 1.0))
@@ -132,7 +177,6 @@ let suites =
         Alcotest.test_case "counters listing sorted" `Quick counters_listing_sorted;
         Alcotest.test_case "histogram stats" `Quick histogram_stats;
         Alcotest.test_case "empty histogram zero" `Quick empty_histogram_zero;
-        Alcotest.test_case "reset clears" `Quick reset_clears;
         Alcotest.test_case "percentile extremes" `Quick percentile_extremes;
         Alcotest.test_case "observe invalidates cache" `Quick
           observe_after_percentile_invalidates_cache;
@@ -140,6 +184,9 @@ let suites =
         Alcotest.test_case "gauges set and add" `Quick gauges_set_and_add;
         Alcotest.test_case "series chronological" `Quick series_chronological;
         Alcotest.test_case "json snapshot parses" `Quick json_snapshot_parses;
+        Alcotest.test_case "handle writes allocate nothing" `Quick handle_writes_allocate_nothing;
+        Alcotest.test_case "handles register on first write" `Quick
+          resolved_handles_register_on_first_write;
         Qcheck_util.to_alcotest qcheck_percentile_is_member;
       ] );
   ]

@@ -111,9 +111,52 @@ let jsonl_rejects_malformed_line () =
   | Error msg ->
       Alcotest.(check bool) "error names the line" true
         (String.length msg >= 6 && String.equal (String.sub msg 0 6) "line 2"));
-  match Dsim.Trace.of_jsonl (good ^ "\n\n" ^ good ^ "\n") with
+  let next = {|{"id":2,"time":0,"actor":"a","kind":"k","detail":"d","cause":1}|} in
+  match Dsim.Trace.of_jsonl (good ^ "\n\n" ^ next ^ "\n") with
   | Ok t -> Alcotest.(check int) "blank lines skipped" 2 (Dsim.Trace.length t)
   | Error msg -> Alcotest.failf "rejected blank line: %s" msg
+
+let jsonl_rejects_non_increasing_id () =
+  let line id = Printf.sprintf {|{"id":%d,"time":0,"actor":"a","kind":"k","detail":"d","cause":null}|} id in
+  List.iter
+    (fun (ids, bad_line) ->
+      match Dsim.Trace.of_jsonl (String.concat "\n" (List.map line ids)) with
+      | Ok _ -> Alcotest.failf "accepted ids %s" (String.concat "," (List.map string_of_int ids))
+      | Error msg ->
+          let prefix = Printf.sprintf "line %d:" bad_line in
+          Alcotest.(check bool) (msg ^ " names " ^ prefix) true
+            (String.starts_with ~prefix msg))
+    [ ([ 1; 2; 2 ], 3); ([ 3; 1 ], 2); ([ 0 ], 1) ]
+
+let find_with_gaps () =
+  (* An imported trace may skip ids: lookups fall back to binary search. *)
+  let line id cause =
+    Printf.sprintf {|{"id":%d,"time":0,"actor":"a","kind":"k%d","detail":"d","cause":%s}|} id id
+      (match cause with Some c -> string_of_int c | None -> "null")
+  in
+  let input = String.concat "\n" [ line 2 None; line 5 (Some 2); line 6 None; line 9 (Some 5) ] in
+  match Dsim.Trace.of_jsonl input with
+  | Error msg -> Alcotest.failf "rejected gapped ids: %s" msg
+  | Ok t ->
+      List.iter
+        (fun id ->
+          Alcotest.(check (option int)) (Printf.sprintf "find %d" id)
+            (if List.mem id [ 2; 5; 6; 9 ] then Some id else None)
+            (Option.map (fun e -> e.Dsim.Trace.id) (Dsim.Trace.find t ~id)))
+        (List.init 12 Fun.id);
+      Alcotest.(check (list int)) "chain across gaps" [ 2; 5; 9 ]
+        (List.map (fun e -> e.Dsim.Trace.id) (Dsim.Trace.chain t ~id:9))
+
+let find_first_kind () =
+  let t = Dsim.Trace.create ~capacity:3 () in
+  List.iter
+    (fun (kind, detail) -> Dsim.Trace.record t ~time:0 ~actor:"a" ~kind detail)
+    [ ("x", "evicted"); ("y", "y1"); ("x", "x2"); ("x", "x3") ];
+  let detail = Option.map (fun e -> e.Dsim.Trace.detail) in
+  Alcotest.(check (option string)) "oldest live x" (Some "x2")
+    (detail (Dsim.Trace.find_first t ~kind:"x"));
+  Alcotest.(check (option string)) "y" (Some "y1") (detail (Dsim.Trace.find_first t ~kind:"y"));
+  Alcotest.(check (option string)) "absent" None (detail (Dsim.Trace.find_first t ~kind:"z"))
 
 let suites =
   [
@@ -130,5 +173,9 @@ let suites =
         Alcotest.test_case "clear restarts ids" `Quick clear_restarts_ids;
         Alcotest.test_case "jsonl round trip" `Quick jsonl_round_trip;
         Alcotest.test_case "jsonl rejects malformed line" `Quick jsonl_rejects_malformed_line;
+        Alcotest.test_case "jsonl rejects non-increasing id" `Quick
+          jsonl_rejects_non_increasing_id;
+        Alcotest.test_case "find with gaps" `Quick find_with_gaps;
+        Alcotest.test_case "find_first by kind" `Quick find_first_kind;
       ] );
   ]
