@@ -2028,21 +2028,6 @@ let cluster_scale () =
         failwith
           (Printf.sprintf "dispatch mismatch: indexed delivered %d, naive delivered %d"
              !delivered_indexed !delivered_naive);
-      (* Per-tick batching: replay the stream in 256-event ticks through
-         the coalescer, stream = watcher handle. Consecutive same-stream
-         deliveries collapse into one notification per tick. *)
-      let batch : int History.Dispatch.Batch.queue = History.Dispatch.Batch.create () in
-      let notifications = ref 0 and batched_deliveries = ref 0 in
-      Array.iteri
-        (fun i e ->
-          History.Dispatch.iter_matching index ~key:e.History.Event.key (fun handle _ ->
-              History.Dispatch.Batch.offer batch ~stream:handle e);
-          if (i + 1) mod 256 = 0 || i = n_events - 1 then
-            History.Dispatch.Batch.flush batch (fun ~stream:_ evs ->
-                incr notifications;
-                batched_deliveries := !batched_deliveries + List.length evs))
-        events;
-      let coalescing = float_of_int !batched_deliveries /. float_of_int (max 1 !notifications) in
       let speedup_p50 = naive_p50 /. Float.max indexed_p50 1e-3 in
       let speedup_eps = indexed_eps /. Float.max naive_eps 1e-9 in
       results :=
@@ -2060,8 +2045,6 @@ let cluster_scale () =
             ("naive_events_per_sec", Dsim.Json.Float naive_eps);
             ("speedup_p50", Dsim.Json.Float speedup_p50);
             ("speedup_events_per_sec", Dsim.Json.Float speedup_eps);
-            ("batch_notifications", Dsim.Json.Int !notifications);
-            ("batch_coalescing", Dsim.Json.Float coalescing);
           ]
         :: !results;
       rows :=
@@ -2073,7 +2056,6 @@ let cluster_scale () =
           Printf.sprintf "%.0f/%.0f ns" naive_p50 naive_p95;
           Printf.sprintf "%.2fM/s" (indexed_eps /. 1e6);
           Printf.sprintf "%.1fx" speedup_eps;
-          Printf.sprintf "%.1f ev/notif" coalescing;
         ]
         :: !rows)
     sizes;
@@ -2081,7 +2063,7 @@ let cluster_scale () =
   Sieve.Report.table
     ~header:
       [ "nodes"; "objects"; "informers"; "indexed p50/p95"; "naive p50/p95"; "indexed rate";
-        "speedup"; "batching" ]
+        "speedup" ]
     (List.rev !rows);
   let json =
     Dsim.Json.Obj
@@ -2109,8 +2091,7 @@ let cluster_scale () =
     "\nwrote BENCH_cluster.json. Expected shape: indexed dispatch cost tracks the\n\
      number of *matching* watchers (a few per key), so its latency is flat across\n\
      sizes while the naive walk grows linearly with the informer count — the\n\
-     speedup should exceed 10x at the largest size. Batching reports how many\n\
-     per-event deliveries collapse into one per-tick notification per stream.\n"
+     speedup should exceed 10x at the largest size.\n"
 
 (* ------------------------------------------------------------------ *)
 

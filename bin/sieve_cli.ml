@@ -583,9 +583,9 @@ let hunt_cmd =
       value & flag
       & info [ "hazard-rank" ]
           ~doc:
-            "Dispatch statically hazard-implicated candidates first: the layer-2 hazard graph \
-             ($(b,sieve hazards)) boosts the planner's queues and outranks coverage gain in \
-             the scheduler. Must match the original run when used with $(b,--resume).")
+            "Dispatch statically hazard-implicated candidates first: the scheduler ranks \
+             candidates the layer-2 hazard graph ($(b,sieve hazards)) implicates above \
+             coverage gain. Must match the original run when used with $(b,--resume).")
   in
   let check_conformance_arg =
     Arg.(
@@ -697,11 +697,12 @@ let hunt_cmd =
 
 let check_cmd =
   let doc =
-    "Verify the conformance layer end to end: the mutation self-test (each seeded \
-     perturbation — dropped event, reordered deliveries, stale cache, corrupted value, \
-     future frontier — must trip the monitor, the control replay must not), then a fault-free \
-     run of every corpus case with the monitor attached, which must stay silent. Nonzero exit \
-     on any failure."
+    "Verify the conformance layer end to end: the mutation self-test at the Kubernetes and \
+     the HBase boundaries (each seeded perturbation — dropped event, reordered deliveries, \
+     stale cache, corrupted value, future frontier, lost one-shot notification, truncated \
+     region map, forged znode — must trip the monitor, the HBase ones with their expected \
+     code, and the control replay must not), then a fault-free run of every corpus case with \
+     the monitor attached, which must stay silent. Nonzero exit on any failure."
   in
   let soak_arg =
     Arg.(
@@ -731,19 +732,24 @@ let check_cmd =
         in
         let rows = ref [] in
         let round ~label seed =
-          List.iter
-            (fun (o : Conformance.Selftest.outcome) ->
-              if not (Conformance.Selftest.ok o) then incr failures;
-              rows :=
-                [
-                  label;
-                  o.Conformance.Selftest.mutation;
-                  (if o.Conformance.Selftest.tripped then "tripped" else "silent");
-                  codes o;
-                  (if Conformance.Selftest.ok o then "ok" else "FAIL");
-                ]
-                :: !rows)
-            (Conformance.Selftest.run ~seed ())
+          let judge ~label ~ok outcomes =
+            List.iter
+              (fun (o : Conformance.Selftest.outcome) ->
+                if not (ok o) then incr failures;
+                rows :=
+                  [
+                    label;
+                    o.Conformance.Selftest.mutation;
+                    (if o.Conformance.Selftest.tripped then "tripped" else "silent");
+                    codes o;
+                    (if ok o then "ok" else "FAIL");
+                  ]
+                  :: !rows)
+              outcomes
+          in
+          judge ~label ~ok:Conformance.Selftest.ok (Conformance.Selftest.run ~seed ());
+          judge ~label:(label ^ "/hbase") ~ok:Conformance.Selftest.hbase_ok
+            (Conformance.Selftest.run_hbase ~seed ())
         in
         round ~label:"self-test" seed;
         let rng = Dsim.Rng.create seed in
@@ -1038,7 +1044,7 @@ let hazards_cmd =
         }
       else Kube.Cluster.default_config
     in
-    let footprints = Analysis.Footprint.of_config config in
+    let footprints = Sieve.Footprint.of_config config in
     let hazards =
       let base = Analysis.Hazard.of_footprints footprints in
       if not lint then base
@@ -1054,21 +1060,21 @@ let hazards_cmd =
       Sieve.Report.json
         (Dsim.Json.Obj
            [
-             ("footprints", Dsim.Json.List (List.map Analysis.Footprint.to_json footprints));
+             ("footprints", Dsim.Json.List (List.map Sieve.Footprint.to_json footprints));
              ("hazards", Dsim.Json.List (List.map Analysis.Hazard.to_json hazards));
            ])
     else begin
       Sieve.Report.table
         ~header:[ "component"; "cached reads"; "quorum reads"; "writes"; "destructive" ]
         (List.map
-           (fun (fp : Analysis.Footprint.t) ->
+           (fun (fp : Sieve.Footprint.t) ->
              let j = String.concat " " in
              [
-               fp.Analysis.Footprint.component;
-               j fp.Analysis.Footprint.cached_reads;
-               j fp.Analysis.Footprint.quorum_reads;
-               j fp.Analysis.Footprint.writes;
-               j fp.Analysis.Footprint.destructive;
+               fp.Sieve.Footprint.component;
+               j fp.Sieve.Footprint.cached_reads;
+               j fp.Sieve.Footprint.quorum_reads;
+               j fp.Sieve.Footprint.writes;
+               j fp.Sieve.Footprint.destructive;
              ])
            footprints);
       print_newline ();

@@ -1,3 +1,5 @@
+module Footprint = Sieve.Footprint
+
 type t = {
   pattern : Sieve.Coverage.pattern;
   component : string;
@@ -151,8 +153,6 @@ let score hazards ~component ~key ~pattern =
       then max acc h.severity
       else acc)
     0 hazards
-
-let boost hazards ~component ~key ~pattern = score hazards ~component ~key ~pattern
 
 let plan_score hazards coverage (plan : Sieve.Planner.plan) =
   let cells = Sieve.Coverage.cells_of coverage plan.Sieve.Planner.strategy in

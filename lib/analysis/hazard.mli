@@ -36,13 +36,13 @@ type t = {
   reason : string;
 }
 
-val of_footprints : Footprint.t list -> t list
+val of_footprints : Sieve.Footprint.t list -> t list
 (** Builds the hazard graph from footprints, deduplicated per
     (pattern, component, prefix) keeping the highest severity, sorted
     by severity (descending) then component/prefix. *)
 
 val of_config : Kube.Cluster.config -> t list
-(** [of_footprints (Footprint.of_config config)]. *)
+(** [of_footprints (Sieve.Footprint.of_config config)]. *)
 
 val of_lint : Lint.finding list -> t list
 (** Per-path hazards from lint findings: one hazard per evidence path
@@ -59,9 +59,6 @@ val score : t list -> component:string -> key:string -> pattern:Sieve.Coverage.p
 (** Highest severity of a hazard implicating this (component, key,
     pattern) cell — 0 when none does. Keys match hazard prefixes by
     [String.starts_with]. *)
-
-val boost : t list -> Sieve.Planner.boost
-(** {!score} in the shape {!Sieve.Planner.candidates_causal} accepts. *)
 
 val plan_score : t list -> Sieve.Coverage.t -> Sieve.Planner.plan -> int
 (** Dispatch priority of one candidate: the highest {!score} over the

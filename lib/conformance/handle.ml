@@ -2,49 +2,23 @@
    force every consumer of a runner outcome to be substrate-typed too.
    Nothing downstream ever looks at a committed value directly — cards
    and reports only need violation/divergence records (monomorphic) and
-   a rendering of the committed event at a revision — so a closure
-   record erases the type where the substrate is still known. *)
-type t = {
-  violations : unit -> Monitor.violation list;
-  total : unit -> int;
-  strict : unit -> bool;
-  divergences : unit -> Monitor.divergence list;
-  committed_describe : int -> string option;
-  finish : unit -> unit;
-}
+   a rendering of the committed event at a revision — so the value type
+   is hidden where the substrate is still known. *)
+type t = Handle : 'v Wiring.t -> t
 
-let violations t = t.violations ()
+let of_kube hooks = Handle hooks
 
-let total t = t.total ()
+let of_hbase hooks = Handle hooks
 
-let strict t = t.strict ()
+let violations (Handle w) = Monitor.violations (Wiring.monitor w)
 
-let divergences t = t.divergences ()
+let total (Handle w) = Monitor.total (Wiring.monitor w)
 
-let committed_describe t rev = t.committed_describe rev
+let strict (Handle w) = Monitor.strict (Wiring.monitor w)
 
-let finish t = t.finish ()
+let divergences (Handle w) = Monitor.divergences (Wiring.monitor w)
 
-let of_kube hooks =
-  let monitor = Hooks.monitor hooks in
-  {
-    violations = (fun () -> Monitor.violations monitor);
-    total = (fun () -> Monitor.total monitor);
-    strict = (fun () -> Monitor.strict monitor);
-    divergences = (fun () -> Monitor.divergences monitor);
-    committed_describe =
-      (fun rev -> Option.map History.Event.describe (Monitor.committed_at monitor rev));
-    finish = (fun () -> Hooks.finish hooks);
-  }
+let committed_describe (Handle w) rev =
+  Option.map History.Event.describe (Monitor.committed_at (Wiring.monitor w) rev)
 
-let of_hbase hooks =
-  let monitor = Hbase_hooks.monitor hooks in
-  {
-    violations = (fun () -> Monitor.violations monitor);
-    total = (fun () -> Monitor.total monitor);
-    strict = (fun () -> Monitor.strict monitor);
-    divergences = (fun () -> Monitor.divergences monitor);
-    committed_describe =
-      (fun rev -> Option.map History.Event.describe (Monitor.committed_at monitor rev));
-    finish = (fun () -> Hbase_hooks.finish hooks);
-  }
+let finish (Handle w) = Wiring.finish w

@@ -3,8 +3,8 @@
     {!Monitor} is polymorphic in the store's value type; a runner outcome
     must not be. Everything diagnosis and reporting need — violations,
     divergence points, a rendering of the committed event at a revision —
-    is monomorphic, so this handle closes over the typed hooks and
-    exposes only that. *)
+    is monomorphic, so this handle hides the value type of either
+    dialect's conformance core ({!Wiring}) and exposes only that. *)
 
 type t
 

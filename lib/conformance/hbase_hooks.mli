@@ -1,5 +1,5 @@
-(** Conformance taps for the HBase substrate: one {!Monitor} threaded
-    through the ZooKeeper delivery boundaries.
+(** The HBase dialect of the conformance core ({!Wiring}): one
+    {!Monitor} threaded through the ZooKeeper delivery boundaries.
 
     The monitored stream is leader→follower replication — the follower's
     observed [(H', S')] against the leader's committed [(H, S)] — plus
@@ -9,21 +9,8 @@
     documented behaviour (the §4.2.3 observability gap under study), not
     a simulator defect. *)
 
-type t
+type t = string Wiring.t
 
-val attach :
-  ?strict:bool -> ?track_divergence:bool -> ?lag_grace:int -> ?check_period:int ->
-  Hbaselike.Cluster.t -> t
+val attach : ?track_divergence:bool -> Hbaselike.Cluster.t -> t
 (** Attach after {!Hbaselike.Cluster.create}, before [start]. Strict mode
     relaxes automatically at the first interceptor [Drop]. *)
-
-val monitor : t -> string Monitor.t
-
-val violations : t -> Monitor.violation list
-
-val total : t -> int
-
-val divergences : t -> Monitor.divergence list
-
-val finish : t -> unit
-(** Final sweep; call once the run is over. *)

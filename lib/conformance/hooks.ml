@@ -1,111 +1,41 @@
-type t = {
-  cluster : Kube.Cluster.t;
-  monitor : Kube.Resource.value Monitor.t;
-  (* Tap callbacks per component: every cache mutation fires a tap, so a
-     component whose (rev, activity) pair is unchanged since the last
-     sweep provably has the same cache — its re-check is skipped. *)
-  activity : (string, int) Hashtbl.t;
-  checked : (string, int * int) Hashtbl.t;  (* subject -> (rev, activity) at last full check *)
-  (* Divergence tracking: commit times by revision, so the sweep can age
-     the first undelivered event of every stream against the clock. *)
-  commit_times : (int, int) Hashtbl.t;
-  lag_grace : int;
-}
-
-let monitor t = t.monitor
-
-let violations t = Monitor.violations t.monitor
-
-let total t = Monitor.total t.monitor
-
-let divergences t = Monitor.divergences t.monitor
+type t = Kube.Resource.value Wiring.t
 
 (* A new generation is a new stream: frontiers must not be compared
    across a crash or a gap-triggered re-list. *)
 let stream_key (view : Kube.Tap.view) =
   view.Kube.Tap.stream ^ "@" ^ string_of_int view.Kube.Tap.generation
 
-let note_activity t (view : Kube.Tap.view) =
-  let c = view.Kube.Tap.component in
-  Hashtbl.replace t.activity c (1 + try Hashtbl.find t.activity c with Not_found -> 0)
-
-let tap_of t =
-  let monitor = t.monitor in
+let tap_of w =
+  let monitor = Wiring.monitor w in
   {
     Kube.Tap.on_event =
       (fun view e ->
-        note_activity t view;
+        Wiring.note_activity w view.Kube.Tap.component;
         Monitor.observe_event monitor ~stream:(stream_key view) ?prefix:view.Kube.Tap.prefix e);
     on_advance =
       (fun view _rev ->
-        note_activity t view;
+        Wiring.note_activity w view.Kube.Tap.component;
         Monitor.observe_advance monitor ~stream:(stream_key view) ?prefix:view.Kube.Tap.prefix
           ~rev:view.Kube.Tap.rev ());
     on_reset =
       (fun view ->
-        note_activity t view;
+        Wiring.note_activity w view.Kube.Tap.component;
         Monitor.observe_reset monitor ~stream:(stream_key view) ?prefix:view.Kube.Tap.prefix
           ~rev:view.Kube.Tap.rev view.Kube.Tap.state);
   }
 
-(* Re-checking an unchanged cache against an unchanged claim is pure
-   waste: skip a subject when both its claimed revision and its tap
-   activity count match the last fully-performed check. The signature is
-   only recorded when the check actually ran to completion (the claimed
-   revision was inside the mirror), so a future-rev claim is re-examined
-   once the mirror catches up. *)
-let check_state_cached t ~component ~subject ?prefix ~rev state =
-  let sig_now = (rev, try Hashtbl.find t.activity component with Not_found -> 0) in
-  if Hashtbl.find_opt t.checked subject <> Some sig_now then begin
-    Monitor.check_state t.monitor ~subject ?prefix ~rev state;
-    if rev <= Monitor.mirror_rev t.monitor then Hashtbl.replace t.checked subject sig_now
-  end
+let taps cluster w =
+  let tap = Some (tap_of w) in
+  List.iter (fun a -> Kube.Apiserver.set_tap a tap) (Kube.Cluster.apiservers cluster);
+  (* Informers are created by [Cluster.start], which runs after attach:
+     install their taps at the first engine dispatch. [set_tap] replays
+     any list the informer adopted in between as a reset, so the
+     monitor's frontiers start at the adopted revision. *)
+  ignore
+    (Dsim.Engine.schedule (Kube.Cluster.engine cluster) ~delay:0 (fun () ->
+         List.iter (fun i -> Kube.Informer.set_tap i tap) (Kube.Cluster.informers cluster)))
 
-(* Pure delay is invisible to the frontier checks (FIFO pipes preserve
-   the subsequence), so staleness-by-lag is measured here: a stream whose
-   first undelivered matching event has aged past the grace period is
-   diverging — its decisions run on a view the store has left behind. The
-   grace sits well above transport latency and below any injected delay
-   worth diagnosing. *)
-let lag_sweep t =
-  if Monitor.tracking t.monitor then begin
-    let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
-    let flag ~stream ?prefix ~frontier () =
-      match Monitor.first_undelivered t.monitor ?prefix ~after:frontier () with
-      | Some e ->
-          let rev = e.History.Event.rev in
-          (match Hashtbl.find_opt t.commit_times rev with
-          | Some at when now - at > t.lag_grace ->
-              Monitor.note_lag t.monitor ~stream ~rev ~key:e.History.Event.key
-                (Printf.sprintf "committed %s still undelivered after %d us"
-                   (History.Event.describe e) (now - at))
-          | Some _ | None -> ())
-      | None -> ()
-    in
-    let etcd_name = Kube.Etcd.name (Kube.Cluster.etcd t.cluster) in
-    (* Replicated backend: each replica's applied frontier is a stream
-       off the canonical (leader-committed) history — replication lag
-       registers as a Lag divergence on ["<replica><-raft"], exactly like
-       a consumer cache falling behind. Empty for the single backend. *)
-    List.iter
-      (fun (id, rev) -> flag ~stream:(id ^ "<-raft") ~frontier:rev ())
-      (Kube.Etcd.replica_revs (Kube.Cluster.etcd t.cluster));
-    List.iter
-      (fun a ->
-        if Kube.Apiserver.ready a then
-          flag ~stream:(Kube.Apiserver.name a ^ "<-" ^ etcd_name) ~frontier:(Kube.Apiserver.rev a)
-            ())
-      (Kube.Cluster.apiservers t.cluster);
-    List.iter
-      (fun i ->
-        if Kube.Informer.running i then
-          flag
-            ~stream:(Kube.Informer.owner i ^ "#" ^ Kube.Informer.prefix i)
-            ~prefix:(Kube.Informer.prefix i) ~frontier:(Kube.Informer.rev i) ())
-      (Kube.Cluster.informers t.cluster)
-  end
-
-let check_sweep t =
+let check cluster w =
   (* Replica state machines must be stale-but-never-wrong: each one's
      applied store is checked against the committed history at exactly
      its claimed revision, so a non-deterministic apply trips
@@ -116,70 +46,51 @@ let check_sweep t =
         (fun id ->
           match Replicated.Kv.replica_store rkv id with
           | Some store ->
-              check_state_cached t ~component:id ~subject:(id ^ "<-raft")
+              Wiring.check_state w ~component:id ~subject:(id ^ "<-raft")
                 ~rev:(Etcdlike.Kv.rev store) (Etcdlike.Kv.state store)
           | None -> ())
         (Replicated.Kv.replica_ids rkv))
-    (Kube.Etcd.replicated_kv (Kube.Cluster.etcd t.cluster));
+    (Kube.Etcd.replicated_kv (Kube.Cluster.etcd cluster));
   List.iter
     (fun a ->
-      check_state_cached t ~component:(Kube.Apiserver.name a) ~subject:(Kube.Apiserver.name a)
+      Wiring.check_state w ~component:(Kube.Apiserver.name a) ~subject:(Kube.Apiserver.name a)
         ~rev:(Kube.Apiserver.rev a) (Kube.Apiserver.cache a))
-    (Kube.Cluster.apiservers t.cluster);
+    (Kube.Cluster.apiservers cluster);
   List.iter
     (fun i ->
       if Kube.Informer.running i then
-        check_state_cached t ~component:(Kube.Informer.owner i)
+        Wiring.check_state w ~component:(Kube.Informer.owner i)
           ~subject:(Kube.Informer.owner i ^ "#" ^ Kube.Informer.prefix i)
           ~prefix:(Kube.Informer.prefix i) ~rev:(Kube.Informer.rev i) (Kube.Informer.store i))
-    (Kube.Cluster.informers t.cluster);
-  lag_sweep t
+    (Kube.Cluster.informers cluster)
 
-let finish t = check_sweep t
+let lag cluster w =
+  let etcd_name = Kube.Etcd.name (Kube.Cluster.etcd cluster) in
+  (* Replicated backend: each replica's applied frontier is a stream off
+     the canonical (leader-committed) history — replication lag registers
+     as a Lag divergence on ["<replica><-raft"], exactly like a consumer
+     cache falling behind. Empty for the single backend. *)
+  List.iter
+    (fun (id, rev) -> Wiring.flag_lag w ~stream:(id ^ "<-raft") ~frontier:rev ())
+    (Kube.Etcd.replica_revs (Kube.Cluster.etcd cluster));
+  List.iter
+    (fun a ->
+      if Kube.Apiserver.ready a then
+        Wiring.flag_lag w ~stream:(Kube.Apiserver.name a ^ "<-" ^ etcd_name)
+          ~frontier:(Kube.Apiserver.rev a) ())
+    (Kube.Cluster.apiservers cluster);
+  List.iter
+    (fun i ->
+      if Kube.Informer.running i then
+        Wiring.flag_lag w
+          ~stream:(Kube.Informer.owner i ^ "#" ^ Kube.Informer.prefix i)
+          ~prefix:(Kube.Informer.prefix i) ~frontier:(Kube.Informer.rev i) ())
+    (Kube.Cluster.informers cluster)
 
-let attach ?strict ?(track_divergence = false) ?(lag_grace = 250_000) ?(check_period = 500_000)
-    cluster =
-  let engine = Kube.Cluster.engine cluster in
-  let metrics = Dsim.Engine.metrics engine in
-  let on_violation v =
-    Dsim.Metrics.incr metrics "conformance.violations";
-    Dsim.Engine.record engine ~actor:"conformance" ~kind:"conformance.violation"
-      (Monitor.describe v)
-  in
-  let monitor = Monitor.create ?strict ~track_divergence ~on_violation () in
-  let t =
-    {
-      cluster;
-      monitor;
-      activity = Hashtbl.create 16;
-      checked = Hashtbl.create 16;
-      commit_times = Hashtbl.create 64;
-      lag_grace;
-    }
-  in
-  (* Before the consumers: commit listeners run in registration order,
-     and the mirror must already hold an event when its delivery taps
-     fire. [Cluster.create] registered etcd's own hub first, so the
-     mirror sits between the store and every watch stream. *)
-  Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (Monitor.note_commit monitor);
-  if track_divergence then
-    Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e ->
-        Hashtbl.replace t.commit_times e.History.Event.rev (Dsim.Engine.now engine));
-  let tap = Some (tap_of t) in
-  List.iter (fun a -> Kube.Apiserver.set_tap a tap) (Kube.Cluster.apiservers cluster);
-  (* Informers are created by [Cluster.start], which runs after attach:
-     install their taps at the first engine dispatch. [set_tap] replays
-     any list the informer adopted in between as a reset, so the
-     monitor's frontiers start at the adopted revision. *)
-  ignore
-    (Dsim.Engine.schedule engine ~delay:0 (fun () ->
-         List.iter (fun i -> Kube.Informer.set_tap i tap) (Kube.Cluster.informers cluster)));
-  (* The first deliberate drop ends strict mode: from then on the run is
-     *supposed* to contain gaps and stale caches. Delays and partitions
-     keep it — FIFO pipes and re-list recovery preserve completeness. *)
-  Kube.Intercept.set_observer (Kube.Cluster.intercept cluster) (fun _edge _event decision ->
-      match decision with Kube.Intercept.Drop -> Monitor.relax monitor | _ -> ());
-  Dsim.Engine.every engine ~period:check_period (fun () ->
-      check_sweep t;
-      true);
-  t
+(* [Cluster.create] registered etcd's own hub first, so the mirror sits
+   between the store and every watch stream. *)
+let attach ?(track_divergence = false) cluster =
+  Wiring.attach ~engine:(Kube.Cluster.engine cluster)
+    ~on_commit:(Kube.Etcd.on_commit (Kube.Cluster.etcd cluster))
+    ~intercept:(Kube.Cluster.intercept cluster) ~track_divergence ~taps:(taps cluster)
+    ~check:(check cluster) ~lag:(lag cluster)

@@ -1,4 +1,4 @@
-(** Cluster wiring for the {!Monitor}.
+(** The Kubernetes dialect of the conformance core ({!Wiring}).
 
     [attach] threads one monitor through every cache boundary the paper
     names: the store's commit stream ([Etcd.on_commit] feeds the mirror —
@@ -9,8 +9,8 @@
     each replica's applied state machine is swept too, as stream
     ["<replica><-raft"]: replication lag registers as a [Lag] divergence
     off the canonical history, and a non-deterministic apply trips
-    [State_divergence] — followers must be stale, never wrong. The interceptor's observer slot
-    is used to {!Monitor.relax} the monitor the first time a strategy
+    [State_divergence] — followers must be stale, never wrong. The
+    core {!Monitor.relax}es the monitor the first time a strategy
     *drops* an event — from then on gaps and divergent caches are the
     experiment, not a defect — while delays, partitions and
     crash/restarts keep strict mode (FIFO pipes and re-list recovery
@@ -22,43 +22,19 @@
     violation fires, so attaching it leaves a correct run's trajectory,
     trace and journal byte-identical. *)
 
-type t
+type t = Kube.Resource.value Wiring.t
 
-val attach :
-  ?strict:bool ->
-  ?track_divergence:bool ->
-  ?lag_grace:int ->
-  ?check_period:int ->
-  Kube.Cluster.t ->
-  t
-(** [check_period] (default 500 ms of virtual time) is the cadence of the
-    periodic per-cache state check; each sweep skips caches whose claimed
-    revision and tap activity are unchanged since their last full check,
-    so quiet components cost nothing. Violations are recorded in the
-    trace as ["conformance.violation"] entries and counted in the
-    ["conformance.violations"] metric.
+val attach : ?track_divergence:bool -> Kube.Cluster.t -> t
+(** Each periodic sweep (every 500 ms of virtual time) skips caches whose
+    claimed revision and tap activity are unchanged since their last
+    full check, so quiet components cost nothing. Violations are
+    recorded in the trace as ["conformance.violation"] entries and
+    counted in the ["conformance.violations"] metric.
 
     [track_divergence] (default false) additionally records each
     stream's divergence point ({!Monitor.divergence}): skips and rewinds
     are caught at the taps, and each sweep ages the first undelivered
-    committed event of every stream against the engine clock, reporting
-    a [Lag] divergence once it exceeds [lag_grace] (default 250 ms of
-    virtual time — above transport latency, below any injected delay
-    worth diagnosing). Tracking draws no randomness and schedules
+    committed event of every stream against the engine clock
+    ({!Wiring.flag_lag}). Tracking draws no randomness and schedules
     nothing extra, so it leaves the run's trajectory and trace
     unchanged. *)
-
-val finish : t -> unit
-(** Run one final state check over every cache — call after the run so
-    short horizons that never reached a periodic check are still
-    verified. *)
-
-val monitor : t -> Kube.Resource.value Monitor.t
-
-val violations : t -> Monitor.violation list
-
-val total : t -> int
-
-val divergences : t -> Monitor.divergence list
-(** Divergence points recorded so far ({!Monitor.divergences}); empty
-    unless attached with [~track_divergence:true]. *)

@@ -53,9 +53,9 @@ type 'v t = {
   base_frontiers : (string, int) Hashtbl.t;  (* base stream -> max frontier ever *)
 }
 
-let create ?(strict = true) ?(track_divergence = false) ?(on_violation = fun _ -> ()) () =
+let create ?(track_divergence = false) ?(on_violation = fun _ -> ()) () =
   {
-    strict_mode = strict;
+    strict_mode = true;
     track = track_divergence;
     on_violation;
     window = History.Window.create ();
@@ -82,8 +82,6 @@ let base_of stream =
   match String.index_opt stream '@' with Some i -> String.sub stream 0 i | None -> stream
 
 let divergences t = List.rev t.divs_order
-
-let divergence_of t stream = Hashtbl.find_opt t.divs (base_of stream)
 
 let record_divergence t ~stream ~kind ~rev ~key ~frontier detail =
   if t.track then begin

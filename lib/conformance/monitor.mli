@@ -91,14 +91,13 @@ type divergence = {
 
 type 'v t
 
-val create :
-  ?strict:bool -> ?track_divergence:bool -> ?on_violation:(violation -> unit) -> unit -> 'v t
-(** [strict] (default true) enables the completeness and state-equality
-    checks; [on_violation] fires once per distinct (code, subject) pair,
-    at the first occurrence. [track_divergence] (default false) records
-    each stream's divergence point — independently of strict mode, so the
-    {e expected} gaps of a fault-injection run are still pinpointed after
-    {!relax}. *)
+val create : ?track_divergence:bool -> ?on_violation:(violation -> unit) -> unit -> 'v t
+(** A monitor in strict mode, which enables the completeness and
+    state-equality checks until {!relax}. [on_violation] fires once per
+    distinct (code, subject) pair, at the first occurrence.
+    [track_divergence] (default false) records each stream's divergence
+    point — independently of strict mode, so the {e expected} gaps of a
+    fault-injection run are still pinpointed after {!relax}. *)
 
 val strict : 'v t -> bool
 
@@ -147,15 +146,11 @@ val divergences : 'v t -> divergence list
 (** Divergence points recorded so far, in detection order. Empty unless
     created with [~track_divergence:true]. *)
 
-val divergence_of : 'v t -> string -> divergence option
-(** The divergence point of one stream (matched on the base name, with
-    or without the ['@'generation] suffix). *)
-
 val note_lag : 'v t -> stream:string -> rev:int -> key:string -> string -> unit
 (** Record a [Lag] divergence: the committed event at [rev] (key [key],
     matching the stream's filter) is past due. Pure delay never trips the
     frontier checks — FIFO pipes keep the subsequence intact — so lag is
-    measured from outside ({!Hooks} ages the first undelivered event
+    measured from outside ({!Wiring} ages the first undelivered event
     against the engine clock) and reported here. Ignored when the stream
     already has a divergence record. *)
 

@@ -1,0 +1,86 @@
+type 'v t = {
+  engine : Dsim.Engine.t;
+  monitor : 'v Monitor.t;
+  (* Tap callbacks per component: every cache mutation fires a tap, so a
+     component whose (rev, activity) pair is unchanged since the last
+     sweep provably has the same cache — its re-check is skipped. *)
+  activity : (string, int) Hashtbl.t;
+  checked : (string, int * int) Hashtbl.t;  (* subject -> (rev, activity) at last full check *)
+  (* Divergence tracking: commit times by revision, so the sweep can age
+     the first undelivered event of every stream against the clock. *)
+  commit_times : (int, int) Hashtbl.t;
+  check : 'v t -> unit;
+  lag : 'v t -> unit;
+}
+
+let sweep_period = 500_000
+
+let lag_grace = 250_000
+
+let monitor t = t.monitor
+
+let note_activity t component =
+  Hashtbl.replace t.activity component
+    (1 + try Hashtbl.find t.activity component with Not_found -> 0)
+
+let check_state t ~component ~subject ?prefix ~rev state =
+  let sig_now = (rev, try Hashtbl.find t.activity component with Not_found -> 0) in
+  if Hashtbl.find_opt t.checked subject <> Some sig_now then begin
+    Monitor.check_state t.monitor ~subject ?prefix ~rev state;
+    if rev <= Monitor.mirror_rev t.monitor then Hashtbl.replace t.checked subject sig_now
+  end
+
+let flag_lag t ~stream ?prefix ~frontier () =
+  match Monitor.first_undelivered t.monitor ?prefix ~after:frontier () with
+  | Some e -> (
+      let rev = e.History.Event.rev in
+      let now = Dsim.Engine.now t.engine in
+      match Hashtbl.find_opt t.commit_times rev with
+      | Some at when now - at > lag_grace ->
+          Monitor.note_lag t.monitor ~stream ~rev ~key:e.History.Event.key
+            (Printf.sprintf "committed %s still undelivered after %d us"
+               (History.Event.describe e) (now - at))
+      | Some _ | None -> ())
+  | None -> ()
+
+(* The lag half builds stream names, so it is skipped outright when
+   nothing tracks divergence. *)
+let finish t =
+  t.check t;
+  if Monitor.tracking t.monitor then t.lag t
+
+let attach ~engine ~on_commit ~intercept ~track_divergence ~taps ~check ~lag =
+  let metrics = Dsim.Engine.metrics engine in
+  let on_violation v =
+    Dsim.Metrics.incr metrics "conformance.violations";
+    Dsim.Engine.record engine ~actor:"conformance" ~kind:"conformance.violation"
+      (Monitor.describe v)
+  in
+  let t =
+    {
+      engine;
+      monitor = Monitor.create ~track_divergence ~on_violation ();
+      activity = Hashtbl.create 16;
+      checked = Hashtbl.create 16;
+      commit_times = Hashtbl.create 64;
+      check;
+      lag;
+    }
+  in
+  (* Before the consumers: commit listeners run in registration order,
+     and the mirror must already hold an event when its delivery taps
+     fire. *)
+  on_commit (Monitor.note_commit t.monitor);
+  if track_divergence then
+    on_commit (fun e ->
+        Hashtbl.replace t.commit_times e.History.Event.rev (Dsim.Engine.now engine));
+  taps t;
+  (* The first deliberate drop ends strict mode: from then on the run is
+     *supposed* to contain gaps and stale caches. Delays and partitions
+     keep it — FIFO pipes and re-list recovery preserve completeness. *)
+  History.Intercept.set_observer intercept (fun _edge _event decision ->
+      match decision with History.Intercept.Drop -> Monitor.relax t.monitor | _ -> ());
+  Dsim.Engine.every engine ~period:sweep_period (fun () ->
+      finish t;
+      true);
+  t

@@ -127,8 +127,6 @@ let mark t footprint =
 
 let note t strategy = mark t (footprint t strategy)
 
-let cells t = Array.to_list t.cells
-
 let total t = Array.length t.cells
 
 let covered t = t.covered
@@ -146,4 +144,4 @@ let by_pattern t =
     [ `Staleness; `Obs_gap; `Time_travel ]
 
 let uncovered t =
-  List.filteri (fun id _ -> not (is_marked t id)) (cells t) |> List.sort compare
+  List.filteri (fun id _ -> not (is_marked t id)) (Array.to_list t.cells) |> List.sort compare

@@ -61,11 +61,6 @@ val mark : t -> footprint -> unit
 (** Marks the footprint's cells; each cell counts once toward
     {!covered}, however often it is marked. *)
 
-val cells : t -> cell list
-(** Every cell of the space, in enumeration order — the raw material for
-    static hazard scoring ({!Sieve} layer 2), which maps each cell to the
-    severity of the hazards implicating it. *)
-
 val total : t -> int
 
 val covered : t -> int

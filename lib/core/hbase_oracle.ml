@@ -5,51 +5,21 @@
    so signatures, journals and diagnosis cards need no substrate
    branch. *)
 
+let check_period = 100_000
+
+let stale_confirmations = 8
+
+let double_confirmations = 25
+
 type t = {
   cluster : Hbaselike.Cluster.t;
-  stale_confirmations : int;
-  double_confirmations : int;
+  ledger : Oracle.ledger;
   stale_streak : (string, int * int) Hashtbl.t;
       (* region -> (consecutive bad sightings, master cas_failures at streak start) *)
   double_streak : (string, int) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;  (* dedup keys, {!Oracle.key} *)
-  commit_ids : (string, int) Hashtbl.t;  (* store key -> last commit trace id *)
-  mutable last_commit_id : int option;
-  mutable violations : (int * Oracle.violation) list;  (* newest first *)
 }
 
-let violations t = List.rev t.violations
-
-let first t = match violations t with [] -> None | v :: _ -> Some v
-
-let violated t = t.violations <> []
-
-let engine t = Hbaselike.Cluster.engine t.cluster
-
-let cause_for t key =
-  match Hashtbl.find_opt t.commit_ids key with
-  | Some _ as c -> c
-  | None -> t.last_commit_id
-
-let report ?cause t v =
-  let k = Oracle.key v in
-  if not (Hashtbl.mem t.seen k) then begin
-    Hashtbl.replace t.seen k ();
-    let engine = engine t in
-    let now = Dsim.Engine.now engine in
-    t.violations <- (now, v) :: t.violations;
-    let cause =
-      match cause with
-      | Some _ as c -> c
-      | None -> (
-          match Dsim.Engine.current_cause engine with
-          | Some _ as c -> c
-          | None -> t.last_commit_id)
-    in
-    Dsim.Metrics.incr (Dsim.Engine.metrics engine) "oracle.violations";
-    Dsim.Engine.record engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
-      (Printf.sprintf "[%s] %s" (Oracle.bug_id v) (Oracle.describe v))
-  end
+let violations t = Oracle.found t.ledger
 
 let leader_kv t = Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk t.cluster)
 
@@ -82,9 +52,8 @@ let check_stale_assignments t =
             | None -> (1, cas_failures)
           in
           Hashtbl.replace t.stale_streak region (streak, cas0);
-          if streak >= t.stale_confirmations then
-            report t
-              ?cause:(cause_for t ("region/" ^ region))
+          if streak >= stale_confirmations then
+            Oracle.report ~about:("region/" ^ region) t.ledger
               (if cas_failures > cas0 then Oracle.Region_cas_wedged { region; server }
                else Oracle.Region_stale_assign { region; server })
       | Some _ | None -> Hashtbl.remove t.stale_streak region)
@@ -112,27 +81,20 @@ let check_double_serve t =
       if List.length servers >= 2 then begin
         let streak = 1 + Option.value (Hashtbl.find_opt t.double_streak region) ~default:0 in
         Hashtbl.replace t.double_streak region streak;
-        if streak >= t.double_confirmations then
-          report t
-            ?cause:(cause_for t ("region/" ^ region))
+        if streak >= double_confirmations then
+          Oracle.report ~about:("region/" ^ region) t.ledger
             (Oracle.Region_double_serve { region; servers = List.sort String.compare servers })
       end
       else Hashtbl.remove t.double_streak region)
     (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
 
-let attach ?(check_period = 100_000) ?(stale_confirmations = 8) ?(double_confirmations = 25)
-    cluster =
+let attach cluster =
   let t =
     {
       cluster;
-      stale_confirmations;
-      double_confirmations;
+      ledger = Oracle.ledger (Hbaselike.Cluster.engine cluster);
       stale_streak = Hashtbl.create 8;
       double_streak = Hashtbl.create 8;
-      seen = Hashtbl.create 8;
-      commit_ids = Hashtbl.create 64;
-      last_commit_id = None;
-      violations = [];
     }
   in
   (* The Zk commit listener registered at create time emits the
@@ -140,12 +102,7 @@ let attach ?(check_period = 100_000) ?(stale_confirmations = 8) ?(double_confirm
      the causal anchor for violations about the committed key. *)
   Etcdlike.Kv.on_commit
     (Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk cluster))
-    (fun (e : string History.Event.t) ->
-      match Dsim.Engine.current_cause (Hbaselike.Cluster.engine cluster) with
-      | Some id ->
-          Hashtbl.replace t.commit_ids e.History.Event.key id;
-          t.last_commit_id <- Some id
-      | None -> ());
+    (fun (e : string History.Event.t) -> Oracle.note_commit t.ledger e.History.Event.key);
   Dsim.Engine.every (Hbaselike.Cluster.engine cluster) ~period:check_period (fun () ->
       check_stale_assignments t;
       check_double_serve t;

@@ -9,15 +9,10 @@
 
 type t
 
-val attach :
-  ?check_period:int ->
-  ?stale_confirmations:int ->
-  ?double_confirmations:int ->
-  Hbaselike.Cluster.t ->
-  t
+val attach : Hbaselike.Cluster.t -> t
 (** Installs a leader commit listener (for causal anchors) and the
-    periodic checker. Attach after {!Hbaselike.Cluster.create} and
-    before [start].
+    periodic checker (every 100 ms). Attach after
+    {!Hbaselike.Cluster.create} and before [start].
 
     Thresholds separate persistent violations from transient repair
     windows: a dead assignment must survive 8 consecutive 100 ms checks
@@ -27,8 +22,4 @@ val attach :
     calling transient). *)
 
 val violations : t -> (int * Oracle.violation) list
-(** Time-stamped, first occurrence per {!Oracle.key}, oldest first. *)
-
-val first : t -> (int * Oracle.violation) option
-
-val violated : t -> bool
+(** {!Oracle.found} of the oracle's ledger. *)

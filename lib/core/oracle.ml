@@ -70,60 +70,83 @@ let key v =
   | Region_double_serve { region; _ } -> "hbdup:" ^ region
   | Region_cas_wedged { region; _ } -> "hbwedge:" ^ region
 
+type ledger = {
+  engine : Dsim.Engine.t;
+  seen : (string, unit) Hashtbl.t;  (* dedup keys *)
+  mutable found : (int * violation) list;  (* newest first *)
+  commit_ids : (string, int) Hashtbl.t;  (* store key -> last commit trace id *)
+  mutable last_commit_id : int option;
+}
+
+let ledger engine =
+  {
+    engine;
+    seen = Hashtbl.create 16;
+    found = [];
+    commit_ids = Hashtbl.create 64;
+    last_commit_id = None;
+  }
+
+(* Commit listeners run after the store's own, which emits the commit
+   trace entry, so the causal frontier here is that entry's id. *)
+let note_commit l key =
+  match Dsim.Engine.current_cause l.engine with
+  | Some id ->
+      Hashtbl.replace l.commit_ids key id;
+      l.last_commit_id <- Some id
+  | None -> ()
+
+let found l = List.rev l.found
+
+(* The causal anchor: a violation about a store key hangs off the last
+   commit to that key, else the most recent commit, else the live
+   frontier; one without a key (a commit-driven check, running inside
+   the commit) off the live frontier, else the most recent commit. *)
+let report ?about l v =
+  let k = key v in
+  if not (Hashtbl.mem l.seen k) then begin
+    Hashtbl.replace l.seen k ();
+    l.found <- (Dsim.Engine.now l.engine, v) :: l.found;
+    let cause =
+      match about with
+      | Some key -> (
+          match Hashtbl.find_opt l.commit_ids key with
+          | Some _ as c -> c
+          | None when l.last_commit_id <> None -> l.last_commit_id
+          | None -> Dsim.Engine.current_cause l.engine)
+      | None -> (
+          match Dsim.Engine.current_cause l.engine with
+          | Some _ as c -> c
+          | None -> l.last_commit_id)
+    in
+    Dsim.Metrics.incr (Dsim.Engine.metrics l.engine) "oracle.violations";
+    Dsim.Engine.record l.engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
+      (Printf.sprintf "[%s] %s" (bug_id v) (describe v))
+  end
+
+let check_period = 100_000
+
+let livelock_threshold = 15
+
+let leak_grace = 2_000_000
+
+let duplicate_confirmations = 20
+
 type t = {
   cluster : Kube.Cluster.t;
-  livelock_threshold : int;
-  leak_grace : int;
-  duplicate_confirmations : int;
+  ledger : ledger;
   mutable mirror : Kube.Resource.value History.State.t;
   pod_deleted_at : (string, int) Hashtbl.t;  (* pod name -> removal time *)
   duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
   wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
       (* deployment -> (intent fingerprint, consecutive unchanged sightings) *)
-  seen : (string, unit) Hashtbl.t;  (* dedup keys *)
-  mutable violations : (int * violation) list;  (* newest first *)
-  commit_ids : (string, int) Hashtbl.t;  (* resource key -> last commit trace id *)
-  mutable last_commit_id : int option;
 }
 
 let mirror t = t.mirror
 
-let violations t = List.rev t.violations
+let violations t = found t.ledger
 
-let first t = match violations t with [] -> None | v :: _ -> Some v
-
-let violated t = t.violations <> []
-
-(* The trace id of the last store commit that touched [key] — the best
-   causal anchor for a violation about that resource — falling back to
-   the most recent commit of any kind. *)
-let cause_for t key =
-  match Hashtbl.find_opt t.commit_ids key with
-  | Some _ as c -> c
-  | None -> t.last_commit_id
-
-let report ?cause t v =
-  let k = key v in
-  if not (Hashtbl.mem t.seen k) then begin
-    Hashtbl.replace t.seen k ();
-    let engine = Kube.Cluster.engine t.cluster in
-    let now = Dsim.Engine.now engine in
-    t.violations <- (now, v) :: t.violations;
-    (* Resolve the causal anchor: an explicit per-check cause wins, then
-       the live frontier (commit-driven checks run inside the commit),
-       then the most recent commit. *)
-    let cause =
-      match cause with
-      | Some _ as c -> c
-      | None -> (
-          match Dsim.Engine.current_cause engine with
-          | Some _ as c -> c
-          | None -> t.last_commit_id)
-    in
-    Dsim.Metrics.incr (Dsim.Engine.metrics engine) "oracle.violations";
-    Dsim.Engine.record engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
-      (Printf.sprintf "[%s] %s" (bug_id v) (describe v))
-  end
+let violated t = t.ledger.found <> []
 
 (* A decommission is the operator setting deletion_timestamp on a member
    pod; it is wrong if any *other* live member of the same datacenter has
@@ -143,7 +166,7 @@ let check_decommission t (p : Kube.Resource.pod) =
           t.mirror (-1)
       in
       if live_max > marked then
-        report t
+        report t.ledger
           (Wrong_decommission { dc = Kube.Resource.name_of_key owner_key; marked; live_max })
   | _ -> ()
 
@@ -156,7 +179,7 @@ let check_claim_delete t pvc_name =
       | Some owner -> begin
           match History.State.get t.mirror (Kube.Resource.pod_key owner) with
           | Some (Kube.Resource.Pod p) when p.Kube.Resource.deletion_timestamp = None ->
-              report t (Live_claim_deleted { pvc = pvc_name; owner_pod = owner })
+              report t.ledger (Live_claim_deleted { pvc = pvc_name; owner_pod = owner })
           | Some _ | None -> ()
         end
     end
@@ -173,7 +196,7 @@ let check_failed_transition t (e : Kube.Resource.value History.Event.t) =
              && before.Kube.Resource.deletion_timestamp = None -> begin
           match before.Kube.Resource.node with
           | Some node when History.State.mem t.mirror (Kube.Resource.node_key node) ->
-              report t (Healthy_pod_failed { pod = before.Kube.Resource.pod_name; node })
+              report t.ledger (Healthy_pod_failed { pod = before.Kube.Resource.pod_name; node })
           | Some _ | None -> ()
         end
       | Some _ | None -> ()
@@ -182,14 +205,7 @@ let check_failed_transition t (e : Kube.Resource.value History.Event.t) =
 
 let on_commit t (e : Kube.Resource.value History.Event.t) =
   let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
-  (* The etcd commit listener runs first and emits the ["etcd.commit"]
-     trace entry, so the causal frontier here is that entry's id; index
-     it by resource key for the periodic checks. *)
-  (match Dsim.Engine.current_cause (Kube.Cluster.engine t.cluster) with
-  | Some id ->
-      Hashtbl.replace t.commit_ids e.History.Event.key id;
-      t.last_commit_id <- Some id
-  | None -> ());
+  note_commit t.ledger e.History.Event.key;
   (match Kube.Resource.kind_of_key e.History.Event.key, e.History.Event.op with
   | `Pod, History.Event.Update ->
       Hashtbl.remove t.pod_deleted_at (Kube.Resource.name_of_key e.History.Event.key);
@@ -225,9 +241,8 @@ let check_duplicates t =
         let streak = 1 + Option.value (Hashtbl.find_opt t.duplicate_streak pod) ~default:0 in
         Hashtbl.replace confirmed_this_round pod ();
         Hashtbl.replace t.duplicate_streak pod streak;
-        if streak >= t.duplicate_confirmations then
-          report t
-            ?cause:(cause_for t (Kube.Resource.pod_key pod))
+        if streak >= duplicate_confirmations then
+          report ~about:(Kube.Resource.pod_key pod) t.ledger
             (Duplicate_pod { pod; kubelets = List.sort String.compare kubelets })
       end)
     sightings;
@@ -243,11 +258,10 @@ let check_livelock t =
       List.iter
         (fun ((pod, node), failures) ->
           if
-            failures >= t.livelock_threshold
+            failures >= livelock_threshold
             && not (History.State.mem t.mirror (Kube.Resource.node_key node))
           then
-            report t
-              ?cause:(cause_for t (Kube.Resource.node_key node))
+            report ~about:(Kube.Resource.node_key node) t.ledger
               (Scheduler_livelock { pod; node; failures }))
         (Kube.Scheduler.bind_failures scheduler)
 
@@ -265,9 +279,8 @@ let check_leaks t =
           | Some owner ->
               if not (History.State.mem t.mirror (Kube.Resource.pod_key owner)) then begin
                 match Hashtbl.find_opt t.pod_deleted_at owner with
-                | Some deleted_at when now - deleted_at > t.leak_grace ->
-                    report t
-                      ?cause:(cause_for t (Kube.Resource.pod_key owner))
+                | Some deleted_at when now - deleted_at > leak_grace ->
+                    report ~about:(Kube.Resource.pod_key owner) t.ledger
                       (Pvc_leak { pvc = c.Kube.Resource.pvc_name; owner_pod = owner })
                 | Some _ | None -> ()
               end
@@ -297,7 +310,7 @@ let check_surplus t =
           in
           let desired = spec.Kube.Resource.rs_replicas in
           if desired > 0 && live > 2 * desired then
-            report t ?cause:(cause_for t rs_key)
+            report ~about:rs_key t.ledger
               (Replica_surplus { rs = spec.Kube.Resource.rs_name; live; desired })
       | _ -> ())
     t.mirror ()
@@ -361,8 +374,7 @@ let check_wedged_rollouts t =
               in
               Hashtbl.replace t.wedge_streak dep (fingerprint, streak);
               if streak >= 60 then
-                report t
-                  ?cause:(cause_for t (Kube.Resource.deployment_key dep))
+                report ~about:(Kube.Resource.deployment_key dep) t.ledger
                   (Rollout_wedged { dep; generation = d.Kube.Resource.template })
           | _ -> ())
       | _ -> ())
@@ -371,22 +383,15 @@ let check_wedged_rollouts t =
     (fun dep _ -> if not (Hashtbl.mem confirmed dep) then Hashtbl.remove t.wedge_streak dep)
     (Hashtbl.copy t.wedge_streak)
 
-let attach ?(check_period = 100_000) ?(livelock_threshold = 15) ?(leak_grace = 2_000_000)
-    ?(duplicate_confirmations = 20) cluster =
+let attach cluster =
   let t =
     {
       cluster;
-      livelock_threshold;
-      leak_grace;
-      duplicate_confirmations;
+      ledger = ledger (Kube.Cluster.engine cluster);
       mirror = History.State.empty;
       pod_deleted_at = Hashtbl.create 16;
       duplicate_streak = Hashtbl.create 16;
       wedge_streak = Hashtbl.create 16;
-      seen = Hashtbl.create 16;
-      violations = [];
-      commit_ids = Hashtbl.create 64;
-      last_commit_id = None;
     }
   in
   Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e -> on_commit t e);

@@ -54,17 +54,38 @@ val bug_id : violation -> string
 val key : violation -> string
 (** Deduplication key (violation type + principal object). *)
 
+(** {2 The violation ledger}
+
+    What every substrate's oracle shares: first occurrence per {!key},
+    time-stamped, each one counted in ["oracle.violations"] and traced as
+    an ["oracle.violation"] entry anchored at its cause. *)
+
+type ledger
+
+val ledger : Dsim.Engine.t -> ledger
+
+val note_commit : ledger -> string -> unit
+(** Index the store commit in progress (the engine's causal frontier, set
+    by the store's commit entry) under the committed key. Call from a
+    commit listener registered after the store's own. *)
+
+val report : ?about:string -> ledger -> violation -> unit
+(** Records a violation unless one with the same {!key} was already
+    recorded. The trace entry's cause is, with [about] (a store key): the
+    last commit to [about], else the most recent commit, else the live
+    frontier; without [about]: the live frontier, else the most recent
+    commit. *)
+
+val found : ledger -> (int * violation) list
+(** Time-stamped, first occurrence per {!key}, oldest first. *)
+
+(** {2 The Kubernetes oracle} *)
+
 type t
 
-val attach :
-  ?check_period:int ->
-  ?livelock_threshold:int ->
-  ?leak_grace:int ->
-  ?duplicate_confirmations:int ->
-  Kube.Cluster.t ->
-  t
-(** Installs the etcd commit listener and the periodic checker. Attach
-    before {!Kube.Cluster.start}.
+val attach : Kube.Cluster.t -> t
+(** Installs the etcd commit listener and the periodic checker (every
+    100 ms). Attach before {!Kube.Cluster.start}.
 
     The thresholds are chosen to separate *persistent* safety violations
     (the bugs) from transient divergence that any failure causes and the
@@ -73,13 +94,10 @@ val attach :
     re-listed by the stream watchdog well before that); a duplicate pod
     must persist for 20 consecutive 100 ms checks (2 s — a kubelet that
     merely missed a deletion behind a partition re-lists and stops the
-    pod sooner); a claim counts as leaked 2 s after its owner vanished.
-    Defaults: check every 100 ms. *)
+    pod sooner); a claim counts as leaked 2 s after its owner vanished. *)
 
 val violations : t -> (int * violation) list
-(** Time-stamped, first occurrence per {!key}, oldest first. *)
-
-val first : t -> (int * violation) option
+(** {!found} of the oracle's ledger. *)
 
 val violated : t -> bool
 

@@ -18,58 +18,36 @@ type target = {
 }
 
 val targets_of_config : Kube.Cluster.config -> target list
-(** The components a default-shaped cluster runs, with their watch sets
-    (kubelets and scheduler watch pods and/or nodes; the volume controller
-    pods and claims; the operator datacenters, pods and claims). *)
+(** The components a cluster configuration runs, projected from
+    {!Footprint.of_config}: each footprint's component, its cached reads
+    as the watch set, and whether it is restartable — in footprint
+    order. *)
 
 val targets_hbase : Hbaselike.Cluster.config -> target list
-(** The HBase substrate's consumers: the master (registry and region
+(** The HBase substrate's consumers, projected from
+    {!Footprint.of_hbase_config}: the master (registry and region
     assignments, read through the follower replica) and each region
-    server (its one-shot watches over ["region/"]). Prefix lists are
-    kept in [Analysis.Footprint.of_hbase_config]'s order. *)
+    server (its one-shot watches over ["region/"]). *)
 
 val consumed_by : target -> string -> bool
 (** Does the component's view depend on events for this key? *)
 
 type plan = { strategy : Strategy.t; rationale : string }
 
-type boost =
-  component:string -> key:string -> pattern:[ `Staleness | `Obs_gap | `Time_travel ] -> int
-(** A static-priority hint for a (component, key, pattern) cell: 0 means
-    not implicated, higher means schedule sooner. The hazard analysis
-    ({!Sieve} layer 2) supplies one built from its hazard graph. *)
-
-val no_boost : boost
-(** The constant-0 boost: every cell equally unremarkable. *)
-
 val candidates :
   config:Kube.Cluster.config ->
   events:(int * string * History.Event.op) list ->
   horizon:int ->
-  ?slack:int ->
-  ?stale_window:int ->
-  ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
 (** Enumerates candidates over the reference events, deduplicated per
     (component, key, pattern) and interleaved across the three patterns
-    so early candidates are diverse. [slack] (default 100 ms) starts each
-    perturbation slightly before its anchor event; [stale_window] bounds
-    delay-based staleness; [downtime] is the restart gap for time-travel
-    candidates. [boost] (default: constant 0) front-loads statically
-    hazard-implicated candidates within each pattern queue. *)
+    so early candidates are diverse. Each perturbation starts 100 ms
+    before its anchor event; delay-based staleness lasts 1.5 s; the
+    restart gap of a time-travel candidate is 150 ms. *)
 
 val candidates_causal :
-  config:Kube.Cluster.config ->
-  commits:Runner.commit list ->
-  horizon:int ->
-  ?slack:int ->
-  ?stale_window:int ->
-  ?downtime:int ->
-  ?boost:boost ->
-  unit ->
-  plan list
+  config:Kube.Cluster.config -> commits:Runner.commit list -> horizon:int -> unit -> plan list
 (** Like {!candidates}, but uses each commit's originating component to
     rank candidates causally (Section 7's guidance): perturbations of a
     component's observation of *its own writes* come first — they close
@@ -83,28 +61,17 @@ val candidates_hbase :
   config:Hbaselike.Cluster.config ->
   events:(int * string * History.Event.op) list ->
   horizon:int ->
-  ?slack:int ->
-  ?stale_window:int ->
-  ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
-(** {!candidates} for the HBase substrate. The master's view is the
-    follower replica, so its staleness/gap candidates perturb the
-    replication edge; region-server candidates perturb their watch
-    notifications; time-travel candidates pair a replication stall with
-    a leader-follower partition (forcing a post-compaction resync) or
-    bounce the consumer (session expiry, master failover). *)
+(** {!candidates} for the HBase substrate: the same driver over its own
+    plan shapes. The master's view is the follower replica, so its
+    staleness/gap candidates perturb the replication edge; region-server
+    candidates perturb their watch notifications; time-travel candidates
+    pair a replication stall with a leader-follower partition (forcing a
+    post-compaction resync) or bounce the consumer (session expiry,
+    master failover). *)
 
 val candidates_causal_hbase :
-  config:Hbaselike.Cluster.config ->
-  commits:Runner.commit list ->
-  horizon:int ->
-  ?slack:int ->
-  ?stale_window:int ->
-  ?downtime:int ->
-  ?boost:boost ->
-  unit ->
-  plan list
-(** {!candidates_causal}'s ranking over {!candidates_hbase}'s
-    enumeration. *)
+  config:Hbaselike.Cluster.config -> commits:Runner.commit list -> horizon:int -> unit -> plan list
+(** {!candidates_causal}'s ranking over {!candidates_hbase}'s plan
+    shapes. *)

@@ -9,10 +9,6 @@ let base_test ?(name = "test") ?(config = Kube.Cluster.default_config) ~workload
     =
   { name; spec = Substrate.Kube { config; workload }; horizon; strategy }
 
-let hbase_test ?(name = "test") ?(config = Hbaselike.Cluster.default_config) ~workload ~horizon
-    strategy =
-  { name; spec = Substrate.Hbase { config; workload }; horizon; strategy }
-
 type conformance = {
   conf_violations : Conformance.Monitor.violation list;
   conf_total : int;

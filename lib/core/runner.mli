@@ -20,14 +20,6 @@ val base_test :
   test
 (** A kube-dialect test (the historical default, hence the name). *)
 
-val hbase_test :
-  ?name:string ->
-  ?config:Hbaselike.Cluster.config ->
-  workload:Hbaselike.Cluster.workload ->
-  horizon:int ->
-  Strategy.t ->
-  test
-
 type conformance = {
   conf_violations : Conformance.Monitor.violation list;
       (** distinct violations, detection order *)

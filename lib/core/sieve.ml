@@ -5,8 +5,10 @@
     patterns (staleness, time travel, observability gaps); {!Oracle}
     checks persistent safety violations against ground truth; {!Runner}
     executes hermetic (workload x strategy) tests and campaigns;
-    {!Planner} enumerates pattern-shaped candidates from a reference
-    execution, with causal (write-origin) ranking; {!Bugs} is the
+    {!Footprint} states what each component reads, writes and
+    destroys; {!Planner} enumerates pattern-shaped candidates from a
+    reference execution over targets projected from the footprints,
+    with causal (write-origin) ranking; {!Bugs} is the
     executable corpus (the paper's five case studies plus extensions);
     {!Baselines} re-implements the prior-art heuristics for comparison;
     {!Coverage} measures how much of the perturbation space a campaign
@@ -18,6 +20,7 @@ module Oracle = Oracle
 module Hbase_oracle = Hbase_oracle
 module Strategy = Strategy
 module Runner = Runner
+module Footprint = Footprint
 module Planner = Planner
 module Bugs = Bugs
 module Baselines = Baselines

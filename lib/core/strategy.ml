@@ -4,8 +4,6 @@ type event_match = {
   limit : int option;
 }
 
-let any_event = { key_prefix = None; op = None; limit = None }
-
 let match_event ?key_prefix ?op ?limit () = { key_prefix; op; limit }
 
 type t =
@@ -151,26 +149,24 @@ let rec schedule_faults ~engine ~net = function
       ignore (Dsim.Engine.schedule_at engine ~time:until (fun () -> Dsim.Network.heal net a b))
   | Combo parts -> List.iter (schedule_faults ~engine ~net) parts
 
-let install_rules engine intercept rules =
+let install ~engine ~net intercept strategy =
+  let rules = List.rev (collect_rules [] strategy) in
   if rules <> [] then
     History.Intercept.set_policy intercept (fun edge event ->
         match List.find_opt (fun rule -> rule_matches engine rule edge event) rules with
         | Some rule ->
             rule.r_hits <- rule.r_hits + 1;
             rule.r_decision
-        | None -> History.Intercept.Pass)
+        | None -> History.Intercept.Pass);
+  schedule_faults ~engine ~net strategy
 
 let apply cluster strategy =
-  let rules = List.rev (collect_rules [] strategy) in
-  let engine = Kube.Cluster.engine cluster in
-  install_rules engine (Kube.Cluster.intercept cluster) rules;
-  schedule_faults ~engine ~net:(Kube.Cluster.net cluster) strategy
+  install ~engine:(Kube.Cluster.engine cluster) ~net:(Kube.Cluster.net cluster)
+    (Kube.Cluster.intercept cluster) strategy
 
 let apply_hbase cluster strategy =
-  let rules = List.rev (collect_rules [] strategy) in
-  let engine = Hbaselike.Cluster.engine cluster in
-  install_rules engine (Hbaselike.Cluster.intercept cluster) rules;
-  schedule_faults ~engine ~net:(Hbaselike.Cluster.net cluster) strategy
+  install ~engine:(Hbaselike.Cluster.engine cluster) ~net:(Hbaselike.Cluster.net cluster)
+    (Hbaselike.Cluster.intercept cluster) strategy
 
 let staleness ?src ?key_prefix ~dst ~from ~until ~extra () =
   Delay_stream

@@ -19,8 +19,6 @@ type event_match = {
   limit : int option;  (** stop matching after this many hits *)
 }
 
-val any_event : event_match
-
 val match_event : ?key_prefix:string -> ?op:History.Event.op -> ?limit:int -> unit -> event_match
 
 type t =

@@ -11,8 +11,6 @@ type spec =
 
 type live = Kube_live of Kube.Cluster.t | Hbase_live of Hbaselike.Cluster.t
 
-let name = function Kube _ -> "kube" | Hbase _ -> "hbase"
-
 let seed = function
   | Kube { config; _ } -> config.Kube.Cluster.seed
   | Hbase { config; _ } -> config.Hbaselike.Cluster.seed
@@ -40,10 +38,6 @@ let engine = function
   | Kube_live c -> Kube.Cluster.engine c
   | Hbase_live c -> Hbaselike.Cluster.engine c
 
-let net = function
-  | Kube_live c -> Kube.Cluster.net c
-  | Hbase_live c -> Hbaselike.Cluster.net c
-
 let trace = function
   | Kube_live c -> Kube.Cluster.trace c
   | Hbase_live c -> Hbaselike.Cluster.trace c
@@ -64,7 +58,3 @@ let commit_trace_id live ~rev =
 let kube = function
   | Kube_live c -> c
   | Hbase_live _ -> invalid_arg "Substrate.kube: hbase cluster"
-
-let hbase = function
-  | Hbase_live c -> c
-  | Kube_live _ -> invalid_arg "Substrate.hbase: kube cluster"

@@ -7,16 +7,14 @@
     from a cluster (construction, start, workload scheduling, trace,
     metrics, committed-history frontier, commit anchors) dispatches
     through here, so those layers are substrate-blind; substrate-specific
-    analyses reach the concrete cluster through {!kube} / {!hbase}. *)
+    analyses reach the concrete cluster through {!kube} or by matching
+    on {!live}. *)
 
 type spec =
   | Kube of { config : Kube.Cluster.config; workload : Kube.Workload.t }
   | Hbase of { config : Hbaselike.Cluster.config; workload : Hbaselike.Cluster.workload }
 
 type live = Kube_live of Kube.Cluster.t | Hbase_live of Hbaselike.Cluster.t
-
-val name : spec -> string
-(** ["kube"] or ["hbase"]. *)
 
 val seed : spec -> int64
 
@@ -32,8 +30,6 @@ val run : until:int -> live -> unit
 
 val engine : live -> Dsim.Engine.t
 
-val net : live -> Dsim.Network.t
-
 val trace : live -> Dsim.Trace.t
 
 val metrics : live -> Dsim.Metrics.t
@@ -46,6 +42,3 @@ val commit_trace_id : live -> rev:int -> int option
 
 val kube : live -> Kube.Cluster.t
 (** Raises [Invalid_argument] on a non-kube cluster. *)
-
-val hbase : live -> Hbaselike.Cluster.t
-(** Raises [Invalid_argument] on a non-hbase cluster. *)

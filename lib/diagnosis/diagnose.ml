@@ -165,15 +165,15 @@ let taint_path_of ~component ~anti_pattern =
               |> Option.map Analysis.Lint.explain_lines))
 
 let read_site_of ~footprints ~component ~key =
-  match Analysis.Footprint.find footprints component with
+  match Sieve.Footprint.find footprints component with
   | Some fp -> (
       match
         List.find_opt
           (fun p -> String.starts_with ~prefix:p key)
-          fp.Analysis.Footprint.cached_reads
+          fp.Sieve.Footprint.cached_reads
       with
       | Some p -> p
-      | None -> ( match fp.Analysis.Footprint.cached_reads with p :: _ -> p | [] -> key))
+      | None -> ( match fp.Sieve.Footprint.cached_reads with p :: _ -> p | [] -> key))
   | None -> key
 
 let is_commit e = String.equal e.Dsim.Trace.kind "etcd.commit"
@@ -234,8 +234,8 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
           let spec = outcome.Sieve.Runner.test.Sieve.Runner.spec in
           let footprints =
             match spec with
-            | Sieve.Substrate.Kube { config; _ } -> Analysis.Footprint.of_config config
-            | Sieve.Substrate.Hbase { config; _ } -> Analysis.Footprint.of_hbase_config config
+            | Sieve.Substrate.Kube { config; _ } -> Sieve.Footprint.of_config config
+            | Sieve.Substrate.Hbase { config; _ } -> Sieve.Footprint.of_hbase_config config
           in
           let hazards = Analysis.Hazard.of_footprints footprints in
           let divergence, suspect =
@@ -253,11 +253,11 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
                    suspect section to the first implicated component
                    that has one. *)
                 let suspect_component =
-                  if Analysis.Footprint.find footprints component <> None then component
+                  if Sieve.Footprint.find footprints component <> None then component
                   else
                     match
                       List.find_opt
-                        (fun c -> Analysis.Footprint.find footprints c <> None)
+                        (fun c -> Sieve.Footprint.find footprints c <> None)
                         suspects
                     with
                     | Some c -> c
@@ -297,14 +297,14 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
                   match suspects with c :: _ -> c | [] -> anchor.Dsim.Trace.actor
                 in
                 let read_site, anti_pattern =
-                  match Analysis.Footprint.find footprints component with
+                  match Sieve.Footprint.find footprints component with
                   | Some fp -> (
-                      match fp.Analysis.Footprint.cached_reads with
+                      match fp.Sieve.Footprint.cached_reads with
                       | site :: _ ->
                           ( site,
                             if
                               List.exists (String.equal site)
-                                fp.Analysis.Footprint.edge_triggered
+                                fp.Sieve.Footprint.edge_triggered
                             then anti_pattern_of_pattern `Obs_gap
                             else "unknown" )
                       | [] -> ("", "unknown"))

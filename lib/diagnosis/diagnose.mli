@@ -6,7 +6,7 @@
     ({!Sieve.Runner.violation_entry} — oracle trips preferred,
     conformance trips accepted), walk the causal chain backwards, pick
     the divergence point of the stream the violation implicates, then
-    intersect with {!Analysis.Hazard} and {!Analysis.Footprint} to name
+    intersect with {!Analysis.Hazard} and {!Sieve.Footprint} to name
     the suspect read-site and anti-pattern class. *)
 
 val suspect_components : Sieve.Oracle.violation -> string list

@@ -1,23 +1,17 @@
-type 'v sink =
-  | Single of ('v History.Event.t -> unit)
-  | Batched of ('v History.Event.t list -> unit)
-
-type 'v watcher = { prefix : string option; sink : 'v sink; mutable last_sent : int }
+type 'v watcher = {
+  prefix : string option;
+  deliver : 'v History.Event.t -> unit;
+  mutable last_sent : int;
+}
 
 type handle = int
 
-type 'v t = {
-  kv : 'v Kv.t;
-  index : 'v watcher History.Dispatch.t;
-  batch : 'v History.Dispatch.Batch.queue;
-}
+type 'v t = { kv : 'v Kv.t; index : 'v watcher History.Dispatch.t }
 
-let push t handle w (e : 'v History.Event.t) =
+let push w (e : 'v History.Event.t) =
   if e.History.Event.rev > w.last_sent && History.Event.matches_prefix w.prefix e then begin
     w.last_sent <- e.History.Event.rev;
-    match w.sink with
-    | Single deliver -> deliver e
-    | Batched _ -> History.Dispatch.Batch.offer t.batch ~stream:handle e
+    w.deliver e
   end
 
 (* The trie routes by key prefix, so only matching watchers are even
@@ -26,39 +20,22 @@ let push t handle w (e : 'v History.Event.t) =
    honoured by the index itself: a removed handle is skipped by the
    in-flight iteration (see {!History.Dispatch}). *)
 let fan_out t event =
-  History.Dispatch.iter_matching t.index ~key:event.History.Event.key (fun handle w ->
-      push t handle w event)
+  History.Dispatch.iter_matching t.index ~key:event.History.Event.key (fun _ w -> push w event)
 
 let create kv =
-  let t = { kv; index = History.Dispatch.create (); batch = History.Dispatch.Batch.create () } in
+  let t = { kv; index = History.Dispatch.create () } in
   Kv.on_commit kv (fun event -> fan_out t event);
   t
 
-let register t ?prefix ~start_rev sink =
+let watch t ?prefix ~start_rev ~deliver () =
   match Kv.since t.kv ~rev:start_rev with
   | Error (`Compacted rev) -> Error (`Compacted rev)
   | Ok backlog ->
-      let watcher = { prefix; sink; last_sent = start_rev } in
+      let watcher = { prefix; deliver; last_sent = start_rev } in
       let handle = History.Dispatch.add t.index ?prefix watcher in
-      List.iter (fun event -> push t handle watcher event) backlog;
+      List.iter (fun event -> push watcher event) backlog;
       Ok handle
-
-let watch t ?prefix ~start_rev ~deliver () = register t ?prefix ~start_rev (Single deliver)
-
-let watch_batched t ?prefix ~start_rev ~deliver () =
-  register t ?prefix ~start_rev (Batched deliver)
 
 let cancel t handle = ignore (History.Dispatch.remove t.index handle)
 
 let active t = History.Dispatch.size t.index
-
-let pending t = History.Dispatch.Batch.pending t.batch
-
-(* A watcher cancelled after events were offered but before the flush
-   receives nothing: its handle no longer resolves, so its batch is
-   dropped — cancellation means cancelled, not "one last batch". *)
-let flush t =
-  History.Dispatch.Batch.flush t.batch (fun ~stream events ->
-      match History.Dispatch.find t.index stream with
-      | Some { sink = Batched deliver; _ } -> deliver events
-      | Some { sink = Single _; _ } | None -> ())

@@ -34,32 +34,11 @@ val watch :
     stream begins at [start_rev + 1]. Backlog delivery happens inside
     this call, in revision order. *)
 
-val watch_batched :
-  'v t ->
-  ?prefix:string ->
-  start_rev:int ->
-  deliver:('v History.Event.t list -> unit) ->
-  unit ->
-  (handle, [ `Compacted of int ]) result
-(** Like {!watch}, but events coalesce per watcher until {!flush}: each
-    flush hands the watcher every event accumulated since the previous
-    one, in arrival order, as a single notification. Backlog is queued
-    for the first flush rather than delivered inside this call. *)
-
 val cancel : 'v t -> handle -> unit
-(** Effective immediately, even against an in-flight {!fan_out}; any
-    batched events not yet flushed are dropped. *)
+(** Effective immediately, even against an in-flight {!fan_out}. *)
 
 val active : 'v t -> int
 (** Number of live watchers. *)
-
-val pending : 'v t -> int
-(** Events buffered for batched watchers awaiting {!flush}. *)
-
-val flush : 'v t -> unit
-(** Delivers every batched watcher's accumulated events. Watchers flush
-    in first-event-arrival order; a typical server calls this once per
-    tick. *)
 
 val fan_out : 'v t -> 'v History.Event.t -> unit
 (** Pushes one event to every matching watcher — exposed for servers that

@@ -134,8 +134,6 @@ let remove t id =
       if t.iterating = 0 && bucket.dead > bucket.len - bucket.dead then bucket_compact bucket;
       true
 
-let mem t id = Hashtbl.mem t.by_id id
-
 let find t id = Option.map (fun (e, _) -> e.payload) (Hashtbl.find_opt t.by_id id)
 
 let set_order t id ~order =
@@ -229,35 +227,3 @@ let matching t ~key =
   Array.fold_right
     (fun (e : _ entry) acc -> if e.live then e.payload :: acc else acc)
     (collect_matching t ~key) []
-
-module Batch = struct
-  type 'v stream_box = { stream : int; mutable events : 'v Event.t list (* newest first *) }
-
-  type 'v queue = {
-    boxes : (int, 'v stream_box) Hashtbl.t;
-    mutable dirty_order : 'v stream_box list;  (* newest first *)
-    mutable count : int;
-  }
-
-  let create () = { boxes = Hashtbl.create 32; dirty_order = []; count = 0 }
-
-  let offer q ~stream e =
-    (match Hashtbl.find_opt q.boxes stream with
-    | Some box -> box.events <- e :: box.events
-    | None ->
-        let box = { stream; events = [ e ] } in
-        Hashtbl.replace q.boxes stream box;
-        q.dirty_order <- box :: q.dirty_order);
-    q.count <- q.count + 1
-
-  let pending q = q.count
-
-  let dirty q = List.length q.dirty_order
-
-  let flush q f =
-    let batches = List.rev q.dirty_order in
-    q.dirty_order <- [];
-    Hashtbl.reset q.boxes;
-    q.count <- 0;
-    List.iter (fun box -> f ~stream:box.stream (List.rev box.events)) batches
-end

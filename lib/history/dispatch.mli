@@ -41,8 +41,6 @@ val remove : 'a t -> int -> bool
     entry stops matching immediately, including for the event being
     dispatched. *)
 
-val mem : 'a t -> int -> bool
-
 val find : 'a t -> int -> 'a option
 
 val size : 'a t -> int
@@ -69,28 +67,3 @@ val matching : 'a t -> key:string -> 'a list
     equivalence suite compares against the naive filter. *)
 
 val clear : 'a t -> unit
-
-(** Per-tick batched delivery: coalesce the events a stream would have
-    received one by one into a single flush. Offered events accumulate
-    per stream in arrival order; [flush] hands each dirty stream its
-    batch in one callback and resets. Streams flush in
-    first-event-pending order, so a tick's notification order is
-    deterministic and independent of how arrivals interleaved. *)
-module Batch : sig
-  type 'v queue
-
-  val create : unit -> 'v queue
-
-  val offer : 'v queue -> stream:int -> 'v Event.t -> unit
-
-  val pending : 'v queue -> int
-  (** Events buffered across all streams. *)
-
-  val dirty : 'v queue -> int
-  (** Streams with a non-empty batch. *)
-
-  val flush : 'v queue -> (stream:int -> 'v Event.t list -> unit) -> unit
-  (** Delivers every non-empty batch (events in offer order) and
-      empties the queue. A stream offered events from inside a flush
-      callback is not re-flushed until the next [flush]. *)
-end

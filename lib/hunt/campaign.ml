@@ -67,13 +67,11 @@ let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
     List.map (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op)) commits
   in
   (* With hazard ranking the static hazard graph enters as a
-     lexicographic priority above coverage gain in the scheduler. It is
-     deliberately NOT also passed as a planner boost here: the boost
-     reshuffles the candidate pool, and the pool's causal order is the
-     tie-break among equal-(priority, gain) trials — reordering it
-     measurably delays some exposures (cassandra-operator-402 in the
-     regression corpus). Direct Planner users can still opt into
-     [Analysis.Hazard.boost]. *)
+     lexicographic priority above coverage gain in the scheduler. It
+     deliberately leaves the candidate pool's causal order alone: that
+     order is the tie-break among equal-(priority, gain) trials, and
+     reshuffling it measurably delays some exposures
+     (cassandra-operator-402 in the regression corpus). *)
   let hazards, plans, targets, apiservers =
     match case.Sieve.Bugs.spec with
     | Sieve.Substrate.Kube { config; _ } ->
@@ -83,7 +81,7 @@ let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
           List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) )
     | Sieve.Substrate.Hbase { config; _ } ->
         ( (if hazard_rank then
-             Analysis.Hazard.of_footprints (Analysis.Footprint.of_hbase_config config)
+             Analysis.Hazard.of_footprints (Sieve.Footprint.of_hbase_config config)
            else []),
           Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()),
           Sieve.Planner.targets_hbase config,

@@ -206,63 +206,61 @@ let test_baseline_migration () =
 
 (* --- layer 2: footprints ------------------------------------------- *)
 
-(* The footprints' cached_reads are the static statement of each
-   component's (H', S') slice; the planner's watched_prefixes are the
-   dynamic one. They must agree component by component, in order. *)
+(* The planner's targets are projected from the footprints, on every
+   substrate; every edge-triggered prefix is one of the component's
+   cached reads. *)
 let test_footprint_consistency () =
   List.iter
     (fun (case : Sieve.Bugs.case) ->
-      let targets = Sieve.Planner.targets_of_config (Sieve.Bugs.kube_config case) in
-      let footprints = Analysis.Footprint.of_config (Sieve.Bugs.kube_config case) in
-      Alcotest.(check (list string))
-        (case.Sieve.Bugs.id ^ " components")
-        (List.map (fun (t : Sieve.Planner.target) -> t.Sieve.Planner.component) targets)
-        (List.map (fun (fp : Analysis.Footprint.t) -> fp.Analysis.Footprint.component) footprints);
-      List.iter2
-        (fun (t : Sieve.Planner.target) (fp : Analysis.Footprint.t) ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s %s cached reads = watched prefixes" case.Sieve.Bugs.id
-               fp.Analysis.Footprint.component)
-            t.Sieve.Planner.watched_prefixes fp.Analysis.Footprint.cached_reads;
-          Alcotest.(check bool)
-            (fp.Analysis.Footprint.component ^ " restartable")
-            t.Sieve.Planner.restartable fp.Analysis.Footprint.restartable;
+      let footprints, targets =
+        match case.Sieve.Bugs.spec with
+        | Sieve.Substrate.Kube { config; _ } ->
+            (Sieve.Footprint.of_config config, Sieve.Planner.targets_of_config config)
+        | Sieve.Substrate.Hbase { config; _ } ->
+            (Sieve.Footprint.of_hbase_config config, Sieve.Planner.targets_hbase config)
+      in
+      Alcotest.(check (list (pair string (list string))))
+        (case.Sieve.Bugs.id ^ " cached reads = watched prefixes")
+        (List.map
+           (fun (fp : Sieve.Footprint.t) -> (fp.component, fp.cached_reads))
+           footprints)
+        (List.map (fun (t : Sieve.Planner.target) -> (t.component, t.watched_prefixes)) targets);
+      List.iter
+        (fun (fp : Sieve.Footprint.t) ->
           List.iter
             (fun p ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s edge-triggered %s is a cached read"
-                   fp.Analysis.Footprint.component p)
-                true
-                (List.mem p fp.Analysis.Footprint.cached_reads))
-            fp.Analysis.Footprint.edge_triggered)
-        targets footprints)
-    (Sieve.Bugs.all_with_extras ())
+                (Printf.sprintf "%s edge-triggered %s is a cached read" fp.component p)
+                true (List.mem p fp.cached_reads))
+            fp.edge_triggered)
+        footprints)
+    (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated () @ Sieve.Bugs.hbase ())
 
 (* The edge_triggered sets mirror the lint's edge-trigger findings: the
    kubelet's pod handler and the scheduler's node cache, nothing else. *)
 let test_footprint_edge_triggered_mirrors_lint () =
   let case = Sieve.Bugs.k8s_56261 () in
-  let footprints = Analysis.Footprint.of_config (Sieve.Bugs.kube_config case) in
+  let footprints = Sieve.Footprint.of_config (Sieve.Bugs.kube_config case) in
   List.iter
-    (fun (fp : Analysis.Footprint.t) ->
+    (fun (fp : Sieve.Footprint.t) ->
       let expected =
-        if String.length fp.Analysis.Footprint.component >= 7
-           && String.sub fp.Analysis.Footprint.component 0 7 = "kubelet"
+        if String.length fp.Sieve.Footprint.component >= 7
+           && String.sub fp.Sieve.Footprint.component 0 7 = "kubelet"
         then [ Kube.Resource.pods_prefix ]
-        else if fp.Analysis.Footprint.component = "scheduler" then
+        else if fp.Sieve.Footprint.component = "scheduler" then
           [ Kube.Resource.nodes_prefix ]
         else []
       in
       Alcotest.(check (list string))
-        (fp.Analysis.Footprint.component ^ " edge_triggered")
-        expected fp.Analysis.Footprint.edge_triggered)
+        (fp.Sieve.Footprint.component ^ " edge_triggered")
+        expected fp.Sieve.Footprint.edge_triggered)
     footprints
 
 (* Replication demotes quorum reads: with Follower/Spread routing the
    apiserver's quorum forwards can be served by a lagging replica, so
    the fix flags' quorum_reads evaporate into cached_reads — while the
-   cached_reads lists (and hence the Planner watch-set consistency) are
-   unchanged, and Leader routing keeps the guard credit. *)
+   cached_reads lists (and hence the planner's targets) are unchanged,
+   and Leader routing keeps the guard credit. *)
 let test_footprint_replication () =
   let fixed_flags config =
     {
@@ -283,52 +281,36 @@ let test_footprint_replication () =
         Some { Kube.Etcd.replicas = 3; read; read_fallback = `Stale };
     }
   in
-  let follower = Analysis.Footprint.of_config (replicated (Replicated.Kv.Follower "etcd-3")) in
-  let spread = Analysis.Footprint.of_config (replicated Replicated.Kv.Spread) in
-  let leader = Analysis.Footprint.of_config (replicated Replicated.Kv.Leader) in
-  let unreplicated = Analysis.Footprint.of_config (fixed_flags Kube.Cluster.default_config) in
+  let follower = Sieve.Footprint.of_config (replicated (Replicated.Kv.Follower "etcd-3")) in
+  let spread = Sieve.Footprint.of_config (replicated Replicated.Kv.Spread) in
+  let leader = Sieve.Footprint.of_config (replicated Replicated.Kv.Leader) in
+  let unreplicated = Sieve.Footprint.of_config (fixed_flags Kube.Cluster.default_config) in
   List.iter
     (fun (name, fps) ->
       List.iter
-        (fun (fp : Analysis.Footprint.t) ->
+        (fun (fp : Sieve.Footprint.t) ->
           Alcotest.(check (list string))
-            (Printf.sprintf "%s: %s has no quorum reads" name fp.Analysis.Footprint.component)
-            [] fp.Analysis.Footprint.quorum_reads)
+            (Printf.sprintf "%s: %s has no quorum reads" name fp.Sieve.Footprint.component)
+            [] fp.Sieve.Footprint.quorum_reads)
         fps)
     [ ("follower", follower); ("spread", spread) ];
   (* Leader routing is linearizable: footprints match the unreplicated
      fixed config exactly, quorum credit included. *)
   List.iter2
-    (fun (l : Analysis.Footprint.t) (u : Analysis.Footprint.t) ->
-      Alcotest.(check string) "component" u.Analysis.Footprint.component l.Analysis.Footprint.component;
+    (fun (l : Sieve.Footprint.t) (u : Sieve.Footprint.t) ->
+      Alcotest.(check string) "component" u.Sieve.Footprint.component l.Sieve.Footprint.component;
       Alcotest.(check (list string))
-        (l.Analysis.Footprint.component ^ " leader quorum reads")
-        u.Analysis.Footprint.quorum_reads l.Analysis.Footprint.quorum_reads)
+        (l.Sieve.Footprint.component ^ " leader quorum reads")
+        u.Sieve.Footprint.quorum_reads l.Sieve.Footprint.quorum_reads)
     leader unreplicated;
   (* The operator's demoted quorum prefix was already a cached read, so
-     cached_reads — and with them the Planner consistency — are stable. *)
+     cached_reads — and with them the planner's targets — are stable. *)
   List.iter2
-    (fun (f : Analysis.Footprint.t) (u : Analysis.Footprint.t) ->
+    (fun (f : Sieve.Footprint.t) (u : Sieve.Footprint.t) ->
       Alcotest.(check (list string))
-        (f.Analysis.Footprint.component ^ " cached reads unchanged by routing")
-        u.Analysis.Footprint.cached_reads f.Analysis.Footprint.cached_reads)
-    follower unreplicated;
-  (* And the footprint-vs-Planner consistency holds on the replicated
-     config the REP family runs. *)
-  let case = Sieve.Bugs.rep_minority () in
-  let targets = Sieve.Planner.targets_of_config (Sieve.Bugs.kube_config case) in
-  let footprints = Analysis.Footprint.of_config (Sieve.Bugs.kube_config case) in
-  Alcotest.(check (list string))
-    "REP-MINORITY components"
-    (List.map (fun (t : Sieve.Planner.target) -> t.Sieve.Planner.component) targets)
-    (List.map (fun (fp : Analysis.Footprint.t) -> fp.Analysis.Footprint.component) footprints);
-  List.iter2
-    (fun (t : Sieve.Planner.target) (fp : Analysis.Footprint.t) ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "REP-MINORITY %s cached reads = watched prefixes"
-           fp.Analysis.Footprint.component)
-        t.Sieve.Planner.watched_prefixes fp.Analysis.Footprint.cached_reads)
-    targets footprints
+        (f.Sieve.Footprint.component ^ " cached reads unchanged by routing")
+        u.Sieve.Footprint.cached_reads f.Sieve.Footprint.cached_reads)
+    follower unreplicated
 
 (* --- hazard graph -------------------------------------------------- *)
 

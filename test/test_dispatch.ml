@@ -161,51 +161,6 @@ let iter_all_tracks_every_mutation () =
   Alcotest.(check (list string)) "after clear" [] (all ());
   ignore b
 
-(* 50 listeners, interleaved arrivals: flush order is first-event-pending
-   order, and each listener's batch preserves its own arrival order —
-   the determinism pin batched delivery rides on. *)
-let batch_ordering_pin_50_listeners () =
-  let q : string Dispatch.Batch.queue = Dispatch.Batch.create () in
-  let ev rev = History.Event.make ~rev ~key:"k" ~op:History.Event.Create (Some "v") in
-  (* Listener s's first event arrives at round-robin position 49 - s,
-     then a second wave in ascending order. *)
-  for s = 49 downto 0 do
-    Dispatch.Batch.offer q ~stream:s (ev (100 + s))
-  done;
-  for s = 0 to 49 do
-    Dispatch.Batch.offer q ~stream:s (ev (200 + s))
-  done;
-  Alcotest.(check int) "100 pending" 100 (Dispatch.Batch.pending q);
-  Alcotest.(check int) "50 dirty streams" 50 (Dispatch.Batch.dirty q);
-  let flushed = ref [] in
-  Dispatch.Batch.flush q (fun ~stream events ->
-      flushed :=
-        (stream, List.map (fun (e : string History.Event.t) -> e.History.Event.rev) events)
-        :: !flushed);
-  let flushed = List.rev !flushed in
-  Alcotest.(check (list int))
-    "streams flush in first-event-pending order"
-    (List.init 50 (fun i -> 49 - i))
-    (List.map fst flushed);
-  List.iter
-    (fun (s, revs) -> Alcotest.(check (list int)) "per-stream arrival order" [ 100 + s; 200 + s ] revs)
-    flushed;
-  Alcotest.(check int) "queue drained" 0 (Dispatch.Batch.pending q)
-
-let batch_offer_during_flush_deferred () =
-  let q : string Dispatch.Batch.queue = Dispatch.Batch.create () in
-  let ev rev = History.Event.make ~rev ~key:"k" ~op:History.Event.Create (Some "v") in
-  Dispatch.Batch.offer q ~stream:1 (ev 1);
-  let rounds = ref [] in
-  Dispatch.Batch.flush q (fun ~stream:_ events ->
-      rounds := `First (List.length events) :: !rounds;
-      Dispatch.Batch.offer q ~stream:1 (ev 2));
-  Alcotest.(check int) "reentrant offer parked for next flush" 1 (Dispatch.Batch.pending q);
-  Dispatch.Batch.flush q (fun ~stream:_ events -> rounds := `Second (List.length events) :: !rounds);
-  match List.rev !rounds with
-  | [ `First 1; `Second 1 ] -> ()
-  | _ -> Alcotest.fail "expected two one-event flushes"
-
 let suites =
   [
     ( "dispatch",
@@ -216,9 +171,5 @@ let suites =
         Alcotest.test_case "add mid-iteration not visited" `Quick add_mid_iteration_not_visited;
         Alcotest.test_case "set_order reorders delivery" `Quick set_order_reorders_delivery;
         Alcotest.test_case "iter_all tracks every mutation" `Quick iter_all_tracks_every_mutation;
-        Alcotest.test_case "batched delivery: 50-listener ordering pin" `Quick
-          batch_ordering_pin_50_listeners;
-        Alcotest.test_case "batched delivery: reentrant offer deferred" `Quick
-          batch_offer_during_flush_deferred;
       ] );
   ]

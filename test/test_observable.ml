@@ -61,9 +61,58 @@ let digests_match_fixture () =
   Alcotest.(check int) "15 cases x 3 variants x 2 monitor settings" 90 (List.length expected);
   List.iter2 (fun e a -> Alcotest.(check string) "observable digest" e a) expected actual
 
+(* Planner candidates: for every case, the plain list (from the
+   reference events, as campaign/coverage/explore use it) and the causal
+   list (from the reference commits, as hunt uses it). One line per
+   (case, list): "<id> <plain|causal> <count> <md5>", the md5 over each
+   plan's description and rationale. Regenerate like the digests above,
+   by printing [planner_lines ()]. *)
+let planner_lines () =
+  let digest plans =
+    Printf.sprintf "%d %s" (List.length plans)
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n"
+               (List.map
+                  (fun (p : Sieve.Planner.plan) ->
+                    Sieve.Strategy.describe p.strategy ^ "\t" ^ p.rationale)
+                  plans))))
+  in
+  List.concat_map
+    (fun (case : Sieve.Bugs.case) ->
+      let horizon = case.Sieve.Bugs.horizon in
+      let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
+      let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
+      let plain, causal =
+        match case.Sieve.Bugs.spec with
+        | Sieve.Substrate.Kube { config; _ } ->
+            ( Sieve.Planner.candidates ~config ~events ~horizon (),
+              Sieve.Planner.candidates_causal ~config ~commits ~horizon () )
+        | Sieve.Substrate.Hbase { config; _ } ->
+            ( Sieve.Planner.candidates_hbase ~config ~events ~horizon (),
+              Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon () )
+      in
+      [
+        Printf.sprintf "%s plain %s" case.Sieve.Bugs.id (digest plain);
+        Printf.sprintf "%s causal %s" case.Sieve.Bugs.id (digest causal);
+      ])
+    (cases ())
+
+let planner_fixture = Filename.concat "fixtures" "planner.digests"
+
+let planner_matches_fixture () =
+  let expected = read_lines planner_fixture in
+  let actual = planner_lines () in
+  Alcotest.(check int) "15 cases x plain/causal" 30 (List.length expected);
+  List.iter2 (fun e a -> Alcotest.(check string) "planner digest" e a) expected actual
+
 let suites =
   [
     ( "observable",
-      [ Alcotest.test_case "trace, metrics and artifact bytes match the fixture" `Quick
-          digests_match_fixture ] );
+      [
+        Alcotest.test_case "trace, metrics and artifact bytes match the fixture" `Quick
+          digests_match_fixture;
+        Alcotest.test_case "planner candidates and rationales match the fixture" `Quick
+          planner_matches_fixture;
+      ] );
   ]

@@ -106,6 +106,39 @@ let legitimate_claim_deletion_not_flagged () =
   in
   Alcotest.(check int) "quiet" 0 (List.length outcome.Sieve.Runner.violations)
 
+(* The ledger both substrates' oracles share anchors a violation at its
+   cause: about a key, the last commit to that key, else the most recent
+   commit; about nothing, the live frontier. A repeated dedup key is
+   neither traced nor counted again. *)
+let ledger_anchor_precedence () =
+  let engine = Dsim.Engine.create () in
+  let ledger = Sieve.Oracle.ledger engine in
+  let commit key =
+    let id = Dsim.Engine.emit engine ~actor:"store" ~kind:"store.commit" key in
+    Sieve.Oracle.note_commit ledger key;
+    id
+  in
+  let a = commit "a" in
+  let b = commit "b" in
+  let frontier = Dsim.Engine.emit engine ~actor:"test" ~kind:"test.step" "" in
+  Dsim.Engine.set_cause engine (Some frontier);
+  let leak pvc = Sieve.Oracle.Pvc_leak { pvc; owner_pod = "p" } in
+  Sieve.Oracle.report ~about:"a" ledger (leak "1");
+  Sieve.Oracle.report ~about:"zzz" ledger (leak "2");
+  Sieve.Oracle.report ledger (leak "3");
+  Sieve.Oracle.report ~about:"a" ledger (leak "3");
+  let causes =
+    List.map
+      (fun (e : Dsim.Trace.entry) -> e.Dsim.Trace.cause)
+      (Dsim.Trace.find_all (Dsim.Engine.trace engine) ~kind:"oracle.violation")
+  in
+  Alcotest.(check (list (option int)))
+    "anchored at a's commit, the latest commit, the frontier" [ Some a; Some b; Some frontier ]
+    causes;
+  Alcotest.(check int) "found once per key" 3 (List.length (Sieve.Oracle.found ledger));
+  Alcotest.(check int) "counted once per key" 3
+    (Dsim.Metrics.count (Dsim.Engine.metrics engine) "oracle.violations")
+
 let suites =
   [
     ( "oracle",
@@ -119,6 +152,7 @@ let suites =
         Alcotest.test_case "livelock requires missing node" `Quick livelock_requires_missing_node;
         Alcotest.test_case "leak needs grace period" `Quick leak_needs_grace_period;
         Alcotest.test_case "violations deduplicated" `Quick violations_deduplicated;
+        Alcotest.test_case "ledger anchor precedence" `Quick ledger_anchor_precedence;
         Alcotest.test_case "legitimate claim deletion not flagged" `Quick
           legitimate_claim_deletion_not_flagged;
       ] );

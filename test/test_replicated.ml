@@ -233,17 +233,17 @@ let replicated_config =
 let kube_stack_over_replicated_store () =
   let cluster = Kube.Cluster.create ~config:replicated_config () in
   let oracle = Sieve.Oracle.attach cluster in
-  let hooks = Conformance.Hooks.attach cluster in
+  let hooks = Conformance.Handle.of_kube (Conformance.Hooks.attach cluster) in
   Kube.Cluster.start cluster;
   Kube.Workload.schedule cluster
     (Kube.Workload.rolling_upgrade ~start:1_000_000 ~pod:"p1" ~from_node:"node-1"
        ~to_node:"node-2" ());
   Kube.Cluster.run cluster ~until:8_000_000;
-  Conformance.Hooks.finish hooks;
+  Conformance.Handle.finish hooks;
   Alcotest.(check (list string)) "oracle clean" []
     (List.map (fun (_, v) -> Sieve.Oracle.describe v) (Sieve.Oracle.violations oracle));
   Alcotest.(check (list string)) "monitor silent" []
-    (List.map Conformance.Monitor.describe (Conformance.Hooks.violations hooks));
+    (List.map Conformance.Monitor.describe (Conformance.Handle.violations hooks));
   let truth = Kube.Cluster.truth cluster in
   (match History.State.get truth "pods/p1" with
   | Some (Kube.Resource.Pod p) ->

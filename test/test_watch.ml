@@ -147,43 +147,6 @@ let reregister_from_own_callback () =
     (List.rev !phase2);
   Alcotest.(check int) "one watcher live" 1 (Etcdlike.Watch.active hub)
 
-let batched_watch_coalesces () =
-  let kv = Etcdlike.Kv.create () in
-  let hub = Etcdlike.Watch.create kv in
-  let flushes = ref [] in
-  (match
-     Etcdlike.Watch.watch_batched hub ~prefix:"pods/" ~start_rev:0
-       ~deliver:(fun events ->
-         flushes :=
-           List.map (fun (e : string History.Event.t) -> e.History.Event.rev) events :: !flushes)
-       ()
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "watch failed");
-  ignore (Etcdlike.Kv.put kv "pods/a" "1");
-  ignore (Etcdlike.Kv.put kv "nodes/x" "2");
-  ignore (Etcdlike.Kv.put kv "pods/b" "3");
-  Alcotest.(check (list (list int))) "nothing before flush" [] !flushes;
-  Alcotest.(check int) "two pending" 2 (Etcdlike.Watch.pending hub);
-  Etcdlike.Watch.flush hub;
-  ignore (Etcdlike.Kv.put kv "pods/c" "4");
-  Etcdlike.Watch.flush hub;
-  Etcdlike.Watch.flush hub;
-  Alcotest.(check (list (list int)))
-    "one batch per non-empty tick, arrival order inside" [ [ 1; 3 ]; [ 4 ] ] (List.rev !flushes)
-
-let batched_watch_cancel_drops_pending () =
-  let kv = Etcdlike.Kv.create () in
-  let hub = Etcdlike.Watch.create kv in
-  let flushes = ref 0 in
-  (match Etcdlike.Watch.watch_batched hub ~start_rev:0 ~deliver:(fun _ -> incr flushes) () with
-  | Ok handle ->
-      ignore (Etcdlike.Kv.put kv "a" "1");
-      Etcdlike.Watch.cancel hub handle;
-      Etcdlike.Watch.flush hub
-  | Error _ -> Alcotest.fail "watch failed");
-  Alcotest.(check int) "cancelled batch dropped, not delivered" 0 !flushes
-
 let suites =
   [
     ( "watch",
@@ -198,8 +161,5 @@ let suites =
         Alcotest.test_case "cancel during fan_out (regression)" `Quick cancel_during_fan_out;
         Alcotest.test_case "re-register from own callback (regression)" `Quick
           reregister_from_own_callback;
-        Alcotest.test_case "batched watch coalesces per flush" `Quick batched_watch_coalesces;
-        Alcotest.test_case "batched watch cancel drops pending" `Quick
-          batched_watch_cancel_drops_pending;
       ] );
   ]
