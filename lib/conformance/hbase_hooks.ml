@@ -10,11 +10,16 @@ type t = string Wiring.t
 let taps zk ~stream w =
   let monitor = Wiring.monitor w in
   let follower = Hbaselike.Zk.follower zk in
+  let activity = Wiring.activity w follower in
+  (* The replica's observed state changes only here: an apply changes the
+     applied event's key, a resync may change every key. *)
   Hbaselike.Zk.on_follower_apply zk (fun e ->
-      Wiring.note_activity w follower;
+      Wiring.note_activity activity;
+      Monitor.touch monitor ~subject:follower e.History.Event.key;
       Monitor.observe_event monitor ~stream e);
   Hbaselike.Zk.on_follower_resync zk (fun rev ->
-      Wiring.note_activity w follower;
+      Wiring.note_activity activity;
+      Monitor.touch_all monitor ~subject:follower;
       Monitor.observe_reset monitor ~stream ~rev (Hbaselike.Zk.observed_state zk);
       (* The reset itself is legal (full state transfer), but it leaves
          the replica numbering events in its own local domain. If readers
@@ -35,12 +40,22 @@ let taps zk ~stream w =
    compared against the committed history at exactly its claimed leader
    frontier, so honest replication lag stays silent while a divergent
    apply (or a post-compaction resync that rewrote history) trips
-   State_divergence. *)
-let check zk w =
+   State_divergence. The observed state is built only when the check is
+   due. *)
+let check zk =
   let follower = Hbaselike.Zk.follower zk in
-  Wiring.check_state w ~component:follower ~subject:follower
-    ~rev:(Hbaselike.Zk.follower_caught_up_to zk)
-    (Hbaselike.Zk.observed_state zk)
+  let observed () = Hbaselike.Zk.observed_state zk in
+  let subject = ref None in
+  fun w ->
+    let s =
+      match !subject with
+      | Some s -> s
+      | None ->
+          let s = Wiring.subject w ~component:follower follower in
+          subject := Some s;
+          s
+    in
+    Wiring.check_state w s ~rev:(Hbaselike.Zk.follower_caught_up_to zk) observed
 
 let lag zk ~stream w =
   Wiring.flag_lag w ~stream ~frontier:(Hbaselike.Zk.follower_caught_up_to zk) ()

@@ -27,9 +27,13 @@ type t = Kube.Resource.value Wiring.t
 val attach : ?track_divergence:bool -> Kube.Cluster.t -> t
 (** Each periodic sweep (every 500 ms of virtual time) skips caches whose
     claimed revision and tap activity are unchanged since their last
-    full check, so quiet components cost nothing. Violations are
-    recorded in the trace as ["conformance.violation"] entries and
-    counted in the ["conformance.violations"] metric.
+    completed check, so quiet components cost nothing, and re-judges only
+    the bindings that changed in the others ({!Monitor.check_state}): the
+    taps name the keys they apply, each replica's commits name its keys,
+    and a cache that changed with no tap (an apiserver crash) is judged
+    whole. Violations are recorded in the trace as
+    ["conformance.violation"] entries and counted in the
+    ["conformance.violations"] metric.
 
     [track_divergence] (default false) additionally records each
     stream's divergence point ({!Monitor.divergence}): skips and rewinds

@@ -127,10 +127,37 @@ val observe_reset : 'v t -> stream:string -> ?prefix:string -> rev:int -> 'v His
     Resets the stream's frontier — backwards movement here is informer
     time travel, which is legal (if regrettable) behaviour. *)
 
+val touch : 'v t -> subject:string -> string -> unit
+(** The binding of this key in [subject]'s cache changed (was added,
+    replaced or removed) since the subject's last {!check_state}. *)
+
+val touch_all : 'v t -> subject:string -> unit
+(** [subject]'s cache was replaced wholesale (a re-list, a resync, a
+    cache discarded by a crash): its next {!check_state} re-judges every
+    binding. *)
+
 val check_state : 'v t -> subject:string -> ?prefix:string -> rev:int -> 'v History.State.t -> unit
 (** Spot-check a cache against the mirror: binding authenticity always;
     exact equality with the committed state at [rev] (restricted to
-    [prefix]) in strict mode. *)
+    [prefix]) in strict mode.
+
+    The check is incremental per [subject]. The monitor keeps, from the
+    subject's last completed check, the keys whose cached binding is
+    inauthentic and the keys whose binding differs from the committed
+    state. It re-judges only the keys {!touch}ed since, the keys of
+    committed events between the two claimed revisions, and the
+    inauthentic ones — a binding's verdicts cannot move otherwise. The
+    first check of a subject, a check after {!touch_all}, and a check
+    with a different [prefix] judge every binding. So the caller must
+    touch every key it changes between two checks of one subject, or
+    touch them all; checking each subject once needs neither.
+
+    The reports are those of a full check: one per inauthentic binding,
+    in key order, then (strict mode) one state-equality report whose
+    missing/extra counts come from a full diff, taken only when the
+    kept count says the two states differ. A claim beyond the mirror
+    reports [Future_rev] alone and leaves the subject's record as it
+    was. *)
 
 val violations : 'v t -> violation list
 (** Distinct violations (first occurrence per (code, subject)), in
@@ -162,6 +189,11 @@ val note_rewind : 'v t -> stream:string -> rev:int -> key:string -> string -> un
     same stream in place — the lag was merely the cause; the rewind is
     the divergence — and is ignored if the stream already diverged some
     other way. *)
+
+val frontier : 'v t -> stream:string -> int
+(** The stream's frontier: the revision of its last accepted delivery,
+    advance or reset; 0 for a stream never observed. A stream owes the
+    committed events matching its prefix past this revision. *)
 
 val first_undelivered : 'v t -> ?prefix:string -> after:int -> unit -> 'v History.Event.t option
 (** The first committed event matching [prefix] with revision strictly

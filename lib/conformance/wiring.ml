@@ -1,11 +1,20 @@
+(* Tap callbacks per component: every cache mutation fires a tap, so a
+   cache whose claimed revision and component activity are unchanged
+   since its last completed check provably holds the same bindings — its
+   re-check is skipped. *)
+type activity = { mutable taps : int }
+
+type subject = {
+  name : string;
+  activity : activity;
+  mutable checked_rev : int;  (* at the last completed check; -1 before it *)
+  mutable checked_taps : int;
+}
+
 type 'v t = {
   engine : Dsim.Engine.t;
   monitor : 'v Monitor.t;
-  (* Tap callbacks per component: every cache mutation fires a tap, so a
-     component whose (rev, activity) pair is unchanged since the last
-     sweep provably has the same cache — its re-check is skipped. *)
-  activity : (string, int) Hashtbl.t;
-  checked : (string, int * int) Hashtbl.t;  (* subject -> (rev, activity) at last full check *)
+  activities : (string, activity) Hashtbl.t;  (* component -> its tap count *)
   (* Divergence tracking: commit times by revision, so the sweep can age
      the first undelivered event of every stream against the clock. *)
   commit_times : (int, int) Hashtbl.t;
@@ -19,15 +28,29 @@ let lag_grace = 250_000
 
 let monitor t = t.monitor
 
-let note_activity t component =
-  Hashtbl.replace t.activity component
-    (1 + try Hashtbl.find t.activity component with Not_found -> 0)
+let activity t component =
+  match Hashtbl.find t.activities component with
+  | a -> a
+  | exception Not_found ->
+      let a = { taps = 0 } in
+      Hashtbl.add t.activities component a;
+      a
 
-let check_state t ~component ~subject ?prefix ~rev state =
-  let sig_now = (rev, try Hashtbl.find t.activity component with Not_found -> 0) in
-  if Hashtbl.find_opt t.checked subject <> Some sig_now then begin
-    Monitor.check_state t.monitor ~subject ?prefix ~rev state;
-    if rev <= Monitor.mirror_rev t.monitor then Hashtbl.replace t.checked subject sig_now
+let note_activity a = a.taps <- a.taps + 1
+
+let subject t ~component name =
+  { name; activity = activity t component; checked_rev = -1; checked_taps = 0 }
+
+let check_state t s ?prefix ~rev state =
+  let taps = s.activity.taps in
+  if s.checked_rev <> rev || s.checked_taps <> taps then begin
+    Monitor.check_state t.monitor ~subject:s.name ?prefix ~rev (state ());
+    (* A claim beyond the mirror is re-examined once the mirror catches
+       up. *)
+    if rev <= Monitor.mirror_rev t.monitor then begin
+      s.checked_rev <- rev;
+      s.checked_taps <- taps
+    end
   end
 
 let flag_lag t ~stream ?prefix ~frontier () =
@@ -60,8 +83,7 @@ let attach ~engine ~on_commit ~intercept ~track_divergence ~taps ~check ~lag =
     {
       engine;
       monitor = Monitor.create ~track_divergence ~on_violation ();
-      activity = Hashtbl.create 16;
-      checked = Hashtbl.create 16;
+      activities = Hashtbl.create 16;
       commit_times = Hashtbl.create 64;
       check;
       lag;

@@ -29,17 +29,31 @@ val attach :
 
 val monitor : 'v t -> 'v Monitor.t
 
-val note_activity : 'v t -> string -> unit
+type activity
+(** One component's tap count. *)
+
+val activity : 'v t -> string -> activity
+(** The named component's tap count, shared by every cache it owns. *)
+
+val note_activity : activity -> unit
 (** A tap fired for this component: its caches may have changed. *)
 
+type subject
+(** One cache the sweep checks: its monitor subject name, its component's
+    activity, and the (claimed revision, activity) of its last completed
+    check. *)
+
+val subject : 'v t -> component:string -> string -> subject
+
 val check_state :
-  'v t -> component:string -> subject:string -> ?prefix:string -> rev:int ->
-  'v History.State.t -> unit
-(** {!Monitor.check_state}, skipped when neither the claimed revision nor
-    the component's tap activity changed since the subject's last
-    completed check. A check counts as completed only when [rev] was
-    inside the mirror, so a future-revision claim is re-examined once the
-    mirror catches up. *)
+  'v t -> subject -> ?prefix:string -> rev:int -> (unit -> 'v History.State.t) -> unit
+(** {!Monitor.check_state} on the cache the thunk returns, skipped — and
+    the thunk not called — when neither the claimed revision nor the
+    component's tap activity changed since the subject's last completed
+    check. A check counts as completed only when [rev] was inside the
+    mirror, so a future-revision claim is re-examined once the mirror
+    catches up. The dialect must {!Monitor.touch} every binding it sees
+    change in between. *)
 
 val flag_lag : 'v t -> stream:string -> ?prefix:string -> frontier:int -> unit -> unit
 (** Pure delay is invisible to the frontier checks (FIFO pipes preserve

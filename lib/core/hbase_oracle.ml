@@ -11,12 +11,23 @@ let stale_confirmations = 8
 
 let double_confirmations = 25
 
+(* The two checks re-derive their tables only when an input moved: the
+   stale-assignment table reads the leader's [rs/registry] and
+   [region/*] keys, the double-serve table reads the region servers'
+   serving sets and which nodes are up. Every tick still advances the
+   streaks and compares the master's CAS failures. *)
 type t = {
   cluster : Hbaselike.Cluster.t;
   ledger : Oracle.ledger;
-  stale_streak : (string, int * int) Hashtbl.t;
+  mutable stale_streak : (string, int * int) Hashtbl.t;
       (* region -> (consecutive bad sightings, master cas_failures at streak start) *)
-  double_streak : (string, int) Hashtbl.t;
+  mutable double_streak : (string, int) Hashtbl.t;
+  mutable assignment_commits : int;  (* leader commits to rs/registry or region/* *)
+  mutable stale : (string * string * string) list;  (* region, dead server, about *)
+  mutable stale_at : int;
+  mutable doubles : (string * string * string list) list;  (* region, about, servers *)
+  mutable serving_at : int;  (* serving-set changes *)
+  mutable liveness_at : int;
 }
 
 let violations t = Oracle.found t.ledger
@@ -31,6 +42,17 @@ let registry t =
 let assigned_to t region =
   Option.map fst (Etcdlike.Kv.get (leader_kv t) ("region/" ^ region))
 
+let regions t = (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
+
+let derive_stale t =
+  let live = registry t in
+  List.filter_map
+    (fun region ->
+      match assigned_to t region with
+      | Some server when not (List.mem server live) -> Some (region, server, "region/" ^ region)
+      | Some _ | None -> None)
+    (regions t)
+
 (* A region parked (in ground truth) on a server the ground-truth
    registry no longer lists, sustained across [stale_confirmations]
    checks, is a repair the master never performs. Whether the master
@@ -40,33 +62,35 @@ let assigned_to t region =
    (HB-FOLLOWER); a flat counter means its stale view still calls the
    dead assignment healthy and it never tries (HB-ASSIGN). *)
 let check_stale_assignments t =
-  let live = registry t in
-  let cas_failures = Hbaselike.Master.cas_failures (Hbaselike.Cluster.master t.cluster) in
-  List.iter
-    (fun region ->
-      match assigned_to t region with
-      | Some server when not (List.mem server live) ->
+  if t.assignment_commits <> t.stale_at then begin
+    t.stale_at <- t.assignment_commits;
+    t.stale <- derive_stale t
+  end;
+  (* After a tick each streak table holds exactly the regions sighted
+     now, each one sighting longer: a region that drops out starts over. *)
+  match t.stale with
+  | [] -> Hashtbl.reset t.stale_streak
+  | stale ->
+      let cas_failures = Hbaselike.Master.cas_failures (Hbaselike.Cluster.master t.cluster) in
+      let streaks = Hashtbl.create 8 in
+      List.iter
+        (fun (region, server, about) ->
           let streak, cas0 =
             match Hashtbl.find_opt t.stale_streak region with
             | Some (n, cas0) -> (n + 1, cas0)
             | None -> (1, cas_failures)
           in
-          Hashtbl.replace t.stale_streak region (streak, cas0);
+          Hashtbl.replace streaks region (streak, cas0);
           if streak >= stale_confirmations then
-            Oracle.report ~about:("region/" ^ region) t.ledger
+            Oracle.report ~about t.ledger
               (if cas_failures > cas0 then Oracle.Region_cas_wedged { region; server }
-               else Oracle.Region_stale_assign { region; server })
-      | Some _ | None -> Hashtbl.remove t.stale_streak region)
-    (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
+               else Oracle.Region_stale_assign { region; server }))
+        stale;
+      t.stale_streak <- streaks
 
-(* Several *live* region servers serving one region, sustained across
-   [double_confirmations] checks: a one-shot watch notification lost (or
-   delayed past the streak window) left somebody acting on a superseded
-   assignment. Down servers are excluded — their frozen serving sets are
-   unreachable, not unsafe. *)
-let check_double_serve t =
+let derive_doubles t =
   let net = Hbaselike.Cluster.net t.cluster in
-  List.iter
+  List.filter_map
     (fun region ->
       let servers =
         List.filter_map
@@ -78,15 +102,39 @@ let check_double_serve t =
             else None)
           (Hbaselike.Cluster.region_servers t.cluster)
       in
-      if List.length servers >= 2 then begin
-        let streak = 1 + Option.value (Hashtbl.find_opt t.double_streak region) ~default:0 in
-        Hashtbl.replace t.double_streak region streak;
-        if streak >= double_confirmations then
-          Oracle.report ~about:("region/" ^ region) t.ledger
-            (Oracle.Region_double_serve { region; servers = List.sort String.compare servers })
-      end
-      else Hashtbl.remove t.double_streak region)
-    (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
+      if List.length servers >= 2 then
+        Some (region, "region/" ^ region, List.sort String.compare servers)
+      else None)
+    (regions t)
+
+(* Several *live* region servers serving one region, sustained across
+   [double_confirmations] checks: a one-shot watch notification lost (or
+   delayed past the streak window) left somebody acting on a superseded
+   assignment. Down servers are excluded — their frozen serving sets are
+   unreachable, not unsafe. *)
+let check_double_serve t =
+  let serving =
+    List.fold_left
+      (fun acc rs -> acc + Hbaselike.Regionserver.serving_changes rs)
+      0 (Hbaselike.Cluster.region_servers t.cluster)
+  and liveness = Dsim.Network.liveness_changes (Hbaselike.Cluster.net t.cluster) in
+  if serving <> t.serving_at || liveness <> t.liveness_at then begin
+    t.serving_at <- serving;
+    t.liveness_at <- liveness;
+    t.doubles <- derive_doubles t
+  end;
+  match t.doubles with
+  | [] -> Hashtbl.reset t.double_streak
+  | doubles ->
+      let streaks = Hashtbl.create 8 in
+      List.iter
+        (fun (region, about, servers) ->
+          let streak = 1 + Option.value (Hashtbl.find_opt t.double_streak region) ~default:0 in
+          Hashtbl.replace streaks region streak;
+          if streak >= double_confirmations then
+            Oracle.report ~about t.ledger (Oracle.Region_double_serve { region; servers }))
+        doubles;
+      t.double_streak <- streaks
 
 let attach cluster =
   let t =
@@ -95,6 +143,12 @@ let attach cluster =
       ledger = Oracle.ledger (Hbaselike.Cluster.engine cluster);
       stale_streak = Hashtbl.create 8;
       double_streak = Hashtbl.create 8;
+      assignment_commits = 0;
+      stale = [];
+      stale_at = -1;
+      doubles = [];
+      serving_at = -1;
+      liveness_at = -1;
     }
   in
   (* The Zk commit listener registered at create time emits the
@@ -102,7 +156,11 @@ let attach cluster =
      the causal anchor for violations about the committed key. *)
   Etcdlike.Kv.on_commit
     (Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk cluster))
-    (fun (e : string History.Event.t) -> Oracle.note_commit t.ledger e.History.Event.key);
+    (fun (e : string History.Event.t) ->
+      let key = e.History.Event.key in
+      Oracle.note_commit t.ledger key;
+      if String.equal key "rs/registry" || History.Event.matches_key (Some "region/") key then
+        t.assignment_commits <- t.assignment_commits + 1);
   Dsim.Engine.every (Hbaselike.Cluster.engine cluster) ~period:check_period (fun () ->
       check_stale_assignments t;
       check_double_serve t;

@@ -132,14 +132,32 @@ let leak_grace = 2_000_000
 
 let duplicate_confirmations = 20
 
+(* Each periodic check reads a few inputs: the mirror (and
+   [pod_deleted_at], written only beside it), the kubelets' running sets
+   and the scheduler's bind failures. Each input has a change count, and
+   a check re-derives its table only when one of its inputs moved; a
+   tick whose inputs all stood still only advances the streaks and the
+   leak clock. Reports repeat a table's findings every tick, as a full
+   recompute would ({!report} ignores a repeated key). *)
 type t = {
   cluster : Kube.Cluster.t;
   ledger : ledger;
   mutable mirror : Kube.Resource.value History.State.t;
+  mutable commits : int;  (* mirror changes *)
   pod_deleted_at : (string, int) Hashtbl.t;  (* pod name -> removal time *)
-  duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
-  wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
+  mutable duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
+  mutable wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
       (* deployment -> (intent fingerprint, consecutive unchanged sightings) *)
+  (* The derived tables, and the input counts they were derived at. *)
+  mutable duplicates : (string * string list) list;  (* pod -> kubelets, sighting order *)
+  mutable duplicates_at : int;  (* kubelet starts + stops *)
+  mutable livelock_at : int;  (* commits *)
+  mutable failed_binds_at : int;
+  mutable leaks : (int * string * violation) list;  (* deadline, about, violation *)
+  mutable surplus_at : int;
+  mutable wedged : (string * int * (int * (string * int) list)) list;
+      (* deployment, generation, intent fingerprint *)
+  mutable derived_at : int;  (* commits, for [leaks] and [wedged] *)
 }
 
 let mirror t = t.mirror
@@ -205,6 +223,7 @@ let check_failed_transition t (e : Kube.Resource.value History.Event.t) =
 
 let on_commit t (e : Kube.Resource.value History.Event.t) =
   let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
+  t.commits <- t.commits + 1;
   note_commit t.ledger e.History.Event.key;
   (match Kube.Resource.kind_of_key e.History.Event.key, e.History.Event.op with
   | `Pod, History.Event.Update ->
@@ -224,7 +243,10 @@ let on_commit t (e : Kube.Resource.value History.Event.t) =
       check_decommission t p
   | _ -> ()
 
-let check_duplicates t =
+(* The sighting table is rebuilt the way it always was — kubelets in
+   cluster order, each one's running pods sorted — so its iteration
+   order, which orders same-tick duplicate reports, is unchanged. *)
+let sight_duplicates t =
   let sightings = Hashtbl.create 16 in
   List.iter
     (fun kubelet ->
@@ -234,99 +256,127 @@ let check_duplicates t =
           Hashtbl.replace sightings pod (Kube.Kubelet.name kubelet :: owners))
         (Kube.Kubelet.running kubelet))
     (Kube.Cluster.kubelets t.cluster);
-  let confirmed_this_round = Hashtbl.create 4 in
+  let duplicates = ref [] in
   Hashtbl.iter
     (fun pod kubelets ->
-      if List.length kubelets >= 2 then begin
-        let streak = 1 + Option.value (Hashtbl.find_opt t.duplicate_streak pod) ~default:0 in
-        Hashtbl.replace confirmed_this_round pod ();
-        Hashtbl.replace t.duplicate_streak pod streak;
-        if streak >= duplicate_confirmations then
-          report ~about:(Kube.Resource.pod_key pod) t.ledger
-            (Duplicate_pod { pod; kubelets = List.sort String.compare kubelets })
-      end)
+      if List.length kubelets >= 2 then
+        duplicates := (pod, List.sort String.compare kubelets) :: !duplicates)
     sightings;
-  Hashtbl.iter
-    (fun pod _ -> if not (Hashtbl.mem confirmed_this_round pod) then
-        Hashtbl.remove t.duplicate_streak pod)
-    (Hashtbl.copy t.duplicate_streak)
+  t.duplicates <- List.rev !duplicates
+
+let check_duplicates t =
+  let moves =
+    List.fold_left
+      (fun acc k -> acc + Kube.Kubelet.starts k + Kube.Kubelet.stops k)
+      0 (Kube.Cluster.kubelets t.cluster)
+  in
+  if moves <> t.duplicates_at then begin
+    t.duplicates_at <- moves;
+    sight_duplicates t
+  end;
+  (* The streak table after a tick holds exactly the pods sighted twice
+     now, each one sighting longer than before: a pod that drops out
+     starts over. *)
+  match t.duplicates with
+  | [] -> Hashtbl.reset t.duplicate_streak
+  | duplicates ->
+      let streaks = Hashtbl.create 16 in
+      List.iter
+        (fun (pod, kubelets) ->
+          let streak = 1 + Option.value (Hashtbl.find_opt t.duplicate_streak pod) ~default:0 in
+          Hashtbl.replace streaks pod streak;
+          if streak >= duplicate_confirmations then
+            report ~about:(Kube.Resource.pod_key pod) t.ledger (Duplicate_pod { pod; kubelets }))
+        duplicates;
+      t.duplicate_streak <- streaks
 
 let check_livelock t =
   match Kube.Cluster.scheduler t.cluster with
   | None -> ()
   | Some scheduler ->
-      List.iter
-        (fun ((pod, node), failures) ->
-          if
-            failures >= livelock_threshold
-            && not (History.State.mem t.mirror (Kube.Resource.node_key node))
-          then
-            report ~about:(Kube.Resource.node_key node) t.ledger
-              (Scheduler_livelock { pod; node; failures }))
-        (Kube.Scheduler.bind_failures scheduler)
+      let failed_binds = Kube.Scheduler.failed_binds scheduler in
+      if t.commits <> t.livelock_at || failed_binds <> t.failed_binds_at then begin
+        t.livelock_at <- t.commits;
+        t.failed_binds_at <- failed_binds;
+        List.iter
+          (fun ((pod, node), failures) ->
+            if
+              failures >= livelock_threshold
+              && not (History.State.mem t.mirror (Kube.Resource.node_key node))
+            then
+              report ~about:(Kube.Resource.node_key node) t.ledger
+                (Scheduler_livelock { pod; node; failures }))
+          (Kube.Scheduler.bind_failures scheduler)
+      end
 
 let managed_claim name =
   not (String.length name >= 5 && String.equal (String.sub name 0 5) "data-")
 
-let check_leaks t =
-  let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
+(* Claims whose owner pod is gone from the mirror, in mirror key order,
+   each with the time its leak grace runs out; a claim whose owner was
+   never seen removed cannot leak, so it is left out. *)
+let derive_leaks t =
   History.State.fold
-    (fun _ (value, _) () ->
+    (fun _ (value, _) acc ->
       match value with
       | Kube.Resource.Pvc c when managed_claim c.Kube.Resource.pvc_name -> begin
           match c.Kube.Resource.owner_pod with
-          | None -> ()
-          | Some owner ->
-              if not (History.State.mem t.mirror (Kube.Resource.pod_key owner)) then begin
-                match Hashtbl.find_opt t.pod_deleted_at owner with
-                | Some deleted_at when now - deleted_at > leak_grace ->
-                    report ~about:(Kube.Resource.pod_key owner) t.ledger
-                      (Pvc_leak { pvc = c.Kube.Resource.pvc_name; owner_pod = owner })
-                | Some _ | None -> ()
-              end
+          | Some owner when not (History.State.mem t.mirror (Kube.Resource.pod_key owner)) -> (
+              match Hashtbl.find_opt t.pod_deleted_at owner with
+              | Some deleted_at ->
+                  ( deleted_at + leak_grace,
+                    Kube.Resource.pod_key owner,
+                    Pvc_leak { pvc = c.Kube.Resource.pvc_name; owner_pod = owner } )
+                  :: acc
+              | None -> acc)
+          | Some _ | None -> acc
         end
-      | _ -> ())
-    t.mirror ()
+      | _ -> acc)
+    t.mirror []
+  |> List.rev
+
+let check_leaks t =
+  match t.leaks with
+  | [] -> ()
+  | leaks ->
+      let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
+      List.iter (fun (deadline, about, v) -> if now > deadline then report ~about t.ledger v) leaks
 
 (* Over-provisioning: flagrantly more live pods than a set wants. The
    2x threshold ignores the off-by-a-few churn of normal replacement. *)
 let check_surplus t =
-  History.State.fold
-    (fun key (value, _) () ->
-      match value with
-      | Kube.Resource.Rset spec ->
-          let rs_key = key in
-          let live =
-            History.State.fold
-              (fun _ (v, _) acc ->
-                match v with
-                | Kube.Resource.Pod p
-                  when p.Kube.Resource.owner = Some rs_key
-                       && p.Kube.Resource.deletion_timestamp = None
-                       && p.Kube.Resource.phase <> Kube.Resource.Failed ->
-                    acc + 1
-                | _ -> acc)
-              t.mirror 0
-          in
-          let desired = spec.Kube.Resource.rs_replicas in
-          if desired > 0 && live > 2 * desired then
-            report ~about:rs_key t.ledger
-              (Replica_surplus { rs = spec.Kube.Resource.rs_name; live; desired })
-      | _ -> ())
-    t.mirror ()
+  if t.commits <> t.surplus_at then begin
+    t.surplus_at <- t.commits;
+    History.State.fold
+      (fun key (value, _) () ->
+        match value with
+        | Kube.Resource.Rset spec ->
+            let rs_key = key in
+            let live =
+              History.State.fold
+                (fun _ (v, _) acc ->
+                  match v with
+                  | Kube.Resource.Pod p
+                    when p.Kube.Resource.owner = Some rs_key
+                         && p.Kube.Resource.deletion_timestamp = None
+                         && p.Kube.Resource.phase <> Kube.Resource.Failed ->
+                      acc + 1
+                  | _ -> acc)
+                t.mirror 0
+            in
+            let desired = spec.Kube.Resource.rs_replicas in
+            if desired > 0 && live > 2 * desired then
+              report ~about:rs_key t.ledger
+                (Replica_surplus { rs = spec.Kube.Resource.rs_name; live; desired })
+        | _ -> ())
+      t.mirror ()
+  end
 
-(* A rollout is wedged when, for a long stretch, (a) an old generation's
-   set is still deployed, (b) ground truth shows every new-generation pod
-   the controller asked for actually Running — so nothing real blocks
-   progress — and (c) none of the sets' intents change. A healthy
-   rollout changes some intent every pass or two, and even a view frozen
-   behind a partition thaws within ~4.5 s (partition + watchdog +
-   re-list); 60 consecutive unchanged checks (6 s) means only the
-   controller's view stands in the way, permanently. *)
-let check_wedged_rollouts t =
-  let confirmed = Hashtbl.create 4 in
+(* The deployments meeting (a) and (b) below, in mirror key order, each
+   with the fingerprint of its sets' intents for (c). *)
+let derive_wedged t =
   History.State.fold
-    (fun _ (value, _) () ->
+    (fun _ (value, _) acc ->
       match value with
       | Kube.Resource.Deployment d ->
           let dep = d.Kube.Resource.dep_name in
@@ -365,23 +415,46 @@ let check_wedged_rollouts t =
           in
           (match target_intent with
           | Some intent when old_intents <> [] && target_running >= intent ->
-              Hashtbl.replace confirmed dep ();
-              let fingerprint = (intent, old_intents) in
-              let streak =
-                match Hashtbl.find_opt t.wedge_streak dep with
-                | Some (previous, n) when previous = fingerprint -> n + 1
-                | _ -> 1
-              in
-              Hashtbl.replace t.wedge_streak dep (fingerprint, streak);
-              if streak >= 60 then
-                report ~about:(Kube.Resource.deployment_key dep) t.ledger
-                  (Rollout_wedged { dep; generation = d.Kube.Resource.template })
-          | _ -> ())
-      | _ -> ())
-    t.mirror ();
-  Hashtbl.iter
-    (fun dep _ -> if not (Hashtbl.mem confirmed dep) then Hashtbl.remove t.wedge_streak dep)
-    (Hashtbl.copy t.wedge_streak)
+              (dep, d.Kube.Resource.template, (intent, old_intents)) :: acc
+          | _ -> acc)
+      | _ -> acc)
+    t.mirror []
+  |> List.rev
+
+(* A rollout is wedged when, for a long stretch, (a) an old generation's
+   set is still deployed, (b) ground truth shows every new-generation pod
+   the controller asked for actually Running — so nothing real blocks
+   progress — and (c) none of the sets' intents change. A healthy
+   rollout changes some intent every pass or two, and even a view frozen
+   behind a partition thaws within ~4.5 s (partition + watchdog +
+   re-list); 60 consecutive unchanged checks (6 s) means only the
+   controller's view stands in the way, permanently. *)
+let check_wedged_rollouts t =
+  match t.wedged with
+  | [] -> Hashtbl.reset t.wedge_streak
+  | wedged ->
+      let streaks = Hashtbl.create 16 in
+      List.iter
+        (fun (dep, generation, fingerprint) ->
+          let streak =
+            match Hashtbl.find_opt t.wedge_streak dep with
+            | Some (previous, n) when previous = fingerprint -> n + 1
+            | _ -> 1
+          in
+          Hashtbl.replace streaks dep (fingerprint, streak);
+          if streak >= 60 then
+            report ~about:(Kube.Resource.deployment_key dep) t.ledger
+              (Rollout_wedged { dep; generation }))
+        wedged;
+      t.wedge_streak <- streaks
+
+(* Re-derive the mirror's two time-dependent tables after a commit. *)
+let derive t =
+  if t.commits <> t.derived_at then begin
+    t.derived_at <- t.commits;
+    t.leaks <- derive_leaks t;
+    t.wedged <- derive_wedged t
+  end
 
 let attach cluster =
   let t =
@@ -389,13 +462,23 @@ let attach cluster =
       cluster;
       ledger = ledger (Kube.Cluster.engine cluster);
       mirror = History.State.empty;
+      commits = 0;
       pod_deleted_at = Hashtbl.create 16;
       duplicate_streak = Hashtbl.create 16;
       wedge_streak = Hashtbl.create 16;
+      duplicates = [];
+      duplicates_at = -1;
+      livelock_at = -1;
+      failed_binds_at = -1;
+      leaks = [];
+      surplus_at = -1;
+      wedged = [];
+      derived_at = -1;
     }
   in
   Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e -> on_commit t e);
   Dsim.Engine.every (Kube.Cluster.engine cluster) ~period:check_period (fun () ->
+      derive t;
       check_duplicates t;
       check_livelock t;
       check_leaks t;

@@ -92,6 +92,10 @@ module Gauge = struct
     g.g_written <- true;
     g.level.value <- v
 
+  let set_int g n =
+    g.g_written <- true;
+    g.level.value <- float_of_int n
+
   let add g delta =
     g.g_written <- true;
     g.level.value <- g.level.value +. delta
@@ -176,7 +180,7 @@ module Series = struct
   let resolve (m : registry) name =
     resolve m.series name (fun () -> { times = [||]; values = [||]; len = 0; s_written = false })
 
-  let sample s ~time v =
+  let grow s =
     s.s_written <- true;
     if s.len = Array.length s.times then begin
       let capacity = max 16 (2 * s.len) in
@@ -185,9 +189,18 @@ module Series = struct
       Array.blit s.values 0 values 0 s.len;
       s.times <- times;
       s.values <- values
-    end;
+    end
+
+  let sample s ~time v =
+    grow s;
     s.times.(s.len) <- time;
     s.values.(s.len) <- v;
+    s.len <- s.len + 1
+
+  let sample_int s ~time n =
+    grow s;
+    s.times.(s.len) <- time;
+    s.values.(s.len) <- float_of_int n;
     s.len <- s.len + 1
 end
 

@@ -40,6 +40,10 @@ module Gauge : sig
 
   val set : t -> float -> unit
 
+  val set_int : t -> int -> unit
+  (** [set g (float_of_int n)], converting where the float is stored, so
+      the write allocates nothing. *)
+
   val add : t -> float -> unit
   (** Adds a (possibly negative) delta. *)
 end
@@ -62,6 +66,10 @@ module Series : sig
   val resolve : metrics -> string -> t
 
   val sample : t -> time:int -> float -> unit
+
+  val sample_int : t -> time:int -> int -> unit
+  (** [sample s ~time (float_of_int n)] without boxing the float; only
+      the series' growth allocates. *)
 end
 
 (** {2 Counters} *)

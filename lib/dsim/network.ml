@@ -35,6 +35,7 @@ type t = {
   mutable latency_model : latency_model;
   nodes : (address, node) Hashtbl.t;
   mutable cuts : Link.t list;
+  mutable liveness_changes : int;  (* node creations, crashes and restarts *)
   calls : Metrics.Counter.t;
   timeouts : Metrics.Counter.t;
   casts : Metrics.Counter.t;
@@ -48,6 +49,7 @@ let create ?(min_latency = 500) ?(max_latency = 2000) engine =
     latency_model = Uniform { min = min_latency; max = max_latency };
     nodes = Hashtbl.create 16;
     cuts = [];
+    liveness_changes = 0;
     calls = Metrics.Counter.resolve metrics "net.calls";
     timeouts = Metrics.Counter.resolve metrics "net.timeouts";
     casts = Metrics.Counter.resolve metrics "net.casts";
@@ -79,6 +81,7 @@ let node t addr =
   | None ->
       let n = fresh_node () in
       Hashtbl.replace t.nodes addr n;
+      t.liveness_changes <- t.liveness_changes + 1;
       n
 
 let register t addr ~serve ?on_cast () =
@@ -91,6 +94,8 @@ let set_lifecycle t addr ~on_crash ~on_restart =
   n.on_crash <- on_crash;
   n.on_restart <- on_restart
 
+let liveness_changes t = t.liveness_changes
+
 let is_up t addr =
   match Hashtbl.find_opt t.nodes addr with Some n -> n.up | None -> false
 
@@ -101,6 +106,7 @@ let crash t addr =
   let n = node t addr in
   if n.up then begin
     n.up <- false;
+    t.liveness_changes <- t.liveness_changes + 1;
     n.incarnation <- n.incarnation + 1;
     Engine.record t.engine ~actor:addr ~kind:"node.crash" "";
     n.on_crash ()
@@ -110,6 +116,7 @@ let restart t addr =
   let n = node t addr in
   if not n.up then begin
     n.up <- true;
+    t.liveness_changes <- t.liveness_changes + 1;
     Engine.record t.engine ~actor:addr ~kind:"node.restart" "";
     n.on_restart ()
   end

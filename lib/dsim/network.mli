@@ -55,6 +55,10 @@ val set_lifecycle :
 
 val is_up : t -> address -> bool
 
+val liveness_changes : t -> int
+(** Nodes created, crashed or restarted so far: {!is_up} can change only
+    when this moves. *)
+
 val incarnation : t -> address -> int
 
 val crash : t -> address -> unit

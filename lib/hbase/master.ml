@@ -10,7 +10,6 @@ type t = {
   period : int;
   mutable transitions : int;
   mutable cas_failures : int;
-  mutable heartbeats_served : int;
 }
 
 let name t = t.name
@@ -18,8 +17,6 @@ let name t = t.name
 let transitions t = t.transitions
 
 let cas_failures t = t.cas_failures
-
-let heartbeats_served t = t.heartbeats_served
 
 let engine t = Dsim.Network.engine t.net
 
@@ -66,11 +63,9 @@ let balance_pass t =
         List.iter (fun region -> balance_region t region servers) t.regions
     | Ok (None, _) | Error `Unavailable -> ())
 
-let serve t ~src:_ request reply =
+let serve ~src:_ request reply =
   match request with
-  | Rs_heartbeat { server = _ } ->
-      t.heartbeats_served <- t.heartbeats_served + 1;
-      reply Heartbeat_ack
+  | Rs_heartbeat { server = _ } -> reply Heartbeat_ack
   | _ -> ()
 
 let create ~net ~name ~zk ~regions ?(sync_before_cas = false) ?(period = 100_000) () =
@@ -83,11 +78,10 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) ?(period = 100_000
     period;
     transitions = 0;
     cas_failures = 0;
-    heartbeats_served = 0;
   }
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(serve t) ();
+  Dsim.Network.register t.net t.name ~serve ();
   Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
       if Dsim.Network.is_up t.net t.name then balance_pass t;

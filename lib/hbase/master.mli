@@ -44,4 +44,3 @@ val transitions : t -> int
 val cas_failures : t -> int
 (** Transitions rejected because the read state was stale. *)
 
-val heartbeats_served : t -> int

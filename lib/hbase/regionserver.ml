@@ -7,9 +7,8 @@ type t = {
   watched_regions : string list;
   heartbeat_period : int;
   serving : (string, unit) Hashtbl.t;
+  mutable serving_changes : int;
   mutable cached_master : string option;
-  mutable heartbeats_ok : int;
-  mutable heartbeat_failures : int;
   mutable consecutive_failures : int;
 }
 
@@ -17,15 +16,13 @@ let name t = t.name
 
 let cached_master t = t.cached_master
 
-let heartbeats_ok t = t.heartbeats_ok
-
-let heartbeat_failures t = t.heartbeat_failures
-
 let consecutive_failures t = t.consecutive_failures
 
 let serving t = List.sort String.compare (Hashtbl.fold (fun r () acc -> r :: acc) t.serving [])
 
 let is_serving t region = Hashtbl.mem t.serving region
+
+let serving_changes t = t.serving_changes
 
 let engine t = Dsim.Network.engine t.net
 
@@ -70,10 +67,12 @@ let apply_assignment t region assigned =
   let mine = assigned = Some t.name in
   if mine && not (Hashtbl.mem t.serving region) then begin
     Hashtbl.replace t.serving region ();
+    t.serving_changes <- t.serving_changes + 1;
     record t (Printf.sprintf "serving %s" region)
   end
   else if (not mine) && Hashtbl.mem t.serving region then begin
     Hashtbl.remove t.serving region;
+    t.serving_changes <- t.serving_changes + 1;
     record t (Printf.sprintf "stopped serving %s" region)
   end
 
@@ -111,11 +110,8 @@ let heartbeat t =
       Dsim.Network.call t.net ~src:t.name ~dst:master ~timeout:100_000
         (Master.Rs_heartbeat { server = t.name })
         (function
-        | Ok Master.Heartbeat_ack ->
-            t.heartbeats_ok <- t.heartbeats_ok + 1;
-            t.consecutive_failures <- 0
+        | Ok Master.Heartbeat_ack -> t.consecutive_failures <- 0
         | _ ->
-            t.heartbeat_failures <- t.heartbeat_failures + 1;
             t.consecutive_failures <- t.consecutive_failures + 1;
             (* The bug-era server keeps hammering the cached address; the
                fixed one asks ZooKeeper where the master is now. *)
@@ -135,9 +131,8 @@ let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = fal
     watched_regions;
     heartbeat_period;
     serving = Hashtbl.create 8;
+    serving_changes = 0;
     cached_master = None;
-    heartbeats_ok = 0;
-    heartbeat_failures = 0;
     consecutive_failures = 0;
   }
 

@@ -39,12 +39,12 @@ val serving : t -> string list
 
 val is_serving : t -> string -> bool
 
+val serving_changes : t -> int
+(** Regions gained or lost so far: {!is_serving} changes only when this
+    moves. *)
+
 val cached_master : t -> string option
 (** The master address this server currently believes in. *)
-
-val heartbeats_ok : t -> int
-
-val heartbeat_failures : t -> int
 
 val consecutive_failures : t -> int
 (** The HBASE-5755 signature: grows without bound when the cached master

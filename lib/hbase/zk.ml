@@ -46,7 +46,6 @@ type t = {
   mutable follower_resyncs : int;
   mutable tap_apply : string History.Event.t -> unit;
   mutable tap_resync : int -> unit;
-  mutable tap_read : src:string -> key:string -> unit;
 }
 
 let leader t = t.leader_name
@@ -54,8 +53,6 @@ let leader t = t.leader_name
 let follower t = t.follower_name
 
 let leader_kv t = t.leader_kv
-
-let leader_hub t = t.leader_hub
 
 let follower_kv t = t.follower_kv
 
@@ -71,24 +68,22 @@ let serves_leader_revs t = t.follower_leader_revs
    mod-revisions from whichever numbering domain [follower_read] serves.
    This is the (H', S') a conformance check must judge — the replica's
    raw local revisions are an implementation detail that stops matching
-   the committed numbering after a post-compaction resync. *)
+   the committed numbering after a post-compaction resync. In the bug
+   era readers see the raw replica, so its state is returned as is. *)
 let observed_state t =
-  let serving =
-    List.map
-      (fun (key, (v, local_rev)) ->
-        let rev =
-          if t.follower_leader_revs then
-            Option.value (Hashtbl.find_opt t.fl_revs key) ~default:local_rev
-          else local_rev
-        in
-        (key, v, rev))
-      (History.State.bindings (Etcdlike.Kv.state t.follower_kv))
-  in
-  List.fold_left
-    (fun s (key, v, rev) ->
-      History.State.apply s (History.Event.make ~rev ~key ~op:History.Event.Create (Some v)))
-    History.State.empty
-    (List.sort (fun (_, _, a) (_, _, b) -> compare a b) serving)
+  if not t.follower_leader_revs then Etcdlike.Kv.state t.follower_kv
+  else
+    let serving =
+      List.map
+        (fun (key, (v, local_rev)) ->
+          (key, v, Option.value (Hashtbl.find_opt t.fl_revs key) ~default:local_rev))
+        (History.State.bindings (Etcdlike.Kv.state t.follower_kv))
+    in
+    List.fold_left
+      (fun s (key, v, rev) ->
+        History.State.apply s (History.Event.make ~rev ~key ~op:History.Event.Create (Some v)))
+      History.State.empty
+      (List.sort (fun (_, _, a) (_, _, b) -> compare a b) serving)
 
 let leader_ops t = t.leader_ops
 
@@ -103,8 +98,6 @@ let commit_trace_id t ~rev = Hashtbl.find_opt t.commit_ids rev
 let on_follower_apply t f = t.tap_apply <- f
 
 let on_follower_resync t f = t.tap_resync <- f
-
-let on_follower_read t f = t.tap_read <- f
 
 (* Events the follower has not yet applied, by revision. The side table
    remembers each key's *leader* mod-revision: the replica assigns its own
@@ -194,8 +187,7 @@ let serve_leader t ~src request reply =
                { compacted_rev; snapshot = leader_snapshot t; rev = Etcdlike.Kv.rev t.leader_kv }))
   | _ -> ()
 
-let follower_read t ~src key =
-  t.tap_read ~src ~key;
+let follower_read t key =
   let value =
     match Etcdlike.Kv.get t.follower_kv key with
     | None -> None
@@ -233,10 +225,10 @@ let follower_resync t ~snapshot ~rev =
     (Printf.sprintf "catch-up past compaction: full resync at leader rev %d" rev);
   t.tap_resync rev
 
-let serve_follower t ~src request reply =
+let serve_follower t ~src:_ request reply =
   match request with
   | Zk_read { key; sync } ->
-      if not sync then reply (follower_read t ~src key)
+      if not sync then reply (follower_read t key)
       else
         (* HBASE-3137's cost: catch up with the leader before serving. *)
         Dsim.Network.call t.net ~src:t.follower_name ~dst:t.leader_name
@@ -250,11 +242,11 @@ let serve_follower t ~src request reply =
                     t.caught_up_to <- e.History.Event.rev
                   end)
                 events;
-              reply (follower_read t ~src key)
+              reply (follower_read t key)
           | Ok (Zk_compacted { compacted_rev = _; snapshot; rev }) ->
               follower_resync t ~snapshot ~rev;
-              reply (follower_read t ~src key)
-          | _ -> reply (follower_read t ~src key))
+              reply (follower_read t key)
+          | _ -> reply (follower_read t key))
   | _ -> ()
 
 (* Stream replication: each leader commit reaches the replica one lag
@@ -311,7 +303,6 @@ let create ~net ?(leader = "zk-leader") ?(follower = "zk-follower")
       follower_resyncs = 0;
       tap_apply = (fun _ -> ());
       tap_resync = (fun _ -> ());
-      tap_read = (fun ~src:_ ~key:_ -> ());
     }
   in
   let subscribe deliver =

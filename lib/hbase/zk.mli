@@ -60,10 +60,6 @@ val follower : t -> string
 val leader_kv : t -> string Etcdlike.Kv.t
 (** Ground truth, for oracles and seeding. *)
 
-val leader_hub : t -> string Etcdlike.Watch.t
-(** The leader's watch hub. Follower replication is one watcher on it;
-    tests and oracles may register more. *)
-
 val follower_kv : t -> string Etcdlike.Kv.t
 (** The replica's materialized state — the follower's [S'], for the
     conformance monitor's state checks. *)
@@ -111,9 +107,6 @@ val on_follower_apply : t -> (string History.Event.t -> unit) -> unit
 val on_follower_resync : t -> (int -> unit) -> unit
 (** Fires after a full state transfer, with the leader revision the
     replica jumped to. *)
-
-val on_follower_read : t -> (src:string -> key:string -> unit) -> unit
-(** Fires when the follower serves a read, before the reply is sent. *)
 
 (** {2 Client operations} (asynchronous, over the network) *)
 

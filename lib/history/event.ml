@@ -15,5 +15,17 @@ let pp pp_value ppf e =
 
 let describe e = Printf.sprintf "@%d %s %s" e.rev (op_to_string e.op) e.key
 
-let matches_prefix prefix e =
-  match prefix with None -> true | Some p -> String.starts_with ~prefix:p e.key
+(* Compares in place: [String.starts_with] allocates its inner loop's
+   closure on every call without flambda, and watch fan-out and the
+   monitor's scans call this once per event. *)
+let rec same_from prefix key i n =
+  i >= n || (String.unsafe_get prefix i = String.unsafe_get key i && same_from prefix key (i + 1) n)
+
+let matches_key prefix key =
+  match prefix with
+  | None -> true
+  | Some p ->
+      let n = String.length p in
+      String.length key >= n && same_from p key 0 n
+
+let matches_prefix prefix e = matches_key prefix e.key

@@ -26,6 +26,10 @@ val pp : (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v t -> unit
 val describe : 'v t -> string
 (** Value-independent rendering, e.g. ["@17 update pods/default/web-0"]. *)
 
+val matches_key : string option -> string -> bool
+(** Whether the key starts with the prefix; [None] matches everything.
+    Allocates nothing. *)
+
 val matches_prefix : string option -> 'v t -> bool
-(** Whether the event's key starts with the prefix; [None] matches
-    everything — the filter every watch hub applies per subscriber. *)
+(** {!matches_key} on the event's key — the filter every watch hub
+    applies per subscriber. *)

@@ -10,6 +10,7 @@ type t = {
   net : Dsim.Network.t;
   intercept : Intercept.t;
   etcd : string;
+  upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
   bookmark_period : int;
   heartbeat_timeout : int;
@@ -67,7 +68,7 @@ let repin t =
 let tap_view t =
   {
     Tap.component = t.name;
-    stream = t.name ^ "<-" ^ t.etcd;
+    stream = t.upstream;
     generation = t.generation;
     rev = t.last_rev;
     prefix = None;
@@ -264,6 +265,7 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?(bookmark_period =
     net;
     intercept;
     etcd;
+    upstream = name ^ "<-" ^ etcd;
     window_size;
     bookmark_period;
     heartbeat_timeout;

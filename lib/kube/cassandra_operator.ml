@@ -32,13 +32,8 @@ let pods_informer t = informer_exn t.pods_informer
 let pvcs_informer t = informer_exn t.pvcs_informer
 
 let view_rev t =
-  match
-    List.filter_map
-      (Option.map Informer.rev)
-      [ t.dc_informer; t.pods_informer; t.pvcs_informer ]
-  with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+  let least = Informer.min_rev (Informer.min_rev max_int t.dc_informer) t.pods_informer in
+  Informer.least_rev (Informer.min_rev least t.pvcs_informer)
 
 let engine t = Dsim.Network.engine t.net
 

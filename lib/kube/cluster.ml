@@ -138,46 +138,57 @@ let metrics t = Dsim.Engine.metrics t.engine
 (* Revision lag is the live measurement of partial-history divergence:
    how many committed revisions a component's view is behind the ground
    truth right now. Sampled into both a gauge (latest value) and a
-   virtual-time series (for the timeline view). The metric names are
-   resolved once; each tick only reads revisions and writes values. *)
+   virtual-time series (for the timeline view). The metric names and
+   each component's revision reader are resolved once; a tick only reads
+   revisions and writes values, and allocates nothing but series growth. *)
+type lag_probe = {
+  gauge : Dsim.Metrics.Gauge.t;
+  series : Dsim.Metrics.Series.t;
+  view_rev : unit -> int;
+}
+
 let lag_sampler t =
   let metrics = metrics t in
-  let lag name view_rev =
+  let probe name view_rev =
     let gauge = Dsim.Metrics.Gauge.resolve metrics ("lag." ^ name) in
     let series = Dsim.Metrics.Series.resolve metrics ("lag." ^ name) in
-    fun ~now ~truth ->
-      let lag = float_of_int (max 0 (truth - view_rev ())) in
-      Dsim.Metrics.Gauge.set gauge lag;
-      Dsim.Metrics.Series.sample series ~time:now lag
+    { gauge; series; view_rev }
   in
-  let component name view_rev = Option.map (fun c -> lag (name c) (fun () -> view_rev c)) in
-  let lags =
-    List.map (fun a -> lag (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
-    @ List.map (fun k -> lag (Kubelet.name k) (fun () -> Kubelet.view_rev k)) t.kubelets
-    @ List.filter_map Fun.id
-        [
-          component Scheduler.name Scheduler.view_rev t.scheduler;
-          component Volume_controller.name Volume_controller.view_rev t.volume_controller;
-          component Cassandra_operator.name Cassandra_operator.view_rev t.operator;
-          component Replicaset.name Replicaset.view_rev t.replicaset;
-          component Node_controller.name Node_controller.view_rev t.node_controller;
-          component Deployment.name Deployment.view_rev t.deployment;
-        ]
+  let component name view_rev = Option.map (fun c -> probe (name c) (fun () -> view_rev c)) in
+  let probes =
+    Array.of_list
+      (List.map (fun a -> probe (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
+      @ List.map (fun k -> probe (Kubelet.name k) (fun () -> Kubelet.view_rev k)) t.kubelets
+      @ List.filter_map Fun.id
+          [
+            component Scheduler.name Scheduler.view_rev t.scheduler;
+            component Volume_controller.name Volume_controller.view_rev t.volume_controller;
+            component Cassandra_operator.name Cassandra_operator.view_rev t.operator;
+            component Replicaset.name Replicaset.view_rev t.replicaset;
+            component Node_controller.name Node_controller.view_rev t.node_controller;
+            component Deployment.name Deployment.view_rev t.deployment;
+          ])
   in
   let subscribers =
-    List.map
-      (fun a ->
-        (a, Dsim.Metrics.Gauge.resolve metrics ("api.subscribers." ^ Apiserver.name a)))
-      t.apiservers
+    Array.of_list
+      (List.map
+         (fun a ->
+           (a, Dsim.Metrics.Gauge.resolve metrics ("api.subscribers." ^ Apiserver.name a)))
+         t.apiservers)
   in
   fun () ->
     let now = Dsim.Engine.now t.engine in
     let truth = truth_rev t in
-    List.iter (fun sample -> sample ~now ~truth) lags;
-    List.iter
-      (fun (a, gauge) ->
-        Dsim.Metrics.Gauge.set gauge (float_of_int (Apiserver.subscriber_count a)))
-      subscribers
+    for i = 0 to Array.length probes - 1 do
+      let p = probes.(i) in
+      let lag = Int.max 0 (truth - p.view_rev ()) in
+      Dsim.Metrics.Gauge.set_int p.gauge lag;
+      Dsim.Metrics.Series.sample_int p.series ~time:now lag
+    done;
+    for i = 0 to Array.length subscribers - 1 do
+      let a, gauge = subscribers.(i) in
+      Dsim.Metrics.Gauge.set_int gauge (Apiserver.subscriber_count a)
+    done
 
 let create ?(config = default_config) () =
   let engine = Dsim.Engine.create ~seed:config.seed () in

@@ -27,13 +27,8 @@ let rsets_informer t = informer_exn t.rsets_informer
 let pods_informer t = informer_exn t.pods_informer
 
 let view_rev t =
-  match
-    List.filter_map
-      (Option.map Informer.rev)
-      [ t.deployments_informer; t.rsets_informer; t.pods_informer ]
-  with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+  let least = Informer.min_rev (Informer.min_rev max_int t.deployments_informer) t.rsets_informer in
+  Informer.least_rev (Informer.min_rev least t.pods_informer)
 
 let engine t = Dsim.Network.engine t.net
 

@@ -317,18 +317,21 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?(bookmark_period = 20
       true);
   (* Expire leases against the virtual clock and delete their keys; the
      deletions are ordinary committed events (proposed through the
-     leader when replicated), so watchers see the lock vanish. *)
+     leader when replicated), so watchers see the lock vanish. With no
+     lease granted there is nothing to expire; the timer keeps ticking
+     so a later expiry lands on the same phase. *)
   Dsim.Engine.every engine ~period:100_000 (fun () ->
-      List.iter
-        (fun (_, keys) ->
-          List.iter
-            (fun key ->
-              match t.backend with
-              | Single kv ->
-                  Hashtbl.replace t.origins (Etcdlike.Kv.rev kv + 1) "lease-expiry";
-                  ignore (Etcdlike.Kv.delete kv key)
-              | Replicated repl -> propose_delete repl t ~origin:"lease-expiry" key)
-            keys)
-        (Etcdlike.Lease.expire t.leases ~now:(Dsim.Engine.now engine));
+      if Etcdlike.Lease.active t.leases > 0 then
+        List.iter
+          (fun (_, keys) ->
+            List.iter
+              (fun key ->
+                match t.backend with
+                | Single kv ->
+                    Hashtbl.replace t.origins (Etcdlike.Kv.rev kv + 1) "lease-expiry";
+                    ignore (Etcdlike.Kv.delete kv key)
+                | Replicated repl -> propose_delete repl t ~origin:"lease-expiry" key)
+              keys)
+          (Etcdlike.Lease.expire t.leases ~now:(Dsim.Engine.now engine));
       true);
   t

@@ -3,6 +3,7 @@ type t = {
   owner : string;
   endpoints : string array;
   prefix : string;
+  stream : string;  (* owner#prefix: the watch stream id and the tap's stream name *)
   on_event : Resource.value History.Event.t -> unit;
   on_reset : unit -> unit;
   monotonic : bool;
@@ -34,6 +35,7 @@ let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset =
     owner;
     endpoints = Array.of_list endpoints;
     prefix;
+    stream = owner ^ "#" ^ prefix;
     on_event;
     on_reset;
     monotonic;
@@ -67,6 +69,10 @@ let get t key = History.State.get t.store key
 
 let rev t = t.last_rev
 
+let min_rev least = function Some t -> Int.min least t.last_rev | None -> least
+
+let least_rev least = if least = max_int then 0 else least
+
 let current_endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoints)
 
 let relists t = t.relists
@@ -80,7 +86,7 @@ let alive t gen = t.running && gen = t.generation && Dsim.Network.is_up t.net t.
 let tap_view t =
   {
     Tap.component = t.owner;
-    stream = t.owner ^ "#" ^ t.prefix;
+    stream = t.stream;
     generation = t.generation;
     rev = t.last_rev;
     prefix = Some t.prefix;
@@ -177,7 +183,7 @@ and bootstrap t gen =
                   prefix = Some t.prefix;
                   start_rev = rev;
                   subscriber = t.owner;
-                  stream_id = t.owner ^ "#" ^ t.prefix;
+                  stream_id = t.stream;
                   deliver = (fun item -> on_stream_item t gen item);
                 }
             in

@@ -60,6 +60,13 @@ val rev : t -> int
 (** The view's frontier — decreases after a re-list from a stale
     apiserver (time travel). *)
 
+val min_rev : int -> t option -> int
+(** Folds a component's informer (if started) into the least frontier
+    its views hold. Start from [max_int]; {!least_rev} reads the result. *)
+
+val least_rev : int -> int
+(** The folded frontier, or 0 when no informer had started. *)
+
 val current_endpoint : t -> string
 
 val relists : t -> int

@@ -25,9 +25,7 @@ let pods_informer t = informer_exn t.pods_informer
 let nodes_informer t = informer_exn t.nodes_informer
 
 let view_rev t =
-  match List.filter_map (Option.map Informer.rev) [ t.pods_informer; t.nodes_informer ] with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+  Informer.least_rev (Informer.min_rev (Informer.min_rev max_int t.pods_informer) t.nodes_informer)
 
 let engine t = Dsim.Network.engine t.net
 

@@ -9,6 +9,7 @@ type t = {
   mutable nodes_informer : Informer.t option;
   mutable binds : int;
   failures : (string * string, int) Hashtbl.t;
+  mutable failed_binds : int;
   inflight : (string, string) Hashtbl.t;  (* pod -> node, bind txn in flight *)
 }
 
@@ -18,6 +19,8 @@ let cached_nodes t =
   Hashtbl.fold (fun node () acc -> node :: acc) t.node_cache [] |> List.sort String.compare
 
 let binds t = t.binds
+
+let failed_binds t = t.failed_binds
 
 let bind_failures t =
   Hashtbl.fold (fun key count acc -> (key, count) :: acc) t.failures []
@@ -30,9 +33,7 @@ let nodes_informer t =
   match t.nodes_informer with Some i -> i | None -> invalid_arg "Scheduler: not started"
 
 let view_rev t =
-  match List.filter_map (Option.map Informer.rev) [ t.pods_informer; t.nodes_informer ] with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+  Informer.least_rev (Informer.min_rev (Informer.min_rev max_int t.pods_informer) t.nodes_informer)
 
 let engine t = Dsim.Network.engine t.net
 
@@ -129,6 +130,7 @@ let bind t (p : Resource.pod) mod_rev node =
           let key = (pod_name, node) in
           Hashtbl.replace t.failures key
             (1 + Option.value (Hashtbl.find_opt t.failures key) ~default:0);
+          t.failed_binds <- t.failed_binds + 1;
           record t "sched.bind-fail" (Printf.sprintf "%s -> %s" pod_name node);
           if t.evict_on_bind_failure then evict_if_node_vanished t node
       | Error `Unavailable -> ())
@@ -165,6 +167,7 @@ let create ~net ~name ~endpoints ?(evict_on_bind_failure = false) ?(period = 100
       nodes_informer = None;
       binds = 0;
       failures = Hashtbl.create 16;
+      failed_binds = 0;
       inflight = Hashtbl.create 16;
     }
   in

@@ -46,6 +46,10 @@ val bind_failures : t -> ((string * string) * int) list
 (** Per (pod, node) count of failed bind transactions — the livelock
     oracle's input. *)
 
+val failed_binds : t -> int
+(** Failed bind transactions so far: {!bind_failures} changes exactly
+    when this moves. *)
+
 val pods_informer : t -> Informer.t
 
 val nodes_informer : t -> Informer.t

@@ -23,9 +23,7 @@ let pvcs_informer t =
   match t.pvcs_informer with Some i -> i | None -> invalid_arg "Volume_controller: not started"
 
 let view_rev t =
-  match List.filter_map (Option.map Informer.rev) [ t.pods_informer; t.pvcs_informer ] with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+  Informer.least_rev (Informer.min_rev (Informer.min_rev max_int t.pods_informer) t.pvcs_informer)
 
 let engine t = Dsim.Network.engine t.net
 

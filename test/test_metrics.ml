@@ -138,9 +138,13 @@ let handle_writes_allocate_nothing () =
   check "gauge add" (fun _ -> Dsim.Metrics.Gauge.add gauge (-1.0));
   check "histogram observe" (fun _ -> Dsim.Metrics.Histogram.observe histogram 3.0);
   check "series sample" (fun i -> Dsim.Metrics.Series.sample series ~time:i 4.0);
+  check "gauge set_int" (fun i -> Dsim.Metrics.Gauge.set_int gauge i);
+  check "series sample_int" (fun i -> Dsim.Metrics.Series.sample_int series ~time:i i);
   Alcotest.(check int) "counter" 20_000 (Dsim.Metrics.count m "c");
   Alcotest.(check int) "samples" 20_000 (Dsim.Metrics.samples m "h");
-  Alcotest.(check int) "series points" 20_000 (List.length (Dsim.Metrics.series m "s"))
+  Alcotest.(check int) "series points" 40_000 (List.length (Dsim.Metrics.series m "s"));
+  Alcotest.(check (float 0.0)) "set_int stores the value" 10_000.0
+    (List.assoc "g" (Dsim.Metrics.gauges m))
 
 let resolved_handles_register_on_first_write () =
   let m = Dsim.Metrics.create () in

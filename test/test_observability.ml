@@ -125,6 +125,24 @@ let oracle_violations_counted () =
         (Dsim.Metrics.count m "oracle.violations");
       Alcotest.(check bool) "commits counted" true (Dsim.Metrics.count m "etcd.commits" > 0)
 
+(* The lag sampler reads revisions and writes resolved handles, so a
+   tick allocates nothing but series growth: the same run sampled every
+   10 ms instead of every 100 ms allocates under 4 more words per extra
+   tick (the series arrays grow by doubling). *)
+let lag_sampler_tick_allocates_nothing () =
+  let words period =
+    let config = { Kube.Cluster.default_config with Kube.Cluster.obs_sample_period = period } in
+    let c = Kube.Cluster.create ~config () in
+    Kube.Cluster.start c;
+    Kube.Cluster.run c ~until:2_000_000;
+    let before = Gc.minor_words () in
+    Kube.Cluster.run c ~until:10_000_000;
+    Gc.minor_words () -. before
+  in
+  let extra_ticks = 720.0 -. 80.0 in
+  let per_tick = (words 10_000 -. words 100_000) /. extra_ticks in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per tick" per_tick) true (per_tick < 4.0)
+
 let suites =
   [
     ( "observability",
@@ -137,5 +155,7 @@ let suites =
           Alcotest.test_case "metrics and artifact json parse" `Quick
             metrics_and_artifact_json_parse;
           Alcotest.test_case "oracle violations counted" `Quick oracle_violations_counted;
+          Alcotest.test_case "lag sampler tick allocates nothing" `Quick
+            lag_sampler_tick_allocates_nothing;
         ] );
   ]
