@@ -10,11 +10,8 @@
      baselines  Sieve planner vs CrashTuner / CoFI / random fault injection
      epochs     Section 6.2: epoch-bounded delivery trade-off
      perf       Section 4.1: cache offload + the HBase-3136/3137 trade-off
-     hunt       campaign-engine throughput at 1, 2, 4 worker domains
      lint       static-analysis cost: source lint + hazard-graph build
      store      store-tier hot path vs naive list/filter; BENCH_store.json
-     conformance  online-monitor overhead on the hunt hot path; BENCH_conformance.json
-     diagnosis  root-cause card cost: corpus sweep + hunt overhead; BENCH_diagnosis.json
      micro      Bechamel micro-benchmarks of the substrate
 
    `dune exec bench/main.exe` runs everything; pass experiment names to
@@ -319,12 +316,7 @@ let baselines () =
             (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op))
             commits
         in
-        let components =
-          List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_of_config config)
-        in
-        let apiservers =
-          List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1))
-        in
+        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
         let campaign strategies =
           let arr = Array.of_list strategies in
           let result =
@@ -348,8 +340,8 @@ let baselines () =
             (List.map
                (fun p -> p.Sieve.Planner.strategy)
                (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()));
-          campaign (Sieve.Baselines.crashtuner ~events ~components ());
-          campaign (Sieve.Baselines.cofi ~events ~components ~apiservers ());
+          campaign (Sieve.Baselines.crashtuner ~events ~components);
+          campaign (Sieve.Baselines.cofi ~events ~components ~apiservers);
           campaign
             (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers ~horizon
                ~n:random_budget);
@@ -374,10 +366,7 @@ let baselines () =
   let case = Sieve.Bugs.k8s_56261 () in
   let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
   let config = (Sieve.Bugs.kube_config case) in
-  let components =
-    List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_of_config config)
-  in
-  let apiservers = [ "api-1"; "api-2" ] in
+  let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
   let coverage_row name strategies =
     let c = Sieve.Coverage.create ~config ~events in
     List.iter (Sieve.Coverage.note c) strategies;
@@ -401,8 +390,8 @@ let baselines () =
       coverage_row "planner"
         (List.map (fun p -> p.Sieve.Planner.strategy)
            (Sieve.Planner.candidates ~config ~events ~horizon:case.Sieve.Bugs.horizon ()));
-      coverage_row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components ());
-      coverage_row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers ());
+      coverage_row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components);
+      coverage_row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers);
       coverage_row "random (400)"
         (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
            ~horizon:case.Sieve.Bugs.horizon ~n:random_budget);
@@ -438,10 +427,7 @@ let yield_curve () =
   let events =
     List.map (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op)) commits
   in
-  let components =
-    List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_of_config config)
-  in
-  let apiservers = [ "api-1"; "api-2" ] in
+  let components, apiservers = Sieve.Baselines.targets reference.Sieve.Runner.spec in
   let budgets = [ 50; 100; 200; 400 ] in
   let distinct_bugs strategies budget =
     let found = Hashtbl.create 8 in
@@ -468,8 +454,8 @@ let yield_curve () =
       row "planner"
         (List.map (fun p -> p.Sieve.Planner.strategy)
            (Sieve.Planner.candidates ~config ~events ~horizon ()));
-      row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components ());
-      row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers ());
+      row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components);
+      row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers);
       row "random"
         (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers ~horizon ~n:400);
     ]
@@ -1241,53 +1227,6 @@ let micro () =
   Sieve.Report.table ~header:[ "benchmark"; "wall time"; "minor allocation" ] rows
 
 (* ------------------------------------------------------------------ *)
-(* HUNT: campaign-engine throughput across worker domains.            *)
-
-let hunt_bench () =
-  Sieve.Report.section "HUNT — campaign engine throughput: trials/sec vs worker domains";
-  let cases = [ Sieve.Bugs.k8s_56261 (); Sieve.Bugs.ca_402 () ] in
-  let budget = 120 in
-  let tmp = Filename.get_temp_dir_name () in
-  let run jobs =
-    let out = Filename.concat tmp (Printf.sprintf "hunt-bench-%d-j%d" (Unix.getpid ()) jobs) in
-    let started = Unix.gettimeofday () in
-    let summary =
-      Hunt.Campaign.run ~jobs ~out ~budget ~seed:42L ~minimize_budget:0 ~cases ()
-    in
-    let wall = Unix.gettimeofday () -. started in
-    (summary, wall)
-  in
-  let base = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        let summary, wall = run jobs in
-        if !base = None then base := Some wall;
-        let speedup = Option.get !base /. Float.max wall 1e-9 in
-        [
-          string_of_int jobs;
-          string_of_int summary.Hunt.Campaign.executed;
-          Printf.sprintf "%.2f s" wall;
-          Printf.sprintf "%.0f" (float_of_int summary.Hunt.Campaign.executed /. Float.max wall 1e-9);
-          Printf.sprintf "%.2fx" speedup;
-        ])
-      [ 1; 2; 4 ]
-  in
-  Printf.printf "\n(%d trials over %s; minimization off to isolate trial throughput;\n\
-                 recommended domain count on this machine: %d)\n\n"
-    budget
-    (String.concat " + " (List.map (fun c -> c.Sieve.Bugs.id) cases))
-    (Domain.recommended_domain_count ());
-  Sieve.Report.table
-    ~header:[ "jobs"; "trials"; "wall time"; "trials/sec"; "speedup vs 1 job" ]
-    rows;
-  Printf.printf
-    "\nExpected shape: near-linear scaling while jobs <= cores — trials are\n\
-     independent deterministic simulations, so the only serial parts are the\n\
-     in-order journal emit and minimization (disabled here). The journals the\n\
-     three runs write are byte-identical; parallelism changes wall time only.\n"
-
-(* ------------------------------------------------------------------ *)
 (* LINT: static-analysis cost.                                        *)
 
 let lint_bench () =
@@ -1579,230 +1518,6 @@ let store_bench () =
      are O(answer) instead of O(retained events | keyspace), so their speedups\n\
      grow linearly with the store size; append stays O(log n); compact is an\n\
      O(k) window shift that no longer rebuilds the kept suffix.\n"
-
-(* ------------------------------------------------------------------ *)
-(* CONFORMANCE: online-monitor overhead on the campaign hot path.     *)
-
-(* The monitor mirrors every commit (never compacting, one persistent
-   state snapshot per revision) and re-checks every delivery — the
-   worst-credible-cost configuration. The budget and cases match the
-   HUNT experiment, so the two baselines agree; BENCH_conformance.json
-   records the trajectory for future PRs to diff. *)
-
-let conformance_bench () =
-  Sieve.Report.section
-    "CONFORMANCE — online subsequence-invariant monitor: campaign overhead";
-  let cases = [ Sieve.Bugs.k8s_56261 (); Sieve.Bugs.ca_402 () ] in
-  let budget = 120 in
-  let tmp = Filename.get_temp_dir_name () in
-  let journal_of out =
-    let path = Filename.concat out "journal.jsonl" in
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    contents
-  in
-  let run ~check_conformance label =
-    let out =
-      Filename.concat tmp (Printf.sprintf "conf-bench-%d-%s" (Unix.getpid ()) label)
-    in
-    let started = Unix.gettimeofday () in
-    let summary =
-      Hunt.Campaign.run ~jobs:1 ~out ~budget ~seed:42L ~minimize_budget:0
-        ~check_conformance ~cases ()
-    in
-    let wall = Unix.gettimeofday () -. started in
-    (summary, wall, out)
-  in
-  (* One discarded warm-up run so allocator/page-cache effects don't
-     land on whichever arm happens to go first, then 3 interleaved
-     off/on pairs with best-of-3 per arm: interleaving keeps slow
-     machine drift from billing one arm, and the minimum is the least
-     noise-contaminated estimate of the true cost on a sub-second wall. *)
-  let (_ : Hunt.Campaign.summary * float * string) = run ~check_conformance:false "warm" in
-  let reps = 3 in
-  let pairs =
-    List.init reps (fun i ->
-        ( run ~check_conformance:false (Printf.sprintf "off-%d" i),
-          run ~check_conformance:true (Printf.sprintf "on-%d" i) ))
-  in
-  let best picks =
-    List.fold_left
-      (fun (bs, bw, bo) (s, w, o) -> if w < bw then (s, w, o) else (bs, bw, bo))
-      (List.hd picks) (List.tl picks)
-  in
-  let base, baseline_s, base_out = best (List.map fst pairs) in
-  let conf, conformance_s, conf_out = best (List.map snd pairs) in
-  let overhead_pct =
-    100.0 *. (conformance_s -. baseline_s) /. Float.max baseline_s 1e-9
-  in
-  let journal_identical = String.equal (journal_of base_out) (journal_of conf_out) in
-  let conf_trials, conf_total, conf_signatures =
-    match conf.Hunt.Campaign.conformance with
-    | Some c ->
-        ( c.Hunt.Campaign.conf_trials,
-          c.Hunt.Campaign.conf_total,
-          List.length c.Hunt.Campaign.conf_signatures )
-    | None -> (0, -1, -1)
-  in
-  Printf.printf "\n(%d trials over %s, 1 job, minimization off — the HUNT baseline)\n\n"
-    budget
-    (String.concat " + " (List.map (fun c -> c.Sieve.Bugs.id) cases));
-  Sieve.Report.table
-    ~header:[ "campaign"; "trials"; "wall time"; "violations"; "journal" ]
-    [
-      [ "monitor off"; string_of_int base.Hunt.Campaign.executed;
-        Printf.sprintf "%.2f s" baseline_s; "-"; "baseline" ];
-      [ "monitor on"; string_of_int conf_trials;
-        Printf.sprintf "%.2f s" conformance_s; string_of_int conf_total;
-        (if journal_identical then "byte-identical" else "DIVERGED!") ];
-    ];
-  Sieve.Report.kv
-    [
-      ("overhead", Printf.sprintf "%+.1f%%" overhead_pct);
-      ("distinct conformance signatures", string_of_int conf_signatures);
-    ];
-  let json =
-    Dsim.Json.Obj
-      [
-        ("schema", Dsim.Json.String "bench-conformance/1");
-        ("trials", Dsim.Json.Int budget);
-        ("baseline_s", Dsim.Json.Float baseline_s);
-        ("conformance_s", Dsim.Json.Float conformance_s);
-        ("overhead_pct", Dsim.Json.Float overhead_pct);
-        ("violations", Dsim.Json.Int conf_total);
-        ("journal_identical", Dsim.Json.Bool journal_identical);
-      ]
-  in
-  let oc = open_out "BENCH_conformance.json" in
-  output_string oc (Dsim.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_conformance.json. Expected shape: zero violations on the\n\
-     committed corpus, journal bytes untouched by the flag, and about +20%%\n\
-     overhead (measured on 2 vCPUs) — the mirror is one map insert + one\n\
-     snapshot per commit, each delivery is checked against the committed events\n\
-     it covers, and each sweep re-judges only the bindings that changed.\n"
-
-(* ------------------------------------------------------------------ *)
-(* DIAGNOSIS: root-cause card cost.                                   *)
-
-(* Two numbers matter: what a card costs in isolation (the corpus
-   sweep — one tracked re-run plus a causal walk and two static
-   analyses per bug), and what `hunt --diagnose` adds to the campaign
-   hot path, where divergence tracking rides on every executed trial
-   and each finding pays one extra tracked re-run for its card. Budget
-   and cases match the HUNT/CONFORMANCE experiments so the baselines
-   agree; BENCH_diagnosis.json records the trajectory. *)
-
-let diagnosis_bench () =
-  Sieve.Report.section "DIAGNOSIS — root-cause cards: corpus sweep + campaign overhead";
-  (* Arm 1: the full-corpus sweep, every card schema-checked. *)
-  let corpus = Sieve.Bugs.all_with_extras () in
-  let started = Unix.gettimeofday () in
-  let cards =
-    List.filter_map (fun case -> snd (Diagnosis.Diagnose.diagnose_case case)) corpus
-  in
-  let corpus_s = Unix.gettimeofday () -. started in
-  let cards_valid =
-    List.for_all
-      (fun c -> Diagnosis.Card.validate (Diagnosis.Card.to_json c) = Ok ())
-      cards
-  in
-  Sieve.Report.table
-    ~header:[ "bug"; "divergence"; "rev"; "suspect"; "anti-pattern" ]
-    (List.map
-       (fun (c : Diagnosis.Card.t) ->
-         let d = c.Diagnosis.Card.divergence in
-         [
-           c.Diagnosis.Card.bug;
-           d.Diagnosis.Card.kind;
-           string_of_int d.Diagnosis.Card.rev;
-           c.Diagnosis.Card.suspect.Diagnosis.Card.component;
-           c.Diagnosis.Card.suspect.Diagnosis.Card.anti_pattern;
-         ])
-       cards);
-  Sieve.Report.kv
-    [
-      ( "corpus sweep",
-        Printf.sprintf "%d cards in %.2f s (%.0f ms/card)" (List.length cards) corpus_s
-          (1000.0 *. corpus_s /. float_of_int (max 1 (List.length cards))) );
-      ("all cards schema-valid", if cards_valid then "yes" else "NO");
-    ];
-  (* Arm 2: campaign overhead, interleaved off/on pairs, best-of-3. *)
-  let cases = [ Sieve.Bugs.k8s_56261 (); Sieve.Bugs.ca_402 () ] in
-  let budget = 120 in
-  let tmp = Filename.get_temp_dir_name () in
-  let journal_of out =
-    let path = Filename.concat out "journal.jsonl" in
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    contents
-  in
-  let run ~diagnose label =
-    let out = Filename.concat tmp (Printf.sprintf "diag-bench-%d-%s" (Unix.getpid ()) label) in
-    let started = Unix.gettimeofday () in
-    let summary =
-      Hunt.Campaign.run ~jobs:1 ~out ~budget ~seed:42L ~minimize_budget:0 ~diagnose ~cases ()
-    in
-    (summary, Unix.gettimeofday () -. started, out)
-  in
-  let (_ : Hunt.Campaign.summary * float * string) = run ~diagnose:false "warm" in
-  let reps = 3 in
-  let pairs =
-    List.init reps (fun i ->
-        ( run ~diagnose:false (Printf.sprintf "off-%d" i),
-          run ~diagnose:true (Printf.sprintf "on-%d" i) ))
-  in
-  let best picks =
-    List.fold_left
-      (fun (bs, bw, bo) (s, w, o) -> if w < bw then (s, w, o) else (bs, bw, bo))
-      (List.hd picks) (List.tl picks)
-  in
-  let base, baseline_s, base_out = best (List.map fst pairs) in
-  let diag, diagnose_s, diag_out = best (List.map snd pairs) in
-  let overhead_pct = 100.0 *. (diagnose_s -. baseline_s) /. Float.max baseline_s 1e-9 in
-  let journal_identical = String.equal (journal_of base_out) (journal_of diag_out) in
-  Printf.printf "\n(%d trials over %s, 1 job, minimization off — the HUNT baseline)\n\n"
-    budget
-    (String.concat " + " (List.map (fun c -> c.Sieve.Bugs.id) cases));
-  Sieve.Report.table
-    ~header:[ "campaign"; "trials"; "wall time"; "cards"; "journal" ]
-    [
-      [ "diagnose off"; string_of_int base.Hunt.Campaign.executed;
-        Printf.sprintf "%.2f s" baseline_s; "-"; "baseline" ];
-      [ "diagnose on"; string_of_int diag.Hunt.Campaign.executed;
-        Printf.sprintf "%.2f s" diagnose_s;
-        string_of_int diag.Hunt.Campaign.cards;
-        (if journal_identical then "byte-identical" else "DIVERGED!") ];
-    ];
-  Sieve.Report.kv [ ("overhead", Printf.sprintf "%+.1f%%" overhead_pct) ];
-  let json =
-    Dsim.Json.Obj
-      [
-        ("schema", Dsim.Json.String "bench-diagnosis/1");
-        ("corpus_cards", Dsim.Json.Int (List.length cards));
-        ("corpus_s", Dsim.Json.Float corpus_s);
-        ("cards_valid", Dsim.Json.Bool cards_valid);
-        ("trials", Dsim.Json.Int budget);
-        ("baseline_s", Dsim.Json.Float baseline_s);
-        ("diagnose_s", Dsim.Json.Float diagnose_s);
-        ("overhead_pct", Dsim.Json.Float overhead_pct);
-        ("campaign_cards", Dsim.Json.Int diag.Hunt.Campaign.cards);
-        ("journal_identical", Dsim.Json.Bool journal_identical);
-      ]
-  in
-  let oc = open_out "BENCH_diagnosis.json" in
-  output_string oc (Dsim.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_diagnosis.json. Expected shape: eight valid cards in the\n\
-     sweep, journal bytes untouched by the flag, and overhead proportional to\n\
-     findings (one tracked re-run per card), not to trials — the monitor's\n\
-     divergence tracking itself is O(1) per delivery.\n"
 
 (* ------------------------------------------------------------------ *)
 (* REPLICATION: consensus costs of the Raft-backed store.             *)
@@ -2115,11 +1830,8 @@ let experiments =
     ("leases", leases);
     ("raft", raft);
     ("minimize", minimize);
-    ("hunt", hunt_bench);
     ("lint", lint_bench);
     ("store", store_bench);
-    ("conformance", conformance_bench);
-    ("diagnosis", diagnosis_bench);
     ("replication", replication_bench);
     ("cluster-scale", cluster_scale);
     ("micro", micro);

@@ -287,26 +287,21 @@ let campaign_cmd =
     | Some case ->
         let horizon = case.Sieve.Bugs.horizon in
         let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        (* Per-substrate: fault targets, store replicas and the planner
-           family all come from the case's own substrate spec. *)
-        let components, apiservers, planner_candidates =
+        (* Fault targets and the planner family both come from the
+           case's own substrate spec. *)
+        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
+        let planner_candidates () =
           match case.Sieve.Bugs.spec with
           | Sieve.Substrate.Kube { config; _ } ->
-              ( List.map
-                  (fun t -> t.Sieve.Planner.component)
-                  (Sieve.Planner.targets_of_config config),
-                List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)),
-                fun () -> Sieve.Planner.candidates ~config ~events ~horizon () )
+              Sieve.Planner.candidates ~config ~events ~horizon ()
           | Sieve.Substrate.Hbase { config; _ } ->
-              ( List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_hbase config),
-                [ "zk-leader"; "zk-follower" ],
-                fun () -> Sieve.Planner.candidates_hbase ~config ~events ~horizon () )
+              Sieve.Planner.candidates_hbase ~config ~events ~horizon ()
         in
         let strategies =
           match approach with
           | `Planner -> List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ())
-          | `Crashtuner -> Sieve.Baselines.crashtuner ~events ~components ()
-          | `Cofi -> Sieve.Baselines.cofi ~events ~components ~apiservers ()
+          | `Crashtuner -> Sieve.Baselines.crashtuner ~events ~components
+          | `Cofi -> Sieve.Baselines.cofi ~events ~components ~apiservers
           | `Random ->
               Sieve.Baselines.random_faults ~seed ~components ~apiservers ~horizon ~n:budget
         in
@@ -419,6 +414,10 @@ let seals_cmd =
     Arg.(value & opt int 5 & info [ "granularity" ] ~docv:"G" ~doc:"Seal every G revisions.")
   in
   let run granularity =
+    if granularity < 1 then begin
+      Printf.eprintf "granularity must be at least 1, got %d\n" granularity;
+      exit 2
+    end;
     let rows =
       List.map
         (fun case ->
@@ -461,20 +460,15 @@ let coverage_cmd =
         exit 2
     | Some case ->
         let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        let components, apiservers, make_space, planner_candidates =
+        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
+        let make_space, planner_candidates =
           match case.Sieve.Bugs.spec with
           | Sieve.Substrate.Kube { config; _ } ->
-              ( List.map
-                  (fun t -> t.Sieve.Planner.component)
-                  (Sieve.Planner.targets_of_config config),
-                List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)),
-                (fun () -> Sieve.Coverage.create ~config ~events),
+              ( (fun () -> Sieve.Coverage.create ~config ~events),
                 fun () ->
                   Sieve.Planner.candidates ~config ~events ~horizon:case.Sieve.Bugs.horizon () )
           | Sieve.Substrate.Hbase { config; _ } ->
-              ( List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_hbase config),
-                [ "zk-leader"; "zk-follower" ],
-                (fun () -> Sieve.Coverage.create_hbase ~config ~events),
+              ( (fun () -> Sieve.Coverage.create_hbase ~config ~events),
                 fun () ->
                   Sieve.Planner.candidates_hbase ~config ~events ~horizon:case.Sieve.Bugs.horizon
                     () )
@@ -497,8 +491,8 @@ let coverage_cmd =
           ~header:[ "approach"; "staleness"; "obs-gap"; "time-travel"; "overall" ]
           [
             row "planner" (List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ()));
-            row "crashtuner" (Sieve.Baselines.crashtuner ~events ~components ());
-            row "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers ());
+            row "crashtuner" (Sieve.Baselines.crashtuner ~events ~components);
+            row "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers);
             row "random(400)"
               (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
                  ~horizon:case.Sieve.Bugs.horizon ~n:400);

@@ -52,9 +52,6 @@ val key : finding -> string
 (** ["file:pattern:func"] — the stable identity used by baselines
     (survives rule renames; coarser than the rule on purpose). *)
 
-val legacy_key : finding -> string
-(** The pre-taint ["rule:file:func"] form, still accepted on load. *)
-
 val explain : finding -> string
 (** The rendered evidence path ([sieve lint --explain]). *)
 

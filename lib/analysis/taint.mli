@@ -45,7 +45,6 @@ type path = {
 }
 
 val kind_to_string : kind -> string
-val sink_class_to_string : sink_class -> string
 
 val render : file:string -> path -> string
 (** Multi-line, human-readable evidence path (for [sieve lint --explain]). *)
@@ -102,9 +101,6 @@ val analyze : Parsetree.structure -> result
 
 (** {1 Name classification} — shared with the lint driver. *)
 
-val contains_sub : string -> string -> bool
-val is_guard_name : string -> bool
-val is_destructive_name : string -> bool
 val is_rev_name : string -> bool
 val resync_names : string list
 val fn_path : Parsetree.expression -> string list

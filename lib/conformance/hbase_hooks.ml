@@ -9,7 +9,7 @@ type t = string Wiring.t
    state checks instead. *)
 let taps zk ~stream w =
   let monitor = Wiring.monitor w in
-  let follower = Hbaselike.Zk.follower zk in
+  let follower = Hbaselike.Zk.follower_name in
   let activity = Wiring.activity w follower in
   (* The replica's observed state changes only here: an apply changes the
      applied event's key, a resync may change every key. *)
@@ -43,7 +43,7 @@ let taps zk ~stream w =
    State_divergence. The observed state is built only when the check is
    due. *)
 let check zk =
-  let follower = Hbaselike.Zk.follower zk in
+  let follower = Hbaselike.Zk.follower_name in
   let observed () = Hbaselike.Zk.observed_state zk in
   let subject = ref None in
   fun w ->
@@ -65,7 +65,7 @@ let lag zk ~stream w =
    observed. *)
 let attach ?(track_divergence = false) cluster =
   let zk = Hbaselike.Cluster.zk cluster in
-  let stream = Hbaselike.Zk.follower zk ^ "<-" ^ Hbaselike.Zk.leader zk in
+  let stream = Hbaselike.Zk.follower_name ^ "<-" ^ Hbaselike.Zk.leader_name in
   Wiring.attach ~engine:(Hbaselike.Cluster.engine cluster)
     ~on_commit:(Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk))
     ~intercept:(Hbaselike.Cluster.intercept cluster) ~track_divergence ~taps:(taps zk ~stream)

@@ -15,13 +15,10 @@
     always exposes the gap). *)
 
 type outcome = {
-  mutation : string;  (** ["control"] or one of {!mutations} *)
+  mutation : string;  (** ["control"] or the perturbation's name *)
   tripped : bool;  (** the monitor reported at least one violation *)
   codes : Monitor.code list;  (** distinct violation codes, detection order *)
 }
-
-val mutations : string list
-(** The perturbations, excluding the control. *)
 
 val ok : outcome -> bool
 (** Control must stay silent; every mutation must trip. *)
@@ -42,17 +39,11 @@ val run : ?seed:int64 -> ?events:int -> unit -> outcome list
     that fires the wrong alarm would misdirect every diagnosis card
     built on it. *)
 
-val hbase_mutations : string list
-(** The HBase-boundary perturbations, excluding the control. *)
-
-val hbase_expected_code : string -> Monitor.code option
-(** The code each HBase mutation must trip:
-    ["drop-zk-notify"] → [Gap], ["stale-region-map"] →
-    [State_divergence], ["forge-znode"] → [Content]. *)
-
 val hbase_ok : outcome -> bool
 (** Control must stay silent; every mutation must trip {e with} its
-    expected code among the distinct codes reported. *)
+    expected code among the distinct codes reported: ["drop-zk-notify"]
+    → [Gap], ["stale-region-map"] → [State_divergence], ["forge-znode"]
+    → [Content]. *)
 
 val run_hbase : ?seed:int64 -> ?events:int -> unit -> outcome list
 (** Like {!run}, over znode-flavored keys ([region/*], [rs/registry])

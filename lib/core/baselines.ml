@@ -28,7 +28,13 @@ let meta_info (key, op) =
          the cluster-topology events these baselines key on. *)
       String.starts_with ~prefix:"region/" key || String.starts_with ~prefix:"rs/" key
 
-let crashtuner ~events ~components ?(reaction_delay = 2_000) ?(downtime = 150_000) () =
+(* CrashTuner reacts 2 ms after the event and keeps the victim down for
+   150 ms; CoFI heals its partition 1.2 s after cutting it. *)
+let reaction_delay = 2_000
+let downtime = 150_000
+let window = 1_200_000
+
+let crashtuner ~events ~components =
   List.concat_map
     (fun (time, key, op) ->
       if meta_info (key, op) then
@@ -39,7 +45,7 @@ let crashtuner ~events ~components ?(reaction_delay = 2_000) ?(downtime = 150_00
       else [])
     events
 
-let cofi ~events ~components ~apiservers ?(window = 1_200_000) () =
+let cofi ~events ~components ~apiservers =
   let links =
     List.concat_map (fun c -> List.map (fun a -> (c, a)) apiservers) components
     @ List.map (fun a -> ("etcd", a)) apiservers
@@ -52,3 +58,11 @@ let cofi ~events ~components ~apiservers ?(window = 1_200_000) () =
           links
       else [])
     events
+
+let targets = function
+  | Substrate.Kube { config; _ } ->
+      ( List.map (fun t -> t.Planner.component) (Planner.targets_of_config config),
+        Kube.Cluster.apiserver_addresses config )
+  | Substrate.Hbase { config; _ } ->
+      ( List.map (fun t -> t.Planner.component) (Planner.targets_hbase config),
+        [ Hbaselike.Zk.leader_name; Hbaselike.Zk.follower_name ] )

@@ -29,20 +29,21 @@ val random_faults :
 val crashtuner :
   events:(int * string * History.Event.op) list ->
   components:string list ->
-  ?reaction_delay:int ->
-  ?downtime:int ->
-  unit ->
   Strategy.t list
 (** One candidate per (meta-info event, component): crash the component
-    [reaction_delay] (default 2 ms) after the event commits. *)
+    2 ms after the event commits and restart it 150 ms later. *)
 
 val cofi :
   events:(int * string * History.Event.op) list ->
   components:string list ->
   apiservers:string list ->
-  ?window:int ->
-  unit ->
   Strategy.t list
 (** One candidate per (event, link): partition the link at the event's
-    commit time and heal [window] (default 1.2 s) later. Links are every
+    commit time and heal it 1.2 s later. Links are every
     component↔apiserver pair plus every apiserver↔etcd pair. *)
+
+val targets : Substrate.spec -> string list * string list
+(** [(components, endpoints)] for a case's substrate: the planner
+    targets' components, and the store-facing addresses consumers talk
+    to — the apiservers on kube, the ZooKeeper pair on HBase. Every
+    baseline above takes its victims and links from this pair. *)

@@ -194,9 +194,10 @@ let ext_rs_surplus () =
          ~until:(ms 2_400) ~extra:(ms 1_500) ())
     ~fixed_config:{ config with Kube.Cluster.replicaset_fixed = true }
 
-(* EXT-NC — wrongful eviction: the node controller never observes a new
-   node's creation, concludes every pod scheduled there is orphaned, and
-   fails healthy workloads. The fix is a quorum read before acting. *)
+(* EXT-NC — wrongful eviction (observability gap): the node controller
+   never observes a new node's creation, concludes every pod scheduled
+   there is orphaned, and fails healthy workloads. The fix is a quorum
+   read before acting. *)
 let ext_nc_evict () =
   let config =
     {
@@ -217,10 +218,11 @@ let ext_nc_evict () =
          ~until:(sec 8) ())
     ~fixed_config:{ config with Kube.Cluster.node_controller_fixed = true }
 
-(* EXT-DEP — a wedged rollout: the Deployment controller never observes
-   the new generation's pods running, so it never drains the old one;
-   ground truth says the rollout could complete, the view says otherwise,
-   forever. The fix is a quorum re-count when progress stalls. *)
+(* EXT-DEP — a wedged rollout (observability gap): the Deployment
+   controller never observes the new generation's pods running, so it
+   never drains the old one; ground truth says the rollout could
+   complete, the view says otherwise, forever. The fix is a quorum
+   re-count when progress stalls. *)
 let ext_dep_wedged () =
   let config =
     {
@@ -303,12 +305,12 @@ let rep_stale () =
          ])
     ~fixed_config:(leader_reads config)
 
-(* REP-CHURN — leader churn mid-watch. The leader crashes across the
-   migration: the majority elects a successor and commits the writes,
-   but api-1 (pinned to the dead leader, [`Reject]) keeps serving its
-   frozen cache. kubelet-2's next incarnation lands on the fresh api-2
-   and starts the new pod while kubelet-1, watching frozen api-1, never
-   hears the deletion. *)
+(* REP-CHURN — leader churn mid-watch (time travel). The leader
+   crashes across the migration: the majority elects a successor and
+   commits the writes, but api-1 (pinned to the dead leader,
+   [`Reject]) keeps serving its frozen cache. kubelet-2's next
+   incarnation lands on the fresh api-2 and starts the new pod while
+   kubelet-1, watching frozen api-1, never hears the deletion. *)
 let rep_churn () =
   let config =
     {
@@ -366,12 +368,13 @@ let rep_minority () =
          ])
     ~fixed_config:(leader_reads config)
 
-(* REP-RECOVER — crash-recovery with a shorter log. Follower etcd-2
-   crashes before the migration; api-2's reads are rejected ([`Reject])
-   so its cache freezes, and kubelet-1's next incarnation re-lists the
-   pre-migration world from it. When etcd-2 restarts it replays the
-   committed suffix it missed and the duplicate self-heals — the oracle
-   must fire inside the recovery window. *)
+(* REP-RECOVER — crash-recovery with a shorter log (time travel).
+   Follower etcd-2 crashes before the migration; api-2's reads are
+   rejected ([`Reject]) so its cache freezes, and kubelet-1's next
+   incarnation re-lists the pre-migration world from it. When etcd-2
+   restarts it replays the committed suffix it missed and the
+   duplicate self-heals — the oracle must fire inside the recovery
+   window. *)
 let rep_recover () =
   let config =
     {
@@ -416,15 +419,16 @@ let clock_ticks ~from ~until ~period =
   in
   go from []
 
-(* HB-ASSIGN — HBASE-3136's shape: region transitions act on state read
-   from a follower's cache. rs-2 is decommissioned at 2 s (registry
-   rewritten at the leader, server shut down), but the registry update's
-   replication to the follower is delayed past the horizon. The master's
-   cheap follower reads keep showing rs-2 registered, so its liveness
-   guard calls every rs-2 region healthy and never reassigns — regions
-   stay parked on a dead server while ground truth says they must move.
-   The HBASE-3137 fix ([sync_before_cas]) forces a catch-up pull before
-   each balance read, which bypasses the delayed stream. *)
+(* HB-ASSIGN — HBASE-3136's shape (staleness): region transitions act
+   on state read from a follower's cache. rs-2 is decommissioned at
+   2 s (registry rewritten at the leader, server shut down), but the
+   registry update's replication to the follower is delayed past the
+   horizon. The master's cheap follower reads keep showing rs-2
+   registered, so its liveness guard calls every rs-2 region healthy
+   and never reassigns — regions stay parked on a dead server while
+   ground truth says they must move. The HBASE-3137 fix
+   ([sync_before_cas]) forces a catch-up pull before each balance
+   read, which bypasses the delayed stream. *)
 let hb_assign () =
   let config = Hbaselike.Cluster.default_config in
   hbase_case ~id:"HB-ASSIGN"

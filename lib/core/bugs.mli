@@ -76,16 +76,6 @@ val ext_rs_surplus : unit -> case
     cache make the controller create a fresh batch per reconcile pass
     (staleness); fixed by client-go-style expectations. *)
 
-val ext_nc_evict : unit -> case
-(** Wrongful eviction: a node controller that never observed a node's
-    creation fails every healthy pod scheduled there (observability
-    gap); fixed by a quorum read before acting. *)
-
-val ext_dep_wedged : unit -> case
-(** A Deployment rollout wedged by a view that never observes the new
-    generation running (observability gap); fixed by a quorum re-count
-    when progress stalls. *)
-
 val extras : unit -> case list
 
 val all_with_extras : unit -> case list
@@ -105,20 +95,10 @@ val rep_stale : unit -> case
     replication links are cut; a kubelet re-list lands on the frozen
     view and re-runs a migrated pod (staleness). *)
 
-val rep_churn : unit -> case
-(** The leader crashes mid-watch; the majority commits the migration
-    while consumers pinned to the dead leader keep a frozen cache —
-    old and new history run side by side (time travel). *)
-
 val rep_minority : unit -> case
 (** Every read pinned to a follower isolated in a minority partition:
     the ReplicaSet controller never observes its own creations and
     over-provisions without bound (staleness). *)
-
-val rep_recover : unit -> case
-(** A follower crashes and restarts with a shorter log; the staleness
-    window its frozen clients lived through closes when catch-up
-    replays the committed suffix (time travel). *)
 
 val replicated : unit -> case list
 
@@ -128,25 +108,5 @@ val replicated : unit -> case list
     ({!Substrate.Hbase}). Like the replicated family, kept out of
     {!all_with_extras} so the kube corpus journals stay byte-identical;
     the hunt's [hbase] campaign and {!find} reach them. *)
-
-val hb_assign : unit -> case
-(** HBASE-3136's shape: the master balances regions from a stale
-    follower view, so regions stay parked on a decommissioned server
-    (staleness); fixed by a sync before each balance read
-    (HBASE-3137). *)
-
-val hb_watch : unit -> case
-(** A one-shot ZooKeeper watch misses the move committed between its
-    firing and the re-arm; the late notification's payload makes a
-    region server serve a region that moved on (observability gap);
-    fixed by re-arming first and adopting the arm reply's current
-    value. *)
-
-val hb_follower : unit -> case
-(** A post-compaction resync drifts the follower replica's local
-    revision numbering permanently behind the leader's; every repair
-    CAS then fails with a revision from the wrong numbering domain
-    (time travel); fixed by serving leader revisions from the
-    replicated side table. *)
 
 val hbase : unit -> case list

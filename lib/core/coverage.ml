@@ -142,6 +142,3 @@ let by_pattern t =
       let in_pattern = List.filter (fun id -> t.cells.(id).pattern = pattern) ids in
       (pattern, List.length (List.filter (is_marked t) in_pattern), List.length in_pattern))
     [ `Staleness; `Obs_gap; `Time_travel ]
-
-let uncovered t =
-  List.filteri (fun id _ -> not (is_marked t id)) (Array.to_list t.cells) |> List.sort compare

@@ -69,6 +69,3 @@ val ratio : t -> float
 
 val by_pattern : t -> (pattern * int * int) list
 (** (pattern, covered, total) per pattern. *)
-
-val uncovered : t -> cell list
-(** Cells no strategy has touched, sorted. *)

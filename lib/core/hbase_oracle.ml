@@ -42,8 +42,6 @@ let registry t =
 let assigned_to t region =
   Option.map fst (Etcdlike.Kv.get (leader_kv t) ("region/" ^ region))
 
-let regions t = (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
-
 let derive_stale t =
   let live = registry t in
   List.filter_map
@@ -51,7 +49,7 @@ let derive_stale t =
       match assigned_to t region with
       | Some server when not (List.mem server live) -> Some (region, server, "region/" ^ region)
       | Some _ | None -> None)
-    (regions t)
+    Hbaselike.Cluster.regions
 
 (* A region parked (in ground truth) on a server the ground-truth
    registry no longer lists, sustained across [stale_confirmations]
@@ -105,7 +103,7 @@ let derive_doubles t =
       if List.length servers >= 2 then
         Some (region, "region/" ^ region, List.sort String.compare servers)
       else None)
-    (regions t)
+    Hbaselike.Cluster.regions
 
 (* Several *live* region servers serving one region, sustained across
    [double_confirmations] checks: a one-shot watch notification lost (or

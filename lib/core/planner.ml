@@ -125,7 +125,7 @@ let plan pattern strategy rationale = (pattern, { strategy; rationale })
    replication caused is attributed to the replication event, not a
    bystander apiserver. *)
 let kube_plans (config : Kube.Cluster.config) ~horizon =
-  let apis = List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) in
+  let apis = Kube.Cluster.apiserver_addresses config in
   let replicas =
     match config.Kube.Cluster.replication with
     | None -> []
@@ -204,7 +204,7 @@ let kube_plans (config : Kube.Cluster.config) ~horizon =
    variants bounce the consumer itself (a ZooKeeper session expiry, a
    master failover). *)
 let hbase_plans ~horizon =
-  let leader = "zk-leader" and follower = "zk-follower" in
+  let leader = Hbaselike.Zk.leader_name and follower = Hbaselike.Zk.follower_name in
   fun target ~time ~key ~op ~from ->
     let is_master = String.equal target.component "master-1" in
     let dst = if is_master then follower else target.component in

@@ -53,15 +53,9 @@ type t = {
   minimized_plan : string option;  (** auto-minimized strategy, when one was computed *)
 }
 
-val schema : string
-(** The schema tag every card carries: ["diagnosis-card/1"]. *)
-
 val to_json : t -> Dsim.Json.t
 
 val validate : Dsim.Json.t -> (unit, string) result
 (** Checks a JSON value against the card schema: tag, required fields,
     field types and the [kind] / [anti_pattern] enumerations — what the
     CI job runs over every emitted card. *)
-
-val anti_patterns : string list
-(** The legal anti-pattern classes, ["unknown"] included. *)

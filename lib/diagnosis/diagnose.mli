@@ -9,14 +9,6 @@
     intersect with {!Analysis.Hazard} and {!Sieve.Footprint} to name
     the suspect read-site and anti-pattern class. *)
 
-val suspect_components : Sieve.Oracle.violation -> string list
-(** The components a violation implicates (sorted for determinism) —
-    the same attribution the hunt's signatures use. *)
-
-val component_of_stream : string -> string
-(** The consumer owning a monitor stream: ["cassop#pods/"] → ["cassop"],
-    ["api-2<-etcd"] → ["api-2"]. *)
-
 val anti_pattern_of_pattern : [ `Staleness | `Obs_gap | `Time_travel ] -> string
 (** The card vocabulary for the Section 4.2 patterns: stale-write /
     edge-trigger / stale-resync. *)

@@ -27,9 +27,9 @@ type t = {
   mutable cause : int;
 }
 
-let create ?(seed = 1L) ?trace ?metrics () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let create ?(seed = 1L) () =
+  let trace = Trace.create () in
+  let metrics = Metrics.create () in
   { clock = 0; seq = 0; heap = [||]; size = 0; rng = Rng.create seed; trace; metrics;
     cause = no_cause }
 
@@ -155,16 +155,15 @@ let run ?until ?max_events t =
   | Some horizon when t.clock < horizon -> t.clock <- horizon
   | _ -> ()
 
-let every t ?(jitter = 0) ~period f =
+let every t ~period f =
   let rec tick () =
     (* Remember the tick's own causal context: anything f emits must not
        leak into the *next* tick's capture, or periodic loops would grow
        spurious causal edges across unrelated periods. *)
     let root = t.cause in
     if f () then begin
-      let extra = if jitter > 0 then Rng.int t.rng (jitter + 1) else 0 in
       t.cause <- root;
-      ignore (schedule t ~delay:(period + extra) tick)
+      ignore (schedule t ~delay:period tick)
     end
   in
   ignore (schedule t ~delay:0 tick)

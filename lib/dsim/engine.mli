@@ -14,9 +14,10 @@ type t
 type timer
 (** Handle to a scheduled event; can be cancelled before it fires. *)
 
-val create : ?seed:int64 -> ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
-(** [create ()] makes an engine at virtual time 0. The default seed is
-    [1L]; pass an explicit seed to vary an experiment. *)
+val create : ?seed:int64 -> unit -> t
+(** [create ()] makes an engine at virtual time 0, with a fresh trace and
+    metrics registry. The default seed is [1L]; pass an explicit seed to
+    vary an experiment. *)
 
 val now : t -> int
 (** Current virtual time in microseconds. *)
@@ -78,7 +79,7 @@ val run : ?until:int -> ?max_events:int -> t -> unit
     [max_events] events have executed. Events scheduled exactly at
     [until] still run. *)
 
-val every : t -> ?jitter:int -> period:int -> (unit -> bool) -> unit
-(** [every t ~period f] runs [f] now and then every [period] (plus a
-    uniform jitter in [\[0, jitter\]]) until [f] returns [false]. Used for
-    resync loops, health checks and reconcile timers. *)
+val every : t -> period:int -> (unit -> bool) -> unit
+(** [every t ~period f] runs [f] now and then every [period] until [f]
+    returns [false]. Used for resync loops, health checks and reconcile
+    timers. *)

@@ -12,8 +12,6 @@ type action =
   | Heal of Network.address * Network.address
   | Heal_all
 
-val pp_action : Format.formatter -> action -> unit
-
 type plan = (int * action) list
 (** Absolute virtual time paired with the action to perform then. *)
 

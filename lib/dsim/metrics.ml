@@ -101,10 +101,6 @@ module Gauge = struct
     g.level.value <- g.level.value +. delta
 end
 
-let set_gauge t name v = Gauge.set (Gauge.resolve t name) v
-
-let add_gauge t name delta = Gauge.add (Gauge.resolve t name) delta
-
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with Some g -> g.level.value | None -> 0.0
 

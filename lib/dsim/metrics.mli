@@ -85,11 +85,6 @@ val counters : t -> (string * int) list
 
 (** {2 Gauges} *)
 
-val set_gauge : t -> string -> float -> unit
-
-val add_gauge : t -> string -> float -> unit
-(** Adds a (possibly negative) delta; absent gauges start at 0. *)
-
 val gauge : t -> string -> float
 (** 0.0 when never set. *)
 

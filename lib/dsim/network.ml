@@ -9,10 +9,6 @@ type latency_model =
   | Uniform of { min : int; max : int }
   | Exponential of { mean : float; floor : int }
 
-let pp_error ppf = function
-  | Timeout -> Format.pp_print_string ppf "timeout"
-  | Unreachable -> Format.pp_print_string ppf "unreachable"
-
 type node = {
   mutable serve : src:address -> request -> (response -> unit) -> unit;
   mutable on_cast : src:address -> cast -> unit;
@@ -200,8 +196,5 @@ let cast t ~src ~dst payload =
         (Engine.schedule t.engine ~delay:(latency t) (fun () ->
              if (not (partitioned t src dst)) && dst_node.up then
                dst_node.on_cast ~src payload))
-
-let addresses t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.nodes [] |> List.sort String.compare
 
 let sample_latency t = latency t

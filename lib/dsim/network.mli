@@ -27,8 +27,6 @@ type latency_model =
   | Exponential of { mean : float; floor : int }
       (** heavy-tailed delays: [floor + Exp(mean)] microseconds *)
 
-val pp_error : Format.formatter -> error -> unit
-
 type t
 
 val create :
@@ -92,9 +90,6 @@ val call :
 val cast : t -> src:address -> dst:address -> cast -> unit
 (** Fire-and-forget delivery after one latency sample; silently dropped if
     the link is partitioned or the destination is down at delivery time. *)
-
-val addresses : t -> address list
-(** All registered addresses, sorted. *)
 
 val sample_latency : t -> int
 (** One latency draw from the network's distribution — for layers (like

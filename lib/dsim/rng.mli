@@ -37,8 +37,6 @@ val chance : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform choice. Raises [Invalid_argument] on an empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

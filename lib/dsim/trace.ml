@@ -128,13 +128,6 @@ let chain t ~id =
   in
   go [] id
 
-let pp_chain ppf entries =
-  List.iteri
-    (fun i e ->
-      if i > 0 then Format.fprintf ppf "@.";
-      Format.fprintf ppf "%s%a" (if i = 0 then "  " else "  -> ") pp_entry e)
-    entries
-
 let entry_to_json e =
   Json.Obj
     [

@@ -19,8 +19,6 @@ type entry = {
   cause : int option;  (** id of the entry that triggered this one *)
 }
 
-val pp_entry : Format.formatter -> entry -> unit
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -72,10 +70,6 @@ val chain : t -> id:int -> entry list
     ring buffer, or at a cause whose id is not below its entry's (the
     engine never records one; every cycle contains one). [[]] when
     [id] is not live. *)
-
-val pp_chain : Format.formatter -> entry list -> unit
-(** Prints a {!chain} as an indented "why" walkthrough, one entry per
-    line, oldest first. *)
 
 val entry_to_json : entry -> Json.t
 

@@ -6,7 +6,6 @@
 type config = {
   seed : int64;
   servers : int;
-  regions : string list;
   replication_lag : int;
   compaction_window : int option;
   sync_before_cas : bool;  (** HBASE-3137: master syncs the follower before reading *)
@@ -16,15 +15,15 @@ type config = {
   hub_order : Zk.hub_order;
   min_latency : int;
   max_latency : int;
-  balance_period : int;
   obs_sample_period : int;
 }
+
+let regions = [ "r1"; "r2"; "r3"; "r4" ]
 
 let default_config =
   {
     seed = 7L;
     servers = 2;
-    regions = [ "r1"; "r2"; "r3"; "r4" ];
     replication_lag = 10_000;
     compaction_window = None;
     sync_before_cas = false;
@@ -34,7 +33,6 @@ let default_config =
     hub_order = Zk.Replication_first;
     min_latency = 500;
     max_latency = 2_000;
-    balance_period = 100_000;
     obs_sample_period = 100_000;
   }
 
@@ -101,14 +99,13 @@ let create config =
       ()
   in
   let master =
-    Master.create ~net ~name:"master-1" ~zk ~regions:config.regions
-      ~sync_before_cas:config.sync_before_cas ~period:config.balance_period ()
+    Master.create ~net ~name:"master-1" ~zk ~regions ~sync_before_cas:config.sync_before_cas ()
   in
   let region_servers =
     List.init config.servers (fun i ->
         Regionserver.create ~net ~name:(server_name i) ~zk
           ~relookup_on_failure:config.relookup_on_failure
-          ~rearm_then_read:config.rearm_then_read ~watched_regions:config.regions ())
+          ~rearm_then_read:config.rearm_then_read ~watched_regions:regions ())
   in
   Dsim.Network.register net user ~serve:(fun ~src:_ _ _ -> ()) ();
   { config; engine; net; intercept; zk; master; region_servers }

@@ -7,7 +7,6 @@
 type config = {
   seed : int64;
   servers : int;
-  regions : string list;
   replication_lag : int;
   compaction_window : int option;
   sync_before_cas : bool;  (** HBASE-3137: master syncs the follower before reading *)
@@ -17,11 +16,14 @@ type config = {
   hub_order : Zk.hub_order;
   min_latency : int;
   max_latency : int;
-  balance_period : int;
   obs_sample_period : int;
 }
 
 val default_config : config
+
+val regions : string list
+(** The regions the master balances and every region server watches:
+    ["r1"] to ["r4"]. *)
 
 type op =
   | Move_region of { at : int; region : string; to_ : string }
@@ -50,8 +52,6 @@ val run : until:int -> t -> unit
 
 val server_name : int -> string
 (** [server_name i] is ["rs-<i+1>"]. *)
-
-val server_names : config -> string list
 
 val components : config -> string list
 (** The fault-injectable processes: the master and the region servers. *)

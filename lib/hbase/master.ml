@@ -7,10 +7,12 @@ type t = {
   zk : Zk.t;
   regions : string list;
   sync_before_cas : bool;
-  period : int;
   mutable transitions : int;
   mutable cas_failures : int;
 }
+
+(* One balance pass every 100 ms. *)
+let balance_period = 100_000
 
 let name t = t.name
 
@@ -68,14 +70,13 @@ let serve ~src:_ request reply =
   | Rs_heartbeat { server = _ } -> reply Heartbeat_ack
   | _ -> ()
 
-let create ~net ~name ~zk ~regions ?(sync_before_cas = false) ?(period = 100_000) () =
+let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   {
     net;
     name;
     zk;
     regions;
     sync_before_cas;
-    period;
     transitions = 0;
     cas_failures = 0;
   }
@@ -83,6 +84,6 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) ?(period = 100_000
 let start t =
   Dsim.Network.register t.net t.name ~serve ();
   Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
+  Dsim.Engine.every (engine t) ~period:balance_period (fun () ->
       if Dsim.Network.is_up t.net t.name then balance_pass t;
       true)

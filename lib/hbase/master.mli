@@ -27,10 +27,9 @@ val create :
   zk:Zk.t ->
   regions:string list ->
   ?sync_before_cas:bool ->
-  ?period:int ->
   unit ->
   t
-(** Default balancing period: 100 ms. *)
+(** Balances every 100 ms. *)
 
 val start : t -> unit
 (** Publishes ["master"] = [name] and begins balancing. Serves region

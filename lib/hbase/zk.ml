@@ -27,8 +27,6 @@ type hub_order = Replication_first | Watches_first
 
 type t = {
   net : Dsim.Network.t;
-  leader_name : string;
-  follower_name : string;
   replication_lag : int;
   compaction_window : int option;
   follower_leader_revs : bool;
@@ -48,9 +46,9 @@ type t = {
   mutable tap_resync : int -> unit;
 }
 
-let leader t = t.leader_name
+let leader_name = "zk-leader"
 
-let follower t = t.follower_name
+let follower_name = "zk-follower"
 
 let leader_kv t = t.leader_kv
 
@@ -135,12 +133,12 @@ let fire_watches t (e : string History.Event.t) =
       Hashtbl.remove t.watches key;
       List.iter
         (fun dst ->
-          let edge = { History.Intercept.src = t.leader_name; dst } in
-          let notify () = Dsim.Network.cast t.net ~src:t.leader_name ~dst (Zk_notify { key; event = e }) in
+          let edge = { History.Intercept.src = leader_name; dst } in
+          let notify () = Dsim.Network.cast t.net ~src:leader_name ~dst (Zk_notify { key; event = e }) in
           match History.Intercept.decide t.intercept edge e with
           | History.Intercept.Drop ->
               Dsim.Engine.record (engine t) ~actor:dst ~kind:"pipe.drop"
-                (Printf.sprintf "%s->%s %s" t.leader_name dst (History.Event.describe e))
+                (Printf.sprintf "%s->%s %s" leader_name dst (History.Event.describe e))
           | History.Intercept.Pass -> notify ()
           | History.Intercept.Delay d -> ignore (Dsim.Engine.schedule (engine t) ~delay:d notify))
         dsts
@@ -221,7 +219,7 @@ let follower_resync t ~snapshot ~rev =
     snapshot;
   t.caught_up_to <- rev;
   t.follower_resyncs <- t.follower_resyncs + 1;
-  Dsim.Engine.record (engine t) ~actor:t.follower_name ~kind:"zk.resync"
+  Dsim.Engine.record (engine t) ~actor:follower_name ~kind:"zk.resync"
     (Printf.sprintf "catch-up past compaction: full resync at leader rev %d" rev);
   t.tap_resync rev
 
@@ -231,7 +229,7 @@ let serve_follower t ~src:_ request reply =
       if not sync then reply (follower_read t key)
       else
         (* HBASE-3137's cost: catch up with the leader before serving. *)
-        Dsim.Network.call t.net ~src:t.follower_name ~dst:t.leader_name
+        Dsim.Network.call t.net ~src:follower_name ~dst:leader_name
           (Zk_pull { since = t.caught_up_to })
           (function
           | Ok (Zk_events events) ->
@@ -254,14 +252,14 @@ let serve_follower t ~src:_ request reply =
    interceptor like any other delivery edge; FIFO order survives a Delay
    because each event's apply time is clamped to the stream frontier. *)
 let deliver_replication t (event : string History.Event.t) =
-  let edge = { History.Intercept.src = t.leader_name; dst = t.follower_name } in
+  let edge = { History.Intercept.src = leader_name; dst = follower_name } in
   let extra =
     match History.Intercept.decide t.intercept edge event with
     | History.Intercept.Pass -> Some 0
     | History.Intercept.Delay d -> Some d
     | History.Intercept.Drop ->
-        Dsim.Engine.record (engine t) ~actor:t.follower_name ~kind:"pipe.drop"
-          (Printf.sprintf "%s->%s %s" t.leader_name t.follower_name (History.Event.describe event));
+        Dsim.Engine.record (engine t) ~actor:follower_name ~kind:"pipe.drop"
+          (Printf.sprintf "%s->%s %s" leader_name follower_name (History.Event.describe event));
         None
   in
   match extra with
@@ -277,15 +275,12 @@ let deliver_replication t (event : string History.Event.t) =
                t.caught_up_to <- event.History.Event.rev
              end))
 
-let create ~net ?(leader = "zk-leader") ?(follower = "zk-follower")
-    ?(replication_lag = 10_000) ?compaction_window ?(follower_leader_revs = false)
+let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader_revs = false)
     ?(hub_order = Replication_first) ?intercept () =
   let leader_kv = Etcdlike.Kv.create () in
   let t =
     {
       net;
-      leader_name = leader;
-      follower_name = follower;
       replication_lag;
       compaction_window;
       follower_leader_revs;
@@ -326,7 +321,7 @@ let create ~net ?(leader = "zk-leader") ?(follower = "zk-follower")
   Etcdlike.Kv.on_commit t.leader_kv (fun (e : string History.Event.t) ->
       let rev = e.History.Event.rev in
       let id =
-        Dsim.Engine.emit (Dsim.Network.engine net) ~actor:t.leader_name ~kind:"zk.commit"
+        Dsim.Engine.emit (Dsim.Network.engine net) ~actor:leader_name ~kind:"zk.commit"
           (Printf.sprintf "rev %d %s" rev (History.Event.describe e))
       in
       Hashtbl.replace t.commit_ids rev id;
@@ -337,29 +332,29 @@ let create ~net ?(leader = "zk-leader") ?(follower = "zk-follower")
   | Some w ->
       Etcdlike.Kv.on_commit t.leader_kv (fun _ -> Etcdlike.Kv.compact_keep_last t.leader_kv w)
   | None -> ());
-  Dsim.Network.register net t.leader_name ~serve:(serve_leader t) ();
-  Dsim.Network.register net t.follower_name ~serve:(serve_follower t) ();
+  Dsim.Network.register net leader_name ~serve:(serve_leader t) ();
+  Dsim.Network.register net follower_name ~serve:(serve_follower t) ();
   t
 
 let read t ~src ?(sync = false) key k =
-  Dsim.Network.call t.net ~src ~dst:t.follower_name (Zk_read { key; sync }) (function
+  Dsim.Network.call t.net ~src ~dst:follower_name (Zk_read { key; sync }) (function
     | Ok (Zk_value { value; rev = _ }) ->
         k (Ok (Option.map fst value, Option.value (Option.map snd value) ~default:0))
     | _ -> k (Error `Unavailable))
 
 let cas t ~src ~key ~expected_mod_rev value k =
-  Dsim.Network.call t.net ~src ~dst:t.leader_name (Zk_cas { key; expected_mod_rev; value })
+  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_cas { key; expected_mod_rev; value })
     (function
     | Ok (Zk_cas_result ok) -> k (Ok ok)
     | _ -> k (Error `Unavailable))
 
 let write t ~src ~key value k =
-  Dsim.Network.call t.net ~src ~dst:t.leader_name (Zk_write { key; value }) (function
+  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_write { key; value }) (function
     | Ok Zk_written -> k (Ok ())
     | _ -> k (Error `Unavailable))
 
 let arm_watch t ~src key k =
-  Dsim.Network.call t.net ~src ~dst:t.leader_name (Zk_watch { key }) (function
+  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_watch { key }) (function
     | Ok (Zk_value { value; rev = _ }) ->
         k (Ok (Option.map fst value, Option.value (Option.map snd value) ~default:0))
     | _ -> k (Error `Unavailable))

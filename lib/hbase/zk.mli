@@ -25,8 +25,6 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  ?leader:string ->
-  ?follower:string ->
   ?replication_lag:int ->
   ?compaction_window:int ->
   ?follower_leader_revs:bool ->
@@ -34,7 +32,7 @@ val create :
   ?intercept:string History.Intercept.t ->
   unit ->
   t
-(** Defaults: nodes ["zk-leader"] / ["zk-follower"], replication lag
+(** Nodes {!leader_name} and {!follower_name}; default replication lag
     10 ms. The follower applies each committed leader event
     [replication_lag] later (in order). [compaction_window] bounds the
     leader's retained event log (default: unbounded); a follower whose
@@ -53,9 +51,11 @@ val create :
     (replication and watch notifications); pass the cluster's shared
     interceptor so testing strategies can reach these edges. *)
 
-val leader : t -> string
+val leader_name : string
+(** ["zk-leader"] *)
 
-val follower : t -> string
+val follower_name : string
+(** ["zk-follower"] *)
 
 val leader_kv : t -> string Etcdlike.Kv.t
 (** Ground truth, for oracles and seeding. *)

@@ -8,8 +8,6 @@
 
 type op = Create | Update | Delete
 
-val pp_op : Format.formatter -> op -> unit
-
 val op_to_string : op -> string
 
 type 'v t = {

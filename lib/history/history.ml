@@ -13,6 +13,5 @@ module Partial = Partial
 module View = View
 module Dispatch = Dispatch
 module Intercept = Intercept
-module Causality = Causality
 module Divergence = Divergence
 module Epoch = Epoch

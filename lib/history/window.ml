@@ -53,8 +53,6 @@ let clear t =
 
 let oldest t = if t.len = 0 then None else Some (get t 0)
 
-let newest t = if t.len = 0 then None else Some (get t (t.len - 1))
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f (get t i)

@@ -30,8 +30,6 @@ val clear : 'v t -> unit
 
 val oldest : 'v t -> 'v Event.t option
 
-val newest : 'v t -> 'v Event.t option
-
 val iter : ('v Event.t -> unit) -> 'v t -> unit
 (** Oldest first. *)
 

@@ -72,29 +72,23 @@ let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
      order is the tie-break among equal-(priority, gain) trials, and
      reshuffling it measurably delays some exposures
      (cassandra-operator-402 in the regression corpus). *)
-  let hazards, plans, targets, apiservers =
+  let hazards, plans =
     match case.Sieve.Bugs.spec with
     | Sieve.Substrate.Kube { config; _ } ->
         ( (if hazard_rank then Analysis.Hazard.of_config config else []),
-          Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()),
-          Sieve.Planner.targets_of_config config,
-          List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) )
+          Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()) )
     | Sieve.Substrate.Hbase { config; _ } ->
         ( (if hazard_rank then
              Analysis.Hazard.of_footprints (Sieve.Footprint.of_hbase_config config)
            else []),
-          Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()),
-          Sieve.Planner.targets_hbase config,
-          (* The explore baseline's "apiserver" endpoints are the store
-             addresses consumers actually talk to here. *)
-          [ "zk-leader"; "zk-follower" ] )
+          Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()) )
   in
   let coverage = coverage_of_case case ~events in
   let priority =
     if hazard_rank then Some (Analysis.Hazard.plan_score hazards coverage) else None
   in
   let scheduled = List.map (fun i -> (i, plans.(i))) (Schedule.order ?priority coverage plans) in
-  let components = List.map (fun t -> t.Sieve.Planner.component) targets in
+  let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
   { case; events; components; apiservers; scheduled }
 
 (* Round-robin across cases so early trials are diverse even when one

@@ -3,14 +3,11 @@
     Two trials that expose "the same bug on the same object through the
     same component" must collapse to one finding, however different
     their strategies were. The signature is [bug-id/component/key]:
-    {!Sieve.Oracle.bug_id} names the bug class, {!component_of} the
-    acting component, and {!Sieve.Oracle.key} the principal object —
+    {!Sieve.Oracle.bug_id} names the bug class, the component whose
+    partial history produced it names the actor (for duplicate pods, the
+    sorted kubelet set), and {!Sieve.Oracle.key} the principal object —
     together a stable identity that survives re-runs, re-orderings and
     campaign resumes. *)
-
-val component_of : Sieve.Oracle.violation -> string
-(** The component whose partial history produced the violation (for
-    duplicate pods: the sorted kubelet set, so ordering is stable). *)
 
 val of_violation : Sieve.Oracle.violation -> string
 (** ["bug-id/component/key"], e.g.

@@ -12,9 +12,6 @@ type t = {
   etcd : string;
   upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
-  bookmark_period : int;
-  heartbeat_timeout : int;
-  retry_delay : int;
   mutable cache : Resource.value History.State.t;
   mutable last_rev : int;
   window : Resource.value History.Window.t;  (* oldest first *)
@@ -25,12 +22,17 @@ type t = {
   mutable ready : bool;
   mutable generation : int;  (* invalidates in-flight callbacks across crashes *)
   mutable last_heartbeat : int;
-  mutable resyncs : int;
   epoch_seal : int option;  (* seal subscriber streams every N revisions *)
   mutable last_seal_rev : int;
   mutable tap : Tap.t option;  (* conformance observation point, read-only *)
   rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
 }
+
+(* Bookmarks every 200 ms; an etcd stream silent for 1 s is dead;
+   failed list/watch attempts retry after 300 ms. *)
+let bookmark_period = 200_000
+let heartbeat_timeout = 1_000_000
+let retry_delay = 300_000
 
 let name t = t.name
 
@@ -41,8 +43,6 @@ let rev t = t.last_rev
 let cache t = t.cache
 
 let subscriber_count t = Hashtbl.length t.streams
-
-let resync_count t = t.resyncs
 
 let engine t = Dsim.Network.engine t.net
 
@@ -207,7 +207,7 @@ let rec bootstrap t gen =
 
 and retry t gen =
   if gen = t.generation then
-    ignore (Dsim.Engine.schedule (engine t) ~delay:t.retry_delay (fun () -> bootstrap t gen))
+    ignore (Dsim.Engine.schedule (engine t) ~delay:retry_delay (fun () -> bootstrap t gen))
 
 let list_from_cache t prefix =
   History.State.bindings_with_prefix t.cache ~prefix
@@ -258,8 +258,10 @@ let serve t ~src:_ request reply =
   | Messages.Api_watch w -> handle_watch t w reply
   | _ -> ()
 
-let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?(bookmark_period = 200_000)
-    ?(heartbeat_timeout = 1_000_000) ?(retry_delay = 300_000) ?epoch_seal () =
+let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
+  (match epoch_seal with
+  | Some g when g <= 0 -> invalid_arg "Apiserver.create: epoch_seal must be positive"
+  | _ -> ());
   {
     name;
     net;
@@ -267,9 +269,6 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?(bookmark_period =
     etcd;
     upstream = name ^ "<-" ^ etcd;
     window_size;
-    bookmark_period;
-    heartbeat_timeout;
-    retry_delay;
     cache = History.State.empty;
     last_rev = 0;
     window = History.Window.create ();
@@ -280,7 +279,6 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?(bookmark_period =
     ready = false;
     generation = 0;
     last_heartbeat = 0;
-    resyncs = 0;
     epoch_seal;
     last_seal_rev = 0;
     tap = None;
@@ -299,13 +297,12 @@ let start t =
      dead (broken TCP connection / partitioned upstream); re-list then. A
      stream whose events are being silently dropped still carries
      bookmarks and is NOT detected — that asymmetry is the point. *)
-  Dsim.Engine.every (engine t) ~period:(t.heartbeat_timeout / 2) (fun () ->
+  Dsim.Engine.every (engine t) ~period:(heartbeat_timeout / 2) (fun () ->
       (if
          t.ready
          && Dsim.Network.is_up t.net t.name
-         && Dsim.Engine.now (engine t) - t.last_heartbeat > t.heartbeat_timeout
+         && Dsim.Engine.now (engine t) - t.last_heartbeat > heartbeat_timeout
        then begin
-         t.resyncs <- t.resyncs + 1;
          Dsim.Engine.record (engine t) ~actor:t.name ~kind:"api.resync"
            "etcd stream silent; re-listing";
          bootstrap t t.generation
@@ -314,7 +311,7 @@ let start t =
   (* Bookmarks toward our own subscribers — and, under the epoch
      protocol, a time-based close of the current partial epoch, so that a
      hole in a quiet stream is still detected within one period. *)
-  Dsim.Engine.every (engine t) ~period:t.bookmark_period (fun () ->
+  Dsim.Engine.every (engine t) ~period:bookmark_period (fun () ->
       if t.ready && Dsim.Network.is_up t.net t.name then begin
         repin t;
         History.Dispatch.iter_all t.subs (fun _ sub ->

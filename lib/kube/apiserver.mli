@@ -20,20 +20,19 @@ val create :
   name:string ->
   etcd:string ->
   ?window_size:int ->
-  ?bookmark_period:int ->
-  ?heartbeat_timeout:int ->
-  ?retry_delay:int ->
   ?epoch_seal:int ->
   unit ->
   t
-(** Defaults: window 1000 events, bookmarks every 200 ms, stream declared
-    dead after 1 s without traffic, retries every 300 ms.
+(** Window 1000 events by default. Bookmarks go out every 200 ms, the
+    etcd stream is declared dead after 1 s without traffic, and failed
+    list/watch attempts retry every 300 ms.
 
     [epoch_seal] enables the Section 6.2 epoch protocol: every given
     number of cache revisions, each subscriber stream carries a {!Pipe}
     [Seal] stating how many matching events were sent since the last one.
     Consumers can then *detect* holes in their partial history — silent
-    event loss becomes a visible integrity failure. *)
+    event loss becomes a visible integrity failure. Raises
+    [Invalid_argument] unless it is positive. *)
 
 val start : t -> unit
 (** Begins the list + watch bootstrap against etcd and installs crash /
@@ -52,9 +51,6 @@ val cache : t -> Resource.value History.State.t
 (** The cached [S'] (for oracles and divergence probes). *)
 
 val subscriber_count : t -> int
-
-val resync_count : t -> int
-(** Times the watchdog re-listed after declaring the etcd stream dead. *)
 
 val set_tap : t -> Tap.t option -> unit
 (** Installs (or removes) a conformance {!Tap} observing this cache's

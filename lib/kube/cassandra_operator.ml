@@ -4,7 +4,6 @@ type t = {
   client : Client.t;
   quorum_guard : bool;
   period : int;
-  orphan_strikes : int;
   mutable dc_informer : Informer.t option;
   mutable pods_informer : Informer.t option;
   mutable pvcs_informer : Informer.t option;
@@ -12,8 +11,11 @@ type t = {
   mutable reconciles : int;
   mutable member_creates : int;
   mutable decommission_log : (string * int) list;  (* newest first *)
-  mutable pvc_delete_log : string list;  (* newest first *)
 }
+
+(* A claim must look orphaned for this many consecutive passes before
+   GC deletes it. *)
+let orphan_strikes = 4
 
 let name t = t.name
 
@@ -22,8 +24,6 @@ let reconciles t = t.reconciles
 let member_creates t = t.member_creates
 
 let decommissions t = List.rev t.decommission_log
-
-let pvc_deletes t = List.rev t.pvc_delete_log
 
 let informer_exn = function Some i -> i | None -> invalid_arg "Cassandra_operator: not started"
 
@@ -105,7 +105,6 @@ let decommission t dc (target : Resource.pod) mod_rev =
   else mark_decommissioned t dc target mod_rev
 
 let delete_claim t pvc_name mod_rev =
-  t.pvc_delete_log <- pvc_name :: t.pvc_delete_log;
   record t "cassop.delete-pvc" pvc_name;
   Client.txn_ t.client
     (Etcdlike.Txn.delete_if_unchanged ~key:(Resource.pvc_key pvc_name) ~expected_mod_rev:mod_rev)
@@ -162,7 +161,7 @@ let gc_orphans t =
                   1 + Option.value (Hashtbl.find_opt t.strikes c.Resource.pvc_name) ~default:0
                 in
                 Hashtbl.replace t.strikes c.Resource.pvc_name strikes;
-                if strikes >= t.orphan_strikes then begin
+                if strikes >= orphan_strikes then begin
                   Hashtbl.remove t.strikes c.Resource.pvc_name;
                   gc_claim t c.Resource.pvc_name mod_rev
                 end
@@ -187,8 +186,7 @@ let reconcile t =
     (History.State.keys_with_prefix dcs ~prefix:Resource.cassdcs_prefix);
   gc_orphans t
 
-let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) ?(orphan_strikes = 4)
-    () =
+let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) () =
   let t =
     {
       name;
@@ -196,7 +194,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) ?(o
       client = Client.create ~net ~owner:name ~endpoints ();
       quorum_guard;
       period;
-      orphan_strikes;
       dc_informer = None;
       pods_informer = None;
       pvcs_informer = None;
@@ -204,7 +201,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) ?(o
       reconciles = 0;
       member_creates = 0;
       decommission_log = [];
-      pvc_delete_log = [];
     }
   in
   t.dc_informer <-

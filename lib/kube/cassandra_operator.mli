@@ -32,10 +32,9 @@ val create :
   endpoints:string list ->
   ?quorum_guard:bool ->
   ?period:int ->
-  ?orphan_strikes:int ->
   unit ->
   t
-(** Defaults: reconcile every 150 ms; a claim must look orphaned for 4
+(** Reconciles every 150 ms by default. A claim must look orphaned for 4
     consecutive passes before GC deletes it. *)
 
 val start : t -> unit
@@ -53,9 +52,6 @@ val member_creates : t -> int
 
 val decommissions : t -> (string * int) list
 (** (datacenter, ordinal) decommission decisions, oldest first. *)
-
-val pvc_deletes : t -> string list
-(** Claims the orphan GC deleted, oldest first. *)
 
 val dc_informer : t -> Informer.t
 val pods_informer : t -> Informer.t

@@ -2,16 +2,18 @@ type t = {
   net : Dsim.Network.t;
   owner : string;
   endpoints : string array;
-  retries : int;
-  retry_delay : int;
   mutable index : int;
 }
 
 type outcome = { succeeded : bool; rev : int }
 
-let create ~net ~owner ~endpoints ?(retries = 4) ?(retry_delay = 200_000) () =
+(* Up to 4 retries across endpoints, 200 ms apart. *)
+let retries = 4
+let retry_delay = 200_000
+
+let create ~net ~owner ~endpoints () =
   if endpoints = [] then invalid_arg "Client.create: no endpoints";
-  { net; owner; endpoints = Array.of_list endpoints; retries; retry_delay; index = 0 }
+  { net; owner; endpoints = Array.of_list endpoints; index = 0 }
 
 let current_endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
 
@@ -26,7 +28,7 @@ let rec attempt t request ~decode ~budget k =
         | None ->
             t.index <- t.index + 1;
             ignore
-              (Dsim.Engine.schedule (engine t) ~delay:t.retry_delay (fun () ->
+              (Dsim.Engine.schedule (engine t) ~delay:retry_delay (fun () ->
                    attempt t request ~decode ~budget:(budget - 1) k)))
 
 let txn ?lease t transaction k =
@@ -36,13 +38,13 @@ let txn ?lease t transaction k =
   in
   attempt t
     (Messages.Api_txn { txn = transaction; origin = t.owner; lease })
-    ~decode ~budget:t.retries k
+    ~decode ~budget:retries k
 
 let txn_ ?lease t transaction = txn ?lease t transaction (fun _ -> ())
 
 let lease_grant t ~ttl k =
   let decode = function Messages.Lease_granted { lease } -> Some lease | _ -> None in
-  attempt t (Messages.Api_lease_grant { ttl }) ~decode ~budget:t.retries k
+  attempt t (Messages.Api_lease_grant { ttl }) ~decode ~budget:retries k
 
 let lease_keepalive t ~lease k =
   let decode = function
@@ -58,8 +60,8 @@ let lease_revoke t ~lease =
 
 let get_quorum t key k =
   let decode = function Messages.Value { value; rev = _ } -> Some value | _ -> None in
-  attempt t (Messages.Api_get { key; quorum = true }) ~decode ~budget:t.retries k
+  attempt t (Messages.Api_get { key; quorum = true }) ~decode ~budget:retries k
 
 let list_quorum t ~prefix k =
   let decode = function Messages.Items { items; rev = _ } -> Some items | _ -> None in
-  attempt t (Messages.Api_list { prefix; quorum = true }) ~decode ~budget:t.retries k
+  attempt t (Messages.Api_list { prefix; quorum = true }) ~decode ~budget:retries k

@@ -13,11 +13,9 @@ val create :
   net:Dsim.Network.t ->
   owner:string ->
   endpoints:string list ->
-  ?retries:int ->
-  ?retry_delay:int ->
   unit ->
   t
-(** Defaults: 4 retries, 200 ms between attempts. *)
+(** Retries up to 4 times, 200 ms between attempts. *)
 
 val txn :
   ?lease:int ->

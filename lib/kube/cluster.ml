@@ -2,8 +2,6 @@ type config = {
   seed : int64;
   apiservers : int;
   nodes : int;
-  etcd_watch_window : int option;
-  api_window : int;
   min_latency : int;
   max_latency : int;
   with_scheduler : bool;
@@ -27,13 +25,14 @@ type config = {
          backend; replica addresses etcd-1..n join the fault surface. *)
 }
 
+let apiserver_addresses config =
+  List.init config.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1))
+
 let default_config =
   {
     seed = 1L;
     apiservers = 2;
     nodes = 3;
-    etcd_watch_window = None;
-    api_window = 1000;
     min_latency = 500;
     max_latency = 2000;
     with_scheduler = true;
@@ -196,16 +195,13 @@ let create ?(config = default_config) () =
     Dsim.Network.create ~min_latency:config.min_latency ~max_latency:config.max_latency engine
   in
   let intercept = Intercept.create () in
-  let etcd =
-    Etcd.create ~net ~intercept ?watch_window:config.etcd_watch_window
-      ?replication:config.replication ()
-  in
-  let api_names = List.init config.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) in
+  let etcd = Etcd.create ~net ~intercept ?replication:config.replication () in
+  let api_names = apiserver_addresses config in
   let apiservers =
     List.map
       (fun name ->
         Apiserver.create ~net ~intercept ~name ~etcd:(Etcd.name etcd)
-          ~window_size:config.api_window ?epoch_seal:config.api_epoch_seal ())
+          ?epoch_seal:config.api_epoch_seal ())
       api_names
   in
   let kubelets =

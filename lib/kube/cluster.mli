@@ -7,8 +7,6 @@ type config = {
   seed : int64;
   apiservers : int;
   nodes : int;  (** one kubelet per node *)
-  etcd_watch_window : int option;  (** rolling event window; [None] = unlimited *)
-  api_window : int;  (** apiserver watch-cache window *)
   min_latency : int;
   max_latency : int;
   with_scheduler : bool;
@@ -43,9 +41,14 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, 2 apiservers, 3 nodes, unlimited etcd window, apiserver window
-    1000, latency 500–2000 us, all components enabled, every fix off
-    (the bug-era configuration), lag sampled every 100 ms. *)
+(** seed 1, 2 apiservers, 3 nodes, latency 500–2000 us, all components
+    enabled, every fix off (the bug-era configuration), lag sampled every
+    100 ms. etcd keeps an unlimited event window; each apiserver's watch
+    cache holds 1000 events. *)
+
+val apiserver_addresses : config -> string list
+(** ["api-1"] to ["api-<apiservers>"]: the addresses {!create} gives the
+    apiservers. *)
 
 type t
 

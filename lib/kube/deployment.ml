@@ -3,7 +3,6 @@ type t = {
   net : Dsim.Network.t;
   client : Client.t;
   period : int;
-  surge : int;
   quorum_fallback : bool;
   stalls : (string, int) Hashtbl.t;  (* deployment -> consecutive blocked passes *)
   fresh_running : (string, int) Hashtbl.t;  (* rset -> quorum-read Running count *)
@@ -13,6 +12,9 @@ type t = {
   mutable reconciles : int;
   mutable rollouts_completed : int;
 }
+
+(* Pods the new generation may run above the desired count. *)
+let surge = 1
 
 let name t = t.name
 
@@ -118,12 +120,12 @@ let reconcile_deployment t (d : Resource.deployment) =
          serving yet). *)
       record t "depctl.rollout"
         (Printf.sprintf "%s -> generation %d" dep d.Resource.template);
-      set_rs_replicas t target_rs (if old_sets = [] then desired else min t.surge desired)
+      set_rs_replicas t target_rs (if old_sets = [] then desired else min surge desired)
   | Some spec ->
       let current = spec.Resource.rs_replicas in
       (* Grow the new set while total intent stays within desired+surge. *)
       let old_intent = List.fold_left (fun acc (_, r) -> acc + r.Resource.rs_replicas) 0 old_sets in
-      if current < desired && current + old_intent < desired + t.surge then
+      if current < desired && current + old_intent < desired + surge then
         set_rs_replicas t target_rs (current + 1)
       else if current > desired then set_rs_replicas t target_rs desired;
       (* Shrink old generations only against pods actually Running in the
@@ -172,15 +174,13 @@ let reconcile t =
       | Some _ | None -> ())
     (History.State.keys_with_prefix store ~prefix:Resource.deployments_prefix)
 
-let create ~net ~name ~endpoints ?(period = 150_000) ?(surge = 1) ?(quorum_fallback = false)
-    () =
+let create ~net ~name ~endpoints ?(period = 150_000) ?(quorum_fallback = false) () =
   let t =
     {
       name;
       net;
       client = Client.create ~net ~owner:name ~endpoints ();
       period;
-      surge;
       quorum_fallback;
       stalls = Hashtbl.create 8;
       fresh_running = Hashtbl.create 8;

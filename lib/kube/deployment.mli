@@ -17,11 +17,10 @@ val create :
   name:string ->
   endpoints:string list ->
   ?period:int ->
-  ?surge:int ->
   ?quorum_fallback:bool ->
   unit ->
   t
-(** Defaults: reconcile every 150 ms, surge 1, no quorum fallback.
+(** Defaults: reconcile every 150 ms, no quorum fallback. Surge is 1.
     [quorum_fallback] is the defensive fix for view-wedged rollouts: when
     a rollout makes no progress for several passes, re-count the new
     generation with a linearizable read instead of trusting the cache. *)

@@ -4,9 +4,6 @@ type t = {
   net : Dsim.Network.t;
   client : Client.t;
   ttl : int;
-  renew_period : int;
-  on_elected : unit -> unit;
-  on_lost : unit -> unit;
   mutable running : bool;
   mutable lease : int option;
   mutable deadline : int;  (* local belief expires here *)
@@ -30,8 +27,7 @@ let set_belief t value =
   if t.believes <> value then begin
     t.believes <- value;
     t.transitions <- (now t, value) :: t.transitions;
-    record t (if value then "elected leader of " ^ t.lock else "lost leadership of " ^ t.lock);
-    if value then t.on_elected () else t.on_lost ()
+    record t (if value then "elected leader of " ^ t.lock else "lost leadership of " ^ t.lock)
   end
 
 let step_down t =
@@ -73,17 +69,13 @@ let tick t =
     | _ -> if not t.believes then try_acquire t
   end
 
-let create ~net ~name ~lock ~endpoints ?(ttl = 2_000_000) ?renew_period
-    ?(on_elected = fun () -> ()) ?(on_lost = fun () -> ()) () =
+let create ~net ~name ~lock ~endpoints ?(ttl = 2_000_000) () =
   {
     name;
     lock;
     net;
     client = Client.create ~net ~owner:name ~endpoints ();
     ttl;
-    renew_period = Option.value renew_period ~default:(ttl / 4);
-    on_elected;
-    on_lost;
     running = false;
     lease = None;
     deadline = 0;
@@ -99,7 +91,7 @@ let start t =
       ~on_crash:(fun () -> step_down t)
       ~on_restart:(fun () ->
         Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ());
-    Dsim.Engine.every (engine t) ~period:t.renew_period (fun () ->
+    Dsim.Engine.every (engine t) ~period:(t.ttl / 4) (fun () ->
         tick t;
         t.running)
   end

@@ -22,9 +22,6 @@ val create :
   lock:string ->
   endpoints:string list ->
   ?ttl:int ->
-  ?renew_period:int ->
-  ?on_elected:(unit -> unit) ->
-  ?on_lost:(unit -> unit) ->
   unit ->
   t
 (** [name] is the candidate's network address (used as the lock holder

@@ -243,8 +243,10 @@ let install_commit_listener t =
       Hashtbl.replace t.commit_ids rev id;
       Dsim.Metrics.Counter.incr commits)
 
-let create ~net ~intercept ?(name = "etcd") ?watch_window ?(bookmark_period = 200_000)
-    ?replication () =
+(* Bookmarks every 200 ms of virtual time. *)
+let bookmark_period = 200_000
+
+let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
   let backend =
     match replication with
     | None -> Single (Etcdlike.Kv.create ())

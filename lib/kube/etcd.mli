@@ -35,7 +35,6 @@ val create :
   intercept:Intercept.t ->
   ?name:string ->
   ?watch_window:int ->
-  ?bookmark_period:int ->
   ?replication:replication ->
   unit ->
   t

@@ -7,8 +7,6 @@ type t = {
   on_event : Resource.value History.Event.t -> unit;
   on_reset : unit -> unit;
   monotonic : bool;
-  heartbeat_timeout : int;
-  retry_delay : int;
   mutable endpoint_index : int;
   mutable store : Resource.value History.State.t;
   mutable last_rev : int;
@@ -17,7 +15,6 @@ type t = {
   mutable running : bool;
   mutable watchdog_installed : bool;
   mutable relists : int;
-  mutable rotations : int;
   mutable consecutive_failures : int;
   same_endpoint_retries : int;
   mutable since_seal : int;  (* events received since the last seal *)
@@ -27,8 +24,13 @@ type t = {
 
 let engine t = Dsim.Network.engine t.net
 
+(* A stream silent for 1 s is dead; failed list/watch attempts retry
+   after 300 ms. *)
+let heartbeat_timeout = 1_000_000
+let retry_delay = 300_000
+
 let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset = fun () -> ())
-    ?(monotonic = false) ?(heartbeat_timeout = 1_000_000) ?(retry_delay = 300_000) () =
+    ?(monotonic = false) () =
   if endpoints = [] then invalid_arg "Informer.create: no endpoints";
   {
     net;
@@ -39,8 +41,6 @@ let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset =
     on_event;
     on_reset;
     monotonic;
-    heartbeat_timeout;
-    retry_delay;
     endpoint_index = 0;
     store = History.State.empty;
     last_rev = 0;
@@ -49,7 +49,6 @@ let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset =
     running = false;
     watchdog_installed = false;
     relists = 0;
-    rotations = 0;
     consecutive_failures = 0;
     same_endpoint_retries = 2;
     since_seal = 0;
@@ -77,8 +76,6 @@ let current_endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoi
 
 let relists t = t.relists
 
-let rotations t = t.rotations
-
 let gaps_detected t = t.gaps_detected
 
 let alive t gen = t.running && gen = t.generation && Dsim.Network.is_up t.net t.owner
@@ -104,7 +101,6 @@ let set_tap t tap =
 
 let rotate t =
   t.endpoint_index <- t.endpoint_index + 1;
-  t.rotations <- t.rotations + 1;
   t.consecutive_failures <- 0
 
 (* Transient failures (endpoint still booting, lost packet) retry the same
@@ -208,16 +204,16 @@ and bootstrap t gen =
 
 and retry t gen =
   if alive t gen then
-    ignore (Dsim.Engine.schedule (engine t) ~delay:t.retry_delay (fun () -> bootstrap t gen))
+    ignore (Dsim.Engine.schedule (engine t) ~delay:retry_delay (fun () -> bootstrap t gen))
 
 let install_watchdog t =
   if not t.watchdog_installed then begin
     t.watchdog_installed <- true;
-    Dsim.Engine.every (engine t) ~period:(t.heartbeat_timeout / 2) (fun () ->
+    Dsim.Engine.every (engine t) ~period:(heartbeat_timeout / 2) (fun () ->
         (if
            t.running
            && Dsim.Network.is_up t.net t.owner
-           && Dsim.Engine.now (engine t) - t.last_heartbeat > t.heartbeat_timeout
+           && Dsim.Engine.now (engine t) - t.last_heartbeat > heartbeat_timeout
          then begin
            Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "informer.stream-dead";
            Dsim.Engine.record (engine t) ~actor:t.owner ~kind:"informer.stream-dead"

@@ -30,8 +30,6 @@ val create :
   ?on_event:(Resource.value History.Event.t -> unit) ->
   ?on_reset:(unit -> unit) ->
   ?monotonic:bool ->
-  ?heartbeat_timeout:int ->
-  ?retry_delay:int ->
   unit ->
   t
 (** [on_event] runs after each event is applied to the store; [on_reset]
@@ -70,8 +68,6 @@ val least_rev : int -> int
 val current_endpoint : t -> string
 
 val relists : t -> int
-
-val rotations : t -> int
 
 val gaps_detected : t -> int
 (** Holes exposed by epoch seals (requires the serving apiserver to have

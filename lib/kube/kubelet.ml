@@ -2,7 +2,6 @@ type t = {
   name : string;
   node : string;
   net : Dsim.Network.t;
-  grace_period : int;
   mutable informer : Informer.t option;
   client : Client.t;
   running_pods : (string, unit) Hashtbl.t;  (* containers outlive the kubelet *)
@@ -10,6 +9,9 @@ type t = {
   mutable stops : int;
   make_informer : t -> Informer.t;
 }
+
+(* Delay before a pod marked for deletion is finalized. *)
+let grace_period = 500_000
 
 let name t = t.name
 
@@ -62,7 +64,7 @@ let write_running_status t (p : Resource.pod) mod_rev =
 let finalize_marked t (p : Resource.pod) mod_rev =
   stop_pod t p.Resource.pod_name;
   ignore
-    (Dsim.Engine.schedule (engine t) ~delay:t.grace_period (fun () ->
+    (Dsim.Engine.schedule (engine t) ~delay:grace_period (fun () ->
          if Dsim.Network.is_up t.net t.name then begin
            record t "kubelet.finalize" p.Resource.pod_name;
            Client.txn_ t.client
@@ -124,7 +126,7 @@ let on_reset t =
         (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix);
       List.iter (fun pod -> if not (Hashtbl.mem desired pod) then stop_pod t pod) (running t)
 
-let create ~net ~name ~node ~endpoints ?(monotonic = false) ?(grace_period = 500_000) () =
+let create ~net ~name ~node ~endpoints ?(monotonic = false) () =
   let client = Client.create ~net ~owner:name ~endpoints () in
   let make_informer t =
     Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix
@@ -134,7 +136,6 @@ let create ~net ~name ~node ~endpoints ?(monotonic = false) ?(grace_period = 500
     name;
     node;
     net;
-    grace_period;
     informer = None;
     client;
     running_pods = Hashtbl.create 16;

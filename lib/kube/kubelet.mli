@@ -22,12 +22,11 @@ val create :
   node:string ->
   endpoints:string list ->
   ?monotonic:bool ->
-  ?grace_period:int ->
   unit ->
   t
 (** [node] is the name of the node object this kubelet manages.
-    [monotonic] applies the 59848 fix to its informer. Default grace
-    period before finalizing a marked pod: 500 ms. *)
+    [monotonic] applies the 59848 fix to its informer. A marked pod is
+    finalized after a 500 ms grace period. *)
 
 val start : t -> unit
 

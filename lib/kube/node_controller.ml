@@ -4,13 +4,16 @@ type t = {
   client : Client.t;
   quorum_guard : bool;
   period : int;
-  missing_strikes : int;
   mutable pods_informer : Informer.t option;
   mutable nodes_informer : Informer.t option;
   strikes : (string, int) Hashtbl.t;  (* pod -> consecutive missing-node sightings *)
   mutable reconciles : int;
   mutable eviction_log : (string * string) list;  (* newest first *)
 }
+
+(* A node must be missing for this many consecutive passes before its
+   pods are failed. *)
+let missing_strikes = 3
 
 let name t = t.name
 
@@ -71,7 +74,7 @@ let reconcile t =
                   1 + Option.value (Hashtbl.find_opt t.strikes p.Resource.pod_name) ~default:0
                 in
                 Hashtbl.replace t.strikes p.Resource.pod_name strikes;
-                if strikes >= t.missing_strikes then begin
+                if strikes >= missing_strikes then begin
                   Hashtbl.remove t.strikes p.Resource.pod_name;
                   maybe_fail t p mod_rev node
                 end
@@ -84,8 +87,7 @@ let reconcile t =
   in
   List.iter (Hashtbl.remove t.strikes) stale
 
-let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 200_000)
-    ?(missing_strikes = 3) () =
+let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 200_000) () =
   let t =
     {
       name;
@@ -93,7 +95,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 200_000)
       client = Client.create ~net ~owner:name ~endpoints ();
       quorum_guard;
       period;
-      missing_strikes;
       pods_informer = None;
       nodes_informer = None;
       strikes = Hashtbl.create 16;

@@ -20,10 +20,9 @@ val create :
   endpoints:string list ->
   ?quorum_guard:bool ->
   ?period:int ->
-  ?missing_strikes:int ->
   unit ->
   t
-(** Defaults: no quorum guard, reconcile every 200 ms, a node must be
+(** Defaults: no quorum guard, reconcile every 200 ms. A node must be
     missing for 3 consecutive passes before its pods are failed. *)
 
 val start : t -> unit

@@ -15,7 +15,6 @@ type t = {
   delivered : Dsim.Metrics.Counter.t;
   mutable closed : bool;
   mutable last_due : int;  (* FIFO frontier: delivery time of the previous item *)
-  mutable in_flight : int;
 }
 
 let create ~net ~intercept ~edge ~deliver () =
@@ -32,7 +31,6 @@ let create ~net ~intercept ~edge ~deliver () =
     delivered = Dsim.Metrics.Counter.resolve metrics "pipe.delivered";
     closed = false;
     last_due = 0;
-    in_flight = 0;
   }
 
 let edge t = t.edge
@@ -41,7 +39,6 @@ let close t = t.closed <- true
 
 let is_closed t = t.closed
 
-let in_flight t = t.in_flight
 
 let deliverable t =
   (not t.closed)
@@ -51,7 +48,6 @@ let deliverable t =
 
 let arrive t ~sent item =
   let engine = Dsim.Network.engine t.net in
-  t.in_flight <- t.in_flight - 1;
   Dsim.Metrics.Gauge.add t.inflight (-1.0);
   if deliverable t then begin
     Dsim.Metrics.Histogram.observe t.latency (float_of_int (Dsim.Engine.now engine - sent));
@@ -81,7 +77,6 @@ let enqueue t ~extra item =
   let sent = Dsim.Engine.now engine in
   let due = max (sent + Dsim.Network.sample_latency t.net + extra) t.last_due in
   t.last_due <- due;
-  t.in_flight <- t.in_flight + 1;
   Dsim.Metrics.Gauge.add t.inflight 1.0;
   ignore (Dsim.Engine.schedule_at engine ~time:due (fun () -> arrive t ~sent item))
 

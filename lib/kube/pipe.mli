@@ -51,6 +51,3 @@ val is_closed : t -> bool
 (** True after {!close} or after a delivery was blocked by a partition,
     crash or subscriber restart — any blocked delivery breaks the whole
     stream, as a TCP reset would. *)
-
-val in_flight : t -> int
-(** Items sent but not yet delivered or dropped. *)

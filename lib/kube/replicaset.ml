@@ -5,7 +5,6 @@ type t = {
   net : Dsim.Network.t;
   client : Client.t;
   expectations : bool;
-  expectation_timeout : int;
   period : int;
   mutable rsets_informer : Informer.t option;
   mutable pods_informer : Informer.t option;
@@ -16,6 +15,9 @@ type t = {
   mutable creates : int;
   mutable deletes : int;
 }
+
+(* An unobserved creation stops counting toward expectations after 2 s. *)
+let expectation_timeout = 2_000_000
 
 let name t = t.name
 
@@ -73,7 +75,7 @@ let create_pod t rs =
   record t "rsctl.create" pod_name;
   if t.expectations then begin
     let now = Dsim.Engine.now (engine t) in
-    let entry = { pod = pod_name; deadline = now + t.expectation_timeout } in
+    let entry = { pod = pod_name; deadline = now + expectation_timeout } in
     Hashtbl.replace t.pending rs (entry :: Option.value (Hashtbl.find_opt t.pending rs) ~default:[])
   end;
   Client.txn_ t.client
@@ -161,15 +163,13 @@ let reconcile t =
     (History.State.keys_with_prefix rsets ~prefix:Resource.rsets_prefix);
   gc_orphan_pods t
 
-let create ~net ~name ~endpoints ?(expectations = false) ?(expectation_timeout = 2_000_000)
-    ?(period = 150_000) () =
+let create ~net ~name ~endpoints ?(expectations = false) ?(period = 150_000) () =
   let t =
     {
       name;
       net;
       client = Client.create ~net ~owner:name ~endpoints ();
       expectations;
-      expectation_timeout;
       period;
       rsets_informer = None;
       pods_informer = None;

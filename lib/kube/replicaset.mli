@@ -22,12 +22,11 @@ val create :
   name:string ->
   endpoints:string list ->
   ?expectations:bool ->
-  ?expectation_timeout:int ->
   ?period:int ->
   unit ->
   t
-(** Defaults: no expectations (the bug-era behaviour), expectation
-    timeout 2 s, reconcile every 150 ms. *)
+(** Defaults: no expectations (the bug-era behaviour), reconcile every
+    150 ms. Expectations time out after 2 s. *)
 
 val start : t -> unit
 

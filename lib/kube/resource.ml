@@ -105,31 +105,3 @@ let make_lock ~holder lock_name = Lock { lock_name; holder }
 
 let make_deployment ~replicas ~template dep_name =
   Deployment { dep_name; dep_replicas = replicas; template }
-
-let as_pod = function
-  | Pod p -> Some p
-  | Node _ | Pvc _ | Cassdc _ | Rset _ | Lock _ | Deployment _ -> None
-
-let as_node = function
-  | Node n -> Some n
-  | Pod _ | Pvc _ | Cassdc _ | Rset _ | Lock _ | Deployment _ -> None
-
-let as_pvc = function
-  | Pvc c -> Some c
-  | Pod _ | Node _ | Cassdc _ | Rset _ | Lock _ | Deployment _ -> None
-
-let as_cassdc = function
-  | Cassdc d -> Some d
-  | Pod _ | Node _ | Pvc _ | Rset _ | Lock _ | Deployment _ -> None
-
-let as_rset = function
-  | Rset r -> Some r
-  | Pod _ | Node _ | Pvc _ | Cassdc _ | Lock _ | Deployment _ -> None
-
-let as_lock = function
-  | Lock l -> Some l
-  | Pod _ | Node _ | Pvc _ | Cassdc _ | Rset _ | Deployment _ -> None
-
-let as_deployment = function
-  | Deployment d -> Some d
-  | Pod _ | Node _ | Pvc _ | Cassdc _ | Rset _ | Lock _ -> None

@@ -8,8 +8,6 @@
 
 type pod_phase = Pending | Running | Succeeded | Failed
 
-val pp_pod_phase : Format.formatter -> pod_phase -> unit
-
 type pod = {
   pod_name : string;
   node : string option;  (** binding; [None] while unscheduled *)
@@ -70,7 +68,6 @@ val nodes_prefix : string
 val pvcs_prefix : string
 val cassdcs_prefix : string
 val rsets_prefix : string
-val locks_prefix : string
 val deployments_prefix : string
 
 val kind_of_key :
@@ -102,11 +99,3 @@ val make_rset : replicas:int -> string -> value
 val make_lock : holder:string -> string -> value
 
 val make_deployment : replicas:int -> template:int -> string -> value
-
-val as_pod : value -> pod option
-val as_node : value -> node option
-val as_pvc : value -> pvc option
-val as_cassdc : value -> cassdc option
-val as_rset : value -> rset option
-val as_lock : value -> lock option
-val as_deployment : value -> deployment option

@@ -40,10 +40,6 @@ val set_cassdc_replicas : Cluster.t -> string -> int -> unit
 val set_rset_replicas : Cluster.t -> string -> int -> unit
 (** Creates or updates a ReplicaSet spec. *)
 
-val set_deployment : Cluster.t -> string -> replicas:int -> template:int -> unit
-(** Creates or updates a Deployment spec (bumping [template] triggers a
-    rolling update). *)
-
 (** {2 Workload generators} *)
 
 val pod_churn : ?start:int -> ?spacing:int -> ?lifetime:int -> n:int -> unit -> t

@@ -2,11 +2,6 @@ type entry = { term : int; command : string option }
 
 type role = Follower | Candidate | Leader
 
-let role_to_string = function
-  | Follower -> "follower"
-  | Candidate -> "candidate"
-  | Leader -> "leader"
-
 type Dsim.Network.request +=
   | Request_vote of {
       term : int;
@@ -16,7 +11,6 @@ type Dsim.Network.request +=
     }
   | Append_entries of {
       term : int;
-      leader : string;
       prev_log_index : int;
       prev_log_term : int;
       entries : entry list;
@@ -44,7 +38,6 @@ type t = {
   mutable role : role;
   mutable commit_index : int;
   mutable last_applied : int;
-  mutable leader_hint : string option;
   mutable election_deadline : int;
   mutable votes : string list;
   next_index : (string, int) Hashtbl.t;
@@ -53,21 +46,11 @@ type t = {
 
 let id t = t.id
 
-let role t = t.role
-
 let term t = t.current_term
 
 let is_leader t = t.role = Leader
 
-let leader_hint t = t.leader_hint
-
 let log_length t = Array.length t.log
-
-let commit_index t = t.commit_index
-
-let last_applied t = t.last_applied
-
-let log_entries t = Array.to_list t.log
 
 let engine t = Dsim.Network.engine t.net
 
@@ -143,7 +126,6 @@ let send_append t peer =
     Append_entries
       {
         term = t.current_term;
-        leader = t.id;
         prev_log_index;
         prev_log_term = term_at t prev_log_index;
         entries = entries_from t next;
@@ -172,7 +154,6 @@ let broadcast_appends t = List.iter (send_append t) t.peers
 
 let become_leader t =
   t.role <- Leader;
-  t.leader_hint <- Some t.id;
   record t (Printf.sprintf "-> LEADER (term %d, log %d)" t.current_term (last_log_index t));
   List.iter
     (fun peer ->
@@ -251,13 +232,12 @@ let truncate_and_append t ~prev_log_index entries =
       else t.log <- Array.append t.log [| entry |])
     entries
 
-let handle_append_entries t ~term ~leader ~prev_log_index ~prev_log_term ~entries ~leader_commit
+let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leader_commit
     reply =
   if term < t.current_term then
     reply (Append_reply { term = t.current_term; success = false; match_index = 0 })
   else begin
     become_follower t term;
-    t.leader_hint <- Some leader;
     let log_ok =
       prev_log_index = 0
       || (prev_log_index <= Array.length t.log && term_at t prev_log_index = prev_log_term)
@@ -279,8 +259,8 @@ let serve t ~src:_ request reply =
   match request with
   | Request_vote { term; candidate; last_log_index; last_log_term } ->
       handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term reply
-  | Append_entries { term; leader; prev_log_index; prev_log_term; entries; leader_commit } ->
-      handle_append_entries t ~term ~leader ~prev_log_index ~prev_log_term ~entries
+  | Append_entries { term; prev_log_index; prev_log_term; entries; leader_commit } ->
+      handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries
         ~leader_commit reply
   | _ -> ()
 
@@ -312,7 +292,6 @@ let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min =
     role = Follower;
     commit_index = 0;
     last_applied = 0;
-    leader_hint = None;
     election_deadline = 0;
     votes = [];
     next_index = Hashtbl.create 8;
@@ -327,8 +306,7 @@ let start t =
          trackers are volatile. The applied index also survives: the state
          machine is persisted alongside the log in this model. *)
       t.role <- Follower;
-      t.votes <- [];
-      t.leader_hint <- None)
+      t.votes <- [])
     ~on_restart:(fun () ->
       Dsim.Network.register t.net t.id ~serve:(serve t) ();
       reset_election_deadline t);

@@ -30,8 +30,6 @@ type entry = { term : int; command : string option }
 
 type role = Follower | Candidate | Leader
 
-val role_to_string : role -> string
-
 type t
 
 val create :
@@ -54,15 +52,9 @@ val start : t -> unit
 
 val id : t -> string
 
-val role : t -> role
-
 val term : t -> int
 
 val is_leader : t -> bool
-
-val leader_hint : t -> string option
-(** Where this node believes the leader is (from the last valid
-    AppendEntries). *)
 
 val propose : t -> string -> bool
 (** Appends a command to the local log if this node currently believes it
@@ -70,10 +62,3 @@ val propose : t -> string -> bool
     Commitment is asynchronous — watch [on_apply]. *)
 
 val log_length : t -> int
-
-val commit_index : t -> int
-
-val last_applied : t -> int
-
-val log_entries : t -> entry list
-(** Oldest first (for invariant checks in tests). *)

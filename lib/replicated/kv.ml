@@ -1,13 +1,6 @@
 type read_mode = Leader | Follower of string | Spread
 
-let read_mode_to_string = function
-  | Leader -> "leader"
-  | Follower id -> "follower:" ^ id
-  | Spread -> "spread"
-
 type fallback = [ `Stale | `Reject ]
-
-let fallback_to_string = function `Stale -> "stale" | `Reject -> "reject"
 
 type 'v replica = {
   r_id : string;
@@ -33,9 +26,6 @@ type 'v t = {
   read_mode : read_mode;
   fallback : fallback;
   watch_window : int option;
-  retry_period : int;
-  retry_grace : int;
-  deadline : int;
   (* The canonical committed history (H, S): the frontier of first
      applies. Every replica applies the same dense revision sequence;
      whichever replica reaches a revision first carries it into the
@@ -98,11 +88,6 @@ let watch_replica t id ?prefix ~start_rev ~deliver () =
       match Etcdlike.Watch.watch hub ?prefix ~start_rev ~deliver () with
       | Ok handle -> Ok handle
       | Error (`Compacted rev) -> Error (`Compacted rev))
-
-let cancel_replica_watch t id handle =
-  match Hashtbl.find_opt t.hubs id with
-  | Some hub -> Etcdlike.Watch.cancel hub handle
-  | None -> ()
 
 let rev t = t.canonical_rev
 
@@ -265,9 +250,14 @@ let get t ~src key =
 let since t ~src ~rev =
   Option.map (fun r -> Etcdlike.Kv.since r.store ~rev) (serving_replica_for t ~src)
 
+(* The retry timer ticks every 100 ms; a proposal unanswered for 300 ms
+   is re-proposed, and one pending for 2 s fails as an outage. *)
+let retry_period = 100_000
+let retry_grace = 300_000
+let deadline = 2_000_000
+
 let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?watch_window
-    ?heartbeat_period ?election_timeout_min ?election_timeout_max ?(favor_first = true)
-    ?(retry_period = 100_000) ?(retry_grace = 300_000) ?(deadline = 2_000_000) () =
+    ?heartbeat_period ?election_timeout_min ?election_timeout_max () =
   let names = List.init n (fun i -> Printf.sprintf "%s-%d" prefix (i + 1)) in
   let replicas =
     Array.of_list
@@ -279,7 +269,7 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
   let by_id = Hashtbl.create 8 in
   List.iteri (fun ix id -> Hashtbl.replace by_id id ix) names;
   let t_ref = ref None in
-  let favored = if favor_first && n > 1 then Some (List.hd names) else None in
+  let favored = if n > 1 then Some (List.hd names) else None in
   let group =
     Raftlite.Group.create ~net ~n ~prefix ?heartbeat_period ?election_timeout_min
       ?election_timeout_max ?favored
@@ -297,9 +287,6 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
       read_mode = read;
       fallback;
       watch_window;
-      retry_period;
-      retry_grace;
-      deadline;
       canonical_rev = 0;
       canonical_ix = 0;
       canonical_listeners = [||];
@@ -318,13 +305,13 @@ let start t =
      leader is re-submitted to the current one; the per-replica pid
      dedup makes the retry idempotent. Proposals nothing commits within
      the deadline fail over to the caller as an outage. *)
-  Dsim.Engine.every (engine t) ~period:t.retry_period (fun () ->
+  Dsim.Engine.every (engine t) ~period:retry_period (fun () ->
       let now = Dsim.Engine.now (engine t) in
       let expired = ref [] and to_retry = ref [] in
       Hashtbl.iter
         (fun pid (p : _ pending) ->
-          if now - p.submitted_at > t.deadline then expired := pid :: !expired
-          else if now - p.last_attempt >= t.retry_grace then to_retry := (pid, p) :: !to_retry)
+          if now - p.submitted_at > deadline then expired := pid :: !expired
+          else if now - p.last_attempt >= retry_grace then to_retry := (pid, p) :: !to_retry)
         t.pending;
       (* Proposing can apply synchronously (single-node groups commit
          immediately) and mutate [pending]; do it outside the iteration,

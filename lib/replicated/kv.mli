@@ -32,14 +32,10 @@ type read_mode =
   | Follower of string  (** always from the named replica *)
   | Spread  (** sticky per-source pick across all replicas *)
 
-val read_mode_to_string : read_mode -> string
-
 type fallback = [ `Stale | `Reject ]
 (** What a read pinned to a {e crashed} replica does: [`Stale] silently
     falls over to the lowest-numbered live replica; [`Reject] surfaces
     the outage to the client. *)
-
-val fallback_to_string : fallback -> string
 
 type 'v t
 
@@ -53,18 +49,13 @@ val create :
   ?heartbeat_period:int ->
   ?election_timeout_min:int ->
   ?election_timeout_max:int ->
-  ?favor_first:bool ->
-  ?retry_period:int ->
-  ?retry_grace:int ->
-  ?deadline:int ->
   unit ->
   'v t
 (** [n] replicas named [<prefix>-1 .. <prefix>-n] (default prefix
     ["etcd"], so the addresses line up with the fault surface existing
-    strategies target). [favor_first] (default true, effective for
-    [n > 1]) makes [<prefix>-1] the deterministic first leader.
-    Proposals are retried every [retry_grace] (default 300 ms) and fail
-    with [`Unavailable] after [deadline] (default 2 s). *)
+    strategies target). For [n > 1], [<prefix>-1] is the deterministic
+    first leader. Proposals are retried after 300 ms and fail with
+    [`Unavailable] after 2 s. *)
 
 val start : 'v t -> unit
 (** Starts the Raft group and the proposal retry/expiry timer. *)
@@ -145,10 +136,6 @@ val on_replica_commit : 'v t -> string -> ('v History.Event.t -> unit) -> unit
     first use. Streams registered here see exactly what the replica has
     applied: a lagging follower's watchers lag with it. *)
 
-val watch_hub : 'v t -> string -> 'v Etcdlike.Watch.t option
-(** The named replica's hub (created on first call); [None] for an
-    unknown replica id. *)
-
 val watch_replica :
   'v t ->
   string ->
@@ -160,8 +147,6 @@ val watch_replica :
 (** Register on the named replica's hub: backlog after [start_rev] from
     its applied store, then live applies, prefix-routed through the
     shared dispatch index. *)
-
-val cancel_replica_watch : 'v t -> string -> Etcdlike.Watch.handle -> unit
 
 val serving_replica : 'v t -> src:string -> string option
 (** Which replica a read from [src] lands on right now; [None] when the

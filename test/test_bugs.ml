@@ -69,7 +69,7 @@ let crashtuner_targets_meta_info () =
       (300, "nodes/n", History.Event.Delete);
     ]
   in
-  let strategies = Sieve.Baselines.crashtuner ~events ~components:[ "x" ] () in
+  let strategies = Sieve.Baselines.crashtuner ~events ~components:[ "x" ] in
   (* Only the pod and node events are meta-info: 2 candidates. *)
   Alcotest.(check int) "two candidates" 2 (List.length strategies);
   List.iter
@@ -83,7 +83,7 @@ let crashtuner_targets_meta_info () =
 let cofi_partitions_links () =
   let events = [ (100, "pods/a", History.Event.Create) ] in
   let strategies =
-    Sieve.Baselines.cofi ~events ~components:[ "c1"; "c2" ] ~apiservers:[ "api-1"; "api-2" ] ()
+    Sieve.Baselines.cofi ~events ~components:[ "c1"; "c2" ] ~apiservers:[ "api-1"; "api-2" ]
   in
   (* links: 2 components x 2 apiservers + 2 etcd links = 6. *)
   Alcotest.(check int) "six links" 6 (List.length strategies);

@@ -61,8 +61,7 @@ let planner_covers_everything () =
   List.iter
     (fun plan -> Sieve.Coverage.note c plan.Sieve.Planner.strategy)
     (Sieve.Planner.candidates ~config:Kube.Cluster.default_config ~events ~horizon:1_000_000 ());
-  Alcotest.(check (float 0.001)) "full coverage" 1.0 (Sieve.Coverage.ratio c);
-  Alcotest.(check int) "no uncovered cells" 0 (List.length (Sieve.Coverage.uncovered c))
+  Alcotest.(check (float 0.001)) "full coverage" 1.0 (Sieve.Coverage.ratio c)
 
 let baselines_cannot_touch_gap_cells () =
   let c = space () in
@@ -71,8 +70,8 @@ let baselines_cannot_touch_gap_cells () =
       (Sieve.Planner.targets_of_config Kube.Cluster.default_config)
   in
   List.iter (Sieve.Coverage.note c)
-    (Sieve.Baselines.crashtuner ~events ~components ()
-    @ Sieve.Baselines.cofi ~events ~components ~apiservers:[ "api-1"; "api-2" ] ()
+    (Sieve.Baselines.crashtuner ~events ~components
+    @ Sieve.Baselines.cofi ~events ~components ~apiservers:[ "api-1"; "api-2" ]
     @ Sieve.Baselines.random_faults ~seed:1L ~components ~apiservers:[ "api-1"; "api-2" ]
         ~horizon:1_000_000 ~n:50);
   match List.assoc_opt `Obs_gap (List.map (fun (p, d, t) -> (p, (d, t))) (Sieve.Coverage.by_pattern c)) with
@@ -92,7 +91,7 @@ let fresh_never_increases_after_mark () =
     List.map
       (fun plan -> plan.Sieve.Planner.strategy)
       (Sieve.Planner.candidates ~config ~events ~horizon:1_000_000 ())
-    @ Sieve.Baselines.cofi ~events ~components ~apiservers ()
+    @ Sieve.Baselines.cofi ~events ~components ~apiservers
     @ Sieve.Baselines.random_faults ~seed:3L ~components ~apiservers ~horizon:1_000_000 ~n:20
   in
   let footprints = Array.of_list (List.map (Sieve.Coverage.footprint c) strategies) in

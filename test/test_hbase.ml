@@ -227,7 +227,7 @@ let run_zk_program ~regime ops =
     Conformance.Monitor.create ~track_divergence:false ~on_violation:(fun _ -> ()) ()
   in
   Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk) (Conformance.Monitor.note_commit monitor);
-  let stream = Hbaselike.Zk.follower zk ^ "<-" ^ Hbaselike.Zk.leader zk in
+  let stream = Hbaselike.Zk.follower_name ^ "<-" ^ Hbaselike.Zk.leader_name in
   Hbaselike.Zk.on_follower_apply zk (fun e ->
       Conformance.Monitor.observe_event monitor ~stream e);
   Hbaselike.Zk.on_follower_resync zk (fun rev ->
@@ -314,7 +314,7 @@ let run_zk_program ~regime ops =
     && Hbaselike.Zk.follower_caught_up_to zk = Conformance.Model.rev !model
   in
   Conformance.Monitor.check_state monitor
-    ~subject:(Hbaselike.Zk.follower zk)
+    ~subject:(Hbaselike.Zk.follower_name)
     ~rev:(Hbaselike.Zk.follower_caught_up_to zk)
     (Hbaselike.Zk.observed_state zk);
   let silent = Conformance.Monitor.violations monitor = [] in

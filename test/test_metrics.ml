@@ -57,9 +57,10 @@ let histogram_growth () =
 
 let gauges_set_and_add () =
   let m = Dsim.Metrics.create () in
-  Dsim.Metrics.set_gauge m "depth" 4.0;
-  Dsim.Metrics.add_gauge m "depth" (-1.0);
-  Dsim.Metrics.add_gauge m "other" 2.5;
+  let depth = Dsim.Metrics.Gauge.resolve m "depth" in
+  Dsim.Metrics.Gauge.set depth 4.0;
+  Dsim.Metrics.Gauge.add depth (-1.0);
+  Dsim.Metrics.Gauge.add (Dsim.Metrics.Gauge.resolve m "other") 2.5;
   Alcotest.(check (float 0.0)) "set+add" 3.0 (Dsim.Metrics.gauge m "depth");
   Alcotest.(check (float 0.0)) "missing=0" 0.0 (Dsim.Metrics.gauge m "nope");
   Alcotest.(check (list (pair string (float 0.0)))) "sorted listing"
@@ -79,7 +80,7 @@ let series_chronological () =
 let json_snapshot_parses () =
   let m = Dsim.Metrics.create () in
   Dsim.Metrics.incr m "commits";
-  Dsim.Metrics.set_gauge m "lag.api-1" 7.0;
+  Dsim.Metrics.Gauge.set (Dsim.Metrics.Gauge.resolve m "lag.api-1") 7.0;
   List.iter (Dsim.Metrics.observe m "latency") [ 500.0; 1200.0 ];
   Dsim.Metrics.sample m "lag.api-1" ~time:100_000 7.0;
   match Dsim.Json.parse (Dsim.Json.to_string (Dsim.Metrics.to_json m)) with

@@ -162,12 +162,6 @@ let latency_models_sample_in_range () =
       (Dsim.Network.sample_latency net >= 50)
   done
 
-let addresses_sorted () =
-  let _, net = make () in
-  List.iter (fun n -> Dsim.Network.register net n ~serve:(fun ~src:_ _ _ -> ()) ())
-    [ "zeta"; "alpha"; "mid" ];
-  Alcotest.(check (list string)) "sorted" [ "alpha"; "mid"; "zeta" ] (Dsim.Network.addresses net)
-
 let suites =
   [
     ( "network",
@@ -187,6 +181,5 @@ let suites =
         Alcotest.test_case "partition is symmetric" `Quick partition_is_symmetric;
         Alcotest.test_case "latency models sample in range" `Quick
           latency_models_sample_in_range;
-        Alcotest.test_case "addresses sorted" `Quick addresses_sorted;
       ] );
   ]

@@ -106,6 +106,38 @@ let planner_matches_fixture () =
   Alcotest.(check int) "15 cases x plain/causal" 30 (List.length expected);
   List.iter2 (fun e a -> Alcotest.(check string) "planner digest" e a) expected actual
 
+(* Baseline candidates: for every case, CrashTuner, CoFI and 400 seeded
+   random plans over the case's own fault targets, taken the way the CLI
+   takes them. One line per (case, baseline): "<id> <baseline> <count>
+   <md5>", the md5 over each strategy's description. *)
+let baselines_lines () =
+  let digest strategies =
+    Printf.sprintf "%d %s" (List.length strategies)
+      (Digest.to_hex (Digest.string (String.concat "\n" (List.map Sieve.Strategy.describe strategies))))
+  in
+  List.concat_map
+    (fun (case : Sieve.Bugs.case) ->
+      let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
+      let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
+      let line name strategies = Printf.sprintf "%s %s %s" case.Sieve.Bugs.id name (digest strategies) in
+      [
+        line "crashtuner" (Sieve.Baselines.crashtuner ~events ~components);
+        line "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers);
+        line "random"
+          (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
+             ~horizon:case.Sieve.Bugs.horizon ~n:400);
+      ])
+    (cases ())
+
+let baselines_fixture = Filename.concat "fixtures" "baselines.digests"
+
+let baselines_match_fixture () =
+  let expected = read_lines baselines_fixture in
+  Alcotest.(check int) "15 cases x 3 baselines" 45 (List.length expected);
+  List.iter2
+    (fun e a -> Alcotest.(check string) "baseline digest" e a)
+    expected (baselines_lines ())
+
 let suites =
   [
     ( "observable",
@@ -114,5 +146,7 @@ let suites =
           digests_match_fixture;
         Alcotest.test_case "planner candidates and rationales match the fixture" `Quick
           planner_matches_fixture;
+        Alcotest.test_case "baseline candidates match the fixture" `Quick
+          baselines_match_fixture;
       ] );
   ]

@@ -342,7 +342,7 @@ module Full_hbase = struct
                 (if cas_failures > cas0 then Sieve.Oracle.Region_cas_wedged { region; server }
                  else Sieve.Oracle.Region_stale_assign { region; server })
         | Some _ | None -> Hashtbl.remove t.stale_streak region)
-      (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
+      Hbaselike.Cluster.regions
 
   (* Several *live* region servers serving one region, sustained across
      [double_confirmations] checks: a one-shot watch notification lost (or
@@ -372,7 +372,7 @@ module Full_hbase = struct
                  { region; servers = List.sort String.compare servers })
         end
         else Hashtbl.remove t.double_streak region)
-      (Hbaselike.Cluster.config t.cluster).Hbaselike.Cluster.regions
+      Hbaselike.Cluster.regions
 
   let attach cluster =
     let t =

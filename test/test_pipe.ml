@@ -92,14 +92,6 @@ let close_stops_sends () =
   Dsim.Engine.run engine;
   Alcotest.(check int) "no delivery" 0 (List.length !received)
 
-let in_flight_counts () =
-  let engine, _, _, pipe, _ = setup () in
-  Kube.Pipe.send pipe (Kube.Pipe.Event (ev 1 "k"));
-  Kube.Pipe.send pipe (Kube.Pipe.Event (ev 2 "k"));
-  Alcotest.(check int) "two queued" 2 (Kube.Pipe.in_flight pipe);
-  Dsim.Engine.run engine;
-  Alcotest.(check int) "drained" 0 (Kube.Pipe.in_flight pipe)
-
 let suites =
   [
     ( "pipe",
@@ -113,6 +105,5 @@ let suites =
         Alcotest.test_case "subscriber restart breaks stream" `Quick
           subscriber_restart_breaks_stream;
         Alcotest.test_case "close stops sends" `Quick close_stops_sends;
-        Alcotest.test_case "in_flight counts" `Quick in_flight_counts;
       ] );
   ]

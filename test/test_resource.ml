@@ -51,17 +51,6 @@ let pod_constructor_options () =
       Alcotest.(check (option int)) "ordinal" (Some 3) p.Kube.Resource.ordinal
   | _ -> Alcotest.fail "expected pod"
 
-let accessors_filter_kinds () =
-  let pod = Kube.Resource.make_pod "p" in
-  let node = Kube.Resource.make_node "n" in
-  Alcotest.(check bool) "as_pod pod" true (Kube.Resource.as_pod pod <> None);
-  Alcotest.(check bool) "as_pod node" true (Kube.Resource.as_pod node = None);
-  Alcotest.(check bool) "as_node node" true (Kube.Resource.as_node node <> None);
-  Alcotest.(check bool) "as_pvc pvc" true
-    (Kube.Resource.as_pvc (Kube.Resource.make_pvc "c") <> None);
-  Alcotest.(check bool) "as_cassdc dc" true
-    (Kube.Resource.as_cassdc (Kube.Resource.make_cassdc ~replicas:3 "d") <> None)
-
 let printing_is_total () =
   let values =
     [
@@ -83,7 +72,6 @@ let suites =
         Alcotest.test_case "name extraction" `Quick name_extraction;
         Alcotest.test_case "pod constructor defaults" `Quick pod_constructor_defaults;
         Alcotest.test_case "pod constructor options" `Quick pod_constructor_options;
-        Alcotest.test_case "accessors filter kinds" `Quick accessors_filter_kinds;
         Alcotest.test_case "printing is total" `Quick printing_is_total;
       ] );
   ]

@@ -81,13 +81,6 @@ let qcheck_float_in_bounds =
       let v = Dsim.Rng.float rng bound in
       v >= 0.0 && v < bound)
 
-let qcheck_pick_member =
-  QCheck.Test.make ~name:"pick returns a member" ~count:200
-    QCheck.(pair int64 (list_of_size Gen.(1 -- 20) small_int))
-    (fun (seed, l) ->
-      let rng = Dsim.Rng.create seed in
-      List.mem (Dsim.Rng.pick_list rng l) l)
-
 let suites =
   [
     ( "rng",
@@ -104,6 +97,5 @@ let suites =
         Alcotest.test_case "exponential mean" `Slow exponential_mean;
         Qcheck_util.to_alcotest qcheck_int_in_bounds;
         Qcheck_util.to_alcotest qcheck_float_in_bounds;
-        Qcheck_util.to_alcotest qcheck_pick_member;
       ] );
   ]

@@ -72,6 +72,20 @@ let delays_do_not_trip_seals () =
   Alcotest.(check int) "no gaps reported under pure delay" 0
     (Kube.Informer.gaps_detected (Kube.Kubelet.informer kubelet_1))
 
+(* A seal every 0 or fewer revisions has no meaning: the apiserver
+   refuses it up front instead of dividing by zero on the first commit. *)
+let non_positive_granularity_rejected () =
+  let net = Dsim.Network.create (Dsim.Engine.create ()) in
+  let intercept = Kube.Intercept.create () in
+  List.iter
+    (fun g ->
+      Alcotest.check_raises
+        (Printf.sprintf "epoch_seal %d" g)
+        (Invalid_argument "Apiserver.create: epoch_seal must be positive")
+        (fun () ->
+          ignore (Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" ~epoch_seal:g ())))
+    [ 0; -2 ]
+
 let suites =
   [
     ( "seals",
@@ -84,5 +98,7 @@ let suites =
         Alcotest.test_case "no false positives in calm runs" `Quick
           no_false_positives_in_calm_runs;
         Alcotest.test_case "delays do not trip seals" `Quick delays_do_not_trip_seals;
+        Alcotest.test_case "non-positive granularity rejected" `Quick
+          non_positive_granularity_rejected;
       ] );
   ]
