@@ -629,12 +629,12 @@ let perf_read_offload () =
     let readers = 8 in
     for r = 1 to readers do
       let name = Printf.sprintf "reader-%d" r in
-      Dsim.Network.register net name ~serve:(fun ~src:_ _ _ -> ()) ();
+      Dsim.Network.join net name;
       let api = Printf.sprintf "api-%d" (1 + (r mod 2)) in
       Dsim.Engine.every engine ~period:(ms 20) (fun () ->
           let t0 = Dsim.Engine.now engine in
-          Dsim.Network.call net ~src:name ~dst:api
-            (Kube.Messages.Api_list { prefix = "pods/"; quorum })
+          Kube.Messages.Store.call net ~src:name ~dst:api
+            (Kube.Messages.List { prefix = "pods/"; quorum })
             (fun _ ->
               incr reads;
               latencies := float_of_int (Dsim.Engine.now engine - t0) :: !latencies);
@@ -687,29 +687,22 @@ let perf_hbase_cas () =
         Kube.Workload.create_pod ~node:"node-1" cluster "region";
         Kube.Workload.delete_pod_now cluster "region";
         true);
-    Dsim.Network.register net "cas-client" ~serve:(fun ~src:_ _ _ -> ()) ();
+    Dsim.Network.join net "cas-client";
+    let call request k = Kube.Messages.Store.call net ~src:"cas-client" ~dst:"api-1" request k in
     let attempts = ref 0 and successes = ref 0 in
     let etcd = Kube.Cluster.etcd cluster in
     Dsim.Engine.every engine ~period:(ms 60) (fun () ->
-        Dsim.Network.call net ~src:"cas-client" ~dst:"api-1"
-          (Kube.Messages.Api_get { key = "pods/region"; quorum = quorum_read })
-          (function
-            | Ok (Kube.Messages.Value { value = Some (_, mod_rev); _ }) ->
-                incr attempts;
-                Dsim.Network.call net ~src:"cas-client" ~dst:"api-1"
-                  (Kube.Messages.Api_txn
-                     {
-                       txn =
-                         Etcdlike.Txn.put_if_unchanged ~key:"pods/region"
-                           ~expected_mod_rev:mod_rev
-                           (Kube.Resource.make_pod ~node:"node-1" "region");
-                       origin = "cas-client";
-                       lease = None;
-                     })
-                  (function
-                    | Ok (Kube.Messages.Txn_result { succeeded = true; _ }) -> incr successes
-                    | _ -> ())
-            | _ -> ());
+        call (Kube.Messages.Get { key = "pods/region"; quorum = quorum_read }) (function
+          | Ok (Ok (Some (_, mod_rev))) ->
+              incr attempts;
+              let txn =
+                Etcdlike.Txn.put_if_unchanged ~key:"pods/region" ~expected_mod_rev:mod_rev
+                  (Kube.Resource.make_pod ~node:"node-1" "region")
+              in
+              call (Kube.Messages.Txn { txn; origin = "cas-client"; lease = None }) (function
+                | Ok (Ok { succeeded; _ }) -> if succeeded then incr successes
+                | Ok (Error `Unavailable) | Error _ -> ())
+          | Ok (Ok None | Error `Unavailable) | Error _ -> ());
         true);
     let etcd_before = Kube.Etcd.requests_served etcd in
     Kube.Cluster.run cluster ~until:(sec 10);

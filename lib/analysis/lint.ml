@@ -189,16 +189,15 @@ let zk_watch_findings ~file (r : Taint.result) =
             body_has Taint.is_zk_read body
             || body_has (fun p -> List.mem (Taint.last_of p) [ "get_quorum"; "list_quorum" ]) body
           in
-          if reregisters && rereads then None
-          else
-            let missing =
-              match (reregisters, rereads) with
-              | false, false -> "re-register the watch and re-read the key"
-              | false, true -> "re-register the watch (one fire consumed it)"
-              | true, false -> "re-read the key (events between fire and re-register are lost)"
-              | true, true -> assert false
-            in
-            Some
+          let missing =
+            match (reregisters, rereads) with
+            | true, true -> None
+            | false, false -> Some "re-register the watch and re-read the key"
+            | false, true -> Some "re-register the watch (one fire consumed it)"
+            | true, false -> Some "re-read the key (events between fire and re-register are lost)"
+          in
+          Option.map
+            (fun missing ->
               {
                 rule = "zk-one-shot-watch";
                 pattern = `Obs_gap;
@@ -234,6 +233,7 @@ let zk_watch_findings ~file (r : Taint.result) =
                     missing_guard = missing ^ " inside the handler";
                   };
               })
+            missing)
     r.Taint.watches
 
 let stale_resync_findings ~file (r : Taint.result) =

@@ -26,7 +26,7 @@ let generate_history rng ?(keys = pod_keys) ~events () =
       ignore (Etcdlike.Kv.put kv key (Printf.sprintf "v%d" !counter))
     end
   done;
-  match Etcdlike.Kv.since kv ~rev:0 with Ok events -> events | Error _ -> assert false
+  History.Log.events (Etcdlike.Kv.history kv)
 
 (* Replays [delivered] to a consumer stream, building its cache the way
    an informer does, then spot-checks the final cache at [claim]. *)

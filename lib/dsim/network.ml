@@ -1,7 +1,4 @@
 type address = string
-type request = ..
-type response = ..
-type cast = ..
 
 type error = Timeout | Unreachable
 
@@ -9,9 +6,11 @@ type latency_model =
   | Uniform of { min : int; max : int }
   | Exponential of { mean : float; floor : int }
 
+(* A node's handler, under the identity of the service it serves. *)
+type binding = Binding : 'h Type.Id.t * 'h -> binding
+
 type node = {
-  mutable serve : src:address -> request -> (response -> unit) -> unit;
-  mutable on_cast : src:address -> cast -> unit;
+  mutable service : binding option;
   mutable on_crash : unit -> unit;
   mutable on_restart : unit -> unit;
   mutable up : bool;
@@ -63,8 +62,7 @@ let set_latency_model t model = t.latency_model <- model
 
 let fresh_node () =
   {
-    serve = (fun ~src:_ _ _ -> ());
-    on_cast = (fun ~src:_ _ -> ());
+    service = None;
     on_crash = (fun () -> ());
     on_restart = (fun () -> ());
     up = true;
@@ -80,10 +78,24 @@ let node t addr =
       t.liveness_changes <- t.liveness_changes + 1;
       n
 
-let register t addr ~serve ?on_cast () =
-  let n = node t addr in
-  n.serve <- serve;
-  (match on_cast with Some f -> n.on_cast <- f | None -> ())
+let join t addr = ignore (node t addr)
+
+let bind t addr id handler = (node t addr).service <- Some (Binding (id, handler))
+
+(* [n]'s handler if it serves the service [id] names; [Not_found] if not. *)
+let handler : type h. h Type.Id.t -> node -> h =
+ fun id n ->
+  match n.service with
+  | Some (Binding (id', h)) -> (
+      match Type.Id.provably_equal id id' with Some Type.Equal -> h | None -> raise Not_found)
+  | None -> raise Not_found
+
+(* A request reached a live node that does not serve its service: traced
+   and counted at the destination, never silently dropped. The counter
+   is resolved here, so it joins a snapshot only once it fires. *)
+let unhandled t ~src ~dst what =
+  Metrics.incr (Engine.metrics t.engine) "net.unhandled";
+  Engine.record t.engine ~actor:dst ~kind:"net.unhandled" (Printf.sprintf "%s from %s" what src)
 
 let set_lifecycle t addr ~on_crash ~on_restart =
   let n = node t addr in
@@ -143,12 +155,12 @@ let default_timeout = 1_000_000
 
 (* One record per call, shared by its request, reply and timeout
    events; the continuation runs at most once. *)
-type call = {
+type 'r call = {
   net : t;
   src : address;
   dst : address;
   src_incarnation : int;
-  k : (response, error) result -> unit;
+  k : ('r, error) result -> unit;
   mutable completed : bool;
 }
 
@@ -172,7 +184,10 @@ let reply_arrives c timeout resp =
     finish c (Ok resp)
   end
 
-let call t ~src ~dst ?(timeout = default_timeout) req k =
+(* The one transport every service shares: [serve] applies the
+   destination's handler under [id] to the request; [what] names the
+   request if the destination has none. *)
+let call t id what serve ~src ~dst ?(timeout = default_timeout) req k =
   Metrics.Counter.incr t.calls;
   match Hashtbl.find_opt t.nodes dst with
   | None -> k (Error Unreachable)
@@ -185,9 +200,12 @@ let call t ~src ~dst ?(timeout = default_timeout) req k =
       in
       ignore
         (Engine.schedule t.engine ~delay:(latency t) (fun () ->
-             if (not (partitioned t src dst)) && dst_node.up then dst_node.serve ~src req reply))
+             if (not (partitioned t src dst)) && dst_node.up then
+               match handler id dst_node with
+               | h -> serve h ~src req reply
+               | exception Not_found -> unhandled t ~src ~dst what))
 
-let cast t ~src ~dst payload =
+let cast t id what serve ~src ~dst req =
   Metrics.Counter.incr t.casts;
   match Hashtbl.find_opt t.nodes dst with
   | None -> ()
@@ -195,6 +213,38 @@ let cast t ~src ~dst payload =
       ignore
         (Engine.schedule t.engine ~delay:(latency t) (fun () ->
              if (not (partitioned t src dst)) && dst_node.up then
-               dst_node.on_cast ~src payload))
+               match handler id dst_node with
+               | h -> serve h ~src req ignore
+               | exception Not_found -> unhandled t ~src ~dst what))
+
+module type SERVICE = sig
+  type 'a request
+  type 'a reply
+  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
+  val register : t -> address -> handler -> unit
+  val call :
+    t -> src:address -> dst:address -> ?timeout:int -> 'a request ->
+    (('a reply, error) result -> unit) -> unit
+  val cast : t -> src:address -> dst:address -> unit request -> unit
+end
+
+module Service (S : sig
+  type 'a request
+  type 'a reply
+  val name : string
+end) =
+struct
+  type 'a request = 'a S.request
+  type 'a reply = 'a S.reply
+  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
+
+  let id : handler Type.Id.t = Type.Id.make ()
+  let serve h ~src req reply = h.serve ~src req reply
+  let register t addr h = bind t addr id h
+  let request = S.name ^ " request"
+  let call t ~src ~dst ?timeout req k = call t id request serve ~src ~dst ?timeout req k
+  let notice = S.name ^ " cast"
+  let cast t ~src ~dst req = cast t id notice serve ~src ~dst req
+end
 
 let sample_latency t = latency t

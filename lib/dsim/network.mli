@@ -1,22 +1,20 @@
 (** Message-passing network between simulated nodes.
 
     Nodes are identified by string addresses. The network models request /
-    response RPC with latency, one-way casts (used for watch-event
-    streams), symmetric partitions, node crashes and restarts. Crashing a
+    response RPC with latency, one-way casts (ZooKeeper watch firings),
+    symmetric partitions, node crashes and restarts. Crashing a
     node bumps its incarnation number so that in-flight replies addressed
     to the previous incarnation are dropped rather than delivered into the
     restarted process — exactly the asymmetry that lets a restarted
-    component re-synchronize from a stale upstream. *)
+    component re-synchronize from a stale upstream.
+
+    RPC is typed per {!Service}: one closed request type indexed by reply
+    type, so a handler covers all its requests and a caller gets exactly
+    the reply its request asks for. A request reaching a live node that
+    does not serve its service is traced and counted as [net.unhandled]
+    at the destination; the caller times out. *)
 
 type address = string
-
-type request = ..
-(** Extensible RPC request type; each subsystem adds its own cases. *)
-
-type response = ..
-
-type cast = ..
-(** One-way notification payloads (watch events, heartbeats). *)
 
 type error =
   | Timeout  (** no reply within the deadline *)
@@ -36,20 +34,15 @@ val create :
 
 val engine : t -> Engine.t
 
-val register :
-  t ->
-  address ->
-  serve:(src:address -> request -> (response -> unit) -> unit) ->
-  ?on_cast:(src:address -> cast -> unit) ->
-  unit ->
-  unit
-(** Installs (or replaces, after a restart) the node's handlers. [serve]
-    receives a reply continuation which may be invoked asynchronously. *)
+val join : t -> address -> unit
+(** Creates the node, up, if it does not exist yet: a component that
+    only sends needs no more than this (or {!set_lifecycle}). *)
 
 val set_lifecycle :
   t -> address -> on_crash:(unit -> unit) -> on_restart:(unit -> unit) -> unit
 (** Hooks invoked by {!crash} and {!restart}; components reset volatile
-    state in [on_crash] and rebuild caches in [on_restart]. *)
+    state in [on_crash] and rebuild caches in [on_restart]. Creates the
+    node if needed. *)
 
 val is_up : t -> address -> bool
 
@@ -61,7 +54,8 @@ val incarnation : t -> address -> int
 
 val crash : t -> address -> unit
 (** Marks the node down, bumps its incarnation and runs its [on_crash]
-    hook. Messages to or from a down node are dropped at delivery time. *)
+    hook. Messages to or from a down node are dropped at delivery time.
+    Handlers stay registered across the crash. *)
 
 val restart : t -> address -> unit
 (** Marks the node up again and runs its [on_restart] hook. *)
@@ -75,21 +69,43 @@ val heal_all : t -> unit
 
 val partitioned : t -> address -> address -> bool
 
-val call :
-  t ->
-  src:address ->
-  dst:address ->
-  ?timeout:int ->
-  request ->
-  ((response, error) result -> unit) ->
-  unit
-(** Asynchronous RPC. The continuation runs exactly once, with [Error
-    Timeout] if the request or reply is lost to a partition or crash.
-    Default timeout: 1 second of virtual time. *)
+(** A typed endpoint: ['a request] is a request whose reply has type
+    ['a reply]. *)
+module type SERVICE = sig
+  type 'a request
+  type 'a reply
 
-val cast : t -> src:address -> dst:address -> cast -> unit
-(** Fire-and-forget delivery after one latency sample; silently dropped if
-    the link is partitioned or the destination is down at delivery time. *)
+  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
+  (** [serve] may invoke its reply continuation asynchronously. *)
+
+  val register : t -> address -> handler -> unit
+  (** Makes the node (created if needed) serve this service with the
+      handler. A node serves one service: this replaces its handler,
+      whichever service it was for. *)
+
+  val call :
+    t ->
+    src:address ->
+    dst:address ->
+    ?timeout:int ->
+    'a request ->
+    (('a reply, error) result -> unit) ->
+    unit
+  (** Asynchronous RPC. The continuation runs exactly once, with [Error
+      Timeout] if the request or reply is lost to a partition or crash,
+      or [dst] does not serve this service. Default timeout: 1 second of
+      virtual time. *)
+
+  val cast : t -> src:address -> dst:address -> unit request -> unit
+  (** One-way delivery after one latency sample (no reply, no timer);
+      dropped if the link is partitioned or [dst] is down by then. *)
+end
+
+module Service (S : sig
+  type 'a request
+  type 'a reply
+  val name : string  (** names the service in [net.unhandled] entries *)
+end) : SERVICE with type 'a request = 'a S.request and type 'a reply = 'a S.reply
 
 val sample_latency : t -> int
 (** One latency draw from the network's distribution — for layers (like

@@ -107,7 +107,7 @@ let create config =
           ~relookup_on_failure:config.relookup_on_failure
           ~rearm_then_read:config.rearm_then_read ~watched_regions:regions ())
   in
-  Dsim.Network.register net user ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net user;
   { config; engine; net; intercept; zk; master; region_servers }
 
 let start t =

@@ -1,5 +1,10 @@
-type Dsim.Network.request += Rs_heartbeat of { server : string }
-type Dsim.Network.response += Heartbeat_ack
+type _ request = Heartbeat : { server : string } -> unit request
+
+module Rpc = Dsim.Network.Service (struct
+  type nonrec 'a request = 'a request
+  type 'a reply = 'a
+  let name = "hbase-master"
+end)
 
 type t = {
   net : Dsim.Network.t;
@@ -65,11 +70,6 @@ let balance_pass t =
         List.iter (fun region -> balance_region t region servers) t.regions
     | Ok (None, _) | Error `Unavailable -> ())
 
-let serve ~src:_ request reply =
-  match request with
-  | Rs_heartbeat { server = _ } -> reply Heartbeat_ack
-  | _ -> ()
-
 let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   {
     net;
@@ -82,7 +82,8 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   }
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve ();
+  Rpc.register t.net t.name
+    { serve = (fun (type a) ~src:_ (Heartbeat _ : a request) (reply : a -> unit) -> reply ()) };
   Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
   Dsim.Engine.every (engine t) ~period:balance_period (fun () ->
       if Dsim.Network.is_up t.net t.name then balance_pass t;

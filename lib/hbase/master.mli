@@ -14,10 +14,10 @@
     The master also publishes its own address at ["master"] so region
     servers can find it — the state behind HBASE-5755. *)
 
-type Dsim.Network.request += Rs_heartbeat of { server : string }
-(** Region server liveness ping (served by the master). *)
+type _ request = Heartbeat : { server : string } -> unit request
+(** Region server liveness ping. *)
 
-type Dsim.Network.response += Heartbeat_ack
+module Rpc : Dsim.Network.SERVICE with type 'a request = 'a request and type 'a reply = 'a
 
 type t
 

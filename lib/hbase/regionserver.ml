@@ -87,7 +87,7 @@ let arm t region =
    blind (the §4.2.3 edge-trigger); the fixed one re-arms *first* and
    acts on the current value the re-arm returns, so a write that slipped
    into the gap is still observed. *)
-let handle_notify t key (event : string History.Event.t) =
+let handle_notify t ~key (event : string History.Event.t) =
   match region_of_key key with
   | None -> ()
   | Some region ->
@@ -100,18 +100,15 @@ let handle_notify t key (event : string History.Event.t) =
         Zk.arm_watch t.zk ~src:t.name ("region/" ^ region) (fun _ -> ())
       end
 
-let on_cast t ~src:_ cast =
-  match cast with Zk.Zk_notify { key; event } -> handle_notify t key event | _ -> ()
-
 let heartbeat t =
   match t.cached_master with
   | None -> lookup_master t (fun _ -> ())
   | Some master ->
-      Dsim.Network.call t.net ~src:t.name ~dst:master ~timeout:100_000
-        (Master.Rs_heartbeat { server = t.name })
+      Master.Rpc.call t.net ~src:t.name ~dst:master ~timeout:100_000
+        (Master.Heartbeat { server = t.name })
         (function
-        | Ok Master.Heartbeat_ack -> t.consecutive_failures <- 0
-        | _ ->
+        | Ok () -> t.consecutive_failures <- 0
+        | Error _ ->
             t.consecutive_failures <- t.consecutive_failures + 1;
             (* The bug-era server keeps hammering the cached address; the
                fixed one asks ZooKeeper where the master is now. *)
@@ -137,7 +134,7 @@ let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = fal
   }
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ~on_cast:(on_cast t) ();
+  Zk.listen t.net t.name (handle_notify t);
   register t;
   List.iter (arm t) t.watched_regions;
   Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->

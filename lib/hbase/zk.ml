@@ -1,27 +1,51 @@
-type Dsim.Network.request +=
-  | Zk_read of { key : string; sync : bool }
-  | Zk_cas of { key : string; expected_mod_rev : int; value : string option }
-  | Zk_write of { key : string; value : string }
-  | Zk_pull of { since : int }  (* follower catching up with the leader *)
-  | Zk_watch of { key : string }  (* arm a one-shot watch, reply with the current value *)
+(* The leader serves linearizable writes, one-shot watches and the
+   follower's catch-up pulls; the follower serves reads. *)
+type pulled =
+  | Events of string History.Event.t list
+  | Snapshot of { snapshot : (string * string * int) list; rev : int }
+      (** The puller is below the compaction frontier: the intervening
+          events are gone, so catch-up must be a full state transfer of
+          (key, value, leader mod-revision) at leader revision [rev]. *)
 
-type Dsim.Network.response +=
-  | Zk_value of { value : (string * int) option; rev : int }
-  | Zk_cas_result of bool
-  | Zk_written
-  | Zk_events of string History.Event.t list
-  | Zk_compacted of {
-      compacted_rev : int;
-      snapshot : (string * string * int) list;  (* key, value, leader mod-revision *)
-      rev : int;
+type _ leader_request =
+  | Cas : { key : string; expected_mod_rev : int; value : string option } -> bool leader_request
+  | Write : { key : string; value : string } -> unit leader_request
+  | Watch : { key : string } -> (string * int) option leader_request
+      (** arm a one-shot watch, reply with the current value *)
+  | Pull : { since : int } -> pulled leader_request
+
+type _ follower_request =
+  | Read : { key : string; sync : bool } -> (string * int) option follower_request
+
+module Leader = Dsim.Network.Service (struct
+  type 'a request = 'a leader_request
+  type 'a reply = 'a
+  let name = "zk-leader"
+end)
+
+module Follower = Dsim.Network.Service (struct
+  type 'a request = 'a follower_request
+  type 'a reply = 'a
+  let name = "zk-follower"
+end)
+
+(* One-shot watch firing, cast to the watcher: consumed at commit,
+   delivered after one network latency. The client must re-arm to hear
+   anything more. *)
+type _ notify = Fired : { key : string; event : string History.Event.t } -> unit notify
+
+module Notify = Dsim.Network.Service (struct
+  type 'a request = 'a notify
+  type 'a reply = 'a
+  let name = "zk-notify"
+end)
+
+let listen net addr f =
+  Notify.register net addr
+    {
+      serve =
+        (fun (type a) ~src:_ (Fired { key; event } : a notify) (_ : a -> unit) -> f ~key event);
     }
-        (** The puller is below the compaction frontier: the intervening
-            events are gone, so catch-up must be a full state transfer. *)
-
-type Dsim.Network.cast +=
-  | Zk_notify of { key : string; event : string History.Event.t }
-        (** One-shot watch firing: consumed at commit, delivered after one
-            network latency. The client must re-arm to hear anything more. *)
 
 type hub_order = Replication_first | Watches_first
 
@@ -134,7 +158,7 @@ let fire_watches t (e : string History.Event.t) =
       List.iter
         (fun dst ->
           let edge = { History.Intercept.src = leader_name; dst } in
-          let notify () = Dsim.Network.cast t.net ~src:leader_name ~dst (Zk_notify { key; event = e }) in
+          let notify () = Notify.cast t.net ~src:leader_name ~dst (Fired { key; event = e }) in
           match History.Intercept.decide t.intercept edge e with
           | History.Intercept.Drop ->
               Dsim.Engine.record (engine t) ~actor:dst ~kind:"pipe.drop"
@@ -143,12 +167,11 @@ let fire_watches t (e : string History.Event.t) =
           | History.Intercept.Delay d -> ignore (Dsim.Engine.schedule (engine t) ~delay:d notify))
         dsts
 
-(* The follower replica's revisions differ from the leader's (it assigns
-   its own), so track the leader revision it has caught up to. *)
-let serve_leader t ~src request reply =
+let serve_leader : type a. t -> src:string -> a leader_request -> (a -> unit) -> unit =
+ fun t ~src request reply ->
   t.leader_ops <- t.leader_ops + 1;
   match request with
-  | Zk_cas { key; expected_mod_rev; value } ->
+  | Cas { key; expected_mod_rev; value } ->
       let outcome =
         match value with
         | Some v ->
@@ -159,31 +182,28 @@ let serve_leader t ~src request reply =
               (Etcdlike.Txn.delete_if_unchanged ~key ~expected_mod_rev)
       in
       List.iter (note_origin t ~src) outcome.Etcdlike.Txn.events;
-      reply (Zk_cas_result outcome.Etcdlike.Txn.succeeded)
-  | Zk_write { key; value } ->
+      reply outcome.Etcdlike.Txn.succeeded
+  | Write { key; value } ->
       let e = Etcdlike.Kv.put t.leader_kv key value in
       note_origin t ~src e;
-      reply Zk_written
-  | Zk_read { key; sync = _ } ->
-      (* Reads addressed directly at the leader are linearizable. *)
-      reply (Zk_value { value = Etcdlike.Kv.get t.leader_kv key; rev = Etcdlike.Kv.rev t.leader_kv })
-  | Zk_watch { key } ->
+      reply ()
+  | Watch { key } ->
       (* getData(watch=true): arm (replacing any prior registration by the
          same client) and return the current value in the same breath. *)
       let armed = Option.value (Hashtbl.find_opt t.watches key) ~default:[] in
       Hashtbl.replace t.watches key (List.filter (fun d -> not (String.equal d src)) armed @ [ src ]);
-      reply (Zk_value { value = Etcdlike.Kv.get t.leader_kv key; rev = Etcdlike.Kv.rev t.leader_kv })
-  | Zk_pull { since } -> (
+      reply (Etcdlike.Kv.get t.leader_kv key)
+  | Pull { since } -> (
+      (* The follower replica's revisions differ from the leader's (it
+         assigns its own), so it pulls by the leader revision it has
+         caught up to. *)
       match Etcdlike.Kv.since t.leader_kv ~rev:since with
-      | Ok events -> reply (Zk_events events)
-      | Error (`Compacted compacted_rev) ->
+      | Ok events -> reply (Events events)
+      | Error (`Compacted _) ->
           (* Not an empty event list: an empty list means "caught up",
              and a puller below the compaction frontier is anything but.
              Ship the full leader state so the follower can resync. *)
-          reply
-            (Zk_compacted
-               { compacted_rev; snapshot = leader_snapshot t; rev = Etcdlike.Kv.rev t.leader_kv }))
-  | _ -> ()
+          reply (Snapshot { snapshot = leader_snapshot t; rev = Etcdlike.Kv.rev t.leader_kv }))
 
 let follower_read t key =
   let value =
@@ -194,7 +214,7 @@ let follower_read t key =
           Some (v, Option.value (Hashtbl.find_opt t.fl_revs key) ~default:local_rev)
         else Some (v, local_rev)
   in
-  Zk_value { value; rev = follower_rev t }
+  value
 
 (* Full state transfer: make the replica's bindings equal the snapshot
    (its own revision counter keeps advancing — revisions are local), and
@@ -223,16 +243,17 @@ let follower_resync t ~snapshot ~rev =
     (Printf.sprintf "catch-up past compaction: full resync at leader rev %d" rev);
   t.tap_resync rev
 
-let serve_follower t ~src:_ request reply =
+let serve_follower : type a. t -> a follower_request -> (a -> unit) -> unit =
+ fun t request reply ->
   match request with
-  | Zk_read { key; sync } ->
+  | Read { key; sync } ->
       if not sync then reply (follower_read t key)
       else
-        (* HBASE-3137's cost: catch up with the leader before serving. *)
-        Dsim.Network.call t.net ~src:follower_name ~dst:leader_name
-          (Zk_pull { since = t.caught_up_to })
+        (* HBASE-3137's cost: catch up with the leader before serving. A
+           failed pull still serves the local read. *)
+        Leader.call t.net ~src:follower_name ~dst:leader_name (Pull { since = t.caught_up_to })
           (function
-          | Ok (Zk_events events) ->
+          | Ok (Events events) ->
               List.iter
                 (fun (e : string History.Event.t) ->
                   if e.History.Event.rev > t.caught_up_to then begin
@@ -241,11 +262,10 @@ let serve_follower t ~src:_ request reply =
                   end)
                 events;
               reply (follower_read t key)
-          | Ok (Zk_compacted { compacted_rev = _; snapshot; rev }) ->
+          | Ok (Snapshot { snapshot; rev }) ->
               follower_resync t ~snapshot ~rev;
               reply (follower_read t key)
-          | _ -> reply (follower_read t key))
-  | _ -> ()
+          | Error _ -> reply (follower_read t key))
 
 (* Stream replication: each leader commit reaches the replica one lag
    later, in order (the follower's (H', S')). The stream consults the
@@ -332,29 +352,29 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
   | Some w ->
       Etcdlike.Kv.on_commit t.leader_kv (fun _ -> Etcdlike.Kv.compact_keep_last t.leader_kv w)
   | None -> ());
-  Dsim.Network.register net leader_name ~serve:(serve_leader t) ();
-  Dsim.Network.register net follower_name ~serve:(serve_follower t) ();
+  Leader.register net leader_name
+    { serve = (fun ~src request reply -> serve_leader t ~src request reply) };
+  Follower.register net follower_name
+    { serve = (fun ~src:_ request reply -> serve_follower t request reply) };
   t
 
+(* A read's value and mod-revision, 0 for an absent key. *)
+let found k = function
+  | Ok (Some (v, mod_rev)) -> k (Ok (Some v, mod_rev))
+  | Ok None -> k (Ok (None, 0))
+  | Error (_ : Dsim.Network.error) -> k (Error `Unavailable)
+
+let unavailable k = function
+  | Ok v -> k (Ok v)
+  | Error (_ : Dsim.Network.error) -> k (Error `Unavailable)
+
 let read t ~src ?(sync = false) key k =
-  Dsim.Network.call t.net ~src ~dst:follower_name (Zk_read { key; sync }) (function
-    | Ok (Zk_value { value; rev = _ }) ->
-        k (Ok (Option.map fst value, Option.value (Option.map snd value) ~default:0))
-    | _ -> k (Error `Unavailable))
+  Follower.call t.net ~src ~dst:follower_name (Read { key; sync }) (found k)
 
 let cas t ~src ~key ~expected_mod_rev value k =
-  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_cas { key; expected_mod_rev; value })
-    (function
-    | Ok (Zk_cas_result ok) -> k (Ok ok)
-    | _ -> k (Error `Unavailable))
+  Leader.call t.net ~src ~dst:leader_name (Cas { key; expected_mod_rev; value }) (unavailable k)
 
 let write t ~src ~key value k =
-  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_write { key; value }) (function
-    | Ok Zk_written -> k (Ok ())
-    | _ -> k (Error `Unavailable))
+  Leader.call t.net ~src ~dst:leader_name (Write { key; value }) (unavailable k)
 
-let arm_watch t ~src key k =
-  Dsim.Network.call t.net ~src ~dst:leader_name (Zk_watch { key }) (function
-    | Ok (Zk_value { value; rev = _ }) ->
-        k (Ok (Option.map fst value, Option.value (Option.map snd value) ~default:0))
-    | _ -> k (Error `Unavailable))
+let arm_watch t ~src key k = Leader.call t.net ~src ~dst:leader_name (Watch { key }) (found k)

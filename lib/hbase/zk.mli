@@ -14,11 +14,6 @@
 
     Values are strings; keys are free-form paths. *)
 
-type Dsim.Network.cast +=
-  | Zk_notify of { key : string; event : string History.Event.t }
-        (** One-shot watch firing, delivered to the watcher's
-            [on_cast] handler after one network latency. *)
-
 type hub_order = Replication_first | Watches_first
 
 type t
@@ -110,6 +105,11 @@ val on_follower_resync : t -> (int -> unit) -> unit
 
 (** {2 Client operations} (asynchronous, over the network) *)
 
+val listen : Dsim.Network.t -> string -> (key:string -> string History.Event.t -> unit) -> unit
+(** Registers the node's handler for one-shot watch firings (see
+    {!arm_watch}), each delivered one network latency after the commit
+    that consumed it. *)
+
 val read :
   t ->
   src:string ->
@@ -145,5 +145,5 @@ val arm_watch :
 (** Arms (or re-arms) a one-shot watch on the key at the leader and
     returns the current value — ZooKeeper's [getData(watch=true)]. The
     next commit on the key consumes the registration and delivers a
-    {!Zk_notify} cast to [src]; events between that firing and the next
+    notification to [src]'s {!listen} handler; events between that firing and the next
     re-arm are lost to the client. *)

@@ -4,11 +4,6 @@ let pp_edge ppf e = Format.fprintf ppf "%s->%s" e.src e.dst
 
 type decision = Pass | Drop | Delay of int
 
-let pp_decision ppf = function
-  | Pass -> Format.pp_print_string ppf "pass"
-  | Drop -> Format.pp_print_string ppf "drop"
-  | Delay d -> Format.fprintf ppf "delay(%dus)" d
-
 type 'v policy = edge -> 'v Event.t -> decision
 
 type 'v t = {

@@ -24,8 +24,6 @@ type decision =
       (** hold the event (and, because streams are FIFO, everything behind
           it) for this many extra microseconds *)
 
-val pp_decision : Format.formatter -> decision -> unit
-
 type 'v policy = edge -> 'v Event.t -> decision
 
 type 'v t

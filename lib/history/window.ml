@@ -16,6 +16,11 @@ let is_empty t = t.len = 0
 
 let phys t i = (t.head + i) mod Array.length t.buf
 
+(* Every slot inside the window holds [Some]: [push] fills a slot as it
+   enters the window and [drop_oldest] clears one only as it leaves. The
+   option is in the slot type so a vacated slot lets its event be
+   collected, and no type can say "inside the window", so the empty
+   case stays an impossible branch. *)
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Window.get: index out of window";
   match t.buf.(phys t i) with Some e -> e | None -> assert false

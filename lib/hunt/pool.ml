@@ -37,21 +37,23 @@ let map_ordered (type b) ~jobs ~(tasks : 'a array) ~(f : int -> 'a -> b)
       loop ()
     in
     let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
+    (* Under [mutex]: wait until a worker failed or task [i] completed. *)
+    let rec await i =
+      match (!failure, results.(i)) with
+      | Some exn, _ -> Error exn
+      | None, Some result -> Ok result
+      | None, None ->
+          Condition.wait completed mutex;
+          await i
+    in
     let raised =
       try
         for i = 0 to n - 1 do
           Mutex.lock mutex;
-          while results.(i) = None && !failure = None do
-            Condition.wait completed mutex
-          done;
-          let result = results.(i) in
+          let outcome = await i in
           results.(i) <- None;
-          let fail = !failure in
           Mutex.unlock mutex;
-          match fail, result with
-          | Some exn, _ -> raise exn
-          | None, Some result -> emit i result
-          | None, None -> assert false
+          match outcome with Error exn -> raise exn | Ok result -> emit i result
         done;
         None
       with exn ->

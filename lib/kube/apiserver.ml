@@ -8,7 +8,7 @@ type subscription = {
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   etcd : string;
   upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
@@ -173,9 +173,9 @@ let on_stream_item t gen item =
 
 let rec bootstrap t gen =
   if gen = t.generation && Dsim.Network.is_up t.net t.name then
-    Dsim.Network.call t.net ~src:t.name ~dst:t.etcd (Messages.Etcd_range { prefix = "" })
+    Messages.Store.call t.net ~src:t.name ~dst:t.etcd (Messages.List { prefix = ""; quorum = true })
       (function
-      | Ok (Messages.Items { items; rev }) when gen = t.generation -> begin
+      | Ok (Ok { Messages.items; rev }) when gen = t.generation -> begin
           (* Rebuilding the watch cache breaks continuity for subscribers:
              events between their last revision and the fresh list are not
              in the (reset) window. Break their streams so they re-list,
@@ -190,7 +190,7 @@ let rec bootstrap t gen =
             (Printf.sprintf "listed %d items at rev %d" (List.length items) rev);
           (match t.tap with Some tap -> tap.Tap.on_reset (tap_view t) | None -> ());
           let watch =
-            Messages.Etcd_watch
+            Messages.Watch
               {
                 prefix = None;
                 start_rev = rev;
@@ -199,11 +199,12 @@ let rec bootstrap t gen =
                 deliver = (fun item -> on_stream_item t gen item);
               }
           in
-          Dsim.Network.call t.net ~src:t.name ~dst:t.etcd watch (function
-            | Ok (Messages.Watch_ok _) when gen = t.generation -> t.ready <- true
-            | _ -> retry t gen)
+          Messages.Store.call t.net ~src:t.name ~dst:t.etcd watch (function
+            | Ok (Ok Messages.Watching) when gen = t.generation -> t.ready <- true
+            | Ok (Ok (Messages.Watching | Messages.Compacted _) | Error `Unavailable) | Error _ ->
+                retry t gen)
         end
-      | _ -> retry t gen)
+      | Ok (Ok _ | Error `Unavailable) | Error _ -> retry t gen)
 
 and retry t gen =
   if gen = t.generation then
@@ -213,18 +214,20 @@ let list_from_cache t prefix =
   History.State.bindings_with_prefix t.cache ~prefix
   |> List.map (fun (key, (v, mod_rev)) -> (key, v, mod_rev))
 
+(* Quorum reads, transactions and leases go to etcd as they are; a
+   failed call is an unavailable backend. *)
 let forward t request reply =
-  Dsim.Network.call t.net ~src:t.name ~dst:t.etcd request (function
+  Messages.Store.call t.net ~src:t.name ~dst:t.etcd request (function
     | Ok response -> reply response
-    | Error _ -> reply Messages.Backend_unavailable)
+    | Error _ -> reply (Error `Unavailable))
 
 let handle_watch t (w : Messages.watch_request) reply =
-  if not t.ready then reply Messages.Backend_unavailable
+  if not t.ready then reply (Error `Unavailable)
   else if w.Messages.start_rev < t.window_start then
-    reply (Messages.Watch_compacted { compacted_rev = t.window_start })
+    reply (Ok (Messages.Compacted t.window_start))
   else begin
     drop_subscriber t w.Messages.stream_id;
-    let edge = Intercept.{ src = t.name; dst = w.Messages.subscriber } in
+    let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
     let pipe =
       Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
     in
@@ -235,28 +238,25 @@ let handle_watch t (w : Messages.watch_request) reply =
     Hashtbl.replace t.streams w.Messages.stream_id handle;
     t.order_dirty <- true;
     History.Window.iter (push_to_sub sub) t.window;
-    reply (Messages.Watch_ok { rev = t.last_rev })
+    reply (Ok Messages.Watching)
   end
 
-let serve t ~src:_ request reply =
+let serve : type a. t -> a Messages.request -> (a Messages.reply -> unit) -> unit =
+ fun t request reply ->
   Dsim.Metrics.Counter.incr t.rpc;
   match request with
-  | Messages.Api_list { prefix; quorum } ->
-      if quorum then forward t (Messages.Etcd_range { prefix }) reply
-      else if not t.ready then reply Messages.Backend_unavailable
-      else reply (Messages.Items { items = list_from_cache t prefix; rev = t.last_rev })
-  | Messages.Api_get { key; quorum } ->
-      if quorum then forward t (Messages.Etcd_get { key }) reply
-      else if not t.ready then reply Messages.Backend_unavailable
-      else reply (Messages.Value { value = History.State.find t.cache key; rev = t.last_rev })
-  | Messages.Api_txn { txn; origin; lease } ->
-      forward t (Messages.Etcd_txn { txn; origin; lease }) reply
-  | Messages.Api_lease_grant { ttl } -> forward t (Messages.Etcd_lease_grant { ttl }) reply
-  | Messages.Api_lease_keepalive { lease } ->
-      forward t (Messages.Etcd_lease_keepalive { lease }) reply
-  | Messages.Api_lease_revoke { lease } -> forward t (Messages.Etcd_lease_revoke { lease }) reply
-  | Messages.Api_watch w -> handle_watch t w reply
-  | _ -> ()
+  | Messages.List { prefix; quorum = false } ->
+      if not t.ready then reply (Error `Unavailable)
+      else reply (Ok { Messages.items = list_from_cache t prefix; rev = t.last_rev })
+  | Messages.Get { key; quorum = false } ->
+      if not t.ready then reply (Error `Unavailable)
+      else reply (Ok (History.State.find t.cache key))
+  | Messages.Watch w -> handle_watch t w reply
+  | Messages.List { quorum = true; _ }
+  | Messages.Get { quorum = true; _ }
+  | Messages.Txn _ | Messages.Lease_grant _ | Messages.Lease_keepalive _ | Messages.Lease_revoke _
+    ->
+      forward t request reply
 
 let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
   (match epoch_seal with
@@ -286,12 +286,11 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
   }
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(serve t) ();
+  Messages.Store.register t.net t.name
+    { serve = (fun ~src:_ request reply -> serve t request reply) };
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () -> clear_volatile_state t)
-    ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(serve t) ();
-      bootstrap t t.generation);
+    ~on_restart:(fun () -> bootstrap t t.generation);
   bootstrap t t.generation;
   (* Watchdog: a stream that stopped carrying events *and* bookmarks is
      dead (broken TCP connection / partitioned upstream); re-list then. A

@@ -16,7 +16,7 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  intercept:Intercept.t ->
+  intercept:Resource.value History.Intercept.t ->
   name:string ->
   etcd:string ->
   ?window_size:int ->

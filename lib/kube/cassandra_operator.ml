@@ -212,7 +212,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) () 
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let dcs = dc_informer t and pods = pods_informer t and pvcs = pvcs_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -221,7 +220,6 @@ let start t =
       Informer.stop pvcs;
       Hashtbl.reset t.strikes)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start dcs ~endpoint ();
       Informer.start pods ~endpoint ();

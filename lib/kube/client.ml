@@ -5,8 +5,6 @@ type t = {
   mutable index : int;
 }
 
-type outcome = { succeeded : bool; rev : int }
-
 (* Up to 4 retries across endpoints, 200 ms apart. *)
 let retries = 4
 let retry_delay = 200_000
@@ -19,49 +17,43 @@ let current_endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
 
 let engine t = Dsim.Network.engine t.net
 
-let rec attempt t request ~decode ~budget k =
+let retry t again =
+  t.index <- t.index + 1;
+  ignore (Dsim.Engine.schedule (engine t) ~delay:retry_delay again)
+
+(* An unavailable reply and a lost request both count against [budget]. *)
+let rec attempt t request ~budget k =
   if budget <= 0 || not (Dsim.Network.is_up t.net t.owner) then k (Error `Unavailable)
   else
-    Dsim.Network.call t.net ~src:t.owner ~dst:(current_endpoint t) request (fun response ->
-        match Option.bind (Result.to_option response) decode with
-        | Some value -> k (Ok value)
-        | None ->
-            t.index <- t.index + 1;
-            ignore
-              (Dsim.Engine.schedule (engine t) ~delay:retry_delay (fun () ->
-                   attempt t request ~decode ~budget:(budget - 1) k)))
+    Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t) request (function
+      | Ok (Ok _ as reply) -> k reply
+      | Ok (Error `Unavailable) | Error _ ->
+          retry t (fun () -> attempt t request ~budget:(budget - 1) k))
 
 let txn ?lease t transaction k =
-  let decode = function
-    | Messages.Txn_result { succeeded; rev } -> Some { succeeded; rev }
-    | _ -> None
-  in
-  attempt t
-    (Messages.Api_txn { txn = transaction; origin = t.owner; lease })
-    ~decode ~budget:retries k
+  attempt t (Messages.Txn { txn = transaction; origin = t.owner; lease }) ~budget:retries k
 
 let txn_ ?lease t transaction = txn ?lease t transaction (fun _ -> ())
 
-let lease_grant t ~ttl k =
-  let decode = function Messages.Lease_granted { lease } -> Some lease | _ -> None in
-  attempt t (Messages.Api_lease_grant { ttl }) ~decode ~budget:retries k
+let lease_grant t ~ttl k = attempt t (Messages.Lease_grant { ttl }) ~budget:retries k
 
-let lease_keepalive t ~lease k =
-  let decode = function
-    | Messages.Lease_ok -> Some true
-    | Messages.Lease_gone -> Some false
-    | _ -> None
-  in
-  attempt t (Messages.Api_lease_keepalive { lease }) ~decode ~budget:2 k
+let lease_keepalive t ~lease k = attempt t (Messages.Lease_keepalive { lease }) ~budget:2 k
 
+(* Fire and forget, two sends at most; only a lost request is retried —
+   an unavailable reply ends it like a successful one. *)
 let lease_revoke t ~lease =
-  attempt t (Messages.Api_lease_revoke { lease }) ~decode:(fun _ -> Some ()) ~budget:2
-    (fun _ -> ())
+  let rec send budget =
+    if budget > 0 && Dsim.Network.is_up t.net t.owner then
+      Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t)
+        (Messages.Lease_revoke { lease })
+        (function
+        | Ok (Ok () | Error `Unavailable) -> ()
+        | Error _ -> retry t (fun () -> send (budget - 1)))
+  in
+  send 2
 
-let get_quorum t key k =
-  let decode = function Messages.Value { value; rev = _ } -> Some value | _ -> None in
-  attempt t (Messages.Api_get { key; quorum = true }) ~decode ~budget:retries k
+let get_quorum t key k = attempt t (Messages.Get { key; quorum = true }) ~budget:retries k
 
 let list_quorum t ~prefix k =
-  let decode = function Messages.Items { items; rev = _ } -> Some items | _ -> None in
-  attempt t (Messages.Api_list { prefix; quorum = true }) ~decode ~budget:retries k
+  attempt t (Messages.List { prefix; quorum = true }) ~budget:retries (fun reply ->
+      k (Result.map (fun { Messages.items; rev = _ } -> items) reply))

@@ -7,8 +7,6 @@
 
 type t
 
-type outcome = { succeeded : bool; rev : int }
-
 val create :
   net:Dsim.Network.t ->
   owner:string ->
@@ -21,7 +19,7 @@ val txn :
   ?lease:int ->
   t ->
   Resource.value Etcdlike.Txn.t ->
-  ((outcome, [ `Unavailable ]) result -> unit) ->
+  ((Messages.outcome, [ `Unavailable ]) result -> unit) ->
   unit
 (** Keys written by the success branch are attached to [lease] when
     given. *)

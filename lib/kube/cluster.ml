@@ -57,7 +57,7 @@ type t = {
   config : config;
   engine : Dsim.Engine.t;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   etcd : Etcd.t;
   apiservers : Apiserver.t list;
   kubelets : Kubelet.t list;
@@ -194,7 +194,7 @@ let create ?(config = default_config) () =
   let net =
     Dsim.Network.create ~min_latency:config.min_latency ~max_latency:config.max_latency engine
   in
-  let intercept = Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Etcd.create ~net ~intercept ?replication:config.replication () in
   let api_names = apiserver_addresses config in
   let apiservers =
@@ -254,7 +254,7 @@ let create ?(config = default_config) () =
     else None
   in
   let user = Client.create ~net ~owner:"user" ~endpoints:api_names () in
-  Dsim.Network.register net "user" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "user";
   {
     config;
     engine;

@@ -66,7 +66,7 @@ val run : t -> until:int -> unit
 val config : t -> config
 val engine : t -> Dsim.Engine.t
 val net : t -> Dsim.Network.t
-val intercept : t -> Intercept.t
+val intercept : t -> Resource.value History.Intercept.t
 val etcd : t -> Etcd.t
 
 val truth : t -> Resource.value History.State.t

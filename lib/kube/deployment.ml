@@ -200,7 +200,6 @@ let create ~net ~name ~endpoints ?(period = 150_000) ?(quorum_fallback = false) 
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let deps = deployments_informer t and rsets = rsets_informer t and pods = pods_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -208,7 +207,6 @@ let start t =
       Informer.stop rsets;
       Informer.stop pods)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start deps ~endpoint ();
       Informer.start rsets ~endpoint ();

@@ -52,7 +52,7 @@ let try_acquire t =
           (Etcdlike.Txn.create_if_absent ~key:(Resource.lock_key t.lock)
              (Resource.make_lock ~holder:t.name t.lock))
           (function
-          | Ok { Client.succeeded = true; _ } when t.running ->
+          | Ok { Messages.succeeded = true; _ } when t.running ->
               t.lease <- Some lease;
               t.deadline <- sent_at + t.ttl;
               set_belief t true
@@ -86,11 +86,7 @@ let create ~net ~name ~lock ~endpoints ?(ttl = 2_000_000) () =
 let start t =
   if not t.running then begin
     t.running <- true;
-    Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
-    Dsim.Network.set_lifecycle t.net t.name
-      ~on_crash:(fun () -> step_down t)
-      ~on_restart:(fun () ->
-        Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ());
+    Dsim.Network.set_lifecycle t.net t.name ~on_crash:(fun () -> step_down t) ~on_restart:ignore;
     Dsim.Engine.every (engine t) ~period:(t.ttl / 4) (fun () ->
         tick t;
         t.running)

@@ -18,7 +18,7 @@ type backend =
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   backend : backend;
   subs : subscription History.Dispatch.t;
   streams : (string, int) Hashtbl.t;  (* stream_id -> dispatch handle *)
@@ -111,7 +111,7 @@ let push_to_sub sub (e : Resource.value History.Event.t) =
     Pipe.send sub.pipe (Pipe.Event e)
   end
 
-let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply ~rev =
+let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply =
   (match Hashtbl.find_opt t.streams w.Messages.stream_id with
   | Some old_handle ->
       (match History.Dispatch.find t.subs old_handle with
@@ -119,7 +119,7 @@ let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply ~rev =
       | None -> ());
       ignore (History.Dispatch.remove t.subs old_handle)
   | None -> ());
-  let edge = Intercept.{ src = t.name; dst = w.Messages.subscriber } in
+  let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
   let pipe =
     Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
   in
@@ -128,14 +128,14 @@ let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply ~rev =
   Hashtbl.replace t.streams w.Messages.stream_id handle;
   t.order_dirty <- true;
   List.iter (push_to_sub sub) backlog;
-  reply (Messages.Watch_ok { rev })
+  reply (Ok Messages.Watching)
 
 let handle_watch t ~src (w : Messages.watch_request) reply =
   match t.backend with
   | Single kv -> begin
       match Etcdlike.Kv.since kv ~rev:w.Messages.start_rev with
-      | Error (`Compacted compacted_rev) -> reply (Messages.Watch_compacted { compacted_rev })
-      | Ok backlog -> attach_sub t w ~replica:None ~backlog reply ~rev:(Etcdlike.Kv.rev kv)
+      | Error (`Compacted compacted_rev) -> reply (Ok (Messages.Compacted compacted_rev))
+      | Ok backlog -> attach_sub t w ~replica:None ~backlog reply
     end
   | Replicated repl -> begin
       (* The stream is pinned to the replica serving [src] right now:
@@ -145,14 +145,12 @@ let handle_watch t ~src (w : Messages.watch_request) reply =
          watchers stop seeing bookmarks too (and the consumer's watchdog
          eventually notices the silence). *)
       match Replicated.Kv.serving_replica repl ~src with
-      | None -> reply Messages.Backend_unavailable
+      | None -> reply (Error `Unavailable)
       | Some rid -> begin
           let store = Option.get (Replicated.Kv.replica_store repl rid) in
           match Etcdlike.Kv.since store ~rev:w.Messages.start_rev with
-          | Error (`Compacted compacted_rev) ->
-              reply (Messages.Watch_compacted { compacted_rev })
-          | Ok backlog ->
-              attach_sub t w ~replica:(Some rid) ~backlog reply ~rev:(Etcdlike.Kv.rev store)
+          | Error (`Compacted compacted_rev) -> reply (Ok (Messages.Compacted compacted_rev))
+          | Ok backlog -> attach_sub t w ~replica:(Some rid) ~backlog reply
         end
     end
 
@@ -173,31 +171,34 @@ let propose_delete repl t ~origin key =
     | Ok (Some e) -> Hashtbl.replace t.origins e.History.Event.rev origin
     | Ok None | Error `Unavailable -> ())
 
-let serve t ~src request reply =
+let reply_outcome reply (outcome : Resource.value Etcdlike.Txn.outcome) =
+  reply (Ok { Messages.succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
+
+(* Every read is served from the store; [quorum] only matters to an
+   apiserver. *)
+let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -> unit) -> unit =
+ fun t ~src request reply ->
   t.requests_served <- t.requests_served + 1;
   Dsim.Metrics.Counter.incr t.rpc;
   match request, t.backend with
-  | Messages.Etcd_range { prefix }, Single kv ->
-      reply (Messages.Items { items = Etcdlike.Kv.range kv ~prefix; rev = Etcdlike.Kv.rev kv })
-  | Messages.Etcd_range { prefix }, Replicated repl -> begin
+  | Messages.List { prefix; quorum = _ }, Single kv ->
+      reply (Ok { Messages.items = Etcdlike.Kv.range kv ~prefix; rev = Etcdlike.Kv.rev kv })
+  | Messages.List { prefix; quorum = _ }, Replicated repl -> begin
       match Replicated.Kv.range repl ~src ~prefix with
-      | Some (items, rev) -> reply (Messages.Items { items; rev })
-      | None -> reply Messages.Backend_unavailable
+      | Some (items, rev) -> reply (Ok { Messages.items; rev })
+      | None -> reply (Error `Unavailable)
     end
-  | Messages.Etcd_get { key }, Single kv ->
-      reply (Messages.Value { value = Etcdlike.Kv.get kv key; rev = Etcdlike.Kv.rev kv })
-  | Messages.Etcd_get { key }, Replicated repl -> begin
+  | Messages.Get { key; quorum = _ }, Single kv -> reply (Ok (Etcdlike.Kv.get kv key))
+  | Messages.Get { key; quorum = _ }, Replicated repl -> begin
       match Replicated.Kv.get repl ~src key with
-      | Some (value, rev) -> reply (Messages.Value { value; rev })
-      | None -> reply Messages.Backend_unavailable
+      | Some (value, _) -> reply (Ok value)
+      | None -> reply (Error `Unavailable)
     end
-  | Messages.Etcd_txn { txn; origin; lease }, Single kv ->
+  | Messages.Txn { txn; origin; lease }, Single kv ->
       let outcome = Etcdlike.Txn.eval kv txn in
       note_txn_outcome t ~origin ~lease outcome;
-      reply
-        (Messages.Txn_result
-           { succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
-  | Messages.Etcd_txn { txn; origin; lease }, Replicated repl ->
+      reply_outcome reply outcome
+  | Messages.Txn { txn; origin; lease }, Replicated repl ->
       (* Propose through the leader; the reply is deferred until the
          first replica applies the committed entry (the network layer
          holds the continuation), or fails over as an outage when
@@ -205,28 +206,24 @@ let serve t ~src request reply =
       Replicated.Kv.txn repl txn (function
         | Ok outcome ->
             note_txn_outcome t ~origin ~lease outcome;
-            reply
-              (Messages.Txn_result
-                 { succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
-        | Error `Unavailable -> reply Messages.Backend_unavailable)
-  | Messages.Etcd_lease_grant { ttl }, _ ->
+            reply_outcome reply outcome
+        | Error `Unavailable -> reply (Error `Unavailable))
+  | Messages.Lease_grant { ttl }, _ ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
-      reply (Messages.Lease_granted { lease = Etcdlike.Lease.grant t.leases ~ttl ~now })
-  | Messages.Etcd_lease_keepalive { lease }, _ ->
+      reply (Ok (Etcdlike.Lease.grant t.leases ~ttl ~now))
+  | Messages.Lease_keepalive { lease }, _ ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
-      if Etcdlike.Lease.keepalive t.leases ~lease ~now then reply Messages.Lease_ok
-      else reply Messages.Lease_gone
-  | Messages.Etcd_lease_revoke { lease }, Single kv ->
+      reply (Ok (Etcdlike.Lease.keepalive t.leases ~lease ~now))
+  | Messages.Lease_revoke { lease }, Single kv ->
       List.iter (fun key -> ignore (Etcdlike.Kv.delete kv key))
         (Etcdlike.Lease.revoke t.leases ~lease);
-      reply Messages.Lease_ok
-  | Messages.Etcd_lease_revoke { lease }, Replicated repl ->
+      reply (Ok ())
+  | Messages.Lease_revoke { lease }, Replicated repl ->
       List.iter
         (fun key -> propose_delete repl t ~origin:"lease-revoke" key)
         (Etcdlike.Lease.revoke t.leases ~lease);
-      reply Messages.Lease_ok
-  | Messages.Etcd_watch w, _ -> handle_watch t ~src w reply
-  | _ -> ()
+      reply (Ok ())
+  | Messages.Watch w, _ -> handle_watch t ~src w reply
 
 (* Shared commit-side bookkeeping: every committed-history event becomes
    a caused trace entry and the new causal frontier, so watch deliveries
@@ -297,7 +294,8 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
                   if sub.replica = Some rid then push_to_sub sub event)))
         (Replicated.Kv.replica_ids repl);
       Replicated.Kv.start repl);
-  Dsim.Network.register net name ~serve:(serve t) ();
+  Messages.Store.register net name
+    { serve = (fun ~src request reply -> serve t ~src request reply) };
   Dsim.Engine.every engine ~period:bookmark_period (fun () ->
       (match t.backend with
       | Single kv ->

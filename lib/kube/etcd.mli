@@ -3,7 +3,7 @@
 
     Serves ranges, gets and transactions; watch subscribers each get a
     FIFO {!Pipe}; a configurable rolling window of retained events
-    bounds how far back a watch may start, replying [Watch_compacted]
+    bounds how far back a watch may start, replying {!Messages.Compacted}
     beyond it. Periodic bookmarks keep healthy streams observably alive
     so subscribers can distinguish "no events" from "dead stream".
 
@@ -32,7 +32,7 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  intercept:Intercept.t ->
+  intercept:Resource.value History.Intercept.t ->
   ?name:string ->
   ?watch_window:int ->
   ?replication:replication ->

@@ -148,10 +148,10 @@ let rec on_stream_item t gen item =
 and bootstrap t gen =
   if alive t gen then begin
     let endpoint = current_endpoint t in
-    Dsim.Network.call t.net ~src:t.owner ~dst:endpoint
-      (Messages.Api_list { prefix = t.prefix; quorum = false })
+    Messages.Store.call t.net ~src:t.owner ~dst:endpoint
+      (Messages.List { prefix = t.prefix; quorum = false })
       (function
-      | Ok (Messages.Items { items; rev }) when alive t gen ->
+      | Ok (Ok { Messages.items; rev }) when alive t gen ->
           if t.monotonic && rev < t.last_rev then begin
             (* The 59848 fix: never adopt a list older than what we have
                already observed; some other apiserver must be fresher. *)
@@ -174,7 +174,7 @@ and bootstrap t gen =
             (match t.tap with Some tap -> tap.Tap.on_reset (tap_view t) | None -> ());
             t.on_reset ();
             let watch =
-              Messages.Api_watch
+              Messages.Watch
                 {
                   prefix = Some t.prefix;
                   start_rev = rev;
@@ -183,19 +183,20 @@ and bootstrap t gen =
                   deliver = (fun item -> on_stream_item t gen item);
                 }
             in
-            Dsim.Network.call t.net ~src:t.owner ~dst:endpoint watch (function
-              | Ok (Messages.Watch_ok _) -> ()
-              | Ok (Messages.Watch_compacted _) when alive t gen ->
+            Messages.Store.call t.net ~src:t.owner ~dst:endpoint watch (function
+              | Ok (Ok Messages.Watching) -> ()
+              | Ok (Ok (Messages.Compacted _)) ->
                   (* Our revision fell out of the apiserver's window; the
-                     only recovery is another (gap-leaving) re-list. *)
+                     only recovery is another (gap-leaving) re-list, and
+                     the endpoint did nothing wrong. *)
                   retry t gen
-              | _ ->
+              | Ok (Error `Unavailable) | Error _ ->
                   if alive t gen then begin
                     note_failure_and_maybe_rotate t;
                     retry t gen
                   end)
           end
-      | _ ->
+      | Ok (Ok _ | Error `Unavailable) | Error _ ->
           if alive t gen then begin
             note_failure_and_maybe_rotate t;
             retry t gen

@@ -10,12 +10,11 @@
     time-stamped operations against it.
 
     Every notification edge is a {!Pipe} (FIFO, TCP-like failure
-    semantics) passing through the cluster's {!Intercept} point — the
+    semantics) passing through the cluster's {!History.Intercept} point — the
     hook the Sieve strategies act on. *)
 
 module Resource = Resource
 module Messages = Messages
-module Intercept = Intercept
 module Pipe = Pipe
 module Tap = Tap
 module Etcd = Etcd

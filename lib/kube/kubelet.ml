@@ -147,11 +147,9 @@ let create ~net ~name ~node ~endpoints ?(monotonic = false) () =
 let start t =
   let informer = t.make_informer t in
   t.informer <- Some informer;
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () -> Informer.stop informer)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       (* Each incarnation lands on a different apiserver behind the load
          balancer — the hinge of Kubernetes-59848. *)
       let endpoint = Dsim.Network.incarnation t.net t.name in

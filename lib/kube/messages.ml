@@ -6,32 +6,29 @@ type watch_request = {
   deliver : Pipe.item -> unit;
 }
 
-type Dsim.Network.request +=
-  | Etcd_range of { prefix : string }
-  | Etcd_get of { key : string }
-  | Etcd_txn of { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
-  | Etcd_lease_grant of { ttl : int }
-  | Etcd_lease_keepalive of { lease : int }
-  | Etcd_lease_revoke of { lease : int }
-  | Etcd_watch of watch_request
-  | Api_list of { prefix : string; quorum : bool }
-  | Api_get of { key : string; quorum : bool }
-  | Api_txn of { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
-  | Api_lease_grant of { ttl : int }
-  | Api_lease_keepalive of { lease : int }
-  | Api_lease_revoke of { lease : int }
-  | Api_watch of watch_request
+type listing = { items : (string * Resource.value * int) list; rev : int }
 
-type Dsim.Network.response +=
-  | Items of { items : (string * Resource.value * int) list; rev : int }
-  | Value of { value : (Resource.value * int) option; rev : int }
-  | Txn_result of { succeeded : bool; rev : int }
-  | Watch_ok of { rev : int }
-  | Watch_compacted of { compacted_rev : int }
-  | Lease_granted of { lease : int }
-  | Lease_ok
-  | Lease_gone
-  | Backend_unavailable
+type outcome = { succeeded : bool; rev : int }
+
+type watch_start = Watching | Compacted of int
+
+type _ request =
+  | List : { prefix : string; quorum : bool } -> listing request
+  | Get : { key : string; quorum : bool } -> (Resource.value * int) option request
+  | Txn : { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
+      -> outcome request
+  | Lease_grant : { ttl : int } -> int request
+  | Lease_keepalive : { lease : int } -> bool request
+  | Lease_revoke : { lease : int } -> unit request
+  | Watch : watch_request -> watch_start request
+
+type 'a reply = ('a, [ `Unavailable ]) result
+
+module Store = Dsim.Network.Service (struct
+  type nonrec 'a request = 'a request
+  type nonrec 'a reply = 'a reply
+  let name = "store"
+end)
 
 let put key value =
   Etcdlike.Txn.{ guards = []; success = [ Put (key, value) ]; failure = [] }

@@ -1,11 +1,11 @@
-(** RPC vocabulary of the control plane.
+(** RPC vocabulary of the control plane: the store API.
 
-    Extends the network's open request/response types with the etcd API
-    (ranges, transactions, watches) and the apiserver API (lists and gets
-    that may be served from the apiserver's cache, forwarded transactions,
-    and cache-fed watches). Watch requests carry the subscriber's delivery
-    closure; the resulting stream is a {!Pipe} so delivery stays FIFO and
-    interceptable. *)
+    One closed request type, served by both {!Etcd} and {!Apiserver}:
+    lists and gets (from the apiserver's cache unless [quorum]),
+    transactions, leases and watches. The apiserver forwards what it
+    does not serve from its cache to etcd as the same request. Watch
+    requests carry the subscriber's delivery closure; the resulting
+    stream is a {!Pipe} so delivery stays FIFO and interceptable. *)
 
 type watch_request = {
   prefix : string option;
@@ -17,42 +17,43 @@ type watch_request = {
   deliver : Pipe.item -> unit;
 }
 
-type Dsim.Network.request +=
-  | Etcd_range of { prefix : string }
-  | Etcd_get of { key : string }
-  | Etcd_txn of { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
-        (** [origin] is the component that initiated the write (carried
-            through apiserver forwarding) — the causality planner's raw
-            material. Keys written by the success branch are attached to
-            [lease] when given: they vanish when it expires. *)
-  | Etcd_lease_grant of { ttl : int }
-  | Etcd_lease_keepalive of { lease : int }
-  | Etcd_lease_revoke of { lease : int }
-  | Etcd_watch of watch_request
-  | Api_list of { prefix : string; quorum : bool }
-        (** [quorum = false] is served from the apiserver's cache — the
-            scalable, possibly stale read path every component uses *)
-  | Api_get of { key : string; quorum : bool }
-  | Api_txn of { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
-  | Api_lease_grant of { ttl : int }
-  | Api_lease_keepalive of { lease : int }
-  | Api_lease_revoke of { lease : int }
-  | Api_watch of watch_request
+type listing = { items : (string * Resource.value * int) list; rev : int }
+(** key, value, mod-revision; [rev] is the serving view's revision *)
 
-type Dsim.Network.response +=
-  | Items of { items : (string * Resource.value * int) list; rev : int }
-        (** key, value, mod-revision; [rev] is the serving view's revision *)
-  | Value of { value : (Resource.value * int) option; rev : int }
-  | Txn_result of { succeeded : bool; rev : int }
-  | Watch_ok of { rev : int }
-  | Watch_compacted of { compacted_rev : int }
-        (** requested start revision precedes the server's retained
-            window; subscriber must re-list *)
-  | Lease_granted of { lease : int }
-  | Lease_ok
-  | Lease_gone  (** keepalive/attach on an expired or unknown lease *)
-  | Backend_unavailable
-        (** the apiserver could not reach etcd to serve the request *)
+type outcome = { succeeded : bool; rev : int }
+
+type watch_start =
+  | Watching
+  | Compacted of int
+      (** the requested start revision precedes the server's retained
+          window, which begins after the given revision; the subscriber
+          must re-list *)
+
+type _ request =
+  | List : { prefix : string; quorum : bool } -> listing request
+      (** [quorum = false] is served from the apiserver's cache — the
+          scalable, possibly stale read path every component uses. etcd
+          serves every read from its store and ignores the flag. *)
+  | Get : { key : string; quorum : bool } -> (Resource.value * int) option request
+      (** the value and its mod-revision *)
+  | Txn : { txn : Resource.value Etcdlike.Txn.t; origin : string; lease : int option }
+      -> outcome request
+      (** [origin] is the component that initiated the write (carried
+          through apiserver forwarding) — the causality planner's raw
+          material. Keys written by the success branch are attached to
+          [lease] when given: they vanish when it expires. *)
+  | Lease_grant : { ttl : int } -> int request
+  | Lease_keepalive : { lease : int } -> bool request
+      (** [false]: the lease expired or never existed *)
+  | Lease_revoke : { lease : int } -> unit request
+  | Watch : watch_request -> watch_start request
+
+type 'a reply = ('a, [ `Unavailable ]) result
+(** [Error `Unavailable]: the server could not reach its backend to
+    serve the request. *)
+
+module Store :
+  Dsim.Network.SERVICE with type 'a request = 'a request and type 'a reply = 'a reply
 
 (** {2 Transaction shorthands} *)
 

@@ -109,7 +109,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 200_000) () 
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let pods = pods_informer t and nodes = nodes_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -117,7 +116,6 @@ let start t =
       Informer.stop nodes;
       Hashtbl.reset t.strikes)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start pods ~endpoint ();
       Informer.start nodes ~endpoint ());

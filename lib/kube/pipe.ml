@@ -5,9 +5,9 @@ type item =
 
 type t = {
   net : Dsim.Network.t;
-  intercept : Intercept.t;
-  edge : Intercept.edge;
-  label : string;  (* the edge as [Intercept.pp_edge] prints it, for trace details *)
+  intercept : Resource.value History.Intercept.t;
+  edge : History.Intercept.edge;
+  label : string;  (* the edge as [History.Intercept.pp_edge] prints it, for trace details *)
   deliver : item -> unit;
   dst_incarnation : int;
   inflight : Dsim.Metrics.Gauge.t;
@@ -23,11 +23,11 @@ let create ~net ~intercept ~edge ~deliver () =
     net;
     intercept;
     edge;
-    label = Format.asprintf "%a" Intercept.pp_edge edge;
+    label = Format.asprintf "%a" History.Intercept.pp_edge edge;
     deliver;
-    dst_incarnation = Dsim.Network.incarnation net edge.Intercept.dst;
-    inflight = Dsim.Metrics.Gauge.resolve metrics ("pipe.inflight." ^ edge.Intercept.dst);
-    latency = Dsim.Metrics.Histogram.resolve metrics ("watch.latency." ^ edge.Intercept.dst);
+    dst_incarnation = Dsim.Network.incarnation net edge.dst;
+    inflight = Dsim.Metrics.Gauge.resolve metrics ("pipe.inflight." ^ edge.dst);
+    latency = Dsim.Metrics.Histogram.resolve metrics ("watch.latency." ^ edge.dst);
     delivered = Dsim.Metrics.Counter.resolve metrics "pipe.delivered";
     closed = false;
     last_due = 0;
@@ -42,9 +42,9 @@ let is_closed t = t.closed
 
 let deliverable t =
   (not t.closed)
-  && (not (Dsim.Network.partitioned t.net t.edge.Intercept.src t.edge.Intercept.dst))
-  && Dsim.Network.is_up t.net t.edge.Intercept.dst
-  && Dsim.Network.incarnation t.net t.edge.Intercept.dst = t.dst_incarnation
+  && (not (Dsim.Network.partitioned t.net t.edge.src t.edge.dst))
+  && Dsim.Network.is_up t.net t.edge.dst
+  && Dsim.Network.incarnation t.net t.edge.dst = t.dst_incarnation
 
 let arrive t ~sent item =
   let engine = Dsim.Network.engine t.net in
@@ -58,7 +58,7 @@ let arrive t ~sent item =
     | Event event ->
         Dsim.Metrics.Counter.incr t.delivered;
         ignore
-          (Dsim.Engine.emit engine ~actor:t.edge.Intercept.dst ~kind:"pipe.deliver"
+          (Dsim.Engine.emit engine ~actor:t.edge.dst ~kind:"pipe.deliver"
              (t.label ^ " " ^ History.Event.describe event))
     | Bookmark _ | Seal _ -> ());
     t.deliver item
@@ -69,7 +69,7 @@ let arrive t ~sent item =
        notices the silence (no bookmarks) and re-lists. *)
     t.closed <- true;
     Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.broken";
-    Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.broken" t.label
+    Dsim.Engine.record engine ~actor:t.edge.dst ~kind:"pipe.broken" t.label
   end
 
 let enqueue t ~extra item =
@@ -85,11 +85,11 @@ let send t item =
     match item with
     | Bookmark _ | Seal _ -> enqueue t ~extra:0 item
     | Event event -> (
-        match Intercept.decide t.intercept t.edge event with
-        | Intercept.Pass -> enqueue t ~extra:0 item
-        | Intercept.Drop ->
+        match History.Intercept.decide t.intercept t.edge event with
+        | History.Intercept.Pass -> enqueue t ~extra:0 item
+        | History.Intercept.Drop ->
             let engine = Dsim.Network.engine t.net in
             Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.dropped";
-            Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.drop"
+            Dsim.Engine.record engine ~actor:t.edge.dst ~kind:"pipe.drop"
               (t.label ^ " " ^ History.Event.describe event)
-        | Intercept.Delay extra -> enqueue t ~extra item)
+        | History.Intercept.Delay extra -> enqueue t ~extra item)

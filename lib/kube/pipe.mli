@@ -1,12 +1,13 @@
 (** FIFO watch-stream channel between an upstream cache and a subscriber.
 
-    Unlike {!Dsim.Network.cast}, deliveries on a pipe never reorder: each
-    item becomes deliverable no earlier than the item before it, which is
-    the TCP-stream property real watch connections have. The pipe is also
-    where the Sieve interceptor sits: every event is submitted to the
-    interceptor at send time and can be passed, dropped (the stream stays
-    healthy — the subscriber cannot tell an event existed), or delayed
-    (pushing back this event and, by FIFO, everything behind it).
+    Unlike a network cast ({!Dsim.Network.SERVICE.cast}), deliveries on
+    a pipe never reorder: each item becomes deliverable no earlier than
+    the item before it, which is the TCP-stream property real watch
+    connections have. The pipe is also where the Sieve interceptor sits:
+    every event is submitted to the interceptor at send time and can be
+    passed, dropped (the stream stays healthy — the subscriber cannot
+    tell an event existed), or delayed (pushing back this event and, by
+    FIFO, everything behind it).
 
     Items blocked by a partition or a down/restarted subscriber at
     delivery time are silently lost; subscribers detect dead streams via
@@ -29,8 +30,8 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  intercept:Intercept.t ->
-  edge:Intercept.edge ->
+  intercept:Resource.value History.Intercept.t ->
+  edge:History.Intercept.edge ->
   deliver:(item -> unit) ->
   unit ->
   t
@@ -39,7 +40,7 @@ val create :
     remaining deliveries are dropped (the new incarnation must
     re-subscribe, obtaining a fresh pipe). *)
 
-val edge : t -> Intercept.edge
+val edge : t -> History.Intercept.edge
 
 val send : t -> item -> unit
 (** Enqueues one item, consulting the interceptor for events. *)

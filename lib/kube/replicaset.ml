@@ -188,7 +188,6 @@ let create ~net ~name ~endpoints ?(expectations = false) ?(period = 150_000) () 
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let rsets = rsets_informer t and pods = pods_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -196,7 +195,6 @@ let start t =
       Informer.stop pods;
       Hashtbl.reset t.pending)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start rsets ~endpoint ();
       Informer.start pods ~endpoint ());

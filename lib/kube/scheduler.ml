@@ -123,10 +123,10 @@ let bind t (p : Resource.pod) mod_rev node =
   Client.txn t.client txn (fun result ->
       Hashtbl.remove t.inflight pod_name;
       match result with
-      | Ok { Client.succeeded = true; _ } ->
+      | Ok { Messages.succeeded = true; _ } ->
           t.binds <- t.binds + 1;
           record t "sched.bind" (Printf.sprintf "%s -> %s" pod_name node)
-      | Ok { Client.succeeded = false; _ } ->
+      | Ok { Messages.succeeded = false; _ } ->
           let key = (pod_name, node) in
           Hashtbl.replace t.failures key
             (1 + Option.value (Hashtbl.find_opt t.failures key) ~default:0);
@@ -185,7 +185,6 @@ let create ~net ~name ~endpoints ?(evict_on_bind_failure = false) ?(period = 100
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let pods = pods_informer t and nodes = nodes_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -194,7 +193,6 @@ let start t =
       Hashtbl.reset t.node_cache;
       Hashtbl.reset t.inflight)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start pods ~endpoint ();
       Informer.start nodes ~endpoint ());

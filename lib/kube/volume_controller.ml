@@ -88,14 +88,12 @@ let create ~net ~name ~endpoints ?(release_on_absent_owner = false) ?(period = 1
   t
 
 let start t =
-  Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
   let pods = pods_informer t and pvcs = pvcs_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
       Informer.stop pods;
       Informer.stop pvcs)
     ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ();
       let endpoint = Dsim.Network.incarnation t.net t.name in
       Informer.start pods ~endpoint ();
       Informer.start pvcs ~endpoint ());

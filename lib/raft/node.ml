@@ -2,24 +2,31 @@ type entry = { term : int; command : string option }
 
 type role = Follower | Candidate | Leader
 
-type Dsim.Network.request +=
-  | Request_vote of {
+type vote = Vote of { term : int; granted : bool }
+type appended = Appended of { term : int; success : bool; match_index : int }
+
+type _ request =
+  | Request_vote : {
       term : int;
       candidate : string;
       last_log_index : int;
       last_log_term : int;
     }
-  | Append_entries of {
+      -> vote request
+  | Append_entries : {
       term : int;
       prev_log_index : int;
       prev_log_term : int;
       entries : entry list;
       leader_commit : int;
     }
+      -> appended request
 
-type Dsim.Network.response +=
-  | Vote of { term : int; granted : bool }
-  | Append_reply of { term : int; success : bool; match_index : int }
+module Rpc = Dsim.Network.Service (struct
+  type nonrec 'a request = 'a request
+  type 'a reply = 'a
+  let name = "raft"
+end)
 
 type t = {
   id : string;
@@ -134,9 +141,9 @@ let send_append t peer =
   in
   let sent_up_to = last_log_index t in
   let request_term = t.current_term in
-  Dsim.Network.call t.net ~src:t.id ~dst:peer ~timeout:(t.heartbeat_period * 2) request
+  Rpc.call t.net ~src:t.id ~dst:peer ~timeout:(t.heartbeat_period * 2) request
     (function
-    | Ok (Append_reply reply) when t.role = Leader && t.current_term = request_term ->
+    | Ok (Appended reply) when t.role = Leader && t.current_term = request_term ->
         if reply.term > t.current_term then become_follower t reply.term
         else if reply.success then begin
           Hashtbl.replace t.match_index peer (max reply.match_index sent_up_to);
@@ -148,7 +155,7 @@ let send_append t peer =
           let next = Option.value (Hashtbl.find_opt t.next_index peer) ~default:1 in
           Hashtbl.replace t.next_index peer (max 1 (next - 1))
         end
-    | _ -> ())
+    | Ok (Appended _) | Error _ -> ())
 
 let broadcast_appends t = List.iter (send_append t) t.peers
 
@@ -188,7 +195,7 @@ let start_election t =
   in
   List.iter
     (fun peer ->
-      Dsim.Network.call t.net ~src:t.id ~dst:peer ~timeout:t.election_timeout_min request
+      Rpc.call t.net ~src:t.id ~dst:peer ~timeout:t.election_timeout_min request
         (function
         | Ok (Vote vote) when t.role = Candidate && t.current_term = election_term ->
             if vote.term > t.current_term then become_follower t vote.term
@@ -196,7 +203,7 @@ let start_election t =
               t.votes <- peer :: t.votes;
               if List.length t.votes >= quorum t then become_leader t
             end
-        | _ -> ()))
+        | Ok (Vote _) | Error _ -> ()))
     t.peers
 
 (* A candidate's log is at least as up to date as ours when its last
@@ -235,7 +242,7 @@ let truncate_and_append t ~prev_log_index entries =
 let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leader_commit
     reply =
   if term < t.current_term then
-    reply (Append_reply { term = t.current_term; success = false; match_index = 0 })
+    reply (Appended { term = t.current_term; success = false; match_index = 0 })
   else begin
     become_follower t term;
     let log_ok =
@@ -243,7 +250,7 @@ let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leade
       || (prev_log_index <= Array.length t.log && term_at t prev_log_index = prev_log_term)
     in
     if not log_ok then
-      reply (Append_reply { term = t.current_term; success = false; match_index = 0 })
+      reply (Appended { term = t.current_term; success = false; match_index = 0 })
     else begin
       truncate_and_append t ~prev_log_index entries;
       let match_index = prev_log_index + List.length entries in
@@ -251,18 +258,18 @@ let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leade
         t.commit_index <- min leader_commit (last_log_index t);
         apply_committed t
       end;
-      reply (Append_reply { term = t.current_term; success = true; match_index })
+      reply (Appended { term = t.current_term; success = true; match_index })
     end
   end
 
-let serve t ~src:_ request reply =
+let serve : type a. t -> a request -> (a -> unit) -> unit =
+ fun t request reply ->
   match request with
   | Request_vote { term; candidate; last_log_index; last_log_term } ->
       handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term reply
   | Append_entries { term; prev_log_index; prev_log_term; entries; leader_commit } ->
       handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries
         ~leader_commit reply
-  | _ -> ()
 
 let propose t command =
   if t.role <> Leader then false
@@ -299,7 +306,7 @@ let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min =
   }
 
 let start t =
-  Dsim.Network.register t.net t.id ~serve:(serve t) ();
+  Rpc.register t.net t.id { serve = (fun ~src:_ request reply -> serve t request reply) };
   Dsim.Network.set_lifecycle t.net t.id
     ~on_crash:(fun () ->
       (* Stable storage keeps term/vote/log; leadership and progress
@@ -307,9 +314,7 @@ let start t =
          machine is persisted alongside the log in this model. *)
       t.role <- Follower;
       t.votes <- [])
-    ~on_restart:(fun () ->
-      Dsim.Network.register t.net t.id ~serve:(serve t) ();
-      reset_election_deadline t);
+    ~on_restart:(fun () -> reset_election_deadline t);
   reset_election_deadline t;
   (* One driving timer: leaders beat, others watch for election timeout. *)
   Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->

@@ -4,7 +4,7 @@
 let setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let apis =
     List.map
@@ -14,7 +14,7 @@ let setup () =
         api)
       [ "api-1"; "api-2" ]
   in
-  Dsim.Network.register net "comp" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "comp";
   let client = Kube.Client.create ~net ~owner:"comp" ~endpoints:[ "api-1"; "api-2" ] () in
   Dsim.Engine.run ~until:100_000 engine;
   (engine, net, etcd, apis, client)
@@ -28,7 +28,7 @@ let txn_reaches_etcd () =
       result := Some r);
   run_for engine 500_000;
   (match !result with
-  | Some (Ok { Kube.Client.succeeded = true; rev }) -> Alcotest.(check int) "rev 1" 1 rev
+  | Some (Ok { Kube.Messages.succeeded = true; rev }) -> Alcotest.(check int) "rev 1" 1 rev
   | _ -> Alcotest.fail "txn failed");
   Alcotest.(check bool) "in etcd" true (Etcdlike.Kv.get (Kube.Etcd.kv etcd) "pods/a" <> None)
 
@@ -85,7 +85,7 @@ let lease_lifecycle () =
   let ok = ref false in
   Kube.Client.txn ~lease:id client
     (Etcdlike.Txn.create_if_absent ~key:"locks/t" (Kube.Resource.make_lock ~holder:"comp" "t"))
-    (fun r -> ok := (match r with Ok { Kube.Client.succeeded = true; _ } -> true | _ -> false));
+    (fun r -> ok := (match r with Ok { Kube.Messages.succeeded = true; _ } -> true | _ -> false));
   run_for engine 300_000;
   Alcotest.(check bool) "acquired" true !ok;
   Alcotest.(check bool) "key exists" true (Etcdlike.Kv.get (Kube.Etcd.kv etcd) "locks/t" <> None);

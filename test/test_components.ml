@@ -75,13 +75,13 @@ let fixed_scheduler_evicts_deleted_node () =
   let cluster = boot ~config () in
   (* Hide the node deletion from the scheduler, as the Sieve strategy
      would: the fixed scheduler must recover via bind-failure eviction. *)
-  Kube.Intercept.set_policy (Kube.Cluster.intercept cluster) (fun edge e ->
+  History.Intercept.set_policy (Kube.Cluster.intercept cluster) (fun edge e ->
       if
-        String.equal edge.Kube.Intercept.dst "scheduler"
+        String.equal edge.History.Intercept.dst "scheduler"
         && String.equal e.History.Event.key "nodes/node-2"
         && e.History.Event.op = History.Event.Delete
-      then Kube.Intercept.Drop
-      else Kube.Intercept.Pass);
+      then History.Intercept.Drop
+      else History.Intercept.Pass);
   Kube.Workload.schedule cluster (Kube.Workload.node_churn ~start:1_500_000 ~node:"node-2" ~pods_after:6 ());
   run_to cluster 8_000_000;
   let scheduler = Option.get (Kube.Cluster.scheduler cluster) in

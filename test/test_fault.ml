@@ -3,8 +3,8 @@
 let plan_applies_in_order () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  Dsim.Network.register net "a" ~serve:(fun ~src:_ _ _ -> ()) ();
-  Dsim.Network.register net "b" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "a";
+  Dsim.Network.join net "b";
   let plan =
     [
       (100, Dsim.Fault.Crash "a");

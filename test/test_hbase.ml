@@ -27,7 +27,7 @@ let zk_replicates_with_lag () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net ~replication_lag:50_000 () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   let done_ = ref false in
   Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> done_ := true);
   Dsim.Engine.run ~until:10_000 engine;
@@ -41,7 +41,7 @@ let zk_sync_read_is_fresh () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net ~replication_lag:500_000 () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> ());
   Dsim.Engine.run ~until:20_000 engine;
   let stale = ref None and fresh = ref None in
@@ -70,7 +70,7 @@ let zk_compaction_pull_forces_resync ~hub_order () =
   let zk =
     Hbaselike.Zk.create ~net ~replication_lag:100_000_000 ~compaction_window:2 ~hub_order ()
   in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   for i = 1 to 6 do
     Hbaselike.Zk.write zk ~src:"client" ~key:(Printf.sprintf "k%d" i)
       (Printf.sprintf "v%d" i)
@@ -102,7 +102,7 @@ let zk_cas_guards () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> ());
   Dsim.Engine.run ~until:20_000 engine;
   let stale_cas = ref None and fresh_cas = ref None in
@@ -222,7 +222,7 @@ let run_zk_program ~regime ops =
         Hbaselike.Zk.create ~net ~replication_lag:100_000_000 ~compaction_window:3
           ~follower_leader_revs:true ()
   in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   let monitor =
     Conformance.Monitor.create ~track_divergence:false ~on_violation:(fun _ -> ()) ()
   in

@@ -4,14 +4,14 @@
 let setup ?(apiservers = 1) () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let names = List.init apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) in
   let apis =
     List.map (fun name -> Kube.Apiserver.create ~net ~intercept ~name ~etcd:"etcd" ()) names
   in
   List.iter Kube.Apiserver.start apis;
-  Dsim.Network.register net "comp" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "comp";
   (engine, net, etcd, names, apis)
 
 let run_for engine us = Dsim.Engine.run ~until:(Dsim.Engine.now engine + us) engine

@@ -3,36 +3,33 @@
 let ev key = History.Event.make ~rev:1 ~key ~op:History.Event.Create (Some (Kube.Resource.make_node "n"))
 
 let default_passes () =
-  let i = Kube.Intercept.create () in
+  let i = History.Intercept.create () in
   Alcotest.(check bool) "pass" true
-    (Kube.Intercept.decide i { Kube.Intercept.src = "a"; dst = "b" } (ev "k")
-    = Kube.Intercept.Pass)
+    (History.Intercept.decide i { History.Intercept.src = "a"; dst = "b" } (ev "k")
+    = History.Intercept.Pass)
 
 let policy_applies_and_clears () =
-  let i = Kube.Intercept.create () in
-  Kube.Intercept.set_policy i (fun _ _ -> Kube.Intercept.Drop);
-  let edge = { Kube.Intercept.src = "a"; dst = "b" } in
-  Alcotest.(check bool) "drop" true (Kube.Intercept.decide i edge (ev "k") = Kube.Intercept.Drop);
-  Kube.Intercept.clear i;
+  let i = History.Intercept.create () in
+  History.Intercept.set_policy i (fun _ _ -> History.Intercept.Drop);
+  let edge = { History.Intercept.src = "a"; dst = "b" } in
+  Alcotest.(check bool) "drop" true
+    (History.Intercept.decide i edge (ev "k") = History.Intercept.Drop);
+  History.Intercept.clear i;
   Alcotest.(check bool) "pass again" true
-    (Kube.Intercept.decide i edge (ev "k") = Kube.Intercept.Pass)
+    (History.Intercept.decide i edge (ev "k") = History.Intercept.Pass)
 
 let observer_sees_decisions () =
-  let i = Kube.Intercept.create () in
+  let i = History.Intercept.create () in
   let seen = ref [] in
-  Kube.Intercept.set_observer i (fun edge _ decision ->
-      seen := (edge.Kube.Intercept.dst, decision) :: !seen);
-  Kube.Intercept.set_policy i (fun _ _ -> Kube.Intercept.Delay 5);
-  ignore (Kube.Intercept.decide i { Kube.Intercept.src = "a"; dst = "b" } (ev "k"));
-  Alcotest.(check bool) "observed" true (!seen = [ ("b", Kube.Intercept.Delay 5) ])
+  History.Intercept.set_observer i (fun edge _ decision ->
+      seen := (edge.History.Intercept.dst, decision) :: !seen);
+  History.Intercept.set_policy i (fun _ _ -> History.Intercept.Delay 5);
+  ignore (History.Intercept.decide i { History.Intercept.src = "a"; dst = "b" } (ev "k"));
+  Alcotest.(check bool) "observed" true (!seen = [ ("b", History.Intercept.Delay 5) ])
 
-let decision_printing () =
-  Alcotest.(check string) "pass" "pass"
-    (Format.asprintf "%a" Kube.Intercept.pp_decision Kube.Intercept.Pass);
-  Alcotest.(check string) "drop" "drop"
-    (Format.asprintf "%a" Kube.Intercept.pp_decision Kube.Intercept.Drop);
+let edge_printing () =
   Alcotest.(check string) "edge" "a->b"
-    (Format.asprintf "%a" Kube.Intercept.pp_edge { Kube.Intercept.src = "a"; dst = "b" })
+    (Format.asprintf "%a" History.Intercept.pp_edge { History.Intercept.src = "a"; dst = "b" })
 
 (* Trace store. *)
 let trace_filters_and_orders () =
@@ -62,7 +59,7 @@ let suites =
         Alcotest.test_case "default passes" `Quick default_passes;
         Alcotest.test_case "policy applies and clears" `Quick policy_applies_and_clears;
         Alcotest.test_case "observer sees decisions" `Quick observer_sees_decisions;
-        Alcotest.test_case "decision printing" `Quick decision_printing;
+        Alcotest.test_case "edge printing" `Quick edge_printing;
         Alcotest.test_case "trace filters and orders" `Quick trace_filters_and_orders;
         Alcotest.test_case "report rejects ragged rows" `Quick report_rejects_ragged_rows;
       ] );

@@ -1,8 +1,20 @@
 (* RPC, casts, partitions, crashes and incarnation semantics. *)
 
-type Dsim.Network.request += Ping of int
-type Dsim.Network.response += Pong of int
-type Dsim.Network.cast += Note of string
+type _ echo = Ping : int -> int echo
+
+module Echo = Dsim.Network.Service (struct
+  type 'a request = 'a echo
+  type 'a reply = 'a
+  let name = "echo"
+end)
+
+type _ note = Note : string -> unit note
+
+module Notes = Dsim.Network.Service (struct
+  type 'a request = 'a note
+  type 'a reply = 'a
+  let name = "note"
+end)
 
 let make () =
   let engine = Dsim.Engine.create () in
@@ -10,36 +22,35 @@ let make () =
   (engine, net)
 
 let echo_server net name =
-  Dsim.Network.register net name
-    ~serve:(fun ~src:_ req reply -> match req with Ping n -> reply (Pong n) | _ -> ())
-    ()
+  Echo.register net name
+    { serve = (fun (type a) ~src:_ (Ping n : a echo) (reply : a -> unit) -> reply n) }
 
 let rpc_roundtrip () =
   let engine, net = make () in
   echo_server net "server";
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   let got = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"server" (Ping 7) (fun r -> got := Some r);
+  Echo.call net ~src:"client" ~dst:"server" (Ping 7) (fun r -> got := Some r);
   Dsim.Engine.run engine;
   match !got with
-  | Some (Ok (Pong 7)) -> ()
-  | _ -> Alcotest.fail "expected Pong 7"
+  | Some (Ok 7) -> ()
+  | _ -> Alcotest.fail "expected 7 back"
 
 let rpc_latency_is_positive () =
   let engine, net = make () in
   echo_server net "server";
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   let finished_at = ref 0 in
-  Dsim.Network.call net ~src:"client" ~dst:"server" (Ping 1) (fun _ ->
+  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun _ ->
       finished_at := Dsim.Engine.now engine);
   Dsim.Engine.run engine;
   Alcotest.(check bool) "took at least two hops" true (!finished_at >= 1_000)
 
 let unknown_destination () =
   let engine, net = make () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   let got = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"nobody" (Ping 1) (fun r -> got := Some r);
+  Echo.call net ~src:"client" ~dst:"nobody" (Ping 1) (fun r -> got := Some r);
   Dsim.Engine.run engine;
   match !got with
   | Some (Error Dsim.Network.Unreachable) -> ()
@@ -48,10 +59,10 @@ let unknown_destination () =
 let partition_times_out () =
   let engine, net = make () in
   echo_server net "server";
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Network.partition net "client" "server";
   let got = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
+  Echo.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
       got := Some r);
   Dsim.Engine.run engine;
   match !got with
@@ -61,21 +72,21 @@ let partition_times_out () =
 let heal_restores () =
   let engine, net = make () in
   echo_server net "server";
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Network.partition net "client" "server";
   Dsim.Network.heal net "client" "server";
   let ok = ref false in
-  Dsim.Network.call net ~src:"client" ~dst:"server" (Ping 1) (fun r -> ok := Result.is_ok r);
+  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun r -> ok := Result.is_ok r);
   Dsim.Engine.run engine;
   Alcotest.(check bool) "healed" true !ok
 
 let down_server_times_out () =
   let engine, net = make () in
   echo_server net "server";
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Network.crash net "server";
   let got = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
+  Echo.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
       got := Some r);
   Dsim.Engine.run engine;
   match !got with
@@ -85,15 +96,15 @@ let down_server_times_out () =
 let restarted_caller_never_sees_reply () =
   let engine, net = make () in
   (* Server replies after a long think; the caller restarts meanwhile. *)
-  Dsim.Network.register net "server"
-    ~serve:(fun ~src:_ req reply ->
-      match req with
-      | Ping n -> ignore (Dsim.Engine.schedule engine ~delay:100_000 (fun () -> reply (Pong n)))
-      | _ -> ())
-    ();
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Echo.register net "server"
+    {
+      serve =
+        (fun (type a) ~src:_ (Ping n : a echo) (reply : a -> unit) ->
+          ignore (Dsim.Engine.schedule engine ~delay:100_000 (fun () -> reply n)));
+    };
+  Dsim.Network.join net "client";
   let outcomes = ref [] in
-  Dsim.Network.call net ~src:"client" ~dst:"server" ~timeout:400_000 (Ping 1) (fun r ->
+  Echo.call net ~src:"client" ~dst:"server" ~timeout:400_000 (Ping 1) (fun r ->
       outcomes := r :: !outcomes);
   ignore (Dsim.Engine.schedule engine ~delay:20_000 (fun () -> Dsim.Network.crash net "client"));
   ignore (Dsim.Engine.schedule engine ~delay:30_000 (fun () -> Dsim.Network.restart net "client"));
@@ -105,7 +116,7 @@ let restarted_caller_never_sees_reply () =
 let crash_bumps_incarnation_and_hooks () =
   let _, net = make () in
   let crashes = ref 0 and restarts = ref 0 in
-  Dsim.Network.register net "n" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "n";
   Dsim.Network.set_lifecycle net "n"
     ~on_crash:(fun () -> incr crashes)
     ~on_restart:(fun () -> incr restarts);
@@ -123,17 +134,56 @@ let crash_bumps_incarnation_and_hooks () =
 let cast_delivery_and_partition () =
   let engine, net = make () in
   let received = ref [] in
-  Dsim.Network.register net "sink"
-    ~serve:(fun ~src:_ _ _ -> ())
-    ~on_cast:(fun ~src:_ c -> match c with Note s -> received := s :: !received | _ -> ())
-    ();
-  Dsim.Network.register net "src" ~serve:(fun ~src:_ _ _ -> ()) ();
-  Dsim.Network.cast net ~src:"src" ~dst:"sink" (Note "one");
+  Notes.register net "sink"
+    {
+      serve =
+        (fun (type a) ~src:_ (Note s : a note) (_ : a -> unit) -> received := s :: !received);
+    };
+  Dsim.Network.join net "src";
+  Notes.cast net ~src:"src" ~dst:"sink" (Note "one");
   Dsim.Engine.run engine;
   Dsim.Network.partition net "src" "sink";
-  Dsim.Network.cast net ~src:"src" ~dst:"sink" (Note "lost");
+  Notes.cast net ~src:"src" ~dst:"sink" (Note "lost");
   Dsim.Engine.run engine;
   Alcotest.(check (list string)) "only pre-partition cast" [ "one" ] !received
+
+(* Addresses are strings, so a request or cast can reach a live node
+   that does not serve its kind. That is traced and counted at the
+   destination; the caller still times out. *)
+type _ other = Other : unit other
+
+module Other = Dsim.Network.Service (struct
+  type 'a request = 'a other
+  type 'a reply = 'a
+  let name = "other"
+end)
+
+let unhandled engine =
+  List.assoc_opt "net.unhandled" (Dsim.Metrics.counters (Dsim.Engine.metrics engine))
+
+let mismatched_service_is_loud () =
+  let engine, net = make () in
+  echo_server net "server";
+  Dsim.Network.join net "client";
+  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun _ -> ());
+  Dsim.Engine.run engine;
+  Alcotest.(check (option int)) "no counter until a mismatch" None (unhandled engine);
+  let sent = Dsim.Engine.now engine in
+  let got = ref None in
+  Other.call net ~src:"client" ~dst:"server" ~timeout:50_000 Other (fun r ->
+      got := Some (r, Dsim.Engine.now engine));
+  Other.cast net ~src:"client" ~dst:"server" Other;
+  Dsim.Engine.run engine;
+  (match !got with
+  | Some (Error Dsim.Network.Timeout, at) ->
+      Alcotest.(check int) "after its deadline" (sent + 50_000) at
+  | _ -> Alcotest.fail "expected Timeout");
+  Alcotest.(check (option int)) "both counted" (Some 2) (unhandled engine);
+  let entries = Dsim.Trace.find_all (Dsim.Engine.trace engine) ~kind:"net.unhandled" in
+  Alcotest.(check (list (pair string string)))
+    "traced at the destination"
+    [ ("server", "other cast from client"); ("server", "other request from client") ]
+    (List.sort compare (List.map (fun (e : Dsim.Trace.entry) -> (e.actor, e.detail)) entries))
 
 let heal_all_clears_every_cut () =
   let _, net = make () in
@@ -177,6 +227,8 @@ let suites =
         Alcotest.test_case "crash bumps incarnation and hooks" `Quick
           crash_bumps_incarnation_and_hooks;
         Alcotest.test_case "cast delivery and partition" `Quick cast_delivery_and_partition;
+        Alcotest.test_case "mismatched service is traced, counted and times out" `Quick
+          mismatched_service_is_loud;
         Alcotest.test_case "heal_all clears every cut" `Quick heal_all_clears_every_cut;
         Alcotest.test_case "partition is symmetric" `Quick partition_is_symmetric;
         Alcotest.test_case "latency models sample in range" `Quick

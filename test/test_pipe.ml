@@ -5,13 +5,13 @@ let ev rev key = History.Event.make ~rev ~key ~op:History.Event.Create (Some (Ku
 let setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  Dsim.Network.register net "up" ~serve:(fun ~src:_ _ _ -> ()) ();
-  Dsim.Network.register net "down" ~serve:(fun ~src:_ _ _ -> ()) ();
-  let intercept = Kube.Intercept.create () in
+  Dsim.Network.join net "up";
+  Dsim.Network.join net "down";
+  let intercept = History.Intercept.create () in
   let received = ref [] in
   let pipe =
     Kube.Pipe.create ~net ~intercept
-      ~edge:Kube.Intercept.{ src = "up"; dst = "down" }
+      ~edge:History.Intercept.{ src = "up"; dst = "down" }
       ~deliver:(fun item -> received := item :: !received)
       ()
   in
@@ -36,8 +36,8 @@ let fifo_ordering () =
 let delay_preserves_fifo () =
   let engine, _, intercept, pipe, received = setup () in
   (* Delay only rev 1; rev 2 must still arrive after it. *)
-  Kube.Intercept.set_policy intercept (fun _ e ->
-      if e.History.Event.rev = 1 then Kube.Intercept.Delay 500_000 else Kube.Intercept.Pass);
+  History.Intercept.set_policy intercept (fun _ e ->
+      if e.History.Event.rev = 1 then History.Intercept.Delay 500_000 else History.Intercept.Pass);
   Kube.Pipe.send pipe (Kube.Pipe.Event (ev 1 "k"));
   Kube.Pipe.send pipe (Kube.Pipe.Event (ev 2 "k"));
   Dsim.Engine.run engine;
@@ -46,8 +46,8 @@ let delay_preserves_fifo () =
 
 let drop_is_silent_and_stream_survives () =
   let engine, _, intercept, pipe, received = setup () in
-  Kube.Intercept.set_policy intercept (fun _ e ->
-      if e.History.Event.rev = 2 then Kube.Intercept.Drop else Kube.Intercept.Pass);
+  History.Intercept.set_policy intercept (fun _ e ->
+      if e.History.Event.rev = 2 then History.Intercept.Drop else History.Intercept.Pass);
   List.iter (fun i -> Kube.Pipe.send pipe (Kube.Pipe.Event (ev i "k"))) [ 1; 2; 3 ];
   Dsim.Engine.run engine;
   Alcotest.(check (list int)) "2 silently missing" [ 1; 3 ] (revs received);
@@ -55,7 +55,7 @@ let drop_is_silent_and_stream_survives () =
 
 let bookmarks_bypass_interceptor () =
   let engine, _, intercept, pipe, received = setup () in
-  Kube.Intercept.set_policy intercept (fun _ _ -> Kube.Intercept.Drop);
+  History.Intercept.set_policy intercept (fun _ _ -> History.Intercept.Drop);
   Kube.Pipe.send pipe (Kube.Pipe.Event (ev 1 "k"));
   Kube.Pipe.send pipe (Kube.Pipe.Bookmark 7);
   Dsim.Engine.run engine;

@@ -6,16 +6,16 @@
 let random_policy seed =
   (* A deterministic pseudo-random pass/drop/delay policy over events. *)
   let rng = Dsim.Rng.create (Int64.of_int (7 + abs seed)) in
-  fun (_ : Kube.Intercept.edge) (_ : Kube.Resource.value History.Event.t) ->
+  fun (_ : History.Intercept.edge) (_ : Kube.Resource.value History.Event.t) ->
     let roll = Dsim.Rng.int rng 10 in
-    if roll < 6 then Kube.Intercept.Pass
-    else if roll < 8 then Kube.Intercept.Drop
-    else Kube.Intercept.Delay (Dsim.Rng.int rng 800_000)
+    if roll < 6 then History.Intercept.Pass
+    else if roll < 8 then History.Intercept.Drop
+    else History.Intercept.Delay (Dsim.Rng.int rng 800_000)
 
 let run_adversarial seed =
   let config = { Kube.Cluster.default_config with Kube.Cluster.seed = Int64.of_int (1 + abs seed) } in
   let cluster = Kube.Cluster.create ~config () in
-  Kube.Intercept.set_policy (Kube.Cluster.intercept cluster) (random_policy seed);
+  History.Intercept.set_policy (Kube.Cluster.intercept cluster) (random_policy seed);
   Kube.Cluster.start cluster;
   Kube.Workload.schedule cluster (Kube.Workload.pod_churn ~n:4 ());
   Kube.Workload.schedule cluster
@@ -61,7 +61,7 @@ let kubelets_run_only_assigned_pods =
           | Some (Kube.Resource.Pod { Kube.Resource.pod_name; node = Some n; _ }) ->
               Hashtbl.replace assigned (pod_name, n) ()
           | _ -> ());
-      Kube.Intercept.set_policy (Kube.Cluster.intercept cluster) (random_policy seed);
+      History.Intercept.set_policy (Kube.Cluster.intercept cluster) (random_policy seed);
       Kube.Cluster.start cluster;
       Kube.Workload.schedule cluster (Kube.Workload.pod_churn ~n:4 ());
       Kube.Cluster.run cluster ~until:10_000_000;

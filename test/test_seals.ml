@@ -76,7 +76,7 @@ let delays_do_not_trip_seals () =
    refuses it up front instead of dividing by zero on the first commit. *)
 let non_positive_granularity_rejected () =
   let net = Dsim.Network.create (Dsim.Engine.create ()) in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   List.iter
     (fun g ->
       Alcotest.check_raises

@@ -3,38 +3,38 @@
 let setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   (engine, net, intercept, etcd)
 
 let call engine net req =
   let result = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"etcd" req (fun r -> result := Some r);
+  Kube.Messages.Store.call net ~src:"client" ~dst:"etcd" req (fun r -> result := Some r);
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 2_000_000) engine;
   !result
 
 let etcd_range_and_txn () =
   let engine, net, _, etcd = setup () in
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
-  (match call engine net (Kube.Messages.Etcd_range { prefix = "pods/" }) with
-  | Some (Ok (Kube.Messages.Items { items; rev })) ->
+  (match call engine net (Kube.Messages.List { prefix = "pods/"; quorum = true }) with
+  | Some (Ok (Ok { Kube.Messages.items; rev })) ->
       Alcotest.(check int) "one item" 1 (List.length items);
       Alcotest.(check int) "rev 1" 1 rev
   | _ -> Alcotest.fail "range failed");
   match
     call engine net
-      (Kube.Messages.Etcd_txn
+      (Kube.Messages.Txn
          { txn = Kube.Messages.put "pods/b" (Kube.Resource.make_pod "b"); origin = "client"; lease = None })
   with
-  | Some (Ok (Kube.Messages.Txn_result { succeeded = true; rev = 2 })) -> ()
+  | Some (Ok (Ok { Kube.Messages.succeeded = true; rev = 2 })) -> ()
   | _ -> Alcotest.fail "txn failed"
 
 let etcd_watch_streams_via_pipe () =
   let engine, net, _, etcd = setup () in
   let received = ref [] in
   let watch =
-    Kube.Messages.Etcd_watch
+    Kube.Messages.Watch
       {
         prefix = Some "pods/";
         start_rev = 0;
@@ -48,7 +48,7 @@ let etcd_watch_streams_via_pipe () =
       }
   in
   (match call engine net watch with
-  | Some (Ok (Kube.Messages.Watch_ok _)) -> ()
+  | Some (Ok (Ok Kube.Messages.Watching)) -> ()
   | _ -> Alcotest.fail "watch failed");
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "nodes/x" (Kube.Resource.make_node "x"));
@@ -65,15 +65,15 @@ let etcd_watch_window_compaction () =
   (* Recreate with a tiny window on a fresh engine for isolation. *)
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept ~watch_window:2 () in
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   for i = 1 to 6 do
     ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) (Printf.sprintf "k%d" i) (Kube.Resource.make_node "n"))
   done;
   let result = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"etcd"
-    (Kube.Messages.Etcd_watch
+  Kube.Messages.Store.call net ~src:"client" ~dst:"etcd"
+    (Kube.Messages.Watch
        {
          prefix = None;
          start_rev = 1;
@@ -84,24 +84,24 @@ let etcd_watch_window_compaction () =
     (fun r -> result := Some r);
   Dsim.Engine.run ~until:2_000_000 engine;
   match !result with
-  | Some (Ok (Kube.Messages.Watch_compacted { compacted_rev = 4 })) -> ()
+  | Some (Ok (Ok (Kube.Messages.Compacted 4))) -> ()
   | _ -> Alcotest.fail "expected compacted at 4"
 
 (* Apiserver serving from its cache. *)
 let api_setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
   Kube.Apiserver.start api;
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Engine.run ~until:100_000 engine;
   (engine, net, etcd, api)
 
 let api_call engine net req =
   let result = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"api-1" req (fun r -> result := Some r);
+  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1" req (fun r -> result := Some r);
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 2_000_000) engine;
   !result
 
@@ -111,8 +111,8 @@ let apiserver_becomes_ready_and_caches () =
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 100_000) engine;
   Alcotest.(check int) "cache caught up" 1 (Kube.Apiserver.rev api);
-  match api_call engine net (Kube.Messages.Api_list { prefix = "pods/"; quorum = false }) with
-  | Some (Ok (Kube.Messages.Items { items; _ })) ->
+  match api_call engine net (Kube.Messages.List { prefix = "pods/"; quorum = false }) with
+  | Some (Ok (Ok { Kube.Messages.items; _ })) ->
       Alcotest.(check int) "served from cache" 1 (List.length items)
   | _ -> Alcotest.fail "list failed"
 
@@ -122,24 +122,24 @@ let apiserver_stale_when_partitioned () =
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/late" (Kube.Resource.make_pod "late"));
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 300_000) engine;
   (* Cached list misses the new pod; quorum read cannot be served. *)
-  (match api_call engine net (Kube.Messages.Api_list { prefix = "pods/"; quorum = false }) with
-  | Some (Ok (Kube.Messages.Items { items; _ })) ->
+  (match api_call engine net (Kube.Messages.List { prefix = "pods/"; quorum = false }) with
+  | Some (Ok (Ok { Kube.Messages.items; _ })) ->
       Alcotest.(check int) "stale cache: no pod" 0 (List.length items)
   | _ -> Alcotest.fail "cached list should still work");
   (* Either the apiserver reports the backend gone, or the whole call
      times out behind it — both are failures to serve a quorum read. *)
-  match api_call engine net (Kube.Messages.Api_get { key = "pods/late"; quorum = true }) with
-  | Some (Ok Kube.Messages.Backend_unavailable) | Some (Error _) -> ()
+  match api_call engine net (Kube.Messages.Get { key = "pods/late"; quorum = true }) with
+  | Some (Ok (Error `Unavailable)) | Some (Error _) -> ()
   | _ -> Alcotest.fail "quorum read should fail during partition"
 
 let apiserver_txn_forwarded () =
   let engine, net, etcd, _ = api_setup () in
   (match
      api_call engine net
-       (Kube.Messages.Api_txn
+       (Kube.Messages.Txn
           { txn = Kube.Messages.put "pods/w" (Kube.Resource.make_pod "w"); origin = "client"; lease = None })
    with
-  | Some (Ok (Kube.Messages.Txn_result { succeeded = true; _ })) -> ()
+  | Some (Ok (Ok { Kube.Messages.succeeded = true; _ })) -> ()
   | _ -> Alcotest.fail "txn failed");
   Alcotest.(check bool) "landed in etcd" true
     (Etcdlike.Kv.get (Kube.Etcd.kv etcd) "pods/w" <> None)
@@ -147,19 +147,19 @@ let apiserver_txn_forwarded () =
 let apiserver_watch_compacted_window () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" ~window_size:2 () in
   Kube.Apiserver.start api;
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Engine.run ~until:100_000 engine;
   for i = 1 to 6 do
     ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) (Printf.sprintf "pods/p%d" i) (Kube.Resource.make_pod "p"))
   done;
   Dsim.Engine.run ~until:400_000 engine;
   let result = ref None in
-  Dsim.Network.call net ~src:"client" ~dst:"api-1"
-    (Kube.Messages.Api_watch
+  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1"
+    (Kube.Messages.Watch
        {
          prefix = Some "pods/";
          start_rev = 1;
@@ -170,7 +170,7 @@ let apiserver_watch_compacted_window () =
     (fun r -> result := Some r);
   Dsim.Engine.run ~until:1_000_000 engine;
   match !result with
-  | Some (Ok (Kube.Messages.Watch_compacted _)) -> ()
+  | Some (Ok (Ok (Kube.Messages.Compacted _))) -> ()
   | _ -> Alcotest.fail "expected window compaction"
 
 let apiserver_restart_relists () =
@@ -194,16 +194,16 @@ let apiserver_restart_relists () =
 let apiserver_reregister_from_delivery () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
   Kube.Apiserver.start api;
-  Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
+  Dsim.Network.join net "client";
   Dsim.Engine.run ~until:100_000 engine;
   let received = ref [] in
   let reregistered = ref false in
   let rec make_watch ~start_rev =
-    Kube.Messages.Api_watch
+    Kube.Messages.Watch
       {
         prefix = Some "pods/";
         start_rev;
@@ -218,14 +218,14 @@ let apiserver_reregister_from_delivery () =
                    this stream's entry is the one being delivered to. *)
                 if not !reregistered then begin
                   reregistered := true;
-                  Dsim.Network.call net ~src:"client" ~dst:"api-1"
+                  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1"
                     (make_watch ~start_rev:e.History.Event.rev)
                     (fun _ -> ())
                 end
             | Kube.Pipe.Bookmark _ | Kube.Pipe.Seal _ -> ());
       }
   in
-  Dsim.Network.call net ~src:"client" ~dst:"api-1" (make_watch ~start_rev:0) (fun _ -> ());
+  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1" (make_watch ~start_rev:0) (fun _ -> ());
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;

@@ -40,48 +40,48 @@ let describe_is_total () =
 
 (* Compile a strategy onto a cluster and probe the interceptor directly. *)
 let decide cluster edge event =
-  Kube.Intercept.decide (Kube.Cluster.intercept cluster) edge event
+  History.Intercept.decide (Kube.Cluster.intercept cluster) edge event
 
 let drop_rule_matches_scope () =
   let cluster = Kube.Cluster.create () in
   Sieve.Strategy.apply cluster
     (Sieve.Strategy.observability_gap ~dst:"scheduler" ~key_prefix:"nodes/"
        ~op:History.Event.Delete ~from:0 ~until:1_000_000 ());
-  let to_scheduler = Kube.Intercept.{ src = "api-1"; dst = "scheduler" } in
-  let to_kubelet = Kube.Intercept.{ src = "api-1"; dst = "kubelet-1" } in
+  let to_scheduler = History.Intercept.{ src = "api-1"; dst = "scheduler" } in
+  let to_kubelet = History.Intercept.{ src = "api-1"; dst = "kubelet-1" } in
   Alcotest.(check bool) "drops matching" true
-    (decide cluster to_scheduler (ev 1 "nodes/n" History.Event.Delete) = Kube.Intercept.Drop);
+    (decide cluster to_scheduler (ev 1 "nodes/n" History.Event.Delete) = History.Intercept.Drop);
   Alcotest.(check bool) "passes other op" true
-    (decide cluster to_scheduler (ev 2 "nodes/n" History.Event.Create) = Kube.Intercept.Pass);
+    (decide cluster to_scheduler (ev 2 "nodes/n" History.Event.Create) = History.Intercept.Pass);
   Alcotest.(check bool) "passes other key" true
-    (decide cluster to_scheduler (ev 3 "pods/p" History.Event.Delete) = Kube.Intercept.Pass);
+    (decide cluster to_scheduler (ev 3 "pods/p" History.Event.Delete) = History.Intercept.Pass);
   Alcotest.(check bool) "passes other dst" true
-    (decide cluster to_kubelet (ev 4 "nodes/n" History.Event.Delete) = Kube.Intercept.Pass)
+    (decide cluster to_kubelet (ev 4 "nodes/n" History.Event.Delete) = History.Intercept.Pass)
 
 let limit_caps_matches () =
   let cluster = Kube.Cluster.create () in
   Sieve.Strategy.apply cluster
     (Sieve.Strategy.observability_gap ~dst:"c" ~limit:2 ~from:0 ~until:1_000_000 ());
-  let edge = Kube.Intercept.{ src = "api-1"; dst = "c" } in
+  let edge = History.Intercept.{ src = "api-1"; dst = "c" } in
   Alcotest.(check bool) "1st dropped" true
-    (decide cluster edge (ev 1 "k" History.Event.Create) = Kube.Intercept.Drop);
+    (decide cluster edge (ev 1 "k" History.Event.Create) = History.Intercept.Drop);
   Alcotest.(check bool) "2nd dropped" true
-    (decide cluster edge (ev 2 "k" History.Event.Create) = Kube.Intercept.Drop);
+    (decide cluster edge (ev 2 "k" History.Event.Create) = History.Intercept.Drop);
   Alcotest.(check bool) "3rd passes" true
-    (decide cluster edge (ev 3 "k" History.Event.Create) = Kube.Intercept.Pass)
+    (decide cluster edge (ev 3 "k" History.Event.Create) = History.Intercept.Pass)
 
 let window_respected () =
   let cluster = Kube.Cluster.create () in
   Sieve.Strategy.apply cluster
     (Sieve.Strategy.staleness ~dst:"c" ~from:100_000 ~until:200_000 ~extra:50_000 ());
-  let edge = Kube.Intercept.{ src = "api-1"; dst = "c" } in
+  let edge = History.Intercept.{ src = "api-1"; dst = "c" } in
   (* Engine clock is 0: outside the window, rule dormant. *)
   Alcotest.(check bool) "before window passes" true
-    (decide cluster edge (ev 1 "k" History.Event.Create) = Kube.Intercept.Pass);
+    (decide cluster edge (ev 1 "k" History.Event.Create) = History.Intercept.Pass);
   ignore
     (Dsim.Engine.schedule_at (Kube.Cluster.engine cluster) ~time:150_000 (fun () ->
          Alcotest.(check bool) "inside window delays" true
-           (decide cluster edge (ev 2 "k" History.Event.Create) = Kube.Intercept.Delay 50_000)));
+           (decide cluster edge (ev 2 "k" History.Event.Create) = History.Intercept.Delay 50_000)));
   Kube.Cluster.run cluster ~until:150_000
 
 let faults_scheduled () =
