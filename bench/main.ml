@@ -1425,7 +1425,7 @@ let store_bench () =
       record ~bench:"prefix-scan" ~n ~ops:k_scan ~indexed:range_ns ~naive:(Some range_naive_ns);
       (* watch-backlog: a subscriber re-syncing 64 revisions behind the
          head — the backlog slice plus the per-subscriber prefix filter
-         the watch hub applies before delivery. *)
+         a watch stream applies before delivery. *)
       let k_backlog = min 64 n in
       let backlog_rev = n - k_backlog in
       let deliver backlog =

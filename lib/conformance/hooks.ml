@@ -145,8 +145,9 @@ let lag caches w =
         Wiring.flag_lag w ~stream:c.lag_stream ?prefix:c.prefix ~frontier:(c.rev ()) ())
     (Lazy.force !caches)
 
-(* [Cluster.create] registered etcd's own hub first, so the mirror sits
-   between the store and every watch stream. *)
+(* [Cluster.create] registered etcd's stream-table publisher first; pipe
+   deliveries are asynchronous, so the mirror still sits between the
+   store and every watch stream. *)
 let attach ?(track_divergence = false) cluster =
   let caches = ref (lazy []) in
   let taps w =

@@ -1,8 +1,9 @@
 type 'v t = {
   history : 'v History.Log.t;
-  (* Listeners in registration order; a growable array so cluster boot —
-     which registers one listener per watch hub — stays O(1) per
-     registration instead of re-walking the list with [@]. *)
+  (* Listeners in registration order (oracles, monitors, the stream
+     tables' publishers, ZK's replication and watch notifier); a
+     growable array keeps each registration O(1) instead of re-walking
+     a list with [@]. *)
   mutable listeners : ('v History.Event.t -> unit) array;
   mutable n_listeners : int;
 }

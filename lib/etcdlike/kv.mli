@@ -2,8 +2,8 @@
 
     A thin stateful layer over {!History.Log}: every mutation commits
     an event into the history (assigning the next global revision) and
-    updates the materialized state. Commit listeners let the watch hub
-    stream events out; reads are linearizable by construction because
+    updates the materialized state. Commit listeners let servers stream
+    events out; reads are linearizable by construction because
     there is a single store instance — the *network* layer is what makes
     client views stale, exactly as in the paper's architecture. *)
 

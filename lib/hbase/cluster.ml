@@ -12,7 +12,6 @@ type config = {
   relookup_on_failure : bool;  (** HBASE-5755 fix on the region servers *)
   rearm_then_read : bool;  (** one-shot-watch fix on the region servers *)
   follower_leader_revs : bool;  (** follower reads report leader mod-revisions *)
-  hub_order : Zk.hub_order;
   min_latency : int;
   max_latency : int;
   obs_sample_period : int;
@@ -30,7 +29,6 @@ let default_config =
     relookup_on_failure = false;
     rearm_then_read = false;
     follower_leader_revs = false;
-    hub_order = Zk.Replication_first;
     min_latency = 500;
     max_latency = 2_000;
     obs_sample_period = 100_000;
@@ -95,8 +93,7 @@ let create config =
   let zk =
     Zk.create ~net ~replication_lag:config.replication_lag
       ?compaction_window:config.compaction_window
-      ~follower_leader_revs:config.follower_leader_revs ~hub_order:config.hub_order ~intercept
-      ()
+      ~follower_leader_revs:config.follower_leader_revs ~intercept ()
   in
   let master =
     Master.create ~net ~name:"master-1" ~zk ~regions ~sync_before_cas:config.sync_before_cas ()

@@ -13,7 +13,6 @@ type config = {
   relookup_on_failure : bool;  (** HBASE-5755 fix on the region servers *)
   rearm_then_read : bool;  (** one-shot-watch fix on the region servers *)
   follower_leader_revs : bool;  (** follower reads report leader mod-revisions *)
-  hub_order : Zk.hub_order;
   min_latency : int;
   max_latency : int;
   obs_sample_period : int;

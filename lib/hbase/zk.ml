@@ -56,7 +56,6 @@ type t = {
   follower_leader_revs : bool;
   intercept : string History.Intercept.t;
   leader_kv : string Etcdlike.Kv.t;
-  leader_hub : string Etcdlike.Watch.t;  (* indexed fan-out over leader commits *)
   follower_kv : string Etcdlike.Kv.t;  (* replica applied with lag *)
   fl_revs : (string, int) Hashtbl.t;  (* key -> leader mod-rev, as replicated *)
   watches : (string, string list) Hashtbl.t;  (* key -> armed one-shot watchers *)
@@ -77,8 +76,6 @@ let follower_name = "zk-follower"
 let leader_kv t = t.leader_kv
 
 let follower_kv t = t.follower_kv
-
-let intercept t = t.intercept
 
 let follower_rev t = History.State.rev (Etcdlike.Kv.state t.follower_kv)
 
@@ -306,7 +303,6 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
       follower_leader_revs;
       intercept = (match intercept with Some i -> i | None -> History.Intercept.create ());
       leader_kv;
-      leader_hub = Etcdlike.Watch.create leader_kv;
       follower_kv = Etcdlike.Kv.create ();
       fl_revs = Hashtbl.create 64;
       watches = Hashtbl.create 16;
@@ -320,22 +316,17 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
       tap_resync = (fun _ -> ());
     }
   in
-  let subscribe deliver =
-    match Etcdlike.Watch.watch t.leader_hub ~start_rev:0 ~deliver () with
-    | Ok _ -> ()
-    | Error (`Compacted _) -> ()
-  in
-  (* Two subscribers share the leader's dispatch hub: the replication
-     stream and the one-shot watch notifier. Registration order decides
+  (* The replication stream and the one-shot watch notifier are the
+     first leader commit listeners. Their registration order decides
      same-commit fan-out order; semantics must not depend on it (the
      compaction-resync suite runs under both). *)
   (match hub_order with
   | Replication_first ->
-      subscribe (deliver_replication t);
-      subscribe (fire_watches t)
+      Etcdlike.Kv.on_commit leader_kv (deliver_replication t);
+      Etcdlike.Kv.on_commit leader_kv (fire_watches t)
   | Watches_first ->
-      subscribe (fire_watches t);
-      subscribe (deliver_replication t));
+      Etcdlike.Kv.on_commit leader_kv (fire_watches t);
+      Etcdlike.Kv.on_commit leader_kv (deliver_replication t));
   (* Commit-side bookkeeping: every leader commit becomes a trace entry
      (the causal anchor diagnosis cards point at) and a counter tick. *)
   Etcdlike.Kv.on_commit t.leader_kv (fun (e : string History.Event.t) ->
@@ -347,7 +338,8 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
       Hashtbl.replace t.commit_ids rev id;
       Dsim.Metrics.incr (Dsim.Engine.metrics (Dsim.Network.engine net)) "zk.commits");
   (* Retention: keep only the last [w] events pullable. Registered after
-     the hub's commit listener, so fan-out always precedes the trim. *)
+     the replication and watch listeners, so fan-out always precedes the
+     trim. *)
   (match t.compaction_window with
   | Some w ->
       Etcdlike.Kv.on_commit t.leader_kv (fun _ -> Etcdlike.Kv.compact_keep_last t.leader_kv w)

@@ -40,11 +40,12 @@ val create :
     side table instead of the replica's local numbering, which drifts
     permanently after a post-compaction resync.
 
-    [hub_order] picks the registration order of the replication stream
-    and the watch notifier on the leader's dispatch hub; semantics must
-    not depend on it. [intercept] is consulted on every delivery edge
-    (replication and watch notifications); pass the cluster's shared
-    interceptor so testing strategies can reach these edges. *)
+    [hub_order] picks which of the replication stream and the watch
+    notifier is registered first as a leader commit listener, and so
+    hears each commit first; semantics must not depend on it.
+    [intercept] is consulted on every delivery edge (replication and
+    watch notifications); pass the cluster's shared interceptor so
+    testing strategies can reach these edges. *)
 
 val leader_name : string
 (** ["zk-leader"] *)
@@ -58,8 +59,6 @@ val leader_kv : t -> string Etcdlike.Kv.t
 val follower_kv : t -> string Etcdlike.Kv.t
 (** The replica's materialized state — the follower's [S'], for the
     conformance monitor's state checks. *)
-
-val intercept : t -> string History.Intercept.t
 
 val follower_rev : t -> int
 (** The follower replica's applied revision in its {e local} numbering. *)

@@ -1,8 +1,7 @@
 (** Watcher fan-out index: delivery in O(matching watchers).
 
-    Every dispatch layer in the system — the etcdlike watch hub, the
-    apiserver subscriber table, the replicated store's per-replica
-    routing, the ZK leader's replication stream — answers the same
+    The watch-stream table ([Kube.Streams]), from which etcd (either
+    backend) and every apiserver serve their subscribers, asks one
     question per committed event: which registered watchers match this
     key? The naive answer walks every watcher and filters by
     {!Event.matches_prefix}; at cluster scale (hundreds of informers,
@@ -20,12 +19,12 @@
     once they outnumber the living.
 
     Delivery order among matching watchers is a stable caller-owned
-    total order (default: registration order). Callers that must pin
-    a historical order — the kube tier pins the pre-index subscriber
-    hashtable order so fixed-seed hunt journals stay byte-identical —
-    reassign order keys with {!set_order} when their subscriber set
-    changes; events between changes pay only O(m log m) for the sort
-    of the m matching watchers. *)
+    total order (default: registration order). A caller that must pin
+    a historical order — [Kube.Streams] pins its subscriber hashtable's
+    order, which the fixed-seed hunt journals rest on — reassigns order
+    keys with {!set_order} when its subscriber set changes; events
+    between changes pay only O(m log m) for the sort of the m matching
+    watchers. *)
 
 type 'a t
 

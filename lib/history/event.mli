@@ -29,5 +29,5 @@ val matches_key : string option -> string -> bool
     Allocates nothing. *)
 
 val matches_prefix : string option -> 'v t -> bool
-(** {!matches_key} on the event's key — the filter every watch hub
+(** {!matches_key} on the event's key — the filter every watch stream
     applies per subscriber. *)

@@ -1,14 +1,6 @@
-type subscription = {
-  pipe : Pipe.t;
-  prefix : string option;
-  mutable last_sent : int;
-  mutable epoch_sent : int;  (* matching events pushed since the last seal *)
-}
-
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Resource.value History.Intercept.t;
   etcd : string;
   upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
@@ -16,9 +8,7 @@ type t = {
   mutable last_rev : int;
   window : Resource.value History.Window.t;  (* oldest first *)
   mutable window_start : int;  (* revision preceding the oldest retained event *)
-  subs : subscription History.Dispatch.t;
-  streams : (string, int) Hashtbl.t;  (* stream_id -> dispatch handle *)
-  mutable order_dirty : bool;
+  streams : Streams.t;  (* our own subscribers *)
   mutable ready : bool;
   mutable generation : int;  (* invalidates in-flight callbacks across crashes *)
   mutable last_heartbeat : int;
@@ -42,28 +32,9 @@ let rev t = t.last_rev
 
 let cache t = t.cache
 
-let subscriber_count t = Hashtbl.length t.streams
+let subscriber_count t = Streams.count t.streams
 
 let engine t = Dsim.Network.engine t.net
-
-(* Delivery order is pinned to [streams]'s own hashtable iteration
-   order. Latency draws share one seeded RNG per send, so the order
-   subscribers are visited decides which draw each stream gets — and
-   with it every delivery time in the trace. [streams] sees exactly the
-   replace/remove/reset sequence the subscriber table always saw, so
-   its iteration order — and therefore the fixed-seed journals — are
-   unchanged by the index. Recomputed lazily: only when the subscriber
-   set changed since the last fan-out. *)
-let repin t =
-  if t.order_dirty then begin
-    t.order_dirty <- false;
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun _ handle ->
-        History.Dispatch.set_order t.subs handle ~order:!i;
-        incr i)
-      t.streams
-  end
 
 let tap_view t =
   {
@@ -83,13 +54,6 @@ let set_tap t tap =
   | Some tp when t.last_rev > 0 -> tp.Tap.on_reset (tap_view t)
   | _ -> ()
 
-let push_to_sub sub (e : Resource.value History.Event.t) =
-  if e.History.Event.rev > sub.last_sent && History.Event.matches_prefix sub.prefix e then begin
-    sub.last_sent <- e.History.Event.rev;
-    sub.epoch_sent <- sub.epoch_sent + 1;
-    Pipe.send sub.pipe (Pipe.Event e)
-  end
-
 (* Section 6.2's epoch protocol: every [g] cache revisions, tell each
    subscriber how many matching events this stream carried. A consumer
    that counts fewer has a hole it could never otherwise detect. *)
@@ -99,31 +63,11 @@ let maybe_seal t =
   | Some g ->
       if t.last_rev / g > t.last_seal_rev / g then begin
         t.last_seal_rev <- t.last_rev;
-        repin t;
-        History.Dispatch.iter_all t.subs (fun _ sub ->
-            Pipe.send sub.pipe (Pipe.Seal { upto_rev = t.last_rev; sent = sub.epoch_sent });
-            sub.epoch_sent <- 0)
+        Streams.seal t.streams ~upto_rev:t.last_rev
       end
 
-let drop_subscriber t addr =
-  match Hashtbl.find_opt t.streams addr with
-  | Some handle ->
-      (match History.Dispatch.find t.subs handle with
-      | Some sub -> Pipe.close sub.pipe
-      | None -> ());
-      ignore (History.Dispatch.remove t.subs handle);
-      Hashtbl.remove t.streams addr;
-      t.order_dirty <- true
-  | None -> ()
-
-let close_all_subscribers t =
-  History.Dispatch.iter_all t.subs (fun _ sub -> Pipe.close sub.pipe);
-  History.Dispatch.clear t.subs;
-  Hashtbl.reset t.streams;
-  t.order_dirty <- true
-
 let clear_volatile_state t =
-  close_all_subscribers t;
+  Streams.clear t.streams;
   t.cache <- History.State.empty;
   t.last_rev <- 0;
   History.Window.clear t.window;
@@ -140,12 +84,6 @@ let trim_window t =
     | None -> ()
   end
 
-(* Fan-out walks only the subscribers whose prefix matches the key —
-   the dispatch trie answers that in O(|key| + matches) — instead of
-   filtering the whole table. The iteration snapshot also makes
-   delivery reentrancy-safe: a subscriber that re-registers (or is
-   dropped) from inside its own delivery callback mutates the index
-   without corrupting the in-flight walk. *)
 let observe_event t (e : Resource.value History.Event.t) =
   t.cache <- History.State.apply t.cache e;
   t.last_rev <- max t.last_rev e.History.Event.rev;
@@ -153,8 +91,7 @@ let observe_event t (e : Resource.value History.Event.t) =
   trim_window t;
   t.last_heartbeat <- Dsim.Engine.now (engine t);
   (match t.tap with Some tap -> tap.Tap.on_event (tap_view t) e | None -> ());
-  repin t;
-  History.Dispatch.iter_matching t.subs ~key:e.History.Event.key (fun _ sub -> push_to_sub sub e);
+  Streams.publish t.streams ~replica:None e;
   maybe_seal t
 
 let on_stream_item t gen item =
@@ -180,7 +117,7 @@ let rec bootstrap t gen =
              events between their last revision and the fresh list are not
              in the (reset) window. Break their streams so they re-list,
              as the real apiserver's "too old resource version" does. *)
-          close_all_subscribers t;
+          Streams.clear t.streams;
           t.cache <- Messages.items_to_state items;
           t.last_rev <- rev;
           History.Window.clear t.window;
@@ -226,18 +163,8 @@ let handle_watch t (w : Messages.watch_request) reply =
   else if w.Messages.start_rev < t.window_start then
     reply (Ok (Messages.Compacted t.window_start))
   else begin
-    drop_subscriber t w.Messages.stream_id;
-    let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
-    let pipe =
-      Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
-    in
-    let sub =
-      { pipe; prefix = w.Messages.prefix; last_sent = w.Messages.start_rev; epoch_sent = 0 }
-    in
-    let handle = History.Dispatch.add t.subs ?prefix:w.Messages.prefix sub in
-    Hashtbl.replace t.streams w.Messages.stream_id handle;
-    t.order_dirty <- true;
-    History.Window.iter (push_to_sub sub) t.window;
+    Streams.subscribe t.streams w ~replica:None ~backlog:(fun push ->
+        History.Window.iter push t.window);
     reply (Ok Messages.Watching)
   end
 
@@ -265,7 +192,6 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
   {
     name;
     net;
-    intercept;
     etcd;
     upstream = name ^ "<-" ^ etcd;
     window_size;
@@ -273,9 +199,7 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
     last_rev = 0;
     window = History.Window.create ();
     window_start = 0;
-    subs = History.Dispatch.create ();
-    streams = Hashtbl.create 8;
-    order_dirty = false;
+    streams = Streams.create ~net ~intercept ~src:name;
     ready = false;
     generation = 0;
     last_heartbeat = 0;
@@ -310,14 +234,8 @@ let start t =
   (* Bookmarks toward our own subscribers — and, under the epoch
      protocol, a time-based close of the current partial epoch, so that a
      hole in a quiet stream is still detected within one period. *)
+  let frontier _ = t.last_rev in
   Dsim.Engine.every (engine t) ~period:bookmark_period (fun () ->
-      if t.ready && Dsim.Network.is_up t.net t.name then begin
-        repin t;
-        History.Dispatch.iter_all t.subs (fun _ sub ->
-            Pipe.send sub.pipe (Pipe.Bookmark t.last_rev);
-            if t.epoch_seal <> None then begin
-              Pipe.send sub.pipe (Pipe.Seal { upto_rev = t.last_rev; sent = sub.epoch_sent });
-              sub.epoch_sent <- 0
-            end)
-      end;
+      if t.ready && Dsim.Network.is_up t.net t.name then
+        Streams.heartbeat t.streams ~frontier ~seal:(t.epoch_seal <> None);
       true)

@@ -4,13 +4,6 @@ type replication = {
   read_fallback : Replicated.Kv.fallback;
 }
 
-type subscription = {
-  pipe : Pipe.t;
-  prefix : string option;
-  mutable last_sent : int;
-  replica : string option;  (* serving replica the stream is pinned to *)
-}
-
 type backend =
   | Single of Resource.value Etcdlike.Kv.t
   | Replicated of Resource.value Replicated.Kv.t
@@ -18,11 +11,8 @@ type backend =
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Resource.value History.Intercept.t;
   backend : backend;
-  subs : subscription History.Dispatch.t;
-  streams : (string, int) Hashtbl.t;  (* stream_id -> dispatch handle *)
-  mutable order_dirty : bool;
+  streams : Streams.t;
   watch_window : int option;
   mutable requests_served : int;
   origins : (int, string) Hashtbl.t;  (* revision -> originating component *)
@@ -59,28 +49,7 @@ let replicated_kv t =
 let replica_revs t =
   match t.backend with Single _ -> [] | Replicated repl -> Replicated.Kv.replica_revs repl
 
-let leader t =
-  match t.backend with Single _ -> None | Replicated repl -> Replicated.Kv.leader repl
-
-let subscribers t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.streams [] |> List.sort String.compare
-
-(* Same order pin as the apiserver's subscriber table (see
-   {!Apiserver}): [streams] replays the exact mutation sequence the
-   old subscription hashtable saw, so assigning dispatch order keys
-   from its iteration order keeps every [Pipe.send] — and with it the
-   shared-RNG latency draws behind the fixed-seed journals — in the
-   pre-index order. *)
-let repin t =
-  if t.order_dirty then begin
-    t.order_dirty <- false;
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun _ handle ->
-        History.Dispatch.set_order t.subs handle ~order:!i;
-        incr i)
-      t.streams
-  end
+let subscribers t = Streams.ids t.streams
 
 (* The committed-history stream: per-store commits for a single backend,
    the canonical (leader-committed) first-apply stream for a replicated
@@ -105,53 +74,29 @@ let seed t key value =
   | Single kv -> ignore (Etcdlike.Kv.put kv key value)
   | Replicated repl -> ignore (Replicated.Kv.seed repl key value)
 
-let push_to_sub sub (e : Resource.value History.Event.t) =
-  if e.History.Event.rev > sub.last_sent && History.Event.matches_prefix sub.prefix e then begin
-    sub.last_sent <- e.History.Event.rev;
-    Pipe.send sub.pipe (Pipe.Event e)
-  end
-
-let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply =
-  (match Hashtbl.find_opt t.streams w.Messages.stream_id with
-  | Some old_handle ->
-      (match History.Dispatch.find t.subs old_handle with
-      | Some old -> Pipe.close old.pipe
-      | None -> ());
-      ignore (History.Dispatch.remove t.subs old_handle)
-  | None -> ());
-  let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
-  let pipe =
-    Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
-  in
-  let sub = { pipe; prefix = w.Messages.prefix; last_sent = w.Messages.start_rev; replica } in
-  let handle = History.Dispatch.add t.subs ?prefix:w.Messages.prefix sub in
-  Hashtbl.replace t.streams w.Messages.stream_id handle;
-  t.order_dirty <- true;
-  List.iter (push_to_sub sub) backlog;
-  reply (Ok Messages.Watching)
+(* A stream is served by one store: the single store, or (replicated)
+   the replica serving [src] right now. Its backlog comes from that
+   store's retained log and later pushes from that store's commits — a
+   partitioned replica's watchers silently stop seeing new commits, a
+   crashed replica's watchers stop seeing bookmarks too (and the
+   consumer's watchdog eventually notices the silence). *)
+let serving_store t ~src =
+  match t.backend with
+  | Single kv -> Some (None, kv)
+  | Replicated repl ->
+      Option.map
+        (fun rid -> (Some rid, Option.get (Replicated.Kv.replica_store repl rid)))
+        (Replicated.Kv.serving_replica repl ~src)
 
 let handle_watch t ~src (w : Messages.watch_request) reply =
-  match t.backend with
-  | Single kv -> begin
-      match Etcdlike.Kv.since kv ~rev:w.Messages.start_rev with
+  match serving_store t ~src with
+  | None -> reply (Error `Unavailable)
+  | Some (replica, store) -> begin
+      match Etcdlike.Kv.since store ~rev:w.Messages.start_rev with
       | Error (`Compacted compacted_rev) -> reply (Ok (Messages.Compacted compacted_rev))
-      | Ok backlog -> attach_sub t w ~replica:None ~backlog reply
-    end
-  | Replicated repl -> begin
-      (* The stream is pinned to the replica serving [src] right now:
-         its backlog comes from that replica's applied log, and later
-         pushes from that replica's applies — a partitioned replica's
-         watchers silently stop seeing new commits, a crashed replica's
-         watchers stop seeing bookmarks too (and the consumer's watchdog
-         eventually notices the silence). *)
-      match Replicated.Kv.serving_replica repl ~src with
-      | None -> reply (Error `Unavailable)
-      | Some rid -> begin
-          let store = Option.get (Replicated.Kv.replica_store repl rid) in
-          match Etcdlike.Kv.since store ~rev:w.Messages.start_rev with
-          | Error (`Compacted compacted_rev) -> reply (Ok (Messages.Compacted compacted_rev))
-          | Ok backlog -> attach_sub t w ~replica:(Some rid) ~backlog reply
-        end
+      | Ok backlog ->
+          Streams.subscribe t.streams w ~replica ~backlog:(fun push -> List.iter push backlog);
+          reply (Ok Messages.Watching)
     end
 
 let note_txn_outcome t ~origin ~lease (outcome : Resource.value Etcdlike.Txn.outcome) =
@@ -164,12 +109,19 @@ let note_txn_outcome t ~origin ~lease (outcome : Resource.value Etcdlike.Txn.out
       | _ -> ())
     outcome.Etcdlike.Txn.events
 
-(* A lease-driven delete in replicated mode is an ordinary proposal; tag
-   its committed revision with the given origin when it lands. *)
-let propose_delete repl t ~origin key =
-  Replicated.Kv.delete repl key (function
-    | Ok (Some e) -> Hashtbl.replace t.origins e.History.Event.rev origin
-    | Ok None | Error `Unavailable -> ())
+(* A lease-driven delete: a direct store delete in single mode, an
+   ordinary proposal when replicated. Only a delete that commits labels
+   its revision with [origin]; a key already gone commits nothing. *)
+let delete_with_origin t ~origin key =
+  let label (e : Resource.value History.Event.t) =
+    Hashtbl.replace t.origins e.History.Event.rev origin
+  in
+  match t.backend with
+  | Single kv -> Option.iter label (Etcdlike.Kv.delete kv key)
+  | Replicated repl ->
+      Replicated.Kv.delete repl key (function
+        | Ok (Some e) -> label e
+        | Ok None | Error `Unavailable -> ())
 
 let reply_outcome reply (outcome : Resource.value Etcdlike.Txn.outcome) =
   reply (Ok { Messages.succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
@@ -214,13 +166,9 @@ let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -
   | Messages.Lease_keepalive { lease }, _ ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
       reply (Ok (Etcdlike.Lease.keepalive t.leases ~lease ~now))
-  | Messages.Lease_revoke { lease }, Single kv ->
-      List.iter (fun key -> ignore (Etcdlike.Kv.delete kv key))
-        (Etcdlike.Lease.revoke t.leases ~lease);
-      reply (Ok ())
-  | Messages.Lease_revoke { lease }, Replicated repl ->
+  | Messages.Lease_revoke { lease }, _ ->
       List.iter
-        (fun key -> propose_delete repl t ~origin:"lease-revoke" key)
+        (delete_with_origin t ~origin:"lease-revoke")
         (Etcdlike.Lease.revoke t.leases ~lease);
       reply (Ok ())
   | Messages.Watch w, _ -> handle_watch t ~src w reply
@@ -256,11 +204,8 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
     {
       name;
       net;
-      intercept;
       backend;
-      subs = History.Dispatch.create ();
-      streams = Hashtbl.create 8;
-      order_dirty = false;
+      streams = Streams.create ~net ~intercept ~src:name;
       watch_window;
       requests_served = 0;
       origins = Hashtbl.create 256;
@@ -274,9 +219,7 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
   (match t.backend with
   | Single kv ->
       Etcdlike.Kv.on_commit kv (fun event ->
-          repin t;
-          History.Dispatch.iter_matching t.subs ~key:event.History.Event.key (fun _ sub ->
-              push_to_sub sub event);
+          Streams.publish t.streams ~replica:None event;
           match t.watch_window with
           | Some window -> Etcdlike.Kv.compact_keep_last kv window
           | None -> ())
@@ -284,36 +227,25 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
       (* Watch pushes ride each replica's *applies*, not the canonical
          stream: a stream pinned to a lagging follower only sees what
          that follower has applied. (Store compaction happens inside the
-         replicated layer, per replica.) The trie routes by key prefix;
-         the replica pin is a residual filter on the matches. *)
+         replicated layer, per replica.) *)
       List.iter
         (fun rid ->
-          Replicated.Kv.on_replica_commit repl rid (fun event ->
-              repin t;
-              History.Dispatch.iter_matching t.subs ~key:event.History.Event.key (fun _ sub ->
-                  if sub.replica = Some rid then push_to_sub sub event)))
+          Replicated.Kv.on_replica_commit repl rid (Streams.publish t.streams ~replica:(Some rid)))
         (Replicated.Kv.replica_ids repl);
       Replicated.Kv.start repl);
   Messages.Store.register net name
     { serve = (fun ~src request reply -> serve t ~src request reply) };
+  (* Bookmarks carry the frontier of the store serving each stream: a
+     partitioned follower keeps heartbeating its stale revision (its
+     watchers never notice), a crashed one goes silent (its watchers'
+     watchdogs eventually fire). *)
+  let frontier replica =
+    match t.backend, replica with
+    | Replicated repl, Some rid -> Replicated.Kv.replica_rev repl rid
+    | (Single _ | Replicated _), _ -> rev t
+  in
   Dsim.Engine.every engine ~period:bookmark_period (fun () ->
-      (match t.backend with
-      | Single kv ->
-          let rev = Etcdlike.Kv.rev kv in
-          repin t;
-          History.Dispatch.iter_all t.subs (fun _ sub -> Pipe.send sub.pipe (Pipe.Bookmark rev))
-      | Replicated repl ->
-          (* Bookmarks carry the *serving replica's* frontier, and only
-             while it is up: a partitioned follower keeps heartbeating
-             its stale revision (its watchers never notice), a crashed
-             one goes silent (its watchers' watchdogs eventually fire). *)
-          repin t;
-          History.Dispatch.iter_all t.subs (fun _ sub ->
-              match sub.replica with
-              | Some rid when Dsim.Network.is_up t.net rid ->
-                  Pipe.send sub.pipe (Pipe.Bookmark (Replicated.Kv.replica_rev repl rid))
-              | Some _ -> ()
-              | None -> ()));
+      Streams.heartbeat t.streams ~frontier ~seal:false;
       true);
   (* Expire leases against the virtual clock and delete their keys; the
      deletions are ordinary committed events (proposed through the
@@ -323,15 +255,7 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
   Dsim.Engine.every engine ~period:100_000 (fun () ->
       if Etcdlike.Lease.active t.leases > 0 then
         List.iter
-          (fun (_, keys) ->
-            List.iter
-              (fun key ->
-                match t.backend with
-                | Single kv ->
-                    Hashtbl.replace t.origins (Etcdlike.Kv.rev kv + 1) "lease-expiry";
-                    ignore (Etcdlike.Kv.delete kv key)
-                | Replicated repl -> propose_delete repl t ~origin:"lease-expiry" key)
-              keys)
+          (fun (_, keys) -> List.iter (delete_with_origin t ~origin:"lease-expiry") keys)
           (Etcdlike.Lease.expire t.leases ~now:(Dsim.Engine.now engine));
       true);
   t

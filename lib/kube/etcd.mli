@@ -1,11 +1,12 @@
 (** The etcd endpoint: the strongly-consistent store serving the
     ground-truth [(H, S)] over the network.
 
-    Serves ranges, gets and transactions; watch subscribers each get a
-    FIFO {!Pipe}; a configurable rolling window of retained events
-    bounds how far back a watch may start, replying {!Messages.Compacted}
-    beyond it. Periodic bookmarks keep healthy streams observably alive
-    so subscribers can distinguish "no events" from "dead stream".
+    Serves ranges, gets and transactions; watch subscribers live in a
+    {!Streams} table, each on a FIFO {!Pipe}; a configurable rolling
+    window of retained events bounds how far back a watch may start,
+    replying {!Messages.Compacted} beyond it. Periodic bookmarks keep
+    healthy streams observably alive so subscribers can distinguish "no
+    events" from "dead stream".
 
     Two backends share the address:
 
@@ -64,9 +65,6 @@ val replicated_kv : t -> Resource.value Replicated.Kv.t option
 val replica_revs : t -> (string * int) list
 (** Per-replica applied revisions, [[]] for a single backend — the lag
     surface conformance monitoring sweeps. *)
-
-val leader : t -> string option
-(** Current Raft leader ([None] for a single backend or mid-election). *)
 
 val subscribers : t -> string list
 

@@ -11,12 +11,14 @@
 
     Every notification edge is a {!Pipe} (FIFO, TCP-like failure
     semantics) passing through the cluster's {!History.Intercept} point — the
-    hook the Sieve strategies act on. *)
+    hook the Sieve strategies act on. {!Etcd} and the apiservers keep
+    their watch subscribers in one {!Streams} table each. *)
 
 module Resource = Resource
 module Messages = Messages
 module Pipe = Pipe
 module Tap = Tap
+module Streams = Streams
 module Etcd = Etcd
 module Apiserver = Apiserver
 module Informer = Informer

@@ -33,12 +33,9 @@ let create ~net ~intercept ~edge ~deliver () =
     last_due = 0;
   }
 
-let edge t = t.edge
-
 let close t = t.closed <- true
 
 let is_closed t = t.closed
-
 
 let deliverable t =
   (not t.closed)

@@ -40,8 +40,6 @@ val create :
     remaining deliveries are dropped (the new incarnation must
     re-subscribe, obtaining a fresh pipe). *)
 
-val edge : t -> History.Intercept.edge
-
 val send : t -> item -> unit
 (** Enqueues one item, consulting the interceptor for events. *)
 

@@ -38,11 +38,6 @@ type 'v t = {
   mutable canonical_listener_count : int;
   mutable next_pid : int;
   pending : (int, 'v pending) Hashtbl.t;
-  (* Per-replica watch hubs, created on first use: a hub attaches a
-     commit listener to its replica's store, so deployments that route
-     watches elsewhere (e.g. the kube gateway's own dispatch index)
-     never pay for — or perturb — the extra listener. *)
-  hubs : (string, 'v Etcdlike.Watch.t) Hashtbl.t;
 }
 
 let engine t = Dsim.Network.engine t.net
@@ -69,25 +64,6 @@ let replica_revs t =
 
 let on_replica_commit t id f =
   match find_replica t id with Some r -> Etcdlike.Kv.on_commit r.store f | None -> ()
-
-let watch_hub t id =
-  match Hashtbl.find_opt t.hubs id with
-  | Some hub -> Some hub
-  | None ->
-      Option.map
-        (fun r ->
-          let hub = Etcdlike.Watch.create r.store in
-          Hashtbl.replace t.hubs id hub;
-          hub)
-        (find_replica t id)
-
-let watch_replica t id ?prefix ~start_rev ~deliver () =
-  match watch_hub t id with
-  | None -> Error `Unknown_replica
-  | Some hub -> (
-      match Etcdlike.Watch.watch hub ?prefix ~start_rev ~deliver () with
-      | Ok handle -> Ok handle
-      | Error (`Compacted rev) -> Error (`Compacted rev))
 
 let rev t = t.canonical_rev
 
@@ -247,9 +223,6 @@ let get t ~src key =
     (fun r -> (Etcdlike.Kv.get r.store key, Etcdlike.Kv.rev r.store))
     (serving_replica_for t ~src)
 
-let since t ~src ~rev =
-  Option.map (fun r -> Etcdlike.Kv.since r.store ~rev) (serving_replica_for t ~src)
-
 (* The retry timer ticks every 100 ms; a proposal unanswered for 300 ms
    is re-proposed, and one pending for 2 s fails as an outage. *)
 let retry_period = 100_000
@@ -293,7 +266,6 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
       canonical_listener_count = 0;
       next_pid = 1;
       pending = Hashtbl.create 16;
-      hubs = Hashtbl.create 4;
     }
   in
   t_ref := Some t;

@@ -129,25 +129,6 @@ val on_replica_commit : 'v t -> string -> ('v History.Event.t -> unit) -> unit
 (** Fires on the named replica's {e applies} (including catch-up after a
     crash) — the per-replica watch feed. *)
 
-(** {2 Per-replica watch hubs}
-
-    Indexed, revision-addressed watch streams over one replica's
-    applied log — an {!Etcdlike.Watch} hub per replica, created on
-    first use. Streams registered here see exactly what the replica has
-    applied: a lagging follower's watchers lag with it. *)
-
-val watch_replica :
-  'v t ->
-  string ->
-  ?prefix:string ->
-  start_rev:int ->
-  deliver:('v History.Event.t -> unit) ->
-  unit ->
-  (Etcdlike.Watch.handle, [ `Compacted of int | `Unknown_replica ]) result
-(** Register on the named replica's hub: backlog after [start_rev] from
-    its applied store, then live applies, prefix-routed through the
-    shared dispatch index. *)
-
 val serving_replica : 'v t -> src:string -> string option
 (** Which replica a read from [src] lands on right now; [None] when the
     pinned replica is down under [`Reject]. *)
@@ -157,9 +138,3 @@ val range : 'v t -> src:string -> prefix:string -> ((string * 'v * int) list * i
     staleness carrier). [None] = unavailable under [`Reject]. *)
 
 val get : 'v t -> src:string -> string -> (('v * int) option * int) option
-
-val since :
-  'v t ->
-  src:string ->
-  rev:int ->
-  ('v History.Event.t list, [ `Compacted of int ]) result option

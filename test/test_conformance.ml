@@ -15,16 +15,9 @@ let codes m = List.map (fun (v : M.violation) -> v.M.code) (M.violations m)
 let faithful_stream_is_silent () =
   let kv = Etcdlike.Kv.create () in
   let m = M.create () in
-  (* The mirror must see commits before the watch hub fans them out. *)
+  (* The mirror must see commits before the stream delivers them. *)
   Etcdlike.Kv.on_commit kv (M.note_commit m);
-  let hub = Etcdlike.Watch.create kv in
-  (match
-     Etcdlike.Watch.watch hub ~start_rev:0
-       ~deliver:(fun e -> M.observe_event m ~stream:"c<-store@1" e)
-       ()
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "watch from 0 must not be compacted");
+  Etcdlike.Kv.on_commit kv (M.observe_event m ~stream:"c<-store@1");
   ignore (Etcdlike.Kv.put kv "pods/a" "1");
   ignore (Etcdlike.Kv.put kv "pods/b" "2");
   ignore (Etcdlike.Kv.delete kv "pods/a");
@@ -218,17 +211,10 @@ let qcheck_store_agrees_with_model =
       let lease = Etcdlike.Lease.create () in
       let monitor = M.create () in
       Etcdlike.Kv.on_commit kv (M.note_commit monitor);
-      let hub = Etcdlike.Watch.create kv in
       let delivered = ref 0 in
-      (match
-         Etcdlike.Watch.watch hub ~start_rev:0
-           ~deliver:(fun e ->
-             incr delivered;
-             M.observe_event monitor ~stream:"harness@1" e)
-           ()
-       with
-      | Ok _ -> ()
-      | Error _ -> QCheck.Test.fail_report "watch from 0 compacted on an empty store");
+      Etcdlike.Kv.on_commit kv (fun e ->
+          incr delivered;
+          M.observe_event monitor ~stream:"harness@1" e);
       let granted = ref [] in
       let vc = ref 0 in
       let now = ref 0 in

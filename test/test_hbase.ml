@@ -59,9 +59,9 @@ let zk_sync_read_is_fresh () =
    used to be answered with an empty event list, so the lagging follower
    concluded it was caught up and served stale (here: empty) state. The
    leader must answer with a snapshot, and the follower must resync.
-   Parameterized over the leader hub's fan-out order: the replication
-   stream and the watch notifier share the dispatch hub, and semantics
-   must not depend on which subscriber sees a commit first. *)
+   Parameterized over [hub_order]: the replication stream and the watch
+   notifier are both leader commit listeners, and semantics must not
+   depend on which one sees a commit first. *)
 let zk_compaction_pull_forces_resync ~hub_order () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in

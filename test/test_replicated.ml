@@ -261,38 +261,76 @@ let kube_stack_over_replicated_store () =
         (Kube.Cluster.truth_rev cluster) (Kube.Apiserver.rev a))
     (Kube.Cluster.apiservers cluster)
 
-(* Per-replica watch hubs: a stream pinned to a follower sees exactly
-   that follower's applies — lagging with it, resuming with it. *)
+(* An etcd watch stream served by a follower (Follower read mode) is
+   pinned to it: it sees exactly that follower's applies, lagging with
+   it and resuming with it, and heartbeats the follower's frontier until
+   the follower goes down. *)
 let per_replica_watch_follows_applies () =
-  let engine, net, kv = setup () in
+  let engine = Dsim.Engine.create ~seed:11L () in
+  let net = Dsim.Network.create engine in
+  let etcd =
+    Kube.Etcd.create ~net ~intercept:(History.Intercept.create ())
+      ~replication:
+        { Kube.Etcd.replicas = 3; read = RKv.Follower "etcd-3"; read_fallback = `Reject }
+      ()
+  in
+  Dsim.Network.join net "client";
   run_for engine 1_000_000;
-  let leader_seen = ref [] and follower_seen = ref [] in
-  let record acc (e : string History.Event.t) = acc := e.History.Event.rev :: !acc in
-  (match RKv.watch_replica kv "etcd-1" ~start_rev:0 ~deliver:(record leader_seen) () with
-  | Ok _ -> ()
-  | _ -> Alcotest.fail "leader watch failed");
-  (match RKv.watch_replica kv "etcd-3" ~start_rev:0 ~deliver:(record follower_seen) () with
-  | Ok _ -> ()
-  | _ -> Alcotest.fail "follower watch failed");
-  (match RKv.watch_replica kv "nope" ~start_rev:0 ~deliver:(fun _ -> ()) () with
-  | Error `Unknown_replica -> ()
-  | _ -> Alcotest.fail "unknown replica must be rejected");
-  ignore (put_sync engine kv "a" "1");
-  ignore (put_sync engine kv "b" "2");
+  let call request =
+    let result = ref None in
+    Kube.Messages.Store.call net ~src:"client" ~dst:"etcd" request (fun r -> result := Some r);
+    match await engine result with
+    | Ok (Ok reply) -> reply
+    | Ok (Error `Unavailable) | Error _ -> Alcotest.fail "etcd request failed"
+  in
+  let seen = ref [] and bookmarks = ref [] in
+  (match
+     call
+       (Kube.Messages.Watch
+          {
+            prefix = None;
+            start_rev = 0;
+            subscriber = "client";
+            stream_id = "client#all";
+            deliver =
+              (function
+              | Kube.Pipe.Event e -> seen := e.History.Event.rev :: !seen
+              | Kube.Pipe.Bookmark rev -> bookmarks := rev :: !bookmarks
+              | Kube.Pipe.Seal _ -> ());
+          })
+   with
+  | Kube.Messages.Watching -> ()
+  | Kube.Messages.Compacted _ -> Alcotest.fail "watch from 0 compacted");
+  let put key =
+    let txn = Kube.Messages.put key (Kube.Resource.make_pod key) in
+    ignore (call (Kube.Messages.Txn { txn; origin = "client"; lease = None }))
+  in
+  put "pods/a";
+  put "pods/b";
   run_for engine 1_000_000;
-  (* Cut replication to etcd-3: its watchers stop with it. *)
+  (* Cut replication to etcd-3: its stream stops with it, yet keeps
+     heartbeating the stale frontier, so the subscriber cannot tell. *)
   Dsim.Network.partition net "etcd-1" "etcd-3";
   Dsim.Network.partition net "etcd-2" "etcd-3";
-  ignore (put_sync engine kv "c" "3");
+  put "pods/c";
+  bookmarks := [];
   run_for engine 1_000_000;
-  Alcotest.(check (list int)) "leader stream saw everything" [ 1; 2; 3 ] (List.rev !leader_seen);
-  Alcotest.(check (list int))
-    "follower stream froze with its replica" [ 1; 2 ] (List.rev !follower_seen);
+  Alcotest.(check int) "the committed history moved on" 3 (Kube.Etcd.rev etcd);
+  Alcotest.(check (list int)) "follower stream froze with its replica" [ 1; 2 ] (List.rev !seen);
+  Alcotest.(check bool) "frozen stream heartbeats its stale frontier" true
+    (!bookmarks <> [] && List.for_all (( = ) 2) !bookmarks);
   (* Replication heals; the pinned stream resumes without re-registering. *)
   Dsim.Network.heal net "etcd-1" "etcd-3";
   Dsim.Network.heal net "etcd-2" "etcd-3";
   run_for engine 2_000_000;
-  Alcotest.(check (list int)) "follower stream caught up" [ 1; 2; 3 ] (List.rev !follower_seen)
+  Alcotest.(check (list int)) "follower stream caught up" [ 1; 2; 3 ] (List.rev !seen);
+  Alcotest.(check (option int)) "heartbeat caught up" (Some 3) (List.nth_opt !bookmarks 0);
+  (* A crashed replica serves nothing, heartbeats included. *)
+  Dsim.Network.crash net "etcd-3";
+  run_for engine 100_000;
+  bookmarks := [];
+  run_for engine 1_000_000;
+  Alcotest.(check (list int)) "crashed replica's stream is silent" [] !bookmarks
 
 let suites =
   [
@@ -313,7 +351,7 @@ let suites =
         Qcheck_util.to_alcotest qcheck_differential;
         Alcotest.test_case "kube stack over replicated store" `Quick
           kube_stack_over_replicated_store;
-        Alcotest.test_case "per-replica watch hub follows applies" `Quick
+        Alcotest.test_case "per-replica watch stream follows applies" `Quick
           per_replica_watch_follows_applies;
       ] );
   ]

@@ -186,18 +186,25 @@ let apiserver_restart_relists () =
   Alcotest.(check bool) "ready again" true (Kube.Apiserver.ready api);
   Alcotest.(check int) "caught up past restart" 2 (Kube.Apiserver.rev api)
 
-(* Regression for the subscriber-table fan-out: a stream that re-registers
+(* Regression for the stream table's fan-out: a stream that re-registers
    itself (same stream_id) from inside its own delivery callback replaces
    its table entry while deliveries for it are still in flight. The old
    entry must go silent, the replacement must keep streaming, and the
-   fan-out iteration must survive the mutation. *)
-let apiserver_reregister_from_delivery () =
+   fan-out iteration must survive the mutation. Both servers keep their
+   subscribers in the one table; run the stream against each. *)
+let reregister_from_delivery ~via () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
   let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
-  let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
-  Kube.Apiserver.start api;
+  let dst, streams =
+    match via with
+    | `Etcd -> ("etcd", fun () -> List.length (Kube.Etcd.subscribers etcd))
+    | `Apiserver ->
+        let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
+        Kube.Apiserver.start api;
+        ("api-1", fun () -> Kube.Apiserver.subscriber_count api)
+  in
   Dsim.Network.join net "client";
   Dsim.Engine.run ~until:100_000 engine;
   let received = ref [] in
@@ -218,14 +225,14 @@ let apiserver_reregister_from_delivery () =
                    this stream's entry is the one being delivered to. *)
                 if not !reregistered then begin
                   reregistered := true;
-                  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1"
+                  Kube.Messages.Store.call net ~src:"client" ~dst
                     (make_watch ~start_rev:e.History.Event.rev)
                     (fun _ -> ())
                 end
             | Kube.Pipe.Bookmark _ | Kube.Pipe.Seal _ -> ());
       }
   in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1" (make_watch ~start_rev:0) (fun _ -> ());
+  Kube.Messages.Store.call net ~src:"client" ~dst (make_watch ~start_rev:0) (fun _ -> ());
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;
@@ -237,7 +244,70 @@ let apiserver_reregister_from_delivery () =
      then carries rev 2; the node event matches neither. No duplicates,
      no lost pod events, exactly one live subscriber. *)
   Alcotest.(check (list int)) "continuous, no duplicates" [ 1; 2 ] (List.rev !received);
-  Alcotest.(check int) "single subscriber" 1 (Kube.Apiserver.subscriber_count api)
+  Alcotest.(check int) "single subscriber" 1 (streams ())
+
+(* Lease-driven deletes carry their cause as the revision's origin, on
+   both backends, and only for a delete that commits. *)
+let replicated = { Kube.Etcd.replicas = 3; read = Replicated.Kv.Leader; read_fallback = `Stale }
+
+let lease_setup ?replication () =
+  let engine = Dsim.Engine.create () in
+  let net = Dsim.Network.create engine in
+  let etcd = Kube.Etcd.create ~net ~intercept:(History.Intercept.create ()) ?replication () in
+  Dsim.Network.join net "client";
+  (* Long enough for a replicated group to elect its leader. *)
+  Dsim.Engine.run ~until:1_000_000 engine;
+  (engine, net, etcd)
+
+let leased_lock engine net ~ttl key =
+  let lease =
+    match call engine net (Kube.Messages.Lease_grant { ttl }) with
+    | Some (Ok (Ok id)) -> id
+    | _ -> Alcotest.fail "grant failed"
+  in
+  (match
+     call engine net
+       (Kube.Messages.Txn
+          {
+            txn = Kube.Messages.put key (Kube.Resource.make_lock ~holder:"client" key);
+            origin = "client";
+            lease = Some lease;
+          })
+   with
+  | Some (Ok (Ok { Kube.Messages.succeeded = true; _ })) -> ()
+  | _ -> Alcotest.fail "leased txn failed");
+  lease
+
+let lease_revoke_labels_delete ?replication () =
+  let engine, net, etcd = lease_setup ?replication () in
+  let lease = leased_lock engine net ~ttl:10_000_000 "locks/r" in
+  (match call engine net (Kube.Messages.Lease_revoke { lease }) with
+  | Some (Ok (Ok ())) -> ()
+  | _ -> Alcotest.fail "revoke failed");
+  Alcotest.(check bool) "key revoked away" true
+    (Etcdlike.Kv.get (Kube.Etcd.kv etcd) "locks/r" = None);
+  Alcotest.(check int) "the delete is revision 2" 2 (Kube.Etcd.rev etcd);
+  Alcotest.(check string) "labelled by the revoke" "lease-revoke" (Kube.Etcd.origin_of_rev etcd 2)
+
+(* The key is deleted before its lease expires: the expiry sweep commits
+   nothing, so it must label nothing either. Each [call] runs the engine
+   2 s, so the 5 s lease outlives the grant, the leased write and the
+   delete, and expires while the delete's call runs. *)
+let lease_expiry_of_gone_key_labels_nothing () =
+  let engine, net, etcd = lease_setup () in
+  let lease = leased_lock engine net ~ttl:5_000_000 "locks/e" in
+  (match
+     call engine net
+       (Kube.Messages.Txn { txn = Kube.Messages.delete "locks/e"; origin = "client"; lease = None })
+   with
+  | Some (Ok (Ok { Kube.Messages.succeeded = true; rev = 2 })) -> ()
+  | _ -> Alcotest.fail "delete failed");
+  (match call engine net (Kube.Messages.Lease_keepalive { lease }) with
+  | Some (Ok (Ok false)) -> ()
+  | _ -> Alcotest.fail "the lease should have expired");
+  ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
+  Alcotest.(check string) "the next revision keeps its own origin" "boot"
+    (Kube.Etcd.origin_of_rev etcd 3)
 
 let suites =
   [
@@ -255,6 +325,14 @@ let suites =
           apiserver_watch_compacted_window;
         Alcotest.test_case "apiserver restart relists" `Quick apiserver_restart_relists;
         Alcotest.test_case "apiserver re-register from delivery (regression)" `Quick
-          apiserver_reregister_from_delivery;
+          (reregister_from_delivery ~via:`Apiserver);
+        Alcotest.test_case "etcd re-register from delivery (regression)" `Quick
+          (reregister_from_delivery ~via:`Etcd);
+        Alcotest.test_case "single etcd: lease revoke labels its delete" `Quick
+          lease_revoke_labels_delete;
+        Alcotest.test_case "replicated etcd: lease revoke labels its delete" `Quick
+          (lease_revoke_labels_delete ~replication:replicated);
+        Alcotest.test_case "single etcd: expiry of a gone key labels nothing" `Quick
+          lease_expiry_of_gone_key_labels_nothing;
       ] );
   ]
