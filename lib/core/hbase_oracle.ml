@@ -87,15 +87,12 @@ let check_stale_assignments t =
       t.stale_streak <- streaks
 
 let derive_doubles t =
-  let net = Hbaselike.Cluster.net t.cluster in
   List.filter_map
     (fun region ->
       let servers =
         List.filter_map
           (fun rs ->
-            if
-              Dsim.Network.is_up net (Hbaselike.Regionserver.name rs)
-              && Hbaselike.Regionserver.is_serving rs region
+            if Hbaselike.Regionserver.is_up rs && Hbaselike.Regionserver.is_serving rs region
             then Some (Hbaselike.Regionserver.name rs)
             else None)
           (Hbaselike.Cluster.region_servers t.cluster)

@@ -1,26 +1,43 @@
-(* The timer is the heap entry: one record per scheduled event, kept in
-   an array-based binary min-heap on the lexicographic (time, seq) key.
-   [seq] is unique, so the pop order is total and independent of the
-   heap's shape. Freed slots hold [vacant], so a popped timer (and the
-   closure it carries) is collectable as soon as its caller drops it. *)
-type timer = {
-  time : int;
-  seq : int;
-  mutable cancelled : bool;
-  action : unit -> unit;
-  cause : int;  (* causal frontier captured when the timer was scheduled; 0 = none *)
-}
+(* Events live in slots: parallel arrays hold each scheduled event's
+   [time], its scheduling [seq], the causal frontier captured when it was
+   scheduled, its index in the heap and its action. The heap is an
+   array-based binary min-heap of slot ids on the lexicographic
+   (time, seq) key; [seq] is unique, so the pop order is total and
+   independent of the heap's shape. An event that fires or is cancelled
+   leaves the heap and frees its slot at once: its seq becomes [free],
+   so a handle to it no longer matches, and its action becomes
+   [ignore], so the closure is collectable. Free slots form a list
+   threaded through [slot_pos]. Once the arrays have grown, scheduling,
+   firing and cancelling allocate nothing. *)
+
+(* A handle is the event's seq above [slot_bits] bits of slot id. *)
+type timer = int
+
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+(* The largest seq whose handle is a non-negative int. *)
+let max_seq = max_int lsr slot_bits
+
+(* Seqs start at 1, so a slot whose seq is 0 holds no event. *)
+let free = 0
 
 (* Trace ids start at 1, so 0 encodes "no cause" without an option. *)
 let no_cause = 0
 
-let vacant = { time = max_int; seq = max_int; cancelled = true; action = ignore; cause = no_cause }
-
 type t = {
   mutable clock : int;
   mutable seq : int;
-  mutable heap : timer array;
+  mutable slot_time : int array;
+  mutable slot_seq : int array;
+  mutable slot_cause : int array;
+  mutable slot_pos : int array;  (* live: index in [heap]; free: next free slot, or -1 *)
+  mutable slot_action : (unit -> unit) array;
+  mutable free_slot : int;  (* head of the free list, or -1 *)
+  mutable heap : int array;  (* slot ids; the first [size] are live *)
   mutable size : int;
+  mutable tombstone : int;  (* latest deadline of a cancelled event *)
   rng : Rng.t;
   trace : Trace.t;
   metrics : Metrics.t;
@@ -30,8 +47,23 @@ type t = {
 let create ?(seed = 1L) () =
   let trace = Trace.create () in
   let metrics = Metrics.create () in
-  { clock = 0; seq = 0; heap = [||]; size = 0; rng = Rng.create seed; trace; metrics;
-    cause = no_cause }
+  {
+    clock = 0;
+    seq = 0;
+    slot_time = [||];
+    slot_seq = [||];
+    slot_cause = [||];
+    slot_pos = [||];
+    slot_action = [||];
+    free_slot = -1;
+    heap = [||];
+    size = 0;
+    tombstone = 0;
+    rng = Rng.create seed;
+    trace;
+    metrics;
+    cause = no_cause;
+  }
 
 let now t = t.clock
 
@@ -55,107 +87,150 @@ let emit ?cause t ~actor ~kind detail =
   t.cause <- id;
   id
 
-(* --- heap ------------------------------------------------------------ *)
+(* --- slots ------------------------------------------------------------ *)
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Called with every slot live: doubles the arrays and chains the new
+   slots into the free list, lowest first. *)
+let grow t =
+  let old = Array.length t.slot_seq in
+  let capacity = max 16 (2 * old) in
+  if capacity > slot_mask + 1 then failwith "Engine: too many pending events";
+  let extend a fill =
+    let b = Array.make capacity fill in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  t.slot_time <- extend t.slot_time 0;
+  t.slot_seq <- extend t.slot_seq free;
+  t.slot_cause <- extend t.slot_cause no_cause;
+  t.slot_action <- extend t.slot_action ignore;
+  t.heap <- extend t.heap 0;
+  t.slot_pos <- extend t.slot_pos (-1);
+  for s = old to capacity - 2 do
+    t.slot_pos.(s) <- s + 1
+  done;
+  t.free_slot <- old
 
-(* Both sifts move a hole instead of swapping: [x] is written once, at
-   its final slot. *)
-let rec sift_up heap x i =
+let release t s =
+  t.slot_seq.(s) <- free;
+  t.slot_action.(s) <- ignore;
+  t.slot_pos.(s) <- t.free_slot;
+  t.free_slot <- s
+
+(* --- heap ------------------------------------------------------------- *)
+
+let earlier t a b =
+  let ta = t.slot_time.(a) and tb = t.slot_time.(b) in
+  ta < tb || (ta = tb && t.slot_seq.(a) < t.slot_seq.(b))
+
+let place t s i =
+  t.heap.(i) <- s;
+  t.slot_pos.(s) <- i
+
+(* Both sifts move a hole instead of swapping: [s] is placed once, at
+   its final index. *)
+let rec sift_up t s i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    let p = heap.(parent) in
-    if earlier x p then begin
-      heap.(i) <- p;
-      sift_up heap x parent
+    let p = t.heap.(parent) in
+    if earlier t s p then begin
+      place t p i;
+      sift_up t s parent
     end
-    else heap.(i) <- x
+    else place t s i
   end
-  else heap.(i) <- x
+  else place t s i
 
-let rec sift_down heap size x i =
+let rec sift_down t s i =
   let l = (2 * i) + 1 in
-  if l >= size then heap.(i) <- x
+  if l >= t.size then place t s i
   else begin
     let r = l + 1 in
-    let c = if r < size && earlier heap.(r) heap.(l) then r else l in
-    let child = heap.(c) in
-    if earlier child x then begin
-      heap.(i) <- child;
-      sift_down heap size x c
+    let c = if r < t.size && earlier t t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if earlier t child s then begin
+      place t child i;
+      sift_down t s c
     end
-    else heap.(i) <- x
+    else place t s i
   end
 
-let push t timer =
-  let capacity = Array.length t.heap in
-  if t.size = capacity then begin
-    let grown = Array.make (max 16 (2 * capacity)) vacant in
-    Array.blit t.heap 0 grown 0 t.size;
-    t.heap <- grown
-  end;
-  t.size <- t.size + 1;
-  sift_up t.heap timer (t.size - 1)
-
-(* Requires [t.size > 0]. *)
-let pop t =
-  let heap = t.heap in
-  let top = heap.(0) in
+(* Takes the entry at heap index [i] out; the last entry fills the hole
+   and moves whichever way restores the order. *)
+let remove t i =
   let last = t.size - 1 in
   t.size <- last;
-  let tail = heap.(last) in
-  heap.(last) <- vacant;
-  if last > 0 then sift_down heap last tail 0;
-  top
+  if i < last then begin
+    let tail = t.heap.(last) in
+    if i > 0 && earlier t tail t.heap.((i - 1) / 2) then sift_up t tail i else sift_down t tail i
+  end
 
 (* --- scheduling ------------------------------------------------------- *)
 
 let schedule_at t ~time action =
-  let time = if time > t.clock then time else t.clock in
+  if t.free_slot < 0 then grow t;
+  if t.seq = max_seq then failwith "Engine: sequence numbers exhausted";
+  let s = t.free_slot in
+  t.free_slot <- t.slot_pos.(s);
   t.seq <- t.seq + 1;
-  let timer = { time; seq = t.seq; cancelled = false; action; cause = t.cause } in
-  push t timer;
-  timer
+  t.slot_time.(s) <- (if time > t.clock then time else t.clock);
+  t.slot_seq.(s) <- t.seq;
+  t.slot_cause.(s) <- t.cause;
+  t.slot_action.(s) <- action;
+  t.size <- t.size + 1;
+  sift_up t s (t.size - 1);
+  (t.seq lsl slot_bits) lor s
 
 let schedule t ~delay action =
   schedule_at t ~time:(t.clock + if delay > 0 then delay else 0) action
 
-let cancel timer = timer.cancelled <- true
+let cancel t timer =
+  let s = timer land slot_mask in
+  if t.slot_seq.(s) = timer lsr slot_bits then begin
+    let time = t.slot_time.(s) in
+    if time > t.tombstone then t.tombstone <- time;
+    remove t t.slot_pos.(s);
+    release t s
+  end
 
 let pending t = t.size
 
 let step t =
   if t.size = 0 then false
   else begin
-    let timer = pop t in
-    if timer.time > t.clock then t.clock <- timer.time;
-    if not timer.cancelled then begin
-      t.cause <- timer.cause;
-      timer.action ();
-      t.cause <- no_cause
-    end;
+    let s = t.heap.(0) in
+    remove t 0;
+    let time = t.slot_time.(s) in
+    if time > t.clock then t.clock <- time;
+    let action = t.slot_action.(s) in
+    t.cause <- t.slot_cause.(s);
+    release t s;
+    action ();
+    t.cause <- no_cause;
     true
   end
 
 let run ?until ?max_events t =
-  let executed = ref 0 in
-  let continue () =
-    match max_events with Some m -> !executed < m | None -> true
-  in
-  let within_horizon () =
-    match until with None -> true | Some horizon -> t.heap.(0).time <= horizon
-  in
-  while t.size > 0 && continue () && within_horizon () do
-    if step t then incr executed
+  let horizon = match until with Some h -> h | None -> max_int in
+  let budget = match max_events with Some m -> m | None -> max_int in
+  let fired = ref 0 in
+  while t.size > 0 && !fired < budget && t.slot_time.(t.heap.(0)) <= horizon do
+    ignore (step t);
+    incr fired
   done;
-  (* If we stopped on the horizon, advance the clock to it so that callers
-     observe a consistent "ran until" time. *)
-  match until with
-  | Some horizon when t.clock < horizon && t.size = 0 -> ()
-  | Some horizon when t.clock < horizon -> t.clock <- horizon
-  | _ -> ()
+  (* Clock rule: end where the run would have if cancelled events stayed
+     in the heap until popped. A live event, or a cancelled deadline,
+     beyond [until] would still be pending and pulls the clock to
+     [until]; otherwise every cancelled event would have been popped,
+     the last of them at [tombstone]. *)
+  if t.clock < horizon then
+    match until with
+    | Some h when t.size > 0 || t.tombstone > h -> t.clock <- h
+    | _ -> if t.size = 0 && t.tombstone > t.clock then t.clock <- t.tombstone
 
 let every t ~period f =
+  if period <= 0 then
+    invalid_arg (Printf.sprintf "Engine.every: period must be positive, got %d" period);
   let rec tick () =
     (* Remember the tick's own causal context: anything f emits must not
        leak into the *next* tick's capture, or periodic loops would grow

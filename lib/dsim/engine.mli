@@ -1,18 +1,21 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock, a deterministic event heap and the
-    root PRNG. Each scheduled event is one timer record, which is also
-    its heap entry; events fire in ascending [(time, seq)] order, [seq]
-    being the scheduling order, so equal-time events run first come,
-    first served. All concurrency in the simulated infrastructure is
-    cooperative: a component runs to completion inside its event handler
-    and schedules future work with {!schedule}. Two runs with the same
-    seed and the same schedule of calls are bit-for-bit identical. *)
+    root PRNG. Each scheduled event occupies a slot in preallocated
+    arrays until it fires or is cancelled, so scheduling, firing and
+    cancelling allocate nothing; events fire in ascending [(time, seq)]
+    order, [seq] being the scheduling order, so equal-time events run
+    first come, first served. All concurrency in the simulated
+    infrastructure is cooperative: a component runs to completion inside
+    its event handler and schedules future work with {!schedule}. Two
+    runs with the same seed and the same schedule of calls are
+    bit-for-bit identical. *)
 
 type t
 
 type timer
-(** Handle to a scheduled event; can be cancelled before it fires. *)
+(** Handle to a scheduled event; can be cancelled before it fires. A
+    handle is an immediate value: holding one keeps nothing alive. *)
 
 val create : ?seed:int64 -> unit -> t
 (** [create ()] makes an engine at virtual time 0, with a fresh trace and
@@ -63,23 +66,35 @@ val schedule : t -> delay:int -> (unit -> unit) -> timer
 val schedule_at : t -> time:int -> (unit -> unit) -> timer
 (** Absolute-time variant; times in the past fire at the current time. *)
 
-val cancel : timer -> unit
-(** Cancelling an already-fired or cancelled timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** Takes the event out of the heap at once and frees its slot, so its
+    closure is collectable. A no-op for a timer that has fired or was
+    cancelled, even if its slot now holds a newer event. *)
 
 val pending : t -> int
-(** Number of events still in the heap (including cancelled ones not yet
-    popped). *)
+(** Number of scheduled events that have neither fired nor been
+    cancelled. *)
 
 val step : t -> bool
-(** Pops and runs the next event. Returns [false] when the heap is
-    empty. *)
+(** Pops and runs the next event. Returns [false] when no event is
+    pending; a cancelled event is never popped. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
-(** Runs events until the heap drains, the clock passes [until], or
-    [max_events] events have executed. Events scheduled exactly at
-    [until] still run. *)
+(** Runs events until none is pending, the next one lies beyond [until],
+    or [max_events] events have fired. Events scheduled exactly at
+    [until] still run.
+
+    Clock rule: a cancelled event leaves the heap at once, yet the clock
+    ends where it would if the event had stayed in the heap and been
+    popped unfired. For that the engine keeps the latest cancelled
+    deadline. At the end of [run ~until:h] the clock moves to [h] if an
+    event is still pending or that deadline lies beyond [h], and
+    otherwise to that deadline if it is later than [now]. A [run]
+    without [until] that drains the heap also ends at that deadline if
+    it is later than [now]. *)
 
 val every : t -> period:int -> (unit -> bool) -> unit
 (** [every t ~period f] runs [f] now and then every [period] until [f]
     returns [false]. Used for resync loops, health checks and reconcile
-    timers. *)
+    timers. Raises [Invalid_argument] if [period <= 0]: such a loop
+    would never let the clock advance. *)

@@ -69,10 +69,18 @@ let fresh_node () =
     incarnation = 0;
   }
 
+(* What a lookup of an address that never joined reads: down, at
+   incarnation 0. Never stored in [nodes] and never mutated. *)
+let absent = { (fresh_node ()) with up = false }
+
+(* Nodes are never removed or replaced, so a record found here stays the
+   address's node for good. *)
+let find t addr = match Hashtbl.find t.nodes addr with n -> n | exception Not_found -> absent
+
 let node t addr =
-  match Hashtbl.find_opt t.nodes addr with
-  | Some n -> n
-  | None ->
+  match find t addr with
+  | n when n != absent -> n
+  | _ ->
       let n = fresh_node () in
       Hashtbl.replace t.nodes addr n;
       t.liveness_changes <- t.liveness_changes + 1;
@@ -104,11 +112,22 @@ let set_lifecycle t addr ~on_crash ~on_restart =
 
 let liveness_changes t = t.liveness_changes
 
-let is_up t addr =
-  match Hashtbl.find_opt t.nodes addr with Some n -> n.up | None -> false
+let is_up t addr = (find t addr).up
 
-let incarnation t addr =
-  match Hashtbl.find_opt t.nodes addr with Some n -> n.incarnation | None -> 0
+let incarnation t addr = (find t addr).incarnation
+
+type peer = { net : t; addr : address; mutable resolved : node }
+
+let peer net addr = { net; addr; resolved = absent }
+
+(* Looks the address up until it has joined, then never again. *)
+let resolve p =
+  if p.resolved == absent then p.resolved <- find p.net p.addr;
+  p.resolved
+
+let peer_is_up p = (resolve p).up
+
+let peer_incarnation p = (resolve p).incarnation
 
 let crash t addr =
   let n = node t addr in
@@ -154,11 +173,13 @@ let heal_all t =
 let default_timeout = 1_000_000
 
 (* One record per call, shared by its request, reply and timeout
-   events; the continuation runs at most once. *)
+   events; the continuation runs at most once. [src_node] is the
+   caller's node at call time, [absent] if it had not joined. *)
 type 'r call = {
   net : t;
   src : address;
   dst : address;
+  src_node : node;
   src_incarnation : int;
   k : ('r, error) result -> unit;
   mutable completed : bool;
@@ -175,12 +196,9 @@ let finish c result =
    caller restarted into a new incarnation. *)
 let reply_arrives c timeout resp =
   let t = c.net in
-  if
-    (not (partitioned t c.src c.dst))
-    && is_up t c.src
-    && incarnation t c.src = c.src_incarnation
-  then begin
-    Engine.cancel timeout;
+  let src = if c.src_node == absent then find t c.src else c.src_node in
+  if (not (partitioned t c.src c.dst)) && src.up && src.incarnation = c.src_incarnation then begin
+    Engine.cancel t.engine timeout;
     finish c (Ok resp)
   end
 
@@ -189,10 +207,12 @@ let reply_arrives c timeout resp =
    request if the destination has none. *)
 let call t id what serve ~src ~dst ?(timeout = default_timeout) req k =
   Metrics.Counter.incr t.calls;
-  match Hashtbl.find_opt t.nodes dst with
-  | None -> k (Error Unreachable)
-  | Some dst_node ->
-      let c = { net = t; src; dst; src_incarnation = incarnation t src; k; completed = false } in
+  match find t dst with
+  | dst_node when dst_node == absent -> k (Error Unreachable)
+  | dst_node ->
+      let src_node = find t src in
+      let src_incarnation = src_node.incarnation in
+      let c = { net = t; src; dst; src_node; src_incarnation; k; completed = false } in
       let timeout = Engine.schedule t.engine ~delay:timeout (fun () -> finish c (Error Timeout)) in
       let reply resp =
         ignore
@@ -207,9 +227,9 @@ let call t id what serve ~src ~dst ?(timeout = default_timeout) req k =
 
 let cast t id what serve ~src ~dst req =
   Metrics.Counter.incr t.casts;
-  match Hashtbl.find_opt t.nodes dst with
-  | None -> ()
-  | Some dst_node ->
+  match find t dst with
+  | dst_node when dst_node == absent -> ()
+  | dst_node ->
       ignore
         (Engine.schedule t.engine ~delay:(latency t) (fun () ->
              if (not (partitioned t src dst)) && dst_node.up then

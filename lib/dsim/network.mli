@@ -8,6 +8,10 @@
     restarted process — exactly the asymmetry that lets a restarted
     component re-synchronize from a stale upstream.
 
+    Nodes are never removed or replaced: once an address has joined,
+    its node record is the same for the rest of the run, across crashes
+    and restarts. {!peer} relies on this.
+
     RPC is typed per {!Service}: one closed request type indexed by reply
     type, so a handler covers all its requests and a caller gets exactly
     the reply its request asks for. A request reaching a live node that
@@ -45,12 +49,30 @@ val set_lifecycle :
     node if needed. *)
 
 val is_up : t -> address -> bool
+(** [false] for an address that never joined. Looks the address up:
+    for a component's own address, read a {!peer} instead. *)
 
 val liveness_changes : t -> int
 (** Nodes created, crashed or restarted so far: {!is_up} can change only
     when this moves. *)
 
 val incarnation : t -> address -> int
+(** [0] for an address that never joined. *)
+
+type peer
+(** One address's node, held for repeated liveness checks. A peer
+    resolves its node on first use after the address joins and then
+    reads the record's fields directly, with no lookup; it stays valid
+    for good because nodes are never removed or replaced. *)
+
+val peer : t -> address -> peer
+(** May be made before the address joins. *)
+
+val peer_is_up : peer -> bool
+(** Same answer as {!is_up} for the peer's address. *)
+
+val peer_incarnation : peer -> int
+(** Same answer as {!incarnation} for the peer's address. *)
 
 val crash : t -> address -> unit
 (** Marks the node down, bumps its incarnation and runs its [on_crash]

@@ -1,27 +1,38 @@
-type t = { mutable state : int64 }
+(* SplitMix64 (Steele, Lea, Flood; JDK SplittableRandom). The state is
+   one int64 kept unboxed in an 8-byte buffer: reading and writing it
+   through the bytes primitives, with [mix] inlined into each draw, lets
+   the native compiler keep the arithmetic in registers, so [int] and
+   [bool] allocate nothing. A mutable int64 field would box a fresh
+   state on every draw. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-(* SplitMix64 finalizer (Steele, Lea, Flood; JDK SplittableRandom). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let state = Int64.add (get t 0) golden_gamma in
+  set t 0 state;
+  mix state
 
 let split t = create (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (int64 t) mask) in
+  let v = Int64.to_int (Int64.logand (int64 t) (Int64.of_int max_int)) in
   v mod bound
 
 let float t bound =

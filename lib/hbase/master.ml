@@ -82,9 +82,10 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   }
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   Rpc.register t.net t.name
     { serve = (fun (type a) ~src:_ (Heartbeat _ : a request) (reply : a -> unit) -> reply ()) };
   Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
   Dsim.Engine.every (engine t) ~period:balance_period (fun () ->
-      if Dsim.Network.is_up t.net t.name then balance_pass t;
+      if Dsim.Network.peer_is_up self then balance_pass t;
       true)

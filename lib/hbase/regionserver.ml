@@ -1,6 +1,7 @@
 type t = {
   net : Dsim.Network.t;
   name : string;
+  self : Dsim.Network.peer;
   zk : Zk.t;
   relookup_on_failure : bool;
   rearm_then_read : bool;
@@ -13,6 +14,8 @@ type t = {
 }
 
 let name t = t.name
+
+let is_up t = Dsim.Network.peer_is_up t.self
 
 let cached_master t = t.cached_master
 
@@ -122,6 +125,7 @@ let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = fal
   {
     net;
     name;
+    self = Dsim.Network.peer net name;
     zk;
     relookup_on_failure;
     rearm_then_read;
@@ -138,5 +142,5 @@ let start t =
   register t;
   List.iter (arm t) t.watched_regions;
   Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->
-      if Dsim.Network.is_up t.net t.name then heartbeat t;
+      if is_up t then heartbeat t;
       true)

@@ -34,6 +34,10 @@ val start : t -> unit
 
 val name : t -> string
 
+val is_up : t -> bool
+(** Whether the server's own node is up, read through its
+    {!Dsim.Network.peer}. *)
+
 val serving : t -> string list
 (** Regions this server currently believes it serves, sorted. *)
 

@@ -1,6 +1,7 @@
 type t = {
   name : string;
   net : Dsim.Network.t;
+  self : Dsim.Network.peer;
   etcd : string;
   upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
@@ -95,7 +96,7 @@ let observe_event t (e : Resource.value History.Event.t) =
   maybe_seal t
 
 let on_stream_item t gen item =
-  if gen = t.generation && Dsim.Network.is_up t.net t.name then
+  if gen = t.generation && Dsim.Network.peer_is_up t.self then
     match item with
     | Pipe.Event e -> observe_event t e
     | Pipe.Bookmark rev ->
@@ -109,7 +110,7 @@ let on_stream_item t gen item =
     | Pipe.Seal _ -> ()
 
 let rec bootstrap t gen =
-  if gen = t.generation && Dsim.Network.is_up t.net t.name then
+  if gen = t.generation && Dsim.Network.peer_is_up t.self then
     Messages.Store.call t.net ~src:t.name ~dst:t.etcd (Messages.List { prefix = ""; quorum = true })
       (function
       | Ok (Ok { Messages.items; rev }) when gen = t.generation -> begin
@@ -192,6 +193,7 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
   {
     name;
     net;
+    self = Dsim.Network.peer net name;
     etcd;
     upstream = name ^ "<-" ^ etcd;
     window_size;
@@ -223,7 +225,7 @@ let start t =
   Dsim.Engine.every (engine t) ~period:(heartbeat_timeout / 2) (fun () ->
       (if
          t.ready
-         && Dsim.Network.is_up t.net t.name
+         && Dsim.Network.peer_is_up t.self
          && Dsim.Engine.now (engine t) - t.last_heartbeat > heartbeat_timeout
        then begin
          Dsim.Engine.record (engine t) ~actor:t.name ~kind:"api.resync"
@@ -236,6 +238,6 @@ let start t =
      hole in a quiet stream is still detected within one period. *)
   let frontier _ = t.last_rev in
   Dsim.Engine.every (engine t) ~period:bookmark_period (fun () ->
-      if t.ready && Dsim.Network.is_up t.net t.name then
+      if t.ready && Dsim.Network.peer_is_up t.self then
         Streams.heartbeat t.streams ~frontier ~seal:(t.epoch_seal <> None);
       true)

@@ -212,6 +212,7 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) () 
   t
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let dcs = dc_informer t and pods = pods_informer t and pvcs = pvcs_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -220,7 +221,7 @@ let start t =
       Informer.stop pvcs;
       Hashtbl.reset t.strikes)
     ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start dcs ~endpoint ();
       Informer.start pods ~endpoint ();
       Informer.start pvcs ~endpoint ());
@@ -228,5 +229,5 @@ let start t =
   Informer.start pods ~endpoint:0 ();
   Informer.start pvcs ~endpoint:0 ();
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.is_up t.net t.name then reconcile t;
+      if Dsim.Network.peer_is_up self then reconcile t;
       true)

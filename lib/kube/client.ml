@@ -1,6 +1,7 @@
 type t = {
   net : Dsim.Network.t;
   owner : string;
+  self : Dsim.Network.peer;  (* the owner's node *)
   endpoints : string array;
   mutable index : int;
 }
@@ -11,9 +12,11 @@ let retry_delay = 200_000
 
 let create ~net ~owner ~endpoints () =
   if endpoints = [] then invalid_arg "Client.create: no endpoints";
-  { net; owner; endpoints = Array.of_list endpoints; index = 0 }
+  { net; owner; self = Dsim.Network.peer net owner; endpoints = Array.of_list endpoints; index = 0 }
 
 let current_endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
+
+let owner_up t = Dsim.Network.peer_is_up t.self
 
 let engine t = Dsim.Network.engine t.net
 
@@ -23,7 +26,7 @@ let retry t again =
 
 (* An unavailable reply and a lost request both count against [budget]. *)
 let rec attempt t request ~budget k =
-  if budget <= 0 || not (Dsim.Network.is_up t.net t.owner) then k (Error `Unavailable)
+  if budget <= 0 || not (owner_up t) then k (Error `Unavailable)
   else
     Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t) request (function
       | Ok (Ok _ as reply) -> k reply
@@ -43,7 +46,7 @@ let lease_keepalive t ~lease k = attempt t (Messages.Lease_keepalive { lease }) 
    an unavailable reply ends it like a successful one. *)
 let lease_revoke t ~lease =
   let rec send budget =
-    if budget > 0 && Dsim.Network.is_up t.net t.owner then
+    if budget > 0 && owner_up t then
       Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t)
         (Messages.Lease_revoke { lease })
         (function

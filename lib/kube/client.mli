@@ -33,6 +33,10 @@ val get_quorum :
 
 val current_endpoint : t -> string
 
+val owner_up : t -> bool
+(** Whether the owner's node is up, read through its
+    {!Dsim.Network.peer}: a request from a down owner is not sent. *)
+
 val lease_grant : t -> ttl:int -> ((int, [ `Unavailable ]) result -> unit) -> unit
 
 val lease_keepalive : t -> lease:int -> ((bool, [ `Unavailable ]) result -> unit) -> unit

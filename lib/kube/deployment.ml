@@ -200,6 +200,7 @@ let create ~net ~name ~endpoints ?(period = 150_000) ?(quorum_fallback = false) 
   t
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let deps = deployments_informer t and rsets = rsets_informer t and pods = pods_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -207,7 +208,7 @@ let start t =
       Informer.stop rsets;
       Informer.stop pods)
     ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start deps ~endpoint ();
       Informer.start rsets ~endpoint ();
       Informer.start pods ~endpoint ());
@@ -215,5 +216,5 @@ let start t =
   Informer.start rsets ~endpoint:0 ();
   Informer.start pods ~endpoint:0 ();
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.is_up t.net t.name then reconcile t;
+      if Dsim.Network.peer_is_up self then reconcile t;
       true)

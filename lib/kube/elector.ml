@@ -2,6 +2,7 @@ type t = {
   name : string;
   lock : string;
   net : Dsim.Network.t;
+  self : Dsim.Network.peer;
   client : Client.t;
   ttl : int;
   mutable running : bool;
@@ -62,7 +63,7 @@ let try_acquire t =
     | _ -> ())
 
 let tick t =
-  if t.running && Dsim.Network.is_up t.net t.name then begin
+  if t.running && Dsim.Network.peer_is_up t.self then begin
     match t.lease with
     | Some lease when t.believes ->
         if now t > t.deadline then step_down t else renew t lease (now t)
@@ -74,6 +75,7 @@ let create ~net ~name ~lock ~endpoints ?(ttl = 2_000_000) () =
     name;
     lock;
     net;
+    self = Dsim.Network.peer net name;
     client = Client.create ~net ~owner:name ~endpoints ();
     ttl;
     running = false;

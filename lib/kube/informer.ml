@@ -1,6 +1,7 @@
 type t = {
   net : Dsim.Network.t;
   owner : string;
+  self : Dsim.Network.peer;  (* the owner's node *)
   endpoints : string array;
   prefix : string;
   stream : string;  (* owner#prefix: the watch stream id and the tap's stream name *)
@@ -35,6 +36,7 @@ let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset =
   {
     net;
     owner;
+    self = Dsim.Network.peer net owner;
     endpoints = Array.of_list endpoints;
     prefix;
     stream = owner ^ "#" ^ prefix;
@@ -78,7 +80,7 @@ let relists t = t.relists
 
 let gaps_detected t = t.gaps_detected
 
-let alive t gen = t.running && gen = t.generation && Dsim.Network.is_up t.net t.owner
+let alive t gen = t.running && gen = t.generation && Dsim.Network.peer_is_up t.self
 
 let tap_view t =
   {
@@ -213,7 +215,7 @@ let install_watchdog t =
     Dsim.Engine.every (engine t) ~period:(heartbeat_timeout / 2) (fun () ->
         (if
            t.running
-           && Dsim.Network.is_up t.net t.owner
+           && Dsim.Network.peer_is_up t.self
            && Dsim.Engine.now (engine t) - t.last_heartbeat > heartbeat_timeout
          then begin
            Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "informer.stream-dead";

@@ -65,7 +65,7 @@ let finalize_marked t (p : Resource.pod) mod_rev =
   stop_pod t p.Resource.pod_name;
   ignore
     (Dsim.Engine.schedule (engine t) ~delay:grace_period (fun () ->
-         if Dsim.Network.is_up t.net t.name then begin
+         if Client.owner_up t.client then begin
            record t "kubelet.finalize" p.Resource.pod_name;
            Client.txn_ t.client
              (Etcdlike.Txn.delete_if_unchanged ~key:(Resource.pod_key p.Resource.pod_name)
@@ -145,6 +145,7 @@ let create ~net ~name ~node ~endpoints ?(monotonic = false) () =
   }
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let informer = t.make_informer t in
   t.informer <- Some informer;
   Dsim.Network.set_lifecycle t.net t.name
@@ -152,6 +153,6 @@ let start t =
     ~on_restart:(fun () ->
       (* Each incarnation lands on a different apiserver behind the load
          balancer — the hinge of Kubernetes-59848. *)
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start informer ~endpoint ());
   Informer.start informer ~endpoint:0 ()

@@ -9,6 +9,7 @@ type t = {
   edge : History.Intercept.edge;
   label : string;  (* the edge as [History.Intercept.pp_edge] prints it, for trace details *)
   deliver : item -> unit;
+  dst_peer : Dsim.Network.peer;
   dst_incarnation : int;
   inflight : Dsim.Metrics.Gauge.t;
   latency : Dsim.Metrics.Histogram.t;
@@ -19,13 +20,15 @@ type t = {
 
 let create ~net ~intercept ~edge ~deliver () =
   let metrics = Dsim.Engine.metrics (Dsim.Network.engine net) in
+  let dst_peer = Dsim.Network.peer net edge.History.Intercept.dst in
   {
     net;
     intercept;
     edge;
     label = Format.asprintf "%a" History.Intercept.pp_edge edge;
     deliver;
-    dst_incarnation = Dsim.Network.incarnation net edge.dst;
+    dst_peer;
+    dst_incarnation = Dsim.Network.peer_incarnation dst_peer;
     inflight = Dsim.Metrics.Gauge.resolve metrics ("pipe.inflight." ^ edge.dst);
     latency = Dsim.Metrics.Histogram.resolve metrics ("watch.latency." ^ edge.dst);
     delivered = Dsim.Metrics.Counter.resolve metrics "pipe.delivered";
@@ -40,8 +43,8 @@ let is_closed t = t.closed
 let deliverable t =
   (not t.closed)
   && (not (Dsim.Network.partitioned t.net t.edge.src t.edge.dst))
-  && Dsim.Network.is_up t.net t.edge.dst
-  && Dsim.Network.incarnation t.net t.edge.dst = t.dst_incarnation
+  && Dsim.Network.peer_is_up t.dst_peer
+  && Dsim.Network.peer_incarnation t.dst_peer = t.dst_incarnation
 
 let arrive t ~sent item =
   let engine = Dsim.Network.engine t.net in

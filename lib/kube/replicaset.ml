@@ -188,6 +188,7 @@ let create ~net ~name ~endpoints ?(expectations = false) ?(period = 150_000) () 
   t
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let rsets = rsets_informer t and pods = pods_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -195,11 +196,11 @@ let start t =
       Informer.stop pods;
       Hashtbl.reset t.pending)
     ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start rsets ~endpoint ();
       Informer.start pods ~endpoint ());
   Informer.start rsets ~endpoint:0 ();
   Informer.start pods ~endpoint:0 ();
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.is_up t.net t.name then reconcile t;
+      if Dsim.Network.peer_is_up self then reconcile t;
       true)

@@ -185,6 +185,7 @@ let create ~net ~name ~endpoints ?(evict_on_bind_failure = false) ?(period = 100
   t
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let pods = pods_informer t and nodes = nodes_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
@@ -193,11 +194,11 @@ let start t =
       Hashtbl.reset t.node_cache;
       Hashtbl.reset t.inflight)
     ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start pods ~endpoint ();
       Informer.start nodes ~endpoint ());
   Informer.start pods ~endpoint:0 ();
   Informer.start nodes ~endpoint:0 ();
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.is_up t.net t.name then scheduling_pass t;
+      if Dsim.Network.peer_is_up self then scheduling_pass t;
       true)

@@ -2,6 +2,7 @@ type subscription = {
   pipe : Pipe.t;
   prefix : string option;
   replica : string option;  (* store replica the stream is served from *)
+  replica_node : Dsim.Network.peer option;  (* that replica's node *)
   mutable last_sent : int;
   mutable epoch_sent : int;  (* matching events sent since the last seal *)
 }
@@ -66,7 +67,14 @@ let subscribe t (w : Messages.watch_request) ~replica ~backlog =
   let edge = History.Intercept.{ src = t.src; dst = w.Messages.subscriber } in
   let pipe = Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver () in
   let sub =
-    { pipe; prefix = w.Messages.prefix; replica; last_sent = w.Messages.start_rev; epoch_sent = 0 }
+    {
+      pipe;
+      prefix = w.Messages.prefix;
+      replica;
+      replica_node = Option.map (Dsim.Network.peer t.net) replica;
+      last_sent = w.Messages.start_rev;
+      epoch_sent = 0;
+    }
   in
   Hashtbl.replace t.by_id w.Messages.stream_id
     (History.Dispatch.add t.subs ?prefix:w.Messages.prefix sub);
@@ -90,7 +98,7 @@ let heartbeat t ~frontier ~seal =
   repin t;
   History.Dispatch.iter_all t.subs (fun _ sub ->
       let serving =
-        match sub.replica with Some rid -> Dsim.Network.is_up t.net rid | None -> true
+        match sub.replica_node with Some node -> Dsim.Network.peer_is_up node | None -> true
       in
       if serving then begin
         let rev = frontier sub.replica in

@@ -88,17 +88,18 @@ let create ~net ~name ~endpoints ?(release_on_absent_owner = false) ?(period = 1
   t
 
 let start t =
+  let self = Dsim.Network.peer t.net t.name in
   let pods = pods_informer t and pvcs = pvcs_informer t in
   Dsim.Network.set_lifecycle t.net t.name
     ~on_crash:(fun () ->
       Informer.stop pods;
       Informer.stop pvcs)
     ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.incarnation t.net t.name in
+      let endpoint = Dsim.Network.peer_incarnation self in
       Informer.start pods ~endpoint ();
       Informer.start pvcs ~endpoint ());
   Informer.start pods ~endpoint:0 ();
   Informer.start pvcs ~endpoint:0 ();
   Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.is_up t.net t.name then reconcile t;
+      if Dsim.Network.peer_is_up self then reconcile t;
       true)

@@ -32,6 +32,7 @@ type t = {
   id : string;
   peers : string list;
   net : Dsim.Network.t;
+  self : Dsim.Network.peer;
   rng : Dsim.Rng.t;
   heartbeat_period : int;
   election_timeout_min : int;
@@ -288,6 +289,7 @@ let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min =
     id;
     peers;
     net;
+    self = Dsim.Network.peer net id;
     rng = Dsim.Rng.split (Dsim.Engine.rng engine);
     heartbeat_period;
     election_timeout_min;
@@ -318,7 +320,7 @@ let start t =
   reset_election_deadline t;
   (* One driving timer: leaders beat, others watch for election timeout. *)
   Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->
-      if Dsim.Network.is_up t.net t.id then begin
+      if Dsim.Network.peer_is_up t.self then begin
         match t.role with
         | Leader -> broadcast_appends t
         | Follower | Candidate -> if now t >= t.election_deadline then start_election t

@@ -4,6 +4,7 @@ type fallback = [ `Stale | `Reject ]
 
 type 'v replica = {
   r_id : string;
+  r_node : Dsim.Network.peer;
   store : 'v Etcdlike.Kv.t;
   (* Proposal ids this replica's state machine already executed. A
      proposal re-submitted after a leader change can be committed twice;
@@ -195,7 +196,7 @@ let preferred_replica t ~src =
 let first_up t =
   let rec go i =
     if i >= Array.length t.replicas then None
-    else if Dsim.Network.is_up t.net t.replicas.(i).r_id then Some t.replicas.(i)
+    else if Dsim.Network.peer_is_up t.replicas.(i).r_node then Some t.replicas.(i)
     else go (i + 1)
   in
   go 0
@@ -208,7 +209,7 @@ let first_up t =
    shape this layer exists to inject. *)
 let serving_replica_for t ~src =
   match preferred_replica t ~src with
-  | Some r when Dsim.Network.is_up t.net r.r_id -> Some r
+  | Some r when Dsim.Network.peer_is_up r.r_node -> Some r
   | Some _ | None -> ( match t.fallback with `Stale -> first_up t | `Reject -> None)
 
 let serving_replica t ~src = Option.map (fun r -> r.r_id) (serving_replica_for t ~src)
@@ -236,7 +237,12 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
     Array.of_list
       (List.map
          (fun r_id ->
-           { r_id; store = Etcdlike.Kv.create (); applied_pids = Hashtbl.create 64 })
+           {
+             r_id;
+             r_node = Dsim.Network.peer net r_id;
+             store = Etcdlike.Kv.create ();
+             applied_pids = Hashtbl.create 64;
+           })
          names)
   in
   let by_id = Hashtbl.create 8 in

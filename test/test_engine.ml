@@ -30,7 +30,7 @@ let cancel_prevents_fire () =
   let e = Dsim.Engine.create () in
   let fired = ref false in
   let timer = Dsim.Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  Dsim.Engine.cancel timer;
+  Dsim.Engine.cancel e timer;
   Dsim.Engine.run e;
   Alcotest.(check bool) "not fired" false !fired
 
@@ -228,7 +228,7 @@ let words_per_op f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-let event_costs_one_timer_record () =
+let event_allocates_nothing () =
   let e = Dsim.Engine.create () in
   let words =
     words_per_op (fun () ->
@@ -236,17 +236,214 @@ let event_costs_one_timer_record () =
         ignore (Dsim.Engine.step e))
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per scheduled-and-fired event <= 6" words)
-    true (words < 7.0)
+    (Printf.sprintf "%.2f words per scheduled-and-fired event < 1" words)
+    true (words < 1.0);
+  let words =
+    words_per_op (fun () -> Dsim.Engine.cancel e (Dsim.Engine.schedule e ~delay:1 ignore))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per scheduled-and-cancelled event < 1" words)
+    true (words < 1.0)
 
-let cancelled_pop_allocates_nothing () =
+let[@inline never] cancellable_payload e weak i ~time =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak i (Some payload);
+  Dsim.Engine.schedule_at e ~time (fun () -> ignore (Bytes.length payload))
+
+let cancel_frees_the_timer_at_once () =
   let e = Dsim.Engine.create () in
-  for _ = 0 to 10_000 do
-    Dsim.Engine.cancel (Dsim.Engine.schedule e ~delay:1 ignore)
-  done;
-  let words = words_per_op (fun () -> ignore (Dsim.Engine.step e)) in
-  Alcotest.(check int) "all popped" 0 (Dsim.Engine.pending e);
-  Alcotest.(check bool) (Printf.sprintf "%.2f words per cancelled pop" words) true (words < 1.0)
+  let weak = Weak.create 2 in
+  let doomed = cancellable_payload e weak 0 ~time:10 in
+  ignore (cancellable_payload e weak 1 ~time:20);
+  Alcotest.(check int) "both pending" 2 (Dsim.Engine.pending e);
+  Dsim.Engine.cancel e doomed;
+  Alcotest.(check int) "pending drops at once" 1 (Dsim.Engine.pending e);
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled closure was collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "live closure is kept" true (Weak.check weak 1);
+  Dsim.Engine.cancel e doomed;
+  Alcotest.(check int) "second cancel is a no-op" 1 (Dsim.Engine.pending e)
+
+let stale_handle_cancels_nothing () =
+  (* The fired timer's slot is reused by the next schedule: its handle
+     must not reach the newcomer. *)
+  let e = Dsim.Engine.create () in
+  let log, note = recorder () in
+  let first = Dsim.Engine.schedule e ~delay:1 (note "first") in
+  ignore (Dsim.Engine.step e);
+  ignore (Dsim.Engine.schedule e ~delay:1 (note "second"));
+  Dsim.Engine.cancel e first;
+  Alcotest.(check int) "newcomer still pending" 1 (Dsim.Engine.pending e);
+  Dsim.Engine.run e;
+  Alcotest.(check (list string)) "both fired" [ "first"; "second" ] (List.rev !log)
+
+(* --- model --------------------------------------------------------------
+   The engine against a naive model with lazy cancellation: a sorted list
+   of every scheduled entry, where cancel only marks an entry and popping
+   skips it unfired. The model's clock passes through every popped entry,
+   cancelled or not; the engine must reach the same clock from its last
+   cancelled deadline alone. A model step pops cancelled entries only on
+   its way to a live one. *)
+
+type entry = { time : int; seq : int; id : int; mutable cancelled : bool }
+
+type model = { mutable now : int; mutable seq : int; mutable queue : entry list }
+
+let model_schedule m ~time id =
+  m.seq <- m.seq + 1;
+  let entry = { time = max time m.now; seq = m.seq; id; cancelled = false } in
+  let before e = e.time < entry.time || (e.time = entry.time && e.seq < entry.seq) in
+  let rec insert = function e :: rest when before e -> e :: insert rest | rest -> entry :: rest in
+  m.queue <- insert m.queue
+
+let model_cancel m id = List.iter (fun e -> if e.id = id then e.cancelled <- true) m.queue
+
+let model_pending m = List.length (List.filter (fun e -> not e.cancelled) m.queue)
+
+let model_pop m fire =
+  match m.queue with
+  | [] -> ()
+  | e :: rest ->
+      m.queue <- rest;
+      m.now <- max m.now e.time;
+      if not e.cancelled then fire e.id
+
+let model_step m fire =
+  if model_pending m = 0 then false
+  else begin
+    let rec go () =
+      match m.queue with
+      | e :: _ when e.cancelled ->
+          model_pop m fire;
+          go ()
+      | _ -> model_pop m fire
+    in
+    go ();
+    true
+  end
+
+let model_run ?until m fire =
+  let horizon = Option.value until ~default:max_int in
+  let rec go () =
+    match m.queue with
+    | e :: _ when e.time <= horizon ->
+        model_pop m fire;
+        go ()
+    | _ -> ()
+  in
+  go ();
+  match until with Some h when m.now < h && m.queue <> [] -> m.now <- h | _ -> ()
+
+type op =
+  | Schedule of int  (** relative delay *)
+  | Schedule_at of int  (** absolute time; past times clamp to now *)
+  | Cancel of int  (** index into every handle made so far *)
+  | Step
+  | Run_until of int  (** horizon = now + this *)
+  | Run
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule %d" d
+  | Schedule_at t -> Printf.sprintf "schedule_at %d" t
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run ~until:(now+%d)" d
+  | Run -> "run"
+
+let arb_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun d -> Schedule d) (0 -- 6));
+        (3, map (fun t -> Schedule_at t) (0 -- 60));
+        (4, map (fun i -> Cancel i) (0 -- 1000));
+        (3, return Step);
+        (2, map (fun d -> Run_until d) (0 -- 10));
+        (1, return Run);
+      ]
+  in
+  QCheck.make ~print:(QCheck.Print.list show_op) (list_size (0 -- 80) op)
+
+(* Every action closes over its own payload, registered weakly, so the
+   end of a case can check that exactly the live entries are retained. *)
+let[@inline never] schedule_logged weak fired id schedule =
+  let payload = Bytes.make 16 'x' in
+  Weak.set weak id (Some payload);
+  schedule (fun () ->
+      ignore (Bytes.length payload);
+      fired := id :: !fired)
+
+let qcheck_engine_model =
+  QCheck.Test.make ~name:"engine agrees with a lazy-cancel model" ~count:300 arb_ops (fun ops ->
+      let e = Dsim.Engine.create () in
+      let m = { now = 0; seq = 0; queue = [] } in
+      let weak = Weak.create (List.length ops) in
+      let fired = ref [] and model_fired = ref [] in
+      let fire id = model_fired := id :: !model_fired in
+      let handles = ref [||] in
+      let add id handle = handles := Array.append !handles [| (id, handle) |] in
+      let apply id op =
+        match op with
+        | Schedule delay ->
+            let time = Dsim.Engine.now e + delay in
+            add id (schedule_logged weak fired id (Dsim.Engine.schedule e ~delay));
+            model_schedule m ~time id
+        | Schedule_at time ->
+            add id (schedule_logged weak fired id (Dsim.Engine.schedule_at e ~time));
+            model_schedule m ~time id
+        | Cancel i when Array.length !handles > 0 ->
+            let id, handle = !handles.(i mod Array.length !handles) in
+            Dsim.Engine.cancel e handle;
+            model_cancel m id
+        | Cancel _ -> ()
+        | Step ->
+            let stepped = Dsim.Engine.step e in
+            if stepped <> model_step m fire then QCheck.Test.fail_report "step results differ"
+        | Run_until d ->
+            let until = Dsim.Engine.now e + d in
+            Dsim.Engine.run ~until e;
+            model_run ~until m fire
+        | Run ->
+            Dsim.Engine.run e;
+            model_run m fire
+      in
+      List.iteri
+        (fun id op ->
+          apply id op;
+          if !fired <> !model_fired then
+            QCheck.Test.fail_reportf "after %s: fire order differs" (show_op op);
+          if Dsim.Engine.now e <> m.now then
+            QCheck.Test.fail_reportf "after %s: now %d, model %d" (show_op op) (Dsim.Engine.now e)
+              m.now;
+          if Dsim.Engine.pending e <> model_pending m then
+            QCheck.Test.fail_reportf "after %s: pending %d, model %d" (show_op op)
+              (Dsim.Engine.pending e) (model_pending m))
+        ops;
+      Gc.full_major ();
+      let live id = List.exists (fun entry -> entry.id = id && not entry.cancelled) m.queue in
+      List.iteri
+        (fun id op ->
+          match op with
+          | (Schedule _ | Schedule_at _) when Weak.check weak id <> live id ->
+              QCheck.Test.fail_reportf "closure #%d %s" id
+                (if live id then "of a live entry was collected" else "of a dead entry is retained")
+          | _ -> ())
+        ops;
+      Dsim.Engine.pending e = model_pending m)
+
+(* --- non-positive periods ---------------------------------------------- *)
+
+let every_rejects_non_positive_period () =
+  List.iter
+    (fun period ->
+      let e = Dsim.Engine.create () in
+      Alcotest.check_raises
+        (Printf.sprintf "period %d" period)
+        (Invalid_argument
+           (Printf.sprintf "Engine.every: period must be positive, got %d" period))
+        (fun () -> Dsim.Engine.every e ~period (fun () -> true)))
+    [ 0; -5 ]
 
 let suites =
   [
@@ -274,7 +471,11 @@ let suites =
         Alcotest.test_case "max_events bounds run" `Quick max_events_bounds_run;
         Alcotest.test_case "trace records at now" `Quick trace_records_at_now;
         Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
-        Alcotest.test_case "event costs one timer record" `Quick event_costs_one_timer_record;
-        Alcotest.test_case "cancelled pop allocates nothing" `Quick cancelled_pop_allocates_nothing;
+        Alcotest.test_case "event allocates nothing" `Quick event_allocates_nothing;
+        Alcotest.test_case "cancel frees the timer at once" `Quick cancel_frees_the_timer_at_once;
+        Alcotest.test_case "stale handle cancels nothing" `Quick stale_handle_cancels_nothing;
+        Alcotest.test_case "every rejects a non-positive period" `Quick
+          every_rejects_non_positive_period;
+        Qcheck_util.to_alcotest qcheck_engine_model;
       ] );
   ]

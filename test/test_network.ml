@@ -212,6 +212,68 @@ let latency_models_sample_in_range () =
       (Dsim.Network.sample_latency net >= 50)
   done
 
+(* --- node handles ---------------------------------------------------------
+   A peer must answer exactly as the by-name lookups do, whenever it was
+   made. *)
+
+let reads net peer addr =
+  ( (Dsim.Network.peer_is_up peer, Dsim.Network.peer_incarnation peer),
+    (Dsim.Network.is_up net addr, Dsim.Network.incarnation net addr) )
+
+let check_reads what expected net peer addr =
+  let by_peer, by_name = reads net peer addr in
+  Alcotest.(check (pair bool int)) (what ^ ", by peer") expected by_peer;
+  Alcotest.(check (pair bool int)) (what ^ ", by name") expected by_name
+
+let peer_before_join () =
+  let _, net = make () in
+  let peer = Dsim.Network.peer net "late" in
+  check_reads "before join" (false, 0) net peer "late";
+  Dsim.Network.join net "late";
+  check_reads "after join" (true, 0) net peer "late"
+
+let peer_sees_crash_and_restart () =
+  let _, net = make () in
+  Dsim.Network.join net "n";
+  let peer = Dsim.Network.peer net "n" in
+  check_reads "joined" (true, 0) net peer "n";
+  Dsim.Network.crash net "n";
+  check_reads "crashed" (false, 1) net peer "n";
+  Dsim.Network.restart net "n";
+  check_reads "restarted" (true, 1) net peer "n"
+
+let join_keeps_the_node () =
+  (* A peer resolved before the crash, restart and re-join keeps seeing
+     the node: join found the record instead of replacing it. *)
+  let _, net = make () in
+  Dsim.Network.join net "n";
+  let peer = Dsim.Network.peer net "n" in
+  ignore (Dsim.Network.peer_is_up peer);
+  Dsim.Network.crash net "n";
+  Dsim.Network.restart net "n";
+  Dsim.Network.join net "n";
+  check_reads "re-joined" (true, 1) net peer "n";
+  Dsim.Network.crash net "n";
+  check_reads "crashed again" (false, 2) net peer "n"
+
+let caller_that_never_joined () =
+  (* The reply check falls back to the by-name lookup for a caller that
+     had not joined at call time: still absent means the reply is lost;
+     joined before the reply means it arrives. *)
+  let engine, net = make () in
+  echo_server net "server";
+  let ghost = ref None and late = ref None in
+  Echo.call net ~src:"ghost" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r -> ghost := Some r);
+  Echo.call net ~src:"late" ~dst:"server" ~timeout:50_000 (Ping 2) (fun r -> late := Some r);
+  Dsim.Network.join net "late";
+  Dsim.Engine.run engine;
+  (match !ghost with
+  | Some (Error Dsim.Network.Timeout) -> ()
+  | _ -> Alcotest.fail "a caller that never joined should time out");
+  match !late with
+  | Some (Ok 2) -> ()
+  | _ -> Alcotest.fail "a caller that joined before the reply should get it"
+
 let suites =
   [
     ( "network",
@@ -233,5 +295,9 @@ let suites =
         Alcotest.test_case "partition is symmetric" `Quick partition_is_symmetric;
         Alcotest.test_case "latency models sample in range" `Quick
           latency_models_sample_in_range;
+        Alcotest.test_case "peer made before join" `Quick peer_before_join;
+        Alcotest.test_case "peer sees crash and restart" `Quick peer_sees_crash_and_restart;
+        Alcotest.test_case "join keeps the node record" `Quick join_keeps_the_node;
+        Alcotest.test_case "caller that never joined times out" `Quick caller_that_never_joined;
       ] );
   ]

@@ -44,19 +44,8 @@ let lines () =
 
 let fixture = Filename.concat "fixtures" "observable.digests"
 
-let read_lines path =
-  let ic = open_in_bin path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (if String.trim line = "" then acc else line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let digests_match_fixture () =
-  let expected = read_lines fixture in
+  let expected = Fixture.read_lines fixture in
   let actual = lines () in
   Alcotest.(check int) "15 cases x 3 variants x 2 monitor settings" 90 (List.length expected);
   List.iter2 (fun e a -> Alcotest.(check string) "observable digest" e a) expected actual
@@ -101,7 +90,7 @@ let planner_lines () =
 let planner_fixture = Filename.concat "fixtures" "planner.digests"
 
 let planner_matches_fixture () =
-  let expected = read_lines planner_fixture in
+  let expected = Fixture.read_lines planner_fixture in
   let actual = planner_lines () in
   Alcotest.(check int) "15 cases x plain/causal" 30 (List.length expected);
   List.iter2 (fun e a -> Alcotest.(check string) "planner digest" e a) expected actual
@@ -132,7 +121,7 @@ let baselines_lines () =
 let baselines_fixture = Filename.concat "fixtures" "baselines.digests"
 
 let baselines_match_fixture () =
-  let expected = read_lines baselines_fixture in
+  let expected = Fixture.read_lines baselines_fixture in
   Alcotest.(check int) "15 cases x 3 baselines" 45 (List.length expected);
   List.iter2
     (fun e a -> Alcotest.(check string) "baseline digest" e a)

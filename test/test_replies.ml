@@ -308,19 +308,8 @@ let lines () =
 
 let fixture = Filename.concat "fixtures" "replies.pins"
 
-let read_lines path =
-  let ic = open_in_bin path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (if String.trim line = "" then acc else line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let replies_match_fixture () =
-  let expected = read_lines fixture in
+  let expected = Fixture.read_lines fixture in
   let actual = lines () in
   Alcotest.(check int) "one line per (operation, reply)" (List.length expected)
     (List.length actual);

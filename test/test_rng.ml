@@ -81,6 +81,63 @@ let qcheck_float_in_bounds =
       let v = Dsim.Rng.float rng bound in
       v >= 0.0 && v < bound)
 
+(* Stream pin: for each seed, one line per draw kind,
+   "<seed> <kind> <values...>", every draw from one generator in the
+   order listed, then 8 draws from a child split off after them. The
+   fixture was recorded before the state went unboxed; regenerate by
+   printing [pin_lines ()], one per line — only after an intended change
+   of the generator. *)
+let pin_lines () =
+  let draws n f = String.concat " " (List.init n (fun _ -> f ())) in
+  List.concat_map
+    (fun seed ->
+      let g = Dsim.Rng.create seed in
+      let line kind values = Printf.sprintf "%Ld %s %s" seed kind values in
+      let int64 g () = Int64.to_string (Dsim.Rng.int64 g) in
+      let eight f = draws 8 (fun () -> f g) in
+      let first = line "int64" (draws 32 (int64 g)) in
+      let bounded =
+        List.map
+          (fun (name, bound) ->
+            line ("int " ^ name) (eight (fun g -> string_of_int (Dsim.Rng.int g bound))))
+          [ ("1", 1); ("7", 7); ("1500", 1500); ("max_int", max_int) ]
+      in
+      let floats = line "float 1.0" (eight (fun g -> Printf.sprintf "%h" (Dsim.Rng.float g 1.0))) in
+      let bools = line "bool" (eight (fun g -> string_of_bool (Dsim.Rng.bool g))) in
+      let chances = line "chance 0.3" (eight (fun g -> string_of_bool (Dsim.Rng.chance g 0.3))) in
+      let child = Dsim.Rng.split g in
+      let split = line "split int64" (draws 8 (int64 child)) in
+      (first :: bounded) @ [ floats; bools; chances; split ])
+    [ 0L; 1L; 7L; 42L; -1L ]
+
+let streams_match_pins () =
+  let expected = Fixture.read_lines (Filename.concat "fixtures" "rng.pins") in
+  let actual = pin_lines () in
+  Alcotest.(check int) "5 seeds x 9 draw kinds" 45 (List.length expected);
+  List.iter2 (fun e a -> Alcotest.(check string) "pinned stream" e a) expected actual
+
+(* Minor words per draw over 10k draws, after one warm-up: a heap block
+   is at least two words, so below one word means no boxing. *)
+let words_per_draw draw =
+  let rng = Dsim.Rng.create 5L in
+  let n = 10_000 in
+  draw rng;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    draw rng
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let draws_allocate_nothing () =
+  List.iter
+    (fun (name, draw) ->
+      let words = words_per_draw draw in
+      Alcotest.(check bool) (Printf.sprintf "%.2f words per %s draw" words name) true (words < 1.0))
+    [
+      ("int", fun rng -> ignore (Dsim.Rng.int rng 1500));
+      ("bool", fun rng -> ignore (Dsim.Rng.bool rng));
+    ]
+
 let suites =
   [
     ( "rng",
@@ -97,5 +154,7 @@ let suites =
         Alcotest.test_case "exponential mean" `Slow exponential_mean;
         Qcheck_util.to_alcotest qcheck_int_in_bounds;
         Qcheck_util.to_alcotest qcheck_float_in_bounds;
+        Alcotest.test_case "streams match pins" `Quick streams_match_pins;
+        Alcotest.test_case "int and bool allocate nothing" `Quick draws_allocate_nothing;
       ] );
   ]
