@@ -653,6 +653,9 @@ let hunt_cmd =
           ([
              ("trials", string_of_int summary.Hunt.Campaign.trials);
              ("executed", string_of_int summary.Hunt.Campaign.executed);
+             ( "simulated runs",
+               Printf.sprintf "%d of %d trials" summary.Hunt.Campaign.simulated
+                 summary.Hunt.Campaign.executed );
              ("replayed from journal", string_of_int summary.Hunt.Campaign.replayed);
              ("trials with violations", string_of_int summary.Hunt.Campaign.with_violations);
              ( "distinct findings",

@@ -67,11 +67,22 @@ let still_fails ~test ~target strategy =
   let outcome = Runner.run_test { test with Runner.strategy } in
   List.exists (fun (_, v) -> target v) outcome.Runner.violations
 
-let minimize ~test ~target ?(budget = 200) () =
+(* A repeat still counts as an execution, so the budget and the returned
+   count are those of a loop that re-ran every candidate. *)
+let greedy ~budget ~fails strategy =
+  let verdicts = Hashtbl.create 64 in
+  let fails strategy =
+    match Hashtbl.find_opt verdicts strategy with
+    | Some verdict -> verdict
+    | None ->
+        let verdict = fails strategy in
+        Hashtbl.add verdicts strategy verdict;
+        verdict
+  in
   let executions = ref 1 in
-  if not (still_fails ~test ~target test.Runner.strategy) then (test, !executions)
+  if not (fails strategy) then (strategy, !executions)
   else begin
-    let current = ref test.Runner.strategy in
+    let current = ref strategy in
     let progress = ref true in
     while !progress && !executions < budget do
       progress := false;
@@ -82,7 +93,7 @@ let minimize ~test ~target ?(budget = 200) () =
             if !executions >= budget then ()
             else begin
               incr executions;
-              if still_fails ~test ~target candidate then begin
+              if fails candidate then begin
                 current := candidate;
                 progress := true
               end
@@ -91,5 +102,11 @@ let minimize ~test ~target ?(budget = 200) () =
       in
       try_candidates candidates
     done;
-    ({ test with Runner.strategy = !current }, !executions)
+    (!current, !executions)
   end
+
+let minimize ~test ~target ?(budget = 200) () =
+  let strategy, executions =
+    greedy ~budget ~fails:(still_fails ~test ~target) test.Runner.strategy
+  in
+  ({ test with Runner.strategy }, executions)

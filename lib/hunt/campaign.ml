@@ -34,6 +34,7 @@ type conformance_summary = {
 type summary = {
   trials : int;
   executed : int;
+  simulated : int;
   replayed : int;
   with_violations : int;
   findings : finding list;
@@ -218,7 +219,37 @@ let write_file path contents =
 
 type worker_result =
   | Replayed of Journal.violation_record list
-  | Ran of (int * Sieve.Oracle.violation) list * Sieve.Runner.conformance option
+  | Ran of ((int * Sieve.Oracle.violation) list * Sieve.Runner.conformance option)
+  | Duplicate of int  (* settles from this representative's [Ran] *)
+
+(* A trial is a deterministic function of its case and its strategy: the
+   trials of a case share its spec and horizon, and a trial's name and
+   seed never enter the run. So each distinct (case, strategy) pair is
+   simulated once, by its representative: the lowest-index trial with
+   that pair that this run does not replay from the journal. Strategies
+   are plain data and compare structurally ([Strategy.describe] prints
+   milliseconds and would merge distinct windows). Returns each trial's
+   representative and, per representative, its last duplicate (-1 if
+   none). *)
+let representatives (trials : trial array) ~replayed =
+  let n = Array.length trials in
+  let first = Hashtbl.create n in
+  let rep =
+    Array.map
+      (fun (t : trial) ->
+        if replayed t.index then t.index
+        else
+          let key = (t.case_id, t.test.Sieve.Runner.strategy) in
+          match Hashtbl.find_opt first key with
+          | Some r -> r
+          | None ->
+              Hashtbl.add first key t.index;
+              t.index)
+      trials
+  in
+  let last = Array.make n (-1) in
+  Array.iteri (fun i r -> if r <> i then last.(r) <- i) rep;
+  (rep, last)
 
 let finding_of_journal (f : Journal.entry) =
   match f with
@@ -321,17 +352,23 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
     replayed_entries;
   if not !header_seen then
     Journal.append writer (Journal.Header { version = 1; seed; trials = n; cases = case_ids });
-  (* Workers run trials not present in the journal; everything stateful
-     (journal appends, dedup, minimize, artifacts, progress) happens in
-     [settle], on this domain, in trial order. *)
+  let rep, last = representatives trials ~replayed:(Hashtbl.mem done_trials) in
+  (* Workers run trials not present in the journal, except duplicates;
+     everything stateful (journal appends, dedup, minimize, artifacts,
+     progress) happens in [settle], on this domain, in trial order. *)
   let work index trial =
     match Hashtbl.find_opt done_trials index with
     | Some (Journal.Trial { violations; _ }) -> Replayed violations
+    | Some _ | None when rep.(index) <> index -> Duplicate rep.(index)
     | Some _ | None ->
         let outcome = Sieve.Runner.run_test ~check_conformance trial.test in
         Ran (outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance)
   in
+  (* A representative's run, held from its settle to its last
+     duplicate's. A duplicate always settles after its representative. *)
+  let held = Hashtbl.create 64 in
   let executed = ref 0 in
+  let simulated = ref 0 in
   let replayed = ref 0 in
   let with_violations = ref 0 in
   (* Conformance results stay out of the journal on purpose: the journal
@@ -356,48 +393,57 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
   let settle index result =
     let trial = trials.(index) in
     let strategy = Sieve.Strategy.describe trial.test.Sieve.Runner.strategy in
+    let journal_run (violations, conformance) =
+      incr executed;
+      (match conformance with
+      | None -> ()
+      | Some c ->
+          incr conf_trials;
+          conf_total := !conf_total + c.Sieve.Runner.conf_total;
+          List.iter
+            (fun v ->
+              let s = Signature.of_conformance v in
+              if not (Hashtbl.mem conf_signatures s) then begin
+                Hashtbl.replace conf_signatures s ();
+                conf_signatures_rev := s :: !conf_signatures_rev
+              end)
+            c.Sieve.Runner.conf_violations);
+      let records =
+        List.map
+          (fun (time, v) ->
+            {
+              Journal.time;
+              bug = Sieve.Oracle.bug_id v;
+              signature = Signature.of_violation v;
+              detail = Sieve.Oracle.describe v;
+            })
+          violations
+      in
+      Journal.append writer
+        (Journal.Trial
+           {
+             trial = index;
+             case = trial.case_id;
+             origin = trial.origin;
+             seed = trial.seed;
+             strategy;
+             violations = records;
+           });
+      records
+    in
     let records =
       match result with
       | Replayed records ->
           incr replayed;
           records
-      | Ran (violations, conformance) ->
-          incr executed;
-          (match conformance with
-          | None -> ()
-          | Some c ->
-              incr conf_trials;
-              conf_total := !conf_total + c.Sieve.Runner.conf_total;
-              List.iter
-                (fun v ->
-                  let s = Signature.of_conformance v in
-                  if not (Hashtbl.mem conf_signatures s) then begin
-                    Hashtbl.replace conf_signatures s ();
-                    conf_signatures_rev := s :: !conf_signatures_rev
-                  end)
-                c.Sieve.Runner.conf_violations);
-          let records =
-            List.map
-              (fun (time, v) ->
-                {
-                  Journal.time;
-                  bug = Sieve.Oracle.bug_id v;
-                  signature = Signature.of_violation v;
-                  detail = Sieve.Oracle.describe v;
-                })
-              violations
-          in
-          Journal.append writer
-            (Journal.Trial
-               {
-                 trial = index;
-                 case = trial.case_id;
-                 origin = trial.origin;
-                 seed = trial.seed;
-                 strategy;
-                 violations = records;
-               });
-          records
+      | Ran run ->
+          incr simulated;
+          if last.(index) >= 0 then Hashtbl.replace held index run;
+          journal_run run
+      | Duplicate r ->
+          let run = Hashtbl.find held r in
+          if last.(r) = index then Hashtbl.remove held r;
+          journal_run run
     in
     if records <> [] then incr with_violations;
     List.iter
@@ -482,6 +528,7 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
   {
     trials = n;
     executed = !executed;
+    simulated = !simulated;
     replayed = !replayed;
     with_violations = !with_violations;
     findings = List.rev !findings_rev;

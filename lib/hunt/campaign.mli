@@ -18,6 +18,16 @@
     {!Sieve.Runner.artifact}) is emitted. Later trials hitting the same
     signature deduplicate against it.
 
+    A trial is a deterministic function of its case and its strategy (a
+    trial's name and seed never enter the run), and the planner proposes
+    some strategies more than once, so each distinct (case, strategy)
+    pair is simulated once: by its {e representative}, the lowest-index
+    trial with that pair, compared structurally, that the run does not
+    replay from the journal. Workers skip duplicates; a duplicate settles
+    after its representative and is journaled, counted and
+    conformance-tallied from the representative's run, exactly as if it
+    had been simulated again.
+
     Because trials are deterministic, seeds are index-derived, and the
     journal is written in trial order, the journal is byte-identical
     across job counts — and a resumed campaign (which replays the
@@ -67,6 +77,8 @@ type finding = {
   strategy : string;
   minimized : string;
   shrink_runs : int;
+      (** candidate evaluations {!Sieve.Minimize.minimize} spent, repeats
+          included, though a repeat is not simulated again *)
 }
 
 type progress = { trials_done : int; total : int; replayed : int; findings : int }
@@ -80,7 +92,10 @@ type conformance_summary = {
 
 type summary = {
   trials : int;
-  executed : int;
+  executed : int;  (** settled from a run in this campaign, not replayed *)
+  simulated : int;
+      (** runs actually simulated: [executed] minus the duplicates that
+          settled from their representative's run *)
   replayed : int;  (** skipped: replayed from the journal on resume *)
   with_violations : int;
   findings : finding list;  (** discovery order *)

@@ -34,6 +34,9 @@ type entry =
       strategy : string;  (** the exposing trial's full strategy *)
       minimized : string;  (** after {!Sieve.Minimize.minimize} *)
       shrink_runs : int;
+          (** its evaluations, repeated candidates included (they are not
+              simulated again), so the record's bytes do not depend on
+              the minimizer's verdict cache *)
     }
 
 val entry_to_json : entry -> Dsim.Json.t

@@ -1,6 +1,6 @@
 (* Test the hunt campaign engine: journal crash-safety, ordered
-   fan-out, cross-job determinism, resume convergence, and finding
-   deduplication. *)
+   fan-out, cross-job determinism, resume convergence, finding
+   deduplication, and duplicate trials settled from one run. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -206,6 +206,129 @@ let campaign_dedups_findings () =
         && Sys.file_exists (Filename.concat dir "finding.json")))
     signatures
 
+(* --- duplicate trials ------------------------------------------------ *)
+
+let cases_of ids = List.map (fun id -> Option.get (Sieve.Bugs.find id)) ids
+let rep_cases () = cases_of [ "REP-STALE"; "REP-CHURN"; "REP-MINORITY"; "REP-RECOVER" ]
+let hbase_cases () = cases_of [ "HB-ASSIGN"; "HB-WATCH"; "HB-FOLLOWER" ]
+
+(* A trial's run key: trials of one case share its spec and horizon. *)
+let run_key (t : Hunt.Campaign.trial) = (t.case_id, t.test.Sieve.Runner.strategy)
+
+(* (representative, duplicate) pairs of a plan, duplicate order: the
+   representative is the lowest-index trial with the same key. *)
+let duplicate_pairs (trials : Hunt.Campaign.trial array) =
+  let first = Hashtbl.create 97 in
+  Array.fold_left
+    (fun pairs (t : Hunt.Campaign.trial) ->
+      match Hashtbl.find_opt first (run_key t) with
+      | Some r -> (trials.(r), t) :: pairs
+      | None ->
+          Hashtbl.add first (run_key t) t.index;
+          pairs)
+    [] trials
+  |> List.rev
+
+(* The premise of the run cache: a duplicate run straight through equals
+   its representative's in every observable byte. Samples the first,
+   middle and last duplicate of every REP and HB case. *)
+let duplicates_run_identically () =
+  let planned = Hunt.Campaign.plan ~seed:42L ~cases:(rep_cases () @ hbase_cases ()) () in
+  let pairs = duplicate_pairs planned.trials in
+  let sample =
+    List.concat_map
+      (fun (case : Sieve.Bugs.case) ->
+        let mine =
+          Array.of_list
+            (List.filter
+               (fun ((t : Hunt.Campaign.trial), _) -> String.equal t.case_id case.id)
+               pairs)
+        in
+        let k = Array.length mine in
+        Alcotest.(check bool) (case.id ^ " has duplicates") true (k > 0);
+        List.sort_uniq compare [ 0; k / 2; k - 1 ] |> List.map (fun i -> mine.(i)))
+      (rep_cases () @ hbase_cases ())
+  in
+  Alcotest.(check bool) "at least 20 pairs" true (List.length sample >= 20);
+  List.iter
+    (fun ((r : Hunt.Campaign.trial), (d : Hunt.Campaign.trial)) ->
+      let name = Printf.sprintf "%s trial %d vs %d" d.case_id r.index d.index in
+      let a = Sieve.Runner.run_test ~check_conformance:true r.test in
+      let b = Sieve.Runner.run_test ~check_conformance:true d.test in
+      Alcotest.(check string) (name ^ " trace") (Sieve.Runner.trace_jsonl a)
+        (Sieve.Runner.trace_jsonl b);
+      Alcotest.(check string) (name ^ " metrics")
+        (Dsim.Json.to_string (Sieve.Runner.metrics_json a))
+        (Dsim.Json.to_string (Sieve.Runner.metrics_json b));
+      let violations (o : Sieve.Runner.outcome) =
+        List.map (fun (time, v) -> (time, Sieve.Oracle.describe v)) o.violations
+      in
+      Alcotest.(check (list (pair int string))) (name ^ " violations") (violations a)
+        (violations b);
+      let conformance (o : Sieve.Runner.outcome) =
+        Option.map
+          (fun (c : Sieve.Runner.conformance) -> (c.conf_violations, c.conf_total, c.conf_strict))
+          o.conformance
+      in
+      Alcotest.(check bool) (name ^ " conformance") true (conformance a = conformance b))
+    sample
+
+(* Each distinct run is simulated once: 645 runs settle the 873 REP
+   trials, and the journal does not depend on which domain ran them. *)
+let campaign_simulates_each_run_once () =
+  let run jobs =
+    let out = Printf.sprintf "_hunt_test/once-j%d" jobs in
+    let summary =
+      Hunt.Campaign.run ~jobs ~out ~seed:42L ~minimize_budget:12 ~cases:(rep_cases ()) ()
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "jobs %d: trials, executed, simulated" jobs)
+      [ 873; 873; 645 ]
+      [ summary.trials; summary.executed; summary.simulated ];
+    read_file (Filename.concat out "journal.jsonl")
+  in
+  Alcotest.(check string) "byte-identical journals at jobs 1 and 2" (run 1) (run 2)
+
+(* Resume from a journal cut after a representative but before its first
+   duplicate: that duplicate has no run to settle from, so it is
+   simulated, and the bytes converge on the uninterrupted run's. *)
+let campaign_resume_between_duplicates () =
+  let cases = hbase_cases () in
+  let run ?(resume = false) out =
+    Hunt.Campaign.run ~jobs:2 ~out ~resume ~seed:42L ~minimize_budget:12 ~cases ()
+  in
+  let full = run "_hunt_test/dup-full" in
+  Alcotest.(check (pair int int)) "simulated of executed" (170, 200)
+    (full.simulated, full.executed);
+  let journal = read_file "_hunt_test/dup-full/journal.jsonl" in
+  let trials = (Hunt.Campaign.plan ~seed:42L ~cases ()).trials in
+  let r, d =
+    match duplicate_pairs trials with
+    | (r, d) :: _ -> (r.index, d.index)
+    | [] -> Alcotest.fail "the HBase plan has no duplicates"
+  in
+  let cut = (r + d + 1) / 2 in
+  Alcotest.(check bool) "cut between representative and duplicate" true (r < cut && cut <= d);
+  let before_cut line =
+    match Result.map Hunt.Journal.entry_of_json (Dsim.Json.parse line) with
+    | Ok (Some (Hunt.Journal.Trial { trial; _ })) -> trial < cut
+    | _ -> true
+  in
+  let rec keep = function
+    | line :: rest when line <> "" && before_cut line -> line :: keep rest
+    | _ -> []
+  in
+  mkdir_if_missing "_hunt_test/dup-half";
+  write_file "_hunt_test/dup-half/journal.jsonl"
+    (String.concat "\n" (keep (String.split_on_char '\n' journal)) ^ "\n");
+  let resumed = run ~resume:true "_hunt_test/dup-half" in
+  Alcotest.(check string) "resumed journal converges byte-for-byte" journal
+    (read_file "_hunt_test/dup-half/journal.jsonl");
+  let rest = List.filter (fun (t : Hunt.Campaign.trial) -> t.index >= cut) (Array.to_list trials) in
+  Alcotest.(check (list int)) "replayed, executed, simulated"
+    [ cut; List.length rest; List.length (List.sort_uniq compare (List.map run_key rest)) ]
+    [ resumed.replayed; resumed.executed; resumed.simulated ]
+
 (* --- schedule -------------------------------------------------------- *)
 
 (* The greedy [Schedule.order] must reproduce: every round rescans all
@@ -339,5 +462,13 @@ let suites =
         Alcotest.test_case "resume refuses a foreign journal" `Quick
           campaign_resume_refuses_foreign_journal;
         Alcotest.test_case "findings dedup by signature" `Slow campaign_dedups_findings;
+      ] );
+    ( "hunt.duplicates",
+      [
+        Alcotest.test_case "duplicate trials run identically" `Slow duplicates_run_identically;
+        Alcotest.test_case "each distinct run simulated once" `Slow
+          campaign_simulates_each_run_once;
+        Alcotest.test_case "resume between representative and duplicate converges" `Slow
+          campaign_resume_between_duplicates;
       ] );
   ]

@@ -92,6 +92,64 @@ let minimize_respects_budget () =
   let _, cost = Sieve.Minimize.minimize ~test ~target:case.Sieve.Bugs.matches ~budget:5 () in
   Alcotest.(check bool) "bounded" true (cost <= 5)
 
+(* The greedy loop as it ran before verdicts were cached: every
+   candidate is simulated, repeats included. Returns the minimized
+   strategy, the executions and every strategy simulated, in order. *)
+let uncached_minimize ~(test : Sieve.Runner.test) ~target ~budget =
+  let simulated = ref [] in
+  let fails strategy =
+    simulated := strategy :: !simulated;
+    let outcome = Sieve.Runner.run_test { test with Sieve.Runner.strategy } in
+    List.exists (fun (_, v) -> target v) outcome.Sieve.Runner.violations
+  in
+  let executions = ref 1 in
+  let current = ref test.Sieve.Runner.strategy in
+  if fails !current then begin
+    let progress = ref true in
+    while !progress && !executions < budget do
+      progress := false;
+      let rec try_candidates = function
+        | [] -> ()
+        | candidate :: rest ->
+            if !executions < budget then begin
+              incr executions;
+              if fails candidate then begin
+                current := candidate;
+                progress := true
+              end
+              else try_candidates rest
+            end
+      in
+      try_candidates (Sieve.Minimize.shrink_candidates !current)
+    done
+  end;
+  (!current, !executions, List.rev !simulated)
+
+(* K8s-59848's combo proposes a rejected part again in later rounds. The
+   minimizer simulates each distinct candidate once and still reports
+   every evaluation, so shrink_runs keep their value. *)
+let minimize_simulates_repeats_once () =
+  let case = Sieve.Bugs.k8s_59848 () in
+  let test = Sieve.Bugs.test_of_case case in
+  let target = case.Sieve.Bugs.matches in
+  let expect, expect_runs, simulated = uncached_minimize ~test ~target ~budget:200 in
+  let distinct = List.length (List.sort_uniq compare simulated) in
+  Alcotest.(check bool) "candidate lists repeat a strategy" true
+    (distinct < List.length simulated);
+  let minimized, shrink_runs = Sieve.Minimize.minimize ~test ~target () in
+  Alcotest.(check bool) "same minimized strategy" true
+    (minimized.Sieve.Runner.strategy = expect);
+  Alcotest.(check int) "same shrink_runs" expect_runs shrink_runs;
+  let calls = ref 0 in
+  let fails strategy =
+    incr calls;
+    let outcome = Sieve.Runner.run_test { test with Sieve.Runner.strategy } in
+    List.exists (fun (_, v) -> target v) outcome.Sieve.Runner.violations
+  in
+  let strategy, runs = Sieve.Minimize.greedy ~budget:200 ~fails test.Sieve.Runner.strategy in
+  Alcotest.(check bool) "greedy agrees" true (strategy = expect && runs = expect_runs);
+  Alcotest.(check int) "one simulation per distinct candidate" distinct !calls
+
 let suites =
   [
     ( "minimize",
@@ -107,6 +165,8 @@ let suites =
         Alcotest.test_case "minimize rejects non-failing input" `Quick
           minimize_rejects_non_failing_input;
         Alcotest.test_case "minimize respects budget" `Slow minimize_respects_budget;
+        Alcotest.test_case "repeated candidates simulated once" `Slow
+          minimize_simulates_repeats_once;
         Alcotest.test_case "minimize is idempotent on the corpus" `Slow
           minimize_is_idempotent_on_corpus;
       ] );
