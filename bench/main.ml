@@ -630,10 +630,11 @@ let perf_read_offload () =
     for r = 1 to readers do
       let name = Printf.sprintf "reader-%d" r in
       Dsim.Network.join net name;
-      let api = Printf.sprintf "api-%d" (1 + (r mod 2)) in
+      let reader = Dsim.Network.peer net name in
+      let api = Dsim.Network.peer net (Printf.sprintf "api-%d" (1 + (r mod 2))) in
       Dsim.Engine.every engine ~period:(ms 20) (fun () ->
           let t0 = Dsim.Engine.now engine in
-          Kube.Messages.Store.call net ~src:name ~dst:api
+          Kube.Messages.Store.call ~src:reader ~dst:api
             (Kube.Messages.List { prefix = "pods/"; quorum })
             (fun _ ->
               incr reads;
@@ -688,7 +689,8 @@ let perf_hbase_cas () =
         Kube.Workload.delete_pod_now cluster "region";
         true);
     Dsim.Network.join net "cas-client";
-    let call request k = Kube.Messages.Store.call net ~src:"cas-client" ~dst:"api-1" request k in
+    let client = Dsim.Network.peer net "cas-client" and api = Dsim.Network.peer net "api-1" in
+    let call request k = Kube.Messages.Store.call ~src:client ~dst:api request k in
     let attempts = ref 0 and successes = ref 0 in
     let etcd = Kube.Cluster.etcd cluster in
     Dsim.Engine.every engine ~period:(ms 60) (fun () ->
@@ -1116,6 +1118,15 @@ end
 let minor_words =
   Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
 
+(* A one-request service: the round trip with the least handler work. *)
+type _ ping = Ping : unit ping
+
+module Ping = Dsim.Network.Service (struct
+  type 'a request = 'a ping
+  type 'a reply = 'a
+  let name = "ping"
+end)
+
 let micro () =
   Sieve.Report.section
     "MICRO — substrate micro-benchmarks (Bechamel, wall clock and minor allocation)";
@@ -1154,6 +1165,19 @@ let micro () =
         done;
         Dsim.Engine.run e))
   in
+  let test_network =
+    Test.make ~name:"network: 1k RPC round trips" (Staged.stage (fun () ->
+        let e = Dsim.Engine.create () in
+        let net = Dsim.Network.create e in
+        Ping.register net "server"
+          { serve = (fun (type a) ~src:_ (Ping : a ping) (reply : a -> unit) -> reply ()) };
+        Dsim.Network.join net "client";
+        let client = Dsim.Network.peer net "client" and server = Dsim.Network.peer net "server" in
+        for _ = 1 to 1_000 do
+          Ping.call ~src:client ~dst:server Ping ignore;
+          Dsim.Engine.run e
+        done))
+  in
   let test_trace_ring =
     Test.make ~name:"trace: 1k caused emits (ring 256)" (Staged.stage (fun () ->
         let t = Dsim.Trace.create ~capacity:256 () in
@@ -1172,7 +1196,9 @@ let micro () =
   let test_trace_jsonl =
     let trace = Dsim.Trace.create () in
     for i = 1 to 1_000 do
-      ignore (Dsim.Trace.emit trace ~time:i ~actor:"etcd" ~kind:"etcd.commit" "rev detail")
+      ignore
+        (Dsim.Trace.emit trace ~time:i ~actor:"etcd" ~kind:"etcd.commit" ~cause:Dsim.Trace.no_cause
+           "rev detail")
     done;
     Test.make ~name:"trace: jsonl dump+parse (1k)" (Staged.stage (fun () ->
         match Dsim.Trace.of_jsonl (Dsim.Trace.to_jsonl trace) with
@@ -1190,7 +1216,7 @@ let micro () =
         ignore (Sieve.Runner.run_test (Sieve.Bugs.test_of_case (Sieve.Bugs.ca_402 ())))))
   in
   let tests =
-    [ test_kv_put; test_state_apply; test_log_since; test_engine; test_trace_ring;
+    [ test_kv_put; test_state_apply; test_log_since; test_engine; test_network; test_trace_ring;
       test_metrics_hist; test_trace_jsonl; test_cluster_second; test_bug_repro ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in

@@ -1,11 +1,13 @@
 (* Events live in slots: parallel arrays hold each scheduled event's
-   [time], its scheduling [seq], the causal frontier captured when it was
-   scheduled, its index in the heap and its action. The heap is an
-   array-based binary min-heap of slot ids on the lexicographic
-   (time, seq) key; [seq] is unique, so the pop order is total and
-   independent of the heap's shape. An event that fires or is cancelled
-   leaves the heap and frees its slot at once: its seq becomes [free],
-   so a handle to it no longer matches, and its action becomes
+   scheduling [seq], the causal frontier captured when it was scheduled,
+   its index in the heap and its action. The heap is an array-based
+   binary min-heap of slot ids on the lexicographic (time, seq) key, and
+   it keeps each entry's key inline: [heap_time] and [heap_seq] run
+   parallel to [heap], so a sift compares adjacent ints and never loads
+   a key through a slot id. [seq] is unique, so the pop order is total
+   and independent of the heap's shape. An event that fires or is
+   cancelled leaves the heap and frees its slot at once: its seq becomes
+   [free], so a handle to it no longer matches, and its action becomes
    [ignore], so the closure is collectable. Free slots form a list
    threaded through [slot_pos]. Once the arrays have grown, scheduling,
    firing and cancelling allocate nothing. *)
@@ -24,18 +26,19 @@ let max_seq = max_int lsr slot_bits
 let free = 0
 
 (* Trace ids start at 1, so 0 encodes "no cause" without an option. *)
-let no_cause = 0
+let no_cause = Trace.no_cause
 
 type t = {
   mutable clock : int;
   mutable seq : int;
-  mutable slot_time : int array;
   mutable slot_seq : int array;
   mutable slot_cause : int array;
   mutable slot_pos : int array;  (* live: index in [heap]; free: next free slot, or -1 *)
   mutable slot_action : (unit -> unit) array;
   mutable free_slot : int;  (* head of the free list, or -1 *)
   mutable heap : int array;  (* slot ids; the first [size] are live *)
+  mutable heap_time : int array;  (* deadline of the entry at the same index *)
+  mutable heap_seq : int array;  (* seq of the entry at the same index *)
   mutable size : int;
   mutable tombstone : int;  (* latest deadline of a cancelled event *)
   rng : Rng.t;
@@ -50,13 +53,14 @@ let create ?(seed = 1L) () =
   {
     clock = 0;
     seq = 0;
-    slot_time = [||];
     slot_seq = [||];
     slot_cause = [||];
     slot_pos = [||];
     slot_action = [||];
     free_slot = -1;
     heap = [||];
+    heap_time = [||];
+    heap_seq = [||];
     size = 0;
     tombstone = 0;
     rng = Rng.create seed;
@@ -77,13 +81,18 @@ let current_cause t = if t.cause = no_cause then None else Some t.cause
 
 let set_cause t cause = t.cause <- (match cause with Some id -> id | None -> no_cause)
 
-let cause_arg t = function Some _ as c -> c | None -> current_cause t
+let cause_id t = function Some c -> c | None -> t.cause
 
 let record ?cause t ~actor ~kind detail =
-  Trace.record t.trace ~time:t.clock ~actor ~kind ?cause:(cause_arg t cause) detail
+  ignore (Trace.emit t.trace ~time:t.clock ~actor ~kind ~cause:(cause_id t cause) detail)
 
 let emit ?cause t ~actor ~kind detail =
-  let id = Trace.emit t.trace ~time:t.clock ~actor ~kind ?cause:(cause_arg t cause) detail in
+  let id = Trace.emit t.trace ~time:t.clock ~actor ~kind ~cause:(cause_id t cause) detail in
+  t.cause <- id;
+  id
+
+let emit_deferred t ~actor ~kind render =
+  let id = Trace.emit_deferred t.trace ~time:t.clock ~actor ~kind ~cause:t.cause render in
   t.cause <- id;
   id
 
@@ -100,11 +109,12 @@ let grow t =
     Array.blit a 0 b 0 old;
     b
   in
-  t.slot_time <- extend t.slot_time 0;
   t.slot_seq <- extend t.slot_seq free;
   t.slot_cause <- extend t.slot_cause no_cause;
   t.slot_action <- extend t.slot_action ignore;
   t.heap <- extend t.heap 0;
+  t.heap_time <- extend t.heap_time 0;
+  t.heap_seq <- extend t.heap_seq 0;
   t.slot_pos <- extend t.slot_pos (-1);
   for s = old to capacity - 2 do
     t.slot_pos.(s) <- s + 1
@@ -119,41 +129,61 @@ let release t s =
 
 (* --- heap ------------------------------------------------------------- *)
 
-let earlier t a b =
-  let ta = t.slot_time.(a) and tb = t.slot_time.(b) in
-  ta < tb || (ta = tb && t.slot_seq.(a) < t.slot_seq.(b))
-
-let place t s i =
+let place t i s time seq =
   t.heap.(i) <- s;
+  t.heap_time.(i) <- time;
+  t.heap_seq.(i) <- seq;
   t.slot_pos.(s) <- i
 
-(* Both sifts move a hole instead of swapping: [s] is placed once, at
-   its final index. *)
-let rec sift_up t s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    let p = t.heap.(parent) in
-    if earlier t s p then begin
-      place t p i;
-      sift_up t s parent
+(* Both sifts move a hole instead of swapping: the entry (s, time, seq)
+   is placed once, at its final index. They run on every schedule, fire
+   and cancel, so they are loops over the arrays held in locals, each
+   step comparing the adjacent keys of the hole's parent or children. *)
+let sift_up t s time seq i =
+  let heap = t.heap and heap_time = t.heap_time and heap_seq = t.heap_seq in
+  let hole = ref i and sifting = ref true in
+  while !sifting && !hole > 0 do
+    let i = !hole in
+    let p = (i - 1) lsr 1 in
+    let tp = heap_time.(p) in
+    if time < tp || (time = tp && seq < heap_seq.(p)) then begin
+      let sp = heap.(p) in
+      heap.(i) <- sp;
+      heap_time.(i) <- tp;
+      heap_seq.(i) <- heap_seq.(p);
+      t.slot_pos.(sp) <- i;
+      hole := p
     end
-    else place t s i
-  end
-  else place t s i
+    else sifting := false
+  done;
+  place t !hole s time seq
 
-let rec sift_down t s i =
-  let l = (2 * i) + 1 in
-  if l >= t.size then place t s i
-  else begin
+let sift_down t s time seq i =
+  let heap = t.heap and heap_time = t.heap_time and heap_seq = t.heap_seq and size = t.size in
+  let hole = ref i and sifting = ref true in
+  while !sifting && (2 * !hole) + 1 < size do
+    let i = !hole in
+    let l = (2 * i) + 1 in
     let r = l + 1 in
-    let c = if r < t.size && earlier t t.heap.(r) t.heap.(l) then r else l in
-    let child = t.heap.(c) in
-    if earlier t child s then begin
-      place t child i;
-      sift_down t s c
+    let c =
+      if r < size then begin
+        let tr = heap_time.(r) and tl = heap_time.(l) in
+        if tr < tl || (tr = tl && heap_seq.(r) < heap_seq.(l)) then r else l
+      end
+      else l
+    in
+    let tc = heap_time.(c) in
+    if time < tc || (time = tc && seq < heap_seq.(c)) then sifting := false
+    else begin
+      let sc = heap.(c) in
+      heap.(i) <- sc;
+      heap_time.(i) <- tc;
+      heap_seq.(i) <- heap_seq.(c);
+      t.slot_pos.(sc) <- i;
+      hole := c
     end
-    else place t s i
-  end
+  done;
+  place t !hole s time seq
 
 (* Takes the entry at heap index [i] out; the last entry fills the hole
    and moves whichever way restores the order. *)
@@ -161,8 +191,11 @@ let remove t i =
   let last = t.size - 1 in
   t.size <- last;
   if i < last then begin
-    let tail = t.heap.(last) in
-    if i > 0 && earlier t tail t.heap.((i - 1) / 2) then sift_up t tail i else sift_down t tail i
+    let s = t.heap.(last) and time = t.heap_time.(last) and seq = t.heap_seq.(last) in
+    let p = (i - 1) lsr 1 in
+    if i > 0 && (time < t.heap_time.(p) || (time = t.heap_time.(p) && seq < t.heap_seq.(p)))
+    then sift_up t s time seq i
+    else sift_down t s time seq i
   end
 
 (* --- scheduling ------------------------------------------------------- *)
@@ -173,12 +206,11 @@ let schedule_at t ~time action =
   let s = t.free_slot in
   t.free_slot <- t.slot_pos.(s);
   t.seq <- t.seq + 1;
-  t.slot_time.(s) <- (if time > t.clock then time else t.clock);
   t.slot_seq.(s) <- t.seq;
   t.slot_cause.(s) <- t.cause;
   t.slot_action.(s) <- action;
   t.size <- t.size + 1;
-  sift_up t s (t.size - 1);
+  sift_up t s (if time > t.clock then time else t.clock) t.seq (t.size - 1);
   (t.seq lsl slot_bits) lor s
 
 let schedule t ~delay action =
@@ -187,9 +219,10 @@ let schedule t ~delay action =
 let cancel t timer =
   let s = timer land slot_mask in
   if t.slot_seq.(s) = timer lsr slot_bits then begin
-    let time = t.slot_time.(s) in
+    let i = t.slot_pos.(s) in
+    let time = t.heap_time.(i) in
     if time > t.tombstone then t.tombstone <- time;
-    remove t t.slot_pos.(s);
+    remove t i;
     release t s
   end
 
@@ -198,9 +231,8 @@ let pending t = t.size
 let step t =
   if t.size = 0 then false
   else begin
-    let s = t.heap.(0) in
+    let s = t.heap.(0) and time = t.heap_time.(0) in
     remove t 0;
-    let time = t.slot_time.(s) in
     if time > t.clock then t.clock <- time;
     let action = t.slot_action.(s) in
     t.cause <- t.slot_cause.(s);
@@ -214,7 +246,7 @@ let run ?until ?max_events t =
   let horizon = match until with Some h -> h | None -> max_int in
   let budget = match max_events with Some m -> m | None -> max_int in
   let fired = ref 0 in
-  while t.size > 0 && !fired < budget && t.slot_time.(t.heap.(0)) <= horizon do
+  while t.size > 0 && !fired < budget && t.heap_time.(0) <= horizon do
     ignore (step t);
     incr fired
   done;

@@ -60,6 +60,13 @@ val emit : ?cause:int -> t -> actor:string -> kind:string -> string -> int
 (** Like {!record}, but returns the new entry's id and makes it the
     current frontier, so later records and scheduled work chain to it. *)
 
+val emit_deferred : t -> actor:string -> kind:string -> (unit -> string) -> int
+(** Like {!emit} with the current frontier as cause, but the detail is
+    rendered only when the trace is read ({!Trace.emit_deferred}): for
+    the hot kinds, whose details would otherwise be formatted once per
+    commit or delivery. The renderer must close only over values fixed
+    at record time. *)
+
 val schedule : t -> delay:int -> (unit -> unit) -> timer
 (** [schedule t ~delay f] runs [f] at [now t + max 0 delay]. *)
 

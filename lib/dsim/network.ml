@@ -17,19 +17,12 @@ type node = {
   mutable incarnation : int;
 }
 
-module Link = struct
-  type t = address * address
-
-  (* Normalize so the pair is order-independent. *)
-  let make a b = if String.compare a b <= 0 then (a, b) else (b, a)
-end
-
 type t = {
   engine : Engine.t;
   rng : Rng.t;
   mutable latency_model : latency_model;
   nodes : (address, node) Hashtbl.t;
-  mutable cuts : Link.t list;
+  mutable cuts : (address * address) list;  (* each cut once, in either orientation *)
   mutable liveness_changes : int;  (* node creations, crashes and restarts *)
   calls : Metrics.Counter.t;
   timeouts : Metrics.Counter.t;
@@ -98,13 +91,6 @@ let handler : type h. h Type.Id.t -> node -> h =
       match Type.Id.provably_equal id id' with Some Type.Equal -> h | None -> raise Not_found)
   | None -> raise Not_found
 
-(* A request reached a live node that does not serve its service: traced
-   and counted at the destination, never silently dropped. The counter
-   is resolved here, so it joins a snapshot only once it fires. *)
-let unhandled t ~src ~dst what =
-  Metrics.incr (Engine.metrics t.engine) "net.unhandled";
-  Engine.record t.engine ~actor:dst ~kind:"net.unhandled" (Printf.sprintf "%s from %s" what src)
-
 let set_lifecycle t addr ~on_crash ~on_restart =
   let n = node t addr in
   n.on_crash <- on_crash;
@@ -119,6 +105,8 @@ let incarnation t addr = (find t addr).incarnation
 type peer = { net : t; addr : address; mutable resolved : node }
 
 let peer net addr = { net; addr; resolved = absent }
+
+let address p = p.addr
 
 (* Looks the address up until it has joined, then never again. *)
 let resolve p =
@@ -148,19 +136,24 @@ let restart t addr =
     n.on_restart ()
   end
 
-let partitioned t a b = match t.cuts with [] -> false | cuts -> List.mem (Link.make a b) cuts
+(* Whether a cut is the link between [a] and [b], either way round. The
+   strings are compared in place, so a check allocates nothing. *)
+let links a b (x, y) =
+  (String.equal x a && String.equal y b) || (String.equal x b && String.equal y a)
+
+let rec cut a b = function [] -> false | link :: rest -> links a b link || cut a b rest
+
+let partitioned t a b = match t.cuts with [] -> false | cuts -> cut a b cuts
 
 let partition t a b =
-  let link = Link.make a b in
-  if not (List.mem link t.cuts) then begin
-    t.cuts <- link :: t.cuts;
+  if not (cut a b t.cuts) then begin
+    t.cuts <- (a, b) :: t.cuts;
     Engine.record t.engine ~actor:a ~kind:"net.partition" (Printf.sprintf "%s <-/-> %s" a b)
   end
 
 let heal t a b =
-  let link = Link.make a b in
-  if List.mem link t.cuts then begin
-    t.cuts <- List.filter (fun l -> l <> link) t.cuts;
+  if cut a b t.cuts then begin
+    t.cuts <- List.filter (fun link -> not (links a b link)) t.cuts;
     Engine.record t.engine ~actor:a ~kind:"net.heal" (Printf.sprintf "%s <---> %s" a b)
   end
 
@@ -172,15 +165,21 @@ let heal_all t =
 
 let default_timeout = 1_000_000
 
+(* A request reached a live node that does not serve its service: traced
+   and counted at the destination, never silently dropped. The counter
+   is resolved here, so it joins a snapshot only once it fires. *)
+let unhandled ~src ~dst what =
+  let engine = dst.net.engine in
+  Metrics.incr (Engine.metrics engine) "net.unhandled";
+  Engine.record engine ~actor:dst.addr ~kind:"net.unhandled"
+    (Printf.sprintf "%s from %s" what src.addr)
+
 (* One record per call, shared by its request, reply and timeout
-   events; the continuation runs at most once. [src_node] is the
-   caller's node at call time, [absent] if it had not joined. *)
+   events; the continuation runs at most once. *)
 type 'r call = {
-  net : t;
-  src : address;
-  dst : address;
-  src_node : node;
-  src_incarnation : int;
+  src : peer;
+  dst : peer;
+  src_incarnation : int;  (* the caller's, when it called *)
   k : ('r, error) result -> unit;
   mutable completed : bool;
 }
@@ -188,64 +187,68 @@ type 'r call = {
 let finish c result =
   if not c.completed then begin
     c.completed <- true;
-    (match result with Error Timeout -> Metrics.Counter.incr c.net.timeouts | _ -> ());
+    (match result with Error Timeout -> Metrics.Counter.incr c.dst.net.timeouts | _ -> ());
     c.k result
   end
 
 (* The reply is lost if the link is now cut, the caller died, or the
    caller restarted into a new incarnation. *)
 let reply_arrives c timeout resp =
-  let t = c.net in
-  let src = if c.src_node == absent then find t c.src else c.src_node in
-  if (not (partitioned t c.src c.dst)) && src.up && src.incarnation = c.src_incarnation then begin
+  let t = c.dst.net in
+  let src = resolve c.src in
+  if (not (partitioned t c.src.addr c.dst.addr)) && src.up && src.incarnation = c.src_incarnation
+  then begin
     Engine.cancel t.engine timeout;
     finish c (Ok resp)
   end
 
-(* The one transport every service shares: [serve] applies the
-   destination's handler under [id] to the request; [what] names the
-   request if the destination has none. *)
-let call t id what serve ~src ~dst ?(timeout = default_timeout) req k =
-  Metrics.Counter.incr t.calls;
-  match find t dst with
-  | dst_node when dst_node == absent -> k (Error Unreachable)
-  | dst_node ->
-      let src_node = find t src in
-      let src_incarnation = src_node.incarnation in
-      let c = { net = t; src; dst; src_node; src_incarnation; k; completed = false } in
-      let timeout = Engine.schedule t.engine ~delay:timeout (fun () -> finish c (Error Timeout)) in
-      let reply resp =
-        ignore
-          (Engine.schedule t.engine ~delay:(latency t) (fun () -> reply_arrives c timeout resp))
-      in
-      ignore
-        (Engine.schedule t.engine ~delay:(latency t) (fun () ->
-             if (not (partitioned t src dst)) && dst_node.up then
-               match handler id dst_node with
-               | h -> serve h ~src req reply
-               | exception Not_found -> unhandled t ~src ~dst what))
+let send_reply c timeout resp =
+  let t = c.dst.net in
+  ignore (Engine.schedule t.engine ~delay:(latency t) (fun () -> reply_arrives c timeout resp))
 
-let cast t id what serve ~src ~dst req =
+(* A request or cast that has crossed the network: [serve] applies the
+   destination's handler under [id], unless the link is cut or the
+   destination is down by now; [what] names the request if the
+   destination serves another service. [dst] has joined, so its node is
+   resolved. *)
+let deliver id what serve ~src ~dst req reply =
+  if (not (partitioned dst.net src.addr dst.addr)) && dst.resolved.up then
+    match handler id dst.resolved with
+    | h -> serve h ~src req reply
+    | exception Not_found -> unhandled ~src ~dst what
+
+(* The one transport every service shares. Both ends are peers, so
+   neither the call nor its delivery looks an address up once both have
+   joined; the events close over the call record rather than its
+   fields. *)
+let call id what serve ~src ~dst ?(timeout = default_timeout) req k =
+  let t = dst.net in
+  Metrics.Counter.incr t.calls;
+  if resolve dst == absent then k (Error Unreachable)
+  else begin
+    let c = { src; dst; src_incarnation = peer_incarnation src; k; completed = false } in
+    let timeout = Engine.schedule t.engine ~delay:timeout (fun () -> finish c (Error Timeout)) in
+    ignore
+      (Engine.schedule t.engine ~delay:(latency t) (fun () ->
+           deliver id what serve ~src:c.src ~dst:c.dst req (fun resp -> send_reply c timeout resp)))
+  end
+
+let cast id what serve ~src ~dst req =
+  let t = dst.net in
   Metrics.Counter.incr t.casts;
-  match find t dst with
-  | dst_node when dst_node == absent -> ()
-  | dst_node ->
-      ignore
-        (Engine.schedule t.engine ~delay:(latency t) (fun () ->
-             if (not (partitioned t src dst)) && dst_node.up then
-               match handler id dst_node with
-               | h -> serve h ~src req ignore
-               | exception Not_found -> unhandled t ~src ~dst what))
+  if resolve dst != absent then
+    ignore
+      (Engine.schedule t.engine ~delay:(latency t) (fun () ->
+           deliver id what serve ~src ~dst req ignore))
 
 module type SERVICE = sig
   type 'a request
   type 'a reply
-  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
+  type handler = { serve : 'a. src:peer -> 'a request -> ('a reply -> unit) -> unit }
   val register : t -> address -> handler -> unit
   val call :
-    t -> src:address -> dst:address -> ?timeout:int -> 'a request ->
-    (('a reply, error) result -> unit) -> unit
-  val cast : t -> src:address -> dst:address -> unit request -> unit
+    src:peer -> dst:peer -> ?timeout:int -> 'a request -> (('a reply, error) result -> unit) -> unit
+  val cast : src:peer -> dst:peer -> unit request -> unit
 end
 
 module Service (S : sig
@@ -256,15 +259,15 @@ end) =
 struct
   type 'a request = 'a S.request
   type 'a reply = 'a S.reply
-  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
+  type handler = { serve : 'a. src:peer -> 'a request -> ('a reply -> unit) -> unit }
 
   let id : handler Type.Id.t = Type.Id.make ()
   let serve h ~src req reply = h.serve ~src req reply
   let register t addr h = bind t addr id h
   let request = S.name ^ " request"
-  let call t ~src ~dst ?timeout req k = call t id request serve ~src ~dst ?timeout req k
+  let call ~src ~dst ?timeout req k = call id request serve ~src ~dst ?timeout req k
   let notice = S.name ^ " cast"
-  let cast t ~src ~dst req = cast t id notice serve ~src ~dst req
+  let cast ~src ~dst req = cast id notice serve ~src ~dst req
 end
 
 let sample_latency t = latency t

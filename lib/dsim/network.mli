@@ -16,7 +16,10 @@
     type, so a handler covers all its requests and a caller gets exactly
     the reply its request asks for. A request reaching a live node that
     does not serve its service is traced and counted as [net.unhandled]
-    at the destination; the caller times out. *)
+    at the destination; the caller times out. Calls and casts are
+    addressed by {!peer} handles, which each component keeps for itself
+    and for its destinations, so the hot path never looks an address
+    up. Fault plans still crash, restart and partition by address. *)
 
 type address = string
 
@@ -60,13 +63,15 @@ val incarnation : t -> address -> int
 (** [0] for an address that never joined. *)
 
 type peer
-(** One address's node, held for repeated liveness checks. A peer
-    resolves its node on first use after the address joins and then
-    reads the record's fields directly, with no lookup; it stays valid
-    for good because nodes are never removed or replaced. *)
+(** One address's node, held for RPC and for repeated liveness checks.
+    A peer resolves its node on first use after the address joins and
+    then reads the record's fields directly, with no lookup; it stays
+    valid for good because nodes are never removed or replaced. *)
 
 val peer : t -> address -> peer
 (** May be made before the address joins. *)
+
+val address : peer -> address
 
 val peer_is_up : peer -> bool
 (** Same answer as {!is_up} for the peer's address. *)
@@ -90,6 +95,7 @@ val heal : t -> address -> address -> unit
 val heal_all : t -> unit
 
 val partitioned : t -> address -> address -> bool
+(** Walks the cuts comparing strings in place: allocates nothing. *)
 
 (** A typed endpoint: ['a request] is a request whose reply has type
     ['a reply]. *)
@@ -97,8 +103,10 @@ module type SERVICE = sig
   type 'a request
   type 'a reply
 
-  type handler = { serve : 'a. src:address -> 'a request -> ('a reply -> unit) -> unit }
-  (** [serve] may invoke its reply continuation asynchronously. *)
+  type handler = { serve : 'a. src:peer -> 'a request -> ('a reply -> unit) -> unit }
+  (** [serve] may invoke its reply continuation asynchronously. [src] is
+      the caller's own handle, so a server can answer or notify it later
+      without a lookup. *)
 
   val register : t -> address -> handler -> unit
   (** Makes the node (created if needed) serve this service with the
@@ -106,21 +114,23 @@ module type SERVICE = sig
       whichever service it was for. *)
 
   val call :
-    t ->
-    src:address ->
-    dst:address ->
+    src:peer ->
+    dst:peer ->
     ?timeout:int ->
     'a request ->
     (('a reply, error) result -> unit) ->
     unit
-  (** Asynchronous RPC. The continuation runs exactly once, with [Error
-      Timeout] if the request or reply is lost to a partition or crash,
-      or [dst] does not serve this service. Default timeout: 1 second of
-      virtual time. *)
+  (** Asynchronous RPC from [src] to [dst], two peers of one network.
+      The continuation runs exactly once: synchronously with [Error
+      Unreachable] if [dst] has never joined (a later call is served
+      once it has), and otherwise with [Error Timeout] if the request or
+      reply is lost to a partition or crash, or [dst] does not serve this
+      service. Default timeout: 1 second of virtual time. *)
 
-  val cast : t -> src:address -> dst:address -> unit request -> unit
+  val cast : src:peer -> dst:peer -> unit request -> unit
   (** One-way delivery after one latency sample (no reply, no timer);
-      dropped if the link is partitioned or [dst] is down by then. *)
+      dropped if [dst] has never joined, or if the link is partitioned
+      or [dst] is down by then. *)
 end
 
 module Service (S : sig

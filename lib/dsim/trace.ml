@@ -13,19 +13,49 @@ let pp_entry ppf e =
   | Some c -> Format.fprintf ppf "  (#%d <- #%d)" e.id c
   | None -> Format.fprintf ppf "  (#%d)" e.id
 
-(* Live entries sit in recording order, so their ids ascend; for a
-   trace the engine wrote they are also dense, which makes {!find} index
+(* What the buffer stores. A detail is either text or a renderer that
+   the reads call, so a hot writer pays for a closure instead of a
+   formatted string; a renderer must close only over values fixed when
+   the entry is recorded, so every read renders the same bytes. The
+   cause is an id, [no_cause] for none. *)
+type cell =
+  | Text of { id : int; time : int; actor : string; kind : string; cause : int; text : string }
+  | Deferred of {
+      id : int;
+      time : int;
+      actor : string;
+      kind : string;
+      cause : int;
+      render : unit -> string;
+    }
+
+let no_cause = 0
+
+let cell_id = function Text c -> c.id | Deferred c -> c.id
+
+let cell_kind = function Text c -> c.kind | Deferred c -> c.kind
+
+let option_of_cause c = if c = no_cause then None else Some c
+
+let entry_of_cell = function
+  | Text { id; time; actor; kind; cause; text } ->
+      { id; time; actor; kind; detail = text; cause = option_of_cause cause }
+  | Deferred { id; time; actor; kind; cause; render } ->
+      { id; time; actor; kind; detail = render (); cause = option_of_cause cause }
+
+(* Live cells sit in recording order, so their ids ascend; for a trace
+   the engine wrote they are also dense, which makes {!find} index
    arithmetic. Free slots hold [vacant]. *)
 type t = {
-  mutable buf : entry array;
-  mutable start : int;  (* physical index of the oldest live entry *)
+  mutable buf : cell array;
+  mutable start : int;  (* physical index of the oldest live cell *)
   mutable len : int;
   capacity : int option;
   mutable next_id : int;
   mutable dropped : int;
 }
 
-let vacant = { id = 0; time = 0; actor = ""; kind = ""; detail = ""; cause = None }
+let vacant = Text { id = 0; time = 0; actor = ""; kind = ""; cause = no_cause; text = "" }
 
 let create ?capacity () =
   (match capacity with
@@ -55,18 +85,24 @@ let push t e =
         t.dropped <- t.dropped + 1
       end
 
-let emit t ~time ~actor ~kind ?cause detail =
+let next_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  push t { id; time; actor; kind; detail; cause };
   id
 
-let record t ~time ~actor ~kind ?cause detail =
-  ignore (emit t ~time ~actor ~kind ?cause detail)
+let emit t ~time ~actor ~kind ~cause text =
+  let id = next_id t in
+  push t (Text { id; time; actor; kind; cause; text });
+  id
 
-let nth_live t i = t.buf.((t.start + i) mod Array.length t.buf)
+let emit_deferred t ~time ~actor ~kind ~cause render =
+  let id = next_id t in
+  push t (Deferred { id; time; actor; kind; cause; render });
+  id
 
-let entries t = List.init t.len (nth_live t)
+let nth_cell t i = t.buf.((t.start + i) mod Array.length t.buf)
+
+let entries t = List.init t.len (fun i -> entry_of_cell (nth_cell t i))
 
 let length t = t.len
 
@@ -83,32 +119,35 @@ let clear t =
   t.next_id <- 1;
   t.dropped <- 0
 
-(* Direct offset from the oldest live id; an imported trace with gaps
-   misses it and falls back to binary search over the ascending ids. *)
-let find t ~id =
+(* Index of the live cell with this id: a direct offset from the oldest
+   live id; an imported trace with gaps misses it and falls back to
+   binary search over the ascending ids. *)
+let index t ~id =
   if t.len = 0 then None
   else begin
-    let i = id - (nth_live t 0).id in
-    if i >= 0 && i < t.len && (nth_live t i).id = id then Some (nth_live t i)
+    let i = id - cell_id (nth_cell t 0) in
+    if i >= 0 && i < t.len && cell_id (nth_cell t i) = id then Some i
     else begin
       let rec search lo hi =
         if lo >= hi then None
         else begin
           let mid = (lo + hi) / 2 in
-          let e = nth_live t mid in
-          if e.id = id then Some e else if e.id < id then search (mid + 1) hi else search lo mid
+          let m = cell_id (nth_cell t mid) in
+          if m = id then Some mid else if m < id then search (mid + 1) hi else search lo mid
         end
       in
       search 0 t.len
     end
   end
 
+let find t ~id = Option.map (fun i -> entry_of_cell (nth_cell t i)) (index t ~id)
+
 let find_first t ~kind =
   let rec go i =
     if i >= t.len then None
     else
-      let e = nth_live t i in
-      if String.equal e.kind kind then Some e else go (i + 1)
+      let c = nth_cell t i in
+      if String.equal (cell_kind c) kind then Some (entry_of_cell c) else go (i + 1)
   in
   go 0
 
@@ -150,8 +189,8 @@ let entry_of_json j =
       | None | Some Json.Null -> Ok { id; time; actor; kind; detail; cause = None }
       | Some c -> (
           match Json.to_int c with
-          | Some c -> Ok { id; time; actor; kind; detail; cause = Some c }
-          | None -> Error "trace entry: \"cause\" must be an integer or null")
+          | Some c when c > no_cause -> Ok { id; time; actor; kind; detail; cause = Some c }
+          | Some _ | None -> Error "trace entry: \"cause\" must be a positive integer or null")
     end
   | _ -> Error "trace entry: missing or ill-typed field (need id/time/actor/kind/detail)"
 
@@ -183,7 +222,16 @@ let of_jsonl input =
                     (Printf.sprintf "line %d: trace entry id %d is not increasing (ids ascend from 1)"
                        !line_no e.id)
             | Ok e ->
-                push t e;
+                push t
+                  (Text
+                     {
+                       id = e.id;
+                       time = e.time;
+                       actor = e.actor;
+                       kind = e.kind;
+                       cause = Option.value e.cause ~default:no_cause;
+                       text = e.detail;
+                     });
                 t.next_id <- e.id + 1))
     (String.split_on_char '\n' input);
   match !err with Some msg -> Error msg | None -> Ok t

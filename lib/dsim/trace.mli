@@ -27,15 +27,25 @@ val create : ?capacity:int -> unit -> t
     deterministically evicts the oldest one (see {!dropped}). Raises
     [Invalid_argument] on a non-positive capacity. *)
 
-val record : t -> time:int -> actor:string -> kind:string -> ?cause:int -> string -> unit
+val no_cause : int
+(** [0], the [~cause] of an entry that has none: ids start at 1. *)
 
-val emit : t -> time:int -> actor:string -> kind:string -> ?cause:int -> string -> int
-(** Like {!record} but returns the new entry's id, for callers that
-    want to thread it as the [?cause] of downstream entries. *)
+val emit : t -> time:int -> actor:string -> kind:string -> cause:int -> string -> int
+(** Appends an entry and returns its id, for callers that want to
+    thread it as the [~cause] of downstream entries. *)
+
+val emit_deferred :
+  t -> time:int -> actor:string -> kind:string -> cause:int -> (unit -> string) -> int
+(** Like {!emit}, but the detail is rendered only when the entry is
+    read: by {!entries}, {!find}, {!find_first}, {!find_all},
+    {!filter}, {!chain}, {!to_jsonl} or {!pp}, once per read. The
+    renderer must close only over values that are fixed when the entry
+    is recorded, so that every read renders the same bytes; it is
+    dropped with the entry when a ring buffer evicts it. *)
 
 val entries : t -> entry list
-(** Live entries in chronological (recording) order. In ring-buffer
-    mode this is the retained suffix. *)
+(** Live entries in chronological (recording) order, details rendered.
+    In ring-buffer mode this is the retained suffix. *)
 
 val length : t -> int
 (** Number of live entries. *)

@@ -58,6 +58,7 @@ type t = {
   zk : Zk.t;
   master : Master.t;
   region_servers : Regionserver.t list;
+  client : Dsim.Network.peer;  (* the [user] node *)
 }
 
 let config t = t.config
@@ -105,7 +106,8 @@ let create config =
           ~rearm_then_read:config.rearm_then_read ~watched_regions:regions ())
   in
   Dsim.Network.join net user;
-  { config; engine; net; intercept; zk; master; region_servers }
+  let client = Dsim.Network.peer net user in
+  { config; engine; net; intercept; zk; master; region_servers; client }
 
 let start t =
   (* Seed the membership below the fault surface, like kube's boot node
@@ -128,7 +130,7 @@ let start t =
 let do_decommission t server =
   (* Fresh membership first: the decommission is an administrative act
      against the current registry, not a cached one. *)
-  Zk.read t.zk ~src:user ~sync:true "rs/registry" (function
+  Zk.read t.zk ~src:t.client ~sync:true "rs/registry" (function
     | Ok (current, _) ->
         let members =
           match current with
@@ -136,7 +138,7 @@ let do_decommission t server =
           | None -> []
         in
         let remaining = List.filter (fun m -> not (String.equal m server)) members in
-        Zk.write t.zk ~src:user ~key:"rs/registry" (String.concat "," remaining) (fun _ ->
+        Zk.write t.zk ~src:t.client ~key:"rs/registry" (String.concat "," remaining) (fun _ ->
             Dsim.Engine.record t.engine ~actor:user ~kind:"workload.step"
               (Printf.sprintf "decommission %s" server);
             if Dsim.Network.is_up t.net server then Dsim.Network.crash t.net server)
@@ -151,14 +153,14 @@ let schedule t workload =
             (Dsim.Engine.schedule_at t.engine ~time:at (fun () ->
                  Dsim.Engine.record t.engine ~actor:user ~kind:"workload.step"
                    (Printf.sprintf "move %s -> %s" region to_);
-                 Zk.write t.zk ~src:user ~key:("region/" ^ region) to_ (fun _ -> ())))
+                 Zk.write t.zk ~src:t.client ~key:("region/" ^ region) to_ (fun _ -> ())))
       | Decommission { at; server } ->
           ignore
             (Dsim.Engine.schedule_at t.engine ~time:at (fun () -> do_decommission t server))
       | Put { at; key; value } ->
           ignore
             (Dsim.Engine.schedule_at t.engine ~time:at (fun () ->
-                 Zk.write t.zk ~src:user ~key value (fun _ -> ()))))
+                 Zk.write t.zk ~src:t.client ~key value (fun _ -> ()))))
     workload
 
 let run ~until t = Dsim.Engine.run ~until t.engine

@@ -9,6 +9,7 @@ end)
 type t = {
   net : Dsim.Network.t;
   name : string;
+  self : Dsim.Network.peer;
   zk : Zk.t;
   regions : string list;
   sync_before_cas : bool;
@@ -38,7 +39,7 @@ let balance_region t region live_servers =
   match live_servers with
   | [] -> ()
   | servers ->
-      Zk.read t.zk ~src:t.name ~sync:t.sync_before_cas ("region/" ^ region) (function
+      Zk.read t.zk ~src:t.self ~sync:t.sync_before_cas ("region/" ^ region) (function
         | Ok (current, mod_rev) ->
             let needs_assign =
               match current with
@@ -49,7 +50,7 @@ let balance_region t region live_servers =
               let desired =
                 List.nth servers (Hashtbl.hash region mod List.length servers)
               in
-              Zk.cas t.zk ~src:t.name ~key:("region/" ^ region) ~expected_mod_rev:mod_rev
+              Zk.cas t.zk ~src:t.self ~key:("region/" ^ region) ~expected_mod_rev:mod_rev
                 (Some desired) (function
                 | Ok true ->
                     t.transitions <- t.transitions + 1;
@@ -64,7 +65,7 @@ let balance_pass t =
   (* The live-server set also comes from the (possibly stale) follower. *)
   let kv = Zk.leader_kv t.zk in
   ignore kv;
-  Zk.read t.zk ~src:t.name ~sync:t.sync_before_cas "rs/registry" (function
+  Zk.read t.zk ~src:t.self ~sync:t.sync_before_cas "rs/registry" (function
     | Ok (Some registry, _) ->
         let servers = String.split_on_char ',' registry |> List.filter (fun s -> s <> "") in
         List.iter (fun region -> balance_region t region servers) t.regions
@@ -74,6 +75,7 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   {
     net;
     name;
+    self = Dsim.Network.peer net name;
     zk;
     regions;
     sync_before_cas;
@@ -82,10 +84,9 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) () =
   }
 
 let start t =
-  let self = Dsim.Network.peer t.net t.name in
   Rpc.register t.net t.name
     { serve = (fun (type a) ~src:_ (Heartbeat _ : a request) (reply : a -> unit) -> reply ()) };
-  Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
+  Zk.write t.zk ~src:t.self ~key:"master" t.name (fun _ -> ());
   Dsim.Engine.every (engine t) ~period:balance_period (fun () ->
-      if Dsim.Network.peer_is_up self then balance_pass t;
+      if Dsim.Network.peer_is_up t.self then balance_pass t;
       true)

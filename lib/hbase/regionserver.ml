@@ -9,7 +9,7 @@ type t = {
   heartbeat_period : int;
   serving : (string, unit) Hashtbl.t;
   mutable serving_changes : int;
-  mutable cached_master : string option;
+  mutable master : Dsim.Network.peer option;  (* where ZooKeeper last said the master is *)
   mutable consecutive_failures : int;
 }
 
@@ -17,7 +17,7 @@ let name t = t.name
 
 let is_up t = Dsim.Network.peer_is_up t.self
 
-let cached_master t = t.cached_master
+let cached_master t = Option.map Dsim.Network.address t.master
 
 let consecutive_failures t = t.consecutive_failures
 
@@ -34,17 +34,18 @@ let record t detail = Dsim.Engine.record (engine t) ~actor:t.name ~kind:"hbase.r
 let lookup_master t k =
   (* A fresh lookup uses a synced read: finding the coordinator is worth
      a linearizable round-trip. *)
-  Zk.read t.zk ~src:t.name ~sync:true "master" (function
+  Zk.read t.zk ~src:t.self ~sync:true "master" (function
     | Ok (Some master, _) ->
-        if t.cached_master <> Some master then
+        if cached_master t <> Some master then begin
           record t (Printf.sprintf "master located at %s" master);
-        t.cached_master <- Some master;
+          t.master <- Some (Dsim.Network.peer t.net master)
+        end;
         k (Some master)
     | Ok (None, _) | Error `Unavailable -> k None)
 
 (* Join the comma-separated registry (idempotent). *)
 let register t =
-  Zk.read t.zk ~src:t.name ~sync:true "rs/registry" (function
+  Zk.read t.zk ~src:t.self ~sync:true "rs/registry" (function
     | Ok (current, _) ->
         let members =
           match current with
@@ -52,7 +53,7 @@ let register t =
           | None -> []
         in
         if not (List.mem t.name members) then
-          Zk.write t.zk ~src:t.name ~key:"rs/registry"
+          Zk.write t.zk ~src:t.self ~key:"rs/registry"
             (String.concat "," (members @ [ t.name ]))
             (fun _ -> ())
     | Error `Unavailable -> ())
@@ -80,7 +81,7 @@ let apply_assignment t region assigned =
   end
 
 let arm t region =
-  Zk.arm_watch t.zk ~src:t.name ("region/" ^ region) (function
+  Zk.arm_watch t.zk ~src:t.self ("region/" ^ region) (function
     | Ok (assigned, _) -> apply_assignment t region assigned
     | Error `Unavailable -> ())
 
@@ -100,14 +101,14 @@ let handle_notify t ~key (event : string History.Event.t) =
         | History.Event.Delete -> apply_assignment t region None
         | History.Event.Create | History.Event.Update ->
             apply_assignment t region event.History.Event.value);
-        Zk.arm_watch t.zk ~src:t.name ("region/" ^ region) (fun _ -> ())
+        Zk.arm_watch t.zk ~src:t.self ("region/" ^ region) (fun _ -> ())
       end
 
 let heartbeat t =
-  match t.cached_master with
+  match t.master with
   | None -> lookup_master t (fun _ -> ())
   | Some master ->
-      Master.Rpc.call t.net ~src:t.name ~dst:master ~timeout:100_000
+      Master.Rpc.call ~src:t.self ~dst:master ~timeout:100_000
         (Master.Heartbeat { server = t.name })
         (function
         | Ok () -> t.consecutive_failures <- 0
@@ -116,7 +117,7 @@ let heartbeat t =
             (* The bug-era server keeps hammering the cached address; the
                fixed one asks ZooKeeper where the master is now. *)
             if t.relookup_on_failure then begin
-              t.cached_master <- None;
+              t.master <- None;
               lookup_master t (fun _ -> ())
             end)
 
@@ -133,7 +134,7 @@ let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = fal
     heartbeat_period;
     serving = Hashtbl.create 8;
     serving_changes = 0;
-    cached_master = None;
+    master = None;
     consecutive_failures = 0;
   }
 

@@ -51,6 +51,8 @@ type hub_order = Replication_first | Watches_first
 
 type t = {
   net : Dsim.Network.t;
+  leader : Dsim.Network.peer;
+  follower : Dsim.Network.peer;
   replication_lag : int;
   compaction_window : int option;
   follower_leader_revs : bool;
@@ -58,7 +60,7 @@ type t = {
   leader_kv : string Etcdlike.Kv.t;
   follower_kv : string Etcdlike.Kv.t;  (* replica applied with lag *)
   fl_revs : (string, int) Hashtbl.t;  (* key -> leader mod-rev, as replicated *)
-  watches : (string, string list) Hashtbl.t;  (* key -> armed one-shot watchers *)
+  watches : (string, Dsim.Network.peer list) Hashtbl.t;  (* key -> armed one-shot watchers *)
   origins : (int, string) Hashtbl.t;  (* leader revision -> originating client *)
   commit_ids : (int, int) Hashtbl.t;  (* leader revision -> trace entry id *)
   mutable caught_up_to : int;  (* leader revision the replica has applied *)
@@ -139,7 +141,7 @@ let leader_snapshot t =
   |> List.map (fun (key, (v, mod_rev)) -> (key, v, mod_rev))
 
 let note_origin t ~src (e : string History.Event.t) =
-  Hashtbl.replace t.origins e.History.Event.rev src
+  Hashtbl.replace t.origins e.History.Event.rev (Dsim.Network.address src)
 
 (* One-shot watch dispatch: every registration on the key is consumed at
    commit time; whether the notification reaches the watcher is the
@@ -153,9 +155,10 @@ let fire_watches t (e : string History.Event.t) =
   | Some dsts ->
       Hashtbl.remove t.watches key;
       List.iter
-        (fun dst ->
+        (fun watcher ->
+          let dst = Dsim.Network.address watcher in
           let edge = { History.Intercept.src = leader_name; dst } in
-          let notify () = Notify.cast t.net ~src:leader_name ~dst (Fired { key; event = e }) in
+          let notify () = Notify.cast ~src:t.leader ~dst:watcher (Fired { key; event = e }) in
           match History.Intercept.decide t.intercept edge e with
           | History.Intercept.Drop ->
               Dsim.Engine.record (engine t) ~actor:dst ~kind:"pipe.drop"
@@ -164,7 +167,7 @@ let fire_watches t (e : string History.Event.t) =
           | History.Intercept.Delay d -> ignore (Dsim.Engine.schedule (engine t) ~delay:d notify))
         dsts
 
-let serve_leader : type a. t -> src:string -> a leader_request -> (a -> unit) -> unit =
+let serve_leader : type a. t -> src:Dsim.Network.peer -> a leader_request -> (a -> unit) -> unit =
  fun t ~src request reply ->
   t.leader_ops <- t.leader_ops + 1;
   match request with
@@ -188,7 +191,8 @@ let serve_leader : type a. t -> src:string -> a leader_request -> (a -> unit) ->
       (* getData(watch=true): arm (replacing any prior registration by the
          same client) and return the current value in the same breath. *)
       let armed = Option.value (Hashtbl.find_opt t.watches key) ~default:[] in
-      Hashtbl.replace t.watches key (List.filter (fun d -> not (String.equal d src)) armed @ [ src ]);
+      let by_src d = String.equal (Dsim.Network.address d) (Dsim.Network.address src) in
+      Hashtbl.replace t.watches key (List.filter (fun d -> not (by_src d)) armed @ [ src ]);
       reply (Etcdlike.Kv.get t.leader_kv key)
   | Pull { since } -> (
       (* The follower replica's revisions differ from the leader's (it
@@ -248,7 +252,7 @@ let serve_follower : type a. t -> a follower_request -> (a -> unit) -> unit =
       else
         (* HBASE-3137's cost: catch up with the leader before serving. A
            failed pull still serves the local read. *)
-        Leader.call t.net ~src:follower_name ~dst:leader_name (Pull { since = t.caught_up_to })
+        Leader.call ~src:t.follower ~dst:t.leader (Pull { since = t.caught_up_to })
           (function
           | Ok (Events events) ->
               List.iter
@@ -298,6 +302,8 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
   let t =
     {
       net;
+      leader = Dsim.Network.peer net leader_name;
+      follower = Dsim.Network.peer net follower_name;
       replication_lag;
       compaction_window;
       follower_leader_revs;
@@ -329,14 +335,16 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
       Etcdlike.Kv.on_commit leader_kv (deliver_replication t));
   (* Commit-side bookkeeping: every leader commit becomes a trace entry
      (the causal anchor diagnosis cards point at) and a counter tick. *)
+  let engine = Dsim.Network.engine net in
+  let commits = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) "zk.commits" in
   Etcdlike.Kv.on_commit t.leader_kv (fun (e : string History.Event.t) ->
       let rev = e.History.Event.rev in
       let id =
-        Dsim.Engine.emit (Dsim.Network.engine net) ~actor:leader_name ~kind:"zk.commit"
-          (Printf.sprintf "rev %d %s" rev (History.Event.describe e))
+        Dsim.Engine.emit_deferred engine ~actor:leader_name ~kind:"zk.commit" (fun () ->
+            Printf.sprintf "rev %d %s" e.History.Event.rev (History.Event.describe e))
       in
       Hashtbl.replace t.commit_ids rev id;
-      Dsim.Metrics.incr (Dsim.Engine.metrics (Dsim.Network.engine net)) "zk.commits");
+      Dsim.Metrics.Counter.incr commits);
   (* Retention: keep only the last [w] events pullable. Registered after
      the replication and watch listeners, so fan-out always precedes the
      trim. *)
@@ -361,12 +369,12 @@ let unavailable k = function
   | Error (_ : Dsim.Network.error) -> k (Error `Unavailable)
 
 let read t ~src ?(sync = false) key k =
-  Follower.call t.net ~src ~dst:follower_name (Read { key; sync }) (found k)
+  Follower.call ~src ~dst:t.follower (Read { key; sync }) (found k)
 
 let cas t ~src ~key ~expected_mod_rev value k =
-  Leader.call t.net ~src ~dst:leader_name (Cas { key; expected_mod_rev; value }) (unavailable k)
+  Leader.call ~src ~dst:t.leader (Cas { key; expected_mod_rev; value }) (unavailable k)
 
 let write t ~src ~key value k =
-  Leader.call t.net ~src ~dst:leader_name (Write { key; value }) (unavailable k)
+  Leader.call ~src ~dst:t.leader (Write { key; value }) (unavailable k)
 
-let arm_watch t ~src key k = Leader.call t.net ~src ~dst:leader_name (Watch { key }) (found k)
+let arm_watch t ~src key k = Leader.call ~src ~dst:t.leader (Watch { key }) (found k)

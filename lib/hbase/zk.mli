@@ -102,7 +102,9 @@ val on_follower_resync : t -> (int -> unit) -> unit
 (** Fires after a full state transfer, with the leader revision the
     replica jumped to. *)
 
-(** {2 Client operations} (asynchronous, over the network) *)
+(** {2 Client operations} (asynchronous, over the network)
+
+    [src] is the caller's own handle ({!Dsim.Network.peer}). *)
 
 val listen : Dsim.Network.t -> string -> (key:string -> string History.Event.t -> unit) -> unit
 (** Registers the node's handler for one-shot watch firings (see
@@ -111,7 +113,7 @@ val listen : Dsim.Network.t -> string -> (key:string -> string History.Event.t -
 
 val read :
   t ->
-  src:string ->
+  src:Dsim.Network.peer ->
   ?sync:bool ->
   string ->
   ((string option * int, [ `Unavailable ]) result -> unit) ->
@@ -122,7 +124,7 @@ val read :
 
 val cas :
   t ->
-  src:string ->
+  src:Dsim.Network.peer ->
   key:string ->
   expected_mod_rev:int ->
   string option ->
@@ -132,12 +134,17 @@ val cas :
     the value is [None]) only if the key's mod-revision still matches. *)
 
 val write :
-  t -> src:string -> key:string -> string -> ((unit, [ `Unavailable ]) result -> unit) -> unit
+  t ->
+  src:Dsim.Network.peer ->
+  key:string ->
+  string ->
+  ((unit, [ `Unavailable ]) result -> unit) ->
+  unit
 (** Unconditional write at the leader. *)
 
 val arm_watch :
   t ->
-  src:string ->
+  src:Dsim.Network.peer ->
   string ->
   ((string option * int, [ `Unavailable ]) result -> unit) ->
   unit

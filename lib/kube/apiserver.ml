@@ -2,7 +2,7 @@ type t = {
   name : string;
   net : Dsim.Network.t;
   self : Dsim.Network.peer;
-  etcd : string;
+  etcd : Dsim.Network.peer;
   upstream : string;  (* name<-etcd: the tap's stream name *)
   window_size : int;
   mutable cache : Resource.value History.State.t;
@@ -111,7 +111,7 @@ let on_stream_item t gen item =
 
 let rec bootstrap t gen =
   if gen = t.generation && Dsim.Network.peer_is_up t.self then
-    Messages.Store.call t.net ~src:t.name ~dst:t.etcd (Messages.List { prefix = ""; quorum = true })
+    Messages.Store.call ~src:t.self ~dst:t.etcd (Messages.List { prefix = ""; quorum = true })
       (function
       | Ok (Ok { Messages.items; rev }) when gen = t.generation -> begin
           (* Rebuilding the watch cache breaks continuity for subscribers:
@@ -137,7 +137,7 @@ let rec bootstrap t gen =
                 deliver = (fun item -> on_stream_item t gen item);
               }
           in
-          Messages.Store.call t.net ~src:t.name ~dst:t.etcd watch (function
+          Messages.Store.call ~src:t.self ~dst:t.etcd watch (function
             | Ok (Ok Messages.Watching) when gen = t.generation -> t.ready <- true
             | Ok (Ok (Messages.Watching | Messages.Compacted _) | Error `Unavailable) | Error _ ->
                 retry t gen)
@@ -155,7 +155,7 @@ let list_from_cache t prefix =
 (* Quorum reads, transactions and leases go to etcd as they are; a
    failed call is an unavailable backend. *)
 let forward t request reply =
-  Messages.Store.call t.net ~src:t.name ~dst:t.etcd request (function
+  Messages.Store.call ~src:t.self ~dst:t.etcd request (function
     | Ok response -> reply response
     | Error _ -> reply (Error `Unavailable))
 
@@ -194,7 +194,7 @@ let create ~net ~intercept ~name ~etcd ?(window_size = 1000) ?epoch_seal () =
     name;
     net;
     self = Dsim.Network.peer net name;
-    etcd;
+    etcd = Dsim.Network.peer net etcd;
     upstream = name ^ "<-" ^ etcd;
     window_size;
     cache = History.State.empty;

@@ -2,7 +2,7 @@ type t = {
   net : Dsim.Network.t;
   owner : string;
   self : Dsim.Network.peer;  (* the owner's node *)
-  endpoints : string array;
+  endpoints : Dsim.Network.peer array;
   mutable index : int;
 }
 
@@ -12,9 +12,17 @@ let retry_delay = 200_000
 
 let create ~net ~owner ~endpoints () =
   if endpoints = [] then invalid_arg "Client.create: no endpoints";
-  { net; owner; self = Dsim.Network.peer net owner; endpoints = Array.of_list endpoints; index = 0 }
+  {
+    net;
+    owner;
+    self = Dsim.Network.peer net owner;
+    endpoints = Array.of_list (List.map (Dsim.Network.peer net) endpoints);
+    index = 0;
+  }
 
-let current_endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
+let endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
+
+let current_endpoint t = Dsim.Network.address (endpoint t)
 
 let owner_up t = Dsim.Network.peer_is_up t.self
 
@@ -28,7 +36,7 @@ let retry t again =
 let rec attempt t request ~budget k =
   if budget <= 0 || not (owner_up t) then k (Error `Unavailable)
   else
-    Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t) request (function
+    Messages.Store.call ~src:t.self ~dst:(endpoint t) request (function
       | Ok (Ok _ as reply) -> k reply
       | Ok (Error `Unavailable) | Error _ ->
           retry t (fun () -> attempt t request ~budget:(budget - 1) k))
@@ -47,7 +55,7 @@ let lease_keepalive t ~lease k = attempt t (Messages.Lease_keepalive { lease }) 
 let lease_revoke t ~lease =
   let rec send budget =
     if budget > 0 && owner_up t then
-      Messages.Store.call t.net ~src:t.owner ~dst:(current_endpoint t)
+      Messages.Store.call ~src:t.self ~dst:(endpoint t)
         (Messages.Lease_revoke { lease })
         (function
         | Ok (Ok () | Error `Unavailable) -> ()

@@ -182,8 +182,8 @@ let install_commit_listener t =
   on_commit t (fun event ->
       let rev = event.History.Event.rev in
       let id =
-        Dsim.Engine.emit engine ~actor:t.name ~kind:"etcd.commit"
-          (Printf.sprintf "rev %d %s" rev (History.Event.describe event))
+        Dsim.Engine.emit_deferred engine ~actor:t.name ~kind:"etcd.commit" (fun () ->
+            Printf.sprintf "rev %d %s" event.History.Event.rev (History.Event.describe event))
       in
       Hashtbl.replace t.commit_ids rev id;
       Dsim.Metrics.Counter.incr commits)
@@ -234,7 +234,7 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
         (Replicated.Kv.replica_ids repl);
       Replicated.Kv.start repl);
   Messages.Store.register net name
-    { serve = (fun ~src request reply -> serve t ~src request reply) };
+    { serve = (fun ~src request reply -> serve t ~src:(Dsim.Network.address src) request reply) };
   (* Bookmarks carry the frontier of the store serving each stream: a
      partitioned follower keeps heartbeating its stale revision (its
      watchers never notice), a crashed one goes silent (its watchers'

@@ -2,7 +2,7 @@ type t = {
   net : Dsim.Network.t;
   owner : string;
   self : Dsim.Network.peer;  (* the owner's node *)
-  endpoints : string array;
+  endpoints : Dsim.Network.peer array;
   prefix : string;
   stream : string;  (* owner#prefix: the watch stream id and the tap's stream name *)
   on_event : Resource.value History.Event.t -> unit;
@@ -37,7 +37,7 @@ let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset =
     net;
     owner;
     self = Dsim.Network.peer net owner;
-    endpoints = Array.of_list endpoints;
+    endpoints = Array.of_list (List.map (Dsim.Network.peer net) endpoints);
     prefix;
     stream = owner ^ "#" ^ prefix;
     on_event;
@@ -74,7 +74,9 @@ let min_rev least = function Some t -> Int.min least t.last_rev | None -> least
 
 let least_rev least = if least = max_int then 0 else least
 
-let current_endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoints)
+let endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoints)
+
+let current_endpoint t = Dsim.Network.address (endpoint t)
 
 let relists t = t.relists
 
@@ -149,8 +151,8 @@ let rec on_stream_item t gen item =
 
 and bootstrap t gen =
   if alive t gen then begin
-    let endpoint = current_endpoint t in
-    Messages.Store.call t.net ~src:t.owner ~dst:endpoint
+    let endpoint = endpoint t in
+    Messages.Store.call ~src:t.self ~dst:endpoint
       (Messages.List { prefix = t.prefix; quorum = false })
       (function
       | Ok (Ok { Messages.items; rev }) when alive t gen ->
@@ -158,7 +160,8 @@ and bootstrap t gen =
             (* The 59848 fix: never adopt a list older than what we have
                already observed; some other apiserver must be fresher. *)
             Dsim.Engine.record (engine t) ~actor:t.owner ~kind:"informer.reject-stale"
-              (Printf.sprintf "%s served rev %d < frontier %d" endpoint rev t.last_rev);
+              (Printf.sprintf "%s served rev %d < frontier %d" (Dsim.Network.address endpoint) rev
+                 t.last_rev);
             rotate t;
             retry t gen
           end
@@ -171,8 +174,8 @@ and bootstrap t gen =
             Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "informer.relists";
             t.since_seal <- 0;
             Dsim.Engine.record (engine t) ~actor:t.owner ~kind:"informer.list"
-              (Printf.sprintf "%s %s: %d items at rev %d" endpoint t.prefix (List.length items)
-                 rev);
+              (Printf.sprintf "%s %s: %d items at rev %d" (Dsim.Network.address endpoint) t.prefix
+                 (List.length items) rev);
             (match t.tap with Some tap -> tap.Tap.on_reset (tap_view t) | None -> ());
             t.on_reset ();
             let watch =
@@ -185,7 +188,7 @@ and bootstrap t gen =
                   deliver = (fun item -> on_stream_item t gen item);
                 }
             in
-            Messages.Store.call t.net ~src:t.owner ~dst:endpoint watch (function
+            Messages.Store.call ~src:t.self ~dst:endpoint watch (function
               | Ok (Ok Messages.Watching) -> ()
               | Ok (Ok (Messages.Compacted _)) ->
                   (* Our revision fell out of the apiserver's window; the

@@ -7,7 +7,6 @@ type t = {
   net : Dsim.Network.t;
   intercept : Resource.value History.Intercept.t;
   edge : History.Intercept.edge;
-  label : string;  (* the edge as [History.Intercept.pp_edge] prints it, for trace details *)
   deliver : item -> unit;
   dst_peer : Dsim.Network.peer;
   dst_incarnation : int;
@@ -25,7 +24,6 @@ let create ~net ~intercept ~edge ~deliver () =
     net;
     intercept;
     edge;
-    label = Format.asprintf "%a" History.Intercept.pp_edge edge;
     deliver;
     dst_peer;
     dst_incarnation = Dsim.Network.peer_incarnation dst_peer;
@@ -35,6 +33,9 @@ let create ~net ~intercept ~edge ~deliver () =
     closed = false;
     last_due = 0;
   }
+
+(* The edge as trace details name it. *)
+let label edge = Format.asprintf "%a" History.Intercept.pp_edge edge
 
 let close t = t.closed <- true
 
@@ -57,9 +58,10 @@ let arrive t ~sent item =
     (match item with
     | Event event ->
         Dsim.Metrics.Counter.incr t.delivered;
+        let edge = t.edge in
         ignore
-          (Dsim.Engine.emit engine ~actor:t.edge.dst ~kind:"pipe.deliver"
-             (t.label ^ " " ^ History.Event.describe event))
+          (Dsim.Engine.emit_deferred engine ~actor:edge.dst ~kind:"pipe.deliver" (fun () ->
+               label edge ^ " " ^ History.Event.describe event))
     | Bookmark _ | Seal _ -> ());
     t.deliver item
   end
@@ -69,7 +71,7 @@ let arrive t ~sent item =
        notices the silence (no bookmarks) and re-lists. *)
     t.closed <- true;
     Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.broken";
-    Dsim.Engine.record engine ~actor:t.edge.dst ~kind:"pipe.broken" t.label
+    Dsim.Engine.record engine ~actor:t.edge.dst ~kind:"pipe.broken" (label t.edge)
   end
 
 let enqueue t ~extra item =
@@ -91,5 +93,5 @@ let send t item =
             let engine = Dsim.Network.engine t.net in
             Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.dropped";
             Dsim.Engine.record engine ~actor:t.edge.dst ~kind:"pipe.drop"
-              (t.label ^ " " ^ History.Event.describe event)
+              (label t.edge ^ " " ^ History.Event.describe event)
         | History.Intercept.Delay extra -> enqueue t ~extra item)

@@ -30,7 +30,7 @@ end)
 
 type t = {
   id : string;
-  peers : string list;
+  peers : Dsim.Network.peer list;
   net : Dsim.Network.t;
   self : Dsim.Network.peer;
   rng : Dsim.Rng.t;
@@ -110,7 +110,11 @@ let advance_commit t =
           1
           + List.length
               (List.filter
-                 (fun peer -> Option.value (Hashtbl.find_opt t.match_index peer) ~default:0 >= n)
+                 (fun peer ->
+                   Option.value
+                     (Hashtbl.find_opt t.match_index (Dsim.Network.address peer))
+                     ~default:0
+                   >= n)
                  t.peers)
         in
         if replicas >= quorum t then candidates := n :: !candidates
@@ -127,7 +131,8 @@ let entries_from t index =
   if index > Array.length t.log then []
   else Array.to_list (Array.sub t.log (index - 1) (Array.length t.log - index + 1))
 
-let send_append t peer =
+let send_append t dst =
+  let peer = Dsim.Network.address dst in
   let next = Option.value (Hashtbl.find_opt t.next_index peer) ~default:1 in
   let prev_log_index = next - 1 in
   let request =
@@ -142,7 +147,7 @@ let send_append t peer =
   in
   let sent_up_to = last_log_index t in
   let request_term = t.current_term in
-  Rpc.call t.net ~src:t.id ~dst:peer ~timeout:(t.heartbeat_period * 2) request
+  Rpc.call ~src:t.self ~dst ~timeout:(t.heartbeat_period * 2) request
     (function
     | Ok (Appended reply) when t.role = Leader && t.current_term = request_term ->
         if reply.term > t.current_term then become_follower t reply.term
@@ -164,7 +169,8 @@ let become_leader t =
   t.role <- Leader;
   record t (Printf.sprintf "-> LEADER (term %d, log %d)" t.current_term (last_log_index t));
   List.iter
-    (fun peer ->
+    (fun dst ->
+      let peer = Dsim.Network.address dst in
       Hashtbl.replace t.next_index peer (last_log_index t + 1);
       Hashtbl.replace t.match_index peer 0)
     t.peers;
@@ -195,8 +201,9 @@ let start_election t =
       }
   in
   List.iter
-    (fun peer ->
-      Rpc.call t.net ~src:t.id ~dst:peer ~timeout:t.election_timeout_min request
+    (fun dst ->
+      let peer = Dsim.Network.address dst in
+      Rpc.call ~src:t.self ~dst ~timeout:t.election_timeout_min request
         (function
         | Ok (Vote vote) when t.role = Candidate && t.current_term = election_term ->
             if vote.term > t.current_term then become_follower t vote.term
@@ -287,7 +294,7 @@ let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min =
   let engine = Dsim.Network.engine net in
   {
     id;
-    peers;
+    peers = List.map (Dsim.Network.peer net) peers;
     net;
     self = Dsim.Network.peer net id;
     rng = Dsim.Rng.split (Dsim.Engine.rng engine);

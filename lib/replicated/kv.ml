@@ -39,6 +39,11 @@ type 'v t = {
   mutable canonical_listener_count : int;
   mutable next_pid : int;
   pending : (int, 'v pending) Hashtbl.t;
+  commits : Dsim.Metrics.Counter.t;  (* ["repl.commits"] *)
+  commit_latency : Dsim.Metrics.Histogram.t;  (* ["repl.commit_latency"] *)
+  proposals : Dsim.Metrics.Counter.t;  (* ["repl.proposals"] *)
+  reproposals : Dsim.Metrics.Counter.t;  (* ["repl.reproposals"] *)
+  unavailable : Dsim.Metrics.Counter.t;  (* ["repl.unavailable"] *)
 }
 
 let engine t = Dsim.Network.engine t.net
@@ -118,9 +123,8 @@ let apply t ~ix ~command =
         (* First apply anywhere resolves the proposal: the outcome is
            deterministic, so it does not matter which replica ran it. *)
         Hashtbl.remove t.pending pid;
-        let metrics = Dsim.Engine.metrics (engine t) in
-        Dsim.Metrics.incr metrics "repl.commits";
-        Dsim.Metrics.observe metrics "repl.commit_latency"
+        Dsim.Metrics.Counter.incr t.commits;
+        Dsim.Metrics.Histogram.observe t.commit_latency
           (float_of_int (Dsim.Engine.now (engine t) - p.submitted_at));
         p.callback (Ok outcome)
     | None -> ()
@@ -134,7 +138,7 @@ let txn t (txn : 'v Etcdlike.Txn.t) callback =
   let payload = Marshal.to_string (pid, txn) [] in
   let now = Dsim.Engine.now (engine t) in
   Hashtbl.replace t.pending pid { payload; callback; submitted_at = now; last_attempt = now };
-  Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "repl.proposals";
+  Dsim.Metrics.Counter.incr t.proposals;
   propose t payload
 
 let put t key value callback =
@@ -258,6 +262,7 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
         | None -> ())
       ()
   in
+  let metrics = Dsim.Engine.metrics (Dsim.Network.engine net) in
   let t =
     {
       net;
@@ -272,6 +277,11 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
       canonical_listener_count = 0;
       next_pid = 1;
       pending = Hashtbl.create 16;
+      commits = Dsim.Metrics.Counter.resolve metrics "repl.commits";
+      commit_latency = Dsim.Metrics.Histogram.resolve metrics "repl.commit_latency";
+      proposals = Dsim.Metrics.Counter.resolve metrics "repl.proposals";
+      reproposals = Dsim.Metrics.Counter.resolve metrics "repl.reproposals";
+      unavailable = Dsim.Metrics.Counter.resolve metrics "repl.unavailable";
     }
   in
   t_ref := Some t;
@@ -298,7 +308,7 @@ let start t =
         (fun (pid, (p : _ pending)) ->
           if Hashtbl.mem t.pending pid then begin
             p.last_attempt <- now;
-            Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "repl.reproposals";
+            Dsim.Metrics.Counter.incr t.reproposals;
             propose t p.payload
           end)
         (List.sort (fun (a, _) (b, _) -> compare a b) !to_retry);
@@ -307,7 +317,7 @@ let start t =
           match Hashtbl.find_opt t.pending pid with
           | Some p ->
               Hashtbl.remove t.pending pid;
-              Dsim.Metrics.incr (Dsim.Engine.metrics (engine t)) "repl.unavailable";
+              Dsim.Metrics.Counter.incr t.unavailable;
               p.callback (Error `Unavailable)
           | None -> ())
         (List.sort compare !expired);

@@ -28,8 +28,9 @@ let zk_replicates_with_lag () =
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net ~replication_lag:50_000 () in
   Dsim.Network.join net "client";
+  let client = Dsim.Network.peer net "client" in
   let done_ = ref false in
-  Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> done_ := true);
+  Hbaselike.Zk.write zk ~src:client ~key:"a" "1" (fun _ -> done_ := true);
   Dsim.Engine.run ~until:10_000 engine;
   Alcotest.(check bool) "written" true !done_;
   (* Follower still behind before the lag elapses... *)
@@ -42,13 +43,14 @@ let zk_sync_read_is_fresh () =
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net ~replication_lag:500_000 () in
   Dsim.Network.join net "client";
-  Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> ());
+  let client = Dsim.Network.peer net "client" in
+  Hbaselike.Zk.write zk ~src:client ~key:"a" "1" (fun _ -> ());
   Dsim.Engine.run ~until:20_000 engine;
   let stale = ref None and fresh = ref None in
-  Hbaselike.Zk.read zk ~src:"client" "a" (function
+  Hbaselike.Zk.read zk ~src:client "a" (function
     | Ok (v, _) -> stale := Some v
     | Error _ -> ());
-  Hbaselike.Zk.read zk ~src:"client" ~sync:true "a" (function
+  Hbaselike.Zk.read zk ~src:client ~sync:true "a" (function
     | Ok (v, _) -> fresh := Some v
     | Error _ -> ());
   Dsim.Engine.run ~until:100_000 engine;
@@ -71,8 +73,9 @@ let zk_compaction_pull_forces_resync ~hub_order () =
     Hbaselike.Zk.create ~net ~replication_lag:100_000_000 ~compaction_window:2 ~hub_order ()
   in
   Dsim.Network.join net "client";
+  let client = Dsim.Network.peer net "client" in
   for i = 1 to 6 do
-    Hbaselike.Zk.write zk ~src:"client" ~key:(Printf.sprintf "k%d" i)
+    Hbaselike.Zk.write zk ~src:client ~key:(Printf.sprintf "k%d" i)
       (Printf.sprintf "v%d" i)
       (fun _ -> ())
   done;
@@ -81,7 +84,7 @@ let zk_compaction_pull_forces_resync ~hub_order () =
   let synced = ref None in
   (* k1's event is compacted away at the leader (window 2 keeps only the
      last two), so event catch-up cannot reconstruct it. *)
-  Hbaselike.Zk.read zk ~src:"client" ~sync:true "k1" (function
+  Hbaselike.Zk.read zk ~src:client ~sync:true "k1" (function
     | Ok (v, _) -> synced := Some v
     | Error _ -> ());
   Dsim.Engine.run ~until:150_000 engine;
@@ -91,7 +94,7 @@ let zk_compaction_pull_forces_resync ~hub_order () =
   (* Now genuinely caught up: the next sync pull is an ordinary
      event-stream catch-up, not another state transfer. *)
   let again = ref None in
-  Hbaselike.Zk.read zk ~src:"client" ~sync:true "k6" (function
+  Hbaselike.Zk.read zk ~src:client ~sync:true "k6" (function
     | Ok (v, _) -> again := Some v
     | Error _ -> ());
   Dsim.Engine.run ~until:300_000 engine;
@@ -103,13 +106,14 @@ let zk_cas_guards () =
   let net = Dsim.Network.create engine in
   let zk = Hbaselike.Zk.create ~net () in
   Dsim.Network.join net "client";
-  Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> ());
+  let client = Dsim.Network.peer net "client" in
+  Hbaselike.Zk.write zk ~src:client ~key:"a" "1" (fun _ -> ());
   Dsim.Engine.run ~until:20_000 engine;
   let stale_cas = ref None and fresh_cas = ref None in
-  Hbaselike.Zk.cas zk ~src:"client" ~key:"a" ~expected_mod_rev:0 (Some "2") (function
+  Hbaselike.Zk.cas zk ~src:client ~key:"a" ~expected_mod_rev:0 (Some "2") (function
     | Ok ok -> stale_cas := Some ok
     | Error _ -> ());
-  Hbaselike.Zk.cas zk ~src:"client" ~key:"a" ~expected_mod_rev:1 (Some "2") (function
+  Hbaselike.Zk.cas zk ~src:client ~key:"a" ~expected_mod_rev:1 (Some "2") (function
     | Ok ok -> fresh_cas := Some ok
     | Error _ -> ());
   Dsim.Engine.run ~until:100_000 engine;
@@ -223,6 +227,7 @@ let run_zk_program ~regime ops =
           ~follower_leader_revs:true ()
   in
   Dsim.Network.join net "client";
+  let client = Dsim.Network.peer net "client" in
   let monitor =
     Conformance.Monitor.create ~track_divergence:false ~on_violation:(fun _ -> ()) ()
   in
@@ -254,7 +259,7 @@ let run_zk_program ~regime ops =
       | 0 ->
           let v = fresh_value () in
           let replied = ref false in
-          Hbaselike.Zk.write zk ~src:"client" ~key v (fun r -> replied := r = Ok ());
+          Hbaselike.Zk.write zk ~src:client ~key v (fun r -> replied := r = Ok ());
           model := fst (Conformance.Model.put !model key v);
           quiesce ();
           if not !replied then agreed := false
@@ -264,7 +269,7 @@ let run_zk_program ~regime ops =
           let expected = if c = 2 then current + 1 else current in
           let value = if c = 3 then None else Some (fresh_value ()) in
           let replied = ref None in
-          Hbaselike.Zk.cas zk ~src:"client" ~key ~expected_mod_rev:expected value (fun r ->
+          Hbaselike.Zk.cas zk ~src:client ~key ~expected_mod_rev:expected value (fun r ->
               replied := Some r);
           let txn =
             match value with
@@ -282,21 +287,21 @@ let run_zk_program ~regime ops =
              territory, not the sequential model's). *)
           let sync = c = 5 || regime = `Pulled in
           let replied = ref None in
-          Hbaselike.Zk.read zk ~src:"client" ~sync key (fun r -> replied := Some r);
+          Hbaselike.Zk.read zk ~src:client ~sync key (fun r -> replied := Some r);
           quiesce ();
           if !replied <> Some (Ok (expect_read key)) then agreed := false
       | _ ->
           (* getData(watch=true): the arm reply carries the leader's
              current value and per-key mod-revision. *)
           let replied = ref None in
-          Hbaselike.Zk.arm_watch zk ~src:"client" key (fun r -> replied := Some r);
+          Hbaselike.Zk.arm_watch zk ~src:client key (fun r -> replied := Some r);
           quiesce ();
           if !replied <> Some (Ok (expect_read key)) then agreed := false)
     ops;
   (* Force a final catch-up so the replica's terminal state is checkable
      under both regimes, then compare every observable. *)
   let final = ref None in
-  Hbaselike.Zk.read zk ~src:"client" ~sync:true "k0" (fun r -> final := Some r);
+  Hbaselike.Zk.read zk ~src:client ~sync:true "k0" (fun r -> final := Some r);
   quiesce ();
   if !final <> Some (Ok (expect_read "k0")) then agreed := false;
   let leader_ok =

@@ -34,9 +34,9 @@ let edge_printing () =
 (* Trace store. *)
 let trace_filters_and_orders () =
   let tr = Dsim.Trace.create () in
-  Dsim.Trace.record tr ~time:5 ~actor:"x" ~kind:"a" "one";
-  Dsim.Trace.record tr ~time:6 ~actor:"y" ~kind:"b" "two";
-  Dsim.Trace.record tr ~time:7 ~actor:"x" ~kind:"a" "three";
+  ignore (Dsim.Trace.emit tr ~time:5 ~actor:"x" ~kind:"a" ~cause:Dsim.Trace.no_cause "one");
+  ignore (Dsim.Trace.emit tr ~time:6 ~actor:"y" ~kind:"b" ~cause:Dsim.Trace.no_cause "two");
+  ignore (Dsim.Trace.emit tr ~time:7 ~actor:"x" ~kind:"a" ~cause:Dsim.Trace.no_cause "three");
   Alcotest.(check int) "length" 3 (Dsim.Trace.length tr);
   Alcotest.(check (list string)) "find_all by kind" [ "one"; "three" ]
     (List.map (fun e -> e.Dsim.Trace.detail) (Dsim.Trace.find_all tr ~kind:"a"));

@@ -21,6 +21,8 @@ let make () =
   let net = Dsim.Network.create engine in
   (engine, net)
 
+let peer = Dsim.Network.peer
+
 let echo_server net name =
   Echo.register net name
     { serve = (fun (type a) ~src:_ (Ping n : a echo) (reply : a -> unit) -> reply n) }
@@ -30,7 +32,7 @@ let rpc_roundtrip () =
   echo_server net "server";
   Dsim.Network.join net "client";
   let got = ref None in
-  Echo.call net ~src:"client" ~dst:"server" (Ping 7) (fun r -> got := Some r);
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") (Ping 7) (fun r -> got := Some r);
   Dsim.Engine.run engine;
   match !got with
   | Some (Ok 7) -> ()
@@ -41,7 +43,7 @@ let rpc_latency_is_positive () =
   echo_server net "server";
   Dsim.Network.join net "client";
   let finished_at = ref 0 in
-  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun _ ->
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") (Ping 1) (fun _ ->
       finished_at := Dsim.Engine.now engine);
   Dsim.Engine.run engine;
   Alcotest.(check bool) "took at least two hops" true (!finished_at >= 1_000)
@@ -50,7 +52,7 @@ let unknown_destination () =
   let engine, net = make () in
   Dsim.Network.join net "client";
   let got = ref None in
-  Echo.call net ~src:"client" ~dst:"nobody" (Ping 1) (fun r -> got := Some r);
+  Echo.call ~src:(peer net "client") ~dst:(peer net "nobody") (Ping 1) (fun r -> got := Some r);
   Dsim.Engine.run engine;
   match !got with
   | Some (Error Dsim.Network.Unreachable) -> ()
@@ -62,7 +64,7 @@ let partition_times_out () =
   Dsim.Network.join net "client";
   Dsim.Network.partition net "client" "server";
   let got = ref None in
-  Echo.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") ~timeout:50_000 (Ping 1) (fun r ->
       got := Some r);
   Dsim.Engine.run engine;
   match !got with
@@ -76,7 +78,8 @@ let heal_restores () =
   Dsim.Network.partition net "client" "server";
   Dsim.Network.heal net "client" "server";
   let ok = ref false in
-  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun r -> ok := Result.is_ok r);
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") (Ping 1) (fun r ->
+      ok := Result.is_ok r);
   Dsim.Engine.run engine;
   Alcotest.(check bool) "healed" true !ok
 
@@ -86,7 +89,7 @@ let down_server_times_out () =
   Dsim.Network.join net "client";
   Dsim.Network.crash net "server";
   let got = ref None in
-  Echo.call net ~src:"client" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r ->
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") ~timeout:50_000 (Ping 1) (fun r ->
       got := Some r);
   Dsim.Engine.run engine;
   match !got with
@@ -104,7 +107,7 @@ let restarted_caller_never_sees_reply () =
     };
   Dsim.Network.join net "client";
   let outcomes = ref [] in
-  Echo.call net ~src:"client" ~dst:"server" ~timeout:400_000 (Ping 1) (fun r ->
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") ~timeout:400_000 (Ping 1) (fun r ->
       outcomes := r :: !outcomes);
   ignore (Dsim.Engine.schedule engine ~delay:20_000 (fun () -> Dsim.Network.crash net "client"));
   ignore (Dsim.Engine.schedule engine ~delay:30_000 (fun () -> Dsim.Network.restart net "client"));
@@ -140,10 +143,10 @@ let cast_delivery_and_partition () =
         (fun (type a) ~src:_ (Note s : a note) (_ : a -> unit) -> received := s :: !received);
     };
   Dsim.Network.join net "src";
-  Notes.cast net ~src:"src" ~dst:"sink" (Note "one");
+  Notes.cast ~src:(peer net "src") ~dst:(peer net "sink") (Note "one");
   Dsim.Engine.run engine;
   Dsim.Network.partition net "src" "sink";
-  Notes.cast net ~src:"src" ~dst:"sink" (Note "lost");
+  Notes.cast ~src:(peer net "src") ~dst:(peer net "sink") (Note "lost");
   Dsim.Engine.run engine;
   Alcotest.(check (list string)) "only pre-partition cast" [ "one" ] !received
 
@@ -165,14 +168,14 @@ let mismatched_service_is_loud () =
   let engine, net = make () in
   echo_server net "server";
   Dsim.Network.join net "client";
-  Echo.call net ~src:"client" ~dst:"server" (Ping 1) (fun _ -> ());
+  Echo.call ~src:(peer net "client") ~dst:(peer net "server") (Ping 1) (fun _ -> ());
   Dsim.Engine.run engine;
   Alcotest.(check (option int)) "no counter until a mismatch" None (unhandled engine);
   let sent = Dsim.Engine.now engine in
   let got = ref None in
-  Other.call net ~src:"client" ~dst:"server" ~timeout:50_000 Other (fun r ->
+  Other.call ~src:(peer net "client") ~dst:(peer net "server") ~timeout:50_000 Other (fun r ->
       got := Some (r, Dsim.Engine.now engine));
-  Other.cast net ~src:"client" ~dst:"server" Other;
+  Other.cast ~src:(peer net "client") ~dst:(peer net "server") Other;
   Dsim.Engine.run engine;
   (match !got with
   | Some (Error Dsim.Network.Timeout, at) ->
@@ -257,14 +260,16 @@ let join_keeps_the_node () =
   check_reads "crashed again" (false, 2) net peer "n"
 
 let caller_that_never_joined () =
-  (* The reply check falls back to the by-name lookup for a caller that
-     had not joined at call time: still absent means the reply is lost;
-     joined before the reply means it arrives. *)
+  (* The caller's peer resolves on first use after its address joins: a
+     caller still absent when the reply arrives loses it; one that
+     joined before the reply gets it. *)
   let engine, net = make () in
   echo_server net "server";
   let ghost = ref None and late = ref None in
-  Echo.call net ~src:"ghost" ~dst:"server" ~timeout:50_000 (Ping 1) (fun r -> ghost := Some r);
-  Echo.call net ~src:"late" ~dst:"server" ~timeout:50_000 (Ping 2) (fun r -> late := Some r);
+  Echo.call ~src:(peer net "ghost") ~dst:(peer net "server") ~timeout:50_000 (Ping 1) (fun r ->
+      ghost := Some r);
+  Echo.call ~src:(peer net "late") ~dst:(peer net "server") ~timeout:50_000 (Ping 2) (fun r ->
+      late := Some r);
   Dsim.Network.join net "late";
   Dsim.Engine.run engine;
   (match !ghost with
@@ -273,6 +278,67 @@ let caller_that_never_joined () =
   match !late with
   | Some (Ok 2) -> ()
   | _ -> Alcotest.fail "a caller that joined before the reply should get it"
+
+let unreachable_until_joined () =
+  (* The destination's peer keeps looking its address up until it joins:
+     until then a call fails at once, without scheduling anything; the
+     same peer then reaches the node. *)
+  let engine, net = make () in
+  Dsim.Network.join net "client";
+  let client = peer net "client" and server = peer net "server" in
+  let got = ref None in
+  Echo.call ~src:client ~dst:server (Ping 3) (fun r -> got := Some r);
+  (match !got with
+  | Some (Error Dsim.Network.Unreachable) -> ()
+  | _ -> Alcotest.fail "expected Unreachable before the engine runs");
+  Alcotest.(check int) "nothing scheduled" 0 (Dsim.Engine.pending engine);
+  echo_server net "server";
+  got := None;
+  Echo.call ~src:client ~dst:server (Ping 3) (fun r -> got := Some r);
+  Dsim.Engine.run engine;
+  match !got with
+  | Some (Ok 3) -> ()
+  | _ -> Alcotest.fail "expected the joined server to answer"
+
+let partitioned_allocates_nothing () =
+  let _, net = make () in
+  Dsim.Network.partition net "a" "b";
+  Dsim.Network.partition net "c" "d";
+  Dsim.Network.partition net "e" "f";
+  let hit = ref false and miss = ref true in
+  let words =
+    Test_engine.words_per_op (fun () ->
+        hit := Dsim.Network.partitioned net "d" "c";
+        miss := Dsim.Network.partitioned net "a" "f")
+  in
+  Alcotest.(check (pair bool bool)) "answers" (true, false) (!hit, !miss);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per pair of checks < 1" words)
+    true (words < 1.0)
+
+(* Minor words of one round trip on warm peers: the call record, the
+   timeout, request, reply and arrival closures, and the [Ok] the
+   continuation receives. Pinned at its measured figure, like the
+   engine's zero. *)
+let round_trip_words = 32.0
+
+let rpc_round_trip_allocation () =
+  let engine, net = make () in
+  echo_server net "server";
+  Dsim.Network.join net "client";
+  let client = peer net "client" and server = peer net "server" in
+  let replies = ref 0 in
+  let k = function Ok _ -> incr replies | Error _ -> () in
+  let words =
+    Test_engine.words_per_op (fun () ->
+        Echo.call ~src:client ~dst:server (Ping 1) k;
+        Dsim.Engine.run engine)
+  in
+  Alcotest.(check int) "every call answered" 10_001 !replies;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per round trip <= %.0f" words round_trip_words)
+    true
+    (words <= round_trip_words)
 
 let suites =
   [
@@ -299,5 +365,9 @@ let suites =
         Alcotest.test_case "peer sees crash and restart" `Quick peer_sees_crash_and_restart;
         Alcotest.test_case "join keeps the node record" `Quick join_keeps_the_node;
         Alcotest.test_case "caller that never joined times out" `Quick caller_that_never_joined;
+        Alcotest.test_case "unreachable until the peer joins" `Quick unreachable_until_joined;
+        Alcotest.test_case "partitioned allocates nothing" `Quick partitioned_allocates_nothing;
+        Alcotest.test_case "rpc round trip within its word budget" `Quick
+          rpc_round_trip_allocation;
       ] );
   ]

@@ -278,7 +278,8 @@ let per_replica_watch_follows_applies () =
   run_for engine 1_000_000;
   let call request =
     let result = ref None in
-    Kube.Messages.Store.call net ~src:"client" ~dst:"etcd" request (fun r -> result := Some r);
+    Kube.Messages.Store.call ~src:(Dsim.Network.peer net "client")
+      ~dst:(Dsim.Network.peer net "etcd") request (fun r -> result := Some r);
     match await engine result with
     | Ok (Ok reply) -> reply
     | Ok (Error `Unavailable) | Error _ -> Alcotest.fail "etcd request failed"

@@ -222,12 +222,14 @@ let zk_row op label ?(lag = 10_000) ?compaction_window ~prepare invoke =
   run_until engine 50_000;
   let before = calls engine in
   let got = ref "-" in
-  invoke zk (fun outcome -> got := Printf.sprintf "%s @%d" outcome (Dsim.Engine.now engine));
+  invoke (Dsim.Network.peer net "client") zk (fun outcome ->
+      got := Printf.sprintf "%s @%d" outcome (Dsim.Engine.now engine));
   run_until engine 5_000_000;
   Printf.sprintf "zk.%s | %s | %s | calls=%d resyncs=%d" op label !got (calls engine - before)
     (Hbaselike.Zk.follower_resyncs zk)
 
-let write_a _ zk = Hbaselike.Zk.write zk ~src:"client" ~key:"a" "1" (fun _ -> ())
+let write_a net zk =
+  Hbaselike.Zk.write zk ~src:(Dsim.Network.peer net "client") ~key:"a" "1" (fun _ -> ())
 let crash name net _ = Dsim.Network.crash net name
 
 let read_value = function
@@ -235,17 +237,17 @@ let read_value = function
   | Error `Unavailable -> unavailable
 
 let zk_rows () =
-  let read ?sync key zk k =
-    Hbaselike.Zk.read zk ~src:"client" ?sync key (fun r -> k (read_value r))
+  let read ?sync key src zk k =
+    Hbaselike.Zk.read zk ~src ?sync key (fun r -> k (read_value r))
   in
-  let cas expected zk k =
-    Hbaselike.Zk.cas zk ~src:"client" ~key:"a" ~expected_mod_rev:expected (Some "2") (fun r ->
+  let cas expected src zk k =
+    Hbaselike.Zk.cas zk ~src ~key:"a" ~expected_mod_rev:expected (Some "2") (fun r ->
         k (result string_of_bool r))
   in
-  let write zk k =
-    Hbaselike.Zk.write zk ~src:"client" ~key:"b" "2" (fun r -> k (result (fun () -> "()") r))
+  let write src zk k =
+    Hbaselike.Zk.write zk ~src ~key:"b" "2" (fun r -> k (result (fun () -> "()") r))
   in
-  let arm zk k = Hbaselike.Zk.arm_watch zk ~src:"client" "a" (fun r -> k (read_value r)) in
+  let arm src zk k = Hbaselike.Zk.arm_watch zk ~src "a" (fun r -> k (read_value r)) in
   let leader = Hbaselike.Zk.leader_name and follower = Hbaselike.Zk.follower_name in
   let write_a_then f net zk =
     write_a net zk;
@@ -256,9 +258,9 @@ let zk_rows () =
     zk_row "read" "timeout" ~prepare:(write_a_then (crash follower)) (read "a");
     zk_row "read sync" "Zk_events" ~lag:500_000 ~prepare:write_a (read ~sync:true "a");
     zk_row "read sync" "Zk_compacted" ~lag:100_000_000 ~compaction_window:2
-      ~prepare:(fun _ zk ->
+      ~prepare:(fun net zk ->
         for i = 1 to 6 do
-          Hbaselike.Zk.write zk ~src:"client" ~key:(Printf.sprintf "k%d" i)
+          Hbaselike.Zk.write zk ~src:(Dsim.Network.peer net "client") ~key:(Printf.sprintf "k%d" i)
             (Printf.sprintf "v%d" i)
             (fun _ -> ())
         done)

@@ -8,9 +8,14 @@ let setup () =
   Dsim.Network.join net "client";
   (engine, net, intercept, etcd)
 
+(* One request from the test's client node to [dst]. *)
+let send net dst req k =
+  Kube.Messages.Store.call ~src:(Dsim.Network.peer net "client") ~dst:(Dsim.Network.peer net dst)
+    req k
+
 let call engine net req =
   let result = ref None in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"etcd" req (fun r -> result := Some r);
+  send net "etcd" req (fun r -> result := Some r);
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 2_000_000) engine;
   !result
 
@@ -72,7 +77,7 @@ let etcd_watch_window_compaction () =
     ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) (Printf.sprintf "k%d" i) (Kube.Resource.make_node "n"))
   done;
   let result = ref None in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"etcd"
+  send net "etcd"
     (Kube.Messages.Watch
        {
          prefix = None;
@@ -101,7 +106,7 @@ let api_setup () =
 
 let api_call engine net req =
   let result = ref None in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1" req (fun r -> result := Some r);
+  send net "api-1" req (fun r -> result := Some r);
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 2_000_000) engine;
   !result
 
@@ -158,7 +163,7 @@ let apiserver_watch_compacted_window () =
   done;
   Dsim.Engine.run ~until:400_000 engine;
   let result = ref None in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"api-1"
+  send net "api-1"
     (Kube.Messages.Watch
        {
          prefix = Some "pods/";
@@ -225,14 +230,14 @@ let reregister_from_delivery ~via () =
                    this stream's entry is the one being delivered to. *)
                 if not !reregistered then begin
                   reregistered := true;
-                  Kube.Messages.Store.call net ~src:"client" ~dst
+                  send net dst
                     (make_watch ~start_rev:e.History.Event.rev)
                     (fun _ -> ())
                 end
             | Kube.Pipe.Bookmark _ | Kube.Pipe.Seal _ -> ());
       }
   in
-  Kube.Messages.Store.call net ~src:"client" ~dst (make_watch ~start_rev:0) (fun _ -> ());
+  send net dst (make_watch ~start_rev:0) (fun _ -> ());
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   Dsim.Engine.run ~until:(Dsim.Engine.now engine + 500_000) engine;

@@ -22,7 +22,8 @@ let put etcd key = ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) key (Kube.Resourc
 let watch engine net ?prefix ?(stream_id = "client#all") ?(bookmarks = ref []) ~start_rev () =
   let received = ref [] in
   let started = ref None in
-  Kube.Messages.Store.call net ~src:"client" ~dst:"etcd"
+  Kube.Messages.Store.call ~src:(Dsim.Network.peer net "client")
+    ~dst:(Dsim.Network.peer net "etcd")
     (Kube.Messages.Watch
        {
          prefix;

@@ -1,10 +1,10 @@
 (* Structured trace entries: ring-buffer eviction, cause links / chain
    extraction, and the JSONL round-trip. *)
 
-let record t ?cause detail =
-  Dsim.Trace.record t ~time:0 ~actor:"a" ~kind:"k" ?cause detail
+let emit t ?(cause = Dsim.Trace.no_cause) detail =
+  Dsim.Trace.emit t ~time:0 ~actor:"a" ~kind:"k" ~cause detail
 
-let emit t ?cause detail = Dsim.Trace.emit t ~time:0 ~actor:"a" ~kind:"k" ?cause detail
+let record t ?cause detail = ignore (emit t ?cause detail)
 
 let details t = List.map (fun e -> e.Dsim.Trace.detail) (Dsim.Trace.entries t)
 
@@ -90,10 +90,14 @@ let clear_restarts_ids () =
 
 let jsonl_round_trip () =
   let t = Dsim.Trace.create () in
-  let a = Dsim.Trace.emit t ~time:0 ~actor:"etcd" ~kind:"etcd.commit" "rev 1 \"quoted\"" in
+  let a =
+    Dsim.Trace.emit t ~time:0 ~actor:"etcd" ~kind:"etcd.commit" ~cause:Dsim.Trace.no_cause
+      "rev 1 \"quoted\""
+  in
   let b = Dsim.Trace.emit t ~time:120 ~actor:"api-1" ~kind:"pipe.deliver" ~cause:a "ev" in
-  Dsim.Trace.record t ~time:5000 ~actor:"oracle" ~kind:"oracle.violation" ~cause:b
-    "[K8s-0] control\ncharacters";
+  ignore
+    (Dsim.Trace.emit t ~time:5000 ~actor:"oracle" ~kind:"oracle.violation" ~cause:b
+       "[K8s-0] control\ncharacters");
   match Dsim.Trace.of_jsonl (Dsim.Trace.to_jsonl t) with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok t' ->
@@ -111,6 +115,13 @@ let jsonl_rejects_malformed_line () =
   | Error msg ->
       Alcotest.(check bool) "error names the line" true
         (String.length msg >= 6 && String.equal (String.sub msg 0 6) "line 2"));
+  (* Ids start at 1, so a cause of 0 or below names no entry. *)
+  let no_entry = {|{"id":2,"time":0,"actor":"a","kind":"k","detail":"d","cause":0}|} in
+  (match Dsim.Trace.of_jsonl (good ^ "\n" ^ no_entry) with
+  | Ok _ -> Alcotest.fail "accepted cause 0"
+  | Error msg ->
+      Alcotest.(check bool) "cause error names the line" true
+        (String.starts_with ~prefix:"line 2" msg));
   let next = {|{"id":2,"time":0,"actor":"a","kind":"k","detail":"d","cause":1}|} in
   match Dsim.Trace.of_jsonl (good ^ "\n\n" ^ next ^ "\n") with
   | Ok t -> Alcotest.(check int) "blank lines skipped" 2 (Dsim.Trace.length t)
@@ -150,13 +161,94 @@ let find_with_gaps () =
 let find_first_kind () =
   let t = Dsim.Trace.create ~capacity:3 () in
   List.iter
-    (fun (kind, detail) -> Dsim.Trace.record t ~time:0 ~actor:"a" ~kind detail)
+    (fun (kind, detail) ->
+      ignore (Dsim.Trace.emit t ~time:0 ~actor:"a" ~kind ~cause:Dsim.Trace.no_cause detail))
     [ ("x", "evicted"); ("y", "y1"); ("x", "x2"); ("x", "x3") ];
   let detail = Option.map (fun e -> e.Dsim.Trace.detail) in
   Alcotest.(check (option string)) "oldest live x" (Some "x2")
     (detail (Dsim.Trace.find_first t ~kind:"x"));
   Alcotest.(check (option string)) "y" (Some "y1") (detail (Dsim.Trace.find_first t ~kind:"y"));
   Alcotest.(check (option string)) "absent" None (detail (Dsim.Trace.find_first t ~kind:"z"))
+
+(* --- details rendered on read ------------------------------------------
+   A deferred detail is a closure the reads call; it must read exactly as
+   the same text recorded eagerly would. *)
+
+let deferred_not_rendered_at_record () =
+  let t = Dsim.Trace.create () in
+  let renders = ref 0 in
+  let render () =
+    incr renders;
+    "rev 1 @1 create pods/a"
+  in
+  let id =
+    Dsim.Trace.emit_deferred t ~time:0 ~actor:"etcd" ~kind:"etcd.commit"
+      ~cause:Dsim.Trace.no_cause render
+  in
+  Alcotest.(check int) "not rendered at record time" 0 !renders;
+  Alcotest.(check int) "counted" 1 (Dsim.Trace.recorded t);
+  Alcotest.(check (option string)) "rendered by find" (Some "rev 1 @1 create pods/a")
+    (Option.map (fun e -> e.Dsim.Trace.detail) (Dsim.Trace.find t ~id));
+  Alcotest.(check int) "once per read" 1 !renders
+
+(* The same three entries, details deferred in one trace and text in the
+   other. *)
+let twin_traces () =
+  let entries =
+    [
+      ("etcd", "etcd.commit", "rev 1 @1 create pods/a");
+      ("api-1", "pipe.deliver", "etcd->api-1 @1 create pods/a");
+      ("oracle", "oracle.violation", "[K8s-0] \"quoted\"\ncontrol");
+    ]
+  in
+  let build deferred =
+    let t = Dsim.Trace.create () in
+    ignore
+      (List.fold_left
+         (fun cause (actor, kind, detail) ->
+           if deferred then
+             Dsim.Trace.emit_deferred t ~time:(10 * cause) ~actor ~kind ~cause (fun () -> detail)
+           else Dsim.Trace.emit t ~time:(10 * cause) ~actor ~kind ~cause detail)
+         Dsim.Trace.no_cause entries);
+    t
+  in
+  (build true, build false)
+
+let deferred_reads_as_text () =
+  let deferred, text = twin_traces () in
+  let jsonl = Dsim.Trace.to_jsonl text in
+  Alcotest.(check string) "to_jsonl" jsonl (Dsim.Trace.to_jsonl deferred);
+  (match Dsim.Trace.of_jsonl (Dsim.Trace.to_jsonl deferred) with
+  | Ok t -> Alcotest.(check string) "of_jsonl round trip" jsonl (Dsim.Trace.to_jsonl t)
+  | Error msg -> Alcotest.failf "round trip failed: %s" msg);
+  Alcotest.(check string) "pp"
+    (Format.asprintf "%a" Dsim.Trace.pp text)
+    (Format.asprintf "%a" Dsim.Trace.pp deferred);
+  Alcotest.(check bool) "chain" true
+    (Dsim.Trace.chain text ~id:3 = Dsim.Trace.chain deferred ~id:3);
+  Alcotest.(check bool) "find_first" true
+    (Dsim.Trace.find_first text ~kind:"pipe.deliver"
+    = Dsim.Trace.find_first deferred ~kind:"pipe.deliver")
+
+(* Allocated in a helper so no stack slot of the test keeps it alive. *)
+let[@inline never] emit_payload t weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  ignore
+    (Dsim.Trace.emit_deferred t ~time:0 ~actor:"a" ~kind:"k" ~cause:Dsim.Trace.no_cause (fun () ->
+         Bytes.to_string payload))
+
+let eviction_drops_deferred () =
+  let t = Dsim.Trace.create ~capacity:2 () in
+  let weak = Weak.create 1 in
+  emit_payload t weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "live entry keeps its renderer" true (Weak.check weak 0);
+  record t "e2";
+  record t "e3";
+  Gc.full_major ();
+  Alcotest.(check bool) "evicted renderer was collected" false (Weak.check weak 0);
+  Alcotest.(check (list string)) "the rest" [ "e2"; "e3" ] (details t)
 
 let suites =
   [
@@ -177,5 +269,9 @@ let suites =
           jsonl_rejects_non_increasing_id;
         Alcotest.test_case "find with gaps" `Quick find_with_gaps;
         Alcotest.test_case "find_first by kind" `Quick find_first_kind;
+        Alcotest.test_case "deferred detail not rendered at record time" `Quick
+          deferred_not_rendered_at_record;
+        Alcotest.test_case "deferred detail reads as its text" `Quick deferred_reads_as_text;
+        Alcotest.test_case "ring eviction drops a deferred detail" `Quick eviction_drops_deferred;
       ] );
   ]
