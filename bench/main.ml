@@ -60,30 +60,23 @@ let fig1 () =
           String.concat "," (Kube.Kubelet.running k);
         ])
       (Kube.Cluster.kubelets cluster)
-    @ (match Kube.Cluster.scheduler cluster with
-      | Some s ->
-          [
-            [
-              "scheduler";
-              "pods/ nodes/";
-              Kube.Informer.current_endpoint (Kube.Scheduler.pods_informer s);
-              string_of_int (Kube.Informer.rev (Kube.Scheduler.pods_informer s));
-              Printf.sprintf "%d binds" (Kube.Scheduler.binds s);
-            ];
-          ]
-      | None -> [])
-    @ (match Kube.Cluster.volume_controller cluster with
-      | Some v ->
-          [
-            [
-              "volumectl";
-              "pods/ pvcs/";
-              Kube.Informer.current_endpoint (Kube.Volume_controller.pods_informer v);
-              string_of_int (Kube.Informer.rev (Kube.Volume_controller.pods_informer v));
-              Printf.sprintf "%d releases" (Kube.Volume_controller.releases v);
-            ];
-          ]
-      | None -> [])
+    @ (let s = Kube.Cluster.scheduler cluster and v = Kube.Cluster.volume_controller cluster in
+       [
+         [
+           "scheduler";
+           "pods/ nodes/";
+           Kube.Informer.current_endpoint (Kube.Scheduler.pods_informer s);
+           string_of_int (Kube.Informer.rev (Kube.Scheduler.pods_informer s));
+           Printf.sprintf "%d binds" (Kube.Scheduler.binds s);
+         ];
+         [
+           "volumectl";
+           "pods/ pvcs/";
+           Kube.Informer.current_endpoint (Kube.Volume_controller.pods_informer v);
+           string_of_int (Kube.Informer.rev (Kube.Volume_controller.pods_informer v));
+           Printf.sprintf "%d releases" (Kube.Volume_controller.releases v);
+         ];
+       ])
     @
     match Kube.Cluster.operator cluster with
     | Some o ->
@@ -1359,8 +1352,8 @@ let lint_bench () =
 (* STORE: the store-tier hot path, indexed vs the naive reference.    *)
 
 (* Every trial the hunt engine runs is dominated by this tier: watch
-   syncs call [Log.since], re-lists call the prefix scan, the etcd
-   watch window compacts after every commit. Each microbench times the
+   syncs call [Log.since], re-lists call the prefix scan, a ZooKeeper
+   compaction window compacts after every commit. Each microbench times the
    indexed implementation against the pre-PR naive one (full
    list/filter, filter-then-refind), reimplemented here verbatim, and
    [BENCH_store.json] records the trajectory for future PRs to diff. *)

@@ -930,9 +930,8 @@ let lint_cmd =
       value & opt string ".sievelint"
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Baseline of suppressed finding keys (file:pattern:func, one per line, # comments; \
-             the legacy rule:file:func form is still accepted). A missing file is an empty \
-             baseline.")
+            "Baseline of suppressed finding keys (file:pattern:func, one per line, # comments). \
+             A missing file is an empty baseline.")
   in
   let explain_arg =
     Arg.(
@@ -948,7 +947,7 @@ let lint_cmd =
       & info [ "save-baseline" ]
           ~doc:
             "Rewrite the baseline file with the current findings' keys in the file:pattern:func \
-             format (the migration path for legacy baselines), then exit 0.")
+             format, then exit 0.")
   in
   let run paths json baseline explain save_baseline =
     let paths =

@@ -39,13 +39,9 @@ type finding = {
 }
 
 (* Baseline keys are (file, pattern, function): stable across rule
-   renames and message edits. The old "rule:file:func" form is still
-   accepted by {!suppress} so existing baselines keep working until the
-   next [--save-baseline]. *)
+   renames and message edits. *)
 let key f =
   Printf.sprintf "%s:%s:%s" f.file (Sieve.Coverage.pattern_to_string f.pattern) f.func
-
-let legacy_key f = Printf.sprintf "%s:%s:%s" f.rule f.file f.func
 
 let explain f = Taint.render ~file:f.file f.path
 
@@ -368,16 +364,13 @@ let load_baseline path =
   end
 
 let suppress ~baseline findings =
-  List.partition
-    (fun f -> not (List.mem (key f) baseline || List.mem (legacy_key f) baseline))
-    findings
+  List.partition (fun f -> not (List.mem (key f) baseline)) findings
 
 let save_baseline ~path findings =
   let oc = open_out path in
   output_string oc
     "# sieve lint baseline — one key per line, format file:pattern:func.\n\
-     # Regenerate with: sieve lint --save-baseline (accepts the legacy\n\
-     # rule:file:func format on load and rewrites it here).\n";
+     # Regenerate with: sieve lint --save-baseline.\n";
   List.iter
     (fun k -> output_string oc (k ^ "\n"))
     (List.sort_uniq String.compare (List.map key findings));

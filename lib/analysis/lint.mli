@@ -63,16 +63,14 @@ val files : string list -> finding list * string list
 
 val load_baseline : string -> string list
 (** Reads suppressed finding keys, one per line; [#] starts a comment,
-    blank lines are ignored. A missing file is an empty baseline.
-    Accepts both the current and the legacy key format. *)
+    blank lines are ignored. A missing file is an empty baseline. *)
 
 val suppress : baseline:string list -> finding list -> finding list * finding list
-(** Splits findings into (fresh, suppressed) against baseline keys,
-    matching either key format. *)
+(** Splits findings into (fresh, suppressed) against baseline keys in
+    the {!key} format. *)
 
 val save_baseline : path:string -> finding list -> unit
-(** Writes the given findings' keys as a fresh baseline in the current
-    format (the migration path for legacy baselines). *)
+(** Writes the given findings' keys as a fresh baseline. *)
 
 val to_json : finding -> Dsim.Json.t
 

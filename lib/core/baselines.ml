@@ -62,7 +62,7 @@ let cofi ~events ~components ~apiservers =
 let targets = function
   | Substrate.Kube { config; _ } ->
       ( List.map (fun t -> t.Planner.component) (Planner.targets_of_config config),
-        Kube.Cluster.apiserver_addresses config )
+        Kube.Cluster.apiserver_addresses )
   | Substrate.Hbase { config; _ } ->
       ( List.map (fun t -> t.Planner.component) (Planner.targets_hbase config),
         [ Hbaselike.Zk.leader_name; Hbaselike.Zk.follower_name ] )

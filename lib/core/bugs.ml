@@ -284,7 +284,7 @@ let rep_stale () =
       Kube.Cluster.default_config with
       Kube.Cluster.nodes = 2;
       replication =
-        Some { Kube.Etcd.replicas = 3; read = Replicated.Kv.Spread; read_fallback = `Stale };
+        Some { Kube.Etcd.read = Replicated.Kv.Spread; read_fallback = `Stale };
     }
   in
   kube_case ~id:"REP-STALE"
@@ -317,7 +317,7 @@ let rep_churn () =
       Kube.Cluster.default_config with
       Kube.Cluster.nodes = 2;
       replication =
-        Some { Kube.Etcd.replicas = 3; read = Replicated.Kv.Spread; read_fallback = `Reject };
+        Some { Kube.Etcd.read = Replicated.Kv.Spread; read_fallback = `Reject };
     }
   in
   kube_case ~id:"REP-CHURN"
@@ -350,7 +350,7 @@ let rep_minority () =
       Kube.Cluster.with_replicaset = true;
       replication =
         Some
-          { Kube.Etcd.replicas = 3; read = Replicated.Kv.Follower "etcd-3"; read_fallback = `Stale };
+          { Kube.Etcd.read = Replicated.Kv.Follower "etcd-3"; read_fallback = `Stale };
     }
   in
   kube_case ~id:"REP-MINORITY"
@@ -381,7 +381,7 @@ let rep_recover () =
       Kube.Cluster.default_config with
       Kube.Cluster.nodes = 2;
       replication =
-        Some { Kube.Etcd.replicas = 3; read = Replicated.Kv.Spread; read_fallback = `Reject };
+        Some { Kube.Etcd.read = Replicated.Kv.Spread; read_fallback = `Reject };
     }
   in
   kube_case ~id:"REP-RECOVER"

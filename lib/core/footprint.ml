@@ -31,37 +31,28 @@ let of_config (config : Kube.Cluster.config) =
         })
   in
   let scheduler =
-    if config.Cluster.with_scheduler then
-      [
-        {
-          component = "scheduler";
-          cached_reads = [ Resource.pods_prefix; Resource.nodes_prefix ];
-          quorum_reads =
-            (if config.Cluster.scheduler_fixed then [ Resource.nodes_prefix ] else []);
-          writes = [ Resource.pods_prefix ] (* bindings *);
-          destructive = [];
-          (* node_cache lives off on_node_event alone; scheduling_pass
-             re-lists pods/ but never nodes/ (edge-trigger:scheduler.ml) *)
-          edge_triggered = [ Resource.nodes_prefix ];
-          restartable = true;
-        };
-      ]
-    else []
+    {
+      component = "scheduler";
+      cached_reads = [ Resource.pods_prefix; Resource.nodes_prefix ];
+      quorum_reads = (if config.Cluster.scheduler_fixed then [ Resource.nodes_prefix ] else []);
+      writes = [ Resource.pods_prefix ] (* bindings *);
+      destructive = [];
+      (* node_cache lives off on_node_event alone; scheduling_pass
+         re-lists pods/ but never nodes/ (edge-trigger:scheduler.ml) *)
+      edge_triggered = [ Resource.nodes_prefix ];
+      restartable = true;
+    }
   in
   let volume =
-    if config.Cluster.with_volume_controller then
-      [
-        {
-          component = "volumectl";
-          cached_reads = [ Resource.pods_prefix; Resource.pvcs_prefix ];
-          quorum_reads = [];
-          writes = [ Resource.pvcs_prefix ];
-          destructive = [ Resource.pvcs_prefix ] (* release: delete claims *);
-          edge_triggered = [];
-          restartable = true;
-        };
-      ]
-    else []
+    {
+      component = "volumectl";
+      cached_reads = [ Resource.pods_prefix; Resource.pvcs_prefix ];
+      quorum_reads = [];
+      writes = [ Resource.pvcs_prefix ];
+      destructive = [ Resource.pvcs_prefix ] (* release: delete claims *);
+      edge_triggered = [];
+      restartable = true;
+    }
   in
   let operator =
     if config.Cluster.with_operator then
@@ -130,7 +121,7 @@ let of_config (config : Kube.Cluster.config) =
     else []
   in
   let all =
-    kubelets @ scheduler @ volume @ operator @ replicaset @ deployment @ node_controller
+    kubelets @ (scheduler :: volume :: operator) @ replicaset @ deployment @ node_controller
   in
   (* Under a replicated store whose reads are routed to a named follower
      or spread across replicas, the apiserver's quorum forwards are
@@ -177,9 +168,10 @@ let of_hbase_config (config : Hbaselike.Cluster.config) =
     }
   in
   let servers =
-    List.init config.Hbaselike.Cluster.servers (fun i ->
+    List.map
+      (fun component ->
         {
-          component = Hbaselike.Cluster.server_name i;
+          component;
           cached_reads = [ "region/" ];
           quorum_reads = [];
           writes = [];
@@ -188,6 +180,7 @@ let of_hbase_config (config : Hbaselike.Cluster.config) =
             (if config.Hbaselike.Cluster.rearm_then_read then [] else [ "region/" ]);
           restartable = true;
         })
+      Hbaselike.Cluster.server_names
   in
   master :: servers
 

@@ -291,23 +291,21 @@ let check_duplicates t =
       t.duplicate_streak <- streaks
 
 let check_livelock t =
-  match Kube.Cluster.scheduler t.cluster with
-  | None -> ()
-  | Some scheduler ->
-      let failed_binds = Kube.Scheduler.failed_binds scheduler in
-      if t.commits <> t.livelock_at || failed_binds <> t.failed_binds_at then begin
-        t.livelock_at <- t.commits;
-        t.failed_binds_at <- failed_binds;
-        List.iter
-          (fun ((pod, node), failures) ->
-            if
-              failures >= livelock_threshold
-              && not (History.State.mem t.mirror (Kube.Resource.node_key node))
-            then
-              report ~about:(Kube.Resource.node_key node) t.ledger
-                (Scheduler_livelock { pod; node; failures }))
-          (Kube.Scheduler.bind_failures scheduler)
-      end
+  let scheduler = Kube.Cluster.scheduler t.cluster in
+  let failed_binds = Kube.Scheduler.failed_binds scheduler in
+  if t.commits <> t.livelock_at || failed_binds <> t.failed_binds_at then begin
+    t.livelock_at <- t.commits;
+    t.failed_binds_at <- failed_binds;
+    List.iter
+      (fun ((pod, node), failures) ->
+        if
+          failures >= livelock_threshold
+          && not (History.State.mem t.mirror (Kube.Resource.node_key node))
+        then
+          report ~about:(Kube.Resource.node_key node) t.ledger
+            (Scheduler_livelock { pod; node; failures }))
+      (Kube.Scheduler.bind_failures scheduler)
+  end
 
 let managed_claim name =
   not (String.length name >= 5 && String.equal (String.sub name 0 5) "data-")

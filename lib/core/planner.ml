@@ -125,11 +125,11 @@ let plan pattern strategy rationale = (pattern, { strategy; rationale })
    replication caused is attributed to the replication event, not a
    bystander apiserver. *)
 let kube_plans (config : Kube.Cluster.config) ~horizon =
-  let apis = Kube.Cluster.apiserver_addresses config in
+  let apis = Kube.Cluster.apiserver_addresses in
   let replicas =
     match config.Kube.Cluster.replication with
     | None -> []
-    | Some r -> List.init r.Kube.Etcd.replicas (fun i -> Printf.sprintf "etcd-%d" (i + 1))
+    | Some _ -> Kube.Etcd.replica_addresses
   in
   let followers = match replicas with [] | [ _ ] -> [] | _ :: f -> f in
   (* Cut every replication link of one replica; its client link stays up,

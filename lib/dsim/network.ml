@@ -29,12 +29,12 @@ type t = {
   casts : Metrics.Counter.t;
 }
 
-let create ?(min_latency = 500) ?(max_latency = 2000) engine =
+let create engine =
   let metrics = Engine.metrics engine in
   {
     engine;
     rng = Rng.split (Engine.rng engine);
-    latency_model = Uniform { min = min_latency; max = max_latency };
+    latency_model = Uniform { min = 500; max = 2000 };
     nodes = Hashtbl.create 16;
     cuts = [];
     liveness_changes = 0;

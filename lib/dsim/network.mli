@@ -34,10 +34,9 @@ type latency_model =
 
 type t
 
-val create :
-  ?min_latency:int -> ?max_latency:int -> Engine.t -> t
-(** One-way message latency is uniform in [\[min_latency, max_latency\]]
-    microseconds (defaults 500–2000). *)
+val create : Engine.t -> t
+(** One-way message latency is uniform in [\[500, 2000\]] microseconds
+    until {!set_latency_model} replaces the distribution. *)
 
 val engine : t -> Engine.t
 

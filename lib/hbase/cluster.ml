@@ -1,20 +1,14 @@
 (* The HBase-dialect cluster: one ZooKeeper leader/follower pair, one
-   master, N region servers, plus a "user" client driving the workload —
+   master, two region servers, plus a "user" client driving the workload —
    the same construction/start/run shape as [Kube.Cluster], behind the
    shared substrate interface. *)
 
 type config = {
   seed : int64;
-  servers : int;
-  replication_lag : int;
   compaction_window : int option;
   sync_before_cas : bool;  (** HBASE-3137: master syncs the follower before reading *)
-  relookup_on_failure : bool;  (** HBASE-5755 fix on the region servers *)
   rearm_then_read : bool;  (** one-shot-watch fix on the region servers *)
   follower_leader_revs : bool;  (** follower reads report leader mod-revisions *)
-  min_latency : int;
-  max_latency : int;
-  obs_sample_period : int;
 }
 
 let regions = [ "r1"; "r2"; "r3"; "r4" ]
@@ -22,16 +16,10 @@ let regions = [ "r1"; "r2"; "r3"; "r4" ]
 let default_config =
   {
     seed = 7L;
-    servers = 2;
-    replication_lag = 10_000;
     compaction_window = None;
     sync_before_cas = false;
-    relookup_on_failure = false;
     rearm_then_read = false;
     follower_leader_revs = false;
-    min_latency = 500;
-    max_latency = 2_000;
-    obs_sample_period = 100_000;
   }
 
 type op =
@@ -46,7 +34,7 @@ type op =
 
 type workload = op list
 
-let server_name i = Printf.sprintf "rs-%d" (i + 1)
+let server_names = [ "rs-1"; "rs-2" ]
 
 let user = "user"
 
@@ -81,29 +69,23 @@ let metrics t = Dsim.Engine.metrics t.engine
 
 let truth_rev t = Etcdlike.Kv.rev (Zk.leader_kv t.zk)
 
-let server_names config = List.init config.servers server_name
-
-let components config = "master-1" :: server_names config
-
 let create config =
   let engine = Dsim.Engine.create ~seed:config.seed () in
-  let net =
-    Dsim.Network.create ~min_latency:config.min_latency ~max_latency:config.max_latency engine
-  in
+  let net = Dsim.Network.create engine in
   let intercept = History.Intercept.create () in
   let zk =
-    Zk.create ~net ~replication_lag:config.replication_lag
-      ?compaction_window:config.compaction_window
+    Zk.create ~net ?compaction_window:config.compaction_window
       ~follower_leader_revs:config.follower_leader_revs ~intercept ()
   in
   let master =
     Master.create ~net ~name:"master-1" ~zk ~regions ~sync_before_cas:config.sync_before_cas ()
   in
   let region_servers =
-    List.init config.servers (fun i ->
-        Regionserver.create ~net ~name:(server_name i) ~zk
-          ~relookup_on_failure:config.relookup_on_failure
-          ~rearm_then_read:config.rearm_then_read ~watched_regions:regions ())
+    List.map
+      (fun name ->
+        Regionserver.create ~net ~name ~zk ~rearm_then_read:config.rearm_then_read
+          ~watched_regions:regions ())
+      server_names
   in
   Dsim.Network.join net user;
   let client = Dsim.Network.peer net user in
@@ -114,12 +96,12 @@ let start t =
      objects: the registry exists before any component looks for it. *)
   ignore
     (Etcdlike.Kv.put (Zk.leader_kv t.zk) "rs/registry"
-       (String.concat "," (server_names t.config)));
+       (String.concat "," server_names));
   Master.start t.master;
   List.iter Regionserver.start t.region_servers;
   let gauge = Dsim.Metrics.Gauge.resolve (metrics t) "lag.zk-follower" in
   let series = Dsim.Metrics.Series.resolve (metrics t) "lag.zk-follower" in
-  Dsim.Engine.every t.engine ~period:t.config.obs_sample_period (fun () ->
+  Dsim.Engine.every t.engine ~period:100_000 (fun () ->
       let lag = float_of_int (truth_rev t - Zk.follower_caught_up_to t.zk) in
       Dsim.Metrics.Gauge.set gauge lag;
       Dsim.Metrics.Series.sample series ~time:(Dsim.Engine.now t.engine) lag;

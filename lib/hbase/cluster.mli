@@ -1,24 +1,22 @@
 (** The HBase-dialect cluster behind the shared substrate interface:
-    a ZooKeeper leader/follower pair, one master, N region servers, and
+    a ZooKeeper leader/follower pair, one master, two region servers, and
     a "user" client driving the workload — mirroring [Kube.Cluster]'s
     construction/start/run shape so the sieve runner can drive either
     substrate through [Core.Substrate]. *)
 
 type config = {
   seed : int64;
-  servers : int;
-  replication_lag : int;
   compaction_window : int option;
   sync_before_cas : bool;  (** HBASE-3137: master syncs the follower before reading *)
-  relookup_on_failure : bool;  (** HBASE-5755 fix on the region servers *)
   rearm_then_read : bool;  (** one-shot-watch fix on the region servers *)
   follower_leader_revs : bool;  (** follower reads report leader mod-revisions *)
-  min_latency : int;
-  max_latency : int;
-  obs_sample_period : int;
 }
 
 val default_config : config
+(** seed 7, no ZooKeeper compaction, every fix off. The cluster always
+    has two region servers, a 10 ms follower replication lag, region
+    servers without the HBASE-5755 re-lookup, one-way network latency
+    uniform in 500–2000 us and the lag sampled every 100 ms. *)
 
 val regions : string list
 (** The regions the master balances and every region server watches:
@@ -43,17 +41,15 @@ val create : config -> t
 val start : t -> unit
 (** Seeds ["rs/registry"] with every server at the leader (origin
     "boot"), starts the master and the region servers, and begins
-    sampling the follower's replication lag as ["lag.zk-follower"]. *)
+    sampling the follower's replication lag as ["lag.zk-follower"]
+    every 100 ms. *)
 
 val schedule : t -> workload -> unit
 
 val run : until:int -> t -> unit
 
-val server_name : int -> string
-(** [server_name i] is ["rs-<i+1>"]. *)
-
-val components : config -> string list
-(** The fault-injectable processes: the master and the region servers. *)
+val server_names : string list
+(** ["rs-1"] and ["rs-2"]: the region servers {!create} builds. *)
 
 val user : string
 

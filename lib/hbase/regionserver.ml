@@ -6,7 +6,6 @@ type t = {
   relookup_on_failure : bool;
   rearm_then_read : bool;
   watched_regions : string list;
-  heartbeat_period : int;
   serving : (string, unit) Hashtbl.t;
   mutable serving_changes : int;
   mutable master : Dsim.Network.peer option;  (* where ZooKeeper last said the master is *)
@@ -122,7 +121,7 @@ let heartbeat t =
             end)
 
 let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = false)
-    ?(watched_regions = []) ?(heartbeat_period = 150_000) () =
+    ?(watched_regions = []) () =
   {
     net;
     name;
@@ -131,7 +130,6 @@ let create ~net ~name ~zk ?(relookup_on_failure = false) ?(rearm_then_read = fal
     relookup_on_failure;
     rearm_then_read;
     watched_regions;
-    heartbeat_period;
     serving = Hashtbl.create 8;
     serving_changes = 0;
     master = None;
@@ -142,6 +140,6 @@ let start t =
   Zk.listen t.net t.name (handle_notify t);
   register t;
   List.iter (arm t) t.watched_regions;
-  Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->
+  Dsim.Engine.every (engine t) ~period:150_000 (fun () ->
       if is_up t then heartbeat t;
       true)

@@ -25,10 +25,9 @@ val create :
   ?relookup_on_failure:bool ->
   ?rearm_then_read:bool ->
   ?watched_regions:string list ->
-  ?heartbeat_period:int ->
   unit ->
   t
-(** Default heartbeat period: 150 ms. *)
+(** Heartbeats the master every 150 ms. *)
 
 val start : t -> unit
 

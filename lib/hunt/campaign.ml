@@ -85,10 +85,12 @@ let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
           Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()) )
   in
   let coverage = coverage_of_case case ~events in
-  let priority =
-    if hazard_rank then Some (Analysis.Hazard.plan_score hazards coverage) else None
+  let scheduled =
+    Schedule.order
+      ?priority:(if hazard_rank then Some (Analysis.Hazard.plan_score hazards coverage) else None)
+      coverage plans
+    |> List.map (fun i -> (i, plans.(i)))
   in
-  let scheduled = List.map (fun i -> (i, plans.(i))) (Schedule.order ?priority coverage plans) in
   let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
   { case; events; components; apiservers; scheduled }
 

@@ -1,11 +1,6 @@
 type config = {
   seed : int64;
-  apiservers : int;
   nodes : int;
-  min_latency : int;
-  max_latency : int;
-  with_scheduler : bool;
-  with_volume_controller : bool;
   with_operator : bool;
   scheduler_fixed : bool;
   volume_fixed : bool;
@@ -22,21 +17,15 @@ type config = {
   replication : Etcd.replication option;
       (* [None]: single-store backend (the default, byte-compatible with
          every pre-replication scenario). [Some _]: Raft-replicated
-         backend; replica addresses etcd-1..n join the fault surface. *)
+         backend; replica addresses etcd-1..3 join the fault surface. *)
 }
 
-let apiserver_addresses config =
-  List.init config.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1))
+let apiserver_addresses = [ "api-1"; "api-2" ]
 
 let default_config =
   {
     seed = 1L;
-    apiservers = 2;
     nodes = 3;
-    min_latency = 500;
-    max_latency = 2000;
-    with_scheduler = true;
-    with_volume_controller = true;
     with_operator = true;
     scheduler_fixed = false;
     volume_fixed = false;
@@ -61,8 +50,8 @@ type t = {
   etcd : Etcd.t;
   apiservers : Apiserver.t list;
   kubelets : Kubelet.t list;
-  scheduler : Scheduler.t option;
-  volume_controller : Volume_controller.t option;
+  scheduler : Scheduler.t;
+  volume_controller : Volume_controller.t;
   operator : Cassandra_operator.t option;
   replicaset : Replicaset.t option;
   node_controller : Node_controller.t option;
@@ -100,12 +89,12 @@ let kubelet_for_node t node =
    the full set of consumer-side views a conformance monitor must tap. *)
 let informers t =
   List.map Kubelet.informer t.kubelets
-  @ (match t.scheduler with
-    | Some s -> [ Scheduler.pods_informer s; Scheduler.nodes_informer s ]
-    | None -> [])
-  @ (match t.volume_controller with
-    | Some v -> [ Volume_controller.pods_informer v; Volume_controller.pvcs_informer v ]
-    | None -> [])
+  @ [
+      Scheduler.pods_informer t.scheduler;
+      Scheduler.nodes_informer t.scheduler;
+      Volume_controller.pods_informer t.volume_controller;
+      Volume_controller.pvcs_informer t.volume_controller;
+    ]
   @ (match t.operator with
     | Some o ->
         [
@@ -158,10 +147,13 @@ let lag_sampler t =
     Array.of_list
       (List.map (fun a -> probe (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
       @ List.map (fun k -> probe (Kubelet.name k) (fun () -> Kubelet.view_rev k)) t.kubelets
+      @ [
+          probe (Scheduler.name t.scheduler) (fun () -> Scheduler.view_rev t.scheduler);
+          probe (Volume_controller.name t.volume_controller) (fun () ->
+              Volume_controller.view_rev t.volume_controller);
+        ]
       @ List.filter_map Fun.id
           [
-            component Scheduler.name Scheduler.view_rev t.scheduler;
-            component Volume_controller.name Volume_controller.view_rev t.volume_controller;
             component Cassandra_operator.name Cassandra_operator.view_rev t.operator;
             component Replicaset.name Replicaset.view_rev t.replicaset;
             component Node_controller.name Node_controller.view_rev t.node_controller;
@@ -191,69 +183,60 @@ let lag_sampler t =
 
 let create ?(config = default_config) () =
   let engine = Dsim.Engine.create ~seed:config.seed () in
-  let net =
-    Dsim.Network.create ~min_latency:config.min_latency ~max_latency:config.max_latency engine
-  in
+  let net = Dsim.Network.create engine in
   let intercept = History.Intercept.create () in
   let etcd = Etcd.create ~net ~intercept ?replication:config.replication () in
-  let api_names = apiserver_addresses config in
   let apiservers =
     List.map
       (fun name ->
         Apiserver.create ~net ~intercept ~name ~etcd:(Etcd.name etcd)
           ?epoch_seal:config.api_epoch_seal ())
-      api_names
+      apiserver_addresses
   in
   let kubelets =
     List.init config.nodes (fun i ->
         let name = Printf.sprintf "kubelet-%d" (i + 1) in
         let node = Printf.sprintf "node-%d" (i + 1) in
-        Kubelet.create ~net ~name ~node ~endpoints:api_names
+        Kubelet.create ~net ~name ~node ~endpoints:apiserver_addresses
           ~monotonic:config.kubelet_monotonic ())
   in
   let scheduler =
-    if config.with_scheduler then
-      Some
-        (Scheduler.create ~net ~name:"scheduler" ~endpoints:api_names
-           ~evict_on_bind_failure:config.scheduler_fixed ())
-    else None
+    Scheduler.create ~net ~name:"scheduler" ~endpoints:apiserver_addresses
+      ~evict_on_bind_failure:config.scheduler_fixed ()
   in
   let volume_controller =
-    if config.with_volume_controller then
-      Some
-        (Volume_controller.create ~net ~name:"volumectl" ~endpoints:api_names
-           ~release_on_absent_owner:config.volume_fixed ())
-    else None
+    Volume_controller.create ~net ~name:"volumectl" ~endpoints:apiserver_addresses
+      ~release_on_absent_owner:config.volume_fixed ()
   in
   let operator =
     if config.with_operator then
       Some
-        (Cassandra_operator.create ~net ~name:"cassop" ~endpoints:api_names
+        (Cassandra_operator.create ~net ~name:"cassop" ~endpoints:apiserver_addresses
            ~quorum_guard:config.operator_fixed ())
     else None
   in
   let replicaset =
     if config.with_replicaset then
       Some
-        (Replicaset.create ~net ~name:"rsctl" ~endpoints:api_names
+        (Replicaset.create ~net ~name:"rsctl" ~endpoints:apiserver_addresses
            ~expectations:config.replicaset_fixed ())
     else None
   in
   let node_controller =
     if config.with_node_controller then
       Some
-        (Node_controller.create ~net ~name:"nodectl" ~endpoints:api_names
+        (Node_controller.create ~net ~name:"nodectl" ~endpoints:apiserver_addresses
            ~quorum_guard:config.node_controller_fixed ())
     else None
   in
   let deployment =
     if config.with_deployment then
       Some
-        (Deployment.create ~net ~name:"depctl" ~endpoints:api_names
+        (Deployment.create ~net ~name:"depctl" ~endpoints:apiserver_addresses
            ~quorum_fallback:config.deployment_fixed ())
     else None
   in
-  let user = Client.create ~net ~owner:"user" ~endpoints:api_names () in
+  let user = Client.create ~net ~owner:"user" ~endpoints:apiserver_addresses () in
   Dsim.Network.join net "user";
   {
     config;
@@ -282,8 +265,8 @@ let start t =
     t.kubelets;
   List.iter Apiserver.start t.apiservers;
   List.iter Kubelet.start t.kubelets;
-  Option.iter Scheduler.start t.scheduler;
-  Option.iter Volume_controller.start t.volume_controller;
+  Scheduler.start t.scheduler;
+  Volume_controller.start t.volume_controller;
   Option.iter Cassandra_operator.start t.operator;
   Option.iter Replicaset.start t.replicaset;
   Option.iter Node_controller.start t.node_controller;

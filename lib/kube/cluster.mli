@@ -5,12 +5,7 @@
 
 type config = {
   seed : int64;
-  apiservers : int;
   nodes : int;  (** one kubelet per node *)
-  min_latency : int;
-  max_latency : int;
-  with_scheduler : bool;
-  with_volume_controller : bool;
   with_operator : bool;
   scheduler_fixed : bool;  (** evict nodes from cache on bind failure (56261 fix) *)
   volume_fixed : bool;  (** release claims of absent owners ([17] fix) *)
@@ -34,27 +29,28 @@ type config = {
   replication : Etcd.replication option;
       (** [None] (default): the single-store backend, byte-compatible
           with every pre-replication scenario. [Some _]: the store is a
-          Raft group of [replicas] members at addresses [etcd-1..n]
+          Raft group of three members at {!Etcd.replica_addresses}
           (crash/partition strategies target them directly); reads and
           watches are routed per {!Replicated.Kv.read_mode} so follower
           staleness is injectable. *)
 }
 
 val default_config : config
-(** seed 1, 2 apiservers, 3 nodes, latency 500–2000 us, all components
-    enabled, every fix off (the bug-era configuration), lag sampled every
-    100 ms. etcd keeps an unlimited event window; each apiserver's watch
-    cache holds 1000 events. *)
+(** seed 1, 3 nodes, the operator on and the ReplicaSet, node and
+    Deployment controllers off, every fix off (the bug-era
+    configuration), lag sampled every 100 ms. *)
 
-val apiserver_addresses : config -> string list
-(** ["api-1"] to ["api-<apiservers>"]: the addresses {!create} gives the
-    apiservers. *)
+val apiserver_addresses : string list
+(** ["api-1"] and ["api-2"]: the two apiservers {!create} builds. *)
 
 type t
 
 val create : ?config:config -> unit -> t
-(** Builds the engine, network and all components; nothing runs until
-    {!start}. *)
+(** Builds the engine, the network (one-way latency uniform in 500–2000
+    us), etcd, the two apiservers, one kubelet per node, the scheduler,
+    the volume controller and the components [config] turns on; nothing
+    runs until {!start}. etcd keeps every event; each apiserver's watch
+    cache holds 1000 events. *)
 
 val start : t -> unit
 (** Seeds node objects into etcd (on every replica, below consensus,
@@ -79,8 +75,8 @@ val apiserver_names : t -> string list
 val kubelets : t -> Kubelet.t list
 val kubelet_for_node : t -> string -> Kubelet.t option
 val node_names : t -> string list
-val scheduler : t -> Scheduler.t option
-val volume_controller : t -> Volume_controller.t option
+val scheduler : t -> Scheduler.t
+val volume_controller : t -> Volume_controller.t
 val operator : t -> Cassandra_operator.t option
 val replicaset : t -> Replicaset.t option
 val node_controller : t -> Node_controller.t option

@@ -1,5 +1,4 @@
 type replication = {
-  replicas : int;
   read : Replicated.Kv.read_mode;
   read_fallback : Replicated.Kv.fallback;
 }
@@ -13,7 +12,6 @@ type t = {
   net : Dsim.Network.t;
   backend : backend;
   streams : Streams.t;
-  watch_window : int option;
   mutable requests_served : int;
   origins : (int, string) Hashtbl.t;  (* revision -> originating component *)
   commit_ids : (int, int) Hashtbl.t;  (* revision -> trace entry id of the commit *)
@@ -31,17 +29,6 @@ let kv t =
 
 let rev t =
   match t.backend with Single kv -> Etcdlike.Kv.rev kv | Replicated repl -> Replicated.Kv.rev repl
-
-let replication t =
-  match t.backend with
-  | Single _ -> None
-  | Replicated repl ->
-      Some
-        {
-          replicas = Replicated.Kv.n repl;
-          read = Replicated.Kv.read_mode repl;
-          read_fallback = Replicated.Kv.fallback repl;
-        }
 
 let replicated_kv t =
   match t.backend with Single _ -> None | Replicated repl -> Some repl
@@ -191,14 +178,19 @@ let install_commit_listener t =
 (* Bookmarks every 200 ms of virtual time. *)
 let bookmark_period = 200_000
 
-let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
+(* The replicated backend's members: Replicated.Kv names its replicas
+   etcd-1 .. etcd-n. *)
+let replica_addresses = [ "etcd-1"; "etcd-2"; "etcd-3" ]
+
+let create ~net ~intercept ?replication () =
+  let name = "etcd" in
   let backend =
     match replication with
     | None -> Single (Etcdlike.Kv.create ())
-    | Some { replicas; read; read_fallback } ->
+    | Some { read; read_fallback } ->
         Replicated
-          (Replicated.Kv.create ~net ~n:replicas ~prefix:name ~read ~fallback:read_fallback
-             ?watch_window ())
+          (Replicated.Kv.create ~net ~n:(List.length replica_addresses) ~read
+             ~fallback:read_fallback ())
   in
   let t =
     {
@@ -206,7 +198,6 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
       net;
       backend;
       streams = Streams.create ~net ~intercept ~src:name;
-      watch_window;
       requests_served = 0;
       origins = Hashtbl.create 256;
       commit_ids = Hashtbl.create 256;
@@ -217,17 +208,11 @@ let create ~net ~intercept ?(name = "etcd") ?watch_window ?replication () =
   let engine = Dsim.Network.engine net in
   install_commit_listener t;
   (match t.backend with
-  | Single kv ->
-      Etcdlike.Kv.on_commit kv (fun event ->
-          Streams.publish t.streams ~replica:None event;
-          match t.watch_window with
-          | Some window -> Etcdlike.Kv.compact_keep_last kv window
-          | None -> ())
+  | Single kv -> Etcdlike.Kv.on_commit kv (Streams.publish t.streams ~replica:None)
   | Replicated repl ->
       (* Watch pushes ride each replica's *applies*, not the canonical
          stream: a stream pinned to a lagging follower only sees what
-         that follower has applied. (Store compaction happens inside the
-         replicated layer, per replica.) *)
+         that follower has applied. *)
       List.iter
         (fun rid ->
           Replicated.Kv.on_replica_commit repl rid (Streams.publish t.streams ~replica:(Some rid)))

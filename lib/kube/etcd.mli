@@ -2,19 +2,20 @@
     ground-truth [(H, S)] over the network.
 
     Serves ranges, gets and transactions; watch subscribers live in a
-    {!Streams} table, each on a FIFO {!Pipe}; a configurable rolling
-    window of retained events bounds how far back a watch may start,
-    replying {!Messages.Compacted} beyond it. Periodic bookmarks keep
-    healthy streams observably alive so subscribers can distinguish "no
-    events" from "dead stream".
+    {!Streams} table, each on a FIFO {!Pipe}. The store keeps every
+    event, so a watch may start at any past revision; a start that
+    {!Etcdlike.Kv.since} rejects as compacted is answered with
+    {!Messages.Compacted}. Periodic bookmarks keep healthy streams
+    observably alive so subscribers can distinguish "no events" from
+    "dead stream".
 
     Two backends share the address:
 
     - {e single} (default): one {!Etcdlike.Kv} instance — reads are
       linearizable by construction, as in the paper's model of a
       logically centralized store.
-    - {e replicated}: a {!Replicated.Kv} — an [n]-replica Raft group
-      whose members are network nodes named [etcd-1 .. etcd-n] (the
+    - {e replicated}: a {!Replicated.Kv} — a 3-replica Raft group
+      whose members are network nodes named [etcd-1 .. etcd-3] (the
       existing crash/partition strategies target them unchanged).
       Mutations are proposed through the current leader and the reply is
       deferred until the entry commits and applies; reads and watches
@@ -24,7 +25,6 @@
       leader-committed history, never a lagging replica's view. *)
 
 type replication = {
-  replicas : int;
   read : Replicated.Kv.read_mode;
   read_fallback : Replicated.Kv.fallback;
 }
@@ -34,13 +34,14 @@ type t
 val create :
   net:Dsim.Network.t ->
   intercept:Resource.value History.Intercept.t ->
-  ?name:string ->
-  ?watch_window:int ->
   ?replication:replication ->
   unit ->
   t
-(** Defaults: name ["etcd"], unlimited window, bookmarks every 200 ms of
-    virtual time, single backend. *)
+(** The node at address ["etcd"]: bookmarks every 200 ms of virtual
+    time; single backend unless [replication] is given. *)
+
+val replica_addresses : string list
+(** ["etcd-1"] to ["etcd-3"]: the replicated backend's members. *)
 
 val name : t -> string
 
@@ -57,8 +58,6 @@ val seed : t -> string -> Resource.value -> unit
 (** Install a binding before the engine runs: a direct store write, or
     (replicated) the same write on every replica — a shared boot
     snapshot below the consensus layer. *)
-
-val replication : t -> replication option
 
 val replicated_kv : t -> Resource.value Replicated.Kv.t option
 

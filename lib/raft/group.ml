@@ -3,8 +3,7 @@ type t = {
   applied : (string, string list ref) Hashtbl.t;  (* id -> applied commands, newest first *)
 }
 
-let create ~net ~n ?(prefix = "raft") ?heartbeat_period ?election_timeout_min
-    ?election_timeout_max ?favored ?on_apply () =
+let create ~net ~n ?(prefix = "raft") ?favored ?on_apply () =
   let names = List.init n (fun i -> Printf.sprintf "%s-%d" prefix (i + 1)) in
   let applied = Hashtbl.create 8 in
   let nodes =
@@ -17,14 +16,8 @@ let create ~net ~n ?(prefix = "raft") ?heartbeat_period ?election_timeout_min
            no jitter, so it deterministically wins the first election on a
            quiet network — scenario authors get a known initial leader
            without losing determinism for later (faulted) elections. *)
-        let election_timeout_min, election_timeout_max =
-          if favored = Some id then
-            let m = Option.value election_timeout_min ~default:150_000 in
-            (Some m, Some m)
-          else (election_timeout_min, election_timeout_max)
-        in
-        Node.create ~net ~id ~peers ?heartbeat_period ?election_timeout_min
-          ?election_timeout_max
+        Node.create ~net ~id ~peers
+          ?election_timeout_max:(if favored = Some id then Some 150_000 else None)
           ~on_apply:(fun ~index ~command ->
             log := command :: !log;
             match on_apply with Some f -> f ~id ~index ~command | None -> ())

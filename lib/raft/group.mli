@@ -7,20 +7,18 @@ val create :
   net:Dsim.Network.t ->
   n:int ->
   ?prefix:string ->
-  ?heartbeat_period:int ->
-  ?election_timeout_min:int ->
-  ?election_timeout_max:int ->
   ?favored:string ->
   ?on_apply:(id:string -> index:int -> command:string -> unit) ->
   unit ->
   t
 (** [n] replicas named [<prefix>-1 .. <prefix>-n] (default prefix
     ["raft"]), each applying committed commands into a per-replica
-    list. [favored] names the replica that should win the first election:
-    it runs with the minimum election timeout and no jitter, so on a
-    quiet network it deterministically beats its jittered peers to the
-    first candidacy (later, faulted elections are decided by the seed as
-    usual). [on_apply] is the external apply path: it fires once per
+    list, with {!Node}'s timing. [favored] names the replica that
+    should win the first election: it runs with the minimum election
+    timeout (150 ms) and no jitter, so on a quiet network it
+    deterministically beats its jittered peers to the first candidacy
+    (later, faulted elections are decided by the seed as usual).
+    [on_apply] is the external apply path: it fires once per
     replica per committed entry, in log order, after the internal
     per-replica list is updated — {!Replicated.Kv} hangs each replica's
     deterministic state-machine apply off this hook. *)

@@ -34,8 +34,6 @@ type t = {
   net : Dsim.Network.t;
   self : Dsim.Network.peer;
   rng : Dsim.Rng.t;
-  heartbeat_period : int;
-  election_timeout_min : int;
   election_timeout_max : int;
   on_apply : index:int -> command:string -> unit;
   (* Persistent state: survives crashes (stable storage). *)
@@ -75,9 +73,13 @@ let term_at t index = if index = 0 then 0 else t.log.(index - 1).term
 let record t detail =
   Dsim.Engine.record (engine t) ~actor:t.id ~kind:"raft" detail
 
+(* Leaders beat every 50 ms; election timeouts start at 150 ms. *)
+let heartbeat_period = 50_000
+let election_timeout_min = 150_000
+
 let reset_election_deadline t =
-  let spread = max 1 (t.election_timeout_max - t.election_timeout_min + 1) in
-  t.election_deadline <- now t + t.election_timeout_min + Dsim.Rng.int t.rng spread
+  let spread = max 1 (t.election_timeout_max - election_timeout_min + 1) in
+  t.election_deadline <- now t + election_timeout_min + Dsim.Rng.int t.rng spread
 
 let become_follower t new_term =
   if new_term > t.current_term then begin
@@ -147,7 +149,7 @@ let send_append t dst =
   in
   let sent_up_to = last_log_index t in
   let request_term = t.current_term in
-  Rpc.call ~src:t.self ~dst ~timeout:(t.heartbeat_period * 2) request
+  Rpc.call ~src:t.self ~dst ~timeout:(heartbeat_period * 2) request
     (function
     | Ok (Appended reply) when t.role = Leader && t.current_term = request_term ->
         if reply.term > t.current_term then become_follower t reply.term
@@ -203,7 +205,7 @@ let start_election t =
   List.iter
     (fun dst ->
       let peer = Dsim.Network.address dst in
-      Rpc.call ~src:t.self ~dst ~timeout:t.election_timeout_min request
+      Rpc.call ~src:t.self ~dst ~timeout:election_timeout_min request
         (function
         | Ok (Vote vote) when t.role = Candidate && t.current_term = election_term ->
             if vote.term > t.current_term then become_follower t vote.term
@@ -289,8 +291,8 @@ let propose t command =
     true
   end
 
-let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min = 150_000)
-    ?(election_timeout_max = 300_000) ?(on_apply = fun ~index:_ ~command:_ -> ()) () =
+let create ~net ~id ~peers ?(election_timeout_max = 300_000)
+    ?(on_apply = fun ~index:_ ~command:_ -> ()) () =
   let engine = Dsim.Network.engine net in
   {
     id;
@@ -298,8 +300,6 @@ let create ~net ~id ~peers ?(heartbeat_period = 50_000) ?(election_timeout_min =
     net;
     self = Dsim.Network.peer net id;
     rng = Dsim.Rng.split (Dsim.Engine.rng engine);
-    heartbeat_period;
-    election_timeout_min;
     election_timeout_max;
     on_apply;
     current_term = 0;
@@ -326,7 +326,7 @@ let start t =
     ~on_restart:(fun () -> reset_election_deadline t);
   reset_election_deadline t;
   (* One driving timer: leaders beat, others watch for election timeout. *)
-  Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->
+  Dsim.Engine.every (engine t) ~period:heartbeat_period (fun () ->
       if Dsim.Network.peer_is_up t.self then begin
         match t.role with
         | Leader -> broadcast_appends t

@@ -36,15 +36,15 @@ val create :
   net:Dsim.Network.t ->
   id:string ->
   peers:string list ->
-  ?heartbeat_period:int ->
-  ?election_timeout_min:int ->
   ?election_timeout_max:int ->
   ?on_apply:(index:int -> command:string -> unit) ->
   unit ->
   t
-(** [peers] excludes [id]. Defaults: heartbeats every 50 ms, election
-    timeouts uniform in [150, 300] ms. [on_apply] fires exactly once per
-    committed entry, in log order. *)
+(** [peers] excludes [id]. Heartbeats every 50 ms; election timeouts
+    are uniform between 150 ms and [election_timeout_max] us (default
+    300 ms), so [~election_timeout_max:150_000] is the jitter-free
+    timeout {!Group} gives its favored replica. [on_apply] fires exactly
+    once per committed entry, in log order. *)
 
 val start : t -> unit
 (** Registers RPC handlers and timers; installs crash/restart hooks

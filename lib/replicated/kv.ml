@@ -26,7 +26,6 @@ type 'v t = {
   replicas : 'v replica array;
   read_mode : read_mode;
   fallback : fallback;
-  watch_window : int option;
   (* The canonical committed history (H, S): the frontier of first
      applies. Every replica applies the same dense revision sequence;
      whichever replica reaches a revision first carries it into the
@@ -49,12 +48,6 @@ type 'v t = {
 let engine t = Dsim.Network.engine t.net
 
 let group t = t.group
-
-let n t = Array.length t.replicas
-
-let read_mode t = t.read_mode
-
-let fallback t = t.fallback
 
 let replica_ids t = Array.to_list (Array.map (fun r -> r.r_id) t.replicas)
 
@@ -114,9 +107,6 @@ let apply t ~ix ~command =
   if not (Hashtbl.mem replica.applied_pids pid) then begin
     Hashtbl.replace replica.applied_pids pid ();
     let outcome = Etcdlike.Txn.eval replica.store txn in
-    (match t.watch_window with
-    | Some window -> Etcdlike.Kv.compact_keep_last replica.store window
-    | None -> ());
     note_applied t ~ix outcome.Etcdlike.Txn.events;
     match Hashtbl.find_opt t.pending pid with
     | Some p ->
@@ -234,9 +224,8 @@ let retry_period = 100_000
 let retry_grace = 300_000
 let deadline = 2_000_000
 
-let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?watch_window
-    ?heartbeat_period ?election_timeout_min ?election_timeout_max () =
-  let names = List.init n (fun i -> Printf.sprintf "%s-%d" prefix (i + 1)) in
+let create ~net ~n ?(read = Leader) ?(fallback = `Stale) () =
+  let names = List.init n (fun i -> Printf.sprintf "etcd-%d" (i + 1)) in
   let replicas =
     Array.of_list
       (List.map
@@ -252,10 +241,9 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
   let by_id = Hashtbl.create 8 in
   List.iteri (fun ix id -> Hashtbl.replace by_id id ix) names;
   let t_ref = ref None in
-  let favored = if n > 1 then Some (List.hd names) else None in
   let group =
-    Raftlite.Group.create ~net ~n ~prefix ?heartbeat_period ?election_timeout_min
-      ?election_timeout_max ?favored
+    Raftlite.Group.create ~net ~n ~prefix:"etcd"
+      ?favored:(if n > 1 then Some (List.hd names) else None)
       ~on_apply:(fun ~id ~index:_ ~command ->
         match !t_ref with
         | Some t -> apply t ~ix:(Hashtbl.find by_id id) ~command
@@ -270,7 +258,6 @@ let create ~net ~n ?(prefix = "etcd") ?(read = Leader) ?(fallback = `Stale) ?wat
       replicas;
       read_mode = read;
       fallback;
-      watch_window;
       canonical_rev = 0;
       canonical_ix = 0;
       canonical_listeners = [||];

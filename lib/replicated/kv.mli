@@ -22,8 +22,8 @@
 
     Not modeled, by design: leases live above this layer (granted and
     expired at the gateway, with expiry deletes proposed like any other
-    mutation), there are no raft-log snapshots (the [watch_window]
-    compaction applies to the MVCC stores, not the command log), and no
+    mutation), no compaction (neither of the raft log nor of the
+    replicas' MVCC stores, which keep every event), and no
     read-index/lease-read protocol — follower reads are stale reads,
     which is the point. *)
 
@@ -42,20 +42,15 @@ type 'v t
 val create :
   net:Dsim.Network.t ->
   n:int ->
-  ?prefix:string ->
   ?read:read_mode ->
   ?fallback:fallback ->
-  ?watch_window:int ->
-  ?heartbeat_period:int ->
-  ?election_timeout_min:int ->
-  ?election_timeout_max:int ->
   unit ->
   'v t
-(** [n] replicas named [<prefix>-1 .. <prefix>-n] (default prefix
-    ["etcd"], so the addresses line up with the fault surface existing
-    strategies target). For [n > 1], [<prefix>-1] is the deterministic
-    first leader. Proposals are retried after 300 ms and fail with
-    [`Unavailable] after 2 s. *)
+(** [n] replicas named [etcd-1 .. etcd-n], so the addresses line up with
+    the fault surface existing strategies target, running
+    {!Raftlite.Group}'s timing. For [n > 1], [etcd-1] is the
+    deterministic first leader. Proposals are retried after 300 ms and
+    fail with [`Unavailable] after 2 s. *)
 
 val start : 'v t -> unit
 (** Starts the Raft group and the proposal retry/expiry timer. *)
@@ -108,12 +103,6 @@ val leader : 'v t -> string option
 val group : 'v t -> Raftlite.Group.t
 
 (** {2 Replica-scoped reads} *)
-
-val n : 'v t -> int
-
-val read_mode : 'v t -> read_mode
-
-val fallback : 'v t -> fallback
 
 val replica_ids : 'v t -> string list
 

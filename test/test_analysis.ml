@@ -171,9 +171,9 @@ let test_replicated_clean () =
     (Filename.concat ".." (Filename.concat "lib" "replicated"))
     []
 
-(* Legacy rule:file:func baselines keep suppressing until rewritten; a
-   save_baseline round-trip produces new-format keys that suppress the
-   same findings. *)
+(* Baselines have one key format: a legacy rule:file:func key
+   suppresses nothing, and a save_baseline round-trip produces
+   file:pattern:func keys that suppress the findings. *)
 let test_baseline_migration () =
   let dir = Filename.concat ".." (Filename.concat "lib" "kube") in
   let findings, _ = lint_dir dir in
@@ -185,9 +185,9 @@ let test_baseline_migration () =
     ]
   in
   let fresh, suppressed = Analysis.Lint.suppress ~baseline:legacy findings in
-  Alcotest.(check int) "legacy keys suppress" 3 (List.length suppressed);
-  Alcotest.(check (list string)) "nothing fresh under legacy baseline" []
-    (List.map Analysis.Lint.key fresh);
+  Alcotest.(check int) "legacy keys suppress nothing" 0 (List.length suppressed);
+  Alcotest.(check int) "every finding fresh under legacy baseline" (List.length findings)
+    (List.length fresh);
   let tmp = Filename.temp_file "sievelint" ".baseline" in
   Analysis.Lint.save_baseline ~path:tmp findings;
   let rewritten = Analysis.Lint.load_baseline tmp in
@@ -278,7 +278,7 @@ let test_footprint_replication () =
     {
       (fixed_flags Kube.Cluster.default_config) with
       Kube.Cluster.replication =
-        Some { Kube.Etcd.replicas = 3; read; read_fallback = `Stale };
+        Some { Kube.Etcd.read; read_fallback = `Stale };
     }
   in
   let follower = Sieve.Footprint.of_config (replicated (Replicated.Kv.Follower "etcd-3")) in

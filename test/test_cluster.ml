@@ -6,9 +6,9 @@ let default_boot () =
   cluster
 
 let topology_matches_config () =
-  let config = { Kube.Cluster.default_config with Kube.Cluster.apiservers = 3; nodes = 4 } in
+  let config = { Kube.Cluster.default_config with Kube.Cluster.nodes = 4 } in
   let cluster = Kube.Cluster.create ~config () in
-  Alcotest.(check (list string)) "apiservers" [ "api-1"; "api-2"; "api-3" ]
+  Alcotest.(check (list string)) "apiservers" [ "api-1"; "api-2" ]
     (Kube.Cluster.apiserver_names cluster);
   Alcotest.(check (list string)) "nodes" [ "node-1"; "node-2"; "node-3"; "node-4" ]
     (Kube.Cluster.node_names cluster);
@@ -22,18 +22,12 @@ let start_seeds_nodes () =
        (History.State.keys_with_prefix (Kube.Cluster.truth cluster) ~prefix:"nodes/"))
 
 let disabled_components_absent () =
-  let config =
-    {
-      Kube.Cluster.default_config with
-      Kube.Cluster.with_scheduler = false;
-      with_volume_controller = false;
-      with_operator = false;
-    }
-  in
+  let config = { Kube.Cluster.default_config with Kube.Cluster.with_operator = false } in
   let cluster = Kube.Cluster.create ~config () in
-  Alcotest.(check bool) "no scheduler" true (Kube.Cluster.scheduler cluster = None);
-  Alcotest.(check bool) "no volumectl" true (Kube.Cluster.volume_controller cluster = None);
-  Alcotest.(check bool) "no operator" true (Kube.Cluster.operator cluster = None)
+  Alcotest.(check bool) "no operator" true (Kube.Cluster.operator cluster = None);
+  Kube.Cluster.start cluster;
+  (* 3 kubelets, then the scheduler's and the volume controller's 2 each. *)
+  Alcotest.(check int) "no operator informers" 7 (List.length (Kube.Cluster.informers cluster))
 
 let apiservers_converge_to_truth () =
   let cluster = default_boot () in

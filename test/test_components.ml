@@ -84,7 +84,7 @@ let fixed_scheduler_evicts_deleted_node () =
       else History.Intercept.Pass);
   Kube.Workload.schedule cluster (Kube.Workload.node_churn ~start:1_500_000 ~node:"node-2" ~pods_after:6 ());
   run_to cluster 8_000_000;
-  let scheduler = Option.get (Kube.Cluster.scheduler cluster) in
+  let scheduler = Kube.Cluster.scheduler cluster in
   Alcotest.(check bool) "node evicted from cache" false
     (List.mem "node-2" (Kube.Scheduler.cached_nodes scheduler));
   (* All pods eventually land on surviving nodes. *)
@@ -104,7 +104,7 @@ let volume_controller_releases_on_mark () =
   run_to cluster 6_000_000;
   Alcotest.(check bool) "claim released" false
     (History.State.mem (Kube.Cluster.truth cluster) (Kube.Resource.pvc_key "vol-0"));
-  let v = Option.get (Kube.Cluster.volume_controller cluster) in
+  let v = Kube.Cluster.volume_controller cluster in
   Alcotest.(check int) "one release" 1 (Kube.Volume_controller.releases v)
 
 let operator_scales_up_and_down () =

@@ -203,7 +203,8 @@ let partition_is_symmetric () =
 
 let latency_models_sample_in_range () =
   let engine = Dsim.Engine.create () in
-  let net = Dsim.Network.create ~min_latency:100 ~max_latency:200 engine in
+  let net = Dsim.Network.create engine in
+  Dsim.Network.set_latency_model net (Dsim.Network.Uniform { min = 100; max = 200 });
   for _ = 1 to 100 do
     let l = Dsim.Network.sample_latency net in
     Alcotest.(check bool) "uniform in range" true (l >= 100 && l <= 200)

@@ -135,18 +135,15 @@ module Full_kube = struct
       (Hashtbl.copy t.duplicate_streak)
 
   let check_livelock t =
-    match Kube.Cluster.scheduler t.cluster with
-    | None -> ()
-    | Some scheduler ->
-        List.iter
-          (fun ((pod, node), failures) ->
-            if
-              failures >= livelock_threshold
-              && not (History.State.mem t.mirror (Kube.Resource.node_key node))
-            then
-              Sieve.Oracle.report ~about:(Kube.Resource.node_key node) t.ledger
-                (Sieve.Oracle.Scheduler_livelock { pod; node; failures }))
-          (Kube.Scheduler.bind_failures scheduler)
+    List.iter
+      (fun ((pod, node), failures) ->
+        if
+          failures >= livelock_threshold
+          && not (History.State.mem t.mirror (Kube.Resource.node_key node))
+        then
+          Sieve.Oracle.report ~about:(Kube.Resource.node_key node) t.ledger
+            (Sieve.Oracle.Scheduler_livelock { pod; node; failures }))
+      (Kube.Scheduler.bind_failures (Kube.Cluster.scheduler t.cluster))
 
   let managed_claim name =
     not (String.length name >= 5 && String.equal (String.sub name 0 5) "data-")
@@ -443,8 +440,7 @@ let random_trials ~n (case : Sieve.Bugs.case) =
              (List.map
                 (fun t -> t.Sieve.Planner.component)
                 (Sieve.Planner.targets_of_config config))
-           ~apiservers:
-             (List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)))
+           ~apiservers:Kube.Cluster.apiserver_addresses
            ~horizon:case.Sieve.Bugs.horizon ~n)
   | Sieve.Substrate.Hbase _ -> []
 

@@ -8,14 +8,12 @@ let targets_cover_components () =
     [ "kubelet-1"; "kubelet-2"; "kubelet-3"; "scheduler"; "volumectl"; "cassop" ]
 
 let targets_respect_disabled () =
-  let config =
-    { Kube.Cluster.default_config with Kube.Cluster.with_operator = false; with_scheduler = false }
-  in
+  let config = { Kube.Cluster.default_config with Kube.Cluster.with_operator = false } in
   let names =
     List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_of_config config)
   in
   Alcotest.(check bool) "no operator" false (List.mem "cassop" names);
-  Alcotest.(check bool) "no scheduler" false (List.mem "scheduler" names)
+  Alcotest.(check bool) "scheduler kept" true (List.mem "scheduler" names)
 
 let consumed_by_filters () =
   let scheduler =

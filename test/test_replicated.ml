@@ -227,7 +227,7 @@ let replicated_config =
     Kube.Cluster.default_config with
     Kube.Cluster.nodes = 2;
     replication =
-      Some { Kube.Etcd.replicas = 3; read = RKv.Leader; read_fallback = `Stale };
+      Some { Kube.Etcd.read = RKv.Leader; read_fallback = `Stale };
   }
 
 let kube_stack_over_replicated_store () =
@@ -271,7 +271,7 @@ let per_replica_watch_follows_applies () =
   let etcd =
     Kube.Etcd.create ~net ~intercept:(History.Intercept.create ())
       ~replication:
-        { Kube.Etcd.replicas = 3; read = RKv.Follower "etcd-3"; read_fallback = `Reject }
+        { Kube.Etcd.read = RKv.Follower "etcd-3"; read_fallback = `Reject }
       ()
   in
   Dsim.Network.join net "client";

@@ -19,7 +19,7 @@ let seal_detects_and_heals_dropped_event () =
   let case = Sieve.Bugs.k8s_56261 () in
   let outcome = run case (sealed (Sieve.Bugs.kube_config case)) in
   Alcotest.(check bool) "bug closed" false (hit case outcome);
-  let scheduler = Option.get (Kube.Cluster.scheduler (Sieve.Runner.kube_cluster outcome)) in
+  let scheduler = Kube.Cluster.scheduler (Sieve.Runner.kube_cluster outcome) in
   Alcotest.(check bool) "a gap was detected" true
     (Kube.Informer.gaps_detected (Kube.Scheduler.nodes_informer scheduler) >= 1)
 

@@ -61,37 +61,6 @@ let etcd_watch_streams_via_pipe () =
   Alcotest.(check (list int)) "pod event only" [ 1 ] (List.rev !received);
   Alcotest.(check (list string)) "subscribed" [ "client#pods" ] (Kube.Etcd.subscribers etcd)
 
-let etcd_watch_window_compaction () =
-  let engine, net, _, etcd = setup () in
-  let etcd_kv = Kube.Etcd.kv etcd in
-  ignore etcd_kv;
-  ignore engine;
-  ignore net;
-  (* Recreate with a tiny window on a fresh engine for isolation. *)
-  let engine = Dsim.Engine.create () in
-  let net = Dsim.Network.create engine in
-  let intercept = History.Intercept.create () in
-  let etcd = Kube.Etcd.create ~net ~intercept ~watch_window:2 () in
-  Dsim.Network.join net "client";
-  for i = 1 to 6 do
-    ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) (Printf.sprintf "k%d" i) (Kube.Resource.make_node "n"))
-  done;
-  let result = ref None in
-  send net "etcd"
-    (Kube.Messages.Watch
-       {
-         prefix = None;
-         start_rev = 1;
-         subscriber = "client";
-         stream_id = "client#all";
-         deliver = (fun _ -> ());
-       })
-    (fun r -> result := Some r);
-  Dsim.Engine.run ~until:2_000_000 engine;
-  match !result with
-  | Some (Ok (Ok (Kube.Messages.Compacted 4))) -> ()
-  | _ -> Alcotest.fail "expected compacted at 4"
-
 (* Apiserver serving from its cache. *)
 let api_setup () =
   let engine = Dsim.Engine.create () in
@@ -253,7 +222,7 @@ let reregister_from_delivery ~via () =
 
 (* Lease-driven deletes carry their cause as the revision's origin, on
    both backends, and only for a delete that commits. *)
-let replicated = { Kube.Etcd.replicas = 3; read = Replicated.Kv.Leader; read_fallback = `Stale }
+let replicated = { Kube.Etcd.read = Replicated.Kv.Leader; read_fallback = `Stale }
 
 let lease_setup ?replication () =
   let engine = Dsim.Engine.create () in
@@ -320,7 +289,6 @@ let suites =
       [
         Alcotest.test_case "etcd range and txn over rpc" `Quick etcd_range_and_txn;
         Alcotest.test_case "etcd watch streams via pipe" `Quick etcd_watch_streams_via_pipe;
-        Alcotest.test_case "etcd watch window compaction" `Quick etcd_watch_window_compaction;
         Alcotest.test_case "apiserver becomes ready and caches" `Quick
           apiserver_becomes_ready_and_caches;
         Alcotest.test_case "apiserver stale when partitioned" `Quick

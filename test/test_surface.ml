@@ -3,18 +3,37 @@
    Declarations come from parsing every lib/**/*.mli (nested signatures
    included); references come from lexing every .ml/.mli under lib, bin,
    bench, examples, huntbench and test, so text in comments and strings
-   never counts. Three rules:
+   never counts. Four rules:
    1. every val is named outside its own module by lib, bin, bench,
       examples or huntbench, or has a line in fixtures/surface.allow;
-   2. every optional parameter is passed (as ~l:, ?l:, ~l or ?l) by an
-      .ml file outside its module, tests included;
-   3. every allowlist line names a val that rule 1 would otherwise fail.
-   Matching is by name alone: a common name can hide a dead export, but
-   a live one never fails. *)
+   2. every optional parameter is passed (as ~l:, ?l: or ~l) by an .ml
+      file outside its module, tests included. A punned ?l forwards the
+      caller's own option and sets nothing, so it does not count: a
+      caller that computes the value it forwards writes ?l:expr;
+   3. every allowlist line names a val or field that rule 1 or rule 4
+      would otherwise fail;
+   4. every field of the configuration records below is set by a
+      production file outside its module, in a record literal or a
+      [{ r with f = ... }] update, or has a line in
+      fixtures/surface.allow. Record expressions are found by parsing,
+      so patterns, types and line breaks do not matter; one counts for
+      Kube.Cluster.config when it writes one of its fields qualified as
+      [Kube.Cluster.f], as code outside the library must, and then every
+      field it names counts as set.
+   Vals and labels match by name alone: a common name can hide a dead
+   export, but a live one never fails. *)
 
 let root = ".."
 let production_dirs = [ "lib"; "bin"; "bench"; "examples"; "huntbench" ]
 let allow_file = Filename.concat "fixtures" "surface.allow"
+
+(* Rule 4's records: the settings a workload chooses. *)
+let config_records =
+  [
+    ("lib/kube/cluster.mli", "config");
+    ("lib/hbase/cluster.mli", "config");
+    ("lib/kube/etcd.mli", "replication");
+  ]
 
 (* .ml/.mli files under [dir], relative to [root]. Dune's hidden
    directories and the lint fixtures (analyzer inputs, not callers) are
@@ -42,8 +61,8 @@ let top_dir rel = List.hd (String.split_on_char '/' rel)
 
 type decl = {
   file : string;  (** the .mli *)
-  path : string;  (** Library.Module[.Sub].name *)
-  name : string;
+  path : string;  (** Library.Module[.Sub].name, or Library.Module.type.field *)
+  name : string;  (** as callers write it: the val's name, or Library.Module.field *)
   optional : string list;  (** optional labels of its type *)
 }
 
@@ -82,23 +101,63 @@ let rec signature_decls file prefix (sg : Parsetree.signature) =
       | _ -> [])
     sg
 
+(* "Library.Module" of a lib/**/*.mli, and its parsed signature. *)
+let interface rel =
+  let lib = library_name (Filename.dirname rel) in
+  let m = String.capitalize_ascii (Filename.basename (module_key rel)) in
+  let lexbuf = Lexing.from_string (read rel) in
+  Location.init lexbuf rel;
+  ((if m = lib then lib else lib ^ "." ^ m), Parse.interface lexbuf)
+
 let declarations () =
   List.filter (fun rel -> Filename.check_suffix rel ".mli") (sources "lib")
   |> List.concat_map (fun rel ->
-         let lib = library_name (Filename.dirname rel) in
-         let m = String.capitalize_ascii (Filename.basename (module_key rel)) in
-         let prefix = if m = lib then lib else lib ^ "." ^ m in
-         let lexbuf = Lexing.from_string (read rel) in
-         Location.init lexbuf rel;
-         signature_decls rel prefix (Parse.interface lexbuf))
+         let prefix, sg = interface rel in
+         signature_decls rel prefix sg)
+
+(* The fields of [config_records], as decls with no optional labels. *)
+let config_fields () =
+  List.concat_map
+    (fun (rel, ty) ->
+      let prefix, sg = interface rel in
+      List.concat_map
+        (fun (item : Parsetree.signature_item) ->
+          match item.psig_desc with
+          | Psig_type (_, decls) ->
+              List.concat_map
+                (fun (td : Parsetree.type_declaration) ->
+                  match td.ptype_kind with
+                  | Ptype_record labels when td.ptype_name.txt = ty ->
+                      List.map
+                        (fun (l : Parsetree.label_declaration) ->
+                          {
+                            file = rel;
+                            path = String.concat "." [ prefix; ty; l.pld_name.txt ];
+                            name = prefix ^ "." ^ l.pld_name.txt;
+                            optional = [];
+                          })
+                        labels
+                  | _ -> [])
+                decls
+          | _ -> [])
+        sg)
+    config_records
 
 (* --- references ----------------------------------------------------- *)
 
-(* Every file naming an identifier, and every .ml file passing a label. *)
-type index = { idents : (string, string) Hashtbl.t; labels : (string, string) Hashtbl.t }
+(* Every file naming an identifier, every .ml file passing a label, and
+   every production .ml file setting a field of a record it qualifies
+   (keyed "Module.Path.field", one key per qualifier the record uses). *)
+type index = {
+  idents : (string, string) Hashtbl.t;
+  labels : (string, string) Hashtbl.t;
+  fields : (string, string) Hashtbl.t;
+}
 
 let index () =
-  let idx = { idents = Hashtbl.create 4096; labels = Hashtbl.create 512 } in
+  let idx =
+    { idents = Hashtbl.create 4096; labels = Hashtbl.create 512; fields = Hashtbl.create 512 }
+  in
   let add tbl k rel = if not (List.mem rel (Hashtbl.find_all tbl k)) then Hashtbl.add tbl k rel in
   List.iter
     (fun rel ->
@@ -111,14 +170,33 @@ let index () =
         | Parser.EOF -> ()
         | tok ->
             (match (prev, tok) with
-            | (TILDE | QUESTION), LIDENT l when is_ml -> add idx.labels l rel
+            | TILDE, LIDENT l when is_ml -> add idx.labels l rel
             | _, (LABEL l | OPTLABEL l) when is_ml -> add idx.labels l rel
             | _ -> ());
             (match tok with LIDENT s -> add idx.idents s rel | _ -> ());
             loop tok
       in
-      try loop Parser.EOF
-      with Lexer.Error _ -> Alcotest.failf "%s: does not lex" rel)
+      (try loop Parser.EOF with Lexer.Error _ -> Alcotest.failf "%s: does not lex" rel);
+      if is_ml && List.mem (top_dir rel) production_dirs then begin
+        let lexbuf = Lexing.from_string (read rel) in
+        Location.init lexbuf rel;
+        let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
+          (match e.pexp_desc with
+          | Pexp_record (fields, _) ->
+              let labels = List.map (fun ((f : Longident.t Location.loc), _) -> f.txt) fields in
+              List.iter
+                (function
+                  | Longident.Ldot (m, _) ->
+                      let m = String.concat "." (Longident.flatten m) in
+                      List.iter (fun l -> add idx.fields (m ^ "." ^ Longident.last l) rel) labels
+                  | _ -> ())
+                labels
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e
+        in
+        let it = { Ast_iterator.default_iterator with expr } in
+        it.structure it (Parse.implementation lexbuf)
+      end)
     (List.concat_map sources (production_dirs @ [ "test" ]));
   idx
 
@@ -142,6 +220,7 @@ let allowlist () =
 (* --- rules ---------------------------------------------------------- *)
 
 let decls = lazy (declarations ())
+let fields = lazy (config_fields ())
 let idx = lazy (index ())
 
 let unreferenced () =
@@ -149,6 +228,14 @@ let unreferenced () =
   List.filter
     (fun d -> production (outside d (Hashtbl.find_all idx.idents d.name)) = [])
     (Lazy.force decls)
+
+let unset () =
+  let idx = Lazy.force idx in
+  List.filter
+    (fun d -> production (outside d (Hashtbl.find_all idx.fields d.name)) = [])
+    (Lazy.force fields)
+
+let allowed () = List.map (fun (_, path, _) -> path) (allowlist ())
 
 let fail_on what = function
   | [] -> ()
@@ -158,7 +245,7 @@ let test_referenced () =
   let decls = Lazy.force decls in
   if List.length decls < 300 || not (List.exists (fun d -> d.path = "Dsim.Engine.create") decls)
   then Alcotest.failf "scan found only %d vals in lib/**/*.mli" (List.length decls);
-  let allowed = List.map (fun (_, path, _) -> path) (allowlist ()) in
+  let allowed = allowed () in
   let idx = Lazy.force idx in
   unreferenced ()
   |> List.filter (fun d -> not (List.mem d.path allowed))
@@ -186,19 +273,33 @@ let test_optional_passed () =
            d.optional)
   |> fail_on "optional parameters nobody passes"
 
+let test_fields_set () =
+  let fields = Lazy.force fields in
+  if not (List.exists (fun d -> d.path = "Kube.Cluster.config.seed") fields) then
+    Alcotest.failf "scan found no Kube.Cluster.config.seed among %d fields" (List.length fields);
+  let allowed = allowed () in
+  unset ()
+  |> List.filter (fun d -> not (List.mem d.path allowed))
+  |> List.map (fun d ->
+         Printf.sprintf
+           "%s: %s is set by no production record literal or update outside its module (one \
+            that writes a field as %s); make it a constant or allowlist it in test/%s"
+           d.file d.path d.name allow_file)
+  |> fail_on "config fields no workload sets"
+
 let test_allowlist_live () =
-  let decls = Lazy.force decls in
-  let unreferenced = List.map (fun d -> d.path) (unreferenced ()) in
+  let known = Lazy.force decls @ Lazy.force fields in
+  let flagged = List.map (fun d -> d.path) (unreferenced () @ unset ()) in
   let seen = Hashtbl.create 64 in
   allowlist ()
   |> List.filter_map (fun (n, path, reason) ->
          let at = Printf.sprintf "test/%s:%d: %s" allow_file n path in
          let dup = Hashtbl.mem seen path in
          Hashtbl.replace seen path ();
-         if not (List.exists (fun d -> d.path = path) decls) then
-           Some (at ^ " names no val in lib/**/*.mli")
-         else if not (List.mem path unreferenced) then
-           Some (at ^ " has a production caller; delete the stale line")
+         if not (List.exists (fun d -> d.path = path) known) then
+           Some (at ^ " names no val in lib/**/*.mli and no checked config field")
+         else if not (List.mem path flagged) then
+           Some (at ^ " is used in production; delete the stale line")
          else if reason = "" then Some (at ^ " gives no reason")
          else if dup then Some (at ^ " is listed twice")
          else None)
@@ -212,5 +313,6 @@ let suites =
           test_referenced;
         Alcotest.test_case "every optional parameter is passed" `Quick test_optional_passed;
         Alcotest.test_case "every allowlist line is live" `Quick test_allowlist_live;
+        Alcotest.test_case "every config field is set by a workload" `Quick test_fields_set;
       ] );
   ]
