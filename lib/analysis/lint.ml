@@ -153,7 +153,9 @@ let edge_trigger_findings ~file (r : Taint.result) =
                     };
                   sink_class = Taint.Destructive;
                   missing_guard =
-                    Printf.sprintf "periodic re-list of %s reachable from Engine.every" prefix;
+                    Printf.sprintf
+                      "periodic re-list of %s reachable from Engine.every or Controller.every"
+                      prefix;
                 };
             }
       | _ -> None)

@@ -88,6 +88,12 @@ let is_replica_read path args =
          | Asttypes.Labelled "src", _ | Asttypes.Optional "src", _ -> true | _ -> false)
        args
 
+(* Periodic tasks: the engine's own loop, and the kube components'
+   shared reconcile loop on top of it. *)
+let is_periodic path =
+  String.equal (last_of path) "every"
+  && List.exists (fun m -> List.mem m path) [ "Engine"; "Controller" ]
+
 let is_zk_read path = String.equal (parent_of path) "Zk" && String.equal (last_of path) "read"
 
 let is_zk_watch path =
@@ -309,7 +315,7 @@ type ctx = {
   kr : bool;  (* replica taint killed *)
   kz : bool;  (* zk-follower taint killed *)
   kp : bool;  (* parameter dependence killed *)
-  every : bool;  (* inside an Engine.every callback *)
+  every : bool;  (* inside a periodic callback: Engine.every or Controller.every *)
   cont_of : span option;  (* inside a continuation of this proposal *)
   retry : span option;  (* inside an Error branch of that continuation *)
 }
@@ -837,8 +843,7 @@ and eval_apply st ctx env (e : expression) fn args =
          data taint flows into callback parameters. *)
       let cb_ctx =
         let base = if proposal then { ctx with cont_of = Some { line; what = Printf.sprintf "proposal %s" (String.concat "." path) } } else { ctx with cont_of = None } in
-        if String.equal name "every" && List.mem "Engine" path then { base with every = true }
-        else base
+        if is_periodic path then { base with every = true } else base
       in
       List.iter
         (fun (((_, a) : Asttypes.arg_label * expression), _) ->

@@ -94,7 +94,7 @@ type result = {
   watches : watch_site list;
   periodic_scanned : string list;
       (** prefix tokens re-listed by anything reachable from an
-          [Engine.every] callback *)
+          [Engine.every] or [Controller.every] callback *)
 }
 
 val analyze : Parsetree.structure -> result

@@ -111,10 +111,6 @@ let apiserver_cache cluster w a =
     state = witnessed w ~subject seen (fun () -> Kube.Apiserver.cache a);
   }
 
-(* Informers are created by [Cluster.start], which runs after attach:
-   their taps go in at the first engine dispatch. [set_tap] replays any
-   list the informer adopted in between as a reset, so the monitor's
-   frontiers start at the adopted revision. *)
 let informer_cache w i =
   let component = Kube.Informer.owner i in
   let subject = component ^ "#" ^ Kube.Informer.prefix i in
@@ -136,28 +132,25 @@ let check caches w =
     (fun c ->
       if c.checked () then
         Wiring.check_state w c.subject ?prefix:c.prefix ~rev:(c.rev ()) c.state)
-    (Lazy.force !caches)
+    !caches
 
 let lag caches w =
   List.iter
     (fun c ->
       if c.lagged () then
         Wiring.flag_lag w ~stream:c.lag_stream ?prefix:c.prefix ~frontier:(c.rev ()) ())
-    (Lazy.force !caches)
+    !caches
 
 (* [Cluster.create] registered etcd's stream-table publisher first; pipe
    deliveries are asynchronous, so the mirror still sits between the
-   store and every watch stream. *)
+   store and every watch stream. Every informer exists from
+   [Cluster.create] on, so all taps go in here, before any list. *)
 let attach ?(track_divergence = false) cluster =
-  let caches = ref (lazy []) in
+  let caches = ref [] in
   let taps w =
     let replicas = replica_caches cluster w in
     let apiservers = List.map (apiserver_cache cluster w) (Kube.Cluster.apiservers cluster) in
-    caches :=
-      lazy (replicas @ apiservers @ List.map (informer_cache w) (Kube.Cluster.informers cluster));
-    ignore
-      (Dsim.Engine.schedule (Kube.Cluster.engine cluster) ~delay:0 (fun () ->
-           ignore (Lazy.force !caches)))
+    caches := replicas @ apiservers @ List.map (informer_cache w) (Kube.Cluster.informers cluster)
   in
   Wiring.attach ~engine:(Kube.Cluster.engine cluster)
     ~on_commit:(Kube.Etcd.on_commit (Kube.Cluster.etcd cluster))

@@ -10,12 +10,13 @@ let distinct_codes violations =
     (fun acc (v : Monitor.violation) -> if List.mem v.Monitor.code acc then acc else acc @ [ v.Monitor.code ])
     [] violations
 
-(* A committed history with enough texture to perturb: puts and deletes
-   over a small key pool, through the real store so ops/mod-revs are the
-   production ones. *)
+(* A committed history with enough texture to perturb: 40 puts and
+   deletes over a small key pool, through the real store so ops/mod-revs
+   are the production ones. *)
+let events = 40
 let pod_keys = Array.init 6 (fun i -> Printf.sprintf "pods/p%d" i)
 
-let generate_history rng ?(keys = pod_keys) ~events () =
+let generate_history rng ?(keys = pod_keys) () =
   let kv : string Etcdlike.Kv.t = Etcdlike.Kv.create () in
   let counter = ref 0 in
   while Etcdlike.Kv.rev kv < events do
@@ -41,9 +42,9 @@ let replay monitor ~committed ~delivered ~claim ~skip_in_state =
   in
   Monitor.check_state monitor ~subject:"selftest" ~rev:claim state
 
-let run ?(seed = 20260704L) ?(events = 40) () =
+let run ?(seed = 20260704L) () =
   let rng = Dsim.Rng.create seed in
-  let committed = generate_history rng ~events () in
+  let committed = generate_history rng () in
   let n = List.length committed in
   assert (n >= 10);
   let last_rev = (List.nth committed (n - 1)).History.Event.rev in
@@ -121,9 +122,9 @@ let hbase_ok o =
 let znode_keys =
   [| "region/r0"; "region/r1"; "region/r2"; "region/r3"; "rs/registry" |]
 
-let run_hbase ?(seed = 20260704L) ?(events = 40) () =
+let run_hbase ?(seed = 20260704L) () =
   let rng = Dsim.Rng.create seed in
-  let committed = generate_history rng ~keys:znode_keys ~events () in
+  let committed = generate_history rng ~keys:znode_keys () in
   let n = List.length committed in
   assert (n >= 10);
   let last_rev = (List.nth committed (n - 1)).History.Event.rev in

@@ -23,9 +23,9 @@ type outcome = {
 val ok : outcome -> bool
 (** Control must stay silent; every mutation must trip. *)
 
-val run : ?seed:int64 -> ?events:int -> unit -> outcome list
-(** Generates a history of roughly [events] commits (default 40; puts and
-    deletes over a small key pool) through a real {!Etcdlike.Kv}, then
+val run : ?seed:int64 -> unit -> outcome list
+(** Generates a history of 40 commits (puts and deletes over a small key
+    pool) through a real {!Etcdlike.Kv}, then
     replays it against a fresh monitor once per perturbation. The control
     outcome is first. *)
 
@@ -45,7 +45,7 @@ val hbase_ok : outcome -> bool
     → [Gap], ["stale-region-map"] → [State_divergence], ["forge-znode"]
     → [Content]. *)
 
-val run_hbase : ?seed:int64 -> ?events:int -> unit -> outcome list
+val run_hbase : ?seed:int64 -> unit -> outcome list
 (** Like {!run}, over znode-flavored keys ([region/*], [rs/registry])
     with the HBase-boundary perturbations. The control outcome is
     first. *)

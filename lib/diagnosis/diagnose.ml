@@ -363,18 +363,6 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
               minimized_plan = minimized;
             })
 
-(* The run artifact with a "diagnosis" section appended. The card is
-   computed first so its counters are in the snapshot the artifact
-   embeds — ring-buffer truncation that would blind a diagnosis shows
-   up in the same file. *)
-let artifact ?target ?minimized outcome =
-  let card = of_outcome ?target ?minimized outcome in
-  let base = Sieve.Runner.artifact outcome in
-  match (card, base) with
-  | Some card, Dsim.Json.Obj fields ->
-      Dsim.Json.Obj (fields @ [ ("diagnosis", Card.to_json card) ])
-  | _ -> base
-
 let diagnose_case ?(minimize_budget = 0) (case : Sieve.Bugs.case) =
   let test = Sieve.Bugs.test_of_case case in
   let outcome = Sieve.Runner.run_test ~diagnose:true test in

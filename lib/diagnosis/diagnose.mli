@@ -29,15 +29,6 @@ val of_outcome :
     auto-minimized plan description to embed, when the caller computed
     one. *)
 
-val artifact :
-  ?target:(Sieve.Oracle.violation -> bool) ->
-  ?minimized:string ->
-  Sieve.Runner.outcome ->
-  Dsim.Json.t
-(** {!Sieve.Runner.artifact} with a ["diagnosis"] section appended
-    (when a card could be computed). The card is computed first, so its
-    counters are part of the embedded metrics snapshot. *)
-
 val diagnose_case :
   ?minimize_budget:int -> Sieve.Bugs.case -> Sieve.Runner.outcome * Card.t option
 (** Run a corpus case under diagnosis and return the outcome with its

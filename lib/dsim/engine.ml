@@ -86,11 +86,6 @@ let cause_id t = function Some c -> c | None -> t.cause
 let record ?cause t ~actor ~kind detail =
   ignore (Trace.emit t.trace ~time:t.clock ~actor ~kind ~cause:(cause_id t cause) detail)
 
-let emit ?cause t ~actor ~kind detail =
-  let id = Trace.emit t.trace ~time:t.clock ~actor ~kind ~cause:(cause_id t cause) detail in
-  t.cause <- id;
-  id
-
 let emit_deferred t ~actor ~kind render =
   let id = Trace.emit_deferred t.trace ~time:t.clock ~actor ~kind ~cause:t.cause render in
   t.cause <- id;

@@ -43,8 +43,8 @@ val metrics : t -> Metrics.t
     captured when a timer is scheduled and restored when it fires, so
     causality flows through the event heap without any plumbing at the
     call sites — an RPC reply is caused by whatever scheduled the
-    request, a watch delivery by the commit that pushed it. {!emit}
-    advances the frontier; {!record} does not. *)
+    request, a watch delivery by the commit that pushed it.
+    {!emit_deferred} advances the frontier; {!record} does not. *)
 
 val current_cause : t -> int option
 (** The causal frontier of the event being executed right now. *)
@@ -56,16 +56,13 @@ val record : ?cause:int -> t -> actor:string -> kind:string -> string -> unit
 (** Appends to the trace at the current virtual time, linked to [cause]
     (default: the current frontier). Does not move the frontier. *)
 
-val emit : ?cause:int -> t -> actor:string -> kind:string -> string -> int
-(** Like {!record}, but returns the new entry's id and makes it the
-    current frontier, so later records and scheduled work chain to it. *)
-
 val emit_deferred : t -> actor:string -> kind:string -> (unit -> string) -> int
-(** Like {!emit} with the current frontier as cause, but the detail is
-    rendered only when the trace is read ({!Trace.emit_deferred}): for
-    the hot kinds, whose details would otherwise be formatted once per
-    commit or delivery. The renderer must close only over values fixed
-    at record time. *)
+(** Appends an entry caused by the current frontier, returns its id and
+    makes it the current frontier, so later records and scheduled work
+    chain to it. The detail is rendered only when the trace is read
+    ({!Trace.emit_deferred}): for the hot kinds, whose details would
+    otherwise be formatted once per commit or delivery. The renderer
+    must close only over values fixed at record time. *)
 
 val schedule : t -> delay:int -> (unit -> unit) -> timer
 (** [schedule t ~delay f] runs [f] at [now t + max 0 delay]. *)

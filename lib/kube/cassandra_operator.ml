@@ -1,23 +1,21 @@
 type t = {
-  name : string;
-  net : Dsim.Network.t;
-  client : Client.t;
+  ctl : Controller.t;
   quorum_guard : bool;
-  period : int;
-  mutable dc_informer : Informer.t option;
-  mutable pods_informer : Informer.t option;
-  mutable pvcs_informer : Informer.t option;
+  dcs : Informer.t;
+  pods : Informer.t;
+  pvcs : Informer.t;
   strikes : (string, int) Hashtbl.t;  (* pvc name -> consecutive orphan sightings *)
   mutable reconciles : int;
   mutable member_creates : int;
   mutable decommission_log : (string * int) list;  (* newest first *)
 }
 
-(* A claim must look orphaned for this many consecutive passes before
-   GC deletes it. *)
+(* The reconcile pass runs every 150 ms. A claim must look orphaned for
+   this many consecutive passes before GC deletes it. *)
+let period = 150_000
 let orphan_strikes = 4
 
-let name t = t.name
+let controller t = t.ctl
 
 let reconciles t = t.reconciles
 
@@ -25,19 +23,7 @@ let member_creates t = t.member_creates
 
 let decommissions t = List.rev t.decommission_log
 
-let informer_exn = function Some i -> i | None -> invalid_arg "Cassandra_operator: not started"
-
-let dc_informer t = informer_exn t.dc_informer
-let pods_informer t = informer_exn t.pods_informer
-let pvcs_informer t = informer_exn t.pvcs_informer
-
-let view_rev t =
-  let least = Informer.min_rev (Informer.min_rev max_int t.dc_informer) t.pods_informer in
-  Informer.least_rev (Informer.min_rev least t.pvcs_informer)
-
-let engine t = Dsim.Network.engine t.net
-
-let record t kind detail = Dsim.Engine.record (engine t) ~actor:t.name ~kind detail
+let pods_informer t = t.pods
 
 let member_name dc ordinal = Printf.sprintf "%s-%d" dc ordinal
 
@@ -51,7 +37,7 @@ let claim_owner_pod_name pvc_name =
 
 (* Members of a datacenter as this operator's cache sees them. *)
 let cached_members t dc_key =
-  let store = Informer.store (pods_informer t) in
+  let store = Informer.store t.pods in
   History.State.keys_with_prefix store ~prefix:Resource.pods_prefix
   |> List.filter_map (fun key ->
          match History.State.find store key with
@@ -64,20 +50,20 @@ let create_member t dc ordinal =
   t.member_creates <- t.member_creates + 1;
   let pod_name = member_name dc ordinal in
   let pvc_name = claim_name dc ordinal in
-  record t "cassop.create-member" pod_name;
-  Client.txn_ t.client
+  Controller.record t.ctl "cassop.create-member" pod_name;
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.create_if_absent ~key:(Resource.pvc_key pvc_name)
        (Resource.make_pvc ~owner_pod:pod_name pvc_name));
-  Client.txn_ t.client
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.create_if_absent ~key:(Resource.pod_key pod_name)
        (Resource.make_pod ~pvc:pvc_name ~owner:(Resource.cassdc_key dc) ~ordinal pod_name))
 
 let mark_decommissioned t dc (target : Resource.pod) mod_rev =
   let ordinal = Option.value target.Resource.ordinal ~default:(-1) in
   t.decommission_log <- (dc, ordinal) :: t.decommission_log;
-  record t "cassop.decommission" (Printf.sprintf "%s ordinal %d" dc ordinal);
-  let now = Dsim.Engine.now (engine t) in
-  Client.txn_ t.client
+  Controller.record t.ctl "cassop.decommission" (Printf.sprintf "%s ordinal %d" dc ordinal);
+  let now = Dsim.Engine.now (Controller.engine t.ctl) in
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.put_if_unchanged ~key:(Resource.pod_key target.Resource.pod_name)
        ~expected_mod_rev:mod_rev
        (Resource.Pod { target with Resource.deletion_timestamp = Some now }))
@@ -87,7 +73,7 @@ let decommission t dc (target : Resource.pod) mod_rev =
     (* Defensive fix: recompute the true max ordinal from etcd before
        acting; skip if our view was wrong. *)
     let member_prefix = Resource.pods_prefix ^ dc ^ "-" in
-    Client.list_quorum t.client ~prefix:member_prefix (function
+    Client.list_quorum (Controller.client t.ctl) ~prefix:member_prefix (function
       | Ok items ->
           let true_max =
             List.fold_left
@@ -99,14 +85,16 @@ let decommission t dc (target : Resource.pod) mod_rev =
               (-1) items
           in
           if target.Resource.ordinal = Some true_max then mark_decommissioned t dc target mod_rev
-          else record t "cassop.decommission-abort" (Printf.sprintf "%s view was stale" dc)
+          else
+            Controller.record t.ctl "cassop.decommission-abort"
+              (Printf.sprintf "%s view was stale" dc)
       | Error `Unavailable -> ())
   end
   else mark_decommissioned t dc target mod_rev
 
 let delete_claim t pvc_name mod_rev =
-  record t "cassop.delete-pvc" pvc_name;
-  Client.txn_ t.client
+  Controller.record t.ctl "cassop.delete-pvc" pvc_name;
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.delete_if_unchanged ~key:(Resource.pvc_key pvc_name) ~expected_mod_rev:mod_rev)
 
 let gc_claim t pvc_name mod_rev =
@@ -114,11 +102,11 @@ let gc_claim t pvc_name mod_rev =
     match claim_owner_pod_name pvc_name with
     | None -> ()
     | Some owner ->
-        Client.get_quorum t.client (Resource.pod_key owner) (function
+        Client.get_quorum (Controller.client t.ctl) (Resource.pod_key owner) (function
           | Ok None -> delete_claim t pvc_name mod_rev
           | Ok (Some _) ->
               Hashtbl.remove t.strikes pvc_name;
-              record t "cassop.gc-abort" (pvc_name ^ " owner alive per quorum read")
+              Controller.record t.ctl "cassop.gc-abort" (pvc_name ^ " owner alive per quorum read")
           | Error `Unavailable -> ())
   else delete_claim t pvc_name mod_rev
 
@@ -143,8 +131,8 @@ let reconcile_dc t dc_name (dc : Resource.cassdc) =
 
 (* Orphan GC over the whole claim namespace we own. *)
 let gc_orphans t =
-  let pods = Informer.store (pods_informer t) in
-  let pvcs = Informer.store (pvcs_informer t) in
+  let pods = Informer.store t.pods in
+  let pvcs = Informer.store t.pvcs in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun key ->
@@ -177,7 +165,7 @@ let gc_orphans t =
 
 let reconcile t =
   t.reconciles <- t.reconciles + 1;
-  let dcs = Informer.store (dc_informer t) in
+  let dcs = Informer.store t.dcs in
   List.iter
     (fun key ->
       match History.State.get dcs key with
@@ -186,48 +174,32 @@ let reconcile t =
     (History.State.keys_with_prefix dcs ~prefix:Resource.cassdcs_prefix);
   gc_orphans t
 
-let create ~net ~name ~endpoints ?(quorum_guard = false) ?(period = 150_000) () =
-  let t =
-    {
-      name;
-      net;
-      client = Client.create ~net ~owner:name ~endpoints ();
-      quorum_guard;
-      period;
-      dc_informer = None;
-      pods_informer = None;
-      pvcs_informer = None;
-      strikes = Hashtbl.create 16;
-      reconciles = 0;
-      member_creates = 0;
-      decommission_log = [];
-    }
+let create ~net ~name ~endpoints ?(quorum_guard = false) () =
+  let ctl = Controller.create ~net ~name ~endpoints in
+  let dcs =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.cassdcs_prefix ())
   in
-  t.dc_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.cassdcs_prefix ());
-  t.pods_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ());
-  t.pvcs_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pvcs_prefix ());
-  t
+  let pods =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ())
+  in
+  let pvcs =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pvcs_prefix ())
+  in
+  {
+    ctl;
+    quorum_guard;
+    dcs;
+    pods;
+    pvcs;
+    strikes = Hashtbl.create 16;
+    reconciles = 0;
+    member_creates = 0;
+    decommission_log = [];
+  }
 
 let start t =
-  let self = Dsim.Network.peer t.net t.name in
-  let dcs = dc_informer t and pods = pods_informer t and pvcs = pvcs_informer t in
-  Dsim.Network.set_lifecycle t.net t.name
-    ~on_crash:(fun () ->
-      Informer.stop dcs;
-      Informer.stop pods;
-      Informer.stop pvcs;
-      Hashtbl.reset t.strikes)
-    ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.peer_incarnation self in
-      Informer.start dcs ~endpoint ();
-      Informer.start pods ~endpoint ();
-      Informer.start pvcs ~endpoint ());
-  Informer.start dcs ~endpoint:0 ();
-  Informer.start pods ~endpoint:0 ();
-  Informer.start pvcs ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.peer_is_up self then reconcile t;
-      true)
+  Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.strikes);
+  Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -31,20 +31,16 @@ val create :
   name:string ->
   endpoints:string list ->
   ?quorum_guard:bool ->
-  ?period:int ->
   unit ->
   t
-(** Reconciles every 150 ms by default. A claim must look orphaned for 4
-    consecutive passes before GC deletes it. *)
+(** Informers: datacenters, pods, then claims. A claim must look
+    orphaned for 4 consecutive passes before GC deletes it. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle (a crash also forgets the orphan
+    strikes) and the reconcile pass, every 150 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val reconciles : t -> int
 
@@ -53,6 +49,4 @@ val member_creates : t -> int
 val decommissions : t -> (string * int) list
 (** (datacenter, ordinal) decommission decisions, oldest first. *)
 
-val dc_informer : t -> Informer.t
 val pods_informer : t -> Informer.t
-val pvcs_informer : t -> Informer.t

@@ -56,6 +56,7 @@ type t = {
   replicaset : Replicaset.t option;
   node_controller : Node_controller.t option;
   deployment : Deployment.t option;
+  controllers : Controller.t list;  (* start order *)
   user : Client.t;
 }
 
@@ -87,37 +88,7 @@ let kubelet_for_node t node =
 
 (* Every informer cache in the cluster, one handle per list+watch stream —
    the full set of consumer-side views a conformance monitor must tap. *)
-let informers t =
-  List.map Kubelet.informer t.kubelets
-  @ [
-      Scheduler.pods_informer t.scheduler;
-      Scheduler.nodes_informer t.scheduler;
-      Volume_controller.pods_informer t.volume_controller;
-      Volume_controller.pvcs_informer t.volume_controller;
-    ]
-  @ (match t.operator with
-    | Some o ->
-        [
-          Cassandra_operator.dc_informer o;
-          Cassandra_operator.pods_informer o;
-          Cassandra_operator.pvcs_informer o;
-        ]
-    | None -> [])
-  @ (match t.replicaset with
-    | Some r -> [ Replicaset.pods_informer r; Replicaset.rsets_informer r ]
-    | None -> [])
-  @ (match t.node_controller with
-    | Some n -> [ Node_controller.pods_informer n; Node_controller.nodes_informer n ]
-    | None -> [])
-  @
-  match t.deployment with
-  | Some d ->
-      [
-        Deployment.deployments_informer d;
-        Deployment.rsets_informer d;
-        Deployment.pods_informer d;
-      ]
-  | None -> []
+let informers t = List.concat_map Controller.informers t.controllers
 
 let trace t = Dsim.Engine.trace t.engine
 
@@ -142,23 +113,12 @@ let lag_sampler t =
     let series = Dsim.Metrics.Series.resolve metrics ("lag." ^ name) in
     { gauge; series; view_rev }
   in
-  let component name view_rev = Option.map (fun c -> probe (name c) (fun () -> view_rev c)) in
   let probes =
     Array.of_list
       (List.map (fun a -> probe (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
-      @ List.map (fun k -> probe (Kubelet.name k) (fun () -> Kubelet.view_rev k)) t.kubelets
-      @ [
-          probe (Scheduler.name t.scheduler) (fun () -> Scheduler.view_rev t.scheduler);
-          probe (Volume_controller.name t.volume_controller) (fun () ->
-              Volume_controller.view_rev t.volume_controller);
-        ]
-      @ List.filter_map Fun.id
-          [
-            component Cassandra_operator.name Cassandra_operator.view_rev t.operator;
-            component Replicaset.name Replicaset.view_rev t.replicaset;
-            component Node_controller.name Node_controller.view_rev t.node_controller;
-            component Deployment.name Deployment.view_rev t.deployment;
-          ])
+      @ List.map
+          (fun c -> probe (Controller.name c) (fun () -> Controller.view_rev c))
+          t.controllers)
   in
   let subscribers =
     Array.of_list
@@ -236,6 +196,17 @@ let create ?(config = default_config) () =
            ~quorum_fallback:config.deployment_fixed ())
     else None
   in
+  let controllers =
+    List.map Kubelet.controller kubelets
+    @ [ Scheduler.controller scheduler; Volume_controller.controller volume_controller ]
+    @ List.filter_map Fun.id
+        [
+          Option.map Cassandra_operator.controller operator;
+          Option.map Replicaset.controller replicaset;
+          Option.map Node_controller.controller node_controller;
+          Option.map Deployment.controller deployment;
+        ]
+  in
   let user = Client.create ~net ~owner:"user" ~endpoints:apiserver_addresses () in
   Dsim.Network.join net "user";
   {
@@ -252,6 +223,7 @@ let create ?(config = default_config) () =
     replicaset;
     node_controller;
     deployment;
+    controllers;
     user;
   }
 

@@ -86,9 +86,10 @@ val user : t -> Client.t
 (** A client ("user") wired to the apiservers, for workloads. *)
 
 val informers : t -> Informer.t list
-(** Every informer cache in the cluster (kubelets, scheduler, controllers,
-    operator) — the full set of consumer-side views a conformance monitor
-    must tap. *)
+(** Every informer cache in the cluster, in start order (kubelets,
+    scheduler, volume controller, operator, then the ReplicaSet, node and
+    Deployment controllers) — the full set of consumer-side views a
+    conformance monitor must tap. All exist from {!create} on. *)
 
 val trace : t -> Dsim.Trace.t
 

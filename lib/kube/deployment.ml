@@ -1,47 +1,32 @@
 type t = {
-  name : string;
-  net : Dsim.Network.t;
-  client : Client.t;
-  period : int;
+  ctl : Controller.t;
   quorum_fallback : bool;
   stalls : (string, int) Hashtbl.t;  (* deployment -> consecutive blocked passes *)
   fresh_running : (string, int) Hashtbl.t;  (* rset -> quorum-read Running count *)
-  mutable deployments_informer : Informer.t option;
-  mutable rsets_informer : Informer.t option;
-  mutable pods_informer : Informer.t option;
+  deployments : Informer.t;
+  rsets : Informer.t;
+  pods : Informer.t;
   mutable reconciles : int;
   mutable rollouts_completed : int;
 }
 
-(* Pods the new generation may run above the desired count. *)
+(* The reconcile pass runs every 150 ms. The new generation may run
+   [surge] pods above the desired count. *)
+let period = 150_000
 let surge = 1
 
-let name t = t.name
+let controller t = t.ctl
 
 let reconciles t = t.reconciles
 
 let rollouts_completed t = t.rollouts_completed
-
-let informer_exn = function Some i -> i | None -> invalid_arg "Deployment: not started"
-
-let deployments_informer t = informer_exn t.deployments_informer
-let rsets_informer t = informer_exn t.rsets_informer
-let pods_informer t = informer_exn t.pods_informer
-
-let view_rev t =
-  let least = Informer.min_rev (Informer.min_rev max_int t.deployments_informer) t.rsets_informer in
-  Informer.least_rev (Informer.min_rev least t.pods_informer)
-
-let engine t = Dsim.Network.engine t.net
-
-let record t kind detail = Dsim.Engine.record (engine t) ~actor:t.name ~kind detail
 
 let generation_rs dep generation = Printf.sprintf "%s-g%d" dep generation
 
 (* When the cached view wedges a rollout, re-count the new generation
    from etcd (quorum) — the stale cache cannot block progress forever. *)
 let refresh_from_quorum t rs_name =
-  Client.list_quorum t.client ~prefix:Resource.pods_prefix (function
+  Client.list_quorum (Controller.client t.ctl) ~prefix:Resource.pods_prefix (function
     | Ok items ->
         let running =
           List.fold_left
@@ -56,7 +41,8 @@ let refresh_from_quorum t rs_name =
             0 items
         in
         Hashtbl.replace t.fresh_running rs_name running;
-        record t "depctl.quorum-refresh" (Printf.sprintf "%s running=%d" rs_name running)
+        Controller.record t.ctl "depctl.quorum-refresh"
+          (Printf.sprintf "%s running=%d" rs_name running)
     | Error `Unavailable -> ())
 
 (* Parse "<dep>-g<k>" back to a generation; None for foreign rsets. *)
@@ -70,7 +56,7 @@ let generation_of_rs dep rs_name =
 (* Running pods owned by the given replica set, per this controller's
    cached view. *)
 let running_of_rs t rs_name =
-  let store = Informer.store (pods_informer t) in
+  let store = Informer.store t.pods in
   History.State.fold
     (fun _ (v, _) acc ->
       match v with
@@ -83,7 +69,7 @@ let running_of_rs t rs_name =
     store 0
 
 let owned_rsets t dep =
-  let store = Informer.store (rsets_informer t) in
+  let store = Informer.store t.rsets in
   History.State.fold
     (fun _ (v, _) acc ->
       match v with
@@ -96,12 +82,12 @@ let owned_rsets t dep =
   |> List.sort compare
 
 let set_rs_replicas t rs_name replicas =
-  Client.txn_ t.client
+  Client.txn_ (Controller.client t.ctl)
     (Messages.put (Resource.rset_key rs_name) (Resource.make_rset ~replicas rs_name))
 
 let delete_rs t rs_name =
-  record t "depctl.retire" rs_name;
-  Client.txn_ t.client (Messages.delete (Resource.rset_key rs_name))
+  Controller.record t.ctl "depctl.retire" rs_name;
+  Client.txn_ (Controller.client t.ctl) (Messages.delete (Resource.rset_key rs_name))
 
 let reconcile_deployment t (d : Resource.deployment) =
   let dep = d.Resource.dep_name in
@@ -118,7 +104,7 @@ let reconcile_deployment t (d : Resource.deployment) =
   | None ->
       (* New generation: start it at 1 (or full size if nothing is
          serving yet). *)
-      record t "depctl.rollout"
+      Controller.record t.ctl "depctl.rollout"
         (Printf.sprintf "%s -> generation %d" dep d.Resource.template);
       set_rs_replicas t target_rs (if old_sets = [] then desired else min surge desired)
   | Some spec ->
@@ -158,7 +144,7 @@ let reconcile_deployment t (d : Resource.deployment) =
             delete_rs t r.Resource.rs_name;
             if new_running >= desired then begin
               t.rollouts_completed <- t.rollouts_completed + 1;
-              record t "depctl.rollout-done"
+              Controller.record t.ctl "depctl.rollout-done"
                 (Printf.sprintf "%s at generation %d" dep d.Resource.template)
             end
           end)
@@ -166,7 +152,7 @@ let reconcile_deployment t (d : Resource.deployment) =
 
 let reconcile t =
   t.reconciles <- t.reconciles + 1;
-  let store = Informer.store (deployments_informer t) in
+  let store = Informer.store t.deployments in
   List.iter
     (fun key ->
       match History.State.get store key with
@@ -174,47 +160,32 @@ let reconcile t =
       | Some _ | None -> ())
     (History.State.keys_with_prefix store ~prefix:Resource.deployments_prefix)
 
-let create ~net ~name ~endpoints ?(period = 150_000) ?(quorum_fallback = false) () =
-  let t =
-    {
-      name;
-      net;
-      client = Client.create ~net ~owner:name ~endpoints ();
-      period;
-      quorum_fallback;
-      stalls = Hashtbl.create 8;
-      fresh_running = Hashtbl.create 8;
-      deployments_informer = None;
-      rsets_informer = None;
-      pods_informer = None;
-      reconciles = 0;
-      rollouts_completed = 0;
-    }
+let create ~net ~name ~endpoints ?(quorum_fallback = false) () =
+  let ctl = Controller.create ~net ~name ~endpoints in
+  let deployments =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.deployments_prefix ())
   in
-  t.deployments_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.deployments_prefix ());
-  t.rsets_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.rsets_prefix ());
-  t.pods_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ());
-  t
+  let rsets =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.rsets_prefix ())
+  in
+  let pods =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ())
+  in
+  {
+    ctl;
+    quorum_fallback;
+    stalls = Hashtbl.create 8;
+    fresh_running = Hashtbl.create 8;
+    deployments;
+    rsets;
+    pods;
+    reconciles = 0;
+    rollouts_completed = 0;
+  }
 
 let start t =
-  let self = Dsim.Network.peer t.net t.name in
-  let deps = deployments_informer t and rsets = rsets_informer t and pods = pods_informer t in
-  Dsim.Network.set_lifecycle t.net t.name
-    ~on_crash:(fun () ->
-      Informer.stop deps;
-      Informer.stop rsets;
-      Informer.stop pods)
-    ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.peer_incarnation self in
-      Informer.start deps ~endpoint ();
-      Informer.start rsets ~endpoint ();
-      Informer.start pods ~endpoint ());
-  Informer.start deps ~endpoint:0 ();
-  Informer.start rsets ~endpoint:0 ();
-  Informer.start pods ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.peer_is_up self then reconcile t;
-      true)
+  Controller.start t.ctl ~on_crash:ignore;
+  Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -16,29 +16,22 @@ val create :
   net:Dsim.Network.t ->
   name:string ->
   endpoints:string list ->
-  ?period:int ->
   ?quorum_fallback:bool ->
   unit ->
   t
-(** Defaults: reconcile every 150 ms, no quorum fallback. Surge is 1.
-    [quorum_fallback] is the defensive fix for view-wedged rollouts: when
-    a rollout makes no progress for several passes, re-count the new
-    generation with a linearizable read instead of trusting the cache. *)
+(** Default: no quorum fallback. Surge is 1. Informers: Deployments,
+    ReplicaSets, then pods. [quorum_fallback] is the defensive fix for
+    view-wedged rollouts: when a rollout makes no progress for several
+    passes, re-count the new generation with a linearizable read instead
+    of trusting the cache. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle and the reconcile pass, every
+    150 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val reconciles : t -> int
 
 val rollouts_completed : t -> int
 (** Generations fully rolled out (old set drained and removed). *)
-
-val deployments_informer : t -> Informer.t
-val rsets_informer : t -> Informer.t
-val pods_informer : t -> Informer.t

@@ -6,7 +6,7 @@ type t = {
   prefix : string;
   stream : string;  (* owner#prefix: the watch stream id and the tap's stream name *)
   on_event : Resource.value History.Event.t -> unit;
-  on_reset : unit -> unit;
+  on_reset : Resource.value History.State.t -> unit;
   monotonic : bool;
   mutable endpoint_index : int;
   mutable store : Resource.value History.State.t;
@@ -30,7 +30,7 @@ let engine t = Dsim.Network.engine t.net
 let heartbeat_timeout = 1_000_000
 let retry_delay = 300_000
 
-let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset = fun () -> ())
+let create ~net ~owner ~endpoints ~prefix ?(on_event = fun _ -> ()) ?(on_reset = fun _ -> ())
     ?(monotonic = false) () =
   if endpoints = [] then invalid_arg "Informer.create: no endpoints";
   {
@@ -69,10 +69,6 @@ let store t = t.store
 let get t key = History.State.get t.store key
 
 let rev t = t.last_rev
-
-let min_rev least = function Some t -> Int.min least t.last_rev | None -> least
-
-let least_rev least = if least = max_int then 0 else least
 
 let endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoints)
 
@@ -177,7 +173,7 @@ and bootstrap t gen =
               (Printf.sprintf "%s %s: %d items at rev %d" (Dsim.Network.address endpoint) t.prefix
                  (List.length items) rev);
             (match t.tap with Some tap -> tap.Tap.on_reset (tap_view t) | None -> ());
-            t.on_reset ();
+            t.on_reset t.store;
             let watch =
               Messages.Watch
                 {

@@ -28,13 +28,13 @@ val create :
   endpoints:string list ->
   prefix:string ->
   ?on_event:(Resource.value History.Event.t -> unit) ->
-  ?on_reset:(unit -> unit) ->
+  ?on_reset:(Resource.value History.State.t -> unit) ->
   ?monotonic:bool ->
   unit ->
   t
 (** [on_event] runs after each event is applied to the store; [on_reset]
-    after each full re-list. Defaults: not monotonic, stream declared
-    dead after 1 s, retries every 300 ms. *)
+    after each full re-list, with the listed store. Defaults: not
+    monotonic, stream declared dead after 1 s, retries every 300 ms. *)
 
 val start : t -> ?endpoint:int -> unit -> unit
 (** (Re)starts syncing, optionally pinning the initial endpoint index
@@ -57,13 +57,6 @@ val get : t -> string -> Resource.value option
 val rev : t -> int
 (** The view's frontier — decreases after a re-list from a stale
     apiserver (time travel). *)
-
-val min_rev : int -> t option -> int
-(** Folds a component's informer (if started) into the least frontier
-    its views hold. Start from [max_int]; {!least_rev} reads the result. *)
-
-val least_rev : int -> int
-(** The folded frontier, or 0 when no informer had started. *)
 
 val current_endpoint : t -> string
 

@@ -5,8 +5,11 @@
     components; every component view is an {!Informer}
     (client-go-style list+watch cache). Components: {!Kubelet},
     {!Scheduler}, {!Volume_controller}, {!Cassandra_operator},
-    {!Replicaset}, {!Node_controller}, plus lease-based {!Elector}s.
-    {!Cluster} assembles a whole topology; {!Workload} scripts
+    {!Replicaset}, {!Node_controller}, {!Deployment}, plus lease-based
+    {!Elector}s. Each component runs on one {!Controller}, the shared
+    lifecycle: its crash/restart hooks (a restart re-lists from the
+    apiserver its incarnation picks), its reconcile loop and its view
+    revision. {!Cluster} assembles a whole topology; {!Workload} scripts
     time-stamped operations against it.
 
     Every notification edge is a {!Pipe} (FIFO, TCP-like failure
@@ -23,6 +26,7 @@ module Etcd = Etcd
 module Apiserver = Apiserver
 module Informer = Informer
 module Client = Client
+module Controller = Controller
 module Kubelet = Kubelet
 module Scheduler = Scheduler
 module Volume_controller = Volume_controller

@@ -1,21 +1,19 @@
 type t = {
-  name : string;
   node : string;
-  net : Dsim.Network.t;
-  mutable informer : Informer.t option;
-  client : Client.t;
+  ctl : Controller.t;  (* its one informer watches pods/ *)
   running_pods : (string, unit) Hashtbl.t;  (* containers outlive the kubelet *)
   mutable starts : int;
   mutable stops : int;
-  make_informer : t -> Informer.t;
 }
 
 (* Delay before a pod marked for deletion is finalized. *)
 let grace_period = 500_000
 
-let name t = t.name
+let name t = Controller.name t.ctl
 
 let node_name t = t.node
+
+let controller t = t.ctl
 
 let running t =
   Hashtbl.fold (fun pod () acc -> pod :: acc) t.running_pods [] |> List.sort String.compare
@@ -26,27 +24,20 @@ let starts t = t.starts
 
 let stops t = t.stops
 
-let informer t =
-  match t.informer with Some i -> i | None -> invalid_arg "Kubelet.informer: not started"
-
-let view_rev t = match t.informer with Some i -> Informer.rev i | None -> 0
-
-let engine t = Dsim.Network.engine t.net
-
-let record t kind detail = Dsim.Engine.record (engine t) ~actor:t.name ~kind detail
+let informer t = List.hd (Controller.informers t.ctl)
 
 let run_pod t pod_name =
   if not (Hashtbl.mem t.running_pods pod_name) then begin
     Hashtbl.replace t.running_pods pod_name ();
     t.starts <- t.starts + 1;
-    record t "kubelet.run" pod_name
+    Controller.record t.ctl "kubelet.run" pod_name
   end
 
 let stop_pod t pod_name =
   if Hashtbl.mem t.running_pods pod_name then begin
     Hashtbl.remove t.running_pods pod_name;
     t.stops <- t.stops + 1;
-    record t "kubelet.stop" pod_name
+    Controller.record t.ctl "kubelet.stop" pod_name
   end
 
 (* Report the pod Running so controllers and users see status converge.
@@ -54,7 +45,7 @@ let stop_pod t pod_name =
    stale: etcd rejects it instead of resurrecting old state. *)
 let write_running_status t (p : Resource.pod) mod_rev =
   if p.Resource.phase <> Resource.Running then
-    Client.txn_ t.client
+    Client.txn_ (Controller.client t.ctl)
       (Etcdlike.Txn.put_if_unchanged ~key:(Resource.pod_key p.Resource.pod_name)
          ~expected_mod_rev:mod_rev
          (Resource.Pod { p with Resource.phase = Resource.Running }))
@@ -64,10 +55,11 @@ let write_running_status t (p : Resource.pod) mod_rev =
 let finalize_marked t (p : Resource.pod) mod_rev =
   stop_pod t p.Resource.pod_name;
   ignore
-    (Dsim.Engine.schedule (engine t) ~delay:grace_period (fun () ->
-         if Client.owner_up t.client then begin
-           record t "kubelet.finalize" p.Resource.pod_name;
-           Client.txn_ t.client
+    (Dsim.Engine.schedule (Controller.engine t.ctl) ~delay:grace_period (fun () ->
+         let client = Controller.client t.ctl in
+         if Client.owner_up client then begin
+           Controller.record t.ctl "kubelet.finalize" p.Resource.pod_name;
+           Client.txn_ client
              (Etcdlike.Txn.delete_if_unchanged ~key:(Resource.pod_key p.Resource.pod_name)
                 ~expected_mod_rev:mod_rev)
          end))
@@ -101,58 +93,44 @@ let on_event t (e : Resource.value History.Event.t) =
 (* After a (re-)list the event history is gone; all we can do is make the
    running set match the listed state — including starting pods a stale
    list claims are ours. *)
-let on_reset t =
-  match t.informer with
-  | None -> ()
-  | Some informer ->
-      let store = Informer.store informer in
-      let desired = Hashtbl.create 16 in
-      List.iter
-        (fun key ->
-          match History.State.find store key with
-          | Some (Resource.Pod p, mod_rev)
-            when p.Resource.node = Some t.node
-                 && p.Resource.deletion_timestamp = None
-                 && not (terminal p) ->
-              Hashtbl.replace desired p.Resource.pod_name ();
-              if not (Hashtbl.mem t.running_pods p.Resource.pod_name) then begin
-                run_pod t p.Resource.pod_name;
-                write_running_status t p mod_rev
-              end
-          | Some (Resource.Pod p, mod_rev)
-            when p.Resource.node = Some t.node && p.Resource.deletion_timestamp <> None ->
-              finalize_marked t p mod_rev
-          | Some _ | None -> ())
-        (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix);
-      List.iter (fun pod -> if not (Hashtbl.mem desired pod) then stop_pod t pod) (running t)
+let on_reset t store =
+  let desired = Hashtbl.create 16 in
+  List.iter
+    (fun key ->
+      match History.State.find store key with
+      | Some (Resource.Pod p, mod_rev)
+        when p.Resource.node = Some t.node
+             && p.Resource.deletion_timestamp = None
+             && not (terminal p) ->
+          Hashtbl.replace desired p.Resource.pod_name ();
+          if not (Hashtbl.mem t.running_pods p.Resource.pod_name) then begin
+            run_pod t p.Resource.pod_name;
+            write_running_status t p mod_rev
+          end
+      | Some (Resource.Pod p, mod_rev)
+        when p.Resource.node = Some t.node && p.Resource.deletion_timestamp <> None ->
+          finalize_marked t p mod_rev
+      | Some _ | None -> ())
+    (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix);
+  List.iter (fun pod -> if not (Hashtbl.mem desired pod) then stop_pod t pod) (running t)
 
+(* The handlers need the kubelet, so its informer joins once the record
+   exists. *)
 let create ~net ~name ~node ~endpoints ?(monotonic = false) () =
-  let client = Client.create ~net ~owner:name ~endpoints () in
-  let make_informer t =
-    Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix
-      ~on_event:(on_event t) ~on_reset:(fun () -> on_reset t) ~monotonic ()
+  let t =
+    {
+      node;
+      ctl = Controller.create ~net ~name ~endpoints;
+      running_pods = Hashtbl.create 16;
+      starts = 0;
+      stops = 0;
+    }
   in
-  {
-    name;
-    node;
-    net;
-    informer = None;
-    client;
-    running_pods = Hashtbl.create 16;
-    starts = 0;
-    stops = 0;
-    make_informer;
-  }
+  ignore
+    (Controller.watch t.ctl
+       (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix
+          ~on_event:(on_event t) ~on_reset:(on_reset t) ~monotonic ()));
+  t
 
-let start t =
-  let self = Dsim.Network.peer t.net t.name in
-  let informer = t.make_informer t in
-  t.informer <- Some informer;
-  Dsim.Network.set_lifecycle t.net t.name
-    ~on_crash:(fun () -> Informer.stop informer)
-    ~on_restart:(fun () ->
-      (* Each incarnation lands on a different apiserver behind the load
-         balancer — the hinge of Kubernetes-59848. *)
-      let endpoint = Dsim.Network.peer_incarnation self in
-      Informer.start informer ~endpoint ());
-  Informer.start informer ~endpoint:0 ()
+(* No reconcile loop: the kubelet acts on events and re-lists only. *)
+let start t = Controller.start t.ctl ~on_crash:ignore

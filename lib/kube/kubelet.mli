@@ -12,7 +12,10 @@
     Deletion protocol: when a pod it runs is *marked* for deletion
     (non-null [deletion_timestamp]), the kubelet stops it after the grace
     period and then finalizes — removes the pod object — so the mark and
-    the removal are two distinct history events, as in Kubernetes. *)
+    the removal are two distinct history events, as in Kubernetes.
+
+    It has no reconcile loop: it acts on pod events and on re-lists. The
+    crash/restart lifecycle is the shared {!Controller}'s. *)
 
 type t
 
@@ -34,10 +37,7 @@ val name : t -> string
 
 val node_name : t -> string
 
-val view_rev : t -> int
-(** The kubelet view's revision frontier (0 before start) — its
-    partial-history position, read by the cluster's revision-lag
-    sampler. *)
+val controller : t -> Controller.t
 
 val running : t -> string list
 (** Names of pods currently running locally (ground truth for the
@@ -51,3 +51,4 @@ val starts : t -> int
 val stops : t -> int
 
 val informer : t -> Informer.t
+(** Its pod informer. *)

@@ -19,26 +19,18 @@ val create :
   name:string ->
   endpoints:string list ->
   ?quorum_guard:bool ->
-  ?period:int ->
   unit ->
   t
-(** Defaults: no quorum guard, reconcile every 200 ms. A node must be
-    missing for 3 consecutive passes before its pods are failed. *)
+(** Default: no quorum guard. A node must be missing for 3 consecutive
+    passes before its pods are failed. Informers: pods, then nodes. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle (a crash also forgets the
+    strikes) and the reconcile pass, every 200 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val reconciles : t -> int
 
 val evictions : t -> (string * string) list
 (** (pod, node) pairs this controller failed, oldest first. *)
-
-val pods_informer : t -> Informer.t
-
-val nodes_informer : t -> Informer.t

@@ -1,13 +1,10 @@
 type expectation = { pod : string; deadline : int }
 
 type t = {
-  name : string;
-  net : Dsim.Network.t;
-  client : Client.t;
+  ctl : Controller.t;
   expectations : bool;
-  period : int;
-  mutable rsets_informer : Informer.t option;
-  mutable pods_informer : Informer.t option;
+  rsets : Informer.t;
+  pods : Informer.t;
   pending : (string, expectation list) Hashtbl.t;  (* rset name -> issued creations *)
   counters : (string, int) Hashtbl.t;  (* rset name -> next fresh suffix *)
   orphan_strikes : (string, int) Hashtbl.t;  (* pod -> passes seen ownerless *)
@@ -16,29 +13,18 @@ type t = {
   mutable deletes : int;
 }
 
-(* An unobserved creation stops counting toward expectations after 2 s. *)
+(* The reconcile pass runs every 150 ms. An unobserved creation stops
+   counting toward expectations after 2 s. *)
+let period = 150_000
 let expectation_timeout = 2_000_000
 
-let name t = t.name
+let controller t = t.ctl
 
 let reconciles t = t.reconciles
 
 let creates t = t.creates
 
 let deletes t = t.deletes
-
-let informer_exn = function Some i -> i | None -> invalid_arg "Replicaset: not started"
-
-let pods_informer t = informer_exn t.pods_informer
-
-let rsets_informer t = informer_exn t.rsets_informer
-
-let view_rev t =
-  Informer.least_rev (Informer.min_rev (Informer.min_rev max_int t.rsets_informer) t.pods_informer)
-
-let engine t = Dsim.Network.engine t.net
-
-let record t kind detail = Dsim.Engine.record (engine t) ~actor:t.name ~kind detail
 
 let fresh_pod_name t rs =
   let counter = Option.value (Hashtbl.find_opt t.counters rs) ~default:0 in
@@ -48,7 +34,7 @@ let fresh_pod_name t rs =
 (* Pods of this set the cache can currently see (live = not marked, not
    Failed; Failed pods are replaced, not counted). *)
 let cached_members t rs_key =
-  let store = Informer.store (pods_informer t) in
+  let store = Informer.store t.pods in
   History.State.keys_with_prefix store ~prefix:Resource.pods_prefix
   |> List.filter_map (fun key ->
          match History.State.find store key with
@@ -61,7 +47,7 @@ let live (p : Resource.pod) =
 (* Expectations bookkeeping: forget creations that have shown up in the
    view or have timed out. *)
 let outstanding t rs ~visible =
-  let now = Dsim.Engine.now (engine t) in
+  let now = Dsim.Engine.now (Controller.engine t.ctl) in
   let still_pending =
     Option.value (Hashtbl.find_opt t.pending rs) ~default:[]
     |> List.filter (fun e -> e.deadline > now && not (List.mem e.pod visible))
@@ -72,21 +58,21 @@ let outstanding t rs ~visible =
 let create_pod t rs =
   let pod_name = fresh_pod_name t rs in
   t.creates <- t.creates + 1;
-  record t "rsctl.create" pod_name;
+  Controller.record t.ctl "rsctl.create" pod_name;
   if t.expectations then begin
-    let now = Dsim.Engine.now (engine t) in
+    let now = Dsim.Engine.now (Controller.engine t.ctl) in
     let entry = { pod = pod_name; deadline = now + expectation_timeout } in
     Hashtbl.replace t.pending rs (entry :: Option.value (Hashtbl.find_opt t.pending rs) ~default:[])
   end;
-  Client.txn_ t.client
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.create_if_absent ~key:(Resource.pod_key pod_name)
        (Resource.make_pod ~owner:(Resource.rset_key rs) pod_name))
 
 let delete_pod t (p : Resource.pod) mod_rev =
   t.deletes <- t.deletes + 1;
-  record t "rsctl.scale-down" p.Resource.pod_name;
-  let now = Dsim.Engine.now (engine t) in
-  Client.txn_ t.client
+  Controller.record t.ctl "rsctl.scale-down" p.Resource.pod_name;
+  let now = Dsim.Engine.now (Controller.engine t.ctl) in
+  Client.txn_ (Controller.client t.ctl)
     (Etcdlike.Txn.put_if_unchanged ~key:(Resource.pod_key p.Resource.pod_name)
        ~expected_mod_rev:mod_rev
        (Resource.Pod { p with Resource.deletion_timestamp = Some now }))
@@ -117,8 +103,8 @@ let reconcile_rset t rs (spec : Resource.rset) =
    merely *behind* (the rset created moments ago) does not trigger a
    massacre. *)
 let gc_orphan_pods t =
-  let rsets = Informer.store (rsets_informer t) in
-  let pods = Informer.store (pods_informer t) in
+  let rsets = Informer.store t.rsets in
+  let pods = Informer.store t.pods in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun key ->
@@ -154,7 +140,7 @@ let gc_orphan_pods t =
 
 let reconcile t =
   t.reconciles <- t.reconciles + 1;
-  let rsets = Informer.store (rsets_informer t) in
+  let rsets = Informer.store t.rsets in
   List.iter
     (fun key ->
       match History.State.get rsets key with
@@ -163,44 +149,29 @@ let reconcile t =
     (History.State.keys_with_prefix rsets ~prefix:Resource.rsets_prefix);
   gc_orphan_pods t
 
-let create ~net ~name ~endpoints ?(expectations = false) ?(period = 150_000) () =
-  let t =
-    {
-      name;
-      net;
-      client = Client.create ~net ~owner:name ~endpoints ();
-      expectations;
-      period;
-      rsets_informer = None;
-      pods_informer = None;
-      pending = Hashtbl.create 8;
-      counters = Hashtbl.create 8;
-      orphan_strikes = Hashtbl.create 16;
-      reconciles = 0;
-      creates = 0;
-      deletes = 0;
-    }
+let create ~net ~name ~endpoints ?(expectations = false) () =
+  let ctl = Controller.create ~net ~name ~endpoints in
+  let rsets =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.rsets_prefix ())
   in
-  t.rsets_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.rsets_prefix ());
-  t.pods_informer <-
-    Some (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ());
-  t
+  let pods =
+    Controller.watch ctl
+      (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pods_prefix ())
+  in
+  {
+    ctl;
+    expectations;
+    rsets;
+    pods;
+    pending = Hashtbl.create 8;
+    counters = Hashtbl.create 8;
+    orphan_strikes = Hashtbl.create 16;
+    reconciles = 0;
+    creates = 0;
+    deletes = 0;
+  }
 
 let start t =
-  let self = Dsim.Network.peer t.net t.name in
-  let rsets = rsets_informer t and pods = pods_informer t in
-  Dsim.Network.set_lifecycle t.net t.name
-    ~on_crash:(fun () ->
-      Informer.stop rsets;
-      Informer.stop pods;
-      Hashtbl.reset t.pending)
-    ~on_restart:(fun () ->
-      let endpoint = Dsim.Network.peer_incarnation self in
-      Informer.start rsets ~endpoint ();
-      Informer.start pods ~endpoint ());
-  Informer.start rsets ~endpoint:0 ();
-  Informer.start pods ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
-      if Dsim.Network.peer_is_up self then reconcile t;
-      true)
+  Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.pending);
+  Controller.every t.ctl ~period (fun () -> reconcile t)

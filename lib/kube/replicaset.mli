@@ -22,20 +22,16 @@ val create :
   name:string ->
   endpoints:string list ->
   ?expectations:bool ->
-  ?period:int ->
   unit ->
   t
-(** Defaults: no expectations (the bug-era behaviour), reconcile every
-    150 ms. Expectations time out after 2 s. *)
+(** Default: no expectations (the bug-era behaviour). Expectations time
+    out after 2 s. Informers: ReplicaSets, then pods. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle (a crash also forgets the
+    expectations) and the reconcile pass, every 150 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val reconciles : t -> int
 
@@ -44,7 +40,3 @@ val creates : t -> int
 
 val deletes : t -> int
 (** Surplus pods marked for deletion. *)
-
-val pods_informer : t -> Informer.t
-
-val rsets_informer : t -> Informer.t

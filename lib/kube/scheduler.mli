@@ -22,19 +22,16 @@ val create :
   name:string ->
   endpoints:string list ->
   ?evict_on_bind_failure:bool ->
-  ?period:int ->
   unit ->
   t
-(** Default scheduling loop period: 100 ms. *)
+(** Informers: pods, then nodes. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle (a crash also empties the node
+    cache and forgets in-flight binds) and the scheduling pass, every
+    100 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val cached_nodes : t -> string list
 (** The scheduler's current node cache (sorted). *)

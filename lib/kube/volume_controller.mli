@@ -25,19 +25,15 @@ val create :
   name:string ->
   endpoints:string list ->
   ?release_on_absent_owner:bool ->
-  ?period:int ->
   unit ->
   t
-(** Default reconcile period: 150 ms. *)
+(** Informers: pods, then claims. *)
 
 val start : t -> unit
+(** Starts the {!Controller} lifecycle and the reconcile pass, every
+    150 ms. *)
 
-val name : t -> string
-
-val view_rev : t -> int
-(** The view's revision frontier: the minimum last-seen revision across
-    the component's informers (0 before start) — its partial-history
-    position, read by the cluster's revision-lag sampler. *)
+val controller : t -> Controller.t
 
 val releases : t -> int
 (** Claims released so far. *)
@@ -45,5 +41,3 @@ val releases : t -> int
 val reconciles : t -> int
 
 val pods_informer : t -> Informer.t
-
-val pvcs_informer : t -> Informer.t

@@ -74,12 +74,12 @@ let pod_churn ?(start = 1_000_000) ?(spacing = 400_000) ?(lifetime = 3_000_000) 
            step (at + lifetime) ("delete " ^ name) (fun c -> mark_pod_deleted c name);
          ]))
 
-let pods_with_claims ?(start = 1_000_000) ?(spacing = 400_000) ?(lifetime = 3_000_000) ~n () =
+let pods_with_claims ?(start = 1_000_000) ?(lifetime = 3_000_000) ~n () =
   List.concat
     (List.init n (fun i ->
          let name = Printf.sprintf "app-%d" i in
          let claim = Printf.sprintf "vol-%d" i in
-         let at = start + (i * spacing) in
+         let at = start + (i * 400_000) in
          [
            step at
              (Printf.sprintf "create %s (claim %s)" name claim)

@@ -46,9 +46,9 @@ val pod_churn : ?start:int -> ?spacing:int -> ?lifetime:int -> n:int -> unit -> 
 (** [n] pods named [churn-<i>]: each created, then gracefully deleted
     [lifetime] later. Defaults: start 1 s, spacing 400 ms, lifetime 3 s. *)
 
-val pods_with_claims : ?start:int -> ?spacing:int -> ?lifetime:int -> n:int -> unit -> t
+val pods_with_claims : ?start:int -> ?lifetime:int -> n:int -> unit -> t
 (** Like {!pod_churn} but each pod mounts claim [vol-<i>] (exercises the
-    volume controller). *)
+    volume controller); the pods are always 400 ms apart. *)
 
 val rolling_upgrade : ?start:int -> pod:string -> from_node:string -> to_node:string -> unit -> t
 (** Creates [pod] pinned to [from_node], then migrates it: force-delete

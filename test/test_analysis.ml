@@ -39,6 +39,12 @@ let test_fixture_edge_trigger () =
   | _ -> Alcotest.fail "expected exactly one finding");
   check_findings "edge_trigger_fixed" (fixture "edge_trigger_fixed.ml") []
 
+(* The kube components' shared reconcile loop is as periodic as the
+   engine's own: a handler whose prefix a [Controller.every] pass
+   re-lists is level-triggered. *)
+let test_fixture_edge_trigger_shared_loop () =
+  check_findings "edge_trigger_shared_loop" (fixture "edge_trigger_shared_loop.ml") []
+
 let test_fixture_stale_resync () =
   check_findings "stale_resync_buggy"
     (fixture "stale_resync_buggy.ml")
@@ -235,6 +241,45 @@ let test_footprint_consistency () =
             fp.edge_triggered)
         footprints)
     (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated () @ Sieve.Bugs.hbase ())
+
+(* The hand-written footprints mirror lib/kube: their components are the
+   owners of the cluster's informers, and each footprint's cached reads
+   are its informers' prefixes. *)
+let test_footprint_mirrors_cluster () =
+  let sorted = List.sort_uniq String.compare in
+  let check label config =
+    let informers = Kube.Cluster.informers (Kube.Cluster.create ~config ()) in
+    let footprints = Sieve.Footprint.of_config config in
+    Alcotest.(check (list string))
+      (label ^ " components")
+      (sorted (List.map Kube.Informer.owner informers))
+      (sorted (List.map (fun (fp : Sieve.Footprint.t) -> fp.component) footprints));
+    List.iter
+      (fun (fp : Sieve.Footprint.t) ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s %s cached reads" label fp.component)
+          (sorted
+             (List.filter_map
+                (fun i ->
+                  if String.equal (Kube.Informer.owner i) fp.component then
+                    Some (Kube.Informer.prefix i)
+                  else None)
+                informers))
+          (sorted fp.cached_reads))
+      footprints
+  in
+  let base = Kube.Cluster.default_config in
+  check "default" base;
+  check "every controller"
+    {
+      base with
+      Kube.Cluster.with_replicaset = true;
+      with_node_controller = true;
+      with_deployment = true;
+    };
+  List.iter
+    (fun (case : Sieve.Bugs.case) -> check case.Sieve.Bugs.id (Sieve.Bugs.kube_config case))
+    (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated ())
 
 (* The edge_triggered sets mirror the lint's edge-trigger findings: the
    kubelet's pod handler and the scheduler's node cache, nothing else. *)
@@ -447,6 +492,8 @@ let suites =
       [
         Alcotest.test_case "fixture: stale-write" `Quick test_fixture_stale_write;
         Alcotest.test_case "fixture: edge-trigger" `Quick test_fixture_edge_trigger;
+        Alcotest.test_case "fixture: edge-trigger under the shared loop" `Quick
+          test_fixture_edge_trigger_shared_loop;
         Alcotest.test_case "fixture: stale-resync" `Quick test_fixture_stale_resync;
         Alcotest.test_case "fixture: follower-read-then-write" `Quick
           test_fixture_follower_read;
@@ -467,6 +514,8 @@ let suites =
       [
         Alcotest.test_case "cached reads = planner watch sets" `Quick
           test_footprint_consistency;
+        Alcotest.test_case "footprints mirror the cluster's informers" `Quick
+          test_footprint_mirrors_cluster;
         Alcotest.test_case "edge_triggered mirrors lint" `Quick
           test_footprint_edge_triggered_mirrors_lint;
         Alcotest.test_case "replication demotes quorum reads" `Quick

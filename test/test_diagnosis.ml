@@ -396,7 +396,7 @@ let hunt_bytes_invariant_under_diagnose () =
           | Error e -> Alcotest.failf "emitted card fails schema validation: %s" e))
     diag.Hunt.Campaign.findings
 
-(* --- metrics and artifact embedding -------------------------------- *)
+(* --- metrics ------------------------------------------------------- *)
 
 let diagnosis_metrics () =
   let outcome, card = Diagnosis.Diagnose.diagnose_case (Sieve.Bugs.k8s_56261 ()) in
@@ -406,25 +406,6 @@ let diagnosis_metrics () =
   Alcotest.(check bool) "walk depth sampled" true
     (Dsim.Metrics.samples m "diagnosis.walk.depth" > 0);
   Alcotest.(check int) "chain complete" 0 (Dsim.Metrics.count m "diagnosis.chain.truncated")
-
-let artifact_embeds_card () =
-  let case = Sieve.Bugs.ca_402 () in
-  let outcome = Sieve.Runner.run_test ~diagnose:true (Sieve.Bugs.test_of_case case) in
-  let j = Diagnosis.Diagnose.artifact ~target:case.Sieve.Bugs.matches outcome in
-  (match Dsim.Json.member "diagnosis" j with
-  | None -> Alcotest.fail "artifact lacks the diagnosis section"
-  | Some cj -> (
-      match Diagnosis.Card.validate cj with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "embedded card fails schema validation: %s" e));
-  (* counters are recorded before the snapshot, so the same artifact's
-     metrics section already carries them *)
-  Alcotest.(check bool) "metrics snapshot carries the counters" true
-    (let s = Dsim.Json.to_string j in
-     let needle = "diagnosis.cards" in
-     let n = String.length s and m = String.length needle in
-     let rec scan i = i + m <= n && (String.sub s i m = needle || scan (i + 1)) in
-     scan 0)
 
 let suites =
   [
@@ -439,6 +420,5 @@ let suites =
         Alcotest.test_case "hunt journal invariant under diagnose" `Slow
           hunt_bytes_invariant_under_diagnose;
         Alcotest.test_case "diagnosis metrics counters" `Slow diagnosis_metrics;
-        Alcotest.test_case "artifact embeds card and counters" `Slow artifact_embeds_card;
       ] );
   ]

@@ -113,15 +113,23 @@ let legitimate_claim_deletion_not_flagged () =
 let ledger_anchor_precedence () =
   let engine = Dsim.Engine.create () in
   let ledger = Sieve.Oracle.ledger engine in
+  (* An entry caused by the frontier becomes the new frontier. *)
+  let emit kind detail =
+    let cause = Option.value (Dsim.Engine.current_cause engine) ~default:Dsim.Trace.no_cause in
+    let id =
+      Dsim.Trace.emit (Dsim.Engine.trace engine) ~time:0 ~actor:"test" ~kind ~cause detail
+    in
+    Dsim.Engine.set_cause engine (Some id);
+    id
+  in
   let commit key =
-    let id = Dsim.Engine.emit engine ~actor:"store" ~kind:"store.commit" key in
+    let id = emit "store.commit" key in
     Sieve.Oracle.note_commit ledger key;
     id
   in
   let a = commit "a" in
   let b = commit "b" in
-  let frontier = Dsim.Engine.emit engine ~actor:"test" ~kind:"test.step" "" in
-  Dsim.Engine.set_cause engine (Some frontier);
+  let frontier = emit "test.step" "" in
   let leak pvc = Sieve.Oracle.Pvc_leak { pvc; owner_pod = "p" } in
   Sieve.Oracle.report ~about:"a" ledger (leak "1");
   Sieve.Oracle.report ~about:"zzz" ledger (leak "2");
