@@ -25,7 +25,7 @@ smoke:
 	dune exec bin/sieve_cli.exe -- list
 	dune exec bin/sieve_cli.exe -- bugs k8s-56261
 	dune exec bin/sieve_cli.exe -- trace k8s-56261 --json > _build/smoke-trace.jsonl
-	dune exec test/validate_jsonl.exe _build/smoke-trace.jsonl
+	dune exec test/validate_jsonl.exe < _build/smoke-trace.jsonl
 
 examples:
 	dune exec examples/quickstart.exe

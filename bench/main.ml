@@ -1158,6 +1158,35 @@ let micro () =
         done;
         Dsim.Engine.run e))
   in
+  (* The queue's traffic in an HBase trial: about 20 fault-plan and
+     workload actions wait seconds out while periodic ticks send 0.5-2 ms
+     requests and replies, each guarded by a 1 s timeout that the reply
+     cancels. *)
+  let test_engine_traffic =
+    Test.make ~name:"engine: hbase-like traffic (1 virtual s)" (Staged.stage (fun () ->
+        let e = Dsim.Engine.create () in
+        let rng = Dsim.Engine.rng e in
+        let latency () = 500 + Dsim.Rng.int rng 1_500 in
+        for _ = 1 to 20 do
+          ignore (Dsim.Engine.schedule e ~delay:(sec 2 + Dsim.Rng.int rng (sec 6)) ignore)
+        done;
+        let call () =
+          let timeout = Dsim.Engine.schedule e ~delay:(sec 1) ignore in
+          ignore
+            (Dsim.Engine.schedule e ~delay:(latency ()) (fun () ->
+                 ignore
+                   (Dsim.Engine.schedule e ~delay:(latency ()) (fun () ->
+                        Dsim.Engine.cancel e timeout))))
+        in
+        for node = 1 to 8 do
+          Dsim.Engine.every e ~period:(if node mod 2 = 0 then ms 100 else ms 150) (fun () ->
+              for _ = 1 to 4 do
+                call ()
+              done;
+              true)
+        done;
+        Dsim.Engine.run ~until:(sec 1) e))
+  in
   let test_network =
     Test.make ~name:"network: 1k RPC round trips" (Staged.stage (fun () ->
         let e = Dsim.Engine.create () in
@@ -1209,8 +1238,9 @@ let micro () =
         ignore (Sieve.Runner.run_test (Sieve.Bugs.test_of_case (Sieve.Bugs.ca_402 ())))))
   in
   let tests =
-    [ test_kv_put; test_state_apply; test_log_since; test_engine; test_network; test_trace_ring;
-      test_metrics_hist; test_trace_jsonl; test_cluster_second; test_bug_repro ]
+    [ test_kv_put; test_state_apply; test_log_since; test_engine; test_engine_traffic;
+      test_network; test_trace_ring; test_metrics_hist; test_trace_jsonl; test_cluster_second;
+      test_bug_repro ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in

@@ -1,7 +1,7 @@
 (** Deterministic discrete-event simulation kernel.
 
     Everything in this reproduction runs on one {!Engine}: a virtual
-    clock, a deterministic event heap and a splittable PRNG ({!Rng}).
+    clock, a deterministic event queue and a splittable PRNG ({!Rng}).
     {!Network} models RPC and one-way messaging between named nodes
     with latency, partitions and crash/restart (with incarnation
     fencing); {!Fault} turns failure schedules into replayable data;

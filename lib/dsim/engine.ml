@@ -1,16 +1,34 @@
 (* Events live in slots: parallel arrays hold each scheduled event's
    scheduling [seq], the causal frontier captured when it was scheduled,
-   its index in the heap and its action. The heap is an array-based
-   binary min-heap of slot ids on the lexicographic (time, seq) key, and
-   it keeps each entry's key inline: [heap_time] and [heap_seq] run
-   parallel to [heap], so a sift compares adjacent ints and never loads
-   a key through a slot id. [seq] is unique, so the pop order is total
-   and independent of the heap's shape. An event that fires or is
-   cancelled leaves the heap and frees its slot at once: its seq becomes
-   [free], so a handle to it no longer matches, and its action becomes
-   [ignore], so the closure is collectable. Free slots form a list
-   threaded through [slot_pos]. Once the arrays have grown, scheduling,
-   firing and cancelling allocate nothing. *)
+   its action and its deadline. A pending event waits in one of two
+   tiers:
+
+   - The wheel: [wheel_size] buckets, each [1 lsl bucket_bits] us of
+     virtual time wide, for events due within one lap (about 1.05 s) of
+     the clock: network deliveries, RPC timeouts, periodic ticks. A
+     bucket is a circular chain of slots linked through [slot_next] and
+     sorted by (time, seq); the wheel stores its tail, whose successor
+     is its head. A new event has the largest seq, so it goes after
+     every entry due no later than it; for same-time bursts and rising
+     deadlines that is the tail, reached in O(1).
+   - The far heap: a binary min-heap of slot ids in [far], keyed by
+     (time, seq) through the slot arrays, for the few events due beyond
+     one lap (pre-scheduled fault-plan and workload actions, heals near
+     [max_int / 2]).
+
+   No pending event is due before the clock, and the wheel admits only
+   ticks less than a lap past the clock's, so its events span less than
+   one lap and each bucket holds one tick's events. The [cursor] lies
+   between the clock's tick and the wheel's earliest tick: a scan from
+   it finds the first non-empty bucket, whose head is the wheel's
+   earliest event, and an insert into an earlier bucket lowers it. A
+   pop takes the earlier of that head and the far heap's top, so events
+   fire in the total (time, seq) order, [seq] being unique. An event
+   that fires or is cancelled leaves its tier and frees its slot at
+   once: its seq becomes [free], so a handle to it no longer matches,
+   and its action becomes [ignore], so the closure is collectable. Free
+   slots form a list threaded through [slot_next]. Once the arrays have
+   grown, scheduling, firing and cancelling allocate nothing. *)
 
 (* A handle is the event's seq above [slot_bits] bits of slot id. *)
 type timer = int
@@ -28,18 +46,39 @@ let free = 0
 (* Trace ids start at 1, so 0 encodes "no cause" without an option. *)
 let no_cause = Trace.no_cause
 
+(* A tick is a deadline shifted right by [bucket_bits]: 1,024 us. *)
+let bucket_bits = 10
+
+let wheel_size = 1024
+
+let wheel_mask = wheel_size - 1
+
+(* The wheel array holds the bucket tails (-1 for an empty bucket), then
+   the queue's three counters at these indices. It is allocated once per
+   engine, and its size puts it straight in the major heap, so the
+   engine record and a trial's minor allocation keep their size. *)
+let cursor = wheel_size
+
+let near = wheel_size + 1 (* events in the wheel *)
+
+let far_size = wheel_size + 2 (* events in the far heap *)
+
+(* [slot_where] of an event in the wheel; a far event's is its index in
+   [far]. *)
+let in_wheel = -1
+
 type t = {
   mutable clock : int;
   mutable seq : int;
   mutable slot_seq : int array;
   mutable slot_cause : int array;
-  mutable slot_pos : int array;  (* live: index in [heap]; free: next free slot, or -1 *)
   mutable slot_action : (unit -> unit) array;
+  mutable slot_time : int array;
+  mutable slot_next : int array;  (* in the wheel: next in its bucket; free: next free, or -1 *)
+  mutable slot_where : int array;
+  mutable far : int array;  (* slot ids; the first [wheel.(far_size)] are live *)
+  wheel : int array;
   mutable free_slot : int;  (* head of the free list, or -1 *)
-  mutable heap : int array;  (* slot ids; the first [size] are live *)
-  mutable heap_time : int array;  (* deadline of the entry at the same index *)
-  mutable heap_seq : int array;  (* seq of the entry at the same index *)
-  mutable size : int;
   mutable tombstone : int;  (* latest deadline of a cancelled event *)
   rng : Rng.t;
   trace : Trace.t;
@@ -50,18 +89,20 @@ type t = {
 let create ?(seed = 1L) () =
   let trace = Trace.create () in
   let metrics = Metrics.create () in
+  let wheel = Array.make (wheel_size + 3) (-1) in
+  Array.fill wheel wheel_size 3 0;
   {
     clock = 0;
     seq = 0;
     slot_seq = [||];
     slot_cause = [||];
-    slot_pos = [||];
     slot_action = [||];
+    slot_time = [||];
+    slot_next = [||];
+    slot_where = [||];
+    far = [||];
+    wheel;
     free_slot = -1;
-    heap = [||];
-    heap_time = [||];
-    heap_seq = [||];
-    size = 0;
     tombstone = 0;
     rng = Rng.create seed;
     trace;
@@ -107,91 +148,164 @@ let grow t =
   t.slot_seq <- extend t.slot_seq free;
   t.slot_cause <- extend t.slot_cause no_cause;
   t.slot_action <- extend t.slot_action ignore;
-  t.heap <- extend t.heap 0;
-  t.heap_time <- extend t.heap_time 0;
-  t.heap_seq <- extend t.heap_seq 0;
-  t.slot_pos <- extend t.slot_pos (-1);
+  t.slot_time <- extend t.slot_time 0;
+  t.slot_where <- extend t.slot_where in_wheel;
+  t.far <- extend t.far 0;
+  t.slot_next <- extend t.slot_next (-1);
   for s = old to capacity - 2 do
-    t.slot_pos.(s) <- s + 1
+    t.slot_next.(s) <- s + 1
   done;
   t.free_slot <- old
 
 let release t s =
   t.slot_seq.(s) <- free;
   t.slot_action.(s) <- ignore;
-  t.slot_pos.(s) <- t.free_slot;
+  t.slot_next.(s) <- t.free_slot;
   t.free_slot <- s
 
-(* --- heap ------------------------------------------------------------- *)
+(* Whether slot [a] fires before slot [b]. *)
+let precedes t a b =
+  let ta = t.slot_time.(a) and tb = t.slot_time.(b) in
+  ta < tb || (ta = tb && t.slot_seq.(a) < t.slot_seq.(b))
 
-let place t i s time seq =
-  t.heap.(i) <- s;
-  t.heap_time.(i) <- time;
-  t.heap_seq.(i) <- seq;
-  t.slot_pos.(s) <- i
+(* --- the far heap ----------------------------------------------------- *)
 
-(* Both sifts move a hole instead of swapping: the entry (s, time, seq)
-   is placed once, at its final index. They run on every schedule, fire
-   and cancel, so they are loops over the arrays held in locals, each
-   step comparing the adjacent keys of the hole's parent or children. *)
-let sift_up t s time seq i =
-  let heap = t.heap and heap_time = t.heap_time and heap_seq = t.heap_seq in
+(* Both sifts move a hole instead of swapping: slot [s] is placed once,
+   at its final index. *)
+let far_sift_up t s i =
+  let far = t.far and time = t.slot_time.(s) and seq = t.slot_seq.(s) in
   let hole = ref i and sifting = ref true in
   while !sifting && !hole > 0 do
     let i = !hole in
     let p = (i - 1) lsr 1 in
-    let tp = heap_time.(p) in
-    if time < tp || (time = tp && seq < heap_seq.(p)) then begin
-      let sp = heap.(p) in
-      heap.(i) <- sp;
-      heap_time.(i) <- tp;
-      heap_seq.(i) <- heap_seq.(p);
-      t.slot_pos.(sp) <- i;
+    let sp = far.(p) in
+    let tp = t.slot_time.(sp) in
+    if time < tp || (time = tp && seq < t.slot_seq.(sp)) then begin
+      far.(i) <- sp;
+      t.slot_where.(sp) <- i;
       hole := p
     end
     else sifting := false
   done;
-  place t !hole s time seq
+  far.(!hole) <- s;
+  t.slot_where.(s) <- !hole
 
-let sift_down t s time seq i =
-  let heap = t.heap and heap_time = t.heap_time and heap_seq = t.heap_seq and size = t.size in
+let far_sift_down t s i =
+  let far = t.far and size = t.wheel.(far_size) in
   let hole = ref i and sifting = ref true in
   while !sifting && (2 * !hole) + 1 < size do
     let i = !hole in
     let l = (2 * i) + 1 in
-    let r = l + 1 in
-    let c =
-      if r < size then begin
-        let tr = heap_time.(r) and tl = heap_time.(l) in
-        if tr < tl || (tr = tl && heap_seq.(r) < heap_seq.(l)) then r else l
-      end
-      else l
-    in
-    let tc = heap_time.(c) in
-    if time < tc || (time = tc && seq < heap_seq.(c)) then sifting := false
+    let c = if l + 1 < size && precedes t far.(l + 1) far.(l) then l + 1 else l in
+    let sc = far.(c) in
+    if precedes t s sc then sifting := false
     else begin
-      let sc = heap.(c) in
-      heap.(i) <- sc;
-      heap_time.(i) <- tc;
-      heap_seq.(i) <- heap_seq.(c);
-      t.slot_pos.(sc) <- i;
+      far.(i) <- sc;
+      t.slot_where.(sc) <- i;
       hole := c
     end
   done;
-  place t !hole s time seq
+  far.(!hole) <- s;
+  t.slot_where.(s) <- !hole
 
-(* Takes the entry at heap index [i] out; the last entry fills the hole
-   and moves whichever way restores the order. *)
-let remove t i =
-  let last = t.size - 1 in
-  t.size <- last;
+(* Takes the entry at index [i] out; the last entry fills the hole and
+   moves whichever way restores the order. *)
+let far_remove t i =
+  let last = t.wheel.(far_size) - 1 in
+  t.wheel.(far_size) <- last;
   if i < last then begin
-    let s = t.heap.(last) and time = t.heap_time.(last) and seq = t.heap_seq.(last) in
-    let p = (i - 1) lsr 1 in
-    if i > 0 && (time < t.heap_time.(p) || (time = t.heap_time.(p) && seq < t.heap_seq.(p)))
-    then sift_up t s time seq i
-    else sift_down t s time seq i
+    let s = t.far.(last) in
+    if i > 0 && precedes t s t.far.((i - 1) lsr 1) then far_sift_up t s i else far_sift_down t s i
   end
+
+(* --- the queue -------------------------------------------------------- *)
+
+let enqueue t s time =
+  let wheel = t.wheel in
+  let tick = time lsr bucket_bits in
+  if tick - (t.clock lsr bucket_bits) < wheel_size then begin
+    let next = t.slot_next and b = tick land wheel_mask in
+    let tail = wheel.(b) in
+    if tail < 0 then begin
+      next.(s) <- s;
+      wheel.(b) <- s
+    end
+    else if t.slot_time.(tail) <= time then begin
+      next.(s) <- next.(tail);
+      next.(tail) <- s;
+      wheel.(b) <- s
+    end
+    else begin
+      (* The tail is due later, so this walk from the head stops before
+         it, at the last entry due no later than [time]. *)
+      let p = ref tail in
+      while t.slot_time.(next.(!p)) <= time do
+        p := next.(!p)
+      done;
+      next.(s) <- next.(!p);
+      next.(!p) <- s
+    end;
+    t.slot_where.(s) <- in_wheel;
+    if wheel.(near) = 0 || tick < wheel.(cursor) then wheel.(cursor) <- tick;
+    wheel.(near) <- wheel.(near) + 1
+  end
+  else begin
+    let i = wheel.(far_size) in
+    wheel.(far_size) <- i + 1;
+    far_sift_up t s i
+  end
+
+(* Takes slot [s] out of its tier. A wheel chain is singly linked, so
+   this walks it from the tail to [s]'s predecessor: one step for the
+   head, which is the tail's successor, and a chain holds the events of
+   one tick. *)
+let unlink t s =
+  let w = t.slot_where.(s) in
+  if w = in_wheel then begin
+    let wheel = t.wheel and next = t.slot_next in
+    let b = (t.slot_time.(s) lsr bucket_bits) land wheel_mask in
+    let tail = wheel.(b) in
+    let p = ref tail in
+    while next.(!p) <> s do
+      p := next.(!p)
+    done;
+    let p = !p in
+    if p = s then wheel.(b) <- -1
+    else begin
+      next.(p) <- next.(s);
+      if s = tail then wheel.(b) <- p
+    end;
+    wheel.(near) <- wheel.(near) - 1
+  end
+  else far_remove t w
+
+(* The slot of the next event to fire, or -1 when none is pending. Moves
+   the cursor to the wheel's first non-empty bucket. *)
+let next t =
+  let wheel = t.wheel in
+  let far = if wheel.(far_size) > 0 then t.far.(0) else -1 in
+  if wheel.(near) = 0 then far
+  else begin
+    let c = ref wheel.(cursor) in
+    while wheel.(!c land wheel_mask) < 0 do
+      incr c
+    done;
+    wheel.(cursor) <- !c;
+    let head = t.slot_next.(wheel.(!c land wheel_mask)) in
+    if far >= 0 && precedes t far head then far else head
+  end
+
+(* Fires slot [s], which [next] just returned, so no pending event is due
+   before it. *)
+let fire t s =
+  unlink t s;
+  let time = t.slot_time.(s) in
+  if time > t.clock then t.clock <- time;
+  let action = t.slot_action.(s) in
+  t.cause <- t.slot_cause.(s);
+  release t s;
+  action ();
+  t.cause <- no_cause
 
 (* --- scheduling ------------------------------------------------------- *)
 
@@ -199,13 +313,14 @@ let schedule_at t ~time action =
   if t.free_slot < 0 then grow t;
   if t.seq = max_seq then failwith "Engine: sequence numbers exhausted";
   let s = t.free_slot in
-  t.free_slot <- t.slot_pos.(s);
+  t.free_slot <- t.slot_next.(s);
   t.seq <- t.seq + 1;
   t.slot_seq.(s) <- t.seq;
   t.slot_cause.(s) <- t.cause;
   t.slot_action.(s) <- action;
-  t.size <- t.size + 1;
-  sift_up t s (if time > t.clock then time else t.clock) t.seq (t.size - 1);
+  let time = if time > t.clock then time else t.clock in
+  t.slot_time.(s) <- time;
+  enqueue t s time;
   (t.seq lsl slot_bits) lor s
 
 let schedule t ~delay action =
@@ -214,46 +329,41 @@ let schedule t ~delay action =
 let cancel t timer =
   let s = timer land slot_mask in
   if t.slot_seq.(s) = timer lsr slot_bits then begin
-    let i = t.slot_pos.(s) in
-    let time = t.heap_time.(i) in
+    let time = t.slot_time.(s) in
     if time > t.tombstone then t.tombstone <- time;
-    remove t i;
+    unlink t s;
     release t s
   end
 
-let pending t = t.size
+let pending t = t.wheel.(near) + t.wheel.(far_size)
 
 let step t =
-  if t.size = 0 then false
+  let s = next t in
+  if s < 0 then false
   else begin
-    let s = t.heap.(0) and time = t.heap_time.(0) in
-    remove t 0;
-    if time > t.clock then t.clock <- time;
-    let action = t.slot_action.(s) in
-    t.cause <- t.slot_cause.(s);
-    release t s;
-    action ();
-    t.cause <- no_cause;
+    fire t s;
     true
   end
 
 let run ?until ?max_events t =
   let horizon = match until with Some h -> h | None -> max_int in
   let budget = match max_events with Some m -> m | None -> max_int in
-  let fired = ref 0 in
-  while t.size > 0 && !fired < budget && t.heap_time.(0) <= horizon do
-    ignore (step t);
-    incr fired
+  let fired = ref 0 and s = ref (next t) in
+  while !s >= 0 && !fired < budget && t.slot_time.(!s) <= horizon do
+    fire t !s;
+    incr fired;
+    s := next t
   done;
-  (* Clock rule: end where the run would have if cancelled events stayed
-     in the heap until popped. A live event, or a cancelled deadline,
-     beyond [until] would still be pending and pulls the clock to
-     [until]; otherwise every cancelled event would have been popped,
-     the last of them at [tombstone]. *)
-  if t.clock < horizon then
+  (* Clock rule: a run cut by [max_events] ends at its last event, due no
+     later than any still pending. Any other run ends where it would have
+     if cancelled events stayed queued until popped. A live event, or a
+     cancelled deadline, beyond [until] would still be pending and pulls
+     the clock to [until]; otherwise every cancelled event would have
+     been popped, the last of them at [tombstone]. *)
+  if !fired < budget && t.clock < horizon then
     match until with
-    | Some h when t.size > 0 || t.tombstone > h -> t.clock <- h
-    | _ -> if t.size = 0 && t.tombstone > t.clock then t.clock <- t.tombstone
+    | Some h when pending t > 0 || t.tombstone > h -> t.clock <- h
+    | _ -> if pending t = 0 && t.tombstone > t.clock then t.clock <- t.tombstone
 
 let every t ~period f =
   if period <= 0 then

@@ -1,11 +1,14 @@
 (** Discrete-event simulation engine.
 
-    The engine owns a virtual clock, a deterministic event heap and the
+    The engine owns a virtual clock, a deterministic event queue and the
     root PRNG. Each scheduled event occupies a slot in preallocated
     arrays until it fires or is cancelled, so scheduling, firing and
     cancelling allocate nothing; events fire in ascending [(time, seq)]
     order, [seq] being the scheduling order, so equal-time events run
-    first come, first served. All concurrency in the simulated
+    first come, first served. The queue has two tiers: a timing wheel
+    of 1,024 buckets, each 1,024 us wide and kept sorted, holds the
+    events due within about 1.05 s of [now], and a binary heap holds
+    the few due later. All concurrency in the simulated
     infrastructure is cooperative: a component runs to completion inside
     its event handler and schedules future work with {!schedule}. Two
     runs with the same seed and the same schedule of calls are
@@ -41,7 +44,7 @@ val metrics : t -> Metrics.t
     The engine maintains a *causal frontier*: the id of the trace entry
     that explains whatever is currently executing. The frontier is
     captured when a timer is scheduled and restored when it fires, so
-    causality flows through the event heap without any plumbing at the
+    causality flows through the event queue without any plumbing at the
     call sites — an RPC reply is caused by whatever scheduled the
     request, a watch delivery by the commit that pushed it.
     {!emit_deferred} advances the frontier; {!record} does not. *)
@@ -71,9 +74,10 @@ val schedule_at : t -> time:int -> (unit -> unit) -> timer
 (** Absolute-time variant; times in the past fire at the current time. *)
 
 val cancel : t -> timer -> unit
-(** Takes the event out of the heap at once and frees its slot, so its
-    closure is collectable. A no-op for a timer that has fired or was
-    cancelled, even if its slot now holds a newer event. *)
+(** Takes the event out of the queue at once (out of its wheel bucket
+    or the far heap) and frees its slot, so its closure is collectable.
+    A no-op for a timer that has fired or was cancelled, even if its
+    slot now holds a newer event. *)
 
 val pending : t -> int
 (** Number of scheduled events that have neither fired nor been
@@ -86,15 +90,18 @@ val step : t -> bool
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** Runs events until none is pending, the next one lies beyond [until],
     or [max_events] events have fired. Events scheduled exactly at
-    [until] still run.
+    [until] still run. Each next event is found once: the earlier of
+    the first non-empty wheel bucket's head and the far heap's top.
 
-    Clock rule: a cancelled event leaves the heap at once, yet the clock
-    ends where it would if the event had stayed in the heap and been
-    popped unfired. For that the engine keeps the latest cancelled
-    deadline. At the end of [run ~until:h] the clock moves to [h] if an
-    event is still pending or that deadline lies beyond [h], and
-    otherwise to that deadline if it is later than [now]. A [run]
-    without [until] that drains the heap also ends at that deadline if
+    Clock rule: a run that stops because [max_events] events have fired
+    leaves the clock at the last of them, so [now] never passes a
+    pending event. Otherwise, a cancelled event leaves the queue at
+    once, yet the clock ends where it would if the event had stayed
+    queued and been popped unfired. For that the engine keeps the latest
+    cancelled deadline. At the end of [run ~until:h] the clock moves to
+    [h] if an event is still pending or that deadline lies beyond [h],
+    and otherwise to that deadline if it is later than [now]. A [run]
+    without [until] that drains the queue also ends at that deadline if
     it is later than [now]. *)
 
 val every : t -> period:int -> (unit -> bool) -> unit

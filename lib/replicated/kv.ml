@@ -14,7 +14,6 @@ type 'v replica = {
 }
 
 type 'v pending = {
-  payload : string;
   callback : ('v Etcdlike.Txn.outcome, [ `Unavailable ]) result -> unit;
   submitted_at : int;
   mutable last_attempt : int;
@@ -38,6 +37,11 @@ type 'v t = {
   mutable canonical_listener_count : int;
   mutable next_pid : int;
   pending : (int, 'v pending) Hashtbl.t;
+  (* Every proposed transaction, by pid. A Raft command is the pid
+     alone; each replica looks the transaction up here when it applies
+     the command. A transaction holds no mutable field, so the replicas
+     can share one value. *)
+  txns : (int, 'v Etcdlike.Txn.t) Hashtbl.t;
   commits : Dsim.Metrics.Counter.t;  (* ["repl.commits"] *)
   commit_latency : Dsim.Metrics.Histogram.t;  (* ["repl.commit_latency"] *)
   proposals : Dsim.Metrics.Counter.t;  (* ["repl.proposals"] *)
@@ -103,10 +107,10 @@ let note_applied t ~ix (events : 'v History.Event.t list) =
 
 let apply t ~ix ~command =
   let replica = t.replicas.(ix) in
-  let pid, (txn : 'v Etcdlike.Txn.t) = Marshal.from_string command 0 in
+  let pid = int_of_string command in
   if not (Hashtbl.mem replica.applied_pids pid) then begin
     Hashtbl.replace replica.applied_pids pid ();
-    let outcome = Etcdlike.Txn.eval replica.store txn in
+    let outcome = Etcdlike.Txn.eval replica.store (Hashtbl.find t.txns pid) in
     note_applied t ~ix outcome.Etcdlike.Txn.events;
     match Hashtbl.find_opt t.pending pid with
     | Some p ->
@@ -120,16 +124,16 @@ let apply t ~ix ~command =
     | None -> ()
   end
 
-let propose t payload = ignore (Raftlite.Group.propose_via_leader t.group payload)
+let propose t pid = ignore (Raftlite.Group.propose_via_leader t.group (string_of_int pid))
 
 let txn t (txn : 'v Etcdlike.Txn.t) callback =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let payload = Marshal.to_string (pid, txn) [] in
+  Hashtbl.replace t.txns pid txn;
   let now = Dsim.Engine.now (engine t) in
-  Hashtbl.replace t.pending pid { payload; callback; submitted_at = now; last_attempt = now };
+  Hashtbl.replace t.pending pid { callback; submitted_at = now; last_attempt = now };
   Dsim.Metrics.Counter.incr t.proposals;
-  propose t payload
+  propose t pid
 
 let put t key value callback =
   txn t
@@ -264,6 +268,7 @@ let create ~net ~n ?(read = Leader) ?(fallback = `Stale) () =
       canonical_listener_count = 0;
       next_pid = 1;
       pending = Hashtbl.create 16;
+      txns = Hashtbl.create 64;
       commits = Dsim.Metrics.Counter.resolve metrics "repl.commits";
       commit_latency = Dsim.Metrics.Histogram.resolve metrics "repl.commit_latency";
       proposals = Dsim.Metrics.Counter.resolve metrics "repl.proposals";
@@ -296,7 +301,7 @@ let start t =
           if Hashtbl.mem t.pending pid then begin
             p.last_attempt <- now;
             Dsim.Metrics.Counter.incr t.reproposals;
-            propose t p.payload
+            propose t pid
           end)
         (List.sort (fun (a, _) (b, _) -> compare a b) !to_retry);
       List.iter

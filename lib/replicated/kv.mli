@@ -4,7 +4,7 @@
     The paper's committed history [(H, S)] is {e not} a replica's
     partially-replicated log (footnote 1) — this module manufactures
     that distinction. Every mutation is proposed through the current
-    Raft leader as a marshaled transaction; committed entries are
+    Raft leader, logged by its proposal id; committed entries are
     applied {e deterministically} on each replica into a private
     {!Etcdlike.Kv} store, so the replicas' stores are prefixes of one
     shared dense revision sequence. The {e canonical} stream — the
@@ -67,9 +67,10 @@ val txn :
   'v Etcdlike.Txn.t ->
   (('v Etcdlike.Txn.outcome, [ `Unavailable ]) result -> unit) ->
   unit
-(** Marshal, propose, retry across leader changes (idempotent via a
-    per-replica proposal-id dedup), and deliver the deterministic
-    outcome of the {e first} apply. *)
+(** Propose, retry across leader changes (idempotent via a per-replica
+    proposal-id dedup), and deliver the deterministic outcome of the
+    {e first} apply. The Raft command is the proposal id; the replicas
+    read the transaction from a table they share. *)
 
 val put :
   'v t -> string -> 'v -> (('v History.Event.t, [ `Unavailable ]) result -> unit) -> unit

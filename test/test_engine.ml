@@ -115,8 +115,8 @@ let deterministic_replay () =
   Alcotest.(check (list int)) "replay identical" (run ()) (run ())
 
 (* --- the event queue ----------------------------------------------------
-   The engine's heap orders timers by (time, seq); these drive it through
-   [schedule]/[step] only. *)
+   The engine's queue orders timers by (time, seq); these drive it
+   through [schedule]/[step] only. *)
 
 let recorder () =
   let log = ref [] in
@@ -136,7 +136,7 @@ let pops_in_time_order () =
 
 let ties_break_by_seq () =
   (* Equal-time timers scheduled around earlier and later ones, so the
-     heap reshuffles between them: they still fire in scheduling order. *)
+     queue reshuffles between them: they still fire in scheduling order. *)
   let e = Dsim.Engine.create () in
   let log, note = recorder () in
   List.iter
@@ -171,10 +171,8 @@ let[@inline never] schedule_payload e weak i ~time =
   ignore (Dsim.Engine.schedule_at e ~time (fun () -> ignore (Bytes.length payload)))
 
 let popped_value_is_collectable () =
-  (* A fired timer must not stay referenced from the heap's backing
-     array (neither its own slot nor the duplicate left by moving the
-     tail to the root), or arbitrarily large closures stay pinned for a
-     whole trial. *)
+  (* A fired timer must not stay referenced from the queue's arrays, or
+     arbitrarily large closures stay pinned for a whole trial. *)
   let e = Dsim.Engine.create () in
   let weak = Weak.create 3 in
   List.iteri (fun i time -> schedule_payload e weak i ~time) [ 1; 2; 3 ];
@@ -185,9 +183,9 @@ let popped_value_is_collectable () =
   Alcotest.(check bool) "pending closure is kept" true (Weak.check weak 2);
   Dsim.Engine.run e;
   Gc.full_major ();
-  Alcotest.(check (list bool)) "drained heap pins nothing" [ false; false; false ]
+  Alcotest.(check (list bool)) "drained queue pins nothing" [ false; false; false ]
     (List.init 3 (Weak.check weak));
-  (* Keeps the engine, and with it the heap array, alive past the check. *)
+  (* Keeps the engine, and with it the queue's arrays, alive past the check. *)
   Alcotest.(check int) "drained" 0 (Dsim.Engine.pending e)
 
 let qcheck_sorted_drain =
@@ -283,7 +281,8 @@ let stale_handle_cancels_nothing () =
    skips it unfired. The model's clock passes through every popped entry,
    cancelled or not; the engine must reach the same clock from its last
    cancelled deadline alone. A model step pops cancelled entries only on
-   its way to a live one. *)
+   its way to a live one, and a run cut by its event budget stops right
+   after its last live entry. *)
 
 type entry = { time : int; seq : int; id : int; mutable cancelled : bool }
 
@@ -322,17 +321,20 @@ let model_step m fire =
     true
   end
 
-let model_run ?until m fire =
+let model_run ?until ?(budget = max_int) m fire =
   let horizon = Option.value until ~default:max_int in
+  let fired = ref 0 in
   let rec go () =
     match m.queue with
-    | e :: _ when e.time <= horizon ->
+    | e :: _ when !fired < budget && e.time <= horizon ->
+        if not e.cancelled then incr fired;
         model_pop m fire;
         go ()
     | _ -> ()
   in
   go ();
-  match until with Some h when m.now < h && m.queue <> [] -> m.now <- h | _ -> ()
+  if !fired < budget then
+    match until with Some h when m.now < h && m.queue <> [] -> m.now <- h | _ -> ()
 
 type op =
   | Schedule of int  (** relative delay *)
@@ -340,6 +342,7 @@ type op =
   | Cancel of int  (** index into every handle made so far *)
   | Step
   | Run_until of int  (** horizon = now + this *)
+  | Run_bounded of int * int  (** horizon = now + the first; [max_events] the second *)
   | Run
 
 let show_op = function
@@ -348,18 +351,41 @@ let show_op = function
   | Cancel i -> Printf.sprintf "cancel #%d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run ~until:(now+%d)" d
+  | Run_bounded (d, n) -> Printf.sprintf "run ~until:(now+%d) ~max_events:%d" d n
   | Run -> "run"
+
+(* The engine's wheel has buckets 1,024 us wide and a lap of 1,024
+   buckets; events due beyond one lap wait in its far heap. Delays,
+   times and horizons come at the scales the workloads use, and at
+   those edges, so a case crosses buckets, wraps the wheel and reaches
+   the far heap. *)
+let bucket = 1024
+
+let lap = 1024 * bucket
+
+let span =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, 0 -- 6) (* same-time bursts *);
+      (3, 500 -- 2_000) (* network deliveries *);
+      (2, map2 (fun k d -> (k * bucket) + d) (1 -- 8) (-1 -- 1)) (* bucket edges *);
+      (2, map2 (fun k d -> (k * lap) + d) (1 -- 2) (-1 -- 1)) (* one lap *);
+      (1, 2_000_000 -- 8_000_000) (* fault-plan and workload actions *);
+    ]
 
 let arb_ops =
   let open QCheck.Gen in
+  let heal = map (fun d -> (max_int / 2) + d) (-1 -- 1) in
   let op =
     frequency
       [
-        (4, map (fun d -> Schedule d) (0 -- 6));
-        (3, map (fun t -> Schedule_at t) (0 -- 60));
+        (4, map (fun d -> Schedule d) span);
+        (3, map (fun t -> Schedule_at t) (frequency [ (3, 0 -- 60); (3, span); (1, heal) ]));
         (4, map (fun i -> Cancel i) (0 -- 1000));
         (3, return Step);
-        (2, map (fun d -> Run_until d) (0 -- 10));
+        (2, map (fun d -> Run_until d) (frequency [ (1, 0 -- 10); (2, span) ]));
+        (1, map2 (fun d n -> Run_bounded (d, n)) span (0 -- 4));
         (1, return Run);
       ]
   in
@@ -404,6 +430,10 @@ let qcheck_engine_model =
             let until = Dsim.Engine.now e + d in
             Dsim.Engine.run ~until e;
             model_run ~until m fire
+        | Run_bounded (d, max_events) ->
+            let until = Dsim.Engine.now e + d in
+            Dsim.Engine.run ~until ~max_events e;
+            model_run ~until ~budget:max_events m fire
         | Run ->
             Dsim.Engine.run e;
             model_run m fire

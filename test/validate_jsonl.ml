@@ -1,29 +1,21 @@
-(* Smoke-check helper: read a JSONL trace dump, verify every line
-   parses and the file round-trips through the trace reader. Exits
+(* Smoke-check helper: read a JSONL trace dump from stdin, verify every
+   line parses and the dump round-trips through the trace reader. Exits
    non-zero with the parse error otherwise. *)
 
-let read_all path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let () =
-  let path = Sys.argv.(1) in
-  let input = read_all path in
+  let input = In_channel.input_all stdin in
   match Dsim.Trace.of_jsonl input with
   | Error msg ->
-      Printf.eprintf "%s: %s\n" path msg;
+      Printf.eprintf "stdin: %s\n" msg;
       exit 1
   | Ok t ->
       if Dsim.Trace.length t = 0 then begin
-        Printf.eprintf "%s: empty trace\n" path;
+        prerr_endline "stdin: empty trace";
         exit 1
       end;
       (* A faithful reader reproduces the dump byte for byte. *)
       if not (String.equal (Dsim.Trace.to_jsonl t) input) then begin
-        Printf.eprintf "%s: re-serialization differs from input\n" path;
+        prerr_endline "stdin: re-serialization differs from input";
         exit 1
       end;
-      Printf.printf "%s: %d entries ok\n" path (Dsim.Trace.length t)
+      Printf.printf "stdin: %d entries ok\n" (Dsim.Trace.length t)
