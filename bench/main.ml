@@ -1493,24 +1493,6 @@ let store_bench () =
       in
       record ~bench:"watch-backlog" ~n ~ops:k_backlog ~indexed:backlog_ns
         ~naive:(Some backlog_naive_ns);
-      (* state_at: time travel to the middle of the retained window —
-         snapshot + short replay vs full replay. *)
-      let mid = n / 2 in
-      let state_at_reps = max 3 (reps / 4) in
-      let state_at_ns =
-        time_per_op state_at_reps 1 (fun () ->
-            ignore (History.Log.state_at (Etcdlike.Kv.history kv) ~rev:mid))
-      in
-      let state_at_naive_ns =
-        time_per_op state_at_reps 1 (fun () ->
-            ignore
-              (List.fold_left History.State.apply History.State.empty
-                 (List.rev
-                    (List.filter
-                       (fun (e : int History.Event.t) -> e.History.Event.rev <= mid)
-                       naive_events))))
-      in
-      record ~bench:"state_at" ~n ~ops:1 ~indexed:state_at_ns ~naive:(Some state_at_naive_ns);
       (* compact: shrink the log to a 1000-event rolling window. *)
       let build () =
         let kv = Etcdlike.Kv.create () in
@@ -1527,13 +1509,11 @@ let store_bench () =
       in
       let compact_naive_ns =
         time_per_op 1 dropped (fun () ->
-            let discarded, kept =
-              List.partition
-                (fun (e : int History.Event.t) -> e.History.Event.rev <= n - keep)
+            let kept =
+              List.filter
+                (fun (e : int History.Event.t) -> e.History.Event.rev > n - keep)
                 naive_events
             in
-            ignore
-              (List.fold_left History.State.apply History.State.empty (List.rev discarded));
             ignore (List.length kept))
       in
       record ~bench:"compact" ~n ~ops:dropped ~indexed:compact_ns ~naive:(Some compact_naive_ns))
@@ -1688,170 +1668,6 @@ let replication_bench () =
      committed entries replayed across all replicas per wall second.\n"
 
 (* ------------------------------------------------------------------ *)
-(* CLUSTER-SCALE: the watch-dispatch tier at production fan-out.      *)
-
-(* Thousands of nodes, 100k+ objects, hundreds of informers: per
-   committed event the dispatch tier must answer "which watchers match
-   this key?". The indexed walk ({!History.Dispatch}) visits only the
-   trie path of the key; the naive walk — what every tier did before
-   the index — filters the full watcher table with [matches_prefix],
-   paying O(watchers) per commit no matter how few match. *)
-let cluster_scale () =
-  Sieve.Report.section "CLUSTER-SCALE — indexed watch dispatch vs naive full-table filter";
-  let full_sizes =
-    [
-      (* nodes, objects, informers *)
-      (250, 10_000, 64);
-      (1_000, 50_000, 160);
-      (2_000, 100_000, 320);
-      (4_000, 200_000, 640);
-    ]
-  in
-  let sizes =
-    (* CLUSTER_SCALE=ci trims to the two small sizes for the CI job;
-       the committed BENCH_cluster.json always comes from a full run. *)
-    match Sys.getenv_opt "CLUSTER_SCALE" with
-    | Some "ci" -> [ List.nth full_sizes 0; List.nth full_sizes 1 ]
-    | _ -> full_sizes
-  in
-  let resource_prefixes =
-    [ "pods/"; "nodes/"; "services/"; "deployments/"; "configmaps/"; "secrets/"; "endpoints/" ]
-  in
-  let results = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun (nodes, objects, informers) ->
-      (* Object keys: pods spread across the nodes, plus the node
-         objects themselves (~10% of commits touch nodes/). *)
-      let key i =
-        if i mod 10 = 0 then Printf.sprintf "nodes/node-%05d" (i / 10 mod nodes)
-        else Printf.sprintf "pods/node-%05d/pod-%07d" (i mod nodes) i
-      in
-      (* Informer population: one match-all audit stream, one broad
-         informer per resource kind, and kubelet-style per-node pod
-         watchers for the remainder. *)
-      let broad = List.length resource_prefixes in
-      let informer_prefixes =
-        List.init informers (fun i ->
-            if i = 0 then None
-            else if i <= broad then Some (List.nth resource_prefixes (i - 1))
-            else Some (Printf.sprintf "pods/node-%05d/" ((i - broad - 1) mod nodes)))
-      in
-      let delivered_indexed = ref 0 and delivered_naive = ref 0 in
-      let index = History.Dispatch.create () in
-      List.iter
-        (fun prefix ->
-          ignore (History.Dispatch.add index ?prefix (fun () -> incr delivered_indexed)))
-        informer_prefixes;
-      let naive_watchers =
-        List.map (fun p -> (p, fun () -> incr delivered_naive)) informer_prefixes
-      in
-      let n_events = min objects 40_000 in
-      let events =
-        Array.init n_events (fun i ->
-            History.Event.make ~rev:(i + 1) ~key:(key i) ~op:History.Event.Update (Some i))
-      in
-      (* Clock resolution is ~1 us, an indexed dispatch is ~100 ns:
-         sample latency over 64-event blocks and report per-event ns. *)
-      let time_each dispatch =
-        let block = 64 in
-        let n_blocks = (n_events + block - 1) / block in
-        let lat = Array.make n_blocks 0.0 in
-        let started = Unix.gettimeofday () in
-        for b = 0 to n_blocks - 1 do
-          let lo = b * block in
-          let hi = min (lo + block) n_events in
-          let t0 = Unix.gettimeofday () in
-          for i = lo to hi - 1 do
-            dispatch events.(i)
-          done;
-          lat.(b) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (hi - lo)
-        done;
-        let wall = Unix.gettimeofday () -. started in
-        Array.sort compare lat;
-        let pct p = lat.(min (n_blocks - 1) (p * n_blocks / 100)) in
-        (pct 50, pct 95, float_of_int n_events /. Float.max wall 1e-9)
-      in
-      let indexed_p50, indexed_p95, indexed_eps =
-        time_each (fun (e : int History.Event.t) ->
-            History.Dispatch.iter_matching index ~key:e.History.Event.key (fun _ f -> f ()))
-      in
-      let naive_p50, naive_p95, naive_eps =
-        time_each (fun e ->
-            List.iter (fun (p, f) -> if History.Event.matches_prefix p e then f ()) naive_watchers)
-      in
-      (* The two walks must agree — the bench doubles as an end-to-end
-         equivalence check at scale. *)
-      if !delivered_indexed <> !delivered_naive then
-        failwith
-          (Printf.sprintf "dispatch mismatch: indexed delivered %d, naive delivered %d"
-             !delivered_indexed !delivered_naive);
-      let speedup_p50 = naive_p50 /. Float.max indexed_p50 1e-3 in
-      let speedup_eps = indexed_eps /. Float.max naive_eps 1e-9 in
-      results :=
-        Dsim.Json.Obj
-          [
-            ("nodes", Dsim.Json.Int nodes);
-            ("objects", Dsim.Json.Int objects);
-            ("informers", Dsim.Json.Int informers);
-            ("events", Dsim.Json.Int n_events);
-            ("indexed_p50_ns", Dsim.Json.Float indexed_p50);
-            ("indexed_p95_ns", Dsim.Json.Float indexed_p95);
-            ("indexed_events_per_sec", Dsim.Json.Float indexed_eps);
-            ("naive_p50_ns", Dsim.Json.Float naive_p50);
-            ("naive_p95_ns", Dsim.Json.Float naive_p95);
-            ("naive_events_per_sec", Dsim.Json.Float naive_eps);
-            ("speedup_p50", Dsim.Json.Float speedup_p50);
-            ("speedup_events_per_sec", Dsim.Json.Float speedup_eps);
-          ]
-        :: !results;
-      rows :=
-        [
-          string_of_int nodes;
-          string_of_int objects;
-          string_of_int informers;
-          Printf.sprintf "%.0f/%.0f ns" indexed_p50 indexed_p95;
-          Printf.sprintf "%.0f/%.0f ns" naive_p50 naive_p95;
-          Printf.sprintf "%.2fM/s" (indexed_eps /. 1e6);
-          Printf.sprintf "%.1fx" speedup_eps;
-        ]
-        :: !rows)
-    sizes;
-  Printf.printf "\n";
-  Sieve.Report.table
-    ~header:
-      [ "nodes"; "objects"; "informers"; "indexed p50/p95"; "naive p50/p95"; "indexed rate";
-        "speedup" ]
-    (List.rev !rows);
-  let json =
-    Dsim.Json.Obj
-      [
-        ("schema", Dsim.Json.String "bench-cluster/1");
-        ( "sizes",
-          Dsim.Json.List
-            (List.map
-               (fun (n, o, i) ->
-                 Dsim.Json.Obj
-                   [
-                     ("nodes", Dsim.Json.Int n);
-                     ("objects", Dsim.Json.Int o);
-                     ("informers", Dsim.Json.Int i);
-                   ])
-               sizes) );
-        ("results", Dsim.Json.List (List.rev !results));
-      ]
-  in
-  let oc = open_out "BENCH_cluster.json" in
-  output_string oc (Dsim.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_cluster.json. Expected shape: indexed dispatch cost tracks the\n\
-     number of *matching* watchers (a few per key), so its latency is flat across\n\
-     sizes while the naive walk grows linearly with the informer count — the\n\
-     speedup should exceed 10x at the largest size.\n"
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1875,7 +1691,6 @@ let experiments =
     ("lint", lint_bench);
     ("store", store_bench);
     ("replication", replication_bench);
-    ("cluster-scale", cluster_scale);
     ("micro", micro);
   ]
 

@@ -3,11 +3,24 @@
     A monitor that never fires is indistinguishable from a monitor that
     checks nothing, so the conformance layer ships with its own killers:
     a committed history is generated, then replayed to a simulated
-    consumer with one deliberate perturbation — a dropped delivery, two
-    reordered deliveries, a stale cache claiming a fresh revision, a
-    corrupted event value, a frontier beyond the committed history — and
-    each perturbation must trip the monitor (while the unperturbed
-    control replay must not).
+    consumer with one deliberate perturbation, and each perturbation
+    must trip the monitor with the violation {e code} it stands for
+    (while the unperturbed control replay must not). A monitor that
+    fires the wrong alarm would misdirect every diagnosis card built on
+    it.
+
+    Each boundary has one table of mutations, run over its own key pool:
+
+    - [Kube], over pod keys: a dropped delivery ([Gap]), two reordered
+      deliveries ([Non_monotone]), a stale cache claiming a fresh
+      revision ([State_divergence]), a corrupted event value
+      ([Content]) and a frontier beyond the committed history
+      ([Future_rev]);
+    - [Hbase], over znode keys ([region/*], [rs/registry]): a one-shot
+      watch notification lost between fire and re-arm ([Gap]), a master
+      region map assembled from a truncated catch-up pull while claiming
+      the leader's head revision ([State_divergence]) and a forged znode
+      payload ([Content]).
 
     Deterministic for a given seed; a soak runs many derived seeds. The
     perturbations are constructed to be detectable for {e every} seed
@@ -18,34 +31,17 @@ type outcome = {
   mutation : string;  (** ["control"] or the perturbation's name *)
   tripped : bool;  (** the monitor reported at least one violation *)
   codes : Monitor.code list;  (** distinct violation codes, detection order *)
+  expected : Monitor.code option;  (** the mutation's code; [None] for the control *)
 }
 
 val ok : outcome -> bool
-(** Control must stay silent; every mutation must trip. *)
+(** Control must stay silent; every mutation must trip with its expected
+    code among the distinct codes reported. *)
 
-val run : ?seed:int64 -> unit -> outcome list
-(** Generates a history of 40 commits (puts and deletes over a small key
-    pool) through a real {!Etcdlike.Kv}, then
-    replays it against a fresh monitor once per perturbation. The control
-    outcome is first. *)
+type boundary = Kube | Hbase
 
-(** {2 HBase-boundary mutations}
-
-    The same teeth, ground against the ZooKeeper delivery boundary: a
-    one-shot watch notification lost between fire and re-arm, a master
-    region map assembled from a truncated catch-up pull while claiming
-    the leader's head revision, and a forged znode payload. These pin
-    the exact violation {e code} each defect must surface as — a monitor
-    that fires the wrong alarm would misdirect every diagnosis card
-    built on it. *)
-
-val hbase_ok : outcome -> bool
-(** Control must stay silent; every mutation must trip {e with} its
-    expected code among the distinct codes reported: ["drop-zk-notify"]
-    → [Gap], ["stale-region-map"] → [State_divergence], ["forge-znode"]
-    → [Content]. *)
-
-val run_hbase : ?seed:int64 -> unit -> outcome list
-(** Like {!run}, over znode-flavored keys ([region/*], [rs/registry])
-    with the HBase-boundary perturbations. The control outcome is
-    first. *)
+val run : ?seed:int64 -> boundary -> outcome list
+(** Generates a history of 40 commits (puts and deletes over the
+    boundary's key pool) through a real {!Etcdlike.Kv}, then replays it
+    against a fresh monitor once per mutation of the boundary's table.
+    The control outcome is first. *)

@@ -4,7 +4,7 @@ type event_match = {
   limit : int option;
 }
 
-let match_event ?key_prefix ?op ?limit () = { key_prefix; op; limit }
+let match_event ?key_prefix () = { key_prefix; op = None; limit = None }
 
 type t =
   | No_perturbation
@@ -174,7 +174,7 @@ let staleness ?src ?key_prefix ~dst ~from ~until ~extra () =
 
 let observability_gap ?src ~dst ?key_prefix ?op ?limit ~from ~until () =
   Drop_events
-    { src; dst = Some dst; matching = match_event ?key_prefix ?op ?limit (); from; until }
+    { src; dst = Some dst; matching = { key_prefix; op; limit }; from; until }
 
 let time_travel ~stale_api ~victim ~stale_from ~crash_at ?(downtime = 150_000) ?heal_at () =
   let heal_at = Option.value heal_at ~default:max_int in

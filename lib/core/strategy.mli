@@ -19,7 +19,7 @@ type event_match = {
   limit : int option;  (** stop matching after this many hits *)
 }
 
-val match_event : ?key_prefix:string -> ?op:History.Event.op -> ?limit:int -> unit -> event_match
+val match_event : ?key_prefix:string -> unit -> event_match
 
 type t =
   | No_perturbation
@@ -42,7 +42,6 @@ type t =
   | Partition_window of { a : string; b : string; from : int; until : int }
   | Combo of t list
 
-val pp : Format.formatter -> t -> unit
 
 val describe : t -> string
 

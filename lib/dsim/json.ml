@@ -248,8 +248,6 @@ let member name = function
 
 let to_int = function Int n -> Some n | _ -> None
 
-let to_float = function Float f -> Some f | Int n -> Some (float_of_int n) | _ -> None
-
 let to_str = function String s -> Some s | _ -> None
 
 let to_list = function List items -> Some items | _ -> None

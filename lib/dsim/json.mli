@@ -30,9 +30,6 @@ val member : string -> t -> t option
 val to_int : t -> int option
 (** [Int n] only. *)
 
-val to_float : t -> float option
-(** [Float f], or [Int n] widened. *)
-
 val to_str : t -> string option
 
 val to_list : t -> t list option

@@ -242,7 +242,3 @@ let to_json t =
                       (series t name)) ))
              (series_names t)) );
     ]
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%-32s %d@." name v) (counters t);
-  List.iter (fun (name, v) -> Format.fprintf ppf "%-32s %g@." name v) (gauges t)

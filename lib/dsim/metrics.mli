@@ -27,8 +27,6 @@ module Counter : sig
   val resolve : metrics -> string -> t
 
   val incr : t -> unit
-
-  val add : t -> int -> unit
 end
 
 module Gauge : sig
@@ -133,4 +131,3 @@ val to_json : t -> Json.t
     field order (sorted by name), so two identical runs produce
     byte-identical snapshots. *)
 
-val pp : Format.formatter -> t -> unit

@@ -153,7 +153,6 @@ let find_first t ~kind =
 
 let find_all t ~kind = List.filter (fun e -> String.equal e.kind kind) (entries t)
 
-let filter t f = List.filter f (entries t)
 
 (* Every cycle has an edge whose cause does not precede its entry, so
    stopping at such an edge bounds the walk. *)

@@ -38,7 +38,7 @@ val emit_deferred :
   t -> time:int -> actor:string -> kind:string -> cause:int -> (unit -> string) -> int
 (** Like {!emit}, but the detail is rendered only when the entry is
     read: by {!entries}, {!find}, {!find_first}, {!find_all},
-    {!filter}, {!chain}, {!to_jsonl} or {!pp}, once per read. The
+    {!chain}, {!to_jsonl} or {!pp}, once per read. The
     renderer must close only over values that are fixed when the entry
     is recorded, so that every read renders the same bytes; it is
     dropped with the entry when a ring buffer evicts it. *)
@@ -71,8 +71,6 @@ val find_first : t -> kind:string -> entry option
 
 val find_all : t -> kind:string -> entry list
 
-val filter : t -> (entry -> bool) -> entry list
-
 val chain : t -> id:int -> entry list
 (** Walks the cause links backwards from [id] and returns the causal
     chain oldest-first, ending with entry [id] itself. The walk stops
@@ -82,8 +80,6 @@ val chain : t -> id:int -> entry list
     [id] is not live. *)
 
 val entry_to_json : entry -> Json.t
-
-val entry_of_json : Json.t -> (entry, string) result
 
 val to_jsonl : t -> string
 (** One JSON object per line, chronological order, trailing newline.

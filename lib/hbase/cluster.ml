@@ -49,8 +49,6 @@ type t = {
   client : Dsim.Network.peer;  (* the [user] node *)
 }
 
-let config t = t.config
-
 let engine t = t.engine
 
 let net t = t.net

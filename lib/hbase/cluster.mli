@@ -51,10 +51,6 @@ val run : until:int -> t -> unit
 val server_names : string list
 (** ["rs-1"] and ["rs-2"]: the region servers {!create} builds. *)
 
-val user : string
-
-val config : t -> config
-
 val engine : t -> Dsim.Engine.t
 
 val net : t -> Dsim.Network.t

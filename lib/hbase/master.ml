@@ -20,8 +20,6 @@ type t = {
 (* One balance pass every 100 ms. *)
 let balance_period = 100_000
 
-let name t = t.name
-
 let transitions t = t.transitions
 
 let cas_failures t = t.cas_failures

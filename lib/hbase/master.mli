@@ -35,8 +35,6 @@ val start : t -> unit
 (** Publishes ["master"] = [name] and begins balancing. Serves region
     server heartbeats. *)
 
-val name : t -> string
-
 val transitions : t -> int
 (** Successful region transitions. *)
 

@@ -20,8 +20,6 @@ let cached_master t = Option.map Dsim.Network.address t.master
 
 let consecutive_failures t = t.consecutive_failures
 
-let serving t = List.sort String.compare (Hashtbl.fold (fun r () acc -> r :: acc) t.serving [])
-
 let is_serving t region = Hashtbl.mem t.serving region
 
 let serving_changes t = t.serving_changes

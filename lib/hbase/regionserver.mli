@@ -37,9 +37,6 @@ val is_up : t -> bool
 (** Whether the server's own node is up, read through its
     {!Dsim.Network.peer}. *)
 
-val serving : t -> string list
-(** Regions this server currently believes it serves, sorted. *)
-
 val is_serving : t -> string -> bool
 
 val serving_changes : t -> int

@@ -19,8 +19,6 @@ let create ~granularity ~deliver =
   if granularity <= 0 then invalid_arg "Epoch.create: granularity must be positive";
   { granularity; deliver; buffer = Hashtbl.create 64; frontier = 0 }
 
-let granularity t = t.granularity
-
 let buffered t = Hashtbl.length t.buffer
 
 let delivered_frontier t = t.frontier

@@ -26,8 +26,6 @@ type 'v t
 
 val create : granularity:int -> deliver:('v Event.t list -> unit) -> 'v t
 
-val granularity : 'v t -> int
-
 val offer : 'v t -> 'v Event.t -> unit
 (** Buffers the event. When every revision of the oldest outstanding epoch
     has been offered, that epoch is passed to [deliver] as one batch (and

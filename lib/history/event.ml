@@ -2,16 +2,9 @@ type op = Create | Update | Delete
 
 let op_to_string = function Create -> "create" | Update -> "update" | Delete -> "delete"
 
-let pp_op ppf op = Format.pp_print_string ppf (op_to_string op)
-
 type 'v t = { rev : int; key : string; op : op; value : 'v option }
 
 let make ~rev ~key ~op value = { rev; key; op; value }
-
-let pp pp_value ppf e =
-  match e.value with
-  | Some v -> Format.fprintf ppf "@[@%d %a %s = %a@]" e.rev pp_op e.op e.key pp_value v
-  | None -> Format.fprintf ppf "@[@%d %a %s@]" e.rev pp_op e.op e.key
 
 let describe e = Printf.sprintf "@%d %s %s" e.rev (op_to_string e.op) e.key
 

@@ -19,8 +19,6 @@ type 'v t = {
 
 val make : rev:int -> key:string -> op:op -> 'v option -> 'v t
 
-val pp : (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v t -> unit
-
 val describe : 'v t -> string
 (** Value-independent rendering, e.g. ["@17 update pods/default/web-0"]. *)
 

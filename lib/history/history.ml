@@ -2,8 +2,11 @@
     paper's partial-history model. See {!Log} for the committed history
     [H], {!State} for the materialized [S], {!Partial} for [H' ⊑ H],
     {!View} for a component's [(H', S')], {!Epoch} for the Section 6.2
-    epoch-bounded delivery model, {!Dispatch} for the indexed watcher
-    fan-out every delivery tier routes through. *)
+    epoch-bounded delivery model, {!Intercept} for the hook on every
+    delivery edge. The watch fan-out that turns [H] into each
+    component's [H'] is a walk over the stream table in [Kube.Streams];
+    the events it routes are {!Event}s matched by
+    {!Event.matches_prefix}. *)
 
 module Event = Event
 module State = State
@@ -11,7 +14,6 @@ module Window = Window
 module Log = Log
 module Partial = Partial
 module View = View
-module Dispatch = Dispatch
 module Intercept = Intercept
 module Divergence = Divergence
 module Epoch = Epoch

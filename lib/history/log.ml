@@ -3,44 +3,22 @@
    revision r lives at window offset r - compacted_rev - 1. Locating a
    revision is therefore index arithmetic — the degenerate case of a
    binary search over a sorted revision column — and [since] is a
-   sub-window slice, O(k) in the answer size instead of a full filter.
-
-   [state_at] keeps a persistent-map snapshot every [snapshot_every]
-   appends; reconstructing S at an old revision replays at most
-   [snapshot_every] events over the nearest snapshot at or below it,
-   instead of replaying the whole retained window. Snapshots share
-   structure with the live state, so each one pins only the map paths
-   that later writes have since replaced. *)
+   sub-window slice, O(k) in the answer size instead of a full filter. *)
 
 type 'v t = {
   window : 'v Window.t;
-  snapshot_every : int;
   mutable rev : int;
   mutable compacted_rev : int;
-  mutable base_state : 'v State.t;  (* S as of compacted_rev *)
   mutable state : 'v State.t;
-  mutable snapshots : (int * 'v State.t) list;  (* newest first, revs in (compacted_rev, rev] *)
 }
 
-let default_snapshot_every = 256
-
-let create ?(snapshot_every = default_snapshot_every) () =
-  {
-    window = Window.create ();
-    snapshot_every = max 1 snapshot_every;
-    rev = 0;
-    compacted_rev = 0;
-    base_state = State.empty;
-    state = State.empty;
-    snapshots = [];
-  }
+let create () = { window = Window.create (); rev = 0; compacted_rev = 0; state = State.empty }
 
 let append t ~key ~op value =
   t.rev <- t.rev + 1;
   let event = Event.make ~rev:t.rev ~key ~op value in
   Window.push t.window event;
   t.state <- State.apply t.state event;
-  if t.rev mod t.snapshot_every = 0 then t.snapshots <- (t.rev, t.state) :: t.snapshots;
   event
 
 let rev t = t.rev
@@ -65,41 +43,11 @@ let since t ~rev =
     Ok !out
   end
 
-(* Nearest snapshot at or below [rev]; the compaction base is the
-   snapshot of last resort. *)
-let snapshot_at_or_below t ~rev =
-  let rec find = function
-    | (r, s) :: _ when r <= rev -> (r, s)
-    | _ :: rest -> find rest
-    | [] -> (t.compacted_rev, t.base_state)
-  in
-  find t.snapshots
-
-(* Replays retained events with revisions in (from_rev, upto_rev] over
-   [state]. Both bounds must be within the retained window. *)
-let replay t state ~from_rev ~upto_rev =
-  let state = ref state in
-  for i = from_rev - t.compacted_rev to upto_rev - t.compacted_rev - 1 do
-    state := State.apply !state (Window.get t.window i)
-  done;
-  !state
-
-let state_at t ~rev =
-  if rev < t.compacted_rev then None
-  else if rev >= t.rev then Some t.state
-  else begin
-    let snap_rev, snap = snapshot_at_or_below t ~rev in
-    Some (replay t snap ~from_rev:snap_rev ~upto_rev:rev)
-  end
-
 let compact t ~before =
   let before = min before t.rev in
   if before > t.compacted_rev then begin
-    let snap_rev, snap = snapshot_at_or_below t ~rev:before in
-    t.base_state <- replay t snap ~from_rev:snap_rev ~upto_rev:before;
     Window.drop_oldest t.window (before - t.compacted_rev);
-    t.compacted_rev <- before;
-    t.snapshots <- List.filter (fun (r, _) -> r > before) t.snapshots
+    t.compacted_rev <- before
   end
 
 let compact_keep_last t n =

@@ -6,14 +6,13 @@
     prefix of the log (the store keeps only a rolling window of recent
     events, Section 4.2.3) — after compaction, a request for older events
     fails with [`Compacted], which is how observability gaps arise even
-    for clients that use the event API. *)
+    for clients that use the event API. Only the current [S] is kept:
+    compaction is a window shift, and no state older than the head can
+    be reconstructed. *)
 
 type 'v t
 
-val create : ?snapshot_every:int -> unit -> 'v t
-(** [snapshot_every] (default 256) is the cadence, in appends, at which a
-    persistent snapshot of [S] is retained for {!state_at}; smaller means
-    faster reconstruction and more pinned map versions. *)
+val create : unit -> 'v t
 
 val append : 'v t -> key:string -> op:Event.op -> 'v option -> 'v Event.t
 (** Commits a change, assigning the next revision, and returns the event. *)
@@ -26,13 +25,6 @@ val compacted_rev : 'v t -> int
 
 val state : 'v t -> 'v State.t
 (** The current materialized [S]. *)
-
-val state_at : 'v t -> rev:int -> 'v State.t option
-(** Reconstructs [S] as of [rev] by replaying at most [snapshot_every]
-    retained events over the nearest periodic snapshot; [None] if that
-    prefix has been compacted away (you cannot recover history from a
-    compacted log). [state_at t ~rev:0] is the empty state only while
-    nothing is compacted. *)
 
 val since : 'v t -> rev:int -> ('v Event.t list, [ `Compacted of int ]) result
 (** [since t ~rev] returns the committed events with revision > [rev] in

@@ -12,8 +12,6 @@ let create () = { buf = [||]; head = 0; len = 0 }
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let phys t i = (t.head + i) mod Array.length t.buf
 
 (* Every slot inside the window holds [Some]: [push] fills a slot as it
@@ -62,12 +60,5 @@ let iter f t =
   for i = 0 to t.len - 1 do
     f (get t i)
   done
-
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (get t i)
-  done;
-  !acc
 
 let to_list t = List.init t.len (get t)

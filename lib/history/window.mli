@@ -13,8 +13,6 @@ val create : unit -> 'v t
 
 val length : 'v t -> int
 
-val is_empty : 'v t -> bool
-
 val push : 'v t -> 'v Event.t -> unit
 (** Appends at the newest end; amortized O(1). *)
 
@@ -31,9 +29,6 @@ val clear : 'v t -> unit
 val oldest : 'v t -> 'v Event.t option
 
 val iter : ('v Event.t -> unit) -> 'v t -> unit
-(** Oldest first. *)
-
-val fold : ('acc -> 'v Event.t -> 'acc) -> 'acc -> 'v t -> 'acc
 (** Oldest first. *)
 
 val to_list : 'v t -> 'v Event.t list

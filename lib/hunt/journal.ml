@@ -166,8 +166,6 @@ let load path =
 
 type writer = { oc : out_channel; path : string }
 
-let path w = w.path
-
 let create ~path =
   let oc = open_out_bin path in
   { oc; path }

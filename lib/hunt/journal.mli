@@ -61,5 +61,3 @@ val append : writer -> entry -> unit
 (** Appends one record and flushes it to the OS. *)
 
 val close : writer -> unit
-
-val path : writer -> string

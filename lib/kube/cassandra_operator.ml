@@ -5,7 +5,6 @@ type t = {
   pods : Informer.t;
   pvcs : Informer.t;
   strikes : (string, int) Hashtbl.t;  (* pvc name -> consecutive orphan sightings *)
-  mutable reconciles : int;
   mutable member_creates : int;
   mutable decommission_log : (string * int) list;  (* newest first *)
 }
@@ -16,8 +15,6 @@ let period = 150_000
 let orphan_strikes = 4
 
 let controller t = t.ctl
-
-let reconciles t = t.reconciles
 
 let member_creates t = t.member_creates
 
@@ -164,7 +161,6 @@ let gc_orphans t =
   List.iter (Hashtbl.remove t.strikes) stale
 
 let reconcile t =
-  t.reconciles <- t.reconciles + 1;
   let dcs = Informer.store t.dcs in
   List.iter
     (fun key ->
@@ -195,7 +191,6 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) () =
     pods;
     pvcs;
     strikes = Hashtbl.create 16;
-    reconciles = 0;
     member_creates = 0;
     decommission_log = [];
   }

@@ -42,8 +42,6 @@ val start : t -> unit
 
 val controller : t -> Controller.t
 
-val reconciles : t -> int
-
 val member_creates : t -> int
 
 val decommissions : t -> (string * int) list

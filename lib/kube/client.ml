@@ -22,8 +22,6 @@ let create ~net ~owner ~endpoints () =
 
 let endpoint t = t.endpoints.(t.index mod Array.length t.endpoints)
 
-let current_endpoint t = Dsim.Network.address (endpoint t)
-
 let owner_up t = Dsim.Network.peer_is_up t.self
 
 let engine t = Dsim.Network.engine t.net

@@ -31,8 +31,6 @@ val get_quorum :
   t -> string -> (((Resource.value * int) option, [ `Unavailable ]) result -> unit) -> unit
 (** Linearizable read, forwarded through an apiserver to etcd. *)
 
-val current_endpoint : t -> string
-
 val owner_up : t -> bool
 (** Whether the owner's node is up, read through its
     {!Dsim.Network.peer}: a request from a down owner is not sent. *)

@@ -60,7 +60,6 @@ type t = {
   user : Client.t;
 }
 
-let config t = t.config
 let engine t = t.engine
 let net t = t.net
 let intercept t = t.intercept

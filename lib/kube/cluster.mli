@@ -59,7 +59,6 @@ val start : t -> unit
 val run : t -> until:int -> unit
 (** Advances virtual time (microseconds since 0). *)
 
-val config : t -> config
 val engine : t -> Dsim.Engine.t
 val net : t -> Dsim.Network.t
 val intercept : t -> Resource.value History.Intercept.t

@@ -6,7 +6,6 @@ type t = {
   deployments : Informer.t;
   rsets : Informer.t;
   pods : Informer.t;
-  mutable reconciles : int;
   mutable rollouts_completed : int;
 }
 
@@ -16,8 +15,6 @@ let period = 150_000
 let surge = 1
 
 let controller t = t.ctl
-
-let reconciles t = t.reconciles
 
 let rollouts_completed t = t.rollouts_completed
 
@@ -151,7 +148,6 @@ let reconcile_deployment t (d : Resource.deployment) =
         old_sets
 
 let reconcile t =
-  t.reconciles <- t.reconciles + 1;
   let store = Informer.store t.deployments in
   List.iter
     (fun key ->
@@ -182,10 +178,11 @@ let create ~net ~name ~endpoints ?(quorum_fallback = false) () =
     deployments;
     rsets;
     pods;
-    reconciles = 0;
     rollouts_completed = 0;
   }
 
 let start t =
-  Controller.start t.ctl ~on_crash:ignore;
+  Controller.start t.ctl ~on_crash:(fun () ->
+      Hashtbl.reset t.stalls;
+      Hashtbl.reset t.fresh_running);
   Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -26,12 +26,11 @@ val create :
     of trusting the cache. *)
 
 val start : t -> unit
-(** Starts the {!Controller} lifecycle and the reconcile pass, every
+(** Starts the {!Controller} lifecycle (a crash forgets the stall counts
+    and the quorum-read Running counts) and the reconcile pass, every
     150 ms. *)
 
 val controller : t -> Controller.t
-
-val reconciles : t -> int
 
 val rollouts_completed : t -> int
 (** Generations fully rolled out (old set drained and removed). *)

@@ -66,8 +66,6 @@ let prefix t = t.prefix
 
 let store t = t.store
 
-let get t key = History.State.get t.store key
-
 let rev t = t.last_rev
 
 let endpoint t = t.endpoints.(t.endpoint_index mod Array.length t.endpoints)

@@ -52,8 +52,6 @@ val prefix : t -> string
 
 val store : t -> Resource.value History.State.t
 
-val get : t -> string -> Resource.value option
-
 val rev : t -> int
 (** The view's frontier — decreases after a re-list from a stale
     apiserver (time travel). *)

@@ -4,7 +4,6 @@ type t = {
   pods : Informer.t;
   nodes : Informer.t;
   strikes : (string, int) Hashtbl.t;  (* pod -> consecutive missing-node sightings *)
-  mutable reconciles : int;
   mutable eviction_log : (string * string) list;  (* newest first *)
 }
 
@@ -14,8 +13,6 @@ let period = 200_000
 let missing_strikes = 3
 
 let controller t = t.ctl
-
-let reconciles t = t.reconciles
 
 let evictions t = List.rev t.eviction_log
 
@@ -40,7 +37,6 @@ let maybe_fail t (p : Resource.pod) mod_rev node =
   else fail_pod t p mod_rev node
 
 let reconcile t =
-  t.reconciles <- t.reconciles + 1;
   let pods = Informer.store t.pods in
   let nodes = Informer.store t.nodes in
   let seen = Hashtbl.create 16 in
@@ -83,7 +79,7 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) () =
     Controller.watch ctl
       (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.nodes_prefix ())
   in
-  { ctl; quorum_guard; pods; nodes; strikes = Hashtbl.create 16; reconciles = 0; eviction_log = [] }
+  { ctl; quorum_guard; pods; nodes; strikes = Hashtbl.create 16;  eviction_log = [] }
 
 let start t =
   Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.strikes);

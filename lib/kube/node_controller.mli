@@ -30,7 +30,5 @@ val start : t -> unit
 
 val controller : t -> Controller.t
 
-val reconciles : t -> int
-
 val evictions : t -> (string * string) list
 (** (pod, node) pairs this controller failed, oldest first. *)

@@ -8,7 +8,6 @@ type t = {
   pending : (string, expectation list) Hashtbl.t;  (* rset name -> issued creations *)
   counters : (string, int) Hashtbl.t;  (* rset name -> next fresh suffix *)
   orphan_strikes : (string, int) Hashtbl.t;  (* pod -> passes seen ownerless *)
-  mutable reconciles : int;
   mutable creates : int;
   mutable deletes : int;
 }
@@ -19,8 +18,6 @@ let period = 150_000
 let expectation_timeout = 2_000_000
 
 let controller t = t.ctl
-
-let reconciles t = t.reconciles
 
 let creates t = t.creates
 
@@ -139,7 +136,6 @@ let gc_orphan_pods t =
   List.iter (Hashtbl.remove t.orphan_strikes) stale
 
 let reconcile t =
-  t.reconciles <- t.reconciles + 1;
   let rsets = Informer.store t.rsets in
   List.iter
     (fun key ->
@@ -167,11 +163,12 @@ let create ~net ~name ~endpoints ?(expectations = false) () =
     pending = Hashtbl.create 8;
     counters = Hashtbl.create 8;
     orphan_strikes = Hashtbl.create 16;
-    reconciles = 0;
     creates = 0;
     deletes = 0;
   }
 
 let start t =
-  Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.pending);
+  Controller.start t.ctl ~on_crash:(fun () ->
+      Hashtbl.reset t.pending;
+      Hashtbl.reset t.orphan_strikes);
   Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -29,11 +29,10 @@ val create :
 
 val start : t -> unit
 (** Starts the {!Controller} lifecycle (a crash also forgets the
-    expectations) and the reconcile pass, every 150 ms. *)
+    expectations and the orphan strikes) and the reconcile pass, every
+    150 ms. *)
 
 val controller : t -> Controller.t
-
-val reconciles : t -> int
 
 val creates : t -> int
 (** Pod creations issued (not all succeed — creation is guarded). *)

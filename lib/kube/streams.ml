@@ -11,38 +11,14 @@ type t = {
   net : Dsim.Network.t;
   intercept : Resource.value History.Intercept.t;
   src : string;
-  subs : subscription History.Dispatch.t;
-  by_id : (string, int) Hashtbl.t;  (* stream id -> dispatch handle; its order is the pin *)
-  mutable order_dirty : bool;
+  by_id : (string, subscription) Hashtbl.t;  (* its iteration order is the pin *)
 }
 
-let create ~net ~intercept ~src =
-  {
-    net;
-    intercept;
-    src;
-    subs = History.Dispatch.create ();
-    by_id = Hashtbl.create 8;
-    order_dirty = false;
-  }
+let create ~net ~intercept ~src = { net; intercept; src; by_id = Hashtbl.create 8 }
 
 let count t = Hashtbl.length t.by_id
 
 let ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.by_id [] |> List.sort String.compare
-
-(* Dispatch order keys follow [by_id]'s iteration order (see the
-   interface). Recomputed lazily: only when the stream set changed
-   since the last fan-out. *)
-let repin t =
-  if t.order_dirty then begin
-    t.order_dirty <- false;
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun _ handle ->
-        History.Dispatch.set_order t.subs handle ~order:!i;
-        incr i)
-      t.by_id
-  end
 
 let push sub (e : Resource.value History.Event.t) =
   if e.History.Event.rev > sub.last_sent && History.Event.matches_prefix sub.prefix e then begin
@@ -51,19 +27,15 @@ let push sub (e : Resource.value History.Event.t) =
     Pipe.send sub.pipe (Pipe.Event e)
   end
 
-let remove t id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some handle ->
-      (match History.Dispatch.find t.subs handle with
-      | Some sub -> Pipe.close sub.pipe
-      | None -> ());
-      ignore (History.Dispatch.remove t.subs handle);
-      Hashtbl.remove t.by_id id;
-      t.order_dirty <- true
-  | None -> ()
-
+(* A replaced stream is removed and then added, never replaced in
+   place: that moves it within its hashtable bucket exactly as the
+   journals' order pin expects. *)
 let subscribe t (w : Messages.watch_request) ~replica ~backlog =
-  remove t w.Messages.stream_id;
+  (match Hashtbl.find_opt t.by_id w.Messages.stream_id with
+  | Some old ->
+      Pipe.close old.pipe;
+      Hashtbl.remove t.by_id w.Messages.stream_id
+  | None -> ());
   let edge = History.Intercept.{ src = t.src; dst = w.Messages.subscriber } in
   let pipe = Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver () in
   let sub =
@@ -76,27 +48,24 @@ let subscribe t (w : Messages.watch_request) ~replica ~backlog =
       epoch_sent = 0;
     }
   in
-  Hashtbl.replace t.by_id w.Messages.stream_id
-    (History.Dispatch.add t.subs ?prefix:w.Messages.prefix sub);
-  t.order_dirty <- true;
+  Hashtbl.replace t.by_id w.Messages.stream_id sub;
   backlog (push sub)
 
-(* The dispatch trie visits only the streams whose prefix matches the
-   key; [push] re-checks the prefix because backlog replay calls it
-   directly. The walk is a snapshot, so a stream replaced or cleared
-   from inside a callback is skipped, not corrupted. *)
+(* Every walk below is a plain [Hashtbl.iter]: the callbacks only
+   [Pipe.send] or [Pipe.close], and neither delivers synchronously, so
+   nothing can change the table mid-walk (see the interface). *)
 let publish t ~replica (e : Resource.value History.Event.t) =
-  repin t;
-  History.Dispatch.iter_matching t.subs ~key:e.History.Event.key (fun _ sub ->
-      if Option.equal String.equal sub.replica replica then push sub e)
+  Hashtbl.iter
+    (fun _ sub -> if Option.equal String.equal sub.replica replica then push sub e)
+    t.by_id
 
 let send_seal sub ~upto_rev =
   Pipe.send sub.pipe (Pipe.Seal { upto_rev; sent = sub.epoch_sent });
   sub.epoch_sent <- 0
 
 let heartbeat t ~frontier ~seal =
-  repin t;
-  History.Dispatch.iter_all t.subs (fun _ sub ->
+  Hashtbl.iter
+    (fun _ sub ->
       let serving =
         match sub.replica_node with Some node -> Dsim.Network.peer_is_up node | None -> true
       in
@@ -105,13 +74,10 @@ let heartbeat t ~frontier ~seal =
         Pipe.send sub.pipe (Pipe.Bookmark rev);
         if seal then send_seal sub ~upto_rev:rev
       end)
+    t.by_id
 
-let seal t ~upto_rev =
-  repin t;
-  History.Dispatch.iter_all t.subs (fun _ sub -> send_seal sub ~upto_rev)
+let seal t ~upto_rev = Hashtbl.iter (fun _ sub -> send_seal sub ~upto_rev) t.by_id
 
 let clear t =
-  History.Dispatch.iter_all t.subs (fun _ sub -> Pipe.close sub.pipe);
-  History.Dispatch.clear t.subs;
-  Hashtbl.reset t.by_id;
-  t.order_dirty <- true
+  Hashtbl.iter (fun _ sub -> Pipe.close sub.pipe) t.by_id;
+  Hashtbl.reset t.by_id

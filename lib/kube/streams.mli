@@ -8,14 +8,22 @@
     whether a start revision is still retained, and refusing it as
     compacted, stays with them.
 
-    Fan-out routes through {!History.Dispatch}, so an event visits only
-    the streams whose prefix matches its key. The visiting order is
-    pinned: every {!Pipe.send} draws a latency from the engine's one
-    seeded RNG, so the order decides which draw each stream gets and
-    with it every delivery time in the trace. Streams are visited in
-    the iteration order of a hashtable keyed by stream id that sees
-    every subscribe, replacement and {!clear}; the fixed-seed journals
-    rest on that order. *)
+    Fan-out is one walk over the table: every {!publish}, {!heartbeat},
+    {!seal} and {!clear} visits each open stream and checks its replica
+    pin, prefix and last-sent revision. The visiting order is pinned:
+    every {!Pipe.send} draws a latency from the engine's one seeded RNG,
+    so the order decides which draw each stream gets and with it every
+    delivery time in the trace. The table is a hashtable keyed by stream
+    id that sees every subscribe, replacement and {!clear}, and walks
+    visit it in its iteration order; the fixed-seed journals rest on
+    that order.
+
+    Invariant: nothing inside a walk changes the table. A walk calls
+    only {!Pipe.send}, {!Pipe.close} and {!heartbeat}'s [frontier], and
+    a pipe never delivers synchronously: it schedules the item on the
+    engine or drops it. So
+    a subscriber that re-subscribes or unsubscribes from its delivery
+    callback does so in a later engine step, after the walk is over. *)
 
 type t
 

@@ -4,7 +4,6 @@ type t = {
   pods : Informer.t;
   pvcs : Informer.t;
   mutable releases : int;
-  mutable reconciles : int;
 }
 
 (* The reconcile pass runs every 150 ms. *)
@@ -13,8 +12,6 @@ let period = 150_000
 let controller t = t.ctl
 
 let releases t = t.releases
-
-let reconciles t = t.reconciles
 
 let pods_informer t = t.pods
 
@@ -32,7 +29,6 @@ let release t (c : Resource.pvc) mod_rev =
 (* One sparse-read pass: the only information available is the *current*
    S'; events that happened between passes are invisible. *)
 let reconcile t =
-  t.reconciles <- t.reconciles + 1;
   let pods = Informer.store t.pods in
   let pvcs = Informer.store t.pvcs in
   List.iter
@@ -66,7 +62,7 @@ let create ~net ~name ~endpoints ?(release_on_absent_owner = false) () =
     Controller.watch ctl
       (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.pvcs_prefix ())
   in
-  { ctl; release_on_absent_owner; pods; pvcs; releases = 0; reconciles = 0 }
+  { ctl; release_on_absent_owner; pods; pvcs; releases = 0 }
 
 let start t =
   Controller.start t.ctl ~on_crash:ignore;

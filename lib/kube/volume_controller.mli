@@ -38,6 +38,4 @@ val controller : t -> Controller.t
 val releases : t -> int
 (** Claims released so far. *)
 
-val reconciles : t -> int
-
 val pods_informer : t -> Informer.t

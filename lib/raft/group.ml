@@ -32,8 +32,6 @@ let nodes t = t.nodes
 
 let names t = List.map Node.id t.nodes
 
-let node t id = List.find_opt (fun n -> String.equal (Node.id n) id) t.nodes
-
 let leaders t = List.filter Node.is_leader t.nodes
 
 let leader t =

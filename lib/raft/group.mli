@@ -27,8 +27,6 @@ val start : t -> unit
 
 val nodes : t -> Node.t list
 
-val node : t -> string -> Node.t option
-
 val names : t -> string list
 
 val leaders : t -> Node.t list

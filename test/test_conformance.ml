@@ -331,7 +331,7 @@ let qcheck_store_agrees_with_model =
 (* --- mutation self-test -------------------------------------------- *)
 
 let selftest_all_mutations_detected () =
-  let outcomes = Conformance.Selftest.run () in
+  let outcomes = Conformance.Selftest.run Conformance.Selftest.Kube in
   Alcotest.(check int) "control + five mutations" 6 (List.length outcomes);
   List.iter
     (fun (o : Conformance.Selftest.outcome) ->
@@ -349,14 +349,14 @@ let selftest_stable_across_seeds () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %Ld: %s" seed o.Conformance.Selftest.mutation)
             true (Conformance.Selftest.ok o))
-        (Conformance.Selftest.run ~seed ()))
+        (Conformance.Selftest.run ~seed Conformance.Selftest.Kube))
     [ 1L; 7L; 42L ]
 
 (* HBase-boundary mutations: each must trip with its *expected* code —
    a lost one-shot notification is a gap, a truncated master view is a
    state divergence, a forged znode payload is a content violation. *)
 let selftest_hbase_mutations_detected () =
-  let outcomes = Conformance.Selftest.run_hbase () in
+  let outcomes = Conformance.Selftest.run Conformance.Selftest.Hbase in
   Alcotest.(check int) "control + three mutations" 4 (List.length outcomes);
   List.iter
     (fun (o : Conformance.Selftest.outcome) ->
@@ -366,7 +366,7 @@ let selftest_hbase_mutations_detected () =
            (String.concat ","
               (List.map Conformance.Monitor.code_to_string o.Conformance.Selftest.codes)))
         true
-        (Conformance.Selftest.hbase_ok o))
+        (Conformance.Selftest.ok o))
     outcomes
 
 let selftest_hbase_stable_across_seeds () =
@@ -377,8 +377,8 @@ let selftest_hbase_stable_across_seeds () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %Ld: %s" seed o.Conformance.Selftest.mutation)
             true
-            (Conformance.Selftest.hbase_ok o))
-        (Conformance.Selftest.run_hbase ~seed ()))
+            (Conformance.Selftest.ok o))
+        (Conformance.Selftest.run ~seed Conformance.Selftest.Hbase))
     [ 1L; 7L; 42L ]
 
 (* --- cluster tier: silence under faults, passivity ----------------- *)

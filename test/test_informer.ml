@@ -28,7 +28,7 @@ let syncs_and_streams () =
   Kube.Informer.start informer ();
   run_for engine 1_000_000;
   Alcotest.(check bool) "listed existing pod" true
-    (Kube.Informer.get informer "pods/a" <> None);
+    (History.State.get (Kube.Informer.store informer) "pods/a" <> None);
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/b" (Kube.Resource.make_pod "b"));
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "nodes/n" (Kube.Resource.make_node "n"));
   run_for engine 500_000;
@@ -45,7 +45,7 @@ let stop_freezes () =
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/late" (Kube.Resource.make_pod "late"));
   run_for engine 1_000_000;
   Alcotest.(check bool) "no updates after stop" true
-    (Kube.Informer.get informer "pods/late" = None)
+    (History.State.get (Kube.Informer.store informer) "pods/late" = None)
 
 let dead_stream_triggers_relist () =
   let engine, net, etcd, names, _ = setup ~apiservers:2 () in
@@ -60,7 +60,7 @@ let dead_stream_triggers_relist () =
   run_for engine 3_000_000;
   Alcotest.(check bool) "re-listed" true (Kube.Informer.relists informer > relists_before);
   Alcotest.(check string) "rotated" "api-2" (Kube.Informer.current_endpoint informer);
-  Alcotest.(check bool) "caught up" true (Kube.Informer.get informer "pods/during" <> None)
+  Alcotest.(check bool) "caught up" true (History.State.get (Kube.Informer.store informer) "pods/during" <> None)
 
 let monotonic_rejects_stale_list () =
   let engine, net, etcd, names, _ = setup ~apiservers:2 () in
@@ -78,7 +78,7 @@ let monotonic_rejects_stale_list () =
   Kube.Informer.start informer ~endpoint:1 ();
   run_for engine 3_000_000;
   Alcotest.(check bool) "saw the new pod despite stale endpoint" true
-    (Kube.Informer.get informer "pods/new" <> None)
+    (History.State.get (Kube.Informer.store informer) "pods/new" <> None)
 
 let non_monotonic_adopts_stale_list () =
   let engine, net, etcd, names, _ = setup ~apiservers:2 () in
@@ -96,7 +96,7 @@ let non_monotonic_adopts_stale_list () =
   Alcotest.(check bool) "frontier moved backwards" true
     (Kube.Informer.rev informer < frontier_before);
   Alcotest.(check bool) "stale store misses the pod" true
-    (Kube.Informer.get informer "pods/new" = None)
+    (History.State.get (Kube.Informer.store informer) "pods/new" = None)
 
 let suites =
   [

@@ -1,4 +1,4 @@
-(* The committed history log: revisions, since, compaction, state_at. *)
+(* The committed history log: revisions, since, compaction. *)
 
 open History
 
@@ -57,31 +57,6 @@ let compact_keep_last () =
   Alcotest.(check int) "kept 3" 3 (Log.length log);
   Alcotest.(check int) "compacted at 7" 7 (Log.compacted_rev log)
 
-let state_at_replays () =
-  let log = Log.create () in
-  ignore (Log.append log ~key:"a" ~op:Event.Create (Some 1));
-  ignore (Log.append log ~key:"b" ~op:Event.Create (Some 2));
-  ignore (Log.append log ~key:"a" ~op:Event.Delete None);
-  (match Log.state_at log ~rev:2 with
-  | Some s ->
-      Alcotest.(check bool) "a present at rev 2" true (State.mem s "a");
-      Alcotest.(check bool) "b present at rev 2" true (State.mem s "b")
-  | None -> Alcotest.fail "rev 2 should be reconstructable");
-  match Log.state_at log ~rev:3 with
-  | Some s -> Alcotest.(check bool) "a gone at rev 3" false (State.mem s "a")
-  | None -> Alcotest.fail "rev 3 should be reconstructable"
-
-let state_at_respects_compaction () =
-  let log = Log.create () in
-  fill log 10;
-  Log.compact log ~before:5;
-  Alcotest.(check bool) "rev 4 lost" true (Log.state_at log ~rev:4 = None);
-  match Log.state_at log ~rev:7 with
-  | Some s ->
-      (* Snapshot + replay must equal the full-history fold. *)
-      Alcotest.(check int) "7 keys live" 7 (State.cardinal s)
-  | None -> Alcotest.fail "rev 7 reconstructable from snapshot"
-
 let compact_beyond_head_clamps () =
   let log = Log.create () in
   fill log 3;
@@ -114,21 +89,6 @@ let since_below_boundary_reports_revision () =
   | Error (`Compacted 7) -> ()
   | _ -> Alcotest.fail "expected Compacted 7 for rev 0"
 
-let state_at_around_boundary () =
-  let log = Log.create () in
-  fill log 10;
-  Log.compact log ~before:5;
-  Alcotest.(check bool) "below the boundary is lost" true (Log.state_at log ~rev:4 = None);
-  (match Log.state_at log ~rev:5 with
-  | Some s -> Alcotest.(check int) "at the boundary: the compaction base" 5 (State.cardinal s)
-  | None -> Alcotest.fail "rev = compacted_rev must be reconstructable");
-  (match Log.state_at log ~rev:8 with
-  | Some s -> Alcotest.(check int) "above the boundary replays forward" 8 (State.cardinal s)
-  | None -> Alcotest.fail "rev above the boundary must be reconstructable");
-  match Log.state_at log ~rev:99 with
-  | Some s -> Alcotest.(check int) "past the head is the live state" 10 (State.cardinal s)
-  | None -> Alcotest.fail "past the head must be the live state"
-
 let double_compaction_idempotent () =
   let log = Log.create () in
   fill log 10;
@@ -139,44 +99,18 @@ let double_compaction_idempotent () =
   Alcotest.(check int) "compacted_rev unchanged" 6 (Log.compacted_rev log);
   Alcotest.(check int) "length unchanged" 4 (Log.length log);
   Alcotest.(check (list int)) "window unchanged" revs_once
-    (List.map (fun (e : int Event.t) -> e.Event.rev) (Log.events log));
-  match Log.state_at log ~rev:6 with
-  | Some s -> Alcotest.(check int) "base state intact" 6 (State.cardinal s)
-  | None -> Alcotest.fail "boundary state must survive re-compaction"
-
-let snapshot_cadence_agrees () =
-  (* With a tiny snapshot interval, every reconstruction crosses snapshot
-     boundaries; each must equal the full replay. *)
-  let log = Log.create ~snapshot_every:3 () in
-  for i = 1 to 20 do
-    let key = Printf.sprintf "k%d" (i mod 4) in
-    let op = if i mod 5 = 0 then Event.Delete else Event.Update in
-    ignore (Log.append log ~key ~op (if op = Event.Delete then None else Some i))
-  done;
-  for rev = 0 to 20 do
-    let expected =
-      List.fold_left State.apply State.empty
-        (List.filter (fun (e : int Event.t) -> e.Event.rev <= rev) (Log.events log))
-    in
-    match Log.state_at log ~rev with
-    | Some s ->
-        Alcotest.(check (list (pair string (pair int int))))
-          (Printf.sprintf "state_at %d" rev) (State.bindings expected) (State.bindings s)
-    | None -> Alcotest.fail "uncompacted revision must be reconstructable"
-  done
+    (List.map (fun (e : int Event.t) -> e.Event.rev) (Log.events log))
 
 (* The pre-index implementation, kept as an executable reference model:
-   a newest-first list, [since] by full filter, [state_at] by full
-   replay, [compact] by partition. *)
+   a newest-first list, [since] and [compact] by full filter. *)
 module Naive = struct
   type 'v t = {
     mutable events : 'v Event.t list;  (* newest first *)
     mutable rev : int;
     mutable compacted_rev : int;
-    mutable base_state : 'v State.t;
   }
 
-  let create () = { events = []; rev = 0; compacted_rev = 0; base_state = State.empty }
+  let create () = { events = []; rev = 0; compacted_rev = 0 }
 
   let append t ~key ~op value =
     t.rev <- t.rev + 1;
@@ -188,33 +122,22 @@ module Naive = struct
     if rev < t.compacted_rev then Error (`Compacted t.compacted_rev)
     else Ok (List.rev (List.filter (fun (e : 'v Event.t) -> e.Event.rev > rev) t.events))
 
-  let state_at t ~rev =
-    if rev < t.compacted_rev then None
-    else
-      Some
-        (List.fold_left State.apply t.base_state
-           (List.filter (fun (e : 'v Event.t) -> e.Event.rev <= rev) (events t)))
-
   let compact t ~before =
     let before = min before t.rev in
     if before > t.compacted_rev then begin
-      let discarded, kept =
-        List.partition (fun (e : 'v Event.t) -> e.Event.rev <= before) (events t)
-      in
-      t.base_state <- List.fold_left State.apply t.base_state discarded;
-      t.events <- List.rev kept;
+      t.events <- List.filter (fun (e : 'v Event.t) -> e.Event.rev > before) t.events;
       t.compacted_rev <- before
     end
 end
 
 let qcheck_indexed_agrees_with_naive =
   (* Arbitrary interleavings of appends and compactions: the indexed
-     window (with an aggressive snapshot cadence) and the naive
-     list/filter model must agree on every observable. *)
+     window and the naive list/filter model must agree on every
+     observable. *)
   QCheck.Test.make ~name:"indexed log = naive reference model" ~count:200
     QCheck.(list_of_size Gen.(0 -- 40) (pair (int_range 0 9) (int_range 0 60)))
     (fun ops ->
-      let log = Log.create ~snapshot_every:3 () in
+      let log = Log.create () in
       let naive = Naive.create () in
       List.iter
         (fun (what, arg) ->
@@ -244,14 +167,9 @@ let qcheck_indexed_agrees_with_naive =
       && same_events (Log.events log) (Naive.events naive)
       && List.for_all
            (fun rev ->
-             (match Log.since log ~rev, Naive.since naive ~rev with
+             match Log.since log ~rev, Naive.since naive ~rev with
              | Ok a, Ok b -> same_events a b
              | Error (`Compacted a), Error (`Compacted b) -> a = b
-             | _ -> false)
-             &&
-             match Log.state_at log ~rev, Naive.state_at naive ~rev with
-             | Some a, Some b -> State.bindings a = State.bindings b
-             | None, None -> true
              | _ -> false)
            (List.init (Log.rev log + 2) Fun.id))
 
@@ -275,15 +193,11 @@ let suites =
         Alcotest.test_case "since zero is everything" `Quick since_zero_is_everything;
         Alcotest.test_case "compaction rejects old since" `Quick compaction_rejects_old_since;
         Alcotest.test_case "compact_keep_last" `Quick compact_keep_last;
-        Alcotest.test_case "state_at replays" `Quick state_at_replays;
-        Alcotest.test_case "state_at respects compaction" `Quick state_at_respects_compaction;
         Alcotest.test_case "compact beyond head clamps" `Quick compact_beyond_head_clamps;
         Alcotest.test_case "since at boundary is the window" `Quick since_at_boundary_is_window;
         Alcotest.test_case "since below boundary reports revision" `Quick
           since_below_boundary_reports_revision;
-        Alcotest.test_case "state_at around the boundary" `Quick state_at_around_boundary;
         Alcotest.test_case "double compaction idempotent" `Quick double_compaction_idempotent;
-        Alcotest.test_case "snapshot cadence agrees with replay" `Quick snapshot_cadence_agrees;
         Qcheck_util.to_alcotest qcheck_since_partition;
         Qcheck_util.to_alcotest qcheck_indexed_agrees_with_naive;
       ] );

@@ -113,6 +113,33 @@ let failed_pods_replaced () =
   Kube.Cluster.run cluster ~until:9_000_000;
   Alcotest.(check int) "two live replicas again" 2 (live_members cluster "web")
 
+(* The orphan strikes die with the process: a restarted controller
+   counts a pod's ownerless sightings from zero, so a pod one strike short
+   of collection before the crash gets five fresh passes after it. The
+   pass runs every 150 ms from time 0; the pod commits at 1.0 s, so the
+   passes at 1.05, 1.2, 1.35 and 1.5 s give it four strikes. *)
+let restart_forgets_orphan_strikes () =
+  let cluster = boot () in
+  let net = Kube.Cluster.net cluster in
+  let at time f = ignore (Dsim.Engine.schedule_at (Kube.Cluster.engine cluster) ~time f) in
+  at 1_000_000 (fun () ->
+      ignore
+        (Etcdlike.Kv.put
+           (Kube.Etcd.kv (Kube.Cluster.etcd cluster))
+           (Kube.Resource.pod_key "stray")
+           (Kube.Resource.make_pod ~owner:(Kube.Resource.rset_key "gone") "stray")));
+  let rs = Option.get (Kube.Cluster.replicaset cluster) in
+  Kube.Cluster.run cluster ~until:1_550_000;
+  Alcotest.(check int) "four strikes do not collect it" 0 (Kube.Replicaset.deletes rs);
+  at 1_560_000 (fun () -> Dsim.Network.crash net "rsctl");
+  at 1_600_000 (fun () -> Dsim.Network.restart net "rsctl");
+  (* Four passes after the restart: 1.65, 1.8, 1.95 and 2.1 s. *)
+  Kube.Cluster.run cluster ~until:2_150_000;
+  Alcotest.(check int) "the orphan survives four passes of the restarted controller" 0
+    (Kube.Replicaset.deletes rs);
+  Kube.Cluster.run cluster ~until:2_300_000;
+  Alcotest.(check int) "the fifth collects it" 1 (Kube.Replicaset.deletes rs)
+
 let suites =
   [
     ( "replicaset",
@@ -126,5 +153,7 @@ let suites =
           expectations_prevent_overprovision;
         Alcotest.test_case "failed pods replaced (node loss failover)" `Quick
           failed_pods_replaced;
+        Alcotest.test_case "restart forgets orphan strikes" `Quick
+          restart_forgets_orphan_strikes;
       ] );
   ]

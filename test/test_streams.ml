@@ -1,9 +1,8 @@
 (* The watch-stream table, driven through the etcd node: live events and
    bookmarks, backlog replay, the prefix filter on replayed events,
    stream replacement and independent streams. Re-registration from a
-   delivery callback is in test_servers, replica-pinned streams in
-   test_replicated, and the index's own mid-iteration cancellation in
-   test_dispatch. *)
+   delivery callback is in test_servers and replica-pinned streams in
+   test_replicated. *)
 
 let setup () =
   let engine = Dsim.Engine.create () in
