@@ -67,6 +67,6 @@ let attach ?(track_divergence = false) cluster =
   let zk = Hbaselike.Cluster.zk cluster in
   let stream = Hbaselike.Zk.follower_name ^ "<-" ^ Hbaselike.Zk.leader_name in
   Wiring.attach ~engine:(Hbaselike.Cluster.engine cluster)
-    ~on_commit:(Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk))
+    ~commits:(Hbaselike.Zk.commits zk)
     ~intercept:(Hbaselike.Cluster.intercept cluster) ~track_divergence ~taps:(taps zk ~stream)
     ~check:(check zk) ~lag:(lag zk ~stream)

@@ -153,6 +153,6 @@ let attach ?(track_divergence = false) cluster =
     caches := replicas @ apiservers @ List.map (informer_cache w) (Kube.Cluster.informers cluster)
   in
   Wiring.attach ~engine:(Kube.Cluster.engine cluster)
-    ~on_commit:(Kube.Etcd.on_commit (Kube.Cluster.etcd cluster))
+    ~commits:(Kube.Etcd.commits (Kube.Cluster.etcd cluster))
     ~intercept:(Kube.Cluster.intercept cluster) ~track_divergence ~taps ~check:(check caches)
     ~lag:(lag caches)

@@ -1,7 +1,7 @@
 (** The Kubernetes dialect of the conformance core ({!Wiring}).
 
     [attach] threads one monitor through every cache boundary the paper
-    names: the store's commit stream ([Etcd.on_commit] feeds the mirror —
+    names: the store's commit stream ([Etcd.commits] feeds the mirror —
     the {e canonical} leader-committed stream when the store is
     replicated), each apiserver watch cache and every component informer
     (via the read-only {!Kube.Tap}s), plus a periodic state spot-check of

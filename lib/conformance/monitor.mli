@@ -107,8 +107,8 @@ val relax : 'v t -> unit
     *intended* experiment, not a defect. *)
 
 val note_commit : 'v t -> 'v History.Event.t -> unit
-(** Feed every committed event, in commit order (register on
-    [Kv.on_commit] / [Etcd.on_commit] before any consumer). *)
+(** Feed every committed event, in commit order (register on the store's
+    commit feed before any consumer). *)
 
 val mirror_rev : 'v t -> int
 (** Revisions mirrored so far. *)

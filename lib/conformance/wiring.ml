@@ -13,11 +13,9 @@ type subject = {
 
 type 'v t = {
   engine : Dsim.Engine.t;
+  commits : Etcdlike.Commits.view;  (* commit times, to age undelivered events *)
   monitor : 'v Monitor.t;
   activities : (string, activity) Hashtbl.t;  (* component -> its tap count *)
-  (* Divergence tracking: commit times by revision, so the sweep can age
-     the first undelivered event of every stream against the clock. *)
-  commit_times : (int, int) Hashtbl.t;
   check : 'v t -> unit;
   lag : 'v t -> unit;
 }
@@ -58,7 +56,7 @@ let flag_lag t ~stream ?prefix ~frontier () =
   | Some e -> (
       let rev = e.History.Event.rev in
       let now = Dsim.Engine.now t.engine in
-      match Hashtbl.find_opt t.commit_times rev with
+      match Etcdlike.Commits.time t.commits ~rev with
       | Some at when now - at > lag_grace ->
           Monitor.note_lag t.monitor ~stream ~rev ~key:e.History.Event.key
             (Printf.sprintf "committed %s still undelivered after %d us"
@@ -72,7 +70,7 @@ let finish t =
   t.check t;
   if Monitor.tracking t.monitor then t.lag t
 
-let attach ~engine ~on_commit ~intercept ~track_divergence ~taps ~check ~lag =
+let attach ~engine ~commits ~intercept ~track_divergence ~taps ~check ~lag =
   let metrics = Dsim.Engine.metrics engine in
   let on_violation v =
     Dsim.Metrics.incr metrics "conformance.violations";
@@ -82,9 +80,9 @@ let attach ~engine ~on_commit ~intercept ~track_divergence ~taps ~check ~lag =
   let t =
     {
       engine;
+      commits = Etcdlike.Commits.view commits;
       monitor = Monitor.create ~track_divergence ~on_violation ();
       activities = Hashtbl.create 16;
-      commit_times = Hashtbl.create 64;
       check;
       lag;
     }
@@ -92,10 +90,7 @@ let attach ~engine ~on_commit ~intercept ~track_divergence ~taps ~check ~lag =
   (* Before the consumers: commit listeners run in registration order,
      and the mirror must already hold an event when its delivery taps
      fire. *)
-  on_commit (Monitor.note_commit t.monitor);
-  if track_divergence then
-    on_commit (fun e ->
-        Hashtbl.replace t.commit_times e.History.Event.rev (Dsim.Engine.now engine));
+  Etcdlike.Commits.on_commit commits (Monitor.note_commit t.monitor);
   taps t;
   (* The first deliberate drop ends strict mode: from then on the run is
      *supposed* to contain gaps and stale caches. Delays and partitions

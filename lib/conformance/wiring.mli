@@ -6,24 +6,23 @@
     the streams its sweep ages. The core owns the rest: the violation
     sink (a ["conformance.violations"] count and a
     ["conformance.violation"] trace entry per distinct violation), the
-    mirror feed, the commit times divergence tracking ages events
-    against, the relaxation of strict mode at the first interceptor
+    mirror feed, the relaxation of strict mode at the first interceptor
     [Drop], and the periodic sweep (every 500 ms of virtual time). *)
 
 type 'v t
 
 val attach :
   engine:Dsim.Engine.t ->
-  on_commit:(('v History.Event.t -> unit) -> unit) ->
+  commits:'v Etcdlike.Commits.t ->
   intercept:'v History.Intercept.t ->
   track_divergence:bool ->
   taps:('v t -> unit) ->
   check:('v t -> unit) ->
   lag:('v t -> unit) ->
   'v t
-(** Registers, in this order: the mirror feed and (when tracking
-    divergence) the commit-time listener on [on_commit], the dialect's
-    [taps], the drop observer on [intercept], and the periodic sweep.
+(** Registers, in this order: the mirror feed on [commits] (whose commit
+    times divergence tracking ages events against), the dialect's [taps],
+    the drop observer on [intercept], and the periodic sweep.
     Each sweep runs [check], then [lag] when tracking divergence. Attach
     before the cluster starts, so the mirror sees the seeding commits. *)
 

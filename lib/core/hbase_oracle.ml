@@ -132,10 +132,11 @@ let check_double_serve t =
       t.double_streak <- streaks
 
 let attach cluster =
+  let commits = Hbaselike.Zk.commits (Hbaselike.Cluster.zk cluster) in
   let t =
     {
       cluster;
-      ledger = Oracle.ledger (Hbaselike.Cluster.engine cluster);
+      ledger = Oracle.ledger (Hbaselike.Cluster.engine cluster) (Etcdlike.Commits.view commits);
       stale_streak = Hashtbl.create 8;
       double_streak = Hashtbl.create 8;
       assignment_commits = 0;
@@ -146,14 +147,8 @@ let attach cluster =
       liveness_at = -1;
     }
   in
-  (* The Zk commit listener registered at create time emits the
-     ["zk.commit"] entry first, so the frontier here is that entry's id —
-     the causal anchor for violations about the committed key. *)
-  Etcdlike.Kv.on_commit
-    (Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk cluster))
-    (fun (e : string History.Event.t) ->
+  Etcdlike.Commits.on_commit commits (fun (e : string History.Event.t) ->
       let key = e.History.Event.key in
-      Oracle.note_commit t.ledger key;
       if String.equal key "rs/registry" || History.Event.matches_key (Some "region/") key then
         t.assignment_commits <- t.assignment_commits + 1);
   Dsim.Engine.every (Hbaselike.Cluster.engine cluster) ~period:check_period (fun () ->

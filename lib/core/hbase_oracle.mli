@@ -10,8 +10,9 @@
 type t
 
 val attach : Hbaselike.Cluster.t -> t
-(** Installs a leader commit listener (for causal anchors) and the
-    periodic checker (every 100 ms). Attach after
+(** Registers on the leader's commit feed ({!Hbaselike.Zk.commits}),
+    whose anchors its violations hang off, and installs the periodic
+    checker (every 100 ms). Attach after
     {!Hbaselike.Cluster.create} and before [start].
 
     Thresholds separate persistent violations from transient repair

@@ -56,6 +56,17 @@ let bug_id = function
   | Region_double_serve _ -> "HB-WATCH"
   | Region_cas_wedged _ -> "HB-FOLLOWER"
 
+let components = function
+  | Duplicate_pod { kubelets; _ } -> List.sort String.compare kubelets
+  | Scheduler_livelock _ -> [ "scheduler" ]
+  | Pvc_leak _ -> [ "volumectl" ]
+  | Wrong_decommission _ | Live_claim_deleted _ -> [ "cassop" ]
+  | Replica_surplus _ -> [ "rsctl" ]
+  | Healthy_pod_failed _ -> [ "nodectl" ]
+  | Rollout_wedged _ -> [ "depctl" ]
+  | Region_stale_assign _ | Region_cas_wedged _ -> [ "master-1" ]
+  | Region_double_serve { servers; _ } -> List.sort String.compare servers
+
 let key v =
   match v with
   | Duplicate_pod { pod; _ } -> "dup:" ^ pod
@@ -72,29 +83,12 @@ let key v =
 
 type ledger = {
   engine : Dsim.Engine.t;
+  commits : Etcdlike.Commits.view;  (* the store's anchors *)
   seen : (string, unit) Hashtbl.t;  (* dedup keys *)
   mutable found : (int * violation) list;  (* newest first *)
-  commit_ids : (string, int) Hashtbl.t;  (* store key -> last commit trace id *)
-  mutable last_commit_id : int option;
 }
 
-let ledger engine =
-  {
-    engine;
-    seen = Hashtbl.create 16;
-    found = [];
-    commit_ids = Hashtbl.create 64;
-    last_commit_id = None;
-  }
-
-(* Commit listeners run after the store's own, which emits the commit
-   trace entry, so the causal frontier here is that entry's id. *)
-let note_commit l key =
-  match Dsim.Engine.current_cause l.engine with
-  | Some id ->
-      Hashtbl.replace l.commit_ids key id;
-      l.last_commit_id <- Some id
-  | None -> ()
+let ledger engine commits = { engine; commits; seen = Hashtbl.create 16; found = [] }
 
 let found l = List.rev l.found
 
@@ -107,17 +101,13 @@ let report ?about l v =
   if not (Hashtbl.mem l.seen k) then begin
     Hashtbl.replace l.seen k ();
     l.found <- (Dsim.Engine.now l.engine, v) :: l.found;
+    let latest () = Etcdlike.Commits.(anchor l.commits ~rev:(rev l.commits)) in
+    let live () = Dsim.Engine.current_cause l.engine in
+    let ( ||| ) cause next = match cause with Some _ -> cause | None -> next () in
     let cause =
       match about with
-      | Some key -> (
-          match Hashtbl.find_opt l.commit_ids key with
-          | Some _ as c -> c
-          | None when l.last_commit_id <> None -> l.last_commit_id
-          | None -> Dsim.Engine.current_cause l.engine)
-      | None -> (
-          match Dsim.Engine.current_cause l.engine with
-          | Some _ as c -> c
-          | None -> l.last_commit_id)
+      | Some key -> Etcdlike.Commits.key_anchor l.commits key ||| latest ||| live
+      | None -> live () ||| latest
     in
     Dsim.Metrics.incr (Dsim.Engine.metrics l.engine) "oracle.violations";
     Dsim.Engine.record l.engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
@@ -134,8 +124,9 @@ let duplicate_confirmations = 20
 
 (* Each periodic check reads a few inputs: the mirror (and
    [pod_deleted_at], written only beside it), the kubelets' running sets
-   and the scheduler's bind failures. Each input has a change count, and
-   a check re-derives its table only when one of its inputs moved; a
+   and the scheduler's bind failures. Each input has a change count (the
+   mirror's is the store feed's frontier: it moves with every commit),
+   and a check re-derives its table only when one of its inputs moved; a
    tick whose inputs all stood still only advances the streaks and the
    leak clock. Reports repeat a table's findings every tick, as a full
    recompute would ({!report} ignores a repeated key). *)
@@ -143,7 +134,6 @@ type t = {
   cluster : Kube.Cluster.t;
   ledger : ledger;
   mutable mirror : Kube.Resource.value History.State.t;
-  mutable commits : int;  (* mirror changes *)
   pod_deleted_at : (string, int) Hashtbl.t;  (* pod name -> removal time *)
   mutable duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
   mutable wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
@@ -161,6 +151,8 @@ type t = {
 }
 
 let mirror t = t.mirror
+
+let commits t = Etcdlike.Commits.rev t.ledger.commits
 
 let violations t = found t.ledger
 
@@ -223,8 +215,6 @@ let check_failed_transition t (e : Kube.Resource.value History.Event.t) =
 
 let on_commit t (e : Kube.Resource.value History.Event.t) =
   let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
-  t.commits <- t.commits + 1;
-  note_commit t.ledger e.History.Event.key;
   (match Kube.Resource.kind_of_key e.History.Event.key, e.History.Event.op with
   | `Pod, History.Event.Update ->
       Hashtbl.remove t.pod_deleted_at (Kube.Resource.name_of_key e.History.Event.key);
@@ -293,8 +283,8 @@ let check_duplicates t =
 let check_livelock t =
   let scheduler = Kube.Cluster.scheduler t.cluster in
   let failed_binds = Kube.Scheduler.failed_binds scheduler in
-  if t.commits <> t.livelock_at || failed_binds <> t.failed_binds_at then begin
-    t.livelock_at <- t.commits;
+  if commits t <> t.livelock_at || failed_binds <> t.failed_binds_at then begin
+    t.livelock_at <- commits t;
     t.failed_binds_at <- failed_binds;
     List.iter
       (fun ((pod, node), failures) ->
@@ -343,8 +333,8 @@ let check_leaks t =
 (* Over-provisioning: flagrantly more live pods than a set wants. The
    2x threshold ignores the off-by-a-few churn of normal replacement. *)
 let check_surplus t =
-  if t.commits <> t.surplus_at then begin
-    t.surplus_at <- t.commits;
+  if commits t <> t.surplus_at then begin
+    t.surplus_at <- commits t;
     History.State.fold
       (fun key (value, _) () ->
         match value with
@@ -448,19 +438,19 @@ let check_wedged_rollouts t =
 
 (* Re-derive the mirror's two time-dependent tables after a commit. *)
 let derive t =
-  if t.commits <> t.derived_at then begin
-    t.derived_at <- t.commits;
+  if commits t <> t.derived_at then begin
+    t.derived_at <- commits t;
     t.leaks <- derive_leaks t;
     t.wedged <- derive_wedged t
   end
 
 let attach cluster =
+  let commits = Kube.Etcd.commits (Kube.Cluster.etcd cluster) in
   let t =
     {
       cluster;
-      ledger = ledger (Kube.Cluster.engine cluster);
+      ledger = ledger (Kube.Cluster.engine cluster) (Etcdlike.Commits.view commits);
       mirror = History.State.empty;
-      commits = 0;
       pod_deleted_at = Hashtbl.create 16;
       duplicate_streak = Hashtbl.create 16;
       wedge_streak = Hashtbl.create 16;
@@ -474,7 +464,7 @@ let attach cluster =
       derived_at = -1;
     }
   in
-  Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e -> on_commit t e);
+  Etcdlike.Commits.on_commit commits (on_commit t);
   Dsim.Engine.every (Kube.Cluster.engine cluster) ~period:check_period (fun () ->
       derive t;
       check_duplicates t;

@@ -51,6 +51,11 @@ val describe : violation -> string
 val bug_id : violation -> string
 (** The upstream issue this violation reproduces, e.g. ["K8s-59848"]. *)
 
+val components : violation -> string list
+(** The components whose partial history the violation implicates,
+    sorted: the kubelets running a duplicate pod, the servers serving one
+    region, else the one controller that acted. *)
+
 val key : violation -> string
 (** Deduplication key (violation type + principal object). *)
 
@@ -62,19 +67,16 @@ val key : violation -> string
 
 type ledger
 
-val ledger : Dsim.Engine.t -> ledger
-
-val note_commit : ledger -> string -> unit
-(** Index the store commit in progress (the engine's causal frontier, set
-    by the store's commit entry) under the committed key. Call from a
-    commit listener registered after the store's own. *)
+val ledger : Dsim.Engine.t -> Etcdlike.Commits.view -> ledger
+(** A ledger whose violations anchor at the given store feed's
+    commits. *)
 
 val report : ?about:string -> ledger -> violation -> unit
 (** Records a violation unless one with the same {!key} was already
     recorded. The trace entry's cause is, with [about] (a store key): the
-    last commit to [about], else the most recent commit, else the live
-    frontier; without [about]: the live frontier, else the most recent
-    commit. *)
+    anchor of the last commit to [about], else of the most recent
+    commit, else the live frontier; without [about]: the live frontier,
+    else the most recent commit's anchor. *)
 
 val found : ledger -> (int * violation) list
 (** Time-stamped, first occurrence per {!key}, oldest first. *)
@@ -84,8 +86,9 @@ val found : ledger -> (int * violation) list
 type t
 
 val attach : Kube.Cluster.t -> t
-(** Installs the etcd commit listener and the periodic checker (every
-    100 ms). Attach before {!Kube.Cluster.start}.
+(** Registers on the store's commit feed ({!Kube.Etcd.commits}) and
+    installs the periodic checker (every 100 ms). Attach before
+    {!Kube.Cluster.start}.
 
     The thresholds are chosen to separate *persistent* safety violations
     (the bugs) from transient divergence that any failure causes and the

@@ -64,7 +64,7 @@ let run_test ?(check_conformance = false) ?(diagnose = false) test =
   {
     test;
     violations = violations_of ();
-    truth_rev = Substrate.truth_rev live;
+    truth_rev = Etcdlike.Commits.rev (Substrate.commits live);
     live;
     conformance =
       (if check_conformance then
@@ -153,31 +153,19 @@ type commit = { time : int; key : string; op : History.Event.op; origin : string
 
 let reference_commits test =
   let live = Substrate.create test.spec in
-  let commits = ref [] in
+  let feed = Substrate.commits live in
   let engine = Substrate.engine live in
-  let note (e : _ History.Event.t) =
-    (* The origin table is filled by the server before listeners run
-       only for txn-committed events; look it up lazily afterwards
-       instead. Record the revision now. *)
-    commits :=
-      (Dsim.Engine.now engine, e.History.Event.key, e.History.Event.op, e.History.Event.rev)
-      :: !commits
-  in
-  let origin_of =
-    match live with
-    | Substrate.Kube_live cluster ->
-        let etcd = Kube.Cluster.etcd cluster in
-        Kube.Etcd.on_commit etcd note;
-        Kube.Etcd.origin_of_rev etcd
-    | Substrate.Hbase_live cluster ->
-        let zk = Hbaselike.Cluster.zk cluster in
-        Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk) note;
-        Hbaselike.Zk.origin_of_rev zk
-  in
+  let noted = ref [] in
+  Etcdlike.Commits.on_revision feed (fun ~rev ~key ~op ->
+      noted := (Dsim.Engine.now engine, key, op, rev) :: !noted);
   Substrate.start live;
   Substrate.schedule live test.spec;
   Substrate.run ~until:test.horizon live;
-  List.rev_map (fun (time, key, op, rev) -> { time; key; op; origin = origin_of rev }) !commits
+  (* A store labels a revision once its transaction returns, after the
+     listeners ran, so origins are read from the feed at the end. *)
+  List.rev_map
+    (fun (time, key, op, rev) -> { time; key; op; origin = Etcdlike.Commits.origin feed ~rev })
+    !noted
 
 let reference_events test =
   List.map (fun c -> (c.time, c.key, c.op)) (reference_commits test)

@@ -46,14 +46,9 @@ let metrics = function
   | Kube_live c -> Kube.Cluster.metrics c
   | Hbase_live c -> Hbaselike.Cluster.metrics c
 
-let truth_rev = function
-  | Kube_live c -> Kube.Cluster.truth_rev c
-  | Hbase_live c -> Hbaselike.Cluster.truth_rev c
-
-let commit_trace_id live ~rev =
-  match live with
-  | Kube_live c -> Kube.Etcd.commit_trace_id (Kube.Cluster.etcd c) ~rev
-  | Hbase_live c -> Hbaselike.Zk.commit_trace_id (Hbaselike.Cluster.zk c) ~rev
+let commits = function
+  | Kube_live c -> Etcdlike.Commits.view (Kube.Etcd.commits (Kube.Cluster.etcd c))
+  | Hbase_live c -> Etcdlike.Commits.view (Hbaselike.Zk.commits (Hbaselike.Cluster.zk c))
 
 let kube = function
   | Kube_live c -> c

@@ -34,11 +34,8 @@ val trace : live -> Dsim.Trace.t
 
 val metrics : live -> Dsim.Metrics.t
 
-val truth_rev : live -> int
-(** The committed history's frontier (store revision at the leader). *)
-
-val commit_trace_id : live -> rev:int -> int option
-(** Trace entry id of the store commit at [rev]. *)
+val commits : live -> Etcdlike.Commits.view
+(** The store's commit feed ({!Kube.Etcd.commits}, {!Hbaselike.Zk.commits}). *)
 
 val kube : live -> Kube.Cluster.t
 (** Raises [Invalid_argument] on a non-kube cluster. *)

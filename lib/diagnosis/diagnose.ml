@@ -14,21 +14,6 @@ let anti_pattern_of_pattern = function
   | `Obs_gap -> "edge-trigger"
   | `Time_travel -> "stale-resync"
 
-(* The components whose code path a violation implicates — the same
-   attribution the hunt's finding signatures use, duplicated here
-   because hunt depends on this library. *)
-let suspect_components (v : Sieve.Oracle.violation) =
-  match v with
-  | Sieve.Oracle.Duplicate_pod { kubelets; _ } -> List.sort String.compare kubelets
-  | Sieve.Oracle.Scheduler_livelock _ -> [ "scheduler" ]
-  | Sieve.Oracle.Pvc_leak _ -> [ "volumectl" ]
-  | Sieve.Oracle.Wrong_decommission _ | Sieve.Oracle.Live_claim_deleted _ -> [ "cassop" ]
-  | Sieve.Oracle.Replica_surplus _ -> [ "rsctl" ]
-  | Sieve.Oracle.Healthy_pod_failed _ -> [ "nodectl" ]
-  | Sieve.Oracle.Rollout_wedged _ -> [ "depctl" ]
-  | Sieve.Oracle.Region_stale_assign _ | Sieve.Oracle.Region_cas_wedged _ -> [ "master-1" ]
-  | Sieve.Oracle.Region_double_serve { servers; _ } -> List.sort String.compare servers
-
 (* "cassop#pods/" -> "cassop"; "api-2<-etcd" -> "api-2". *)
 let component_of_stream stream =
   match String.index_opt stream '#' with
@@ -176,8 +161,6 @@ let read_site_of ~footprints ~component ~key =
       | None -> ( match fp.Sieve.Footprint.cached_reads with p :: _ -> p | [] -> key))
   | None -> key
 
-let is_commit e = String.equal e.Dsim.Trace.kind "etcd.commit"
-
 (* The oracle records each violation as "[bug-id] description"; match on
    that to anchor the walk at the *targeted* violation's entry — a run
    can trip several oracles (CA-400's wrong decommission also deletes a
@@ -213,6 +196,7 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
       | None -> None
       | Some anchor ->
           let live = outcome.Sieve.Runner.live in
+          let feed = Sieve.Substrate.commits live in
           let chain = Dsim.Trace.chain trace ~id:anchor.Dsim.Trace.id in
           let truncated =
             match chain with
@@ -228,7 +212,7 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
           let bug, violation, suspects =
             match targeted with
             | Some (_, v) ->
-                (Sieve.Oracle.bug_id v, Sieve.Oracle.describe v, suspect_components v)
+                (Sieve.Oracle.bug_id v, Sieve.Oracle.describe v, Sieve.Oracle.components v)
             | None -> ("conformance", anchor.Dsim.Trace.detail, [])
           in
           let spec = outcome.Sieve.Runner.test.Sieve.Runner.spec in
@@ -277,7 +261,7 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
                     frontier = d.Conformance.Monitor.d_frontier;
                     event =
                       Conformance.Handle.committed_describe hooks d.Conformance.Monitor.d_rev;
-                    trace_id = Sieve.Substrate.commit_trace_id live ~rev:d.Conformance.Monitor.d_rev;
+                    trace_id = Etcdlike.Commits.anchor feed ~rev:d.Conformance.Monitor.d_rev;
                     detail = d.Conformance.Monitor.d_detail;
                   },
                   {
@@ -355,7 +339,7 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
                 {
                   Card.anchor = anchor.Dsim.Trace.id;
                   length = List.length chain;
-                  commits = List.length (List.filter is_commit chain);
+                  commits = List.length (List.filter (Etcdlike.Commits.anchored feed) chain);
                   truncated;
                 };
               taint_path;

@@ -88,10 +88,6 @@ module Gauge = struct
   let resolve (m : registry) name =
     resolve m.gauges name (fun () -> { level = { value = 0.0 }; g_written = false })
 
-  let set g v =
-    g.g_written <- true;
-    g.level.value <- v
-
   let set_int g n =
     g.g_written <- true;
     g.level.value <- float_of_int n

@@ -36,11 +36,9 @@ module Gauge : sig
 
   val resolve : metrics -> string -> t
 
-  val set : t -> float -> unit
-
   val set_int : t -> int -> unit
-  (** [set g (float_of_int n)], converting where the float is stored, so
-      the write allocates nothing. *)
+  (** Sets the gauge to [n], converting where the float is stored, so the
+      write allocates nothing. *)
 
   val add : t -> float -> unit
   (** Adds a (possibly negative) delta. *)
@@ -63,11 +61,9 @@ module Series : sig
 
   val resolve : metrics -> string -> t
 
-  val sample : t -> time:int -> float -> unit
-
   val sample_int : t -> time:int -> int -> unit
-  (** [sample s ~time (float_of_int n)] without boxing the float; only
-      the series' growth allocates. *)
+  (** Appends the point [(time, n)] without boxing the float; only the
+      series' growth allocates. *)
 end
 
 (** {2 Counters} *)

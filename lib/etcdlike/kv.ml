@@ -1,7 +1,7 @@
 type 'v t = {
   history : 'v History.Log.t;
-  (* Listeners in registration order (oracles, monitors, the stream
-     tables' publishers, ZK's replication and watch notifier); a
+  (* Listeners in registration order (a commit feed, the replicated
+     store's canonical advance, ZK's replication and watch notifier); a
      growable array keeps each registration O(1) instead of re-walking
      a list with [@]. *)
   mutable listeners : ('v History.Event.t -> unit) array;

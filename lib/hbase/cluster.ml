@@ -65,8 +65,6 @@ let trace t = Dsim.Engine.trace t.engine
 
 let metrics t = Dsim.Engine.metrics t.engine
 
-let truth_rev t = Etcdlike.Kv.rev (Zk.leader_kv t.zk)
-
 let create config =
   let engine = Dsim.Engine.create ~seed:config.seed () in
   let net = Dsim.Network.create engine in
@@ -97,12 +95,13 @@ let start t =
        (String.concat "," server_names));
   Master.start t.master;
   List.iter Regionserver.start t.region_servers;
-  let gauge = Dsim.Metrics.Gauge.resolve (metrics t) "lag.zk-follower" in
-  let series = Dsim.Metrics.Series.resolve (metrics t) "lag.zk-follower" in
+  let sample_lag =
+    Etcdlike.Commits.lag_sampler
+      (Etcdlike.Commits.view (Zk.commits t.zk))
+      [ (Zk.follower_name, fun () -> Zk.follower_caught_up_to t.zk) ]
+  in
   Dsim.Engine.every t.engine ~period:100_000 (fun () ->
-      let lag = float_of_int (truth_rev t - Zk.follower_caught_up_to t.zk) in
-      Dsim.Metrics.Gauge.set gauge lag;
-      Dsim.Metrics.Series.sample series ~time:(Dsim.Engine.now t.engine) lag;
+      sample_lag ();
       true)
 
 (* --- workload -------------------------------------------------------- *)

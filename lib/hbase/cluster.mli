@@ -66,6 +66,3 @@ val region_servers : t -> Regionserver.t list
 val trace : t -> Dsim.Trace.t
 
 val metrics : t -> Dsim.Metrics.t
-
-val truth_rev : t -> int
-(** The leader store's revision — the committed history's frontier. *)

@@ -61,8 +61,7 @@ type t = {
   follower_kv : string Etcdlike.Kv.t;  (* replica applied with lag *)
   fl_revs : (string, int) Hashtbl.t;  (* key -> leader mod-rev, as replicated *)
   watches : (string, Dsim.Network.peer list) Hashtbl.t;  (* key -> armed one-shot watchers *)
-  origins : (int, string) Hashtbl.t;  (* leader revision -> originating client *)
-  commit_ids : (int, int) Hashtbl.t;  (* leader revision -> trace entry id *)
+  commits : string Etcdlike.Commits.t;  (* the leader's committed history *)
   mutable caught_up_to : int;  (* leader revision the replica has applied *)
   mutable repl_ready_at : int;  (* FIFO frontier of the replication stream *)
   mutable leader_ops : int;
@@ -76,6 +75,8 @@ let leader_name = "zk-leader"
 let follower_name = "zk-follower"
 
 let leader_kv t = t.leader_kv
+
+let commits t = t.commits
 
 let follower_kv t = t.follower_kv
 
@@ -112,10 +113,6 @@ let follower_resyncs t = t.follower_resyncs
 
 let engine t = Dsim.Network.engine t.net
 
-let origin_of_rev t rev = Option.value (Hashtbl.find_opt t.origins rev) ~default:"boot"
-
-let commit_trace_id t ~rev = Hashtbl.find_opt t.commit_ids rev
-
 let on_follower_apply t f = t.tap_apply <- f
 
 let on_follower_resync t f = t.tap_resync <- f
@@ -141,7 +138,7 @@ let leader_snapshot t =
   |> List.map (fun (key, (v, mod_rev)) -> (key, v, mod_rev))
 
 let note_origin t ~src (e : string History.Event.t) =
-  Hashtbl.replace t.origins e.History.Event.rev (Dsim.Network.address src)
+  Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev (Dsim.Network.address src)
 
 (* One-shot watch dispatch: every registration on the key is consumed at
    commit time; whether the notification reaches the watcher is the
@@ -312,8 +309,8 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
       follower_kv = Etcdlike.Kv.create ();
       fl_revs = Hashtbl.create 64;
       watches = Hashtbl.create 16;
-      origins = Hashtbl.create 256;
-      commit_ids = Hashtbl.create 256;
+      commits =
+        Etcdlike.Commits.create (Dsim.Network.engine net) ~actor:leader_name ~kind:"zk.commit";
       caught_up_to = 0;
       repl_ready_at = 0;
       leader_ops = 0;
@@ -333,21 +330,10 @@ let create ~net ?(replication_lag = 10_000) ?compaction_window ?(follower_leader
   | Watches_first ->
       Etcdlike.Kv.on_commit leader_kv (fire_watches t);
       Etcdlike.Kv.on_commit leader_kv (deliver_replication t));
-  (* Commit-side bookkeeping: every leader commit becomes a trace entry
-     (the causal anchor diagnosis cards point at) and a counter tick. *)
-  let engine = Dsim.Network.engine net in
-  let commits = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) "zk.commits" in
-  Etcdlike.Kv.on_commit t.leader_kv (fun (e : string History.Event.t) ->
-      let rev = e.History.Event.rev in
-      let id =
-        Dsim.Engine.emit_deferred engine ~actor:leader_name ~kind:"zk.commit" (fun () ->
-            Printf.sprintf "rev %d %s" e.History.Event.rev (History.Event.describe e))
-      in
-      Hashtbl.replace t.commit_ids rev id;
-      Dsim.Metrics.Counter.incr commits);
+  Etcdlike.Kv.on_commit t.leader_kv (Etcdlike.Commits.commit t.commits);
   (* Retention: keep only the last [w] events pullable. Registered after
-     the replication and watch listeners, so fan-out always precedes the
-     trim. *)
+     the replication and watch listeners and the feed, so fan-out and
+     every consumer always precede the trim. *)
   (match t.compaction_window with
   | Some w ->
       Etcdlike.Kv.on_commit t.leader_kv (fun _ -> Etcdlike.Kv.compact_keep_last t.leader_kv w)

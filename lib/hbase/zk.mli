@@ -56,6 +56,11 @@ val follower_name : string
 val leader_kv : t -> string Etcdlike.Kv.t
 (** Ground truth, for oracles and seeding. *)
 
+val commits : t -> string Etcdlike.Commits.t
+(** The leader's committed-history feed, anchored as ["zk.commit"]
+    entries, labelled by client. It listens after the replication stream
+    and the watch notifier, and before the compaction trim. *)
+
 val follower_kv : t -> string Etcdlike.Kv.t
 (** The replica's materialized state — the follower's [S'], for the
     conformance monitor's state checks. *)
@@ -85,12 +90,6 @@ val leader_ops : t -> int
 val follower_resyncs : t -> int
 (** Full state transfers the follower performed after pulling below the
     leader's compaction frontier. *)
-
-val origin_of_rev : t -> int -> string
-(** Which client's request committed the revision ("boot" for seeds). *)
-
-val commit_trace_id : t -> rev:int -> int option
-(** Trace entry id of the leader commit at [rev]. *)
 
 (** {2 Delivery-boundary taps} (read-only; for the conformance monitor) *)
 

@@ -1,20 +1,7 @@
-let component_of (v : Sieve.Oracle.violation) =
-  match v with
-  | Sieve.Oracle.Duplicate_pod { kubelets; _ } ->
-      String.concat "+" (List.sort String.compare kubelets)
-  | Sieve.Oracle.Scheduler_livelock _ -> "scheduler"
-  | Sieve.Oracle.Pvc_leak _ -> "volumectl"
-  | Sieve.Oracle.Wrong_decommission _ -> "cassop"
-  | Sieve.Oracle.Live_claim_deleted _ -> "cassop"
-  | Sieve.Oracle.Replica_surplus _ -> "rsctl"
-  | Sieve.Oracle.Healthy_pod_failed _ -> "nodectl"
-  | Sieve.Oracle.Rollout_wedged _ -> "depctl"
-  | Sieve.Oracle.Region_stale_assign _ | Sieve.Oracle.Region_cas_wedged _ -> "master-1"
-  | Sieve.Oracle.Region_double_serve { servers; _ } ->
-      String.concat "+" (List.sort String.compare servers)
-
 let of_violation v =
-  Printf.sprintf "%s/%s/%s" (Sieve.Oracle.bug_id v) (component_of v) (Sieve.Oracle.key v)
+  Printf.sprintf "%s/%s/%s" (Sieve.Oracle.bug_id v)
+    (String.concat "+" (Sieve.Oracle.components v))
+    (Sieve.Oracle.key v)
 
 let to_dirname s =
   String.map

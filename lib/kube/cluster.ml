@@ -93,53 +93,6 @@ let trace t = Dsim.Engine.trace t.engine
 
 let metrics t = Dsim.Engine.metrics t.engine
 
-(* Revision lag is the live measurement of partial-history divergence:
-   how many committed revisions a component's view is behind the ground
-   truth right now. Sampled into both a gauge (latest value) and a
-   virtual-time series (for the timeline view). The metric names and
-   each component's revision reader are resolved once; a tick only reads
-   revisions and writes values, and allocates nothing but series growth. *)
-type lag_probe = {
-  gauge : Dsim.Metrics.Gauge.t;
-  series : Dsim.Metrics.Series.t;
-  view_rev : unit -> int;
-}
-
-let lag_sampler t =
-  let metrics = metrics t in
-  let probe name view_rev =
-    let gauge = Dsim.Metrics.Gauge.resolve metrics ("lag." ^ name) in
-    let series = Dsim.Metrics.Series.resolve metrics ("lag." ^ name) in
-    { gauge; series; view_rev }
-  in
-  let probes =
-    Array.of_list
-      (List.map (fun a -> probe (Apiserver.name a) (fun () -> Apiserver.rev a)) t.apiservers
-      @ List.map
-          (fun c -> probe (Controller.name c) (fun () -> Controller.view_rev c))
-          t.controllers)
-  in
-  let subscribers =
-    Array.of_list
-      (List.map
-         (fun a ->
-           (a, Dsim.Metrics.Gauge.resolve metrics ("api.subscribers." ^ Apiserver.name a)))
-         t.apiservers)
-  in
-  fun () ->
-    let now = Dsim.Engine.now t.engine in
-    let truth = truth_rev t in
-    for i = 0 to Array.length probes - 1 do
-      let p = probes.(i) in
-      let lag = Int.max 0 (truth - p.view_rev ()) in
-      Dsim.Metrics.Gauge.set_int p.gauge lag;
-      Dsim.Metrics.Series.sample_int p.series ~time:now lag
-    done;
-    for i = 0 to Array.length subscribers - 1 do
-      let a, gauge = subscribers.(i) in
-      Dsim.Metrics.Gauge.set_int gauge (Apiserver.subscriber_count a)
-    done
-
 let create ?(config = default_config) () =
   let engine = Dsim.Engine.create ~seed:config.seed () in
   let net = Dsim.Network.create engine in
@@ -242,9 +195,24 @@ let start t =
   Option.iter Replicaset.start t.replicaset;
   Option.iter Node_controller.start t.node_controller;
   Option.iter Deployment.start t.deployment;
-  let sample_lags = lag_sampler t in
+  (* Revision lag, the live measurement of partial-history divergence, and
+     each apiserver's watch-subscriber count. *)
+  let sample_lags =
+    Etcdlike.Commits.lag_sampler
+      (Etcdlike.Commits.view (Etcd.commits t.etcd))
+      (List.map (fun a -> (Apiserver.name a, fun () -> Apiserver.rev a)) t.apiservers
+      @ List.map (fun c -> (Controller.name c, fun () -> Controller.view_rev c)) t.controllers)
+  in
+  let subscribers =
+    List.map
+      (fun a -> (a, Dsim.Metrics.Gauge.resolve (metrics t) ("api.subscribers." ^ Apiserver.name a)))
+      t.apiservers
+  in
   Dsim.Engine.every t.engine ~period:t.config.obs_sample_period (fun () ->
       sample_lags ();
+      List.iter
+        (fun (a, gauge) -> Dsim.Metrics.Gauge.set_int gauge (Apiserver.subscriber_count a))
+        subscribers;
       true)
 
 let run t ~until = Dsim.Engine.run ~until t.engine

@@ -12,9 +12,8 @@ type t = {
   net : Dsim.Network.t;
   backend : backend;
   streams : Streams.t;
+  commits : Resource.value Etcdlike.Commits.t;
   mutable requests_served : int;
-  origins : (int, string) Hashtbl.t;  (* revision -> originating component *)
-  commit_ids : (int, int) Hashtbl.t;  (* revision -> trace entry id of the commit *)
   leases : Etcdlike.Lease.t;
   rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
 }
@@ -27,8 +26,9 @@ let name t = t.name
 let kv t =
   match t.backend with Single kv -> kv | Replicated repl -> Replicated.Kv.canonical_store repl
 
-let rev t =
-  match t.backend with Single kv -> Etcdlike.Kv.rev kv | Replicated repl -> Replicated.Kv.rev repl
+let commits t = t.commits
+
+let rev t = Etcdlike.Commits.(rev (view t.commits))
 
 let replicated_kv t =
   match t.backend with Single _ -> None | Replicated repl -> Some repl
@@ -38,20 +38,7 @@ let replica_revs t =
 
 let subscribers t = Streams.ids t.streams
 
-(* The committed-history stream: per-store commits for a single backend,
-   the canonical (leader-committed) first-apply stream for a replicated
-   one — a lagging follower's applies never re-enter it. *)
-let on_commit t f =
-  match t.backend with
-  | Single kv -> Etcdlike.Kv.on_commit kv f
-  | Replicated repl -> Replicated.Kv.on_commit repl f
-
 let requests_served t = t.requests_served
-
-let origin_of_rev t rev =
-  Option.value (Hashtbl.find_opt t.origins rev) ~default:"boot"
-
-let commit_trace_id t ~rev = Hashtbl.find_opt t.commit_ids rev
 
 (* Seed a binding below the fault surface: a direct store write in single
    mode, a per-replica boot-snapshot write in replicated mode. Use before
@@ -89,7 +76,7 @@ let handle_watch t ~src (w : Messages.watch_request) reply =
 let note_txn_outcome t ~origin ~lease (outcome : Resource.value Etcdlike.Txn.outcome) =
   List.iter
     (fun (e : Resource.value History.Event.t) ->
-      Hashtbl.replace t.origins e.History.Event.rev origin;
+      Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev origin;
       match lease, e.History.Event.op with
       | Some lease, (History.Event.Create | History.Event.Update) ->
           Etcdlike.Lease.attach t.leases ~lease ~key:e.History.Event.key
@@ -101,7 +88,7 @@ let note_txn_outcome t ~origin ~lease (outcome : Resource.value Etcdlike.Txn.out
    its revision with [origin]; a key already gone commits nothing. *)
 let delete_with_origin t ~origin key =
   let label (e : Resource.value History.Event.t) =
-    Hashtbl.replace t.origins e.History.Event.rev origin
+    Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev origin
   in
   match t.backend with
   | Single kv -> Option.iter label (Etcdlike.Kv.delete kv key)
@@ -160,21 +147,6 @@ let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -
       reply (Ok ())
   | Messages.Watch w, _ -> handle_watch t ~src w reply
 
-(* Shared commit-side bookkeeping: every committed-history event becomes
-   a caused trace entry and the new causal frontier, so watch deliveries
-   pushed downstream link back to the commit. *)
-let install_commit_listener t =
-  let engine = Dsim.Network.engine t.net in
-  let commits = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) "etcd.commits" in
-  on_commit t (fun event ->
-      let rev = event.History.Event.rev in
-      let id =
-        Dsim.Engine.emit_deferred engine ~actor:t.name ~kind:"etcd.commit" (fun () ->
-            Printf.sprintf "rev %d %s" event.History.Event.rev (History.Event.describe event))
-      in
-      Hashtbl.replace t.commit_ids rev id;
-      Dsim.Metrics.Counter.incr commits)
-
 (* Bookmarks every 200 ms of virtual time. *)
 let bookmark_period = 200_000
 
@@ -192,30 +164,39 @@ let create ~net ~intercept ?replication () =
           (Replicated.Kv.create ~net ~n:(List.length replica_addresses) ~read
              ~fallback:read_fallback ())
   in
+  let engine = Dsim.Network.engine net in
   let t =
     {
       name;
       net;
       backend;
       streams = Streams.create ~net ~intercept ~src:name;
+      commits = Etcdlike.Commits.create engine ~actor:name ~kind:"etcd.commit";
       requests_served = 0;
-      origins = Hashtbl.create 256;
-      commit_ids = Hashtbl.create 256;
       leases = Etcdlike.Lease.create ();
-      rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics (Dsim.Network.engine net)) ("rpc." ^ name);
+      rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) ("rpc." ^ name);
     }
   in
-  let engine = Dsim.Network.engine net in
-  install_commit_listener t;
+  (* [commits] follows the single store, or the replicated store's
+     canonical (leader-committed) stream, as their first listener. *)
   (match t.backend with
-  | Single kv -> Etcdlike.Kv.on_commit kv (Streams.publish t.streams ~replica:None)
+  | Single kv ->
+      Etcdlike.Kv.on_commit kv (Etcdlike.Commits.commit t.commits);
+      Etcdlike.Commits.on_commit t.commits (Streams.publish t.streams ~replica:None)
   | Replicated repl ->
+      Replicated.Kv.on_commit repl (Etcdlike.Commits.commit t.commits);
       (* Watch pushes ride each replica's *applies*, not the canonical
          stream: a stream pinned to a lagging follower only sees what
-         that follower has applied. *)
+         that follower has applied. Each push is caused by its
+         revision's anchor, and the apply keeps its own causes. *)
+      let feed = Etcdlike.Commits.view t.commits in
       List.iter
         (fun rid ->
-          Replicated.Kv.on_replica_commit repl rid (Streams.publish t.streams ~replica:(Some rid)))
+          Replicated.Kv.on_replica_commit repl rid (fun e ->
+              let cause = Dsim.Engine.current_cause engine in
+              Dsim.Engine.set_cause engine (Etcdlike.Commits.anchor feed ~rev:e.History.Event.rev);
+              Streams.publish t.streams ~replica:(Some rid) e;
+              Dsim.Engine.set_cause engine cause))
         (Replicated.Kv.replica_ids repl);
       Replicated.Kv.start repl);
   Messages.Store.register net name

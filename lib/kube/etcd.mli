@@ -21,7 +21,7 @@
       deferred until the entry commits and applies; reads and watches
       are served from a {e chosen} replica per the configured
       {!Replicated.Kv.read_mode}, so follower staleness is first-class.
-      {!on_commit}, {!rev} and {!kv} always describe the {e canonical}
+      {!commits}, {!rev} and {!kv} always describe the {e canonical}
       leader-committed history, never a lagging replica's view. *)
 
 type replication = {
@@ -51,8 +51,13 @@ val kv : t -> Resource.value Etcdlike.Kv.t
     replica's store — treat as read-only; mutations must go through the
     consensus path ({!seed} for boot state). *)
 
+val commits : t -> Resource.value Etcdlike.Commits.t
+(** The committed-history feed, anchored as ["etcd.commit"] entries;
+    origins are the transaction's, ["boot"] for seeded state and
+    ["lease-revoke"]/["lease-expiry"] for lease deletes. *)
+
 val rev : t -> int
-(** Committed revision (canonical frontier when replicated). *)
+(** Committed revision: the feed's frontier. *)
 
 val seed : t -> string -> Resource.value -> unit
 (** Install a binding before the engine runs: a direct store write, or
@@ -67,18 +72,6 @@ val replica_revs : t -> (string * int) list
 
 val subscribers : t -> string list
 
-val on_commit : t -> (Resource.value History.Event.t -> unit) -> unit
-(** Oracle hook: observe every committed-history event synchronously —
-    the canonical (leader-committed) stream when replicated. *)
-
 val requests_served : t -> int
 (** RPCs this node has served — the load measure for the cache-offload
     experiment (Section 4.1). *)
-
-val origin_of_rev : t -> int -> string
-(** The component whose transaction committed the given revision
-    (["boot"] for seeded state, ["user"] for workload writes). *)
-
-val commit_trace_id : t -> rev:int -> int option
-(** The trace entry id of the ["etcd.commit"] event recorded for the
-    given revision — the anchor every causal chain terminates at. *)

@@ -68,10 +68,6 @@ let replica_revs t =
 let on_replica_commit t id f =
   match find_replica t id with Some r -> Etcdlike.Kv.on_commit r.store f | None -> ()
 
-let rev t = t.canonical_rev
-
-let state t = Etcdlike.Kv.state t.replicas.(t.canonical_ix).store
-
 let canonical_store t = t.replicas.(t.canonical_ix).store
 
 let leader t = Option.map Raftlite.Node.id (Raftlite.Group.leader t.group)
@@ -91,19 +87,18 @@ let fire_canonical t e =
     t.canonical_listeners.(i) e
   done
 
-(* Advance the canonical frontier through this replica's freshly applied
-   events. Lagging replicas re-apply revisions the frontier already
-   passed; those are content-identical (deterministic apply over an
-   identical log prefix) and skipped. *)
-let note_applied t ~ix (events : 'v History.Event.t list) =
-  List.iter
-    (fun (e : 'v History.Event.t) ->
-      if e.History.Event.rev = t.canonical_rev + 1 then begin
-        t.canonical_rev <- e.History.Event.rev;
-        t.canonical_ix <- ix;
-        fire_canonical t e
-      end)
-    events
+(* Advance the canonical frontier through a replica's freshly applied
+   event: every replica store's first commit listener, so the first
+   applier carries each revision into the canonical stream before any
+   of its own listeners (watch pushes) see it. Lagging replicas re-apply
+   revisions the frontier already passed; those are content-identical
+   (deterministic apply over an identical log prefix) and skipped. *)
+let advance t ~ix (e : 'v History.Event.t) =
+  if e.History.Event.rev = t.canonical_rev + 1 then begin
+    t.canonical_rev <- e.History.Event.rev;
+    t.canonical_ix <- ix;
+    fire_canonical t e
+  end
 
 let apply t ~ix ~command =
   let replica = t.replicas.(ix) in
@@ -111,7 +106,6 @@ let apply t ~ix ~command =
   if not (Hashtbl.mem replica.applied_pids pid) then begin
     Hashtbl.replace replica.applied_pids pid ();
     let outcome = Etcdlike.Txn.eval replica.store (Hashtbl.find t.txns pid) in
-    note_applied t ~ix outcome.Etcdlike.Txn.events;
     match Hashtbl.find_opt t.pending pid with
     | Some p ->
         (* First apply anywhere resolves the proposal: the outcome is
@@ -161,20 +155,10 @@ let delete t key callback =
 
 (* Boot snapshot: install a binding on every replica directly, below the
    consensus layer — the world every replica agrees on before the engine
-   runs, like restoring from a common backup. Must not be called once
-   proposals are in flight. *)
-let seed t key value =
-  let canonical = ref None in
-  Array.iteri
-    (fun ix r ->
-      let e = Etcdlike.Kv.put r.store key value in
-      if ix = 0 then canonical := Some e)
-    t.replicas;
-  let e = Option.get !canonical in
-  t.canonical_rev <- e.History.Event.rev;
-  t.canonical_ix <- 0;
-  fire_canonical t e;
-  e
+   runs, like restoring from a common backup. The first replica's write
+   advances the canonical stream. Must not be called once proposals are
+   in flight. *)
+let seed t key value = (Array.map (fun r -> Etcdlike.Kv.put r.store key value) t.replicas).(0)
 
 (* Deterministic source pinning for [Spread]: a stable hash of the
    requesting component's name picks its replica, so one apiserver
@@ -277,6 +261,7 @@ let create ~net ~n ?(read = Leader) ?(fallback = `Stale) () =
     }
   in
   t_ref := Some t;
+  Array.iteri (fun ix r -> Etcdlike.Kv.on_commit r.store (advance t ~ix)) replicas;
   t
 
 let start t =

@@ -9,7 +9,7 @@
     {!Etcdlike.Kv} store, so the replicas' stores are prefixes of one
     shared dense revision sequence. The {e canonical} stream — the
     frontier of first applies, which is exactly the leader-committed
-    history — is what {!on_commit} publishes, what [rev]/[state] report,
+    history — is what {!on_commit} publishes, what {!canonical_store} holds,
     and what conformance monitors and oracles mirror.
 
     Reads are served from a {e chosen} replica ({!read_mode}): the
@@ -84,12 +84,6 @@ val delete :
 
 (** {2 The canonical committed history} *)
 
-val rev : 'v t -> int
-(** Canonical committed revision — the first-apply frontier. *)
-
-val state : 'v t -> 'v History.State.t
-(** Committed state at {!rev}. *)
-
 val canonical_store : 'v t -> 'v Etcdlike.Kv.t
 (** The store of the replica currently at the canonical frontier — a
     read-only ground-truth view for oracles and gauges; do not mutate
@@ -97,7 +91,10 @@ val canonical_store : 'v t -> 'v Etcdlike.Kv.t
 
 val on_commit : 'v t -> ('v History.Event.t -> unit) -> unit
 (** Canonical commit stream, dense from revision 1, in registration
-    order — feed oracles and conformance mirrors here. *)
+    order — feed oracles and conformance mirrors here. It fires inside
+    the first applier's commit of each event, before that replica's own
+    commit listeners ({!on_replica_commit}), and before the proposal's
+    outcome is delivered. *)
 
 val leader : 'v t -> string option
 

@@ -125,6 +125,7 @@ type hb_golden = {
      drift is precisely what static analysis misses and the dynamic
      divergence still pins. *)
   hb_reason_named : bool;
+  hb_commits : int;  (* zk.commit anchors on the causal chain *)
 }
 
 let hbase_golden =
@@ -138,6 +139,7 @@ let hbase_golden =
         hb_read_site = "rs/registry";
         hb_severity = 3;
         hb_reason_named = true;
+        hb_commits = 2;
       } );
     ( "HB-WATCH",
       {
@@ -148,6 +150,7 @@ let hbase_golden =
         hb_read_site = "region/";
         hb_severity = 0;
         hb_reason_named = true;
+        hb_commits = 2;
       } );
     ( "HB-FOLLOWER",
       {
@@ -158,6 +161,7 @@ let hbase_golden =
         hb_read_site = "rs/registry";
         hb_severity = 0;
         hb_reason_named = false;
+        hb_commits = 2;
       } );
   ]
 
@@ -199,6 +203,7 @@ let hbase_golden_cards () =
         (id ^ " chain anchored")
         true
         (chain.Diagnosis.Card.anchor > 0 && chain.Diagnosis.Card.length >= 1);
+      Alcotest.(check int) (id ^ " chain commits") g.hb_commits chain.Diagnosis.Card.commits;
       match Diagnosis.Card.validate (Diagnosis.Card.to_json card) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: card fails schema validation: %s" id e)

@@ -231,7 +231,7 @@ let run_zk_program ~regime ops =
   let monitor =
     Conformance.Monitor.create ~track_divergence:false ~on_violation:(fun _ -> ()) ()
   in
-  Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk) (Conformance.Monitor.note_commit monitor);
+  Etcdlike.Commits.on_commit (Hbaselike.Zk.commits zk) (Conformance.Monitor.note_commit monitor);
   let stream = Hbaselike.Zk.follower_name ^ "<-" ^ Hbaselike.Zk.leader_name in
   Hbaselike.Zk.on_follower_apply zk (fun e ->
       Conformance.Monitor.observe_event monitor ~stream e);

@@ -96,6 +96,50 @@ let compaction_flows_through () =
   | Error (`Compacted 8) -> ()
   | _ -> Alcotest.fail "expected Compacted 8"
 
+(* The commit feed: a commit is traced, counted and made the causal
+   frontier before any feed listener runs, in registration order; per
+   revision anchors, times and labels, and each key's last anchor, read
+   back through the view, past the growth of the per-revision arrays. *)
+let commit_feed_anchors_before_listeners () =
+  let engine = Dsim.Engine.create () in
+  let kv = Etcdlike.Kv.create () in
+  let feed = Etcdlike.Commits.create engine ~actor:"store" ~kind:"store.commit" in
+  let view = Etcdlike.Commits.view feed in
+  Etcdlike.Kv.on_commit kv (Etcdlike.Commits.commit feed);
+  let seen = ref [] in
+  Etcdlike.Commits.on_commit feed (fun e ->
+      seen := ("first", e.History.Event.rev, Dsim.Engine.current_cause engine) :: !seen);
+  Etcdlike.Commits.on_revision view (fun ~rev ~key:_ ~op:_ ->
+      seen := ("second", rev, Dsim.Engine.current_cause engine) :: !seen);
+  for i = 1 to 100 do
+    let e = Etcdlike.Kv.put kv (Printf.sprintf "k%d" (i mod 3)) i in
+    if i = 50 then Etcdlike.Commits.label feed ~rev:e.History.Event.rev "user"
+  done;
+  let anchors = Dsim.Trace.find_all (Dsim.Engine.trace engine) ~kind:"store.commit" in
+  Alcotest.(check int) "frontier" 100 (Etcdlike.Commits.rev view);
+  Alcotest.(check int) "counted" 100
+    (Dsim.Metrics.count (Dsim.Engine.metrics engine) "store.commits");
+  Alcotest.(check (list (option int))) "one anchor per revision"
+    (List.map (fun (a : Dsim.Trace.entry) -> Some a.Dsim.Trace.id) anchors)
+    (List.init 100 (fun i -> Etcdlike.Commits.anchor view ~rev:(i + 1)));
+  Alcotest.(check bool) "anchors recognised" true
+    (List.for_all (Etcdlike.Commits.anchored view) anchors);
+  Alcotest.(check (list (triple string int (option int)))) "listeners see their commit's anchor"
+    (List.concat_map
+       (fun rev ->
+         let a = Etcdlike.Commits.anchor view ~rev in
+         [ ("first", rev, a); ("second", rev, a) ])
+       (List.init 100 (fun i -> i + 1)))
+    (List.rev !seen);
+  Alcotest.(check (list (option int))) "no anchor outside 1..frontier" [ None; None ]
+    [ Etcdlike.Commits.anchor view ~rev:0; Etcdlike.Commits.anchor view ~rev:101 ];
+  Alcotest.(check (option int)) "commit time" (Some 0) (Etcdlike.Commits.time view ~rev:100);
+  Alcotest.(check (list string)) "labels" [ "boot"; "user"; "boot"; "boot" ]
+    (List.map (fun rev -> Etcdlike.Commits.origin view ~rev) [ 49; 50; 100; 1_000 ]);
+  Alcotest.(check (list (option int))) "each key's last anchor"
+    [ Etcdlike.Commits.anchor view ~rev:99; Etcdlike.Commits.anchor view ~rev:100; None ]
+    (List.map (Etcdlike.Commits.key_anchor view) [ "k0"; "k1"; "k3" ])
+
 let qcheck_rev_equals_mutations =
   QCheck.Test.make ~name:"rev counts committed mutations" ~count:100
     QCheck.(list_of_size Gen.(0 -- 50) (pair (int_range 0 5) bool))
@@ -125,6 +169,8 @@ let suites =
         Alcotest.test_case "many listeners keep registration order" `Quick
           many_listeners_keep_registration_order;
         Alcotest.test_case "compaction flows through" `Quick compaction_flows_through;
+        Alcotest.test_case "commit feed anchors before listeners" `Quick
+          commit_feed_anchors_before_listeners;
         Qcheck_util.to_alcotest qcheck_rev_equals_mutations;
         Qcheck_util.to_alcotest qcheck_range_agrees_with_naive;
       ] );

@@ -112,7 +112,8 @@ let legitimate_claim_deletion_not_flagged () =
    neither traced nor counted again. *)
 let ledger_anchor_precedence () =
   let engine = Dsim.Engine.create () in
-  let ledger = Sieve.Oracle.ledger engine in
+  let feed = Etcdlike.Commits.create engine ~actor:"test" ~kind:"store.commit" in
+  let ledger = Sieve.Oracle.ledger engine (Etcdlike.Commits.view feed) in
   (* An entry caused by the frontier becomes the new frontier. *)
   let emit kind detail =
     let cause = Option.value (Dsim.Engine.current_cause engine) ~default:Dsim.Trace.no_cause in
@@ -122,13 +123,13 @@ let ledger_anchor_precedence () =
     Dsim.Engine.set_cause engine (Some id);
     id
   in
-  let commit key =
-    let id = emit "store.commit" key in
-    Sieve.Oracle.note_commit ledger key;
-    id
+  (* The feed's anchor is the commit's entry, and becomes the frontier. *)
+  let commit rev key =
+    Etcdlike.Commits.commit feed (History.Event.make ~rev ~key ~op:History.Event.Create (Some ()));
+    Option.get (Dsim.Engine.current_cause engine)
   in
-  let a = commit "a" in
-  let b = commit "b" in
+  let a = commit 1 "a" in
+  let b = commit 2 "b" in
   let frontier = emit "test.step" "" in
   let leak pvc = Sieve.Oracle.Pvc_leak { pvc; owner_pod = "p" } in
   Sieve.Oracle.report ~about:"a" ledger (leak "1");

@@ -88,7 +88,6 @@ module Full_kube = struct
 
   let on_commit t (e : Kube.Resource.value History.Event.t) =
     let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
-    Sieve.Oracle.note_commit t.ledger e.History.Event.key;
     (match Kube.Resource.kind_of_key e.History.Event.key, e.History.Event.op with
     | `Pod, History.Event.Update ->
         Hashtbl.remove t.pod_deleted_at (Kube.Resource.name_of_key e.History.Event.key);
@@ -268,14 +267,16 @@ module Full_kube = struct
     let t =
       {
         cluster;
-        ledger = Sieve.Oracle.ledger (Kube.Cluster.engine cluster);
+        ledger =
+          Sieve.Oracle.ledger (Kube.Cluster.engine cluster)
+            (Etcdlike.Commits.view (Kube.Etcd.commits (Kube.Cluster.etcd cluster)));
         mirror = History.State.empty;
         pod_deleted_at = Hashtbl.create 16;
         duplicate_streak = Hashtbl.create 16;
         wedge_streak = Hashtbl.create 16;
       }
     in
-    Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e -> on_commit t e);
+    Etcdlike.Commits.on_commit (Kube.Etcd.commits (Kube.Cluster.etcd cluster)) (on_commit t);
     Dsim.Engine.every (Kube.Cluster.engine cluster) ~period:check_period (fun () ->
         check_duplicates t;
         check_livelock t;
@@ -375,17 +376,13 @@ module Full_hbase = struct
     let t =
       {
         cluster;
-        ledger = Sieve.Oracle.ledger (Hbaselike.Cluster.engine cluster);
+        ledger =
+          Sieve.Oracle.ledger (Hbaselike.Cluster.engine cluster)
+            (Etcdlike.Commits.view (Hbaselike.Zk.commits (Hbaselike.Cluster.zk cluster)));
         stale_streak = Hashtbl.create 8;
         double_streak = Hashtbl.create 8;
       }
     in
-    (* The Zk commit listener registered at create time emits the
-       ["zk.commit"] entry first, so the frontier here is that entry's id —
-       the causal anchor for violations about the committed key. *)
-    Etcdlike.Kv.on_commit
-      (Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk cluster))
-      (fun (e : string History.Event.t) -> Sieve.Oracle.note_commit t.ledger e.History.Event.key);
     Dsim.Engine.every (Hbaselike.Cluster.engine cluster) ~period:check_period (fun () ->
         check_stale_assignments t;
         check_double_serve t;

@@ -56,7 +56,7 @@ let kubelets_run_only_assigned_pods =
       let cluster = Kube.Cluster.create ~config () in
       (* Record every (pod, node) assignment H ever committed. *)
       let assigned = Hashtbl.create 64 in
-      Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e ->
+      Etcdlike.Commits.on_commit (Kube.Etcd.commits (Kube.Cluster.etcd cluster)) (fun e ->
           match e.History.Event.value with
           | Some (Kube.Resource.Pod { Kube.Resource.pod_name; node = Some n; _ }) ->
               Hashtbl.replace assigned (pod_name, n) ()

@@ -56,7 +56,7 @@ let leader_commits_and_replicas_converge () =
   Alcotest.(check int) "first committed rev" 1 e1.History.Event.rev;
   ignore (put_sync engine kv "pods/b" "2");
   ignore (delete_sync engine kv "pods/a");
-  Alcotest.(check int) "canonical rev" 3 (RKv.rev kv);
+  Alcotest.(check int) "canonical rev" 3 (Etcdlike.Kv.rev (RKv.canonical_store kv));
   (* A couple of heartbeats later every replica has applied everything. *)
   run_for engine 300_000;
   List.iter
@@ -64,8 +64,9 @@ let leader_commits_and_replicas_converge () =
     (RKv.replica_revs kv);
   Alcotest.(check (option string)) "state has b"
     (Some "2")
-    (History.State.get (RKv.state kv) "pods/b");
-  Alcotest.(check bool) "a deleted" false (History.State.mem (RKv.state kv) "pods/a")
+    (History.State.get (Etcdlike.Kv.state (RKv.canonical_store kv)) "pods/b");
+  Alcotest.(check bool) "a deleted" false
+    (History.State.mem (Etcdlike.Kv.state (RKv.canonical_store kv)) "pods/a")
 
 let seed_reaches_every_replica () =
   let engine, _, kv = setup () in
@@ -79,7 +80,7 @@ let seed_reaches_every_replica () =
     (RKv.replica_revs kv);
   run_for engine 1_000_000;
   ignore (put_sync engine kv "pods/a" "1");
-  Alcotest.(check int) "rev continues dense" 2 (RKv.rev kv)
+  Alcotest.(check int) "rev continues dense" 2 (Etcdlike.Kv.rev (RKv.canonical_store kv))
 
 let crashed_replica_catches_up_after_restart () =
   let engine, net, kv = setup () in
@@ -110,7 +111,7 @@ let partitioned_follower_serves_stale_reads () =
   let items, rev = Option.get (RKv.range kv ~src:"reader" ~prefix:"pods/") in
   Alcotest.(check int) "stale rev" 1 rev;
   Alcotest.(check int) "stale item count" 1 (List.length items);
-  Alcotest.(check int) "canonical moved on" 3 (RKv.rev kv);
+  Alcotest.(check int) "canonical moved on" 3 (Etcdlike.Kv.rev (RKv.canonical_store kv));
   Dsim.Network.heal net "etcd-3" "etcd-1";
   Dsim.Network.heal net "etcd-3" "etcd-2";
   run_for engine 500_000;
@@ -156,7 +157,9 @@ let minority_leader_cannot_commit () =
       (* The retry loop may legally land the proposal on the majority's
          new leader once one is elected — also fine; what is not fine is
          a commit through the minority leader alone. *)
-      Alcotest.(check bool) "committed via majority" true (RKv.rev kv >= 2));
+      Alcotest.(check bool)
+        "committed via majority" true
+        (Etcdlike.Kv.rev (RKv.canonical_store kv) >= 2));
   Alcotest.(check int) "minority replica did not apply alone" 1 (RKv.replica_rev kv "etcd-1")
 
 (* --- qcheck differential vs the sequential reference model --------- *)
@@ -211,7 +214,7 @@ let replicated_agrees_with_model ops =
     ops;
   let leader_read = Option.get (RKv.range kv ~src:"reader" ~prefix:"") in
   fst leader_read = Conformance.Model.range !model ~prefix:""
-  && RKv.rev kv = Conformance.Model.rev !model
+  && Etcdlike.Kv.rev (RKv.canonical_store kv) = Conformance.Model.rev !model
   && List.rev !canonical = Conformance.Model.events !model
 
 let qcheck_differential =
@@ -333,6 +336,49 @@ let per_replica_watch_follows_applies () =
   run_for engine 1_000_000;
   Alcotest.(check (list int)) "crashed replica's stream is silent" [] !bookmarks
 
+(* Provenance under replication: a replica's watch push to an apiserver,
+   whether that replica applied the revision first or lagged behind, is
+   caused by the revision's commit anchor, as under the single store.
+   The detail of a first-hop delivery reads "etcd->api-N @REV op key". *)
+let replica_pushes_caused_by_their_commit () =
+  List.iter
+    (fun (case : Sieve.Bugs.case) ->
+      List.iter
+        (fun (variant, test_of) ->
+          let o = Sieve.Runner.run_test (test_of case) in
+          let trace = Sieve.Substrate.trace o.Sieve.Runner.live in
+          let feed = Sieve.Substrate.commits o.Sieve.Runner.live in
+          let name = Printf.sprintf "%s %s" case.Sieve.Bugs.id variant in
+          let first_hops =
+            List.filter_map
+              (fun (e : Dsim.Trace.entry) ->
+                match String.split_on_char ' ' e.Dsim.Trace.detail with
+                | edge :: rev :: _
+                  when String.starts_with ~prefix:"etcd->api-" edge
+                       && String.starts_with ~prefix:"@" rev ->
+                    Some (e, int_of_string (String.sub rev 1 (String.length rev - 1)))
+                | _ -> None)
+              (Dsim.Trace.find_all trace ~kind:"pipe.deliver")
+          in
+          Alcotest.(check bool) (name ^ ": apiservers were served") true (first_hops <> []);
+          List.iter
+            (fun ((e : Dsim.Trace.entry), rev) ->
+              let cause = Option.bind e.Dsim.Trace.cause (fun id -> Dsim.Trace.find trace ~id) in
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s: #%d caused by an etcd.commit" name e.Dsim.Trace.id)
+                (Some "etcd.commit")
+                (Option.map (fun (c : Dsim.Trace.entry) -> c.Dsim.Trace.kind) cause);
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s: #%d caused by the anchor of @%d" name e.Dsim.Trace.id rev)
+                (Etcdlike.Commits.anchor feed ~rev) e.Dsim.Trace.cause)
+            first_hops)
+        [
+          ("bug", Sieve.Bugs.test_of_case);
+          ("reference", Sieve.Bugs.reference_test_of_case);
+          ("fixed", Sieve.Bugs.fixed_test_of_case);
+        ])
+    (Sieve.Bugs.replicated ())
+
 let suites =
   [
     ( "replicated",
@@ -354,5 +400,7 @@ let suites =
           kube_stack_over_replicated_store;
         Alcotest.test_case "per-replica watch stream follows applies" `Quick
           per_replica_watch_follows_applies;
+        Alcotest.test_case "replica pushes are caused by their commit" `Quick
+          replica_pushes_caused_by_their_commit;
       ] );
   ]

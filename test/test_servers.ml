@@ -252,6 +252,8 @@ let leased_lock engine net ~ttl key =
   | _ -> Alcotest.fail "leased txn failed");
   lease
 
+let origin etcd rev = Etcdlike.Commits.origin (Etcdlike.Commits.view (Kube.Etcd.commits etcd)) ~rev
+
 let lease_revoke_labels_delete ?replication () =
   let engine, net, etcd = lease_setup ?replication () in
   let lease = leased_lock engine net ~ttl:10_000_000 "locks/r" in
@@ -261,7 +263,7 @@ let lease_revoke_labels_delete ?replication () =
   Alcotest.(check bool) "key revoked away" true
     (Etcdlike.Kv.get (Kube.Etcd.kv etcd) "locks/r" = None);
   Alcotest.(check int) "the delete is revision 2" 2 (Kube.Etcd.rev etcd);
-  Alcotest.(check string) "labelled by the revoke" "lease-revoke" (Kube.Etcd.origin_of_rev etcd 2)
+  Alcotest.(check string) "labelled by the revoke" "lease-revoke" (origin etcd 2)
 
 (* The key is deleted before its lease expires: the expiry sweep commits
    nothing, so it must label nothing either. Each [call] runs the engine
@@ -281,7 +283,7 @@ let lease_expiry_of_gone_key_labels_nothing () =
   | _ -> Alcotest.fail "the lease should have expired");
   ignore (Etcdlike.Kv.put (Kube.Etcd.kv etcd) "pods/a" (Kube.Resource.make_pod "a"));
   Alcotest.(check string) "the next revision keeps its own origin" "boot"
-    (Kube.Etcd.origin_of_rev etcd 3)
+    (origin etcd 3)
 
 let suites =
   [
