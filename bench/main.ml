@@ -1582,7 +1582,7 @@ let replication_bench () =
     (fun n ->
       let engine = Dsim.Engine.create ~seed:7L () in
       let net = Dsim.Network.create engine in
-      let kv : int Replicated.Kv.t = Replicated.Kv.create ~net ~n () in
+      let kv : int Replicated.Kv.t = Replicated.Kv.create ~net ~n ~canonical:ignore () in
       Replicated.Kv.start kv;
       Dsim.Engine.run ~until:1_000_000 engine;
       (* Closed loop: one outstanding proposal, the commit callback

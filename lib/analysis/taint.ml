@@ -76,13 +76,15 @@ let is_cached_read path =
          && List.mem name [ "find"; "get"; "mem"; "keys_with_prefix"; "fold"; "iter" ]
   | _ -> false
 
-(* [Replicated.Kv.get/range/since ~src] — the read is routed to whatever
-   replica serves [src], per the configured read_mode. The [~src] label
-   is the discriminator against [Etcdlike.Kv.range] (leader-local). *)
+(* [Replicated.Kv.route/get/range/since ~src] — the read is routed to
+   whatever replica serves [src], per the configured read_mode; [route]
+   hands back that replica's store, so whatever is read from it is a
+   replica read too. The [~src] label is the discriminator against
+   [Etcdlike.Kv.range] (leader-local). *)
 let is_replica_read path args =
   String.equal (parent_of path) "Kv"
   && (not (String.equal (grandparent_of path) "Etcdlike"))
-  && List.mem (last_of path) [ "get"; "range"; "since" ]
+  && List.mem (last_of path) [ "route"; "get"; "range"; "since" ]
   && List.exists
        (function
          | Asttypes.Labelled "src", _ | Asttypes.Optional "src", _ -> true | _ -> false)

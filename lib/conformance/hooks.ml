@@ -73,29 +73,23 @@ let always () = true
    Replication lag registers as a Lag divergence on ["<replica><-raft"],
    exactly like a consumer cache falling behind. *)
 let replica_caches cluster w =
-  match Kube.Etcd.replicated_kv (Kube.Cluster.etcd cluster) with
-  | None -> []
-  | Some rkv ->
-      List.filter_map
-        (fun id ->
-          Option.map
-            (fun store ->
-              let subject = id ^ "<-raft" in
-              let seen = ref (Etcdlike.Kv.state store) in
-              Replicated.Kv.on_replica_commit rkv id (fun e ->
-                  Monitor.touch (Wiring.monitor w) ~subject e.History.Event.key;
-                  seen := Etcdlike.Kv.state store);
-              {
-                subject = Wiring.subject w ~component:id subject;
-                lag_stream = subject;
-                prefix = None;
-                checked = always;
-                lagged = always;
-                rev = (fun () -> Etcdlike.Kv.rev store);
-                state = witnessed w ~subject seen (fun () -> Etcdlike.Kv.state store);
-              })
-            (Replicated.Kv.replica_store rkv id))
-        (Replicated.Kv.replica_ids rkv)
+  List.map
+    (fun (id, store) ->
+      let subject = id ^ "<-raft" in
+      let seen = ref (Etcdlike.Kv.state store) in
+      Etcdlike.Kv.on_commit store (fun e ->
+          Monitor.touch (Wiring.monitor w) ~subject e.History.Event.key;
+          seen := Etcdlike.Kv.state store);
+      {
+        subject = Wiring.subject w ~component:id subject;
+        lag_stream = subject;
+        prefix = None;
+        checked = always;
+        lagged = always;
+        rev = (fun () -> Etcdlike.Kv.rev store);
+        state = witnessed w ~subject seen (fun () -> Etcdlike.Kv.state store);
+      })
+    (Kube.Etcd.replicas (Kube.Cluster.etcd cluster))
 
 let apiserver_cache cluster w a =
   let subject = Kube.Apiserver.name a in

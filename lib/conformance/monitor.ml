@@ -518,8 +518,7 @@ let observe_reset t ~stream ?prefix ~rev state =
    subsequence intact), so staleness-by-lag is reported from outside: the
    sweep in {!Hooks} measures the age of the first undelivered committed
    event and calls this when it exceeds the grace period. *)
-let note_lag t ~stream ~rev ~key detail =
-  let frontier = base_frontier t stream in
+let note_lag t ~stream ~rev ~key ~frontier detail =
   record_divergence t ~stream ~kind:Lag ~rev ~key ~frontier detail
 
 (* Revision-domain time travel is likewise invisible to the frontier

@@ -173,13 +173,16 @@ val divergences : 'v t -> divergence list
 (** Divergence points recorded so far, in detection order. Empty unless
     created with [~track_divergence:true]. *)
 
-val note_lag : 'v t -> stream:string -> rev:int -> key:string -> string -> unit
+val note_lag :
+  'v t -> stream:string -> rev:int -> key:string -> frontier:int -> string -> unit
 (** Record a [Lag] divergence: the committed event at [rev] (key [key],
-    matching the stream's filter) is past due. Pure delay never trips the
-    frontier checks — FIFO pipes keep the subsequence intact — so lag is
-    measured from outside ({!Wiring} ages the first undelivered event
-    against the engine clock) and reported here. Ignored when the stream
-    already has a divergence record. *)
+    matching the stream's filter) is past due for a view at revision
+    [frontier]. Pure delay never trips the frontier checks — FIFO pipes
+    keep the subsequence intact — so lag is measured from outside
+    ({!Wiring} ages the first undelivered event against the engine
+    clock) and reported here, with the revision it was measured against:
+    a replica's applied revision is not a stream frontier this monitor
+    has seen. Ignored when the stream already has a divergence record. *)
 
 val note_rewind : 'v t -> stream:string -> rev:int -> key:string -> string -> unit
 (** Record a [Rewind] divergence reported from outside the frontier

@@ -58,7 +58,7 @@ let flag_lag t ~stream ?prefix ~frontier () =
       let now = Dsim.Engine.now t.engine in
       match Etcdlike.Commits.time t.commits ~rev with
       | Some at when now - at > lag_grace ->
-          Monitor.note_lag t.monitor ~stream ~rev ~key:e.History.Event.key
+          Monitor.note_lag t.monitor ~stream ~rev ~key:e.History.Event.key ~frontier
             (Printf.sprintf "committed %s still undelivered after %d us"
                (History.Event.describe e) (now - at))
       | Some _ | None -> ())

@@ -60,7 +60,8 @@ val flag_lag : 'v t -> stream:string -> ?prefix:string -> frontier:int -> unit -
     first committed event matching [prefix] above [frontier] has gone
     undelivered for more than 250 ms of virtual time (above transport
     latency, below any injected delay worth diagnosing), records a
-    {!Monitor.note_lag} divergence on [stream]. *)
+    {!Monitor.note_lag} divergence on [stream] whose frontier is
+    [frontier]. *)
 
 val finish : 'v t -> unit
 (** One last sweep — call after the run, so short horizons that never

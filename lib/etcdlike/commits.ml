@@ -61,6 +61,12 @@ let commit t (e : 'v History.Event.t) =
 
 let on_commit t listener = t.listeners <- t.listeners @ [ listener ]
 
+let boot t seed =
+  let cause = Dsim.Engine.current_cause t.engine in
+  Dsim.Engine.set_cause t.engine None;
+  seed ();
+  Dsim.Engine.set_cause t.engine cause
+
 let label t ~rev origin = t.origins.(rev) <- origin
 
 type view = View : 'v t -> view [@@unboxed]

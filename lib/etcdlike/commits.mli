@@ -20,6 +20,12 @@ val commit : 'v t -> 'v History.Event.t -> unit
 
 val on_commit : 'v t -> ('v History.Event.t -> unit) -> unit
 
+val boot : 'v t -> (unit -> unit) -> unit
+(** [boot t seed] runs [seed], whose commits are boot state installed
+    below the fault surface: their anchors have no cause, and the
+    engine's causal frontier is left where [seed] found it, so nothing
+    the run does later hangs off a seed. *)
+
 val label : 'v t -> rev:int -> string -> unit
 (** Names the component whose request committed the revision, which the
     feed has anchored. *)

@@ -90,9 +90,9 @@ let create config =
 let start t =
   (* Seed the membership below the fault surface, like kube's boot node
      objects: the registry exists before any component looks for it. *)
-  ignore
-    (Etcdlike.Kv.put (Zk.leader_kv t.zk) "rs/registry"
-       (String.concat "," server_names));
+  Etcdlike.Commits.boot (Zk.commits t.zk) (fun () ->
+      ignore
+        (Etcdlike.Kv.put (Zk.leader_kv t.zk) "rs/registry" (String.concat "," server_names)));
   Master.start t.master;
   List.iter Regionserver.start t.region_servers;
   let sample_lag =
@@ -130,8 +130,10 @@ let schedule t workload =
       | Move_region { at; region; to_ } ->
           ignore
             (Dsim.Engine.schedule_at t.engine ~time:at (fun () ->
-                 Dsim.Engine.record t.engine ~actor:user ~kind:"workload.step"
-                   (Printf.sprintf "move %s -> %s" region to_);
+                 (* The step is the cause of the move it makes. *)
+                 ignore
+                   (Dsim.Engine.emit_deferred t.engine ~actor:user ~kind:"workload.step" (fun () ->
+                        Printf.sprintf "move %s -> %s" region to_));
                  Zk.write t.zk ~src:t.client ~key:("region/" ^ region) to_ (fun _ -> ())))
       | Decommission { at; server } ->
           ignore

@@ -20,50 +20,84 @@ type t = {
 
 let name t = t.name
 
+let commits t = t.commits
+
+let rev t = Etcdlike.Commits.(rev (view t.commits))
+
+let subscribers t = Streams.ids t.streams
+
+let requests_served t = t.requests_served
+
+(* --- the backend primitives: everything else goes through these --- *)
+
 (* The authoritative store view: the single store, or (replicated) the
    store of the replica at the canonical frontier. Read-only for
    replicated backends — mutations must go through the consensus path. *)
 let kv t =
   match t.backend with Single kv -> kv | Replicated repl -> Replicated.Kv.canonical_store repl
 
-let commits t = t.commits
-
-let rev t = Etcdlike.Commits.(rev (view t.commits))
-
-let replicated_kv t =
-  match t.backend with Single _ -> None | Replicated repl -> Some repl
-
-let replica_revs t =
-  match t.backend with Single _ -> [] | Replicated repl -> Replicated.Kv.replica_revs repl
-
-let subscribers t = Streams.ids t.streams
-
-let requests_served t = t.requests_served
+let replicas t = match t.backend with Single _ -> [] | Replicated repl -> Replicated.Kv.replicas repl
 
 (* Seed a binding below the fault surface: a direct store write in single
-   mode, a per-replica boot-snapshot write in replicated mode. Use before
-   [Dsim.Engine.run] only. *)
+   mode, a per-replica boot-snapshot write in replicated mode; either way
+   an uncaused commit. Use before [Dsim.Engine.run] only. *)
 let seed t key value =
-  match t.backend with
-  | Single kv -> ignore (Etcdlike.Kv.put kv key value)
-  | Replicated repl -> ignore (Replicated.Kv.seed repl key value)
+  Etcdlike.Commits.boot t.commits (fun () ->
+      match t.backend with
+      | Single kv -> ignore (Etcdlike.Kv.put kv key value)
+      | Replicated repl -> ignore (Replicated.Kv.seed repl key value))
 
-(* A stream is served by one store: the single store, or (replicated)
-   the replica serving [src] right now. Its backlog comes from that
-   store's retained log and later pushes from that store's commits — a
-   partitioned replica's watchers silently stop seeing new commits, a
-   crashed replica's watchers stop seeing bookmarks too (and the
-   consumer's watchdog eventually notices the silence). *)
-let serving_store t ~src =
+(* The store serving a request from [src], and the replica it belongs
+   to: the single store, or (replicated) the replica [src] is routed to
+   right now, [None] when that replica is down under [`Reject]. A read
+   answers with the serving store's revision, and a watch stream is
+   pinned to it: its backlog comes from that store's retained log and
+   later pushes from that store's commits — a partitioned replica's
+   watchers silently stop seeing new commits, a crashed replica's
+   watchers stop seeing bookmarks too (and the consumer's watchdog
+   eventually notices the silence). *)
+let route t ~src =
   match t.backend with
   | Single kv -> Some (None, kv)
+  | Replicated repl -> (
+      match Replicated.Kv.route repl ~src with
+      | Some (rid, store) -> Some (Some rid, store)
+      | None -> None)
+
+(* Labels each committed revision with [origin], attaches the keys the
+   transaction created or updated to [lease], and replies. *)
+let settle t ~origin ~lease reply (outcome : Resource.value Etcdlike.Txn.outcome) =
+  List.iter
+    (fun (e : Resource.value History.Event.t) ->
+      Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev origin;
+      match lease, e.History.Event.op with
+      | Some lease, (History.Event.Create | History.Event.Update) ->
+          Etcdlike.Lease.attach t.leases ~lease ~key:e.History.Event.key
+      | _ -> ())
+    outcome.Etcdlike.Txn.events;
+  reply (Ok { Messages.succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
+
+(* The one commit path. The single store evaluates the transaction in
+   place. A replicated store proposes it through the leader and defers
+   the reply until the first replica applies the committed entry (the
+   network layer holds the continuation), or fails over as an outage
+   when nothing commits the proposal within its deadline. *)
+let submit t ~origin ~lease txn reply =
+  match t.backend with
+  | Single kv -> settle t ~origin ~lease reply (Etcdlike.Txn.eval kv txn)
   | Replicated repl ->
-      Option.map
-        (fun rid -> (Some rid, Option.get (Replicated.Kv.replica_store repl rid)))
-        (Replicated.Kv.serving_replica repl ~src)
+      Replicated.Kv.txn repl txn (function
+        | Ok outcome -> settle t ~origin ~lease reply outcome
+        | Error `Unavailable -> reply (Error `Unavailable))
+
+(* --- served through the primitives ------------------------------- *)
+
+(* A lease-driven delete. Only a delete that commits labels its
+   revision with [origin]; a key already gone commits nothing. *)
+let delete t ~origin key = submit t ~origin ~lease:None (Messages.delete key) ignore
 
 let handle_watch t ~src (w : Messages.watch_request) reply =
-  match serving_store t ~src with
+  match route t ~src with
   | None -> reply (Error `Unavailable)
   | Some (replica, store) -> begin
       match Etcdlike.Kv.since store ~rev:w.Messages.start_rev with
@@ -73,79 +107,35 @@ let handle_watch t ~src (w : Messages.watch_request) reply =
           reply (Ok Messages.Watching)
     end
 
-let note_txn_outcome t ~origin ~lease (outcome : Resource.value Etcdlike.Txn.outcome) =
-  List.iter
-    (fun (e : Resource.value History.Event.t) ->
-      Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev origin;
-      match lease, e.History.Event.op with
-      | Some lease, (History.Event.Create | History.Event.Update) ->
-          Etcdlike.Lease.attach t.leases ~lease ~key:e.History.Event.key
-      | _ -> ())
-    outcome.Etcdlike.Txn.events
-
-(* A lease-driven delete: a direct store delete in single mode, an
-   ordinary proposal when replicated. Only a delete that commits labels
-   its revision with [origin]; a key already gone commits nothing. *)
-let delete_with_origin t ~origin key =
-  let label (e : Resource.value History.Event.t) =
-    Etcdlike.Commits.label t.commits ~rev:e.History.Event.rev origin
-  in
-  match t.backend with
-  | Single kv -> Option.iter label (Etcdlike.Kv.delete kv key)
-  | Replicated repl ->
-      Replicated.Kv.delete repl key (function
-        | Ok (Some e) -> label e
-        | Ok None | Error `Unavailable -> ())
-
-let reply_outcome reply (outcome : Resource.value Etcdlike.Txn.outcome) =
-  reply (Ok { Messages.succeeded = outcome.Etcdlike.Txn.succeeded; rev = outcome.Etcdlike.Txn.rev })
-
-(* Every read is served from the store; [quorum] only matters to an
-   apiserver. *)
+(* Every read is served from the routed store; [quorum] only matters to
+   an apiserver. *)
 let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -> unit) -> unit =
  fun t ~src request reply ->
   t.requests_served <- t.requests_served + 1;
   Dsim.Metrics.Counter.incr t.rpc;
-  match request, t.backend with
-  | Messages.List { prefix; quorum = _ }, Single kv ->
-      reply (Ok { Messages.items = Etcdlike.Kv.range kv ~prefix; rev = Etcdlike.Kv.rev kv })
-  | Messages.List { prefix; quorum = _ }, Replicated repl -> begin
-      match Replicated.Kv.range repl ~src ~prefix with
-      | Some (items, rev) -> reply (Ok { Messages.items; rev })
+  match request with
+  | Messages.List { prefix; quorum = _ } -> begin
+      match route t ~src with
+      | Some (_, store) ->
+          reply (Ok { Messages.items = Etcdlike.Kv.range store ~prefix; rev = Etcdlike.Kv.rev store })
       | None -> reply (Error `Unavailable)
     end
-  | Messages.Get { key; quorum = _ }, Single kv -> reply (Ok (Etcdlike.Kv.get kv key))
-  | Messages.Get { key; quorum = _ }, Replicated repl -> begin
-      match Replicated.Kv.get repl ~src key with
-      | Some (value, _) -> reply (Ok value)
+  | Messages.Get { key; quorum = _ } -> begin
+      match route t ~src with
+      | Some (_, store) -> reply (Ok (Etcdlike.Kv.get store key))
       | None -> reply (Error `Unavailable)
     end
-  | Messages.Txn { txn; origin; lease }, Single kv ->
-      let outcome = Etcdlike.Txn.eval kv txn in
-      note_txn_outcome t ~origin ~lease outcome;
-      reply_outcome reply outcome
-  | Messages.Txn { txn; origin; lease }, Replicated repl ->
-      (* Propose through the leader; the reply is deferred until the
-         first replica applies the committed entry (the network layer
-         holds the continuation), or fails over as an outage when
-         nothing commits the proposal within its deadline. *)
-      Replicated.Kv.txn repl txn (function
-        | Ok outcome ->
-            note_txn_outcome t ~origin ~lease outcome;
-            reply_outcome reply outcome
-        | Error `Unavailable -> reply (Error `Unavailable))
-  | Messages.Lease_grant { ttl }, _ ->
+  | Messages.Txn { txn; origin; lease } -> submit t ~origin ~lease txn reply
+  | Messages.Lease_grant { ttl } ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
       reply (Ok (Etcdlike.Lease.grant t.leases ~ttl ~now))
-  | Messages.Lease_keepalive { lease }, _ ->
+  | Messages.Lease_keepalive { lease } ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
       reply (Ok (Etcdlike.Lease.keepalive t.leases ~lease ~now))
-  | Messages.Lease_revoke { lease }, _ ->
-      List.iter
-        (delete_with_origin t ~origin:"lease-revoke")
-        (Etcdlike.Lease.revoke t.leases ~lease);
+  | Messages.Lease_revoke { lease } ->
+      List.iter (delete t ~origin:"lease-revoke") (Etcdlike.Lease.revoke t.leases ~lease);
       reply (Ok ())
-  | Messages.Watch w, _ -> handle_watch t ~src w reply
+  | Messages.Watch w -> handle_watch t ~src w reply
 
 (* Bookmarks every 200 ms of virtual time. *)
 let bookmark_period = 200_000
@@ -154,61 +144,69 @@ let bookmark_period = 200_000
    etcd-1 .. etcd-n. *)
 let replica_addresses = [ "etcd-1"; "etcd-2"; "etcd-3" ]
 
+(* A serving store's commit pushes the streams pinned to it, caused by
+   the revision's anchor; the commit keeps its own causes. Every store
+   runs it after the feed has anchored the revision. *)
+let push engine commits streams ~replica =
+  let feed = Etcdlike.Commits.view commits in
+  fun (e : Resource.value History.Event.t) ->
+    let cause = Dsim.Engine.current_cause engine in
+    Dsim.Engine.set_cause engine (Etcdlike.Commits.anchor feed ~rev:e.History.Event.rev);
+    Streams.publish streams ~replica e;
+    Dsim.Engine.set_cause engine cause
+
 let create ~net ~intercept ?replication () =
   let name = "etcd" in
+  let engine = Dsim.Network.engine net in
+  let streams = Streams.create ~net ~intercept ~src:name in
+  let commits = Etcdlike.Commits.create engine ~actor:name ~kind:"etcd.commit" in
+  let serve_watches store ~replica =
+    Etcdlike.Kv.on_commit store (push engine commits streams ~replica)
+  in
+  (* The feed follows the single store, or the replicated store's
+     canonical (leader-committed) stream, as their first listener.
+     Watch pushes ride each replica's *applies*, not the canonical
+     stream: a stream pinned to a lagging follower only sees what that
+     follower has applied. *)
   let backend =
     match replication with
-    | None -> Single (Etcdlike.Kv.create ())
+    | None ->
+        let kv = Etcdlike.Kv.create () in
+        Etcdlike.Kv.on_commit kv (Etcdlike.Commits.commit commits);
+        serve_watches kv ~replica:None;
+        Single kv
     | Some { read; read_fallback } ->
-        Replicated
-          (Replicated.Kv.create ~net ~n:(List.length replica_addresses) ~read
-             ~fallback:read_fallback ())
+        let repl =
+          Replicated.Kv.create ~net ~n:(List.length replica_addresses) ~read
+            ~fallback:read_fallback ~canonical:(Etcdlike.Commits.commit commits) ()
+        in
+        List.iter
+          (fun (rid, store) -> serve_watches store ~replica:(Some rid))
+          (Replicated.Kv.replicas repl);
+        Replicated.Kv.start repl;
+        Replicated repl
   in
-  let engine = Dsim.Network.engine net in
   let t =
     {
       name;
       net;
       backend;
-      streams = Streams.create ~net ~intercept ~src:name;
-      commits = Etcdlike.Commits.create engine ~actor:name ~kind:"etcd.commit";
+      streams;
+      commits;
       requests_served = 0;
       leases = Etcdlike.Lease.create ();
       rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) ("rpc." ^ name);
     }
   in
-  (* [commits] follows the single store, or the replicated store's
-     canonical (leader-committed) stream, as their first listener. *)
-  (match t.backend with
-  | Single kv ->
-      Etcdlike.Kv.on_commit kv (Etcdlike.Commits.commit t.commits);
-      Etcdlike.Commits.on_commit t.commits (Streams.publish t.streams ~replica:None)
-  | Replicated repl ->
-      Replicated.Kv.on_commit repl (Etcdlike.Commits.commit t.commits);
-      (* Watch pushes ride each replica's *applies*, not the canonical
-         stream: a stream pinned to a lagging follower only sees what
-         that follower has applied. Each push is caused by its
-         revision's anchor, and the apply keeps its own causes. *)
-      let feed = Etcdlike.Commits.view t.commits in
-      List.iter
-        (fun rid ->
-          Replicated.Kv.on_replica_commit repl rid (fun e ->
-              let cause = Dsim.Engine.current_cause engine in
-              Dsim.Engine.set_cause engine (Etcdlike.Commits.anchor feed ~rev:e.History.Event.rev);
-              Streams.publish t.streams ~replica:(Some rid) e;
-              Dsim.Engine.set_cause engine cause))
-        (Replicated.Kv.replica_ids repl);
-      Replicated.Kv.start repl);
   Messages.Store.register net name
     { serve = (fun ~src request reply -> serve t ~src:(Dsim.Network.address src) request reply) };
   (* Bookmarks carry the frontier of the store serving each stream: a
      partitioned follower keeps heartbeating its stale revision (its
      watchers never notice), a crashed one goes silent (its watchers'
      watchdogs eventually fire). *)
-  let frontier replica =
-    match t.backend, replica with
-    | Replicated repl, Some rid -> Replicated.Kv.replica_rev repl rid
-    | (Single _ | Replicated _), _ -> rev t
+  let frontier = function
+    | None -> Etcdlike.Kv.rev (kv t)
+    | Some rid -> Etcdlike.Kv.rev (List.assoc rid (replicas t))
   in
   Dsim.Engine.every engine ~period:bookmark_period (fun () ->
       Streams.heartbeat t.streams ~frontier ~seal:false;
@@ -221,7 +219,7 @@ let create ~net ~intercept ?replication () =
   Dsim.Engine.every engine ~period:100_000 (fun () ->
       if Etcdlike.Lease.active t.leases > 0 then
         List.iter
-          (fun (_, keys) -> List.iter (delete_with_origin t ~origin:"lease-expiry") keys)
+          (fun (_, keys) -> List.iter (delete t ~origin:"lease-expiry") keys)
           (Etcdlike.Lease.expire t.leases ~now:(Dsim.Engine.now engine));
       true);
   t

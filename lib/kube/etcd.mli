@@ -22,7 +22,17 @@
       are served from a {e chosen} replica per the configured
       {!Replicated.Kv.read_mode}, so follower staleness is first-class.
       {!commits}, {!rev} and {!kv} always describe the {e canonical}
-      leader-committed history, never a lagging replica's view. *)
+      leader-committed history, never a lagging replica's view.
+
+    Everything the node serves goes through five backend primitives:
+    the truth store ({!kv}), the replica stores ({!replicas}), {!seed},
+    the routed store that serves a request from a given source, and one
+    commit path that evaluates or proposes a transaction, labels its
+    revisions' origin, attaches its lease and replies. Lists and gets
+    read the routed store; transactions and lease deletes take the
+    commit path; a watch stream is pinned to the routed store, which
+    pushes it its commits (each caused by the revision's anchor in
+    {!commits}) and bookmarks its revision. *)
 
 type replication = {
   read : Replicated.Kv.read_mode;
@@ -62,13 +72,15 @@ val rev : t -> int
 val seed : t -> string -> Resource.value -> unit
 (** Install a binding before the engine runs: a direct store write, or
     (replicated) the same write on every replica — a shared boot
-    snapshot below the consensus layer. *)
+    snapshot below the consensus layer. The commit has no cause and
+    leaves the engine's causal frontier where it was
+    ({!Etcdlike.Commits.boot}). *)
 
-val replicated_kv : t -> Resource.value Replicated.Kv.t option
-
-val replica_revs : t -> (string * int) list
-(** Per-replica applied revisions, [[]] for a single backend — the lag
-    surface conformance monitoring sweeps. *)
+val replicas : t -> (string * Resource.value Etcdlike.Kv.t) list
+(** Each replica's id and applied store, [[]] for a single backend — the
+    lag surface conformance monitoring sweeps. A listener registered on
+    a replica store runs after the canonical advance and the watch
+    push. *)
 
 val subscribers : t -> string list
 

@@ -8,7 +8,10 @@ let schedule cluster steps =
     (fun step ->
       ignore
         (Dsim.Engine.schedule_at engine ~time:step.at (fun () ->
-             Dsim.Engine.record engine ~actor:"workload" ~kind:"workload.step" step.label;
+             (* The step is the cause of everything its action does. *)
+             ignore
+               (Dsim.Engine.emit_deferred engine ~actor:"workload" ~kind:"workload.step" (fun () ->
+                    step.label));
              step.action cluster)))
     steps
 

@@ -33,8 +33,8 @@ type 'v t = {
      learns the new commit index). *)
   mutable canonical_rev : int;
   mutable canonical_ix : int;
-  mutable canonical_listeners : ('v History.Event.t -> unit) array;
-  mutable canonical_listener_count : int;
+  canonical : 'v History.Event.t -> unit;
+  members : (string * 'v Etcdlike.Kv.t) list;  (* id and store, replica order *)
   mutable next_pid : int;
   pending : (int, 'v pending) Hashtbl.t;
   (* Every proposed transaction, by pid. A Raft command is the pid
@@ -53,39 +53,13 @@ let engine t = Dsim.Network.engine t.net
 
 let group t = t.group
 
-let replica_ids t = Array.to_list (Array.map (fun r -> r.r_id) t.replicas)
+let replicas t = t.members
 
 let find_replica t id = Array.to_list t.replicas |> List.find_opt (fun r -> String.equal r.r_id id)
-
-let replica_store t id = Option.map (fun r -> r.store) (find_replica t id)
-
-let replica_rev t id =
-  match find_replica t id with Some r -> Etcdlike.Kv.rev r.store | None -> 0
-
-let replica_revs t =
-  Array.to_list (Array.map (fun r -> (r.r_id, Etcdlike.Kv.rev r.store)) t.replicas)
-
-let on_replica_commit t id f =
-  match find_replica t id with Some r -> Etcdlike.Kv.on_commit r.store f | None -> ()
 
 let canonical_store t = t.replicas.(t.canonical_ix).store
 
 let leader t = Option.map Raftlite.Node.id (Raftlite.Group.leader t.group)
-
-let on_commit t f =
-  let cap = Array.length t.canonical_listeners in
-  if t.canonical_listener_count = cap then begin
-    let grown = Array.make (max 4 (2 * cap)) f in
-    Array.blit t.canonical_listeners 0 grown 0 cap;
-    t.canonical_listeners <- grown
-  end;
-  t.canonical_listeners.(t.canonical_listener_count) <- f;
-  t.canonical_listener_count <- t.canonical_listener_count + 1
-
-let fire_canonical t e =
-  for i = 0 to t.canonical_listener_count - 1 do
-    t.canonical_listeners.(i) e
-  done
 
 (* Advance the canonical frontier through a replica's freshly applied
    event: every replica store's first commit listener, so the first
@@ -97,7 +71,7 @@ let advance t ~ix (e : 'v History.Event.t) =
   if e.History.Event.rev = t.canonical_rev + 1 then begin
     t.canonical_rev <- e.History.Event.rev;
     t.canonical_ix <- ix;
-    fire_canonical t e
+    t.canonical e
   end
 
 let apply t ~ix ~command =
@@ -141,18 +115,6 @@ let put t key value callback =
         end
       | Error `Unavailable -> callback (Error `Unavailable))
 
-let delete t key callback =
-  txn t
-    { Etcdlike.Txn.guards = []; success = [ Etcdlike.Txn.Delete key ]; failure = [] }
-    (fun result ->
-      match result with
-      | Ok outcome -> begin
-          match outcome.Etcdlike.Txn.events with
-          | e :: _ -> callback (Ok (Some e))
-          | [] -> callback (Ok None)
-        end
-      | Error `Unavailable -> callback (Error `Unavailable))
-
 (* Boot snapshot: install a binding on every replica directly, below the
    consensus layer — the world every replica agrees on before the engine
    runs, like restoring from a common backup. The first replica's write
@@ -183,28 +145,19 @@ let first_up t =
   in
   go 0
 
-(* The replica a read from [src] is served by right now, or [None] when
-   the pinned replica is down and the fallback policy is [`Reject] (the
-   client sees the outage instead of silently reading elsewhere). A
-   *partitioned* replica still serves: its link to the client is intact,
-   only its link to the leader is cut — that is precisely the stale-read
-   shape this layer exists to inject. *)
-let serving_replica_for t ~src =
-  match preferred_replica t ~src with
-  | Some r when Dsim.Network.peer_is_up r.r_node -> Some r
-  | Some _ | None -> ( match t.fallback with `Stale -> first_up t | `Reject -> None)
-
-let serving_replica t ~src = Option.map (fun r -> r.r_id) (serving_replica_for t ~src)
-
-let range t ~src ~prefix =
-  Option.map
-    (fun r -> (Etcdlike.Kv.range r.store ~prefix, Etcdlike.Kv.rev r.store))
-    (serving_replica_for t ~src)
-
-let get t ~src key =
-  Option.map
-    (fun r -> (Etcdlike.Kv.get r.store key, Etcdlike.Kv.rev r.store))
-    (serving_replica_for t ~src)
+(* The replica a read or watch from [src] is served by right now, with
+   its store, or [None] when the pinned replica is down and the fallback
+   policy is [`Reject] (the client sees the outage instead of silently
+   reading elsewhere). A *partitioned* replica still serves: its link to
+   the client is intact, only its link to the leader is cut — that is
+   precisely the stale-read shape this layer exists to inject. *)
+let route t ~src =
+  let serving =
+    match preferred_replica t ~src with
+    | Some r when Dsim.Network.peer_is_up r.r_node -> Some r
+    | Some _ | None -> ( match t.fallback with `Stale -> first_up t | `Reject -> None)
+  in
+  Option.map (fun r -> (r.r_id, r.store)) serving
 
 (* The retry timer ticks every 100 ms; a proposal unanswered for 300 ms
    is re-proposed, and one pending for 2 s fails as an outage. *)
@@ -212,7 +165,7 @@ let retry_period = 100_000
 let retry_grace = 300_000
 let deadline = 2_000_000
 
-let create ~net ~n ?(read = Leader) ?(fallback = `Stale) () =
+let create ~net ~n ?(read = Leader) ?(fallback = `Stale) ~canonical () =
   let names = List.init n (fun i -> Printf.sprintf "etcd-%d" (i + 1)) in
   let replicas =
     Array.of_list
@@ -248,8 +201,8 @@ let create ~net ~n ?(read = Leader) ?(fallback = `Stale) () =
       fallback;
       canonical_rev = 0;
       canonical_ix = 0;
-      canonical_listeners = [||];
-      canonical_listener_count = 0;
+      canonical;
+      members = Array.to_list (Array.map (fun r -> (r.r_id, r.store)) replicas);
       next_pid = 1;
       pending = Hashtbl.create 16;
       txns = Hashtbl.create 64;

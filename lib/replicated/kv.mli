@@ -9,8 +9,8 @@
     {!Etcdlike.Kv} store, so the replicas' stores are prefixes of one
     shared dense revision sequence. The {e canonical} stream — the
     frontier of first applies, which is exactly the leader-committed
-    history — is what {!on_commit} publishes, what {!canonical_store} holds,
-    and what conformance monitors and oracles mirror.
+    history — is what the [canonical] callback given to {!create}
+    receives and what {!canonical_store} holds.
 
     Reads are served from a {e chosen} replica ({!read_mode}): the
     leader, a named follower, or a per-source sticky pick. A partitioned
@@ -44,13 +44,20 @@ val create :
   n:int ->
   ?read:read_mode ->
   ?fallback:fallback ->
+  canonical:('v History.Event.t -> unit) ->
   unit ->
   'v t
 (** [n] replicas named [etcd-1 .. etcd-n], so the addresses line up with
     the fault surface existing strategies target, running
     {!Raftlite.Group}'s timing. For [n > 1], [etcd-1] is the
     deterministic first leader. Proposals are retried after 300 ms and
-    fail with [`Unavailable] after 2 s. *)
+    fail with [`Unavailable] after 2 s.
+
+    [canonical] receives the canonical commit stream, dense from
+    revision 1. It runs inside the first applier's commit of each
+    event, as that replica store's first commit listener (so before
+    any listener registered on it through {!replicas}), and before the
+    proposal's outcome is delivered. *)
 
 val start : 'v t -> unit
 (** Starts the Raft group and the proposal retry/expiry timer. *)
@@ -58,7 +65,7 @@ val start : 'v t -> unit
 val seed : 'v t -> string -> 'v -> 'v History.Event.t
 (** Install a binding on every replica directly, below consensus — a
     boot snapshot all replicas share. Only valid before proposals are
-    in flight; fires the canonical commit listeners once. *)
+    in flight; runs the [canonical] callback once. *)
 
 (** {2 Mutations (proposed through the leader)} *)
 
@@ -75,53 +82,28 @@ val txn :
 val put :
   'v t -> string -> 'v -> (('v History.Event.t, [ `Unavailable ]) result -> unit) -> unit
 
-val delete :
-  'v t ->
-  string ->
-  (('v History.Event.t option, [ `Unavailable ]) result -> unit) ->
-  unit
-(** [Ok None] when the key was absent at apply time. *)
-
 (** {2 The canonical committed history} *)
 
 val canonical_store : 'v t -> 'v Etcdlike.Kv.t
 (** The store of the replica currently at the canonical frontier — a
     read-only ground-truth view for oracles and gauges; do not mutate
-    it directly (mutations go through {!txn}/{!put}/{!delete}). *)
-
-val on_commit : 'v t -> ('v History.Event.t -> unit) -> unit
-(** Canonical commit stream, dense from revision 1, in registration
-    order — feed oracles and conformance mirrors here. It fires inside
-    the first applier's commit of each event, before that replica's own
-    commit listeners ({!on_replica_commit}), and before the proposal's
-    outcome is delivered. *)
+    it directly (mutations go through {!txn}/{!put}). *)
 
 val leader : 'v t -> string option
 
 val group : 'v t -> Raftlite.Group.t
 
-(** {2 Replica-scoped reads} *)
+(** {2 Replicas} *)
 
-val replica_ids : 'v t -> string list
+val replicas : 'v t -> (string * 'v Etcdlike.Kv.t) list
+(** Each replica's id and applied state machine, in replica order. A
+    replica's revision trails the canonical one by exactly its
+    replication lag; its commit listeners fire on its {e applies}
+    (including catch-up after a crash), after the canonical advance.
+    Allocates nothing. *)
 
-val replica_store : 'v t -> string -> 'v Etcdlike.Kv.t option
-(** The named replica's applied state machine — its revision trails the
-    canonical one by exactly its replication lag. *)
-
-val replica_rev : 'v t -> string -> int
-
-val replica_revs : 'v t -> (string * int) list
-
-val on_replica_commit : 'v t -> string -> ('v History.Event.t -> unit) -> unit
-(** Fires on the named replica's {e applies} (including catch-up after a
-    crash) — the per-replica watch feed. *)
-
-val serving_replica : 'v t -> src:string -> string option
-(** Which replica a read from [src] lands on right now; [None] when the
-    pinned replica is down under [`Reject]. *)
-
-val range : 'v t -> src:string -> prefix:string -> ((string * 'v * int) list * int) option
-(** Routed read: items plus the {e serving replica's} revision (the
-    staleness carrier). [None] = unavailable under [`Reject]. *)
-
-val get : 'v t -> src:string -> string -> (('v * int) option * int) option
+val route : 'v t -> src:string -> (string * 'v Etcdlike.Kv.t) option
+(** The replica, and its store, that serves a read or watch from [src]
+    right now, per the {!read_mode}; [None] when the pinned replica is
+    down under [`Reject]. A read of that store carries the {e serving
+    replica's} revision, the staleness carrier. *)

@@ -69,6 +69,14 @@ let test_fixture_follower_read () =
   | _ -> Alcotest.fail "expected exactly one finding");
   check_findings "follower_read_fixed" (fixture "follower_read_fixed.ml") []
 
+(* The same shape through [Replicated.Kv.route]: the routed replica's
+   store is a replica-read source, so what is ranged from it is too. *)
+let test_fixture_follower_route () =
+  check_findings "follower_route_buggy"
+    (fixture "follower_route_buggy.ml")
+    [ ("follower-read-then-write", "trim") ];
+  check_findings "follower_route_fixed" (fixture "follower_route_fixed.ml") []
+
 let test_fixture_retry_nodedup () =
   check_findings "retry_nodedup_buggy"
     (fixture "retry_nodedup_buggy.ml")
@@ -497,6 +505,8 @@ let suites =
         Alcotest.test_case "fixture: stale-resync" `Quick test_fixture_stale_resync;
         Alcotest.test_case "fixture: follower-read-then-write" `Quick
           test_fixture_follower_read;
+        Alcotest.test_case "fixture: follower-read-then-write via route" `Quick
+          test_fixture_follower_route;
         Alcotest.test_case "fixture: retry-no-dedup" `Quick test_fixture_retry_nodedup;
         Alcotest.test_case "fixture: zk-one-shot-watch" `Quick test_fixture_zk_watch;
         Alcotest.test_case "fixture: stale-region-assign" `Quick

@@ -125,7 +125,9 @@ type hb_golden = {
      drift is precisely what static analysis misses and the dynamic
      divergence still pins. *)
   hb_reason_named : bool;
-  hb_commits : int;  (* zk.commit anchors on the causal chain *)
+  hb_commits : int;
+      (* zk.commit anchors on the causal chain; the registry seed is
+         uncaused boot state, so it is on no chain *)
 }
 
 let hbase_golden =
@@ -139,7 +141,7 @@ let hbase_golden =
         hb_read_site = "rs/registry";
         hb_severity = 3;
         hb_reason_named = true;
-        hb_commits = 2;
+        hb_commits = 1;
       } );
     ( "HB-WATCH",
       {
@@ -150,7 +152,7 @@ let hbase_golden =
         hb_read_site = "region/";
         hb_severity = 0;
         hb_reason_named = true;
-        hb_commits = 2;
+        hb_commits = 1;
       } );
     ( "HB-FOLLOWER",
       {
@@ -161,7 +163,7 @@ let hbase_golden =
         hb_read_site = "rs/registry";
         hb_severity = 0;
         hb_reason_named = false;
-        hb_commits = 2;
+        hb_commits = 1;
       } );
   ]
 

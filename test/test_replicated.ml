@@ -5,12 +5,25 @@
 
 module RKv = Replicated.Kv
 
-let setup ?(seed = 11L) ?(n = 3) ?read ?fallback () =
+let setup ?(seed = 11L) ?(n = 3) ?read ?fallback ?(canonical = ignore) () =
   let engine = Dsim.Engine.create ~seed () in
   let net = Dsim.Network.create engine in
-  let kv : string RKv.t = RKv.create ~net ~n ?read ?fallback () in
+  let kv : string RKv.t = RKv.create ~net ~n ?read ?fallback ~canonical () in
   RKv.start kv;
   (engine, net, kv)
+
+let replica_rev kv id = Etcdlike.Kv.rev (List.assoc id (RKv.replicas kv))
+
+let replica_revs replicas = List.map (fun (id, store) -> (id, Etcdlike.Kv.rev store)) replicas
+
+(* A routed read: the items under [prefix] and the serving replica's
+   revision, [None] when no replica serves [src]. *)
+let range kv ~src ~prefix =
+  Option.map
+    (fun (_, store) -> (Etcdlike.Kv.range store ~prefix, Etcdlike.Kv.rev store))
+    (RKv.route kv ~src)
+
+let serving_replica kv ~src = Option.map fst (RKv.route kv ~src)
 
 let run_for engine us = Dsim.Engine.run ~until:(Dsim.Engine.now engine + us) engine
 
@@ -28,19 +41,16 @@ let put_sync engine kv key value =
   | Ok e -> e
   | Error `Unavailable -> Alcotest.fail (Printf.sprintf "put %s unavailable" key)
 
-let delete_sync engine kv key =
-  let result = ref None in
-  RKv.delete kv key (fun r -> result := Some r);
-  match await engine result with
-  | Ok e -> e
-  | Error `Unavailable -> Alcotest.fail (Printf.sprintf "delete %s unavailable" key)
-
 let txn_sync engine kv txn =
   let result = ref None in
   RKv.txn kv txn (fun r -> result := Some r);
   match await engine result with
   | Ok outcome -> outcome
   | Error `Unavailable -> Alcotest.fail "txn unavailable"
+
+let delete_sync engine kv key =
+  txn_sync engine kv
+    { Etcdlike.Txn.guards = []; success = [ Etcdlike.Txn.Delete key ]; failure = [] }
 
 (* --- basic replication --------------------------------------------- *)
 
@@ -61,7 +71,7 @@ let leader_commits_and_replicas_converge () =
   run_for engine 300_000;
   List.iter
     (fun (id, rev) -> Alcotest.(check int) (id ^ " caught up") 3 rev)
-    (RKv.replica_revs kv);
+    (replica_revs (RKv.replicas kv));
   Alcotest.(check (option string)) "state has b"
     (Some "2")
     (History.State.get (Etcdlike.Kv.state (RKv.canonical_store kv)) "pods/b");
@@ -69,15 +79,14 @@ let leader_commits_and_replicas_converge () =
     (History.State.mem (Etcdlike.Kv.state (RKv.canonical_store kv)) "pods/a")
 
 let seed_reaches_every_replica () =
-  let engine, _, kv = setup () in
   let commits = ref [] in
-  RKv.on_commit kv (fun e -> commits := e.History.Event.rev :: !commits);
+  let engine, _, kv = setup ~canonical:(fun e -> commits := e.History.Event.rev :: !commits) () in
   let e = RKv.seed kv "nodes/node-1" "n1" in
   Alcotest.(check int) "seed rev" 1 e.History.Event.rev;
   Alcotest.(check (list int)) "canonical stream saw the seed" [ 1 ] !commits;
   List.iter
     (fun (id, rev) -> Alcotest.(check int) (id ^ " seeded") 1 rev)
-    (RKv.replica_revs kv);
+    (replica_revs (RKv.replicas kv));
   run_for engine 1_000_000;
   ignore (put_sync engine kv "pods/a" "1");
   Alcotest.(check int) "rev continues dense" 2 (Etcdlike.Kv.rev (RKv.canonical_store kv))
@@ -91,10 +100,10 @@ let crashed_replica_catches_up_after_restart () =
   ignore (put_sync engine kv "pods/b" "2");
   ignore (put_sync engine kv "pods/c" "3");
   run_for engine 300_000;
-  Alcotest.(check int) "etcd-3 frozen while down" 1 (RKv.replica_rev kv "etcd-3");
+  Alcotest.(check int) "etcd-3 frozen while down" 1 (replica_rev kv "etcd-3");
   Dsim.Network.restart net "etcd-3";
   run_for engine 500_000;
-  Alcotest.(check int) "etcd-3 caught up" 3 (RKv.replica_rev kv "etcd-3");
+  Alcotest.(check int) "etcd-3 caught up" 3 (replica_rev kv "etcd-3");
   (* The shorter log replayed into the same canonical history. *)
   ignore (Raftlite.Group.committed_prefix (RKv.group kv))
 
@@ -108,14 +117,14 @@ let partitioned_follower_serves_stale_reads () =
   ignore (put_sync engine kv "pods/b" "2");
   ignore (put_sync engine kv "pods/c" "3");
   (* Still up, still serving — at the pre-partition revision. *)
-  let items, rev = Option.get (RKv.range kv ~src:"reader" ~prefix:"pods/") in
+  let items, rev = Option.get (range kv ~src:"reader" ~prefix:"pods/") in
   Alcotest.(check int) "stale rev" 1 rev;
   Alcotest.(check int) "stale item count" 1 (List.length items);
   Alcotest.(check int) "canonical moved on" 3 (Etcdlike.Kv.rev (RKv.canonical_store kv));
   Dsim.Network.heal net "etcd-3" "etcd-1";
   Dsim.Network.heal net "etcd-3" "etcd-2";
   run_for engine 500_000;
-  let _, rev = Option.get (RKv.range kv ~src:"reader" ~prefix:"pods/") in
+  let _, rev = Option.get (range kv ~src:"reader" ~prefix:"pods/") in
   Alcotest.(check int) "healed view is fresh" 3 rev
 
 let crashed_replica_fallback_policies () =
@@ -124,19 +133,19 @@ let crashed_replica_fallback_policies () =
   ignore (put_sync engine kv "pods/a" "1");
   Dsim.Network.crash net "etcd-2";
   Alcotest.(check (option string)) "reject: no serving replica" None
-    (RKv.serving_replica kv ~src:"reader");
-  Alcotest.(check bool) "reject: read unavailable" true (RKv.range kv ~src:"reader" ~prefix:"" = None);
+    (serving_replica kv ~src:"reader");
+  Alcotest.(check bool) "reject: read unavailable" true (range kv ~src:"reader" ~prefix:"" = None);
   let engine, net, kv = setup ~read:(RKv.Follower "etcd-2") ~fallback:`Stale () in
   run_for engine 1_000_000;
   ignore (put_sync engine kv "pods/a" "1");
   Dsim.Network.crash net "etcd-2";
   Alcotest.(check (option string)) "stale: lowest live replica serves" (Some "etcd-1")
-    (RKv.serving_replica kv ~src:"reader")
+    (serving_replica kv ~src:"reader")
 
 let spread_is_sticky_per_source () =
   let _, _, kv = setup ~read:RKv.Spread () in
-  let a = RKv.serving_replica kv ~src:"api-1" in
-  Alcotest.(check (option string)) "sticky" a (RKv.serving_replica kv ~src:"api-1");
+  let a = serving_replica kv ~src:"api-1" in
+  Alcotest.(check (option string)) "sticky" a (serving_replica kv ~src:"api-1");
   Alcotest.(check bool) "some replica" true (a <> None)
 
 let minority_leader_cannot_commit () =
@@ -160,7 +169,7 @@ let minority_leader_cannot_commit () =
       Alcotest.(check bool)
         "committed via majority" true
         (Etcdlike.Kv.rev (RKv.canonical_store kv) >= 2));
-  Alcotest.(check int) "minority replica did not apply alone" 1 (RKv.replica_rev kv "etcd-1")
+  Alcotest.(check int) "minority replica did not apply alone" 1 (replica_rev kv "etcd-1")
 
 (* --- qcheck differential vs the sequential reference model --------- *)
 
@@ -195,9 +204,8 @@ let txn_of_op = function
    observable, and the canonical commit stream must replay into the
    model's event list exactly. *)
 let replicated_agrees_with_model ops =
-  let engine, _, kv = setup ~seed:23L () in
   let canonical = ref [] in
-  RKv.on_commit kv (fun e -> canonical := e :: !canonical);
+  let engine, _, kv = setup ~seed:23L ~canonical:(fun e -> canonical := e :: !canonical) () in
   run_for engine 1_000_000;
   let model = ref Conformance.Model.empty in
   List.iter
@@ -212,7 +220,7 @@ let replicated_agrees_with_model ops =
         QCheck.Test.fail_reportf "rev disagreement: %d vs model %d" outcome.Etcdlike.Txn.rev
           expected.Etcdlike.Txn.rev)
     ops;
-  let leader_read = Option.get (RKv.range kv ~src:"reader" ~prefix:"") in
+  let leader_read = Option.get (range kv ~src:"reader" ~prefix:"") in
   fst leader_read = Conformance.Model.range !model ~prefix:""
   && Etcdlike.Kv.rev (RKv.canonical_store kv) = Conformance.Model.rev !model
   && List.rev !canonical = Conformance.Model.events !model
@@ -256,7 +264,7 @@ let kube_stack_over_replicated_store () =
   List.iter
     (fun (id, rev) ->
       Alcotest.(check int) (id ^ " converged") (Kube.Cluster.truth_rev cluster) rev)
-    (Kube.Etcd.replica_revs (Kube.Cluster.etcd cluster));
+    (replica_revs (Kube.Etcd.replicas (Kube.Cluster.etcd cluster)));
   List.iter
     (fun a ->
       Alcotest.(check int)

@@ -285,6 +285,40 @@ let lease_expiry_of_gone_key_labels_nothing () =
   Alcotest.(check string) "the next revision keeps its own origin" "boot"
     (origin etcd 3)
 
+(* A replicated etcd answers [`Unavailable] when it cannot serve: under
+   [`Reject], every read and watch routed to a crashed replica, and a
+   transaction that nothing commits within the proposal deadline. *)
+let replicated_outages_answer_unavailable () =
+  let engine, net, _ =
+    lease_setup
+      ~replication:{ Kube.Etcd.read = Replicated.Kv.Follower "etcd-2"; read_fallback = `Reject }
+      ()
+  in
+  Dsim.Network.crash net "etcd-2";
+  let unavailable : type a. string -> a Kube.Messages.request -> unit =
+   fun name request ->
+    match call engine net request with
+    | Some (Ok (Error `Unavailable)) -> ()
+    | _ -> Alcotest.failf "%s: expected Unavailable" name
+  in
+  unavailable "list" (Kube.Messages.List { prefix = "pods/"; quorum = true });
+  unavailable "get" (Kube.Messages.Get { key = "pods/a"; quorum = true });
+  unavailable "watch"
+    (Kube.Messages.Watch
+       { prefix = None; start_rev = 0; subscriber = "client"; stream_id = "client#all"; deliver = ignore });
+  (* With etcd-2 down and etcd-1 cut off from etcd-3, no majority can
+     commit; the proposal fails over after 2 s, inside the call's 3 s. *)
+  Dsim.Network.partition net "etcd-1" "etcd-3";
+  let result = ref None in
+  Kube.Messages.Store.call ~timeout:3_000_000 ~src:(Dsim.Network.peer net "client")
+    ~dst:(Dsim.Network.peer net "etcd")
+    (Kube.Messages.Txn { txn = Kube.Messages.delete "pods/a"; origin = "client"; lease = None })
+    (fun r -> result := Some r);
+  Dsim.Engine.run ~until:(Dsim.Engine.now engine + 3_000_000) engine;
+  match !result with
+  | Some (Ok (Error `Unavailable)) -> ()
+  | _ -> Alcotest.fail "txn: expected Unavailable"
+
 let suites =
   [
     ( "servers",
@@ -309,5 +343,7 @@ let suites =
           (lease_revoke_labels_delete ~replication:replicated);
         Alcotest.test_case "single etcd: expiry of a gone key labels nothing" `Quick
           lease_expiry_of_gone_key_labels_nothing;
+        Alcotest.test_case "replicated etcd: outages answer Unavailable" `Quick
+          replicated_outages_answer_unavailable;
       ] );
   ]
