@@ -614,6 +614,7 @@ let hunt_cmd =
               p.total p.replayed p.findings
               (if p.findings = 1 then "" else "s")
         in
+        let gc_started = Gc.quick_stat () in
         let started = Unix.gettimeofday () in
         let summary =
           try
@@ -625,6 +626,8 @@ let hunt_cmd =
             exit 2
         in
         let wall = Unix.gettimeofday () -. started in
+        (* The worker domains are joined by now, so their counts are in. *)
+        let gc = Gc.quick_stat () in
         if not quiet then prerr_newline ();
         (match summary.Hunt.Campaign.findings with
         | [] -> print_endline "no findings"
@@ -661,9 +664,15 @@ let hunt_cmd =
              ( "distinct findings",
                string_of_int (List.length summary.Hunt.Campaign.findings) );
              ( "throughput",
-               Printf.sprintf "%.0f trials/s (%d jobs, %.2f s wall)"
+               Printf.sprintf
+                 "%.0f trials/s (%d jobs, %.2f s wall; GC: %d minor, %d major, %.0f promoted \
+                  words/trial)"
                  (float_of_int summary.Hunt.Campaign.executed /. Float.max wall 1e-9)
-                 jobs wall );
+                 jobs wall
+                 (gc.minor_collections - gc_started.minor_collections)
+                 (gc.major_collections - gc_started.major_collections)
+                 ((gc.promoted_words -. gc_started.promoted_words)
+                 /. float_of_int (max 1 summary.Hunt.Campaign.executed)) );
              ("journal", summary.Hunt.Campaign.journal);
            ]
           @

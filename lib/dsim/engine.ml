@@ -10,7 +10,8 @@
      sorted by (time, seq); the wheel stores its tail, whose successor
      is its head. A new event has the largest seq, so it goes after
      every entry due no later than it; for same-time bursts and rising
-     deadlines that is the tail, reached in O(1).
+     deadlines that is the tail, reached in O(1). Other inserts walk
+     the chain from its head.
    - The far heap: a binary min-heap of slot ids in [far], keyed by
      (time, seq) through the slot arrays, for the few events due beyond
      one lap (pre-scheduled fault-plan and workload actions, heals near
@@ -28,7 +29,11 @@
    once: its seq becomes [free], so a handle to it no longer matches,
    and its action becomes [ignore], so the closure is collectable. Free
    slots form a list threaded through [slot_next]. Once the arrays have
-   grown, scheduling, firing and cancelling allocate nothing. *)
+   grown, scheduling, firing and cancelling allocate nothing.
+
+   Like the rest of a fresh engine, the bucket array fits in the minor
+   heap, so a trial that fits in the minor heap puts nothing of its
+   engine in the major heap. *)
 
 (* A handle is the event's seq above [slot_bits] bits of slot id. *)
 type timer = int
@@ -46,22 +51,15 @@ let free = 0
 (* Trace ids start at 1, so 0 encodes "no cause" without an option. *)
 let no_cause = Trace.no_cause
 
-(* A tick is a deadline shifted right by [bucket_bits]: 1,024 us. *)
-let bucket_bits = 10
+(* A tick is a deadline shifted right by [bucket_bits]: 4,096 us. One
+   lap, [wheel_size] ticks, is 1,048,576 us, so a 1 s RPC timeout stays
+   in the wheel. At 256 words the bucket array is the largest block the
+   minor heap takes. *)
+let bucket_bits = 12
 
-let wheel_size = 1024
+let wheel_size = 256
 
 let wheel_mask = wheel_size - 1
-
-(* The wheel array holds the bucket tails (-1 for an empty bucket), then
-   the queue's three counters at these indices. It is allocated once per
-   engine, and its size puts it straight in the major heap, so the
-   engine record and a trial's minor allocation keep their size. *)
-let cursor = wheel_size
-
-let near = wheel_size + 1 (* events in the wheel *)
-
-let far_size = wheel_size + 2 (* events in the far heap *)
 
 (* [slot_where] of an event in the wheel; a far event's is its index in
    [far]. *)
@@ -76,8 +74,11 @@ type t = {
   mutable slot_time : int array;
   mutable slot_next : int array;  (* in the wheel: next in its bucket; free: next free, or -1 *)
   mutable slot_where : int array;
-  mutable far : int array;  (* slot ids; the first [wheel.(far_size)] are live *)
-  wheel : int array;
+  mutable far : int array;  (* slot ids; the first [far_size] are live *)
+  wheel : int array;  (* bucket tails, -1 for an empty bucket *)
+  mutable cursor : int;  (* a tick, at most the wheel's earliest *)
+  mutable near : int;  (* events in the wheel *)
+  mutable far_size : int;  (* events in the far heap *)
   mutable free_slot : int;  (* head of the free list, or -1 *)
   mutable tombstone : int;  (* latest deadline of a cancelled event *)
   rng : Rng.t;
@@ -89,8 +90,6 @@ type t = {
 let create ?(seed = 1L) () =
   let trace = Trace.create () in
   let metrics = Metrics.create () in
-  let wheel = Array.make (wheel_size + 3) (-1) in
-  Array.fill wheel wheel_size 3 0;
   {
     clock = 0;
     seq = 0;
@@ -101,7 +100,10 @@ let create ?(seed = 1L) () =
     slot_next = [||];
     slot_where = [||];
     far = [||];
-    wheel;
+    wheel = Array.make wheel_size (-1);
+    cursor = 0;
+    near = 0;
+    far_size = 0;
     free_slot = -1;
     tombstone = 0;
     rng = Rng.create seed;
@@ -191,7 +193,7 @@ let far_sift_up t s i =
   t.slot_where.(s) <- !hole
 
 let far_sift_down t s i =
-  let far = t.far and size = t.wheel.(far_size) in
+  let far = t.far and size = t.far_size in
   let hole = ref i and sifting = ref true in
   while !sifting && (2 * !hole) + 1 < size do
     let i = !hole in
@@ -211,8 +213,8 @@ let far_sift_down t s i =
 (* Takes the entry at index [i] out; the last entry fills the hole and
    moves whichever way restores the order. *)
 let far_remove t i =
-  let last = t.wheel.(far_size) - 1 in
-  t.wheel.(far_size) <- last;
+  let last = t.far_size - 1 in
+  t.far_size <- last;
   if i < last then begin
     let s = t.far.(last) in
     if i > 0 && precedes t s t.far.((i - 1) lsr 1) then far_sift_up t s i else far_sift_down t s i
@@ -246,12 +248,12 @@ let enqueue t s time =
       next.(!p) <- s
     end;
     t.slot_where.(s) <- in_wheel;
-    if wheel.(near) = 0 || tick < wheel.(cursor) then wheel.(cursor) <- tick;
-    wheel.(near) <- wheel.(near) + 1
+    if t.near = 0 || tick < t.cursor then t.cursor <- tick;
+    t.near <- t.near + 1
   end
   else begin
-    let i = wheel.(far_size) in
-    wheel.(far_size) <- i + 1;
+    let i = t.far_size in
+    t.far_size <- i + 1;
     far_sift_up t s i
   end
 
@@ -275,22 +277,22 @@ let unlink t s =
       next.(p) <- next.(s);
       if s = tail then wheel.(b) <- p
     end;
-    wheel.(near) <- wheel.(near) - 1
+    t.near <- t.near - 1
   end
   else far_remove t w
 
 (* The slot of the next event to fire, or -1 when none is pending. Moves
    the cursor to the wheel's first non-empty bucket. *)
 let next t =
-  let wheel = t.wheel in
-  let far = if wheel.(far_size) > 0 then t.far.(0) else -1 in
-  if wheel.(near) = 0 then far
+  let far = if t.far_size > 0 then t.far.(0) else -1 in
+  if t.near = 0 then far
   else begin
-    let c = ref wheel.(cursor) in
+    let wheel = t.wheel in
+    let c = ref t.cursor in
     while wheel.(!c land wheel_mask) < 0 do
       incr c
     done;
-    wheel.(cursor) <- !c;
+    t.cursor <- !c;
     let head = t.slot_next.(wheel.(!c land wheel_mask)) in
     if far >= 0 && precedes t far head then far else head
   end
@@ -335,7 +337,7 @@ let cancel t timer =
     release t s
   end
 
-let pending t = t.wheel.(near) + t.wheel.(far_size)
+let pending t = t.near + t.far_size
 
 let step t =
   let s = next t in

@@ -6,13 +6,14 @@
     cancelling allocate nothing; events fire in ascending [(time, seq)]
     order, [seq] being the scheduling order, so equal-time events run
     first come, first served. The queue has two tiers: a timing wheel
-    of 1,024 buckets, each 1,024 us wide and kept sorted, holds the
+    of 256 buckets, each 4,096 us wide and kept sorted, holds the
     events due within about 1.05 s of [now], and a binary heap holds
-    the few due later. All concurrency in the simulated
-    infrastructure is cooperative: a component runs to completion inside
-    its event handler and schedules future work with {!schedule}. Two
-    runs with the same seed and the same schedule of calls are
-    bit-for-bit identical. *)
+    the few due later. A fresh engine lives in the minor heap: its
+    bucket array is 256 words, the largest block the minor heap takes.
+    All concurrency in the simulated infrastructure is cooperative: a
+    component runs to completion inside its event handler and schedules
+    future work with {!schedule}. Two runs with the same seed and the
+    same schedule of calls are bit-for-bit identical. *)
 
 type t
 

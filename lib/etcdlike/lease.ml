@@ -31,13 +31,10 @@ let revoke t ~lease =
   Hashtbl.remove t.table lease;
   keys
 
-let expire t ~now =
-  let expired =
-    Hashtbl.fold (fun id l acc -> if l.deadline <= now then (id, List.rev l.keys) :: acc else acc)
-      t.table []
-  in
-  List.iter (fun (id, _) -> Hashtbl.remove t.table id) expired;
-  List.sort (fun (a, _) (b, _) -> compare a b) expired
+let expired t ~now =
+  Hashtbl.fold (fun id l acc -> if l.deadline <= now then (id, List.rev l.keys) :: acc else acc)
+    t.table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let ttl_remaining t ~lease ~now =
   match Hashtbl.find_opt t.table lease with

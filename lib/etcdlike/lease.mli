@@ -2,9 +2,10 @@
 
     Time is supplied by the caller (the simulator's virtual clock), so the
     module stays pure with respect to real time. When a lease expires or
-    is revoked, the keys attached to it are returned for the store to
-    delete — that deletion is how session-scoped objects (locks, member
-    registrations) vanish when their owner goes silent. *)
+    is revoked, the store deletes the keys attached to it — that deletion
+    is how session-scoped objects (locks, member registrations) vanish
+    when their owner goes silent — and forgets the lease with {!revoke}
+    once the deletes have committed. *)
 
 type id = int
 
@@ -26,9 +27,9 @@ val keepalive : t -> lease:id -> now:int -> bool
 val revoke : t -> lease:id -> string list
 (** Removes the lease; returns its keys (to delete). *)
 
-val expire : t -> now:int -> (id * string list) list
-(** Removes every lease whose deadline has passed and returns their
-    attached keys. Call on a timer. *)
+val expired : t -> now:int -> (id * string list) list
+(** Every lease whose deadline has passed, with its attached keys, in id
+    order. Leaves them in place. Call on a timer. *)
 
 val ttl_remaining : t -> lease:id -> now:int -> int option
 

@@ -3,7 +3,14 @@ let map_ordered (type b) ~jobs ~(tasks : 'a array) ~(f : int -> 'a -> b)
   let n = Array.length tasks in
   if n = 0 then ()
   else if jobs <= 1 then
+    (* Each task starts on an empty minor heap, so a trial whose world
+       fits there dies there: no minor collection lands mid-trial to
+       promote it, and no major collection has to mark and sweep it.
+       The parallel branch must not do this: in OCaml 5 a minor
+       collection stops every domain, so one worker's reset would stall
+       the others. *)
     for i = 0 to n - 1 do
+      Gc.minor ();
       emit i (f i tasks.(i))
     done
   else begin

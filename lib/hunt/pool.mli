@@ -14,7 +14,10 @@ val map_ordered :
 (** [map_ordered ~jobs ~tasks ~f ~emit] computes [f i tasks.(i)] on up
     to [jobs] worker domains and calls [emit i result] for [i = 0, 1,
     ...] in index order on the calling domain. [jobs <= 1] degrades to a
-    plain sequential loop (no domains spawned). [f] must not share
-    mutable state across tasks; [emit] may. If [f] or [emit] raises, the
-    first exception is re-raised on the calling domain after all workers
-    have stopped. *)
+    plain sequential loop (no domains spawned) that empties the minor
+    heap before each task, so a task that allocates less than the minor
+    heap holds promotes nothing; the parallel branch never forces a
+    collection, since in OCaml 5 one stops every domain. [f] must not
+    share mutable state across tasks; [emit] may. If [f] or [emit]
+    raises, the first exception is re-raised on the calling domain
+    after all workers have stopped. *)

@@ -15,6 +15,7 @@ type t = {
   commits : Resource.value Etcdlike.Commits.t;
   mutable requests_served : int;
   leases : Etcdlike.Lease.t;
+  expiring : (Etcdlike.Lease.id, unit) Hashtbl.t;  (* expired, deletes in flight *)
   rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
 }
 
@@ -92,9 +93,31 @@ let submit t ~origin ~lease txn reply =
 
 (* --- served through the primitives ------------------------------- *)
 
-(* A lease-driven delete. Only a delete that commits labels its
-   revision with [origin]; a key already gone commits nothing. *)
-let delete t ~origin key = submit t ~origin ~lease:None (Messages.delete key) ignore
+(* Deletes a lease's keys and calls [k] once every delete has settled.
+   Only when all of them committed is the lease forgotten and [k] given
+   [Ok ()]; otherwise [k] gets [Error `Unavailable] and the lease keeps
+   its keys, so a store that cannot commit (a replicated one without
+   quorum) deletes them later instead of never. Only a delete that
+   commits labels its revision with [origin]; a key already gone
+   commits nothing. The single store commits inline, so there [k] runs
+   before this returns. *)
+let revoke_lease t ~origin ~lease k =
+  let keys = Etcdlike.Lease.keys t.leases ~lease in
+  let outstanding = ref (List.length keys) and failed = ref false in
+  let settled () =
+    if !failed then k (Error `Unavailable)
+    else begin
+      ignore (Etcdlike.Lease.revoke t.leases ~lease);
+      k (Ok ())
+    end
+  in
+  let deleted reply =
+    (match reply with Ok _ -> () | Error `Unavailable -> failed := true);
+    decr outstanding;
+    if !outstanding = 0 then settled ()
+  in
+  if keys = [] then settled ()
+  else List.iter (fun key -> submit t ~origin ~lease:None (Messages.delete key) deleted) keys
 
 let handle_watch t ~src (w : Messages.watch_request) reply =
   match route t ~src with
@@ -131,10 +154,14 @@ let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -
       reply (Ok (Etcdlike.Lease.grant t.leases ~ttl ~now))
   | Messages.Lease_keepalive { lease } ->
       let now = Dsim.Engine.now (Dsim.Network.engine t.net) in
-      reply (Ok (Etcdlike.Lease.keepalive t.leases ~lease ~now))
+      reply
+        (Ok
+           ((not (Hashtbl.mem t.expiring lease))
+           && Etcdlike.Lease.keepalive t.leases ~lease ~now))
   | Messages.Lease_revoke { lease } ->
-      List.iter (delete t ~origin:"lease-revoke") (Etcdlike.Lease.revoke t.leases ~lease);
-      reply (Ok ())
+      (* Answered once the deletes settle: [`Unavailable] keeps the
+         lease, and its expiry deletes the keys later. *)
+      revoke_lease t ~origin:"lease-revoke" ~lease reply
   | Messages.Watch w -> handle_watch t ~src w reply
 
 (* Bookmarks every 200 ms of virtual time. *)
@@ -195,6 +222,7 @@ let create ~net ~intercept ?replication () =
       commits;
       requests_served = 0;
       leases = Etcdlike.Lease.create ();
+      expiring = Hashtbl.create 8;
       rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) ("rpc." ^ name);
     }
   in
@@ -213,13 +241,20 @@ let create ~net ~intercept ?replication () =
       true);
   (* Expire leases against the virtual clock and delete their keys; the
      deletions are ordinary committed events (proposed through the
-     leader when replicated), so watchers see the lock vanish. With no
-     lease granted there is nothing to expire; the timer keeps ticking
-     so a later expiry lands on the same phase. *)
+     leader when replicated), so watchers see the lock vanish. An
+     expired lease whose deletes are in flight answers keepalives with
+     [false]; if they fail, a later tick retries them. With no lease
+     granted there is nothing to expire; the timer keeps ticking so a
+     later expiry lands on the same phase. *)
   Dsim.Engine.every engine ~period:100_000 (fun () ->
       if Etcdlike.Lease.active t.leases > 0 then
         List.iter
-          (fun (_, keys) -> List.iter (delete t ~origin:"lease-expiry") keys)
-          (Etcdlike.Lease.expire t.leases ~now:(Dsim.Engine.now engine));
+          (fun (lease, _) ->
+            if not (Hashtbl.mem t.expiring lease) then begin
+              Hashtbl.replace t.expiring lease ();
+              revoke_lease t ~origin:"lease-expiry" ~lease (fun _ ->
+                  Hashtbl.remove t.expiring lease)
+            end)
+          (Etcdlike.Lease.expired t.leases ~now:(Dsim.Engine.now engine));
       true);
   t

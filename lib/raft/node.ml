@@ -39,7 +39,8 @@ type t = {
   (* Persistent state: survives crashes (stable storage). *)
   mutable current_term : int;
   mutable voted_for : string option;
-  mutable log : entry array;  (* log.(i) is entry at index i+1 *)
+  mutable log : entry array;  (* log.(i) is entry at index i+1, for i < log_length *)
+  mutable log_length : int;
   (* Volatile state. *)
   mutable role : role;
   mutable commit_index : int;
@@ -56,7 +57,7 @@ let term t = t.current_term
 
 let is_leader t = t.role = Leader
 
-let log_length t = Array.length t.log
+let log_length t = t.log_length
 
 let engine t = Dsim.Network.engine t.net
 
@@ -64,11 +65,31 @@ let now t = Dsim.Engine.now (engine t)
 
 let quorum t = ((List.length t.peers + 1) / 2) + 1
 
-let last_log_index t = Array.length t.log
+let last_log_index t = t.log_length
 
-let last_log_term t = if Array.length t.log = 0 then 0 else t.log.(Array.length t.log - 1).term
+let last_log_term t = if t.log_length = 0 then 0 else t.log.(t.log_length - 1).term
 
 let term_at t index = if index = 0 then 0 else t.log.(index - 1).term
+
+(* What the log array holds past [log_length]. *)
+let vacant = { term = 0; command = None }
+
+(* The log grows by doubling, so an append copies nothing in the common
+   case. *)
+let append t entry =
+  let n = t.log_length in
+  if n = Array.length t.log then begin
+    let grown = Array.make (max 16 (2 * n)) vacant in
+    Array.blit t.log 0 grown 0 n;
+    t.log <- grown
+  end;
+  t.log.(n) <- entry;
+  t.log_length <- n + 1
+
+(* Drops the entries from [index] on. *)
+let truncate t index =
+  Array.fill t.log (index - 1) (t.log_length - index + 1) vacant;
+  t.log_length <- index - 1
 
 let record t detail =
   Dsim.Engine.record (engine t) ~actor:t.id ~kind:"raft" detail
@@ -101,37 +122,42 @@ let apply_committed t =
     | None -> ()
   done
 
+(* [count] plus the number of [peers] known to hold index [n]. *)
+let rec holders t n peers count =
+  match peers with
+  | [] -> count
+  | peer :: rest ->
+      let matched =
+        match Hashtbl.find t.match_index (Dsim.Network.address peer) with
+        | m -> m
+        | exception Not_found -> 0
+      in
+      holders t n rest (if matched >= n then count + 1 else count)
+
 (* Leader: advance the commit index to the highest N replicated on a
-   quorum with log[N].term = currentTerm (Raft's commitment rule). *)
+   quorum with log[N].term = currentTerm (Raft's commitment rule),
+   scanning down from the last index. *)
 let advance_commit t =
   if t.role = Leader then begin
-    let candidates = ref [] in
-    for n = t.commit_index + 1 to last_log_index t do
-      if term_at t n = t.current_term then begin
-        let replicas =
-          1
-          + List.length
-              (List.filter
-                 (fun peer ->
-                   Option.value
-                     (Hashtbl.find_opt t.match_index (Dsim.Network.address peer))
-                     ~default:0
-                   >= n)
-                 t.peers)
-        in
-        if replicas >= quorum t then candidates := n :: !candidates
-      end
+    let quorum = quorum t and n = ref (last_log_index t) in
+    while
+      !n > t.commit_index
+      && not (term_at t !n = t.current_term && holders t !n t.peers 1 >= quorum)
+    do
+      decr n
     done;
-    match !candidates with
-    | [] -> ()
-    | ns ->
-        t.commit_index <- List.fold_left max t.commit_index ns;
-        apply_committed t
+    if !n > t.commit_index then begin
+      t.commit_index <- !n;
+      apply_committed t
+    end
   end
 
 let entries_from t index =
-  if index > Array.length t.log then []
-  else Array.to_list (Array.sub t.log (index - 1) (Array.length t.log - index + 1))
+  let entries = ref [] in
+  for i = t.log_length downto index do
+    entries := t.log.(i - 1) :: !entries
+  done;
+  !entries
 
 let send_append t dst =
   let peer = Dsim.Network.address dst in
@@ -180,7 +206,7 @@ let become_leader t =
      through an entry of its own term, so commit one immediately —
      otherwise predecessors' entries can stay uncommitted at the new
      leader forever on a quiet cluster. *)
-  t.log <- Array.append t.log [| { term = t.current_term; command = None } |];
+  append t { term = t.current_term; command = None };
   broadcast_appends t;
   advance_commit t
 
@@ -235,19 +261,19 @@ let handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term reply 
   end;
   reply (Vote { term = t.current_term; granted })
 
-let truncate_and_append t ~prev_log_index entries =
-  List.iteri
-    (fun offset (entry : entry) ->
-      let index = prev_log_index + 1 + offset in
-      if index <= Array.length t.log then begin
+(* Stores [entries] from [index] on. *)
+let rec truncate_and_append t index = function
+  | [] -> ()
+  | (entry : entry) :: rest ->
+      if index <= t.log_length then begin
         if t.log.(index - 1).term <> entry.term then begin
           (* Conflict: drop the entry and everything after it. *)
-          t.log <- Array.sub t.log 0 (index - 1);
-          t.log <- Array.append t.log [| entry |]
+          truncate t index;
+          append t entry
         end
       end
-      else t.log <- Array.append t.log [| entry |])
-    entries
+      else append t entry;
+      truncate_and_append t (index + 1) rest
 
 let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leader_commit
     reply =
@@ -257,12 +283,12 @@ let handle_append_entries t ~term ~prev_log_index ~prev_log_term ~entries ~leade
     become_follower t term;
     let log_ok =
       prev_log_index = 0
-      || (prev_log_index <= Array.length t.log && term_at t prev_log_index = prev_log_term)
+      || (prev_log_index <= t.log_length && term_at t prev_log_index = prev_log_term)
     in
     if not log_ok then
       reply (Appended { term = t.current_term; success = false; match_index = 0 })
     else begin
-      truncate_and_append t ~prev_log_index entries;
+      truncate_and_append t (prev_log_index + 1) entries;
       let match_index = prev_log_index + List.length entries in
       if leader_commit > t.commit_index then begin
         t.commit_index <- min leader_commit (last_log_index t);
@@ -284,7 +310,7 @@ let serve : type a. t -> a request -> (a -> unit) -> unit =
 let propose t command =
   if t.role <> Leader then false
   else begin
-    t.log <- Array.append t.log [| { term = t.current_term; command = Some command } |];
+    append t { term = t.current_term; command = Some command };
     broadcast_appends t;
     (* Single-node groups commit immediately. *)
     advance_commit t;
@@ -305,6 +331,7 @@ let create ~net ~id ~peers ?(election_timeout_max = 300_000)
     current_term = 0;
     voted_for = None;
     log = [||];
+    log_length = 0;
     role = Follower;
     commit_index = 0;
     last_applied = 0;

@@ -354,14 +354,16 @@ let show_op = function
   | Run_bounded (d, n) -> Printf.sprintf "run ~until:(now+%d) ~max_events:%d" d n
   | Run -> "run"
 
-(* The engine's wheel has buckets 1,024 us wide and a lap of 1,024
+(* The engine's wheel has buckets 4,096 us wide and a lap of 256
    buckets; events due beyond one lap wait in its far heap. Delays,
    times and horizons come at the scales the workloads use, and at
    those edges, so a case crosses buckets, wraps the wheel and reaches
-   the far heap. *)
-let bucket = 1024
+   the far heap. Draws around multiples of 1,024 us land inside a
+   bucket, among its other times, so they exercise the sorted insert
+   into a chain. *)
+let bucket = 4096
 
-let lap = 1024 * bucket
+let lap = 256 * bucket
 
 let span =
   let open QCheck.Gen in
@@ -370,6 +372,7 @@ let span =
       (4, 0 -- 6) (* same-time bursts *);
       (3, 500 -- 2_000) (* network deliveries *);
       (2, map2 (fun k d -> (k * bucket) + d) (1 -- 8) (-1 -- 1)) (* bucket edges *);
+      (1, map2 (fun k d -> (k * 1024) + d) (1 -- 8) (-1 -- 1)) (* within a bucket *);
       (2, map2 (fun k d -> (k * lap) + d) (1 -- 2) (-1 -- 1)) (* one lap *);
       (1, 2_000_000 -- 8_000_000) (* fault-plan and workload actions *);
     ]

@@ -1,5 +1,12 @@
 (* Leases: TTLs against the virtual clock. *)
 
+(* What the store does on an expiry tick once the deletes commit: forget
+   every expired lease. *)
+let expire l ~now =
+  let out = Etcdlike.Lease.expired l ~now in
+  List.iter (fun (id, _) -> ignore (Etcdlike.Lease.revoke l ~lease:id)) out;
+  out
+
 let grant_and_expire () =
   let l = Etcdlike.Lease.create () in
   let id = Etcdlike.Lease.grant l ~ttl:100 ~now:0 in
@@ -8,20 +15,22 @@ let grant_and_expire () =
   Alcotest.(check int) "one lease" 1 (Etcdlike.Lease.active l);
   Alcotest.(check (list (pair int (list string)))) "expired keys"
     [ (id, [ "locks/a"; "locks/b" ]) ]
-    (Etcdlike.Lease.expire l ~now:100);
+    (Etcdlike.Lease.expired l ~now:100);
+  Alcotest.(check int) "kept until the store revokes it" 1 (Etcdlike.Lease.active l);
+  ignore (Etcdlike.Lease.revoke l ~lease:id);
   Alcotest.(check int) "lease gone" 0 (Etcdlike.Lease.active l)
 
 let keepalive_extends () =
   let l = Etcdlike.Lease.create () in
   let id = Etcdlike.Lease.grant l ~ttl:100 ~now:0 in
   Alcotest.(check bool) "keepalive ok" true (Etcdlike.Lease.keepalive l ~lease:id ~now:80);
-  Alcotest.(check int) "not expired at 150" 0 (List.length (Etcdlike.Lease.expire l ~now:150));
-  Alcotest.(check int) "expired at 180" 1 (List.length (Etcdlike.Lease.expire l ~now:180))
+  Alcotest.(check int) "not expired at 150" 0 (List.length (Etcdlike.Lease.expired l ~now:150));
+  Alcotest.(check int) "expired at 180" 1 (List.length (Etcdlike.Lease.expired l ~now:180))
 
 let keepalive_after_expiry_fails () =
   let l = Etcdlike.Lease.create () in
   let id = Etcdlike.Lease.grant l ~ttl:10 ~now:0 in
-  ignore (Etcdlike.Lease.expire l ~now:50);
+  ignore (expire l ~now:50);
   Alcotest.(check bool) "dead lease" false (Etcdlike.Lease.keepalive l ~lease:id ~now:60)
 
 let revoke_returns_keys () =
@@ -107,7 +116,7 @@ let qcheck_lease_agrees_with_model =
               ok := !ok && keys = keys'
           | 4 -> now := !now + 1 + a
           | _ ->
-              let out = Etcdlike.Lease.expire lease ~now:!now in
+              let out = expire lease ~now:!now in
               let m', out' = Conformance.Model.expire !model ~now:!now in
               model := m';
               granted := List.filter (fun g -> not (List.mem_assoc g out)) !granted;

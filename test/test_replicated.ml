@@ -344,6 +344,65 @@ let per_replica_watch_follows_applies () =
   run_for engine 1_000_000;
   Alcotest.(check (list int)) "crashed replica's stream is silent" [] !bookmarks
 
+(* A leased key goes with its lease even when the store loses quorum
+   first. With every replica link cut, neither a revoke nor an expiry
+   can commit the key's delete: a revoke answers [`Unavailable] and the
+   store keeps the lease, and an expiry retries on a later tick. Once
+   replication heals, the key is gone within a few seconds. *)
+let lease_deletes_survive_lost_quorum () =
+  List.iter
+    (fun revoke ->
+      let name = if revoke then "revoked" else "expired" in
+      let engine = Dsim.Engine.create ~seed:11L () in
+      let net = Dsim.Network.create engine in
+      let etcd =
+        Kube.Etcd.create ~net ~intercept:(History.Intercept.create ())
+          ~replication:{ Kube.Etcd.read = RKv.Leader; read_fallback = `Reject }
+          ()
+      in
+      Dsim.Network.join net "client";
+      run_for engine 1_000_000;
+      let send ?timeout request k =
+        Kube.Messages.Store.call ~src:(Dsim.Network.peer net "client")
+          ~dst:(Dsim.Network.peer net "etcd") ?timeout request k
+      in
+      let call request =
+        let result = ref None in
+        send request (fun r -> result := Some r);
+        match await engine result with
+        | Ok (Ok reply) -> reply
+        | Ok (Error `Unavailable) | Error _ -> Alcotest.fail "etcd request failed"
+      in
+      let lease = call (Kube.Messages.Lease_grant { ttl = 1_000_000 }) in
+      let lock = Kube.Resource.make_lock ~holder:"client" "r" in
+      ignore
+        (call
+           (Kube.Messages.Txn
+              {
+                txn = Etcdlike.Txn.create_if_absent ~key:"locks/r" lock;
+                origin = "client";
+                lease = Some lease;
+              }));
+      let held () = Etcdlike.Kv.get (Kube.Etcd.kv etcd) "locks/r" <> None in
+      Alcotest.(check bool) (name ^ ": leased key written") true (held ());
+      let links = [ ("etcd-1", "etcd-2"); ("etcd-1", "etcd-3"); ("etcd-2", "etcd-3") ] in
+      List.iter (fun (a, b) -> Dsim.Network.partition net a b) links;
+      let revoked = ref None in
+      (* The store answers once the deletes' proposals give up, after
+         the default 1 s call timeout. *)
+      if revoke then
+        send ~timeout:3_000_000 (Kube.Messages.Lease_revoke { lease }) (fun r ->
+            revoked := Some r);
+      run_for engine 3_000_000;
+      if revoke then
+        Alcotest.(check bool) (name ^ ": revoke answers unavailable") true
+          (!revoked = Some (Ok (Error `Unavailable)));
+      Alcotest.(check bool) (name ^ ": key kept while nothing commits") true (held ());
+      List.iter (fun (a, b) -> Dsim.Network.heal net a b) links;
+      run_for engine 3_000_000;
+      Alcotest.(check bool) (name ^ ": key gone after healing") false (held ()))
+    [ true; false ]
+
 (* Provenance under replication: a replica's watch push to an apiserver,
    whether that replica applied the revision first or lagged behind, is
    caused by the revision's commit anchor, as under the single store.
@@ -410,5 +469,7 @@ let suites =
           per_replica_watch_follows_applies;
         Alcotest.test_case "replica pushes are caused by their commit" `Quick
           replica_pushes_caused_by_their_commit;
+        Alcotest.test_case "lease deletes survive a lost quorum" `Quick
+          lease_deletes_survive_lost_quorum;
       ] );
   ]
