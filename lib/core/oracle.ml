@@ -134,6 +134,7 @@ type t = {
   cluster : Kube.Cluster.t;
   ledger : ledger;
   mutable mirror : Kube.Resource.value History.State.t;
+      (* the store's ground truth as of the last commit seen *)
   pod_deleted_at : (string, int) Hashtbl.t;  (* pod name -> removal time *)
   mutable duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
   mutable wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
@@ -149,8 +150,6 @@ type t = {
       (* deployment, generation, intent fingerprint *)
   mutable derived_at : int;  (* commits, for [leaks] and [wedged] *)
 }
-
-let mirror t = t.mirror
 
 let commits t = Etcdlike.Commits.rev t.ledger.commits
 
@@ -227,7 +226,7 @@ let on_commit t (e : Kube.Resource.value History.Event.t) =
   | `Pod, History.Event.Create ->
       Hashtbl.remove t.pod_deleted_at (Kube.Resource.name_of_key e.History.Event.key)
   | _ -> ());
-  t.mirror <- History.State.apply t.mirror e;
+  t.mirror <- Kube.Cluster.truth t.cluster;
   match e.History.Event.op, e.History.Event.value with
   | (History.Event.Create | History.Event.Update), Some (Kube.Resource.Pod p) ->
       check_decommission t p

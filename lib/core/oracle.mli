@@ -103,6 +103,3 @@ val violations : t -> (int * violation) list
 (** {!found} of the oracle's ledger. *)
 
 val violated : t -> bool
-
-val mirror : t -> Kube.Resource.value History.State.t
-(** The oracle's replica of the ground truth (kept from commit events). *)

@@ -136,18 +136,13 @@ let rec collect_rules acc = function
   | Crash_restart _ | Partition_window _ -> acc
   | Combo parts -> List.fold_left collect_rules acc parts
 
-let rec schedule_faults ~engine ~net = function
-  | No_perturbation | Delay_stream _ | Drop_events _ -> ()
+let rec fault_plan = function
+  | No_perturbation | Delay_stream _ | Drop_events _ -> []
   | Crash_restart { victim; at; downtime } ->
-      ignore
-        (Dsim.Engine.schedule_at engine ~time:at (fun () -> Dsim.Network.crash net victim));
-      ignore
-        (Dsim.Engine.schedule_at engine ~time:(at + downtime) (fun () ->
-             Dsim.Network.restart net victim))
+      [ (at, Dsim.Fault.Crash victim); (at + downtime, Dsim.Fault.Restart victim) ]
   | Partition_window { a; b; from; until } ->
-      ignore (Dsim.Engine.schedule_at engine ~time:from (fun () -> Dsim.Network.partition net a b));
-      ignore (Dsim.Engine.schedule_at engine ~time:until (fun () -> Dsim.Network.heal net a b))
-  | Combo parts -> List.iter (schedule_faults ~engine ~net) parts
+      [ (from, Dsim.Fault.Partition (a, b)); (until, Dsim.Fault.Heal (a, b)) ]
+  | Combo parts -> List.concat_map fault_plan parts
 
 let install ~engine ~net intercept strategy =
   let rules = List.rev (collect_rules [] strategy) in
@@ -158,7 +153,7 @@ let install ~engine ~net intercept strategy =
             rule.r_hits <- rule.r_hits + 1;
             rule.r_decision
         | None -> History.Intercept.Pass);
-  schedule_faults ~engine ~net strategy
+  Dsim.Fault.apply net (fault_plan strategy)
 
 let apply cluster strategy =
   install ~engine:(Kube.Cluster.engine cluster) ~net:(Kube.Cluster.net cluster)

@@ -1,35 +1,35 @@
 (* Events live in slots: parallel arrays hold each scheduled event's
    scheduling [seq], the causal frontier captured when it was scheduled,
-   its action and its deadline. A pending event waits in one of two
-   tiers:
+   its action and its deadline. Every pending event waits in a hashed
+   timing wheel: [wheel_size] buckets, each [1 lsl bucket_bits] us of
+   virtual time wide, and an event due at tick [k] (its deadline shifted
+   right by [bucket_bits]) waits in bucket [k land wheel_mask], however
+   many laps ahead [k] is. A bucket is a circular chain of slots linked
+   through [slot_next] and sorted by (time, seq); the wheel stores its
+   tail, whose successor is its head. A new event has the largest seq,
+   so it goes after every entry due no later than it; for same-time
+   bursts and rising deadlines that is the tail, reached in O(1). Other
+   inserts walk the chain from its head.
 
-   - The wheel: [wheel_size] buckets, each [1 lsl bucket_bits] us of
-     virtual time wide, for events due within one lap (about 1.05 s) of
-     the clock: network deliveries, RPC timeouts, periodic ticks. A
-     bucket is a circular chain of slots linked through [slot_next] and
-     sorted by (time, seq); the wheel stores its tail, whose successor
-     is its head. A new event has the largest seq, so it goes after
-     every entry due no later than it; for same-time bursts and rising
-     deadlines that is the tail, reached in O(1). Other inserts walk
-     the chain from its head.
-   - The far heap: a binary min-heap of slot ids in [far], keyed by
-     (time, seq) through the slot arrays, for the few events due beyond
-     one lap (pre-scheduled fault-plan and workload actions, heals near
-     [max_int / 2]).
+   Most events are due within one lap (about 1.05 s): network
+   deliveries, RPC timeouts, periodic ticks. A few are due later
+   (pre-scheduled fault-plan and workload actions, heals near
+   [max_int / 2]); they share their bucket with nearer ticks, behind
+   them in the chain. No pending event's tick is below the [cursor]: an
+   insert below it, or into an empty queue, lowers it. [next] scans the
+   ticks from the cursor for at most one lap, for the first whose
+   bucket's head is due at that very tick; a head due later in its
+   bucket is at least a lap ahead. If a whole lap finds none, every
+   pending event is at least a lap ahead, and the earliest bucket head
+   is the next event. Heads of different buckets differ in tick, so
+   events fire in the total (time, seq) order, [seq] being unique.
 
-   No pending event is due before the clock, and the wheel admits only
-   ticks less than a lap past the clock's, so its events span less than
-   one lap and each bucket holds one tick's events. The [cursor] lies
-   between the clock's tick and the wheel's earliest tick: a scan from
-   it finds the first non-empty bucket, whose head is the wheel's
-   earliest event, and an insert into an earlier bucket lowers it. A
-   pop takes the earlier of that head and the far heap's top, so events
-   fire in the total (time, seq) order, [seq] being unique. An event
-   that fires or is cancelled leaves its tier and frees its slot at
-   once: its seq becomes [free], so a handle to it no longer matches,
-   and its action becomes [ignore], so the closure is collectable. Free
-   slots form a list threaded through [slot_next]. Once the arrays have
-   grown, scheduling, firing and cancelling allocate nothing.
+   An event that fires or is cancelled leaves its bucket and frees its
+   slot at once: its seq becomes [free], so a handle to it no longer
+   matches, and its action becomes [ignore], so the closure is
+   collectable. Free slots form a list threaded through [slot_next].
+   Once the arrays have grown, scheduling, firing and cancelling
+   allocate nothing.
 
    Like the rest of a fresh engine, the bucket array fits in the minor
    heap, so a trial that fits in the minor heap puts nothing of its
@@ -52,18 +52,14 @@ let free = 0
 let no_cause = Trace.no_cause
 
 (* A tick is a deadline shifted right by [bucket_bits]: 4,096 us. One
-   lap, [wheel_size] ticks, is 1,048,576 us, so a 1 s RPC timeout stays
-   in the wheel. At 256 words the bucket array is the largest block the
-   minor heap takes. *)
+   lap, [wheel_size] ticks, is 1,048,576 us, so the events due within a
+   lap, a 1 s RPC timeout among them, hold one tick per bucket. At 256
+   words the bucket array is the largest block the minor heap takes. *)
 let bucket_bits = 12
 
 let wheel_size = 256
 
 let wheel_mask = wheel_size - 1
-
-(* [slot_where] of an event in the wheel; a far event's is its index in
-   [far]. *)
-let in_wheel = -1
 
 type t = {
   mutable clock : int;
@@ -72,13 +68,10 @@ type t = {
   mutable slot_cause : int array;
   mutable slot_action : (unit -> unit) array;
   mutable slot_time : int array;
-  mutable slot_next : int array;  (* in the wheel: next in its bucket; free: next free, or -1 *)
-  mutable slot_where : int array;
-  mutable far : int array;  (* slot ids; the first [far_size] are live *)
+  mutable slot_next : int array;  (* pending: next in its bucket; free: next free, or -1 *)
   wheel : int array;  (* bucket tails, -1 for an empty bucket *)
-  mutable cursor : int;  (* a tick, at most the wheel's earliest *)
-  mutable near : int;  (* events in the wheel *)
-  mutable far_size : int;  (* events in the far heap *)
+  mutable cursor : int;  (* a tick, at most every pending event's *)
+  mutable pending : int;
   mutable free_slot : int;  (* head of the free list, or -1 *)
   mutable tombstone : int;  (* latest deadline of a cancelled event *)
   rng : Rng.t;
@@ -98,12 +91,9 @@ let create ?(seed = 1L) () =
     slot_action = [||];
     slot_time = [||];
     slot_next = [||];
-    slot_where = [||];
-    far = [||];
     wheel = Array.make wheel_size (-1);
     cursor = 0;
-    near = 0;
-    far_size = 0;
+    pending = 0;
     free_slot = -1;
     tombstone = 0;
     rng = Rng.create seed;
@@ -151,8 +141,6 @@ let grow t =
   t.slot_cause <- extend t.slot_cause no_cause;
   t.slot_action <- extend t.slot_action ignore;
   t.slot_time <- extend t.slot_time 0;
-  t.slot_where <- extend t.slot_where in_wheel;
-  t.far <- extend t.far 0;
   t.slot_next <- extend t.slot_next (-1);
   for s = old to capacity - 2 do
     t.slot_next.(s) <- s + 1
@@ -165,136 +153,77 @@ let release t s =
   t.slot_next.(s) <- t.free_slot;
   t.free_slot <- s
 
-(* Whether slot [a] fires before slot [b]. *)
-let precedes t a b =
-  let ta = t.slot_time.(a) and tb = t.slot_time.(b) in
-  ta < tb || (ta = tb && t.slot_seq.(a) < t.slot_seq.(b))
-
-(* --- the far heap ----------------------------------------------------- *)
-
-(* Both sifts move a hole instead of swapping: slot [s] is placed once,
-   at its final index. *)
-let far_sift_up t s i =
-  let far = t.far and time = t.slot_time.(s) and seq = t.slot_seq.(s) in
-  let hole = ref i and sifting = ref true in
-  while !sifting && !hole > 0 do
-    let i = !hole in
-    let p = (i - 1) lsr 1 in
-    let sp = far.(p) in
-    let tp = t.slot_time.(sp) in
-    if time < tp || (time = tp && seq < t.slot_seq.(sp)) then begin
-      far.(i) <- sp;
-      t.slot_where.(sp) <- i;
-      hole := p
-    end
-    else sifting := false
-  done;
-  far.(!hole) <- s;
-  t.slot_where.(s) <- !hole
-
-let far_sift_down t s i =
-  let far = t.far and size = t.far_size in
-  let hole = ref i and sifting = ref true in
-  while !sifting && (2 * !hole) + 1 < size do
-    let i = !hole in
-    let l = (2 * i) + 1 in
-    let c = if l + 1 < size && precedes t far.(l + 1) far.(l) then l + 1 else l in
-    let sc = far.(c) in
-    if precedes t s sc then sifting := false
-    else begin
-      far.(i) <- sc;
-      t.slot_where.(sc) <- i;
-      hole := c
-    end
-  done;
-  far.(!hole) <- s;
-  t.slot_where.(s) <- !hole
-
-(* Takes the entry at index [i] out; the last entry fills the hole and
-   moves whichever way restores the order. *)
-let far_remove t i =
-  let last = t.far_size - 1 in
-  t.far_size <- last;
-  if i < last then begin
-    let s = t.far.(last) in
-    if i > 0 && precedes t s t.far.((i - 1) lsr 1) then far_sift_up t s i else far_sift_down t s i
-  end
-
 (* --- the queue -------------------------------------------------------- *)
 
 let enqueue t s time =
-  let wheel = t.wheel in
+  let wheel = t.wheel and next = t.slot_next in
   let tick = time lsr bucket_bits in
-  if tick - (t.clock lsr bucket_bits) < wheel_size then begin
-    let next = t.slot_next and b = tick land wheel_mask in
-    let tail = wheel.(b) in
-    if tail < 0 then begin
-      next.(s) <- s;
-      wheel.(b) <- s
-    end
-    else if t.slot_time.(tail) <= time then begin
-      next.(s) <- next.(tail);
-      next.(tail) <- s;
-      wheel.(b) <- s
-    end
-    else begin
-      (* The tail is due later, so this walk from the head stops before
-         it, at the last entry due no later than [time]. *)
-      let p = ref tail in
-      while t.slot_time.(next.(!p)) <= time do
-        p := next.(!p)
-      done;
-      next.(s) <- next.(!p);
-      next.(!p) <- s
-    end;
-    t.slot_where.(s) <- in_wheel;
-    if t.near = 0 || tick < t.cursor then t.cursor <- tick;
-    t.near <- t.near + 1
+  let b = tick land wheel_mask in
+  let tail = wheel.(b) in
+  if tail < 0 then begin
+    next.(s) <- s;
+    wheel.(b) <- s
+  end
+  else if t.slot_time.(tail) <= time then begin
+    next.(s) <- next.(tail);
+    next.(tail) <- s;
+    wheel.(b) <- s
   end
   else begin
-    let i = t.far_size in
-    t.far_size <- i + 1;
-    far_sift_up t s i
-  end
-
-(* Takes slot [s] out of its tier. A wheel chain is singly linked, so
-   this walks it from the tail to [s]'s predecessor: one step for the
-   head, which is the tail's successor, and a chain holds the events of
-   one tick. *)
-let unlink t s =
-  let w = t.slot_where.(s) in
-  if w = in_wheel then begin
-    let wheel = t.wheel and next = t.slot_next in
-    let b = (t.slot_time.(s) lsr bucket_bits) land wheel_mask in
-    let tail = wheel.(b) in
+    (* The tail is due later, so this walk from the head stops before
+       it, at the last entry due no later than [time]. *)
     let p = ref tail in
-    while next.(!p) <> s do
+    while t.slot_time.(next.(!p)) <= time do
       p := next.(!p)
     done;
-    let p = !p in
-    if p = s then wheel.(b) <- -1
-    else begin
-      next.(p) <- next.(s);
-      if s = tail then wheel.(b) <- p
-    end;
-    t.near <- t.near - 1
-  end
-  else far_remove t w
+    next.(s) <- next.(!p);
+    next.(!p) <- s
+  end;
+  if t.pending = 0 || tick < t.cursor then t.cursor <- tick;
+  t.pending <- t.pending + 1
+
+(* Takes slot [s] out of its bucket. A chain is singly linked, so this
+   walks it from the tail to [s]'s predecessor: one step for the head,
+   which is the tail's successor and the only entry that fires. *)
+let unlink t s =
+  let wheel = t.wheel and next = t.slot_next in
+  let b = (t.slot_time.(s) lsr bucket_bits) land wheel_mask in
+  let tail = wheel.(b) in
+  let p = ref tail in
+  while next.(!p) <> s do
+    p := next.(!p)
+  done;
+  let p = !p in
+  if p = s then wheel.(b) <- -1
+  else begin
+    next.(p) <- next.(s);
+    if s = tail then wheel.(b) <- p
+  end;
+  t.pending <- t.pending - 1
 
 (* The slot of the next event to fire, or -1 when none is pending. Moves
-   the cursor to the wheel's first non-empty bucket. *)
+   the cursor to its tick. *)
 let next t =
-  let far = if t.far_size > 0 then t.far.(0) else -1 in
-  if t.near = 0 then far
+  if t.pending = 0 then -1
   else begin
-    let wheel = t.wheel in
-    let c = ref t.cursor in
-    while wheel.(!c land wheel_mask) < 0 do
-      incr c
+    let wheel = t.wheel and next = t.slot_next and time = t.slot_time in
+    let c = ref t.cursor and s = ref (-1) in
+    let stop = !c + wheel_size in
+    while !s < 0 && !c < stop do
+      let tail = wheel.(!c land wheel_mask) in
+      if tail >= 0 && time.(next.(tail)) lsr bucket_bits = !c then s := next.(tail) else incr c
     done;
+    if !s < 0 then begin
+      (* Every pending event is a lap or more past the cursor: the
+         earliest bucket head fires next. *)
+      for b = 0 to wheel_mask do
+        let tail = wheel.(b) in
+        if tail >= 0 && (!s < 0 || time.(next.(tail)) < time.(!s)) then s := next.(tail)
+      done;
+      c := time.(!s) lsr bucket_bits
+    end;
     t.cursor <- !c;
-    let head = t.slot_next.(wheel.(!c land wheel_mask)) in
-    if far >= 0 && precedes t far head then far else head
+    !s
   end
 
 (* Fires slot [s], which [next] just returned, so no pending event is due
@@ -337,7 +266,7 @@ let cancel t timer =
     release t s
   end
 
-let pending t = t.near + t.far_size
+let pending t = t.pending
 
 let step t =
   let s = next t in
@@ -347,25 +276,22 @@ let step t =
     true
   end
 
-let run ?until ?max_events t =
+let run ?until t =
   let horizon = match until with Some h -> h | None -> max_int in
-  let budget = match max_events with Some m -> m | None -> max_int in
-  let fired = ref 0 and s = ref (next t) in
-  while !s >= 0 && !fired < budget && t.slot_time.(!s) <= horizon do
+  let s = ref (next t) in
+  while !s >= 0 && t.slot_time.(!s) <= horizon do
     fire t !s;
-    incr fired;
     s := next t
   done;
-  (* Clock rule: a run cut by [max_events] ends at its last event, due no
-     later than any still pending. Any other run ends where it would have
-     if cancelled events stayed queued until popped. A live event, or a
-     cancelled deadline, beyond [until] would still be pending and pulls
-     the clock to [until]; otherwise every cancelled event would have
-     been popped, the last of them at [tombstone]. *)
-  if !fired < budget && t.clock < horizon then
+  (* Clock rule: a run ends where it would have if cancelled events
+     stayed queued until popped. A live event, or a cancelled deadline,
+     beyond [until] would still be pending and pulls the clock to
+     [until]; otherwise every cancelled event would have been popped,
+     the last of them at [tombstone]. *)
+  if t.clock < horizon then
     match until with
-    | Some h when pending t > 0 || t.tombstone > h -> t.clock <- h
-    | _ -> if pending t = 0 && t.tombstone > t.clock then t.clock <- t.tombstone
+    | Some h when t.pending > 0 || t.tombstone > h -> t.clock <- h
+    | _ -> if t.pending = 0 && t.tombstone > t.clock then t.clock <- t.tombstone
 
 let every t ~period f =
   if period <= 0 then

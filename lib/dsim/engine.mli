@@ -5,10 +5,10 @@
     arrays until it fires or is cancelled, so scheduling, firing and
     cancelling allocate nothing; events fire in ascending [(time, seq)]
     order, [seq] being the scheduling order, so equal-time events run
-    first come, first served. The queue has two tiers: a timing wheel
-    of 256 buckets, each 4,096 us wide and kept sorted, holds the
-    events due within about 1.05 s of [now], and a binary heap holds
-    the few due later. A fresh engine lives in the minor heap: its
+    first come, first served. The queue is one hashed timing wheel of
+    256 buckets, each 4,096 us wide and kept sorted: an event waits in
+    the bucket of its deadline modulo one lap (about 1.05 s), however
+    many laps ahead it is due. A fresh engine lives in the minor heap: its
     bucket array is 256 words, the largest block the minor heap takes.
     All concurrency in the simulated infrastructure is cooperative: a
     component runs to completion inside its event handler and schedules
@@ -75,8 +75,8 @@ val schedule_at : t -> time:int -> (unit -> unit) -> timer
 (** Absolute-time variant; times in the past fire at the current time. *)
 
 val cancel : t -> timer -> unit
-(** Takes the event out of the queue at once (out of its wheel bucket
-    or the far heap) and frees its slot, so its closure is collectable.
+(** Takes the event out of its wheel bucket at once and frees its
+    slot, so its closure is collectable.
     A no-op for a timer that has fired or was cancelled, even if its
     slot now holds a newer event. *)
 
@@ -88,20 +88,20 @@ val step : t -> bool
 (** Pops and runs the next event. Returns [false] when no event is
     pending; a cancelled event is never popped. *)
 
-val run : ?until:int -> ?max_events:int -> t -> unit
-(** Runs events until none is pending, the next one lies beyond [until],
-    or [max_events] events have fired. Events scheduled exactly at
-    [until] still run. Each next event is found once: the earlier of
-    the first non-empty wheel bucket's head and the far heap's top.
+val run : ?until:int -> t -> unit
+(** Runs events until none is pending or the next one lies beyond
+    [until]. Events scheduled exactly at [until] still run. Each next
+    event is found once: the first bucket head due at the very tick a
+    scan of at most one lap reaches, starting no later than the
+    earliest pending tick; else, every event being a lap or more
+    ahead, the earliest bucket head.
 
-    Clock rule: a run that stops because [max_events] events have fired
-    leaves the clock at the last of them, so [now] never passes a
-    pending event. Otherwise, a cancelled event leaves the queue at
-    once, yet the clock ends where it would if the event had stayed
-    queued and been popped unfired. For that the engine keeps the latest
-    cancelled deadline. At the end of [run ~until:h] the clock moves to
-    [h] if an event is still pending or that deadline lies beyond [h],
-    and otherwise to that deadline if it is later than [now]. A [run]
+    Clock rule: a cancelled event leaves the queue at once, yet the
+    clock ends where it would if the event had stayed queued and been
+    popped unfired. For that the engine keeps the latest cancelled
+    deadline. At the end of [run ~until:h] the clock moves to [h] if an
+    event is still pending or that deadline lies beyond [h], and
+    otherwise to that deadline if it is later than [now]. A [run]
     without [until] that drains the queue also ends at that deadline if
     it is later than [now]. *)
 

@@ -61,8 +61,6 @@ let balance_region t region live_servers =
 
 let balance_pass t =
   (* The live-server set also comes from the (possibly stale) follower. *)
-  let kv = Zk.leader_kv t.zk in
-  ignore kv;
   Zk.read t.zk ~src:t.self ~sync:t.sync_before_cas "rs/registry" (function
     | Ok (Some registry, _) ->
         let servers = String.split_on_char ',' registry |> List.filter (fun s -> s <> "") in

@@ -13,7 +13,6 @@ type t = {
   backend : backend;
   streams : Streams.t;
   commits : Resource.value Etcdlike.Commits.t;
-  mutable requests_served : int;
   leases : Etcdlike.Lease.t;
   expiring : (Etcdlike.Lease.id, unit) Hashtbl.t;  (* expired, deletes in flight *)
   rpc : Dsim.Metrics.Counter.t;  (* ["rpc.<name>"] *)
@@ -26,8 +25,6 @@ let commits t = t.commits
 let rev t = Etcdlike.Commits.(rev (view t.commits))
 
 let subscribers t = Streams.ids t.streams
-
-let requests_served t = t.requests_served
 
 (* --- the backend primitives: everything else goes through these --- *)
 
@@ -134,7 +131,6 @@ let handle_watch t ~src (w : Messages.watch_request) reply =
    an apiserver. *)
 let serve : type a. t -> src:string -> a Messages.request -> (a Messages.reply -> unit) -> unit =
  fun t ~src request reply ->
-  t.requests_served <- t.requests_served + 1;
   Dsim.Metrics.Counter.incr t.rpc;
   match request with
   | Messages.List { prefix; quorum = _ } -> begin
@@ -220,7 +216,6 @@ let create ~net ~intercept ?replication () =
       backend;
       streams;
       commits;
-      requests_served = 0;
       leases = Etcdlike.Lease.create ();
       expiring = Hashtbl.create 8;
       rpc = Dsim.Metrics.Counter.resolve (Dsim.Engine.metrics engine) ("rpc." ^ name);

@@ -83,7 +83,3 @@ val replicas : t -> (string * Resource.value Etcdlike.Kv.t) list
     push. *)
 
 val subscribers : t -> string list
-
-val requests_served : t -> int
-(** RPCs this node has served — the load measure for the cache-offload
-    experiment (Section 4.1). *)

@@ -81,15 +81,6 @@ let every_repeats_until_false () =
   Dsim.Engine.run e;
   Alcotest.(check int) "five ticks" 5 !count
 
-let max_events_bounds_run () =
-  let e = Dsim.Engine.create () in
-  let count = ref 0 in
-  Dsim.Engine.every e ~period:10 (fun () ->
-      incr count;
-      true);
-  Dsim.Engine.run ~max_events:7 e;
-  Alcotest.(check int) "bounded" 7 !count
-
 let trace_records_at_now () =
   let e = Dsim.Engine.create () in
   ignore
@@ -281,8 +272,7 @@ let stale_handle_cancels_nothing () =
    skips it unfired. The model's clock passes through every popped entry,
    cancelled or not; the engine must reach the same clock from its last
    cancelled deadline alone. A model step pops cancelled entries only on
-   its way to a live one, and a run cut by its event budget stops right
-   after its last live entry. *)
+   its way to a live one. *)
 
 type entry = { time : int; seq : int; id : int; mutable cancelled : bool }
 
@@ -321,20 +311,17 @@ let model_step m fire =
     true
   end
 
-let model_run ?until ?(budget = max_int) m fire =
+let model_run ?until m fire =
   let horizon = Option.value until ~default:max_int in
-  let fired = ref 0 in
   let rec go () =
     match m.queue with
-    | e :: _ when !fired < budget && e.time <= horizon ->
-        if not e.cancelled then incr fired;
+    | e :: _ when e.time <= horizon ->
         model_pop m fire;
         go ()
     | _ -> ()
   in
   go ();
-  if !fired < budget then
-    match until with Some h when m.now < h && m.queue <> [] -> m.now <- h | _ -> ()
+  match until with Some h when m.now < h && m.queue <> [] -> m.now <- h | _ -> ()
 
 type op =
   | Schedule of int  (** relative delay *)
@@ -342,7 +329,6 @@ type op =
   | Cancel of int  (** index into every handle made so far *)
   | Step
   | Run_until of int  (** horizon = now + this *)
-  | Run_bounded of int * int  (** horizon = now + the first; [max_events] the second *)
   | Run
 
 let show_op = function
@@ -351,16 +337,17 @@ let show_op = function
   | Cancel i -> Printf.sprintf "cancel #%d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run ~until:(now+%d)" d
-  | Run_bounded (d, n) -> Printf.sprintf "run ~until:(now+%d) ~max_events:%d" d n
   | Run -> "run"
 
 (* The engine's wheel has buckets 4,096 us wide and a lap of 256
-   buckets; events due beyond one lap wait in its far heap. Delays,
-   times and horizons come at the scales the workloads use, and at
-   those edges, so a case crosses buckets, wraps the wheel and reaches
-   the far heap. Draws around multiples of 1,024 us land inside a
-   bucket, among its other times, so they exercise the sorted insert
-   into a chain. *)
+   buckets; an event waits in the bucket of its tick modulo the lap,
+   however far ahead it is due, so one chain may hold several laps.
+   Delays, times and horizons come at the scales the workloads use, and
+   at those edges, so a case crosses buckets, wraps the wheel and puts
+   events one to eight laps ahead, and at [max_int / 2], into buckets
+   that nearer events share. Draws around multiples of 1,024 us land
+   inside a bucket, among its other times, so they exercise the sorted
+   insert into a chain. *)
 let bucket = 4096
 
 let lap = 256 * bucket
@@ -373,7 +360,7 @@ let span =
       (3, 500 -- 2_000) (* network deliveries *);
       (2, map2 (fun k d -> (k * bucket) + d) (1 -- 8) (-1 -- 1)) (* bucket edges *);
       (1, map2 (fun k d -> (k * 1024) + d) (1 -- 8) (-1 -- 1)) (* within a bucket *);
-      (2, map2 (fun k d -> (k * lap) + d) (1 -- 2) (-1 -- 1)) (* one lap *);
+      (2, map2 (fun k d -> (k * lap) + d) (1 -- 8) (-1 -- 1)) (* lap edges *);
       (1, 2_000_000 -- 8_000_000) (* fault-plan and workload actions *);
     ]
 
@@ -388,11 +375,73 @@ let arb_ops =
         (4, map (fun i -> Cancel i) (0 -- 1000));
         (3, return Step);
         (2, map (fun d -> Run_until d) (frequency [ (1, 0 -- 10); (2, span) ]));
-        (1, map2 (fun d n -> Run_bounded (d, n)) span (0 -- 4));
         (1, return Run);
       ]
   in
   QCheck.make ~print:(QCheck.Print.list show_op) (list_size (0 -- 80) op)
+
+(* Events one to three laps ahead are scheduled first, so each sits in
+   bucket 2 behind the nearer ones inserted later: those walk the chain
+   from its head, and a scan that reaches bucket 2 before the lap is
+   done must pass over a head due a lap or more later. The middle one
+   is cancelled out of the chain. *)
+let far_events_share_buckets () =
+  let e = Dsim.Engine.create () in
+  let fired = ref [] in
+  let at time tag =
+    Dsim.Engine.schedule_at e ~time (fun () -> fired := (tag, Dsim.Engine.now e) :: !fired)
+  in
+  let lapped = List.map (fun k -> at ((k * lap) + (2 * bucket) + k) k) [ 1; 2; 3 ] in
+  List.iter
+    (fun (time, tag) -> ignore (at time tag))
+    [ ((2 * bucket) + 7, 10); (0, 11); (5 * bucket, 12); ((2 * bucket) + 7, 13) ];
+  Dsim.Engine.cancel e (List.nth lapped 1);
+  Alcotest.(check int) "pending" 6 (Dsim.Engine.pending e);
+  Dsim.Engine.run e;
+  Alcotest.(check (list (pair int int)))
+    "nearer first, each at its time"
+    [
+      (11, 0);
+      (10, (2 * bucket) + 7);
+      (13, (2 * bucket) + 7);
+      (12, 5 * bucket);
+      (1, lap + (2 * bucket) + 1);
+      (3, (3 * lap) + (2 * bucket) + 3);
+    ]
+    (List.rev !fired)
+
+(* All start at least two laps ahead. From the fourth pop on, each next
+   event is more than a lap past the last one, so it is the earliest
+   bucket head; at the fourth and fifth pops that head is neither in
+   the lowest non-empty bucket nor in the first one after the last
+   event's. *)
+let lapped_queue_fires_in_order () =
+  let e = Dsim.Engine.create () in
+  let fired = ref [] in
+  let times =
+    [
+      (3 * lap) + (100 * bucket);
+      max_int / 2;
+      (7 * lap) + (10 * bucket);
+      (2 * lap) + (200 * bucket);
+      (5 * lap) + (50 * bucket) + 7;
+      (2 * lap) + (200 * bucket);
+      9 * lap;
+    ]
+  in
+  List.iteri
+    (fun seq time ->
+      ignore
+        (Dsim.Engine.schedule_at e ~time (fun () ->
+             fired := ((time, seq), Dsim.Engine.now e) :: !fired)))
+    times;
+  Dsim.Engine.run e;
+  let expected = List.sort compare (List.mapi (fun seq time -> (time, seq)) times) in
+  Alcotest.(check (list (pair (pair int int) int)))
+    "(time, seq) order, the clock at each"
+    (List.map (fun (time, seq) -> ((time, seq), time)) expected)
+    (List.rev !fired);
+  Alcotest.(check int) "drained" 0 (Dsim.Engine.pending e)
 
 (* Every action closes over its own payload, registered weakly, so the
    end of a case can check that exactly the live entries are retained. *)
@@ -433,10 +482,6 @@ let qcheck_engine_model =
             let until = Dsim.Engine.now e + d in
             Dsim.Engine.run ~until e;
             model_run ~until m fire
-        | Run_bounded (d, max_events) ->
-            let until = Dsim.Engine.now e + d in
-            Dsim.Engine.run ~until ~max_events e;
-            model_run ~until ~budget:max_events m fire
         | Run ->
             Dsim.Engine.run e;
             model_run m fire
@@ -501,7 +546,6 @@ let suites =
         Alcotest.test_case "nested scheduling" `Quick nested_scheduling;
         Alcotest.test_case "schedule in past clamps to now" `Quick schedule_in_past_clamps;
         Alcotest.test_case "every repeats until false" `Quick every_repeats_until_false;
-        Alcotest.test_case "max_events bounds run" `Quick max_events_bounds_run;
         Alcotest.test_case "trace records at now" `Quick trace_records_at_now;
         Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
         Alcotest.test_case "event allocates nothing" `Quick event_allocates_nothing;
@@ -509,6 +553,10 @@ let suites =
         Alcotest.test_case "stale handle cancels nothing" `Quick stale_handle_cancels_nothing;
         Alcotest.test_case "every rejects a non-positive period" `Quick
           every_rejects_non_positive_period;
+        Alcotest.test_case "far events share buckets with nearer ones" `Quick
+          far_events_share_buckets;
+        Alcotest.test_case "lapped queue fires in (time, seq) order" `Quick
+          lapped_queue_fires_in_order;
         Qcheck_util.to_alcotest qcheck_engine_model;
       ] );
   ]

@@ -25,16 +25,6 @@ let clean_run_no_violations () =
   in
   Alcotest.(check int) "clean" 0 (List.length outcome.Sieve.Runner.violations)
 
-let mirror_tracks_truth () =
-  let cluster = Kube.Cluster.create () in
-  let oracle = Sieve.Oracle.attach cluster in
-  Kube.Cluster.start cluster;
-  Kube.Workload.schedule cluster (Kube.Workload.pod_churn ~n:2 ());
-  Kube.Cluster.run cluster ~until:8_000_000;
-  Alcotest.(check (list string)) "mirror = truth"
-    (History.State.keys (Kube.Cluster.truth cluster))
-    (History.State.keys (Sieve.Oracle.mirror oracle))
-
 let transient_duplicate_not_flagged () =
   (* A short partition makes kubelet-1 miss a deletion; the duplicate
      self-heals when the stream watchdog re-lists. The oracle must stay
@@ -154,7 +144,6 @@ let suites =
       [
         Alcotest.test_case "violation metadata" `Quick violation_metadata;
         Alcotest.test_case "clean run has no violations" `Quick clean_run_no_violations;
-        Alcotest.test_case "mirror tracks truth" `Quick mirror_tracks_truth;
         Alcotest.test_case "transient duplicate not flagged" `Quick
           transient_duplicate_not_flagged;
         Alcotest.test_case "persistent duplicate flagged" `Quick persistent_duplicate_flagged;
