@@ -73,7 +73,8 @@ let is_cached_read path =
   | name :: parent :: _ ->
       (String.equal parent "Informer" && List.mem name [ "store"; "get" ])
       || String.equal parent "State"
-         && List.mem name [ "find"; "get"; "mem"; "keys_with_prefix"; "fold"; "iter" ]
+         && List.mem name
+              [ "find"; "get"; "mem"; "keys_with_prefix"; "iter_prefix"; "fold"; "iter" ]
   | _ -> false
 
 (* [Replicated.Kv.route/get/range/since ~src] — the read is routed to
@@ -585,8 +586,9 @@ and eval_apply st ctx env (e : expression) fn args =
   let name = last_of path in
   let local = List.length path = 1 && Hashtbl.mem st.summaries name in
   (* Site collection (informers / restart handlers / one-shot watches /
-     periodic scans) — same recognizers as the shape lint had. *)
-  (if List.mem name [ "keys_with_prefix"; "list_quorum" ] then
+     periodic scans) — same recognizers as the shape lint had; a walk of
+     a cached prefix re-lists it as a key list does. *)
+  (if List.mem name [ "keys_with_prefix"; "iter_prefix"; "list_quorum" ] then
      match Option.bind (labelled_arg "prefix" args) token_of_expr with
      | Some tok -> scan_token st ctx tok
      | None -> ());

@@ -14,11 +14,10 @@ let describe e = Printf.sprintf "@%d %s %s" e.rev (op_to_string e.op) e.key
 let rec same_from prefix key i n =
   i >= n || (String.unsafe_get prefix i = String.unsafe_get key i && same_from prefix key (i + 1) n)
 
-let matches_key prefix key =
-  match prefix with
-  | None -> true
-  | Some p ->
-      let n = String.length p in
-      String.length key >= n && same_from p key 0 n
+let[@inline] has_prefix prefix key =
+  let n = String.length prefix in
+  String.length key >= n && same_from prefix key 0 n
+
+let matches_key prefix key = match prefix with None -> true | Some p -> has_prefix p key
 
 let matches_prefix prefix e = matches_key prefix e.key

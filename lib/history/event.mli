@@ -22,9 +22,12 @@ val make : rev:int -> key:string -> op:op -> 'v option -> 'v t
 val describe : 'v t -> string
 (** Value-independent rendering, e.g. ["@17 update pods/default/web-0"]. *)
 
+val has_prefix : string -> string -> bool
+(** [has_prefix prefix key]: [String.starts_with ~prefix key], without
+    the closure [String.starts_with] allocates per call. *)
+
 val matches_key : string option -> string -> bool
-(** Whether the key starts with the prefix; [None] matches everything.
-    Allocates nothing. *)
+(** {!has_prefix}; [None] matches everything. Allocates nothing. *)
 
 val matches_prefix : string option -> 'v t -> bool
 (** {!matches_key} on the event's key — the filter every watch stream

@@ -40,7 +40,12 @@ let bindings_with_prefix t ~prefix =
   in
   take (Smap.to_seq_from prefix t.bindings) []
 
-let keys_with_prefix t ~prefix = List.map fst (bindings_with_prefix t ~prefix)
+(* [Smap.iter] goes in ascending key order. The filter closure is the
+   walk's one allocation; a binding costs nothing. *)
+let iter_prefix t ~prefix f =
+  Smap.iter
+    (fun key (v, mod_rev) -> if Event.has_prefix prefix key then f key v mod_rev)
+    t.bindings
 
 let fold f t acc = Smap.fold f t.bindings acc
 

@@ -36,8 +36,14 @@ val bindings_with_prefix : 'v t -> prefix:string -> (string * ('v * int)) list
     ordered-map range scan (O(log n + k)) cut at the first key past the
     prefix run, yielding key, value and mod-revision in one traversal. *)
 
-val keys_with_prefix : 'v t -> prefix:string -> string list
-(** [List.map fst] of {!bindings_with_prefix}. *)
+val iter_prefix : 'v t -> prefix:string -> (string -> 'v -> int -> unit) -> unit
+(** [iter_prefix t ~prefix f] calls [f key value mod_rev] on the
+    bindings of {!bindings_with_prefix}, in the same ascending key
+    order, and builds nothing: no list, no per-key lookup, no word
+    allocated per binding. It visits every key of the map, so it suits
+    a store that holds one prefix, such as an informer's: a periodic
+    pass walks its informer store with it. The store is a persistent
+    value, so the walk sees the store as it was when the pass read it. *)
 
 val fold : (string -> 'v * int -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 

@@ -4,7 +4,7 @@ type t = {
   dcs : Informer.t;
   pods : Informer.t;
   pvcs : Informer.t;
-  strikes : (string, int) Hashtbl.t;  (* pvc name -> consecutive orphan sightings *)
+  strikes : Strikes.t;  (* claims seen orphaned *)
   mutable member_creates : int;
   mutable decommission_log : (string * int) list;  (* newest first *)
 }
@@ -31,17 +31,6 @@ let claim_owner_pod_name pvc_name =
   if String.length pvc_name > 5 && String.equal (String.sub pvc_name 0 5) "data-" then
     Some (String.sub pvc_name 5 (String.length pvc_name - 5))
   else None
-
-(* Members of a datacenter as this operator's cache sees them. *)
-let cached_members t dc_key =
-  let store = Informer.store t.pods in
-  History.State.keys_with_prefix store ~prefix:Resource.pods_prefix
-  |> List.filter_map (fun key ->
-         match History.State.find store key with
-         | Some (Resource.Pod p, mod_rev) when p.Resource.owner = Some dc_key ->
-             Option.map (fun ordinal -> (ordinal, p, mod_rev)) p.Resource.ordinal
-         | Some _ | None -> None)
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let create_member t dc ordinal =
   t.member_creates <- t.member_creates + 1;
@@ -102,72 +91,78 @@ let gc_claim t pvc_name mod_rev =
         Client.get_quorum (Controller.client t.ctl) (Resource.pod_key owner) (function
           | Ok None -> delete_claim t pvc_name mod_rev
           | Ok (Some _) ->
-              Hashtbl.remove t.strikes pvc_name;
+              Strikes.clear t.strikes pvc_name;
               Controller.record t.ctl "cassop.gc-abort" (pvc_name ^ " owner alive per quorum read")
           | Error `Unavailable -> ())
   else delete_claim t pvc_name mod_rev
 
+(* The datacenter's members, as this operator's cache sees them, are the
+   pods it owns that have an ordinal. One walk counts the live and the
+   marked ones; only a pass that scales walks again, for the ordinals it
+   needs (every member is live then: none is marked). *)
 let reconcile_dc t dc_name (dc : Resource.cassdc) =
+  let store = Informer.store t.pods in
   let dc_key = Resource.cassdc_key dc_name in
-  let members = cached_members t dc_key in
-  let live = List.filter (fun (_, p, _) -> p.Resource.deletion_timestamp = None) members in
-  let marked = List.length members - List.length live in
-  let count = List.length live in
+  let count = ref 0 and marked = ref 0 in
+  History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v _ ->
+      match v with
+      | Resource.Pod ({ Resource.ordinal = Some _; _ } as p) when Resource.owned_by dc_key p ->
+          if p.Resource.deletion_timestamp = None then incr count else incr marked
+      | _ -> ());
+  let count = !count and marked = !marked in
   if count < dc.Resource.replicas && marked = 0 then begin
     (* Scale up: create the lowest missing ordinal (one per pass). *)
-    let taken = List.map (fun (ordinal, _, _) -> ordinal) live in
-    let rec next i = if List.mem i taken then next (i + 1) else i in
+    let taken = ref [] in
+    History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v _ ->
+        match v with
+        | Resource.Pod ({ Resource.ordinal = Some ordinal; _ } as p)
+          when Resource.owned_by dc_key p ->
+            taken := ordinal :: !taken
+        | _ -> ());
+    let rec next i = if List.mem i !taken then next (i + 1) else i in
     create_member t dc_name (next 0)
   end
   else if count > dc.Resource.replicas && marked = 0 then begin
-    (* Scale down: decommission the highest ordinal we can see. *)
-    match List.rev live with
-    | (_, target, mod_rev) :: _ -> decommission t dc_name target mod_rev
-    | [] -> ()
+    (* Scale down: decommission the highest ordinal we can see (the last
+       in key order among equals). *)
+    let highest = ref min_int and target = ref None in
+    History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v mod_rev ->
+        match v with
+        | Resource.Pod ({ Resource.ordinal = Some ordinal; _ } as p)
+          when Resource.owned_by dc_key p && ordinal >= !highest ->
+            highest := ordinal;
+            target := Some (p, mod_rev)
+        | _ -> ());
+    match !target with Some (p, mod_rev) -> decommission t dc_name p mod_rev | None -> ()
   end
 
 (* Orphan GC over the whole claim namespace we own. *)
 let gc_orphans t =
   let pods = Informer.store t.pods in
-  let pvcs = Informer.store t.pvcs in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      match History.State.find pvcs key with
-      | Some (Resource.Pvc c, mod_rev) -> begin
+  History.State.iter_prefix (Informer.store t.pvcs) ~prefix:Resource.pvcs_prefix
+    (fun _ v mod_rev ->
+      match v with
+      | Resource.Pvc c -> begin
           match claim_owner_pod_name c.Resource.pvc_name with
           | None -> ()
           | Some owner ->
-              Hashtbl.replace seen c.Resource.pvc_name ();
               if History.State.mem pods (Resource.pod_key owner) then
-                Hashtbl.remove t.strikes c.Resource.pvc_name
-              else begin
-                let strikes =
-                  1 + Option.value (Hashtbl.find_opt t.strikes c.Resource.pvc_name) ~default:0
-                in
-                Hashtbl.replace t.strikes c.Resource.pvc_name strikes;
-                if strikes >= orphan_strikes then begin
-                  Hashtbl.remove t.strikes c.Resource.pvc_name;
-                  gc_claim t c.Resource.pvc_name mod_rev
-                end
+                Strikes.clear t.strikes c.Resource.pvc_name
+              else if Strikes.strike t.strikes c.Resource.pvc_name >= orphan_strikes then begin
+                Strikes.clear t.strikes c.Resource.pvc_name;
+                gc_claim t c.Resource.pvc_name mod_rev
               end
         end
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix pvcs ~prefix:Resource.pvcs_prefix);
+      | _ -> ());
   (* Forget strikes for claims that vanished from the view. *)
-  let stale =
-    Hashtbl.fold (fun pvc _ acc -> if Hashtbl.mem seen pvc then acc else pvc :: acc) t.strikes []
-  in
-  List.iter (Hashtbl.remove t.strikes) stale
+  Strikes.sweep t.strikes
 
 let reconcile t =
-  let dcs = Informer.store t.dcs in
-  List.iter
-    (fun key ->
-      match History.State.get dcs key with
-      | Some (Resource.Cassdc dc) -> reconcile_dc t dc.Resource.dc_name dc
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix dcs ~prefix:Resource.cassdcs_prefix);
+  History.State.iter_prefix (Informer.store t.dcs) ~prefix:Resource.cassdcs_prefix
+    (fun _ v _ ->
+      match v with
+      | Resource.Cassdc dc -> reconcile_dc t dc.Resource.dc_name dc
+      | _ -> ());
   gc_orphans t
 
 let create ~net ~name ~endpoints ?(quorum_guard = false) () =
@@ -190,11 +185,11 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) () =
     dcs;
     pods;
     pvcs;
-    strikes = Hashtbl.create 16;
+    strikes = Strikes.create ();
     member_creates = 0;
     decommission_log = [];
   }
 
 let start t =
-  Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.strikes);
+  Controller.start t.ctl ~on_crash:(fun () -> Strikes.reset t.strikes);
   Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -54,11 +54,12 @@ let generation_of_rs dep rs_name =
    cached view. *)
 let running_of_rs t rs_name =
   let store = Informer.store t.pods in
+  let rs_key = Resource.rset_key rs_name in
   History.State.fold
     (fun _ (v, _) acc ->
       match v with
       | Resource.Pod p
-        when p.Resource.owner = Some (Resource.rset_key rs_name)
+        when Resource.owned_by rs_key p
              && p.Resource.deletion_timestamp = None
              && p.Resource.phase = Resource.Running ->
           acc + 1
@@ -148,13 +149,8 @@ let reconcile_deployment t (d : Resource.deployment) =
         old_sets
 
 let reconcile t =
-  let store = Informer.store t.deployments in
-  List.iter
-    (fun key ->
-      match History.State.get store key with
-      | Some (Resource.Deployment d) -> reconcile_deployment t d
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix store ~prefix:Resource.deployments_prefix)
+  History.State.iter_prefix (Informer.store t.deployments) ~prefix:Resource.deployments_prefix
+    (fun _ v _ -> match v with Resource.Deployment d -> reconcile_deployment t d | _ -> ())
 
 let create ~net ~name ~endpoints ?(quorum_fallback = false) () =
   let ctl = Controller.create ~net ~name ~endpoints in

@@ -9,7 +9,8 @@
     {!Elector}s. Each component runs on one {!Controller}, the shared
     lifecycle: its crash/restart hooks (a restart re-lists from the
     apiserver its incarnation picks), its reconcile loop and its view
-    revision. {!Cluster} assembles a whole topology; {!Workload} scripts
+    revision; the orphan collectors count consecutive sightings in
+    {!Strikes}. {!Cluster} assembles a whole topology; {!Workload} scripts
     time-stamped operations against it.
 
     Every notification edge is a {!Pipe} (FIFO, TCP-like failure
@@ -27,6 +28,7 @@ module Apiserver = Apiserver
 module Informer = Informer
 module Client = Client
 module Controller = Controller
+module Strikes = Strikes
 module Kubelet = Kubelet
 module Scheduler = Scheduler
 module Volume_controller = Volume_controller

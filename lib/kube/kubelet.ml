@@ -69,9 +69,11 @@ let terminal (p : Resource.pod) =
   | Resource.Failed | Resource.Succeeded -> true
   | Resource.Pending | Resource.Running -> false
 
+let bound_here t (p : Resource.pod) =
+  match p.Resource.node with Some node -> String.equal node t.node | None -> false
+
 let handle_pod t (p : Resource.pod) mod_rev =
-  let mine = p.Resource.node = Some t.node in
-  if not mine then stop_pod t p.Resource.pod_name
+  if not (bound_here t p) then stop_pod t p.Resource.pod_name
   else if p.Resource.deletion_timestamp <> None then finalize_marked t p mod_rev
   else if terminal p then stop_pod t p.Resource.pod_name
   else begin
@@ -95,23 +97,18 @@ let on_event t (e : Resource.value History.Event.t) =
    list claims are ours. *)
 let on_reset t store =
   let desired = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      match History.State.find store key with
-      | Some (Resource.Pod p, mod_rev)
-        when p.Resource.node = Some t.node
-             && p.Resource.deletion_timestamp = None
-             && not (terminal p) ->
+  History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v mod_rev ->
+      match v with
+      | Resource.Pod p
+        when bound_here t p && p.Resource.deletion_timestamp = None && not (terminal p) ->
           Hashtbl.replace desired p.Resource.pod_name ();
           if not (Hashtbl.mem t.running_pods p.Resource.pod_name) then begin
             run_pod t p.Resource.pod_name;
             write_running_status t p mod_rev
           end
-      | Some (Resource.Pod p, mod_rev)
-        when p.Resource.node = Some t.node && p.Resource.deletion_timestamp <> None ->
+      | Resource.Pod p when bound_here t p && p.Resource.deletion_timestamp <> None ->
           finalize_marked t p mod_rev
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix);
+      | _ -> ());
   List.iter (fun pod -> if not (Hashtbl.mem desired pod) then stop_pod t pod) (running t)
 
 (* The handlers need the kubelet, so its informer joins once the record

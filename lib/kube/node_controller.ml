@@ -3,7 +3,7 @@ type t = {
   quorum_guard : bool;
   pods : Informer.t;
   nodes : Informer.t;
-  strikes : (string, int) Hashtbl.t;  (* pod -> consecutive missing-node sightings *)
+  strikes : Strikes.t;  (* pods seen on a missing node *)
   mutable eviction_log : (string * string) list;  (* newest first *)
 }
 
@@ -30,44 +30,27 @@ let maybe_fail t (p : Resource.pod) mod_rev node =
     Client.get_quorum (Controller.client t.ctl) (Resource.node_key node) (function
       | Ok None -> fail_pod t p mod_rev node
       | Ok (Some _) ->
-          Hashtbl.remove t.strikes p.Resource.pod_name;
+          Strikes.clear t.strikes p.Resource.pod_name;
           Controller.record t.ctl "nodectl.abort"
             (Printf.sprintf "%s: node %s alive per quorum read" p.Resource.pod_name node)
       | Error `Unavailable -> ())
   else fail_pod t p mod_rev node
 
 let reconcile t =
-  let pods = Informer.store t.pods in
   let nodes = Informer.store t.nodes in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      match History.State.find pods key with
-      | Some (Resource.Pod p, mod_rev)
-        when p.Resource.deletion_timestamp = None && p.Resource.phase <> Resource.Failed -> begin
-          match p.Resource.node with
-          | None -> ()
-          | Some node ->
-              Hashtbl.replace seen p.Resource.pod_name ();
-              if History.State.mem nodes (Resource.node_key node) then
-                Hashtbl.remove t.strikes p.Resource.pod_name
-              else begin
-                let strikes =
-                  1 + Option.value (Hashtbl.find_opt t.strikes p.Resource.pod_name) ~default:0
-                in
-                Hashtbl.replace t.strikes p.Resource.pod_name strikes;
-                if strikes >= missing_strikes then begin
-                  Hashtbl.remove t.strikes p.Resource.pod_name;
-                  maybe_fail t p mod_rev node
-                end
-              end
-        end
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix pods ~prefix:Resource.pods_prefix);
-  let stale =
-    Hashtbl.fold (fun pod _ acc -> if Hashtbl.mem seen pod then acc else pod :: acc) t.strikes []
-  in
-  List.iter (Hashtbl.remove t.strikes) stale
+  History.State.iter_prefix (Informer.store t.pods) ~prefix:Resource.pods_prefix
+    (fun _ v mod_rev ->
+      match v with
+      | Resource.Pod ({ Resource.node = Some node; deletion_timestamp = None; _ } as p)
+        when p.Resource.phase <> Resource.Failed ->
+          if History.State.mem nodes (Resource.node_key node) then
+            Strikes.clear t.strikes p.Resource.pod_name
+          else if Strikes.strike t.strikes p.Resource.pod_name >= missing_strikes then begin
+            Strikes.clear t.strikes p.Resource.pod_name;
+            maybe_fail t p mod_rev node
+          end
+      | _ -> ());
+  Strikes.sweep t.strikes
 
 let create ~net ~name ~endpoints ?(quorum_guard = false) () =
   let ctl = Controller.create ~net ~name ~endpoints in
@@ -79,8 +62,8 @@ let create ~net ~name ~endpoints ?(quorum_guard = false) () =
     Controller.watch ctl
       (Informer.create ~net ~owner:name ~endpoints ~prefix:Resource.nodes_prefix ())
   in
-  { ctl; quorum_guard; pods; nodes; strikes = Hashtbl.create 16;  eviction_log = [] }
+  { ctl; quorum_guard; pods; nodes; strikes = Strikes.create (); eviction_log = [] }
 
 let start t =
-  Controller.start t.ctl ~on_crash:(fun () -> Hashtbl.reset t.strikes);
+  Controller.start t.ctl ~on_crash:(fun () -> Strikes.reset t.strikes);
   Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -7,7 +7,7 @@ type t = {
   pods : Informer.t;
   pending : (string, expectation list) Hashtbl.t;  (* rset name -> issued creations *)
   counters : (string, int) Hashtbl.t;  (* rset name -> next fresh suffix *)
-  orphan_strikes : (string, int) Hashtbl.t;  (* pod -> passes seen ownerless *)
+  orphan_strikes : Strikes.t;  (* pods seen ownerless *)
   mutable creates : int;
   mutable deletes : int;
 }
@@ -28,26 +28,19 @@ let fresh_pod_name t rs =
   Hashtbl.replace t.counters rs (counter + 1);
   Printf.sprintf "%s-%d" rs counter
 
-(* Pods of this set the cache can currently see (live = not marked, not
-   Failed; Failed pods are replaced, not counted). *)
-let cached_members t rs_key =
-  let store = Informer.store t.pods in
-  History.State.keys_with_prefix store ~prefix:Resource.pods_prefix
-  |> List.filter_map (fun key ->
-         match History.State.find store key with
-         | Some (Resource.Pod p, mod_rev) when p.Resource.owner = Some rs_key -> Some (p, mod_rev)
-         | Some _ | None -> None)
-
 let live (p : Resource.pod) =
   p.Resource.deletion_timestamp = None && p.Resource.phase <> Resource.Failed
 
+let rec expects pod_name = function
+  | [] -> false
+  | e :: rest -> String.equal e.pod pod_name || expects pod_name rest
+
 (* Expectations bookkeeping: forget creations that have shown up in the
-   view or have timed out. *)
-let outstanding t rs ~visible =
+   view ([visible]) or have timed out. *)
+let outstanding t rs expected ~visible =
   let now = Dsim.Engine.now (Controller.engine t.ctl) in
   let still_pending =
-    Option.value (Hashtbl.find_opt t.pending rs) ~default:[]
-    |> List.filter (fun e -> e.deadline > now && not (List.mem e.pod visible))
+    List.filter (fun e -> e.deadline > now && not (List.mem e.pod visible)) expected
   in
   Hashtbl.replace t.pending rs still_pending;
   List.length still_pending
@@ -74,24 +67,43 @@ let delete_pod t (p : Resource.pod) mod_rev =
        ~expected_mod_rev:mod_rev
        (Resource.Pod { p with Resource.deletion_timestamp = Some now }))
 
+(* One walk of the cached pods counts the set's live members (live = not
+   marked, not Failed; Failed pods are replaced, not counted) and notes
+   which expected creations it can see. Only a scale-down walks again,
+   to list the live members it sheds. *)
 let reconcile_rset t rs (spec : Resource.rset) =
-  let members = cached_members t (Resource.rset_key rs) in
-  let live_members = List.filter (fun (p, _) -> live p) members in
-  let visible = List.map (fun (p, _) -> p.Resource.pod_name) members in
-  let pending = if t.expectations then outstanding t rs ~visible else 0 in
-  let effective = List.length live_members + pending in
+  let store = Informer.store t.pods in
+  let rs_key = Resource.rset_key rs in
+  let expected =
+    if t.expectations then Option.value (Hashtbl.find_opt t.pending rs) ~default:[] else []
+  in
+  let live_members = ref 0 and visible = ref [] in
+  History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v _ ->
+      match v with
+      | Resource.Pod p when Resource.owned_by rs_key p ->
+          if live p then incr live_members;
+          if expects p.Resource.pod_name expected then visible := p.Resource.pod_name :: !visible
+      | _ -> ());
+  let live_members = !live_members in
+  let pending = if t.expectations then outstanding t rs expected ~visible:!visible else 0 in
+  let effective = live_members + pending in
   let desired = spec.Resource.rs_replicas in
   if effective < desired then
     for _ = 1 to desired - effective do
       create_pod t rs
     done
-  else if List.length live_members > desired && pending = 0 then begin
+  else if live_members > desired && pending = 0 then begin
     (* Scale down: shed the newest pods first. *)
+    let members = ref [] in
+    History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v mod_rev ->
+        match v with
+        | Resource.Pod p when Resource.owned_by rs_key p && live p -> members := (p, mod_rev) :: !members
+        | _ -> ());
     let by_name =
       List.sort (fun (a, _) (b, _) -> String.compare b.Resource.pod_name a.Resource.pod_name)
-        live_members
+        (List.rev !members)
     in
-    let surplus = List.length live_members - desired in
+    let surplus = live_members - desired in
     List.iteri (fun i (p, mod_rev) -> if i < surplus then delete_pod t p mod_rev) by_name
   end
 
@@ -101,48 +113,25 @@ let reconcile_rset t rs (spec : Resource.rset) =
    massacre. *)
 let gc_orphan_pods t =
   let rsets = Informer.store t.rsets in
-  let pods = Informer.store t.pods in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      match History.State.find pods key with
-      | Some (Resource.Pod p, mod_rev)
-        when p.Resource.deletion_timestamp = None -> begin
-          match p.Resource.owner with
-          | Some owner when Resource.kind_of_key owner = `Rset ->
-              Hashtbl.replace seen p.Resource.pod_name ();
-              if History.State.mem rsets owner then
-                Hashtbl.remove t.orphan_strikes p.Resource.pod_name
-              else begin
-                let strikes =
-                  1 + Option.value (Hashtbl.find_opt t.orphan_strikes p.Resource.pod_name)
-                        ~default:0
-                in
-                Hashtbl.replace t.orphan_strikes p.Resource.pod_name strikes;
-                if strikes >= 5 then begin
-                  Hashtbl.remove t.orphan_strikes p.Resource.pod_name;
-                  delete_pod t p mod_rev
-                end
-              end
-          | Some _ | None -> ()
-        end
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix pods ~prefix:Resource.pods_prefix);
-  let stale =
-    Hashtbl.fold
-      (fun pod _ acc -> if Hashtbl.mem seen pod then acc else pod :: acc)
-      t.orphan_strikes []
-  in
-  List.iter (Hashtbl.remove t.orphan_strikes) stale
+  History.State.iter_prefix (Informer.store t.pods) ~prefix:Resource.pods_prefix
+    (fun _ v mod_rev ->
+      match v with
+      | Resource.Pod ({ Resource.deletion_timestamp = None; owner = Some owner; _ } as p)
+        when History.Event.has_prefix Resource.rsets_prefix owner ->
+          if History.State.mem rsets owner then Strikes.clear t.orphan_strikes p.Resource.pod_name
+          else if Strikes.strike t.orphan_strikes p.Resource.pod_name >= 5 then begin
+            Strikes.clear t.orphan_strikes p.Resource.pod_name;
+            delete_pod t p mod_rev
+          end
+      | _ -> ());
+  Strikes.sweep t.orphan_strikes
 
 let reconcile t =
-  let rsets = Informer.store t.rsets in
-  List.iter
-    (fun key ->
-      match History.State.get rsets key with
-      | Some (Resource.Rset spec) -> reconcile_rset t spec.Resource.rs_name spec
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix rsets ~prefix:Resource.rsets_prefix);
+  History.State.iter_prefix (Informer.store t.rsets) ~prefix:Resource.rsets_prefix
+    (fun _ v _ ->
+      match v with
+      | Resource.Rset spec -> reconcile_rset t spec.Resource.rs_name spec
+      | _ -> ());
   gc_orphan_pods t
 
 let create ~net ~name ~endpoints ?(expectations = false) () =
@@ -162,7 +151,7 @@ let create ~net ~name ~endpoints ?(expectations = false) () =
     pods;
     pending = Hashtbl.create 8;
     counters = Hashtbl.create 8;
-    orphan_strikes = Hashtbl.create 16;
+    orphan_strikes = Strikes.create ();
     creates = 0;
     deletes = 0;
   }
@@ -170,5 +159,5 @@ let create ~net ~name ~endpoints ?(expectations = false) () =
 let start t =
   Controller.start t.ctl ~on_crash:(fun () ->
       Hashtbl.reset t.pending;
-      Hashtbl.reset t.orphan_strikes);
+      Strikes.reset t.orphan_strikes);
   Controller.every t.ctl ~period (fun () -> reconcile t)

@@ -90,6 +90,8 @@ let name_of_key key =
   | Some i -> String.sub key (i + 1) (String.length key - i - 1)
   | None -> key
 
+let owned_by key p = match p.owner with Some owner -> String.equal owner key | None -> false
+
 let make_pod ?node ?(phase = Pending) ?deletion_timestamp ?pvc ?owner ?ordinal pod_name =
   Pod { pod_name; node; phase; deletion_timestamp; pvc; owner; ordinal }
 

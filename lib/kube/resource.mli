@@ -78,6 +78,10 @@ val name_of_key : string -> string
 
 (** {2 Constructors and accessors} *)
 
+val owned_by : string -> pod -> bool
+(** [owned_by key p]: [p]'s owner is the object at [key]. Allocates
+    nothing, unlike [p.owner = Some key]. *)
+
 val make_pod :
   ?node:string ->
   ?phase:pod_phase ->

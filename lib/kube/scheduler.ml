@@ -8,6 +8,9 @@ type t = {
   failures : (string * string, int) Hashtbl.t;
   mutable failed_binds : int;
   inflight : (string, string) Hashtbl.t;  (* pod -> node, bind txn in flight *)
+  mutable order : string array;  (* the node cache, ascending: rebuilt when it changes *)
+  mutable load : int array;  (* per [order] slot: this pass's bound and in-flight pods *)
+  mutable counted : bool;  (* [load] is this pass's *)
 }
 
 (* The scheduling pass runs every 100 ms. *)
@@ -41,49 +44,63 @@ let on_node_event node_cache (e : Resource.value History.Event.t) =
 
 let on_node_reset node_cache store =
   Hashtbl.reset node_cache;
-  List.iter
-    (fun key ->
-      match History.State.get store key with
-      | Some (Resource.Node n) when n.Resource.ready ->
-          Hashtbl.replace node_cache n.Resource.node_name ()
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix store ~prefix:Resource.nodes_prefix)
+  History.State.iter_prefix store ~prefix:Resource.nodes_prefix (fun _ v _ ->
+      match v with
+      | Resource.Node n when n.Resource.ready -> Hashtbl.replace node_cache n.Resource.node_name ()
+      | _ -> ())
+
+(* The node cache in name order, rebuilt only when its set of names
+   changed since the last count. *)
+let rec all_cached t i =
+  i = Array.length t.order || (Hashtbl.mem t.node_cache t.order.(i) && all_cached t (i + 1))
+
+let refresh_order t =
+  if Hashtbl.length t.node_cache <> Array.length t.order || not (all_cached t 0) then begin
+    t.order <- Array.of_list (cached_nodes t);
+    t.load <- Array.make (Array.length t.order) 0
+  end
+
+(* [node]'s slot in [order], or -1 for a node outside the cache. *)
+let rec slot order node lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare node order.(mid) in
+    if c = 0 then mid else if c < 0 then slot order node lo mid else slot order node (mid + 1) hi
+
+let bump t node =
+  let i = slot t.order node 0 (Array.length t.order) in
+  if i >= 0 then t.load.(i) <- t.load.(i) + 1
 
 (* Least-loaded placement over the *cached* views: count bound pods per
    cached node and pick the emptiest (ties by name). Deterministic given
    the caches — so a stale cache entry (a deleted node, which never
    accumulates pods) keeps winning, turning one missed event into a
-   livelock rather than a one-off failure. *)
-let pick_node t =
-  match cached_nodes t with
-  | [] -> None
-  | nodes ->
-      let load = Hashtbl.create 8 in
-      let bump node =
-        Hashtbl.replace load node (1 + Option.value (Hashtbl.find_opt load node) ~default:0)
-      in
-      (* In-flight bind decisions count as load so one pass spreads a
-         batch of pending pods instead of stacking them on one node. *)
-      Hashtbl.iter (fun _ node -> bump node) t.inflight;
-      let store = Informer.store t.pods in
-      List.iter
-        (fun key ->
-          match History.State.get store key with
-          | Some (Resource.Pod p) when p.Resource.deletion_timestamp = None -> begin
-              match p.Resource.node with Some node -> bump node | None -> ()
-            end
-          | Some _ | None -> ())
-        (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix);
-      let emptiest =
-        List.fold_left
-          (fun acc node ->
-            let n = Option.value (Hashtbl.find_opt load node) ~default:0 in
-            match acc with
-            | Some (_, best) when best <= n -> acc
-            | _ -> Some (node, n))
-          None nodes
-      in
-      Option.map fst emptiest
+   livelock rather than a one-off failure. In-flight bind decisions
+   count as load so one pass spreads a batch of pending pods instead of
+   stacking them on one node.
+
+   A pass counts once, at its first pending pod: neither cache changes
+   inside a pass (informer events and replies do, and none arrives
+   during one), so each pick of the pass starts from this count plus the
+   binds the pass has issued so far. *)
+let count_load t store =
+  refresh_order t;
+  Array.fill t.load 0 (Array.length t.load) 0;
+  Hashtbl.iter (fun _ node -> bump t node) t.inflight;
+  History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v _ ->
+      match v with
+      | Resource.Pod { Resource.node = Some node; deletion_timestamp = None; _ } -> bump t node
+      | _ -> ());
+  t.counted <- true
+
+(* The first slot with the least load; -1 with no cached node. *)
+let emptiest t =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.load - 1 do
+    if !best < 0 || t.load.(i) < t.load.(!best) then best := i
+  done;
+  !best
 
 let evict_if_node_vanished t node =
   Client.get_quorum (Controller.client t.ctl) (Resource.node_key node) (function
@@ -121,19 +138,22 @@ let bind t (p : Resource.pod) mod_rev node =
 
 let scheduling_pass t =
   let store = Informer.store t.pods in
-  List.iter
-    (fun key ->
-      match History.State.find store key with
-      | Some (Resource.Pod p, mod_rev)
+  t.counted <- false;
+  History.State.iter_prefix store ~prefix:Resource.pods_prefix (fun _ v mod_rev ->
+      match v with
+      | Resource.Pod p
         when p.Resource.node = None
              && p.Resource.deletion_timestamp = None
-             && not (Hashtbl.mem t.inflight p.Resource.pod_name) -> begin
-          match pick_node t with
-          | Some node -> bind t p mod_rev node
-          | None -> ()
-        end
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix store ~prefix:Resource.pods_prefix)
+             && not (Hashtbl.mem t.inflight p.Resource.pod_name) ->
+          if not t.counted then count_load t store;
+          let i = emptiest t in
+          if i >= 0 then begin
+            bind t p mod_rev t.order.(i);
+            (* Its reply may already have come (the owner is down): it
+               counts only while it is in flight. *)
+            if Hashtbl.mem t.inflight p.Resource.pod_name then t.load.(i) <- t.load.(i) + 1
+          end
+      | _ -> ())
 
 let create ~net ~name ~endpoints ?(evict_on_bind_failure = false) () =
   let ctl = Controller.create ~net ~name ~endpoints in
@@ -157,6 +177,9 @@ let create ~net ~name ~endpoints ?(evict_on_bind_failure = false) () =
     failures = Hashtbl.create 16;
     failed_binds = 0;
     inflight = Hashtbl.create 16;
+    order = [||];
+    load = [||];
+    counted = false;
   }
 
 let start t =

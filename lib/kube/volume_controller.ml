@@ -30,11 +30,10 @@ let release t (c : Resource.pvc) mod_rev =
    S'; events that happened between passes are invisible. *)
 let reconcile t =
   let pods = Informer.store t.pods in
-  let pvcs = Informer.store t.pvcs in
-  List.iter
-    (fun key ->
-      match History.State.find pvcs key with
-      | Some (Resource.Pvc c, mod_rev) when managed_claim c.Resource.pvc_name -> begin
+  History.State.iter_prefix (Informer.store t.pvcs) ~prefix:Resource.pvcs_prefix
+    (fun _ v mod_rev ->
+      match v with
+      | Resource.Pvc c when managed_claim c.Resource.pvc_name -> begin
           match c.Resource.owner_pod with
           | None -> ()
           | Some owner -> begin
@@ -49,8 +48,7 @@ let reconcile t =
                   if t.release_on_absent_owner then release t c mod_rev
             end
         end
-      | Some _ | None -> ())
-    (History.State.keys_with_prefix pvcs ~prefix:Resource.pvcs_prefix)
+      | _ -> ())
 
 let create ~net ~name ~endpoints ?(release_on_absent_owner = false) () =
   let ctl = Controller.create ~net ~name ~endpoints in

@@ -217,38 +217,43 @@ let create ~net ~n ?(read = Leader) ?(fallback = `Stale) ~canonical () =
   Array.iteri (fun ix r -> Etcdlike.Kv.on_commit r.store (advance t ~ix)) replicas;
   t
 
+(* Client-side retry: a proposal lost to a deposed or partitioned leader
+   is re-submitted to the current one; the per-replica pid dedup makes
+   the retry idempotent. Proposals nothing commits within the deadline
+   fail over to the caller as an outage. *)
+let retry_pending t =
+  let now = Dsim.Engine.now (engine t) in
+  let expired = ref [] and to_retry = ref [] in
+  Hashtbl.iter
+    (fun pid (p : _ pending) ->
+      if now - p.submitted_at > deadline then expired := pid :: !expired
+      else if now - p.last_attempt >= retry_grace then to_retry := (pid, p) :: !to_retry)
+    t.pending;
+  (* Proposing can apply synchronously (single-node groups commit
+     immediately) and mutate [pending]; do it outside the iteration,
+     in pid order for determinism. *)
+  List.iter
+    (fun (pid, (p : _ pending)) ->
+      if Hashtbl.mem t.pending pid then begin
+        p.last_attempt <- now;
+        Dsim.Metrics.Counter.incr t.reproposals;
+        propose t pid
+      end)
+    (List.sort (fun (a, _) (b, _) -> compare a b) !to_retry);
+  List.iter
+    (fun pid ->
+      match Hashtbl.find_opt t.pending pid with
+      | Some p ->
+          Hashtbl.remove t.pending pid;
+          Dsim.Metrics.Counter.incr t.unavailable;
+          p.callback (Error `Unavailable)
+      | None -> ())
+    (List.sort compare !expired)
+
 let start t =
   Raftlite.Group.start t.group;
-  (* Client-side retry loop: a proposal lost to a deposed or partitioned
-     leader is re-submitted to the current one; the per-replica pid
-     dedup makes the retry idempotent. Proposals nothing commits within
-     the deadline fail over to the caller as an outage. *)
+  (* A tick with nothing pending (nearly every tick: a proposal commits
+     in a few milliseconds) does nothing. *)
   Dsim.Engine.every (engine t) ~period:retry_period (fun () ->
-      let now = Dsim.Engine.now (engine t) in
-      let expired = ref [] and to_retry = ref [] in
-      Hashtbl.iter
-        (fun pid (p : _ pending) ->
-          if now - p.submitted_at > deadline then expired := pid :: !expired
-          else if now - p.last_attempt >= retry_grace then to_retry := (pid, p) :: !to_retry)
-        t.pending;
-      (* Proposing can apply synchronously (single-node groups commit
-         immediately) and mutate [pending]; do it outside the iteration,
-         in pid order for determinism. *)
-      List.iter
-        (fun (pid, (p : _ pending)) ->
-          if Hashtbl.mem t.pending pid then begin
-            p.last_attempt <- now;
-            Dsim.Metrics.Counter.incr t.reproposals;
-            propose t pid
-          end)
-        (List.sort (fun (a, _) (b, _) -> compare a b) !to_retry);
-      List.iter
-        (fun pid ->
-          match Hashtbl.find_opt t.pending pid with
-          | Some p ->
-              Hashtbl.remove t.pending pid;
-              Dsim.Metrics.Counter.incr t.unavailable;
-              p.callback (Error `Unavailable)
-          | None -> ())
-        (List.sort compare !expired);
+      if Hashtbl.length t.pending > 0 then retry_pending t;
       true)

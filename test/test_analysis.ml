@@ -45,6 +45,15 @@ let test_fixture_edge_trigger () =
 let test_fixture_edge_trigger_shared_loop () =
   check_findings "edge_trigger_shared_loop" (fixture "edge_trigger_shared_loop.ml") []
 
+(* A pass that walks the informer store in place re-lists its prefix as
+   surely as one that lists the keys: the same handler is silent with
+   the walk and flagged without it. *)
+let test_fixture_edge_trigger_walk () =
+  check_findings "edge_trigger_walk_buggy"
+    (fixture "edge_trigger_walk_buggy.ml")
+    [ ("edge-trigger", "on_node_event") ];
+  check_findings "edge_trigger_walk_fixed" (fixture "edge_trigger_walk_fixed.ml") []
+
 let test_fixture_stale_resync () =
   check_findings "stale_resync_buggy"
     (fixture "stale_resync_buggy.ml")
@@ -502,6 +511,8 @@ let suites =
         Alcotest.test_case "fixture: edge-trigger" `Quick test_fixture_edge_trigger;
         Alcotest.test_case "fixture: edge-trigger under the shared loop" `Quick
           test_fixture_edge_trigger_shared_loop;
+        Alcotest.test_case "fixture: edge-trigger healed by an in-place walk" `Quick
+          test_fixture_edge_trigger_walk;
         Alcotest.test_case "fixture: stale-resync" `Quick test_fixture_stale_resync;
         Alcotest.test_case "fixture: follower-read-then-write" `Quick
           test_fixture_follower_read;

@@ -19,7 +19,7 @@ let start_seeds_nodes () =
   Kube.Cluster.run cluster ~until:100_000;
   Alcotest.(check int) "node objects committed" 3
     (List.length
-       (History.State.keys_with_prefix (Kube.Cluster.truth cluster) ~prefix:"nodes/"))
+       (History.State.bindings_with_prefix (Kube.Cluster.truth cluster) ~prefix:"nodes/"))
 
 let disabled_components_absent () =
   let config = { Kube.Cluster.default_config with Kube.Cluster.with_operator = false } in

@@ -44,6 +44,30 @@ let scheduler_binds_pending_pod () =
       | None -> Alcotest.fail "no kubelet for chosen node")
   | None -> Alcotest.fail "pod missing"
 
+(* One scheduling pass over a batch: five pods created at one instant,
+   on three nodes of which node-2 already runs a pod. Each pick takes
+   the least loaded cached node, counts the binds the pass has already
+   issued, and breaks ties by node name. *)
+let scheduler_spreads_batch_in_one_pass () =
+  let cluster = boot () in
+  let engine = Kube.Cluster.engine cluster in
+  ignore
+    (Dsim.Engine.schedule_at engine ~time:1_000_000 (fun () ->
+         Kube.Workload.create_pod ~node:"node-2" cluster "held"));
+  ignore
+    (Dsim.Engine.schedule_at engine ~time:2_050_000 (fun () ->
+         List.iter (Kube.Workload.create_pod cluster) [ "b0"; "b1"; "b2"; "b3"; "b4" ]));
+  run_to cluster 3_000_000;
+  let binds = Dsim.Trace.find_all (Kube.Cluster.trace cluster) ~kind:"sched.bind" in
+  Alcotest.(check (list string))
+    "bindings"
+    [ "b0 -> node-1"; "b1 -> node-3"; "b2 -> node-1"; "b3 -> node-2"; "b4 -> node-3" ]
+    (List.sort String.compare (List.map (fun e -> e.Dsim.Trace.detail) binds));
+  let times = List.map (fun e -> e.Dsim.Trace.time) binds in
+  Alcotest.(check bool)
+    "all five issued by one pass (replies within one 100 ms period)" true
+    (List.fold_left max 0 times - List.fold_left min max_int times < 100_000)
+
 let graceful_delete_finalizes () =
   let cluster = boot () in
   let engine = Kube.Cluster.engine cluster in
@@ -116,7 +140,7 @@ let operator_scales_up_and_down () =
   run_to cluster 12_000_000;
   let truth = Kube.Cluster.truth cluster in
   let members =
-    History.State.keys_with_prefix truth ~prefix:"pods/dc-" |> List.length
+    History.State.bindings_with_prefix truth ~prefix:"pods/dc-" |> List.length
   in
   Alcotest.(check int) "scaled down to 1" 1 members;
   Alcotest.(check bool) "member 0 survives" true
@@ -154,6 +178,8 @@ let suites =
       [
         Alcotest.test_case "kubelet runs pinned pod" `Quick kubelet_runs_pinned_pod;
         Alcotest.test_case "scheduler binds pending pod" `Quick scheduler_binds_pending_pod;
+        Alcotest.test_case "scheduler spreads a batch in one pass" `Quick
+          scheduler_spreads_batch_in_one_pass;
         Alcotest.test_case "graceful delete finalizes" `Quick graceful_delete_finalizes;
         Alcotest.test_case "migration moves execution" `Quick migration_moves_execution;
         Alcotest.test_case "fixed scheduler evicts deleted node" `Quick

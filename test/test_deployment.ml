@@ -24,8 +24,8 @@ let running_pods cluster =
     (Kube.Cluster.truth cluster) 0
 
 let generation_pods cluster dep generation =
-  History.State.keys_with_prefix (Kube.Cluster.truth cluster) ~prefix:"pods/"
-  |> List.filter (fun key ->
+  History.State.bindings_with_prefix (Kube.Cluster.truth cluster) ~prefix:"pods/"
+  |> List.filter (fun (key, _) ->
          let p = Printf.sprintf "pods/%s-g%d-" dep generation in
          String.length key >= String.length p && String.sub key 0 (String.length p) = p)
   |> List.length
@@ -86,7 +86,7 @@ let orphan_pods_collected () =
   Kube.Cluster.run cluster ~until:9_000_000;
   Alcotest.(check int) "orphans reaped" 0
     (List.length
-       (History.State.keys_with_prefix (Kube.Cluster.truth cluster) ~prefix:"pods/solo-"))
+       (History.State.bindings_with_prefix (Kube.Cluster.truth cluster) ~prefix:"pods/solo-"))
 
 let controller_crash_mid_rollout_recovers () =
   let cluster = boot () in

@@ -36,7 +36,7 @@ let prefix_query () =
       ]
   in
   Alcotest.(check (list string)) "pods only" [ "pods/a"; "pods/b" ]
-    (State.keys_with_prefix s ~prefix:"pods/")
+    (List.map fst (State.bindings_with_prefix s ~prefix:"pods/"))
 
 let bindings_with_prefix_single_scan () =
   let s =
@@ -74,6 +74,76 @@ let qcheck_bindings_with_prefix_agrees =
         List.filter (fun (key, _) -> String.starts_with ~prefix key) (State.bindings s)
       in
       State.bindings_with_prefix s ~prefix = naive)
+
+(* The walk visits exactly the bindings [bindings_with_prefix] lists —
+   key, value and mod-revision, in the same order — for the empty
+   prefix, a whole key, a prefix between two keys and one past every
+   key. *)
+let qcheck_iter_prefix_agrees =
+  let key_gen =
+    QCheck.Gen.(
+      map
+        (fun (a, b) -> a ^ b)
+        (pair (oneofl [ "pods/"; "pods"; "nodes/"; "p"; "" ]) (string_size ~gen:(char_range 'a' 'e') (0 -- 3))))
+  in
+  let case_gen =
+    QCheck.Gen.(
+      list_size (0 -- 40) key_gen >>= fun keys ->
+      let sorted = List.sort_uniq String.compare keys in
+      let between =
+        (* a string above one key and below the next, matching none *)
+        match sorted with
+        | [] -> return "m"
+        | _ ->
+            map
+              (fun i ->
+                let k = List.nth sorted (i mod List.length sorted) in
+                k ^ "\000")
+              nat
+      in
+      let whole = match sorted with [] -> return "" | _ -> oneofl sorted in
+      map (fun prefix -> (keys, prefix)) (oneof [ return ""; whole; between; return "zz" ]))
+  in
+  QCheck.Test.make ~name:"iter_prefix visits bindings_with_prefix in order" ~count:300
+    (QCheck.make
+       ~print:(fun (keys, prefix) -> Printf.sprintf "prefix %S over [%s]" prefix (String.concat "; " keys))
+       case_gen)
+    (fun (keys, prefix) ->
+      let s =
+        List.fold_left
+          (fun (s, rev) key -> (State.apply s (ev rev key Event.Create (Some key)), rev + 1))
+          (State.empty, 1) keys
+        |> fst
+      in
+      let walked = ref [] in
+      State.iter_prefix s ~prefix (fun key v mod_rev -> walked := (key, (v, mod_rev)) :: !walked);
+      List.rev !walked = State.bindings_with_prefix s ~prefix)
+
+let walked = ref 0
+
+let count_binding _ _ _ = incr walked
+
+(* The walk allocates nothing per binding: over a 1,000-binding store it
+   allocates exactly what it does over one binding (the prefix filter it
+   hands to the ordered map, one closure per walk). *)
+let iter_prefix_allocates_nothing_per_binding () =
+  let store n =
+    List.fold_left
+      (fun s i -> State.apply s (ev (i + 1) (Printf.sprintf "pods/p%04d" i) Event.Create (Some i)))
+      State.empty (List.init n Fun.id)
+  in
+  let words s =
+    State.iter_prefix s ~prefix:"pods/" count_binding;
+    let before = Gc.minor_words () in
+    State.iter_prefix s ~prefix:"pods/" count_binding;
+    Gc.minor_words () -. before
+  in
+  let one = store 1 and thousand = store 1_000 in
+  walked := 0;
+  let w1 = words one and w1000 = words thousand in
+  Alcotest.(check int) "bindings visited" 2_002 !walked;
+  Alcotest.(check (float 0.)) "words walking 1,000 bindings = words walking one" w1 w1000;
+  Alcotest.(check bool) (Printf.sprintf "%.0f words per walk, at most one closure" w1) true (w1 <= 8.)
 
 let bindings_sorted () =
   let s = apply_events [ ev 1 "b" Event.Create (Some "2"); ev 2 "a" Event.Create (Some "1") ] in
@@ -146,5 +216,8 @@ let suites =
         Alcotest.test_case "op rendering" `Quick pp_op_strings;
         Qcheck_util.to_alcotest qcheck_apply_monotone_rev;
         Qcheck_util.to_alcotest qcheck_bindings_with_prefix_agrees;
+        Qcheck_util.to_alcotest qcheck_iter_prefix_agrees;
+        Alcotest.test_case "iter_prefix allocates nothing per binding" `Quick
+          iter_prefix_allocates_nothing_per_binding;
       ] );
   ]
