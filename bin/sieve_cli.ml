@@ -659,6 +659,15 @@ let hunt_cmd =
              ( "simulated runs",
                Printf.sprintf "%d of %d trials" summary.Hunt.Campaign.simulated
                  summary.Hunt.Campaign.executed );
+             (let f = summary.Hunt.Campaign.forking in
+              ( "forked",
+                Printf.sprintf "%d of %d simulated runs from %d images (%d KB)%s"
+                  f.Hunt.Campaign.forked summary.Hunt.Campaign.simulated f.Hunt.Campaign.images
+                  ((f.Hunt.Campaign.image_bytes + 1023) / 1024)
+                  (if f.Hunt.Campaign.fallbacks > 0 then
+                     Printf.sprintf "; %d ran straight, their image too big for the minor heap"
+                       f.Hunt.Campaign.fallbacks
+                   else "") ));
              ("replayed from journal", string_of_int summary.Hunt.Campaign.replayed);
              ("trials with violations", string_of_int summary.Hunt.Campaign.with_violations);
              ( "distinct findings",

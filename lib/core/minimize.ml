@@ -105,8 +105,12 @@ let greedy ~budget ~fails strategy =
     (!current, !executions)
   end
 
-let minimize ~test ~target ?(budget = 200) () =
-  let strategy, executions =
-    greedy ~budget ~fails:(still_fails ~test ~target) test.Runner.strategy
+let minimize ~test ~target ?(budget = 200) ?(exposed = false) () =
+  (* The greedy loop evaluates the test's own strategy first, and only
+     then fresh candidates: with [exposed], that first verdict is the
+     caller's. *)
+  let fails strategy =
+    (exposed && strategy == test.Runner.strategy) || still_fails ~test ~target strategy
   in
+  let strategy, executions = greedy ~budget ~fails test.Runner.strategy in
   ({ test with Runner.strategy }, executions)

@@ -26,9 +26,14 @@ val minimize :
   test:Runner.test ->
   target:(Oracle.violation -> bool) ->
   ?budget:int ->
+  ?exposed:bool ->
   unit ->
   Runner.test * int
-(** {!greedy} over runs of [test] with each candidate strategy. Returns
+(** {!greedy} over runs of [test] with each candidate strategy. With
+    [exposed] (default false) the caller has already seen [test] trigger
+    the target, so the loop's first evaluation takes that verdict
+    instead of simulating the test again; it still counts as an
+    execution. Returns
     the minimized test and the number of executions spent, which counts
     every evaluated candidate, including repeats that were not simulated
     again, so journaled [shrink_runs] keep their bytes. [budget] caps

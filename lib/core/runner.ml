@@ -26,46 +26,54 @@ type outcome = {
 
 let kube_cluster outcome = Substrate.kube outcome.live
 
-let run_test ?(check_conformance = false) ?(diagnose = false) test =
-  let live = Substrate.create test.spec in
-  let with_monitor = check_conformance || diagnose in
-  (* Construction order matches the single-substrate runner exactly:
-     cluster, oracle, monitor, strategy, start, workload — the fixed-seed
-     journal byte-identity gates depend on it. *)
-  let violations_of, hooks =
-    match live with
-    | Substrate.Kube_live cluster ->
-        let oracle = Oracle.attach cluster in
-        let hooks =
-          if with_monitor then
-            Some
-              (Conformance.Handle.of_kube
-                 (Conformance.Hooks.attach ~track_divergence:diagnose cluster))
-          else None
-        in
-        Strategy.apply cluster test.strategy;
-        ((fun () -> Oracle.violations oracle), hooks)
-    | Substrate.Hbase_live cluster ->
-        let oracle = Hbase_oracle.attach cluster in
-        let hooks =
-          if with_monitor then
-            Some
-              (Conformance.Handle.of_hbase
-                 (Conformance.Hbase_hooks.attach ~track_divergence:diagnose cluster))
-          else None
-        in
-        Strategy.apply_hbase cluster test.strategy;
-        ((fun () -> Hbase_oracle.violations oracle), hooks)
-  in
-  Substrate.start live;
-  Substrate.schedule live test.spec;
-  Substrate.run ~until:test.horizon live;
-  Option.iter Conformance.Handle.finish hooks;
+(* A cluster with its oracle and, when asked, its conformance monitor
+   attached: everything a run carries but its strategy. *)
+type world = {
+  w_live : Substrate.live;
+  w_violations : unit -> (int * Oracle.violation) list;
+  w_hooks : Conformance.Handle.t option;
+}
+
+(* Construction order matches the single-substrate runner exactly:
+   cluster, oracle, monitor, then (in [run_test]) strategy, start,
+   workload — the fixed-seed journal byte-identity gates depend on it. *)
+let attach ~with_monitor ~diagnose spec =
+  let live = Substrate.create spec in
+  match live with
+  | Substrate.Kube_live cluster ->
+      let oracle = Oracle.attach cluster in
+      let w_hooks =
+        if with_monitor then
+          Some
+            (Conformance.Handle.of_kube
+               (Conformance.Hooks.attach ~track_divergence:diagnose cluster))
+        else None
+      in
+      { w_live = live; w_violations = (fun () -> Oracle.violations oracle); w_hooks }
+  | Substrate.Hbase_live cluster ->
+      let oracle = Hbase_oracle.attach cluster in
+      let w_hooks =
+        if with_monitor then
+          Some
+            (Conformance.Handle.of_hbase
+               (Conformance.Hbase_hooks.attach ~track_divergence:diagnose cluster))
+        else None
+      in
+      { w_live = live; w_violations = (fun () -> Hbase_oracle.violations oracle); w_hooks }
+
+let install world strategy =
+  match world.w_live with
+  | Substrate.Kube_live cluster -> Strategy.apply cluster strategy
+  | Substrate.Hbase_live cluster -> Strategy.apply_hbase cluster strategy
+
+let finish ~check_conformance test world =
+  Substrate.run ~until:test.horizon world.w_live;
+  Option.iter Conformance.Handle.finish world.w_hooks;
   {
     test;
-    violations = violations_of ();
-    truth_rev = Etcdlike.Commits.rev (Substrate.commits live);
-    live;
+    violations = world.w_violations ();
+    truth_rev = Etcdlike.Commits.rev (Substrate.commits world.w_live);
+    live = world.w_live;
     conformance =
       (if check_conformance then
          Option.map
@@ -75,10 +83,40 @@ let run_test ?(check_conformance = false) ?(diagnose = false) test =
                conf_total = Conformance.Handle.total h;
                conf_strict = Conformance.Handle.strict h;
              })
-           hooks
+           world.w_hooks
        else None);
-    hooks;
+    hooks = world.w_hooks;
   }
+
+let run_test ?(check_conformance = false) ?(diagnose = false) test =
+  let world = attach ~with_monitor:(check_conformance || diagnose) ~diagnose test.spec in
+  (* The strategy goes in before [start]: HBase's boot commit already
+     consults the interceptor, at time 0. *)
+  install world test.strategy;
+  Substrate.start world.w_live;
+  Substrate.schedule world.w_live test.spec;
+  finish ~check_conformance test world
+
+(* --- forking ------------------------------------------------------- *)
+
+let reference_world ?(check_conformance = false) spec =
+  let world = attach ~with_monitor:check_conformance ~diagnose:false spec in
+  Substrate.start world.w_live;
+  Substrate.schedule world.w_live spec;
+  world
+
+let advance world ~until = Substrate.run ~until world.w_live
+
+let compile world =
+  Gc.minor ();
+  Dsim.Snapshot.compile world
+
+let run_forked ?(check_conformance = false) image test =
+  match Dsim.Snapshot.instantiate image with
+  | None -> None
+  | Some world ->
+      install world test.strategy;
+      Some (finish ~check_conformance test world)
 
 (* A run can end in an oracle trip, a conformance trip, or both: either
    one anchors the causal walk, the oracle's entry preferred when both

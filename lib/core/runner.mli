@@ -55,6 +55,44 @@ val run_test : ?check_conformance:bool -> ?diagnose:bool -> test -> outcome
     passive — a run's trajectory, trace and metrics are unchanged unless
     a violation fires. *)
 
+(** {2 Forking}
+
+    A run with a strategy equals the unperturbed reference run up to any
+    time strictly below {!Strategy.first_perturbation}. So runs of one
+    spec can share that prefix: a reference world (the cluster with its
+    oracle and, when asked, its monitor, started, its workload
+    scheduled, no strategy) is advanced to a time below a run's first
+    perturbation and compiled into a {!Dsim.Snapshot} image; the run
+    instantiates the image, installs its strategy there and runs to its
+    horizon. Fault actions fire first at their instant
+    ({!Dsim.Engine.schedule_first}), so a strategy installed after the
+    fork orders its faults exactly as one installed before [start]. The
+    outcome equals {!run_test}'s with the same [check_conformance] and
+    no [diagnose]: violations, conformance, trace and metrics. *)
+
+type world
+(** A cluster with its oracle and optionally its monitor attached. *)
+
+val reference_world : ?check_conformance:bool -> Substrate.spec -> world
+(** Builds, attaches (the monitor iff [check_conformance], without
+    divergence tracking), starts and schedules the spec's workload, as
+    {!run_test} does but with no strategy. Nothing has run yet. *)
+
+val advance : world -> until:int -> unit
+(** Runs the reference world's events up to [until], inclusive. *)
+
+val compile : world -> world Dsim.Snapshot.image
+(** Empties the minor heap, then compiles the world into an image. *)
+
+val run_forked :
+  ?check_conformance:bool -> world Dsim.Snapshot.image -> test -> outcome option
+(** Instantiates the image, installs the test's strategy and runs it to
+    the test's horizon. The image must have been taken from a reference
+    world of the test's spec, at a time strictly below the strategy's
+    first perturbation, and with the same [check_conformance]. [None]
+    when the image does not fit in the minor heap
+    ({!Dsim.Snapshot.instantiate}): run the test straight instead. *)
+
 val violation_entry : outcome -> Dsim.Trace.entry option
 (** The trace entry anchoring the run's first violation: the first
     ["oracle.violation"] entry when the oracle fired, otherwise the

@@ -144,6 +144,10 @@ let rec fault_plan = function
       [ (from, Dsim.Fault.Partition (a, b)); (until, Dsim.Fault.Heal (a, b)) ]
   | Combo parts -> List.concat_map fault_plan parts
 
+let first_perturbation strategy =
+  let first = List.fold_left (fun m (time, _) -> min m time) max_int (fault_plan strategy) in
+  List.fold_left (fun m rule -> min m rule.r_from) first (collect_rules [] strategy)
+
 let install ~engine ~net intercept strategy =
   let rules = List.rev (collect_rules [] strategy) in
   if rules <> [] then

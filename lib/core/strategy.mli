@@ -57,6 +57,13 @@ val pattern : t -> [ `None | `Staleness | `Obs_gap | `Time_travel | `Mixed ]
     raw material: a partition makes views stale; crash+restart plus any
     staleness source is time travel. *)
 
+val first_perturbation : t -> int
+(** The first virtual time at which the strategy can change a run: the
+    earliest of its fault actions' times and its interceptor rules'
+    [from]; [max_int] for {!No_perturbation}. Before it no rule matches
+    and no fault fires, so a run with this strategy equals the
+    unperturbed reference run up to any time strictly below it. *)
+
 val apply : Kube.Cluster.t -> t -> unit
 (** Installs the interceptor policy and schedules fault actions on the
     cluster's engine. Call after {!Kube.Cluster.create} (before or after

@@ -11,6 +11,13 @@
    bursts and rising deadlines that is the tail, reached in O(1). Other
    inserts walk the chain from its head.
 
+   Events scheduled with [schedule_first] (fault actions) take their
+   seqs from a band below every other event's: [1] up to [first_band],
+   while the others count up from [first_band]. So at its instant a
+   first event fires before every other event, whenever either was
+   scheduled, and first events keep their own scheduling order. Their
+   inserts compare (time, seq) along the chain; nothing else does.
+
    Most events are due within one lap (about 1.05 s): network
    deliveries, RPC timeouts, periodic ticks. A few are due later
    (pre-scheduled fault-plan and workload actions, heals near
@@ -48,6 +55,10 @@ let max_seq = max_int lsr slot_bits
 (* Seqs start at 1, so a slot whose seq is 0 holds no event. *)
 let free = 0
 
+(* First events take the seqs below [first_band], every other event
+   those above it. *)
+let first_band = 1 lsl 20
+
 (* Trace ids start at 1, so 0 encodes "no cause" without an option. *)
 let no_cause = Trace.no_cause
 
@@ -63,7 +74,8 @@ let wheel_mask = wheel_size - 1
 
 type t = {
   mutable clock : int;
-  mutable seq : int;
+  mutable seq : int;  (* the last seq taken above [first_band] *)
+  mutable first_seq : int;  (* the last seq taken below it *)
   mutable slot_seq : int array;
   mutable slot_cause : int array;
   mutable slot_action : (unit -> unit) array;
@@ -85,7 +97,8 @@ let create ?(seed = 1L) () =
   let metrics = Metrics.create () in
   {
     clock = 0;
-    seq = 0;
+    seq = first_band;
+    first_seq = 0;
     slot_seq = [||];
     slot_cause = [||];
     slot_action = [||];
@@ -155,7 +168,17 @@ let release t s =
 
 (* --- the queue -------------------------------------------------------- *)
 
-let enqueue t s time =
+(* Whether the pending event in slot [p] fires before a new event due at
+   [time]. A new event's seq is the largest of its band: a plain one
+   goes after every event due no later than it, a [first] one only
+   after the first events due at its instant. [precedes], [enqueue] and
+   [take] are inlined into each scheduling function with a constant
+   [first], so a plain event's insert compares deadlines only. *)
+let[@inline] precedes t p time ~first =
+  let tp = t.slot_time.(p) in
+  if first then tp < time || (tp = time && t.slot_seq.(p) < first_band) else tp <= time
+
+let[@inline] enqueue t s time ~first =
   let wheel = t.wheel and next = t.slot_next in
   let tick = time lsr bucket_bits in
   let b = tick land wheel_mask in
@@ -164,16 +187,16 @@ let enqueue t s time =
     next.(s) <- s;
     wheel.(b) <- s
   end
-  else if t.slot_time.(tail) <= time then begin
+  else if precedes t tail time ~first then begin
     next.(s) <- next.(tail);
     next.(tail) <- s;
     wheel.(b) <- s
   end
   else begin
-    (* The tail is due later, so this walk from the head stops before
-       it, at the last entry due no later than [time]. *)
+    (* The tail fires later, so this walk from the head stops before
+       it, at the last entry that fires before the new one. *)
     let p = ref tail in
-    while t.slot_time.(next.(!p)) <= time do
+    while precedes t next.(!p) time ~first do
       p := next.(!p)
     done;
     next.(s) <- next.(!p);
@@ -240,19 +263,30 @@ let fire t s =
 
 (* --- scheduling ------------------------------------------------------- *)
 
-let schedule_at t ~time action =
+(* Fills a free slot with a new event; returns the slot. *)
+let[@inline] take t seq ~time action =
   if t.free_slot < 0 then grow t;
-  if t.seq = max_seq then failwith "Engine: sequence numbers exhausted";
   let s = t.free_slot in
   t.free_slot <- t.slot_next.(s);
-  t.seq <- t.seq + 1;
-  t.slot_seq.(s) <- t.seq;
+  t.slot_seq.(s) <- seq;
   t.slot_cause.(s) <- t.cause;
   t.slot_action.(s) <- action;
-  let time = if time > t.clock then time else t.clock in
-  t.slot_time.(s) <- time;
-  enqueue t s time;
+  t.slot_time.(s) <- (if time > t.clock then time else t.clock);
+  s
+
+let schedule_at t ~time action =
+  if t.seq = max_seq then failwith "Engine: sequence numbers exhausted";
+  t.seq <- t.seq + 1;
+  let s = take t t.seq ~time action in
+  enqueue t s t.slot_time.(s) ~first:false;
   (t.seq lsl slot_bits) lor s
+
+let schedule_first t ~time action =
+  if t.first_seq = first_band - 1 then failwith "Engine: first sequence numbers exhausted";
+  t.first_seq <- t.first_seq + 1;
+  let s = take t t.first_seq ~time action in
+  enqueue t s t.slot_time.(s) ~first:true;
+  (t.first_seq lsl slot_bits) lor s
 
 let schedule t ~delay action =
   schedule_at t ~time:(t.clock + if delay > 0 then delay else 0) action

@@ -5,7 +5,9 @@
     arrays until it fires or is cancelled, so scheduling, firing and
     cancelling allocate nothing; events fire in ascending [(time, seq)]
     order, [seq] being the scheduling order, so equal-time events run
-    first come, first served. The queue is one hashed timing wheel of
+    first come, first served, except that {!schedule_first} events take
+    their seqs from a band below all others and so fire first at their
+    instant. The queue is one hashed timing wheel of
     256 buckets, each 4,096 us wide and kept sorted: an event waits in
     the bucket of its deadline modulo one lap (about 1.05 s), however
     many laps ahead it is due. A fresh engine lives in the minor heap: its
@@ -73,6 +75,15 @@ val schedule : t -> delay:int -> (unit -> unit) -> timer
 
 val schedule_at : t -> time:int -> (unit -> unit) -> timer
 (** Absolute-time variant; times in the past fire at the current time. *)
+
+val schedule_first : t -> time:int -> (unit -> unit) -> timer
+(** [schedule_at] for an event that fires first at its instant: before
+    every event scheduled with {!schedule} or {!schedule_at} for the
+    same time, whenever that one was scheduled, and after the
+    [schedule_first] events scheduled before it for that time. Fault
+    actions use it ({!Fault.apply}), so a fault plan installed on a
+    running engine orders against the pending events exactly as one
+    installed before the first event. *)
 
 val cancel : t -> timer -> unit
 (** Takes the event out of its wheel bucket at once and frees its

@@ -28,7 +28,7 @@ let apply net plan =
   let engine = Network.engine net in
   List.iter
     (fun (time, action) ->
-      ignore (Engine.schedule_at engine ~time (fun () -> run_action net action)))
+      ignore (Engine.schedule_first engine ~time (fun () -> run_action net action)))
     plan
 
 let random_plan rng ~nodes ~horizon ?(crashes = 1) ?(partitions = 1) ?(min_downtime = 50_000)

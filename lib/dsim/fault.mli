@@ -18,7 +18,11 @@ type plan = (int * action) list
 val pp_plan : Format.formatter -> plan -> unit
 
 val apply : Network.t -> plan -> unit
-(** Schedules every action of the plan on the network's engine. *)
+(** Schedules every action of the plan on the network's engine with
+    {!Engine.schedule_first}: at its instant an action fires before any
+    other event, and actions keep the plan's order. So applying a plan
+    before a run starts, or to a copy of a run that is already under
+    way, orders its actions the same. *)
 
 val random_plan :
   Rng.t ->

@@ -10,6 +10,7 @@ type latency_model =
 type binding = Binding : 'h Type.Id.t * 'h -> binding
 
 type node = {
+  absent : bool;  (* only [absent] itself: see there *)
   mutable service : binding option;
   mutable on_crash : unit -> unit;
   mutable on_restart : unit -> unit;
@@ -55,6 +56,7 @@ let set_latency_model t model = t.latency_model <- model
 
 let fresh_node () =
   {
+    absent = false;
     service = None;
     on_crash = (fun () -> ());
     on_restart = (fun () -> ());
@@ -63,8 +65,11 @@ let fresh_node () =
   }
 
 (* What a lookup of an address that never joined reads: down, at
-   incarnation 0. Never stored in [nodes] and never mutated. *)
-let absent = { (fresh_node ()) with up = false }
+   incarnation 0. Never stored in [nodes] and never mutated. A peer
+   that has not resolved yet holds it, so a snapshot of a network
+   ({!Snapshot}) holds a copy of it: it is recognised by its field,
+   never by [==]. *)
+let absent = { (fresh_node ()) with absent = true; up = false }
 
 (* Nodes are never removed or replaced, so a record found here stays the
    address's node for good. *)
@@ -72,7 +77,7 @@ let find t addr = match Hashtbl.find t.nodes addr with n -> n | exception Not_fo
 
 let node t addr =
   match find t addr with
-  | n when n != absent -> n
+  | n when not n.absent -> n
   | _ ->
       let n = fresh_node () in
       Hashtbl.replace t.nodes addr n;
@@ -110,7 +115,7 @@ let address p = p.addr
 
 (* Looks the address up until it has joined, then never again. *)
 let resolve p =
-  if p.resolved == absent then p.resolved <- find p.net p.addr;
+  if p.resolved.absent then p.resolved <- find p.net p.addr;
   p.resolved
 
 let peer_is_up p = (resolve p).up
@@ -224,7 +229,7 @@ let deliver id what serve ~src ~dst req reply =
 let call id what serve ~src ~dst ?(timeout = default_timeout) req k =
   let t = dst.net in
   Metrics.Counter.incr t.calls;
-  if resolve dst == absent then k (Error Unreachable)
+  if (resolve dst).absent then k (Error Unreachable)
   else begin
     let c = { src; dst; src_incarnation = peer_incarnation src; k; completed = false } in
     let timeout = Engine.schedule t.engine ~delay:timeout (fun () -> finish c (Error Timeout)) in
@@ -236,7 +241,7 @@ let call id what serve ~src ~dst ?(timeout = default_timeout) req k =
 let cast id what serve ~src ~dst req =
   let t = dst.net in
   Metrics.Counter.incr t.casts;
-  if resolve dst != absent then
+  if not (resolve dst).absent then
     ignore
       (Engine.schedule t.engine ~delay:(latency t) (fun () ->
            deliver id what serve ~src ~dst req ignore))

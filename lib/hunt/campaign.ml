@@ -31,10 +31,13 @@ type conformance_summary = {
   conf_signatures : string list;
 }
 
+type forking = { forked : int; fallbacks : int; images : int; image_bytes : int }
+
 type summary = {
   trials : int;
   executed : int;
   simulated : int;
+  forking : forking;
   replayed : int;
   with_violations : int;
   findings : finding list;
@@ -219,9 +222,13 @@ let write_file path contents =
 
 (* --- running ------------------------------------------------------- *)
 
+(* How a simulated run got its prefix: re-simulated, forked from an
+   image, or re-simulated because its image did not fit the minor heap. *)
+type path = Straight | Forked | Fallback
+
 type worker_result =
   | Replayed of Journal.violation_record list
-  | Ran of ((int * Sieve.Oracle.violation) list * Sieve.Runner.conformance option)
+  | Ran of ((int * Sieve.Oracle.violation) list * Sieve.Runner.conformance option) * path
   | Duplicate of int  (* settles from this representative's [Ran] *)
 
 (* A trial is a deterministic function of its case and its strategy: the
@@ -252,6 +259,63 @@ let representatives (trials : trial array) ~replayed =
   let last = Array.make n (-1) in
   Array.iteri (fun i r -> if r <> i then last.(r) <- i) rep;
   (rep, last)
+
+(* Simulated runs fork from compiled snapshots of their case's reference
+   run ({!Sieve.Runner.run_forked}) instead of re-simulating the prefix
+   before their first perturbation. Each case's reference world runs
+   through rungs [rung_spacing] of virtual time apart. A run's rung is
+   the latest one strictly before its first perturbation and before the
+   horizon; a rung is compiled only if at least [rung_min_runs] runs
+   have it as theirs, since a compile costs memory and each fork saves
+   only its run's prefix. A run whose rung is not compiled forks from
+   the latest compiled rung below it, or runs straight if there is
+   none. *)
+let rung_spacing = 1_000_000
+
+let rung_min_runs = 16
+
+type ladder = {
+  fork_of : Sieve.Runner.world Dsim.Snapshot.image option array;  (* by trial index *)
+  images : int;
+  image_bytes : int;
+}
+
+let ladder ~check_conformance ~cases (trials : trial array) ~simulated =
+  let fork_of = Array.make (Array.length trials) None in
+  let images = ref 0 and image_bytes = ref 0 in
+  List.iter
+    (fun (case : Sieve.Bugs.case) ->
+      let last = (case.Sieve.Bugs.horizon - 1) / rung_spacing in
+      let runs =
+        Array.fold_right
+          (fun (t : trial) acc ->
+            if String.equal t.case_id case.Sieve.Bugs.id && simulated t.index then
+              let first = Sieve.Strategy.first_perturbation t.test.Sieve.Runner.strategy in
+              let rung = if first <= 0 then 0 else min last ((first - 1) / rung_spacing) in
+              if rung >= 1 then (t.index, rung) :: acc else acc
+            else acc)
+          trials []
+      in
+      let counts = Array.make (last + 1) 0 in
+      List.iter (fun (_, rung) -> counts.(rung) <- counts.(rung) + 1) runs;
+      if Array.exists (fun c -> c >= rung_min_runs) counts then begin
+        let world = Sieve.Runner.reference_world ~check_conformance case.Sieve.Bugs.spec in
+        (* [latest.(k)]: the image of the latest kept rung at or below k. *)
+        let latest = Array.make (Array.length counts) None in
+        for k = 1 to last do
+          latest.(k) <- latest.(k - 1);
+          if counts.(k) >= rung_min_runs then begin
+            Sieve.Runner.advance world ~until:(k * rung_spacing);
+            let image = Sieve.Runner.compile world in
+            incr images;
+            image_bytes := !image_bytes + Dsim.Snapshot.bytes image;
+            latest.(k) <- Some image
+          end
+        done;
+        List.iter (fun (index, rung) -> fork_of.(index) <- latest.(rung)) runs
+      end)
+    cases;
+  { fork_of; images = !images; image_bytes = !image_bytes }
 
 let finding_of_journal (f : Journal.entry) =
   match f with
@@ -355,22 +419,39 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
   if not !header_seen then
     Journal.append writer (Journal.Header { version = 1; seed; trials = n; cases = case_ids });
   let rep, last = representatives trials ~replayed:(Hashtbl.mem done_trials) in
+  let ladder =
+    ladder ~check_conformance ~cases trials ~simulated:(fun i ->
+        rep.(i) = i && not (Hashtbl.mem done_trials i))
+  in
   (* Workers run trials not present in the journal, except duplicates;
      everything stateful (journal appends, dedup, minimize, artifacts,
-     progress) happens in [settle], on this domain, in trial order. *)
+     progress) happens in [settle], on this domain, in trial order.
+     Workers only read the ladder's images. *)
   let work index trial =
     match Hashtbl.find_opt done_trials index with
     | Some (Journal.Trial { violations; _ }) -> Replayed violations
     | Some _ | None when rep.(index) <> index -> Duplicate rep.(index)
     | Some _ | None ->
-        let outcome = Sieve.Runner.run_test ~check_conformance trial.test in
-        Ran (outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance)
+        let forked =
+          Option.bind ladder.fork_of.(index) (fun image ->
+              Sieve.Runner.run_forked ~check_conformance image trial.test)
+        in
+        let outcome, path =
+          match forked with
+          | Some outcome -> (outcome, Forked)
+          | None ->
+              ( Sieve.Runner.run_test ~check_conformance trial.test,
+                if Option.is_some ladder.fork_of.(index) then Fallback else Straight )
+        in
+        Ran ((outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance), path)
   in
   (* A representative's run, held from its settle to its last
      duplicate's. A duplicate always settles after its representative. *)
   let held = Hashtbl.create 64 in
   let executed = ref 0 in
   let simulated = ref 0 in
+  let forked = ref 0 in
+  let fallbacks = ref 0 in
   let replayed = ref 0 in
   let with_violations = ref 0 in
   (* Conformance results stay out of the journal on purpose: the journal
@@ -389,7 +470,9 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
   let minimize_for ~(trial : trial) signature =
     if minimize_budget > 0 then
       let target v = String.equal (Signature.of_violation v) signature in
-      fst (Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget ())
+      fst
+        (Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget ~exposed:true
+           ())
     else trial.test
   in
   let settle index result =
@@ -438,8 +521,12 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
       | Replayed records ->
           incr replayed;
           records
-      | Ran run ->
+      | Ran (run, path) ->
           incr simulated;
+          (match path with
+          | Forked -> incr forked
+          | Fallback -> incr fallbacks
+          | Straight -> ());
           if last.(index) >= 0 then Hashtbl.replace held index run;
           journal_run run
       | Duplicate r ->
@@ -476,7 +563,10 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
                 let target v = String.equal (Signature.of_violation v) r.signature in
                 let minimized_test, shrink_runs =
                   if minimize_budget > 0 then
-                    Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget ()
+                    (* This trial just exposed the signature: the
+                       minimizer need not simulate it again. *)
+                    Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget
+                      ~exposed:true ()
                   else (trial.test, 0)
                 in
                 let finding =
@@ -531,6 +621,13 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
     trials = n;
     executed = !executed;
     simulated = !simulated;
+    forking =
+      {
+        forked = !forked;
+        fallbacks = !fallbacks;
+        images = ladder.images;
+        image_bytes = ladder.image_bytes;
+      };
     replayed = !replayed;
     with_violations = !with_violations;
     findings = List.rev !findings_rev;

@@ -28,6 +28,21 @@
     conformance-tallied from the representative's run, exactly as if it
     had been simulated again.
 
+    A simulated run does not re-simulate the prefix it shares with its
+    case's unperturbed reference run either. Before dispatch, each case
+    builds one reference world (its cluster, oracle and, with
+    [check_conformance], monitor, as the trials have them, with no
+    strategy) and runs it through rungs 1 s of virtual time apart,
+    compiling a {!Dsim.Snapshot} image at each rung that at least 16
+    runs would fork from: their latest rung strictly before their
+    {!Sieve.Strategy.first_perturbation}. A run then forks from the
+    latest compiled rung before its first perturbation
+    ({!Sieve.Runner.run_forked}) and runs to its horizon; runs perturbed
+    before the first compiled rung, and runs whose image does not fit
+    in the minor heap, run straight. Forked runs settle exactly what
+    straight runs would. Minimization, artifacts and cards always run
+    straight.
+
     Because trials are deterministic, seeds are index-derived, and the
     journal is written in trial order, the journal is byte-identical
     across job counts — and a resumed campaign (which replays the
@@ -90,12 +105,25 @@ type conformance_summary = {
       (** distinct {!Signature.of_conformance} ids, discovery order *)
 }
 
+type forking = {
+  forked : int;  (** simulated runs that forked from an image *)
+  fallbacks : int;
+      (** runs that had an image but ran straight: it did not fit in the
+          minor heap *)
+  images : int;  (** images compiled, over all cases *)
+  image_bytes : int;  (** their total size ({!Dsim.Snapshot.bytes}) *)
+}
+(** How the simulated runs got the prefix before their first
+    perturbation. Outside the journal: forked and straight runs settle
+    the same bytes. *)
+
 type summary = {
   trials : int;
   executed : int;  (** settled from a run in this campaign, not replayed *)
   simulated : int;
       (** runs actually simulated: [executed] minus the duplicates that
           settled from their representative's run *)
+  forking : forking;
   replayed : int;  (** skipped: replayed from the journal on resume *)
   with_violations : int;
   findings : finding list;  (** discovery order *)

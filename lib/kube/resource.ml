@@ -74,15 +74,17 @@ let rset_key name = rsets_prefix ^ name
 let lock_key name = locks_prefix ^ name
 let deployment_key name = deployments_prefix ^ name
 
+(* Allocates nothing: the oracle calls it on every commit and the kubelet
+   on every pod event. *)
 let kind_of_key key =
-  let has_prefix prefix = String.starts_with ~prefix key in
-  if has_prefix pods_prefix then `Pod
-  else if has_prefix nodes_prefix then `Node
-  else if has_prefix pvcs_prefix then `Pvc
-  else if has_prefix cassdcs_prefix then `Cassdc
-  else if has_prefix rsets_prefix then `Rset
-  else if has_prefix locks_prefix then `Lock
-  else if has_prefix deployments_prefix then `Deployment
+  let open History.Event in
+  if has_prefix pods_prefix key then `Pod
+  else if has_prefix nodes_prefix key then `Node
+  else if has_prefix pvcs_prefix key then `Pvc
+  else if has_prefix cassdcs_prefix key then `Cassdc
+  else if has_prefix rsets_prefix key then `Rset
+  else if has_prefix locks_prefix key then `Lock
+  else if has_prefix deployments_prefix key then `Deployment
   else `Other
 
 let name_of_key key =

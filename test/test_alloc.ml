@@ -1,5 +1,6 @@
 (* Allocation budget: the minor words of one [Runner.run_test] per
-   substrate, plus one run over a populated cache, against
+   substrate, one HB-ASSIGN run forked from a snapshot image, plus one
+   run over a populated cache, against
    test/fixtures/alloc.budget. Allocation is deterministic, so it is the
    regression gate for trial cost; a run may exceed its recorded figure
    by at most 2%. Each case runs once to warm up lazily built tables,
@@ -15,6 +16,28 @@
 let case id =
   match Sieve.Bugs.find id with Some case -> case | None -> failwith ("unknown case " ^ id)
 
+(* HB-ASSIGN forked, as a campaign forks it, from an image of its
+   reference world taken at 1 s, before the strategy's first
+   perturbation at 1.8 s. The image is compiled once, on the first call;
+   a measured run pays for instantiating it and for the rest of the
+   run. *)
+let forked_hb_assign =
+  let open Sieve in
+  let image =
+    lazy
+      (let world = Runner.reference_world ~check_conformance:true (case "HB-ASSIGN").Bugs.spec in
+       Runner.advance world ~until:1_000_000;
+       Runner.compile world)
+  in
+  ( "HB-ASSIGN sieve conformance forked at 1 s",
+    fun () ->
+      match
+        Runner.run_forked ~check_conformance:true (Lazy.force image)
+          (Bugs.test_of_case (case "HB-ASSIGN"))
+      with
+      | Some outcome -> outcome
+      | None -> Alcotest.fail "the 1 s HB-ASSIGN image did not fit the minor heap" )
+
 let runs =
   let open Sieve in
   [
@@ -23,6 +46,7 @@ let runs =
       fun () -> Runner.run_test ~check_conformance:true (Bugs.test_of_case (case "REP-STALE")) );
     ( "HB-ASSIGN sieve conformance",
       fun () -> Runner.run_test ~check_conformance:true (Bugs.test_of_case (case "HB-ASSIGN")) );
+    forked_hb_assign;
   ]
 
 (* A populated cache: REP-MINORITY with api-2 cut off from etcd for good

@@ -276,11 +276,26 @@ let stale_handle_cancels_nothing () =
 
 type entry = { time : int; seq : int; id : int; mutable cancelled : bool }
 
-type model = { mutable now : int; mutable seq : int; mutable queue : entry list }
+type model = {
+  mutable now : int;
+  mutable seq : int;
+  mutable first_seq : int;
+  mutable queue : entry list;
+}
 
-let model_schedule m ~time id =
-  m.seq <- m.seq + 1;
-  let entry = { time = max time m.now; seq = m.seq; id; cancelled = false } in
+(* A [first] event's seq comes from a band below every other event's. *)
+let model_schedule ?(first = false) m ~time id =
+  let seq =
+    if first then begin
+      m.first_seq <- m.first_seq + 1;
+      m.first_seq
+    end
+    else begin
+      m.seq <- m.seq + 1;
+      (1 lsl 40) + m.seq
+    end
+  in
+  let entry = { time = max time m.now; seq; id; cancelled = false } in
   let before e = e.time < entry.time || (e.time = entry.time && e.seq < entry.seq) in
   let rec insert = function e :: rest when before e -> e :: insert rest | rest -> entry :: rest in
   m.queue <- insert m.queue
@@ -326,6 +341,7 @@ let model_run ?until m fire =
 type op =
   | Schedule of int  (** relative delay *)
   | Schedule_at of int  (** absolute time; past times clamp to now *)
+  | Schedule_first of int  (** at now + this, first at its instant *)
   | Cancel of int  (** index into every handle made so far *)
   | Step
   | Run_until of int  (** horizon = now + this *)
@@ -334,6 +350,7 @@ type op =
 let show_op = function
   | Schedule d -> Printf.sprintf "schedule %d" d
   | Schedule_at t -> Printf.sprintf "schedule_at %d" t
+  | Schedule_first d -> Printf.sprintf "schedule_first (now+%d)" d
   | Cancel i -> Printf.sprintf "cancel #%d" i
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run ~until:(now+%d)" d
@@ -372,6 +389,7 @@ let arb_ops =
       [
         (4, map (fun d -> Schedule d) span);
         (3, map (fun t -> Schedule_at t) (frequency [ (3, 0 -- 60); (3, span); (1, heal) ]));
+        (2, map (fun d -> Schedule_first d) span);
         (4, map (fun i -> Cancel i) (0 -- 1000));
         (3, return Step);
         (2, map (fun d -> Run_until d) (frequency [ (1, 0 -- 10); (2, span) ]));
@@ -455,7 +473,7 @@ let[@inline never] schedule_logged weak fired id schedule =
 let qcheck_engine_model =
   QCheck.Test.make ~name:"engine agrees with a lazy-cancel model" ~count:300 arb_ops (fun ops ->
       let e = Dsim.Engine.create () in
-      let m = { now = 0; seq = 0; queue = [] } in
+      let m = { now = 0; seq = 0; first_seq = 0; queue = [] } in
       let weak = Weak.create (List.length ops) in
       let fired = ref [] and model_fired = ref [] in
       let fire id = model_fired := id :: !model_fired in
@@ -470,6 +488,10 @@ let qcheck_engine_model =
         | Schedule_at time ->
             add id (schedule_logged weak fired id (Dsim.Engine.schedule_at e ~time));
             model_schedule m ~time id
+        | Schedule_first delay ->
+            let time = Dsim.Engine.now e + delay in
+            add id (schedule_logged weak fired id (Dsim.Engine.schedule_first e ~time));
+            model_schedule ~first:true m ~time id
         | Cancel i when Array.length !handles > 0 ->
             let id, handle = !handles.(i mod Array.length !handles) in
             Dsim.Engine.cancel e handle;
@@ -503,12 +525,75 @@ let qcheck_engine_model =
       List.iteri
         (fun id op ->
           match op with
-          | (Schedule _ | Schedule_at _) when Weak.check weak id <> live id ->
+          | (Schedule _ | Schedule_at _ | Schedule_first _) when Weak.check weak id <> live id ->
               QCheck.Test.fail_reportf "closure #%d %s" id
                 (if live id then "of a live entry was collected" else "of a dead entry is retained")
           | _ -> ())
         ops;
       Dsim.Engine.pending e = model_pending m)
+
+(* --- first events ------------------------------------------------------- *)
+
+(* A fault action scheduled after other events due at its instant, even
+   one scheduled from inside a run and one a lap ahead, fires before
+   them; fault actions keep their own order, and a cancelled one never
+   fires. *)
+let faults_fire_first () =
+  let e = Dsim.Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (Dsim.Engine.now e, tag) :: !log in
+  let at = 5_000 and far = 5_000 + lap in
+  ignore (Dsim.Engine.schedule_at e ~time:at (note "event"));
+  ignore (Dsim.Engine.schedule_at e ~time:far (note "far event"));
+  ignore (Dsim.Engine.schedule_first e ~time:at (note "fault 1"));
+  ignore (Dsim.Engine.schedule_at e ~time:at (note "later event"));
+  ignore (Dsim.Engine.schedule_first e ~time:at (note "fault 2"));
+  let dropped = Dsim.Engine.schedule_first e ~time:at (note "cancelled fault") in
+  Dsim.Engine.cancel e dropped;
+  ignore (Dsim.Engine.schedule_at e ~time:1_000 (fun () ->
+      ignore (Dsim.Engine.schedule_first e ~time:far (note "far fault"));
+      ignore (Dsim.Engine.schedule_first e ~time:at (note "fault 3"))));
+  Dsim.Engine.run e;
+  Alcotest.(check (list (pair int string)))
+    "faults first, in their order; other events in theirs"
+    [
+      (at, "fault 1");
+      (at, "fault 2");
+      (at, "fault 3");
+      (at, "event");
+      (at, "later event");
+      (far, "far fault");
+      (far, "far event");
+    ]
+    (List.rev !log)
+
+(* A plan applied to a network that has already run orders its actions
+   against the pending events exactly as the same plan applied before
+   the run: the property forking a run relies on. *)
+let fault_plan_installed_late () =
+  let trace ~late =
+    let e = Dsim.Engine.create () in
+    let net = Dsim.Network.create e in
+    List.iter (Dsim.Network.join net) [ "a"; "b" ];
+    let log = ref [] in
+    let probe tag () =
+      let up = Dsim.Network.is_up net "a" and cut = Dsim.Network.partitioned net "a" "b" in
+      log := (Dsim.Engine.now e, tag, up, cut) :: !log
+    in
+    let plan = [ (2_000, Dsim.Fault.Crash "a"); (3_000, Dsim.Fault.Partition ("a", "b")) ] in
+    if not late then Dsim.Fault.apply net plan;
+    List.iter
+      (fun time -> ignore (Dsim.Engine.schedule_at e ~time (probe (string_of_int time))))
+      [ 1_000; 2_000; 3_000 ];
+    Dsim.Engine.run ~until:1_500 e;
+    if late then Dsim.Fault.apply net plan;
+    Dsim.Engine.run e;
+    List.rev !log
+  in
+  Alcotest.(check (list (pair int (pair string (pair bool bool)))))
+    "same observations"
+    (List.map (fun (t, s, u, p) -> (t, (s, (u, p)))) (trace ~late:false))
+    (List.map (fun (t, s, u, p) -> (t, (s, (u, p)))) (trace ~late:true))
 
 (* --- non-positive periods ---------------------------------------------- *)
 
@@ -557,6 +642,10 @@ let suites =
           far_events_share_buckets;
         Alcotest.test_case "lapped queue fires in (time, seq) order" `Quick
           lapped_queue_fires_in_order;
+        Alcotest.test_case "a fault scheduled after an event at its instant fires first" `Quick
+          faults_fire_first;
+        Alcotest.test_case "a fault plan installed mid-run orders as one installed first" `Quick
+          fault_plan_installed_late;
         Qcheck_util.to_alcotest qcheck_engine_model;
       ] );
   ]

@@ -71,6 +71,30 @@ let minimize_rejects_non_failing_input () =
   Alcotest.(check bool) "unchanged" true
     (minimized.Sieve.Runner.strategy = Sieve.Strategy.No_perturbation)
 
+(* With [~exposed:true] the loop takes the caller's word that the test
+   fails instead of simulating it: on a failing test it returns exactly
+   what the simulating loop does, and on the clean reference run it goes
+   on to try every shrink candidate, which a simulated first verdict
+   would have stopped. *)
+let minimize_trusts_exposed () =
+  let case = Sieve.Bugs.k8s_56261 () in
+  let target = case.Sieve.Bugs.matches in
+  let test = Sieve.Bugs.test_of_case case in
+  let simulated, runs = Sieve.Minimize.minimize ~test ~target () in
+  let trusted, runs' = Sieve.Minimize.minimize ~test ~target ~exposed:true () in
+  Alcotest.(check string) "same minimized strategy"
+    (Sieve.Strategy.describe simulated.Sieve.Runner.strategy)
+    (Sieve.Strategy.describe trusted.Sieve.Runner.strategy);
+  Alcotest.(check int) "same executions counted" runs runs';
+  let harmless = Sieve.Strategy.observability_gap ~dst:"nobody" ~from:0 ~until:1 () in
+  let clean = { (Sieve.Bugs.reference_test_of_case case) with Sieve.Runner.strategy = harmless } in
+  let _, cost = Sieve.Minimize.minimize ~test:clean ~target () in
+  Alcotest.(check int) "simulated: clean at once" 1 cost;
+  let _, cost = Sieve.Minimize.minimize ~test:clean ~target ~exposed:true () in
+  Alcotest.(check int) "trusted: every candidate tried"
+    (1 + List.length (Sieve.Minimize.shrink_candidates harmless))
+    cost
+
 let minimize_is_idempotent_on_corpus () =
   (* A minimized plan is a fixpoint: the greedy loop ran out of shrink
      candidates that still reproduce, so a second pass must return the
@@ -165,6 +189,7 @@ let suites =
         Alcotest.test_case "minimize rejects non-failing input" `Quick
           minimize_rejects_non_failing_input;
         Alcotest.test_case "minimize respects budget" `Slow minimize_respects_budget;
+        Alcotest.test_case "minimize takes an exposed test's verdict" `Slow minimize_trusts_exposed;
         Alcotest.test_case "repeated candidates simulated once" `Slow
           minimize_simulates_repeats_once;
         Alcotest.test_case "minimize is idempotent on the corpus" `Slow
