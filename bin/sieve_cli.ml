@@ -668,6 +668,15 @@ let hunt_cmd =
                      Printf.sprintf "; %d ran straight, their image too big for the minor heap"
                        f.Hunt.Campaign.fallbacks
                    else "") ));
+             (let s = summary.Hunt.Campaign.shrinking in
+              ( "shrunk",
+                Printf.sprintf
+                  "%d findings in %d simulated runs (%d from prefixes of %d KB; %d stopped at \
+                   their target)"
+                  s.Hunt.Campaign.shrunk s.Hunt.Campaign.shrink_simulated
+                  s.Hunt.Campaign.from_prefix
+                  ((s.Hunt.Campaign.prefix_bytes + 1023) / 1024)
+                  s.Hunt.Campaign.stopped ));
              ("replayed from journal", string_of_int summary.Hunt.Campaign.replayed);
              ("trials with violations", string_of_int summary.Hunt.Campaign.with_violations);
              ( "distinct findings",

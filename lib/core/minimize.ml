@@ -63,10 +63,6 @@ let rec shrink_candidates strategy =
         ]
       else []
 
-let still_fails ~test ~target strategy =
-  let outcome = Runner.run_test { test with Runner.strategy } in
-  List.exists (fun (_, v) -> target v) outcome.Runner.violations
-
 (* A repeat still counts as an execution, so the budget and the returned
    count are those of a loop that re-ran every candidate. *)
 let greedy ~budget ~fails strategy =
@@ -105,12 +101,37 @@ let greedy ~budget ~fails strategy =
     (!current, !executions)
   end
 
-let minimize ~test ~target ?(budget = 200) ?(exposed = false) () =
+type shrunk = {
+  test : Runner.test;
+  executions : int;
+  simulated : int;
+  forked : int;
+  stopped : int;
+}
+
+let shrink ~prefix ~test ~target ~budget ~exposed =
+  let simulated = ref 0 and forked = ref 0 and stopped = ref 0 in
   (* The greedy loop evaluates the test's own strategy first, and only
      then fresh candidates: with [exposed], that first verdict is the
      caller's. *)
   let fails strategy =
-    (exposed && strategy == test.Runner.strategy) || still_fails ~test ~target strategy
+    (exposed && strategy == test.Runner.strategy)
+    ||
+    let verdict = Runner.verdict ~prefix ~target { test with Runner.strategy } in
+    incr simulated;
+    if verdict.Runner.forked then incr forked;
+    if verdict.Runner.stopped then incr stopped;
+    verdict.Runner.fired
   in
   let strategy, executions = greedy ~budget ~fails test.Runner.strategy in
-  ({ test with Runner.strategy }, executions)
+  {
+    test = { test with Runner.strategy };
+    executions;
+    simulated = !simulated;
+    forked = !forked;
+    stopped = !stopped;
+  }
+
+let minimize ~test ~target ?(budget = 200) () =
+  let shrunk = shrink ~prefix:None ~test ~target ~budget ~exposed:false in
+  (shrunk.test, shrunk.executions)

@@ -88,14 +88,20 @@ let finish ~check_conformance test world =
     hooks = world.w_hooks;
   }
 
-let run_test ?(check_conformance = false) ?(diagnose = false) test =
-  let world = attach ~with_monitor:(check_conformance || diagnose) ~diagnose test.spec in
+(* A test's world with its strategy installed, started and scheduled:
+   nothing has run yet. *)
+let straight ~with_monitor ~diagnose test =
+  let world = attach ~with_monitor ~diagnose test.spec in
   (* The strategy goes in before [start]: HBase's boot commit already
      consults the interceptor, at time 0. *)
   install world test.strategy;
   Substrate.start world.w_live;
   Substrate.schedule world.w_live test.spec;
-  finish ~check_conformance test world
+  world
+
+let run_test ?(check_conformance = false) ?(diagnose = false) test =
+  finish ~check_conformance test
+    (straight ~with_monitor:(check_conformance || diagnose) ~diagnose test)
 
 (* --- forking ------------------------------------------------------- *)
 
@@ -117,6 +123,69 @@ let run_forked ?(check_conformance = false) image test =
   | Some world ->
       install world test.strategy;
       Some (finish ~check_conformance test world)
+
+(* --- finding runs -------------------------------------------------- *)
+
+type prefix = { image : world Dsim.Snapshot.image; at : int }
+
+(* The exposing run equals the reference run up to [first - 1], and so
+   does every run whose strategy starts later. The horizon caps [at]
+   for a strategy that perturbs nothing before it. *)
+let prefix test =
+  let first = Strategy.first_perturbation test.strategy in
+  if first <= 1 then None
+  else begin
+    let world = reference_world test.spec in
+    let at = min (first - 1) test.horizon in
+    advance world ~until:at;
+    Some { image = compile world; at }
+  end
+
+let prefix_bytes p = Dsim.Snapshot.bytes p.image
+
+(* The test's world forked from the prefix, its strategy installed; [None]
+   when the test perturbs at or before the prefix's instant, or the
+   image does not fit the minor heap. *)
+let fork prefix test =
+  match prefix with
+  | Some p when Strategy.first_perturbation test.strategy > p.at ->
+      Option.map
+        (fun world ->
+          install world test.strategy;
+          world)
+        (Dsim.Snapshot.instantiate p.image)
+  | Some _ | None -> None
+
+let run_from ~prefix test =
+  match fork prefix test with
+  | Some world -> finish ~check_conformance:false test world
+  | None -> run_test test
+
+(* One oracle check period: a verdict is read at most this much virtual
+   time after the target fired. *)
+let slice = 100_000
+
+type verdict = { fired : bool; forked : bool; stopped : bool }
+
+let verdict ~prefix ~target test =
+  let world, forked =
+    match fork prefix test with
+    | Some world -> (world, true)
+    | None -> (straight ~with_monitor:false ~diagnose:false test, false)
+  in
+  (* Nothing runs between two bounded runs, so consecutive bounds fire
+     the events of one run to the horizon, in its order. A run's
+     violations only accumulate, so the first slice that holds the
+     target's settles the verdict. *)
+  let rec go until =
+    let until = min test.horizon until in
+    Substrate.run ~until world.w_live;
+    if List.exists (fun (_, v) -> target v) (world.w_violations ()) then
+      { fired = true; forked; stopped = until < test.horizon }
+    else if until >= test.horizon then { fired = false; forked; stopped = false }
+    else go (until + slice)
+  in
+  go (Dsim.Engine.now (Substrate.engine world.w_live) + slice)
 
 (* A run can end in an oracle trip, a conformance trip, or both: either
    one anchors the causal walk, the oracle's entry preferred when both

@@ -93,6 +93,55 @@ val run_forked :
     when the image does not fit in the minor heap
     ({!Dsim.Snapshot.instantiate}): run the test straight instead. *)
 
+(** {2 Finding runs}
+
+    A new finding needs more runs of its case after the trial that
+    exposed it: each shrink candidate the minimizer simulates, and the
+    artifact run. A shrink candidate never perturbs earlier than the
+    strategy it shrinks, so all of them can share one {!prefix}: the
+    case's reference world without a monitor, up to just before the
+    exposing strategy's first perturbation. The minimizer only needs a
+    candidate's yes/no verdict, so a {!verdict} run also stops once its
+    target has fired. *)
+
+type prefix
+(** A compiled image of a reference world and the instant it was taken
+    at. *)
+
+val prefix : test -> prefix option
+(** Builds the world {!run_test} builds without a monitor (cluster, then
+    oracle), starts and schedules it with no strategy, advances it to
+    [first - 1], where [first] is the test's
+    {!Strategy.first_perturbation} (capped at the horizon), and compiles
+    it ({!compile}). [None] when [first <= 1]: there is nothing before
+    the first perturbation to share. *)
+
+val prefix_bytes : prefix -> int
+(** The image's size ({!Dsim.Snapshot.bytes}). *)
+
+val run_from : prefix:prefix option -> test -> outcome
+(** {!run_test} with no monitor, forked from the prefix when the test's
+    strategy first perturbs after the prefix's instant and the image
+    fits in the minor heap; straight otherwise. The prefix must come from
+    a test of the same spec and horizon. Either way the outcome's
+    violations, trace and metrics equal [run_test test]'s. *)
+
+type verdict = {
+  fired : bool;  (** a violation satisfying the target was recorded *)
+  forked : bool;  (** the run started from the prefix *)
+  stopped : bool;  (** it ended before the horizon because [fired] *)
+}
+
+val verdict : prefix:prefix option -> target:(Oracle.violation -> bool) -> test -> verdict
+(** The run of {!run_from}, advanced in slices of 100 ms of virtual time
+    (both oracles' check period) and stopped at the end of the first
+    slice after which a violation satisfying [target] has been recorded,
+    or at the horizon. Slicing is exact: nothing runs between two
+    bounded runs, so consecutive bounds fire the events of one run to
+    the horizon in the same order. And a run's violations only
+    accumulate, so [fired] equals
+    [List.exists (fun (_, v) -> target v) (run_test test).violations]. *)
+
 val violation_entry : outcome -> Dsim.Trace.entry option
 (** The trace entry anchoring the run's first violation: the first
     ["oracle.violation"] entry when the oracle fired, otherwise the

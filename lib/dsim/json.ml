@@ -25,15 +25,25 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let float_literal f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+(* What [Printf.sprintf "%.17g"] ends up calling, without parsing the
+   format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [Printf.sprintf "%.1f" f] for an integral [f] below 1e15, whose
+   digits an [int] holds exactly; ["%.17g"] for every other float. *)
+let write_float buf f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if f = 0. && Float.sign_bit f then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (Float.to_int f));
+    Buffer.add_string buf ".0"
+  end
+  else Buffer.add_string buf (format_float "%.17g" f)
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float f -> Buffer.add_string buf (float_literal f)
+  | Float f -> write_float buf f
   | String s -> escape_string buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -33,11 +33,20 @@ type conformance_summary = {
 
 type forking = { forked : int; fallbacks : int; images : int; image_bytes : int }
 
+type shrinking = {
+  shrunk : int;
+  shrink_simulated : int;
+  from_prefix : int;
+  prefix_bytes : int;
+  stopped : int;
+}
+
 type summary = {
   trials : int;
   executed : int;
   simulated : int;
   forking : forking;
+  shrinking : shrinking;
   replayed : int;
   with_violations : int;
   findings : finding list;
@@ -324,12 +333,12 @@ let finding_of_journal (f : Journal.entry) =
       { signature; bug; case_id = case; trial; time; detail; strategy; minimized; shrink_runs }
   | _ -> invalid_arg "finding_of_journal"
 
-let emit_artifact ~out ~(finding : finding) ~(test : Sieve.Runner.test) =
+let emit_artifact ~out ~(finding : finding) ~prefix ~(test : Sieve.Runner.test) =
   let dir =
     Filename.concat (Filename.concat out "findings") (Signature.to_dirname finding.signature)
   in
   mkdir_p dir;
-  let outcome = Sieve.Runner.run_test test in
+  let outcome = Sieve.Runner.run_from ~prefix test in
   write_file
     (Filename.concat dir "artifact.json")
     (Dsim.Json.to_string (Sieve.Runner.artifact outcome) ^ "\n");
@@ -464,19 +473,46 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
   let known : (string, unit) Hashtbl.t = Hashtbl.create 17 in
   let findings_rev = ref [] in
   let cards = ref 0 in
-  (* Cards stay out of the journal for the same reason conformance
-     results do: the journal is pinned byte-identical across job counts,
-     resumes and the --diagnose flag itself. *)
-  let minimize_for ~(trial : trial) signature =
-    if minimize_budget > 0 then
+  let shrunk = ref 0 in
+  let shrink_simulated = ref 0 in
+  let from_prefix = ref 0 in
+  let prefix_bytes = ref 0 in
+  let stopped = ref 0 in
+  (* The trial that exposed the signature need not run again. Each
+     shrink candidate starts from [prefix] when it can and stops once
+     its target has fired: it only answers yes or no. *)
+  let minimize ~prefix ~(trial : trial) signature =
+    if minimize_budget > 0 then begin
       let target v = String.equal (Signature.of_violation v) signature in
-      fst
-        (Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget ~exposed:true
-           ())
-    else trial.test
+      let s =
+        Sieve.Minimize.shrink ~prefix:(Lazy.force prefix) ~test:trial.test ~target
+          ~budget:minimize_budget ~exposed:true
+      in
+      incr shrunk;
+      shrink_simulated := !shrink_simulated + s.Sieve.Minimize.simulated;
+      from_prefix := !from_prefix + s.Sieve.Minimize.forked;
+      stopped := !stopped + s.Sieve.Minimize.stopped;
+      (s.Sieve.Minimize.test, s.Sieve.Minimize.executions)
+    end
+    else (trial.test, 0)
   in
   let settle index result =
     let trial = trials.(index) in
+    (* The finding runs of this trial's new signatures share one image
+       of the case's world just before the trial's first perturbation,
+       built when the first of them needs it. It dies with this settle,
+       once the trial's findings are written. Without minimization only
+       the artifact would fork from it, which saves no more than building
+       it costs. *)
+    let prefix =
+      lazy
+        (if minimize_budget > 0 then begin
+           let p = Sieve.Runner.prefix trial.test in
+           Option.iter (fun p -> prefix_bytes := !prefix_bytes + Sieve.Runner.prefix_bytes p) p;
+           p
+         end
+         else None)
+    in
     let strategy = Sieve.Strategy.describe trial.test.Sieve.Runner.strategy in
     let journal_run (violations, conformance) =
       incr executed;
@@ -550,7 +586,7 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
                 if diagnose then begin
                   if Sys.file_exists (card_path ~out ~finding) then incr cards
                   else if
-                    emit_card ~out ~finding ~test:(minimize_for ~trial r.signature)
+                    emit_card ~out ~finding ~test:(fst (minimize ~prefix ~trial r.signature))
                   then incr cards
                 end;
                 finding
@@ -560,15 +596,7 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
                    the finding. Artifact first — if we crash in between,
                    resume recomputes both; the journal stays the source
                    of truth. *)
-                let target v = String.equal (Signature.of_violation v) r.signature in
-                let minimized_test, shrink_runs =
-                  if minimize_budget > 0 then
-                    (* This trial just exposed the signature: the
-                       minimizer need not simulate it again. *)
-                    Sieve.Minimize.minimize ~test:trial.test ~target ~budget:minimize_budget
-                      ~exposed:true ()
-                  else (trial.test, 0)
-                in
+                let minimized_test, shrink_runs = minimize ~prefix ~trial r.signature in
                 let finding =
                   {
                     signature = r.signature;
@@ -583,7 +611,7 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
                     shrink_runs;
                   }
                 in
-                emit_artifact ~out ~finding ~test:minimized_test;
+                emit_artifact ~out ~finding ~prefix:(Lazy.force prefix) ~test:minimized_test;
                 if diagnose && emit_card ~out ~finding ~test:minimized_test then incr cards;
                 Journal.append writer
                   (Journal.Finding
@@ -627,6 +655,14 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
         fallbacks = !fallbacks;
         images = ladder.images;
         image_bytes = ladder.image_bytes;
+      };
+    shrinking =
+      {
+        shrunk = !shrunk;
+        shrink_simulated = !shrink_simulated;
+        from_prefix = !from_prefix;
+        prefix_bytes = !prefix_bytes;
+        stopped = !stopped;
       };
     replayed = !replayed;
     with_violations = !with_violations;

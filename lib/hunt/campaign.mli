@@ -40,8 +40,17 @@
     ({!Sieve.Runner.run_forked}) and runs to its horizon; runs perturbed
     before the first compiled rung, and runs whose image does not fit
     in the minor heap, run straight. Forked runs settle exactly what
-    straight runs would. Minimization, artifacts and cards always run
-    straight.
+    straight runs would.
+
+    A new finding's own runs fork too, from one image per exposing trial
+    ({!Sieve.Runner.prefix}): the case's world without a monitor, just
+    before the trial's first perturbation, built on the driver domain
+    while the trial settles and dropped once its findings are written.
+    Every shrink candidate starts from it when its strategy perturbs
+    later, which the shrink steps guarantee, and stops once its target
+    has fired ({!Sieve.Runner.verdict}); the artifact run forks from it
+    too ({!Sieve.Runner.run_from}). Cards run straight: they track
+    divergence, a different world.
 
     Because trials are deterministic, seeds are index-derived, and the
     journal is written in trial order, the journal is byte-identical
@@ -117,6 +126,16 @@ type forking = {
     perturbation. Outside the journal: forked and straight runs settle
     the same bytes. *)
 
+type shrinking = {
+  shrunk : int;  (** findings whose strategy was shrunk in this campaign *)
+  shrink_simulated : int;  (** shrink candidates run for them *)
+  from_prefix : int;  (** of those runs, forked from their finding's prefix *)
+  prefix_bytes : int;  (** the prefixes' total size ({!Sieve.Runner.prefix_bytes}) *)
+  stopped : int;  (** of those runs, stopped at their target before the horizon *)
+}
+(** What the findings cost to shrink. Outside the journal: a candidate's
+    verdict is the same however it ran. *)
+
 type summary = {
   trials : int;
   executed : int;  (** settled from a run in this campaign, not replayed *)
@@ -124,6 +143,7 @@ type summary = {
       (** runs actually simulated: [executed] minus the duplicates that
           settled from their representative's run *)
   forking : forking;
+  shrinking : shrinking;
   replayed : int;  (** skipped: replayed from the journal on resume *)
   with_violations : int;
   findings : finding list;  (** discovery order *)

@@ -1,3 +1,6 @@
+(* The Running pods of one owning rset key, in this pass's count. *)
+type owned = { owner : string; mutable running : int }
+
 type t = {
   ctl : Controller.t;
   quorum_fallback : bool;
@@ -6,6 +9,7 @@ type t = {
   deployments : Informer.t;
   rsets : Informer.t;
   pods : Informer.t;
+  mutable running : owned list;  (* this pass's count, one entry per owner *)
   mutable rollouts_completed : int;
 }
 
@@ -18,7 +22,7 @@ let controller t = t.ctl
 
 let rollouts_completed t = t.rollouts_completed
 
-let generation_rs dep generation = Printf.sprintf "%s-g%d" dep generation
+let generation_rs dep generation = dep ^ "-g" ^ string_of_int generation
 
 (* When the cached view wedges a rollout, re-count the new generation
    from etcd (quorum) — the stale cache cannot block progress forever. *)
@@ -42,42 +46,90 @@ let refresh_from_quorum t rs_name =
           (Printf.sprintf "%s running=%d" rs_name running)
     | Error `Unavailable -> ())
 
+(* The generation in [rs_name] from [i] on: what [int_of_string_opt]
+   makes of the suffix, read in place while it is at most 18 decimal
+   digits (no overflow). *)
+let rec generation_from rs_name ~base i acc =
+  if i = String.length rs_name then Some acc
+  else
+    match rs_name.[i] with
+    | '0' .. '9' as c when i - base < 18 ->
+        generation_from rs_name ~base (i + 1) ((acc * 10) + Char.code c - 48)
+    | _ -> int_of_string_opt (String.sub rs_name base (String.length rs_name - base))
+
 (* Parse "<dep>-g<k>" back to a generation; None for foreign rsets. *)
 let generation_of_rs dep rs_name =
-  let prefix = dep ^ "-g" in
-  if String.starts_with ~prefix rs_name then
-    int_of_string_opt
-      (String.sub rs_name (String.length prefix) (String.length rs_name - String.length prefix))
+  let base = String.length dep + 2 in
+  if
+    String.length rs_name > base
+    && History.Event.has_prefix dep rs_name
+    && rs_name.[base - 2] = '-'
+    && rs_name.[base - 1] = 'g'
+  then generation_from rs_name ~base base 0
   else None
+
+let rec bump owner = function
+  | [] -> false
+  | o :: rest ->
+      (String.equal o.owner owner && (o.running <- o.running + 1; true)) || bump owner rest
+
+(* One walk of the cached pods per pass counts the Running pods of each
+   owning rset. Nothing a pass does changes its caches, so the counts
+   hold for the whole pass. *)
+let count_running t =
+  t.running <- [];
+  History.State.iter_prefix (Informer.store t.pods) ~prefix:Resource.pods_prefix (fun _ v _ ->
+      match v with
+      | Resource.Pod
+          {
+            Resource.owner = Some owner;
+            deletion_timestamp = None;
+            phase = Resource.Running;
+            _;
+          } ->
+          if not (bump owner t.running) then t.running <- { owner; running = 1 } :: t.running
+      | _ -> ())
+
+let rec same_from key ~at name i =
+  i = String.length name || (key.[at + i] = name.[i] && same_from key ~at name (i + 1))
+
+(* [String.equal key (Resource.rset_key rs_name)], without building the
+   key. *)
+let is_rset_key key rs_name =
+  let at = String.length Resource.rsets_prefix in
+  String.length key = at + String.length rs_name
+  && History.Event.has_prefix Resource.rsets_prefix key
+  && same_from key ~at rs_name 0
+
+let rec running_in rs_name = function
+  | [] -> 0
+  | o :: rest -> if is_rset_key o.owner rs_name then o.running else running_in rs_name rest
 
 (* Running pods owned by the given replica set, per this controller's
    cached view. *)
-let running_of_rs t rs_name =
-  let store = Informer.store t.pods in
-  let rs_key = Resource.rset_key rs_name in
-  History.State.fold
-    (fun _ (v, _) acc ->
-      match v with
-      | Resource.Pod p
-        when Resource.owned_by rs_key p
-             && p.Resource.deletion_timestamp = None
-             && p.Resource.phase = Resource.Running ->
-          acc + 1
-      | _ -> acc)
-    store 0
+let running_of_rs t rs_name = running_in rs_name t.running
 
+(* Sorted by generation; equal generations in [compare]'s order of the
+   pairs. *)
+let rec insert ((generation, _) as set) = function
+  | ((generation', _) as set') :: rest
+    when generation' < generation || (generation' = generation && compare set' set <= 0) ->
+      set' :: insert set rest
+  | sets -> set :: sets
+
+(* One walk of the cached rsets, in place. It folds rather than iterates
+   so that what it returns is still a cached read to the lint: the
+   retire path deletes what this view says is drained. *)
 let owned_rsets t dep =
-  let store = Informer.store t.rsets in
   History.State.fold
-    (fun _ (v, _) acc ->
+    (fun _ (v, _) sets ->
       match v with
       | Resource.Rset r -> (
           match generation_of_rs dep r.Resource.rs_name with
-          | Some generation -> (generation, r) :: acc
-          | None -> acc)
-      | _ -> acc)
-    store []
-  |> List.sort compare
+          | Some generation -> insert (generation, r) sets
+          | None -> sets)
+      | _ -> sets)
+    (Informer.store t.rsets) []
 
 let set_rs_replicas t rs_name replicas =
   Client.txn_ (Controller.client t.ctl)
@@ -86,6 +138,21 @@ let set_rs_replicas t rs_name replicas =
 let delete_rs t rs_name =
   Controller.record t.ctl "depctl.retire" rs_name;
   Client.txn_ (Controller.client t.ctl) (Messages.delete (Resource.rset_key rs_name))
+
+(* Retire drained old generations. *)
+let rec retire t (d : Resource.deployment) ~new_running old_sets =
+  match old_sets with
+  | [] -> ()
+  | (_, r) :: rest ->
+      if r.Resource.rs_replicas = 0 && running_of_rs t r.Resource.rs_name = 0 then begin
+        delete_rs t r.Resource.rs_name;
+        if new_running >= d.Resource.dep_replicas then begin
+          t.rollouts_completed <- t.rollouts_completed + 1;
+          Controller.record t.ctl "depctl.rollout-done"
+            (Printf.sprintf "%s at generation %d" d.Resource.dep_name d.Resource.template)
+        end
+      end;
+      retire t d ~new_running rest
 
 let reconcile_deployment t (d : Resource.deployment) =
   let dep = d.Resource.dep_name in
@@ -135,20 +202,10 @@ let reconcile_deployment t (d : Resource.deployment) =
               (max 0 (oldest.Resource.rs_replicas - surplus))
         | [] -> ()
       end;
-      (* Retire drained old generations. *)
-      List.iter
-        (fun (_, r) ->
-          if r.Resource.rs_replicas = 0 && running_of_rs t r.Resource.rs_name = 0 then begin
-            delete_rs t r.Resource.rs_name;
-            if new_running >= desired then begin
-              t.rollouts_completed <- t.rollouts_completed + 1;
-              Controller.record t.ctl "depctl.rollout-done"
-                (Printf.sprintf "%s at generation %d" dep d.Resource.template)
-            end
-          end)
-        old_sets
+      retire t d ~new_running old_sets
 
 let reconcile t =
+  count_running t;
   History.State.iter_prefix (Informer.store t.deployments) ~prefix:Resource.deployments_prefix
     (fun _ v _ -> match v with Resource.Deployment d -> reconcile_deployment t d | _ -> ())
 
@@ -174,6 +231,7 @@ let create ~net ~name ~endpoints ?(quorum_fallback = false) () =
     deployments;
     rsets;
     pods;
+    running = [];
     rollouts_completed = 0;
   }
 

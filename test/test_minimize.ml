@@ -73,27 +73,30 @@ let minimize_rejects_non_failing_input () =
 
 (* With [~exposed:true] the loop takes the caller's word that the test
    fails instead of simulating it: on a failing test it returns exactly
-   what the simulating loop does, and on the clean reference run it goes
-   on to try every shrink candidate, which a simulated first verdict
-   would have stopped. *)
+   what the simulating loop does, one run fewer, and on the clean
+   reference run it goes on to try every shrink candidate, which a
+   simulated first verdict would have stopped. *)
 let minimize_trusts_exposed () =
   let case = Sieve.Bugs.k8s_56261 () in
   let target = case.Sieve.Bugs.matches in
+  let shrink ~test ~exposed =
+    Sieve.Minimize.shrink ~prefix:None ~test ~target ~budget:200 ~exposed
+  in
   let test = Sieve.Bugs.test_of_case case in
-  let simulated, runs = Sieve.Minimize.minimize ~test ~target () in
-  let trusted, runs' = Sieve.Minimize.minimize ~test ~target ~exposed:true () in
+  let simulated = shrink ~test ~exposed:false in
+  let trusted = shrink ~test ~exposed:true in
   Alcotest.(check string) "same minimized strategy"
-    (Sieve.Strategy.describe simulated.Sieve.Runner.strategy)
-    (Sieve.Strategy.describe trusted.Sieve.Runner.strategy);
-  Alcotest.(check int) "same executions counted" runs runs';
+    (Sieve.Strategy.describe simulated.test.Sieve.Runner.strategy)
+    (Sieve.Strategy.describe trusted.test.Sieve.Runner.strategy);
+  Alcotest.(check int) "same executions counted" simulated.executions trusted.executions;
+  Alcotest.(check int) "one run fewer" (simulated.simulated - 1) trusted.simulated;
   let harmless = Sieve.Strategy.observability_gap ~dst:"nobody" ~from:0 ~until:1 () in
   let clean = { (Sieve.Bugs.reference_test_of_case case) with Sieve.Runner.strategy = harmless } in
-  let _, cost = Sieve.Minimize.minimize ~test:clean ~target () in
-  Alcotest.(check int) "simulated: clean at once" 1 cost;
-  let _, cost = Sieve.Minimize.minimize ~test:clean ~target ~exposed:true () in
+  Alcotest.(check int) "simulated: clean at once" 1
+    (shrink ~test:clean ~exposed:false).executions;
   Alcotest.(check int) "trusted: every candidate tried"
     (1 + List.length (Sieve.Minimize.shrink_candidates harmless))
-    cost
+    (shrink ~test:clean ~exposed:true).executions
 
 let minimize_is_idempotent_on_corpus () =
   (* A minimized plan is a fixpoint: the greedy loop ran out of shrink

@@ -142,6 +142,55 @@ let lag_sampler_tick_allocates_nothing () =
   let per_tick = (words 10_000 -. words 100_000) /. extra_ticks in
   Alcotest.(check bool) (Printf.sprintf "%.1f words per tick" per_tick) true (per_tick < 4.0)
 
+(* The printer's float path, as it was: everything through [Printf]. *)
+let printf_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
+let json_float_edges =
+  [
+    0.;
+    -0.;
+    1e15 -. 1.;
+    -.(1e15 -. 1.);
+    1e15;
+    -1e15;
+    Float.nan;
+    Float.infinity;
+    Float.neg_infinity;
+    Float.max_float;
+    Float.min_float;
+    Int64.float_of_bits 1L;
+  ]
+
+let json_float_prints_as_printf_did =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl json_float_edges);
+          (2, map float_of_int int);
+          (2, map float_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000));
+          (2, map Float.round (float_range (-1e18) 1e18));
+          (2, float_range (-1e15) 1e15);
+          (2, map Int64.float_of_bits int64);
+        ])
+  in
+  Qcheck_util.to_alcotest
+    (QCheck.Test.make ~name:"json floats print as Printf did" ~count:2000
+       (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) gen)
+       (fun f ->
+         let got = Dsim.Json.to_string (Dsim.Json.Float f) in
+         String.equal got (printf_float f)
+         || QCheck.Test.fail_reportf "%h prints %s, Printf %s" f got (printf_float f)))
+
+let json_float_edges_print_as_printf_did () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_float f)
+        (Dsim.Json.to_string (Dsim.Json.Float f)))
+    json_float_edges
+
 let suites =
   [
     ( "observability",
@@ -156,5 +205,8 @@ let suites =
           Alcotest.test_case "oracle violations counted" `Quick oracle_violations_counted;
           Alcotest.test_case "lag sampler tick allocates nothing" `Quick
             lag_sampler_tick_allocates_nothing;
+          Alcotest.test_case "json float edge cases print as Printf did" `Quick
+            json_float_edges_print_as_printf_did;
+          json_float_prints_as_printf_did;
         ] );
   ]
