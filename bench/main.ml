@@ -298,48 +298,31 @@ let bugs () =
 let baselines () =
   Sieve.Report.section
     "T-BASE — tests-to-first-reproduction: partial-history planner vs prior heuristics";
-  let random_budget = 400 in
   let rows =
     List.map
       (fun case ->
-        let config = (Sieve.Bugs.kube_config case) in
-        let horizon = case.Sieve.Bugs.horizon in
-        let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
-        let events =
-          List.map
-            (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op))
-            commits
-        in
-        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-        let campaign strategies =
-          let arr = Array.of_list strategies in
-          let result =
-            Sieve.Runner.run_campaign
-              ~make_test:(fun i ->
-                Sieve.Runner.base_test ~config ~workload:(Sieve.Bugs.kube_workload case) ~horizon arr.(i))
-              ~candidates:(Array.length arr) ~target:case.Sieve.Bugs.matches ()
+        let reference = Sieve.Bugs.reference_test_of_case case in
+        let commits = Sieve.Runner.reference_commits reference in
+        let campaign family =
+          let trials =
+            Array.of_list
+              (List.map
+                 (fun (p : Sieve.Planner.plan) ->
+                   (case.Sieve.Bugs.id, { reference with Sieve.Runner.strategy = p.strategy }))
+                 (Sieve.Family.candidates family ~spec:case.Sieve.Bugs.spec
+                    ~horizon:case.Sieve.Bugs.horizon commits))
           in
-          match result.Sieve.Runner.found with
-          | Some _ -> string_of_int result.Sieve.Runner.tests_run
-          | None -> Printf.sprintf "miss (%d)" result.Sieve.Runner.tests_run
+          let tests_run = ref 0 and hit = ref false in
+          ignore
+            (Hunt.Campaign.execute ~jobs:1 ~check_conformance:false
+               ~stop_at:case.Sieve.Bugs.matches trials ~emit:(fun i violations _ ->
+                 tests_run := i + 1;
+                 hit := List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) violations));
+          if !hit then string_of_int !tests_run else Printf.sprintf "miss (%d)" !tests_run
         in
-        [
-          case.Sieve.Bugs.id;
-          pattern_name case.Sieve.Bugs.pattern;
-          campaign
-            (List.map
-               (fun p -> p.Sieve.Planner.strategy)
-               (Sieve.Planner.candidates ~config ~events ~horizon ()));
-          campaign
-            (List.map
-               (fun p -> p.Sieve.Planner.strategy)
-               (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()));
-          campaign (Sieve.Baselines.crashtuner ~events ~components);
-          campaign (Sieve.Baselines.cofi ~events ~components ~apiservers);
-          campaign
-            (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers ~horizon
-               ~n:random_budget);
-        ])
+        case.Sieve.Bugs.id
+        :: pattern_name case.Sieve.Bugs.pattern
+        :: List.map campaign Sieve.Family.[ Planner; Planner_causal; Crashtuner; Cofi; Random ])
       (Sieve.Bugs.all_with_extras ())
   in
   Printf.printf "\n(all approaches share workloads and oracles; numbers are tests until the\n\
@@ -358,37 +341,22 @@ let baselines () =
   Sieve.Report.subsection
     "coverage of the (component x object x pattern) space per approach (56261 scenario)";
   let case = Sieve.Bugs.k8s_56261 () in
-  let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-  let config = (Sieve.Bugs.kube_config case) in
-  let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-  let coverage_row name strategies =
-    let c = Sieve.Coverage.create ~config ~events in
-    List.iter (Sieve.Coverage.note c) strategies;
-    let cell pattern =
-      let _, covered, total =
-        List.find (fun (p, _, _) -> p = pattern) (Sieve.Coverage.by_pattern c)
-      in
-      Printf.sprintf "%d/%d" covered total
-    in
-    [
-      name;
-      cell `Staleness;
-      cell `Obs_gap;
-      cell `Time_travel;
-      Printf.sprintf "%.0f%%" (100.0 *. Sieve.Coverage.ratio c);
-    ]
+  let spec = case.Sieve.Bugs.spec and horizon = case.Sieve.Bugs.horizon in
+  let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
+  let coverage_row label family =
+    label
+    :: Sieve.Family.coverage_row (Sieve.Family.space spec commits)
+         (List.map
+            (fun (p : Sieve.Planner.plan) -> p.strategy)
+            (Sieve.Family.candidates family ~spec ~horizon commits))
   in
   Sieve.Report.table
     ~header:[ "approach"; "staleness"; "obs-gap"; "time-travel"; "overall" ]
     [
-      coverage_row "planner"
-        (List.map (fun p -> p.Sieve.Planner.strategy)
-           (Sieve.Planner.candidates ~config ~events ~horizon:case.Sieve.Bugs.horizon ()));
-      coverage_row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components);
-      coverage_row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers);
-      coverage_row "random (400)"
-        (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
-           ~horizon:case.Sieve.Bugs.horizon ~n:random_budget);
+      coverage_row "planner" Sieve.Family.Planner;
+      coverage_row "CrashTuner-like" Sieve.Family.Crashtuner;
+      coverage_row "CoFI-like" Sieve.Family.Cofi;
+      coverage_row "random (400)" Sieve.Family.Random;
     ];
   Printf.printf
     "\nNo amount of crash or partition injection reaches an observability-gap\n\
@@ -418,40 +386,40 @@ let yield_curve () =
   in
   let reference = Sieve.Runner.base_test ~config ~workload ~horizon Sieve.Strategy.No_perturbation in
   let commits = Sieve.Runner.reference_commits reference in
-  let events =
-    List.map (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op)) commits
-  in
-  let components, apiservers = Sieve.Baselines.targets reference.Sieve.Runner.spec in
   let budgets = [ 50; 100; 200; 400 ] in
-  let distinct_bugs strategies budget =
-    let found = Hashtbl.create 8 in
-    List.iteri
-      (fun i strategy ->
-        if i < budget then
-          let outcome =
-            Sieve.Runner.run_test (Sieve.Runner.base_test ~config ~workload ~horizon strategy)
-          in
-          List.iter
-            (fun (_, v) -> Hashtbl.replace found (Sieve.Oracle.bug_id v) ())
-            outcome.Sieve.Runner.violations)
-      strategies;
-    Hashtbl.length found
-  in
-  let row name strategies =
-    name :: List.map (fun budget -> string_of_int (distinct_bugs strategies budget)) budgets
+  let longest = List.fold_left max 0 budgets in
+  (* One campaign per family over its first [longest] candidates; each
+     budget's count is read off that run's prefix. *)
+  let row name family =
+    let plans =
+      Array.of_list
+        (Sieve.Family.candidates family ~spec:reference.Sieve.Runner.spec ~horizon commits)
+    in
+    let first_test = Hashtbl.create 8 in
+    ignore
+      (Hunt.Campaign.execute ~jobs:1 ~check_conformance:false
+         (Array.init (min longest (Array.length plans)) (fun i ->
+              let strategy = plans.(i).Sieve.Planner.strategy in
+              ("yield", { reference with Sieve.Runner.strategy })))
+         ~emit:(fun i violations _ ->
+           List.iter
+             (fun (_, v) ->
+               let bug = Sieve.Oracle.bug_id v in
+               if not (Hashtbl.mem first_test bug) then Hashtbl.add first_test bug i)
+             violations));
+    name
+    :: List.map
+         (fun budget ->
+           string_of_int (Hashtbl.fold (fun _ i n -> if i < budget then n + 1 else n) first_test 0))
+         budgets
   in
   let rows =
     [
-      row "planner+causal"
-        (List.map (fun p -> p.Sieve.Planner.strategy)
-           (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()));
-      row "planner"
-        (List.map (fun p -> p.Sieve.Planner.strategy)
-           (Sieve.Planner.candidates ~config ~events ~horizon ()));
-      row "CrashTuner-like" (Sieve.Baselines.crashtuner ~events ~components);
-      row "CoFI-like" (Sieve.Baselines.cofi ~events ~components ~apiservers);
-      row "random"
-        (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers ~horizon ~n:400);
+      row "planner+causal" Sieve.Family.Planner_causal;
+      row "planner" Sieve.Family.Planner;
+      row "CrashTuner-like" Sieve.Family.Crashtuner;
+      row "CoFI-like" Sieve.Family.Cofi;
+      row "random" Sieve.Family.Random;
     ]
   in
   Printf.printf

@@ -262,7 +262,14 @@ let timeline_cmd =
 (* --- campaign ------------------------------------------------------ *)
 
 let approach_enum =
-  [ ("planner", `Planner); ("crashtuner", `Crashtuner); ("cofi", `Cofi); ("random", `Random) ]
+  Sieve.Family.
+    [ ("planner", Planner); ("crashtuner", Crashtuner); ("cofi", Cofi); ("random", Random) ]
+
+let check_budget budget =
+  if budget < 0 then begin
+    Printf.eprintf "budget must be at least 0, got %d\n" budget;
+    exit 2
+  end
 
 let campaign_cmd =
   let doc = "Run a testing campaign for one bug with a given approach and report tests-to-first-reproduction." in
@@ -279,53 +286,40 @@ let campaign_cmd =
   let seed_arg =
     Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for the random baseline.")
   in
-  let run id approach budget seed =
+  let run id family budget seed =
+    check_budget budget;
     match Sieve.Bugs.find id with
     | None ->
         Printf.eprintf "unknown bug id %s\n" id;
         exit 2
     | Some case ->
-        let horizon = case.Sieve.Bugs.horizon in
-        let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        (* Fault targets and the planner family both come from the
-           case's own substrate spec. *)
-        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-        let planner_candidates () =
-          match case.Sieve.Bugs.spec with
-          | Sieve.Substrate.Kube { config; _ } ->
-              Sieve.Planner.candidates ~config ~events ~horizon ()
-          | Sieve.Substrate.Hbase { config; _ } ->
-              Sieve.Planner.candidates_hbase ~config ~events ~horizon ()
+        let reference = Sieve.Bugs.reference_test_of_case case in
+        let plans =
+          Array.of_list
+            (Sieve.Family.candidates ~seed ~n:budget family ~spec:case.Sieve.Bugs.spec
+               ~horizon:case.Sieve.Bugs.horizon (Sieve.Runner.reference_commits reference))
         in
-        let strategies =
-          match approach with
-          | `Planner -> List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ())
-          | `Crashtuner -> Sieve.Baselines.crashtuner ~events ~components
-          | `Cofi -> Sieve.Baselines.cofi ~events ~components ~apiservers
-          | `Random ->
-              Sieve.Baselines.random_faults ~seed ~components ~apiservers ~horizon ~n:budget
+        Printf.printf "%s: %d candidate tests (budget %d)\n" id (Array.length plans) budget;
+        let trials =
+          Array.init (min budget (Array.length plans)) (fun i ->
+              (id, { reference with Sieve.Runner.strategy = plans.(i).Sieve.Planner.strategy }))
         in
-        let arr = Array.of_list strategies in
-        let candidates = min budget (Array.length arr) in
-        Printf.printf "%s: %d candidate tests (budget %d)\n" id (Array.length arr) budget;
-        let result =
-          Sieve.Runner.run_campaign
-            ~make_test:(fun i ->
-              {
-                Sieve.Runner.name = Printf.sprintf "%s:campaign" id;
-                spec = case.Sieve.Bugs.spec;
-                horizon;
-                strategy = arr.(i);
-              })
-            ~candidates ~target:case.Sieve.Bugs.matches ()
-        in
-        (match result.Sieve.Runner.found with
-        | Some (test, time, v) ->
-            Printf.printf "reproduced after %d tests (violation at %.1f s)\n"
-              result.Sieve.Runner.tests_run (float_of_int time /. 1e6);
-            Printf.printf "winning strategy: %s\n" (Sieve.Strategy.describe test.Sieve.Runner.strategy);
+        (* The run stops at the first hit, so the last trial emitted
+           holds it, if any did. *)
+        let tests_run = ref 0 and hit = ref None in
+        ignore
+          (Hunt.Campaign.execute ~jobs:1 ~check_conformance:false ~stop_at:case.Sieve.Bugs.matches
+             trials ~emit:(fun i violations _ ->
+               tests_run := i + 1;
+               hit := List.find_opt (fun (_, v) -> case.Sieve.Bugs.matches v) violations));
+        (match !hit with
+        | Some (time, v) ->
+            Printf.printf "reproduced after %d tests (violation at %.1f s)\n" !tests_run
+              (float_of_int time /. 1e6);
+            Printf.printf "winning strategy: %s\n"
+              (Sieve.Strategy.describe (snd trials.(!tests_run - 1)).Sieve.Runner.strategy);
             Printf.printf "violation: %s\n" (Sieve.Oracle.describe v)
-        | None -> Printf.printf "not reproduced within %d tests\n" result.Sieve.Runner.tests_run)
+        | None -> Printf.printf "not reproduced within %d tests\n" !tests_run)
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(const run $ id_arg $ approach_arg $ budget_arg $ seed_arg)
@@ -344,6 +338,7 @@ let explore_cmd =
           ~doc:"Emit one JSON object summarizing the exploration instead of progress text.")
   in
   let run budget json =
+    check_budget budget;
     let config = Kube.Cluster.default_config in
     let horizon = 9_000_000 in
     let workload =
@@ -352,40 +347,43 @@ let explore_cmd =
       @ Kube.Workload.node_churn ~start:2_000_000 ~node:"node-3" ~pods_after:3 ()
     in
     let reference = Sieve.Runner.base_test ~config ~workload ~horizon Sieve.Strategy.No_perturbation in
-    let events = Sieve.Runner.reference_events reference in
-    let plans = Sieve.Planner.candidates ~config ~events ~horizon () in
+    let commits = Sieve.Runner.reference_commits reference in
+    let plans =
+      Array.of_list
+        (Sieve.Family.candidates Sieve.Family.Planner ~spec:reference.Sieve.Runner.spec ~horizon
+           commits)
+    in
+    let tests_run = min budget (Array.length plans) in
     if not json then
       Printf.printf "workload commits %d events; planner proposes %d candidates; running %d\n\n"
-        (List.length events) (List.length plans) (min budget (List.length plans));
+        (List.length commits) (Array.length plans) tests_run;
     let found = Hashtbl.create 8 in
     let results = ref [] in
-    List.iteri
-      (fun i plan ->
-        if i < budget then begin
-          let outcome =
-            Sieve.Runner.run_test
-              (Sieve.Runner.base_test ~config ~workload ~horizon plan.Sieve.Planner.strategy)
-          in
-          List.iter
-            (fun (time, v) ->
-              let key = Sieve.Oracle.key v in
-              if not (Hashtbl.mem found key) then begin
-                Hashtbl.replace found key ();
-                results := (i + 1, time, v, plan.Sieve.Planner.rationale) :: !results;
-                if not json then
-                  Printf.printf "test %3d: [%s] %s\n          via %s\n" (i + 1)
-                    (Sieve.Oracle.bug_id v) (Sieve.Oracle.describe v) plan.Sieve.Planner.rationale
-              end)
-            outcome.Sieve.Runner.violations
-        end)
-      plans;
+    ignore
+      (Hunt.Campaign.execute ~jobs:1 ~check_conformance:false
+         (Array.init tests_run (fun i ->
+              let strategy = plans.(i).Sieve.Planner.strategy in
+              ("explore", { reference with Sieve.Runner.strategy })))
+         ~emit:(fun i violations _ ->
+           let rationale = plans.(i).Sieve.Planner.rationale in
+           List.iter
+             (fun (time, v) ->
+               let key = Sieve.Oracle.key v in
+               if not (Hashtbl.mem found key) then begin
+                 Hashtbl.replace found key ();
+                 results := (i + 1, time, v, rationale) :: !results;
+                 if not json then
+                   Printf.printf "test %3d: [%s] %s\n          via %s\n" (i + 1)
+                     (Sieve.Oracle.bug_id v) (Sieve.Oracle.describe v) rationale
+               end)
+             violations));
     if json then
       Sieve.Report.json
         (Dsim.Json.Obj
            [
-             ("events", Dsim.Json.Int (List.length events));
-             ("candidates", Dsim.Json.Int (List.length plans));
-             ("tests_run", Dsim.Json.Int (min budget (List.length plans)));
+             ("events", Dsim.Json.Int (List.length commits));
+             ("candidates", Dsim.Json.Int (Array.length plans));
+             ("tests_run", Dsim.Json.Int tests_run);
              ( "violations",
                Dsim.Json.List
                  (List.rev_map
@@ -459,43 +457,22 @@ let coverage_cmd =
         Printf.eprintf "unknown bug id %s\n" id;
         exit 2
     | Some case ->
-        let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-        let make_space, planner_candidates =
-          match case.Sieve.Bugs.spec with
-          | Sieve.Substrate.Kube { config; _ } ->
-              ( (fun () -> Sieve.Coverage.create ~config ~events),
-                fun () ->
-                  Sieve.Planner.candidates ~config ~events ~horizon:case.Sieve.Bugs.horizon () )
-          | Sieve.Substrate.Hbase { config; _ } ->
-              ( (fun () -> Sieve.Coverage.create_hbase ~config ~events),
-                fun () ->
-                  Sieve.Planner.candidates_hbase ~config ~events ~horizon:case.Sieve.Bugs.horizon
-                    () )
-        in
-        let row name strategies =
-          let c = make_space () in
-          List.iter (Sieve.Coverage.note c) strategies;
-          let cell pattern =
-            let _, covered, total =
-              List.find (fun (p, _, _) -> p = pattern) (Sieve.Coverage.by_pattern c)
-            in
-            Printf.sprintf "%d/%d" covered total
-          in
-          [
-            name; cell `Staleness; cell `Obs_gap; cell `Time_travel;
-            Printf.sprintf "%.0f%%" (100.0 *. Sieve.Coverage.ratio c);
-          ]
+        let spec = case.Sieve.Bugs.spec and horizon = case.Sieve.Bugs.horizon in
+        let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
+        let row label family =
+          label
+          :: Sieve.Family.coverage_row (Sieve.Family.space spec commits)
+               (List.map
+                  (fun (p : Sieve.Planner.plan) -> p.strategy)
+                  (Sieve.Family.candidates family ~spec ~horizon commits))
         in
         Sieve.Report.table
           ~header:[ "approach"; "staleness"; "obs-gap"; "time-travel"; "overall" ]
           [
-            row "planner" (List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ()));
-            row "crashtuner" (Sieve.Baselines.crashtuner ~events ~components);
-            row "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers);
-            row "random(400)"
-              (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
-                 ~horizon:case.Sieve.Bugs.horizon ~n:400);
+            row "planner" Sieve.Family.Planner;
+            row "crashtuner" Sieve.Family.Crashtuner;
+            row "cofi" Sieve.Family.Cofi;
+            row "random(400)" Sieve.Family.Random;
           ]
   in
   Cmd.v (Cmd.info "coverage" ~doc) Term.(const run $ id_arg)

@@ -19,7 +19,11 @@ let () =
     Sieve.Runner.base_test ~name:"reference" ~config ~workload ~horizon
       Sieve.Strategy.No_perturbation
   in
-  let events = Sieve.Runner.reference_events reference in
+  let events =
+    List.map
+      (fun (c : Sieve.Runner.commit) -> (c.time, c.key, c.op))
+      (Sieve.Runner.reference_commits reference)
+  in
   Format.printf "reference run committed %d events@." (List.length events);
 
   (* Step 2: enumerate pattern-shaped perturbations around the events

@@ -68,4 +68,5 @@ val covered : t -> int
 val ratio : t -> float
 
 val by_pattern : t -> (pattern * int * int) list
-(** (pattern, covered, total) per pattern. *)
+(** (pattern, covered, total) per pattern: staleness, observability
+    gap, time travel. *)

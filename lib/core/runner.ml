@@ -273,32 +273,3 @@ let reference_commits test =
   List.rev_map
     (fun (time, key, op, rev) -> { time; key; op; origin = Etcdlike.Commits.origin feed ~rev })
     !noted
-
-let reference_events test =
-  List.map (fun c -> (c.time, c.key, c.op)) (reference_commits test)
-
-type campaign_result = {
-  tests_run : int;
-  found : (test * int * Oracle.violation) option;
-  all_found : (test * int * Oracle.violation) list;
-}
-
-let run_campaign ~make_test ~candidates ?(target = fun _ -> true) ?(stop_at_first = true) () =
-  let finish tests_run acc =
-    let all_found = List.rev acc in
-    let found = match all_found with hit :: _ -> Some hit | [] -> None in
-    { tests_run; found; all_found }
-  in
-  let rec go i acc =
-    if i >= candidates then finish candidates acc
-    else begin
-      let test = make_test i in
-      let outcome = run_test test in
-      let hits = List.filter (fun (_, v) -> target v) outcome.violations in
-      let acc =
-        List.fold_left (fun acc (time, violation) -> (test, time, violation) :: acc) acc hits
-      in
-      if hits <> [] && stop_at_first then finish (i + 1) acc else go (i + 1) acc
-    end
-  in
-  go 0 []

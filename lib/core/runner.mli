@@ -1,5 +1,5 @@
-(** Test runner: executes (workload × strategy) tests on fresh clusters
-    and drives campaigns until an oracle violation is found.
+(** Test runner: executes (workload × strategy) tests on fresh clusters.
+    Campaigns over candidate lists run through [Hunt.Campaign.execute].
 
     Every test builds its own cluster from its config, so tests are
     hermetic and a failing test is replayable from its record alone. *)
@@ -175,31 +175,3 @@ val reference_commits : test -> commit list
 (** Runs the test *without* its strategy and returns every committed
     event with its originating component — the planner's raw material
     (the causality record Section 7 calls for). *)
-
-val reference_events : test -> (int * string * History.Event.op) list
-(** {!reference_commits} without the origins. *)
-
-type campaign_result = {
-  tests_run : int;
-  found : (test * int * Oracle.violation) option;
-      (** first test whose oracle reported a matching violation, with the
-          violation's virtual time *)
-  all_found : (test * int * Oracle.violation) list;
-      (** every matching violation reported within the budget, oldest
-          first; with [stop_at_first] this is just the first test's
-          matches *)
-}
-
-val run_campaign :
-  make_test:(int -> test) ->
-  candidates:int ->
-  ?target:(Oracle.violation -> bool) ->
-  ?stop_at_first:bool ->
-  unit ->
-  campaign_result
-(** Runs [make_test 0 .. make_test (candidates-1)] in order. With
-    [stop_at_first] (the default) the campaign stops at the first test
-    that produces a violation satisfying [target] (default: any
-    violation); with [~stop_at_first:false] it spends the whole budget
-    and reports every match in [all_found] — the same semantics the
-    parallel hunt engine uses, so the two paths agree. *)

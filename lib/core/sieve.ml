@@ -4,7 +4,7 @@
     {!Strategy} describes perturbations for the three Section 4.2
     patterns (staleness, time travel, observability gaps); {!Oracle}
     checks persistent safety violations against ground truth; {!Runner}
-    executes hermetic (workload x strategy) tests and campaigns;
+    executes hermetic (workload x strategy) tests;
     {!Footprint} states what each component reads, writes and
     destroys; {!Planner} enumerates pattern-shaped candidates from a
     reference execution over targets projected from the footprints,
@@ -12,7 +12,8 @@
     executable corpus (the paper's five case studies plus extensions);
     {!Baselines} re-implements the prior-art heuristics for comparison;
     {!Coverage} measures how much of the perturbation space a campaign
-    touches; {!Minimize} shrinks failing strategies to locally minimal
+    touches; {!Family} builds a case's candidate list for each approach
+    compared; {!Minimize} shrinks failing strategies to locally minimal
     reproductions; {!Report} renders tables. *)
 
 module Substrate = Substrate
@@ -25,5 +26,6 @@ module Planner = Planner
 module Bugs = Bugs
 module Baselines = Baselines
 module Coverage = Coverage
+module Family = Family
 module Minimize = Minimize
 module Report = Report

@@ -60,24 +60,19 @@ type summary = {
 
 type planned_case = {
   case : Sieve.Bugs.case;
-  events : (int * string * History.Event.op) list;
+  commits : Sieve.Runner.commit list;  (* of the case's reference run *)
   components : string list;
   apiservers : string list;
   scheduled : (int * Sieve.Planner.plan) list;  (* dispatch order *)
 }
 
-(* Coverage over the case's substrate; used both for scheduling and the
-   explored-space report. *)
-let coverage_of_case (case : Sieve.Bugs.case) ~events =
-  match case.Sieve.Bugs.spec with
-  | Sieve.Substrate.Kube { config; _ } -> Sieve.Coverage.create ~config ~events
-  | Sieve.Substrate.Hbase { config; _ } -> Sieve.Coverage.create_hbase ~config ~events
-
 let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
-  let horizon = case.Sieve.Bugs.horizon in
+  let spec = case.Sieve.Bugs.spec in
   let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
-  let events =
-    List.map (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op)) commits
+  let plans =
+    Array.of_list
+      (Sieve.Family.candidates Sieve.Family.Planner_causal ~spec ~horizon:case.Sieve.Bugs.horizon
+         commits)
   in
   (* With hazard ranking the static hazard graph enters as a
      lexicographic priority above coverage gain in the scheduler. It
@@ -85,26 +80,23 @@ let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
      order is the tie-break among equal-(priority, gain) trials, and
      reshuffling it measurably delays some exposures
      (cassandra-operator-402 in the regression corpus). *)
-  let hazards, plans =
-    match case.Sieve.Bugs.spec with
-    | Sieve.Substrate.Kube { config; _ } ->
-        ( (if hazard_rank then Analysis.Hazard.of_config config else []),
-          Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()) )
-    | Sieve.Substrate.Hbase { config; _ } ->
-        ( (if hazard_rank then
-             Analysis.Hazard.of_footprints (Sieve.Footprint.of_hbase_config config)
-           else []),
-          Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()) )
+  let hazards =
+    if not hazard_rank then []
+    else
+      match spec with
+      | Sieve.Substrate.Kube { config; _ } -> Analysis.Hazard.of_config config
+      | Sieve.Substrate.Hbase { config; _ } ->
+          Analysis.Hazard.of_footprints (Sieve.Footprint.of_hbase_config config)
   in
-  let coverage = coverage_of_case case ~events in
+  let coverage = Sieve.Family.space spec commits in
   let scheduled =
     Schedule.order
       ?priority:(if hazard_rank then Some (Analysis.Hazard.plan_score hazards coverage) else None)
       coverage plans
     |> List.map (fun i -> (i, plans.(i)))
   in
-  let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-  { case; events; components; apiservers; scheduled }
+  let components, apiservers = Sieve.Baselines.targets spec in
+  { case; commits; components; apiservers; scheduled }
 
 (* Round-robin across cases so early trials are diverse even when one
    case dominates the candidate count. *)
@@ -204,7 +196,7 @@ let plan ?budget ?(seed = 42L) ?(hazard_rank = false) ~cases () =
   let space =
     List.map
       (fun pc ->
-        let coverage = coverage_of_case pc.case ~events:pc.events in
+        let coverage = Sieve.Family.space pc.case.Sieve.Bugs.spec pc.commits in
         Array.iter
           (fun (t : trial) ->
             if String.equal t.case_id pc.case.Sieve.Bugs.id then
@@ -229,88 +221,77 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* --- running ------------------------------------------------------- *)
+(* --- the engine ---------------------------------------------------- *)
 
 (* How a simulated run got its prefix: re-simulated, forked from an
    image, or re-simulated because its image did not fit the minor heap. *)
 type path = Straight | Forked | Fallback
 
-type worker_result =
-  | Replayed of Journal.violation_record list
-  | Ran of ((int * Sieve.Oracle.violation) list * Sieve.Runner.conformance option) * path
-  | Duplicate of int  (* settles from this representative's [Ran] *)
-
-(* A trial is a deterministic function of its case and its strategy: the
-   trials of a case share its spec and horizon, and a trial's name and
-   seed never enter the run. So each distinct (case, strategy) pair is
+(* A trial is a deterministic function of its test's spec, horizon and
+   strategy, and the trials of a group share spec and horizon; a test's
+   name never enters the run. So each distinct (group, strategy) pair is
    simulated once, by its representative: the lowest-index trial with
-   that pair that this run does not replay from the journal. Strategies
-   are plain data and compare structurally ([Strategy.describe] prints
-   milliseconds and would merge distinct windows). Returns each trial's
-   representative and, per representative, its last duplicate (-1 if
-   none). *)
-let representatives (trials : trial array) ~replayed =
+   that pair. Strategies are plain data and compare structurally
+   ([Strategy.describe] prints milliseconds and would merge distinct
+   windows). Returns each trial's representative and, per
+   representative, its last duplicate (-1 if none). *)
+let representatives (trials : (string * Sieve.Runner.test) array) =
   let n = Array.length trials in
   let first = Hashtbl.create n in
   let rep =
-    Array.map
-      (fun (t : trial) ->
-        if replayed t.index then t.index
-        else
-          let key = (t.case_id, t.test.Sieve.Runner.strategy) in
-          match Hashtbl.find_opt first key with
-          | Some r -> r
-          | None ->
-              Hashtbl.add first key t.index;
-              t.index)
+    Array.mapi
+      (fun index (group, (test : Sieve.Runner.test)) ->
+        let key = (group, test.strategy) in
+        match Hashtbl.find_opt first key with
+        | Some r -> r
+        | None ->
+            Hashtbl.add first key index;
+            index)
       trials
   in
   let last = Array.make n (-1) in
   Array.iteri (fun i r -> if r <> i then last.(r) <- i) rep;
   (rep, last)
 
-(* Simulated runs fork from compiled snapshots of their case's reference
+(* Simulated runs fork from compiled snapshots of their group's reference
    run ({!Sieve.Runner.run_forked}) instead of re-simulating the prefix
-   before their first perturbation. Each case's reference world runs
+   before their first perturbation. Each group's reference world runs
    through rungs [rung_spacing] of virtual time apart. A run's rung is
    the latest one strictly before its first perturbation and before the
    horizon; a rung is compiled only if at least [rung_min_runs] runs
    have it as theirs, since a compile costs memory and each fork saves
    only its run's prefix. A run whose rung is not compiled forks from
    the latest compiled rung below it, or runs straight if there is
-   none. *)
+   none. Returns each trial's image, if it forks, and the images' count
+   and size. *)
 let rung_spacing = 1_000_000
 
 let rung_min_runs = 16
 
-type ladder = {
-  fork_of : Sieve.Runner.world Dsim.Snapshot.image option array;  (* by trial index *)
-  images : int;
-  image_bytes : int;
-}
-
-let ladder ~check_conformance ~cases (trials : trial array) ~simulated =
+let ladder ~check_conformance (trials : (string * Sieve.Runner.test) array) ~simulated =
   let fork_of = Array.make (Array.length trials) None in
   let images = ref 0 and image_bytes = ref 0 in
-  List.iter
-    (fun (case : Sieve.Bugs.case) ->
-      let last = (case.Sieve.Bugs.horizon - 1) / rung_spacing in
-      let runs =
-        Array.fold_right
-          (fun (t : trial) acc ->
-            if String.equal t.case_id case.Sieve.Bugs.id && simulated t.index then
-              let first = Sieve.Strategy.first_perturbation t.test.Sieve.Runner.strategy in
-              let rung = if first <= 0 then 0 else min last ((first - 1) / rung_spacing) in
-              if rung >= 1 then (t.index, rung) :: acc else acc
-            else acc)
-          trials []
-      in
+  (* Per group: one of its tests, for spec and horizon, and its simulated
+     runs that have a rung. *)
+  let groups = Hashtbl.create 16 in
+  Array.iteri
+    (fun index (group, (test : Sieve.Runner.test)) ->
+      let first = Sieve.Strategy.first_perturbation test.strategy in
+      let last = (test.horizon - 1) / rung_spacing in
+      let rung = if first <= 0 then 0 else min last ((first - 1) / rung_spacing) in
+      if simulated index && rung >= 1 then
+        let runs = Option.fold ~none:[] ~some:snd (Hashtbl.find_opt groups group) in
+        Hashtbl.replace groups group (test, (index, rung) :: runs))
+    trials;
+  Hashtbl.iter
+    (fun _ ((test : Sieve.Runner.test), runs) ->
+      let last = (test.horizon - 1) / rung_spacing in
       let counts = Array.make (last + 1) 0 in
       List.iter (fun (_, rung) -> counts.(rung) <- counts.(rung) + 1) runs;
       if Array.exists (fun c -> c >= rung_min_runs) counts then begin
-        let world = Sieve.Runner.reference_world ~check_conformance case.Sieve.Bugs.spec in
+        let world = Sieve.Runner.reference_world ~check_conformance test.spec in
         (* [latest.(k)]: the image of the latest kept rung at or below k. *)
-        let latest = Array.make (Array.length counts) None in
+        let latest = Array.make (last + 1) None in
         for k = 1 to last do
           latest.(k) <- latest.(k - 1);
           if counts.(k) >= rung_min_runs then begin
@@ -323,8 +304,66 @@ let ladder ~check_conformance ~cases (trials : trial array) ~simulated =
         done;
         List.iter (fun (index, rung) -> fork_of.(index) <- latest.(rung)) runs
       end)
-    cases;
-  { fork_of; images = !images; image_bytes = !image_bytes }
+    groups;
+  (fork_of, { forked = 0; fallbacks = 0; images = !images; image_bytes = !image_bytes })
+
+exception Stop
+
+let execute ~jobs ~check_conformance ?stop_at trials ~emit =
+  let rep, last = representatives trials in
+  let fork_of, compiled = ladder ~check_conformance trials ~simulated:(fun i -> rep.(i) = i) in
+  (* Workers run representatives, and return [None] for a duplicate;
+     everything stateful (duplicates, the stop rule, [emit]) happens in
+     [settle], on this domain, in trial order. Workers only read the
+     ladder's images. *)
+  let work index (_, test) =
+    if rep.(index) <> index then None
+    else
+      let forked =
+        Option.bind fork_of.(index) (fun image ->
+            Sieve.Runner.run_forked ~check_conformance image test)
+      in
+      let outcome, path =
+        match forked with
+        | Some outcome -> (outcome, Forked)
+        | None ->
+            ( Sieve.Runner.run_test ~check_conformance test,
+              if Option.is_some fork_of.(index) then Fallback else Straight )
+      in
+      Some ((outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance), path)
+  in
+  (* A representative's run, held from its settle to its last
+     duplicate's. A duplicate always settles after its representative. *)
+  let held = Hashtbl.create 64 in
+  let simulated = ref 0 and forked = ref 0 and fallbacks = ref 0 in
+  let settle index result =
+    let violations, conformance =
+      match result with
+      | Some (run, path) ->
+          incr simulated;
+          (match path with
+          | Forked -> incr forked
+          | Fallback -> incr fallbacks
+          | Straight -> ());
+          if last.(index) >= 0 then Hashtbl.replace held index run;
+          run
+      | None ->
+          let r = rep.(index) in
+          let run = Hashtbl.find held r in
+          if last.(r) = index then Hashtbl.remove held r;
+          run
+    in
+    emit index violations conformance;
+    match stop_at with
+    | Some target when List.exists (fun (_, v) -> target v) violations -> raise Stop
+    | Some _ | None -> ()
+  in
+  (* [Pool.map_ordered] stops claiming trials once [settle] raises, and
+     re-raises after its workers drained. *)
+  (try Pool.map_ordered ~jobs ~tasks:trials ~f:work ~emit:settle with Stop -> ());
+  (!simulated, { compiled with forked = !forked; fallbacks = !fallbacks })
+
+(* --- the hunt ------------------------------------------------------ *)
 
 let finding_of_journal (f : Journal.entry) =
   match f with
@@ -390,7 +429,7 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
     if resume then Journal.open_resume ~path:journal_path
     else ([], Journal.create ~path:journal_path)
   in
-  let done_trials : (int, Journal.entry) Hashtbl.t = Hashtbl.create 97 in
+  let done_trials : (int, Journal.violation_record list) Hashtbl.t = Hashtbl.create 97 in
   let journal_findings : (string, Journal.entry) Hashtbl.t = Hashtbl.create 17 in
   let header_seen = ref false in
   List.iter
@@ -405,62 +444,32 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
                   use a fresh --out or matching parameters"
                  journal_path h.seed seed h.trials n)
       | Journal.Trial t ->
-          if t.trial >= 0 && t.trial < n then begin
-            (* The header cannot see ordering knobs like --hazard-rank, but
-               the journaled strategy text can: a journal whose trial N ran
-               a different strategy than this plan's trial N was produced
-               by a differently-ordered campaign, and replaying it would
-               silently misattribute results. *)
-            let planned_strategy =
-              Sieve.Strategy.describe trials.(t.trial).test.Sieve.Runner.strategy
-            in
-            if not (String.equal t.strategy planned_strategy) then
-              failwith
-                (Printf.sprintf
-                   "hunt: %s trial %d was journaled with a different strategy than this \
-                    campaign plans (ordering flags such as --hazard-rank must match the \
-                    original run); use a fresh --out"
-                   journal_path t.trial);
-            Hashtbl.replace done_trials t.trial entry
-          end
+          (* Trials are journaled in trial order, so a journal this plan
+             wrote holds a prefix of its trials. *)
+          if t.trial <> Hashtbl.length done_trials || t.trial >= n then
+            failwith
+              (Printf.sprintf "hunt: %s holds trial %d out of trial order; use a fresh --out"
+                 journal_path t.trial);
+          (* The header cannot see ordering knobs like --hazard-rank, but
+             the journaled strategy text can: a journal whose trial N ran
+             a different strategy than this plan's trial N was produced
+             by a differently-ordered campaign, and replaying it would
+             silently misattribute results. *)
+          let planned_strategy =
+            Sieve.Strategy.describe trials.(t.trial).test.Sieve.Runner.strategy
+          in
+          if not (String.equal t.strategy planned_strategy) then
+            failwith
+              (Printf.sprintf
+                 "hunt: %s trial %d was journaled with a different strategy than this \
+                  campaign plans (ordering flags such as --hazard-rank must match the \
+                  original run); use a fresh --out"
+                 journal_path t.trial);
+          Hashtbl.replace done_trials t.trial t.violations
       | Journal.Finding f -> Hashtbl.replace journal_findings f.signature entry)
     replayed_entries;
   if not !header_seen then
     Journal.append writer (Journal.Header { version = 1; seed; trials = n; cases = case_ids });
-  let rep, last = representatives trials ~replayed:(Hashtbl.mem done_trials) in
-  let ladder =
-    ladder ~check_conformance ~cases trials ~simulated:(fun i ->
-        rep.(i) = i && not (Hashtbl.mem done_trials i))
-  in
-  (* Workers run trials not present in the journal, except duplicates;
-     everything stateful (journal appends, dedup, minimize, artifacts,
-     progress) happens in [settle], on this domain, in trial order.
-     Workers only read the ladder's images. *)
-  let work index trial =
-    match Hashtbl.find_opt done_trials index with
-    | Some (Journal.Trial { violations; _ }) -> Replayed violations
-    | Some _ | None when rep.(index) <> index -> Duplicate rep.(index)
-    | Some _ | None ->
-        let forked =
-          Option.bind ladder.fork_of.(index) (fun image ->
-              Sieve.Runner.run_forked ~check_conformance image trial.test)
-        in
-        let outcome, path =
-          match forked with
-          | Some outcome -> (outcome, Forked)
-          | None ->
-              ( Sieve.Runner.run_test ~check_conformance trial.test,
-                if Option.is_some ladder.fork_of.(index) then Fallback else Straight )
-        in
-        Ran ((outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance), path)
-  in
-  (* A representative's run, held from its settle to its last
-     duplicate's. A duplicate always settles after its representative. *)
-  let held = Hashtbl.create 64 in
-  let executed = ref 0 in
-  let simulated = ref 0 in
-  let forked = ref 0 in
-  let fallbacks = ref 0 in
   let replayed = ref 0 in
   let with_violations = ref 0 in
   (* Conformance results stay out of the journal on purpose: the journal
@@ -496,6 +505,9 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
     end
     else (trial.test, 0)
   in
+  (* Everything stateful (journal appends, dedup, minimize, artifacts,
+     progress) happens here, on this domain, in trial order: a trial's
+     records come from its run or, on resume, from the journal. *)
   let settle index result =
     let trial = trials.(index) in
     (* The finding runs of this trial's new signatures share one image
@@ -514,61 +526,47 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
          else None)
     in
     let strategy = Sieve.Strategy.describe trial.test.Sieve.Runner.strategy in
-    let journal_run (violations, conformance) =
-      incr executed;
-      (match conformance with
-      | None -> ()
-      | Some c ->
-          incr conf_trials;
-          conf_total := !conf_total + c.Sieve.Runner.conf_total;
-          List.iter
-            (fun v ->
-              let s = Signature.of_conformance v in
-              if not (Hashtbl.mem conf_signatures s) then begin
-                Hashtbl.replace conf_signatures s ();
-                conf_signatures_rev := s :: !conf_signatures_rev
-              end)
-            c.Sieve.Runner.conf_violations);
-      let records =
-        List.map
-          (fun (time, v) ->
-            {
-              Journal.time;
-              bug = Sieve.Oracle.bug_id v;
-              signature = Signature.of_violation v;
-              detail = Sieve.Oracle.describe v;
-            })
-          violations
-      in
-      Journal.append writer
-        (Journal.Trial
-           {
-             trial = index;
-             case = trial.case_id;
-             origin = trial.origin;
-             seed = trial.seed;
-             strategy;
-             violations = records;
-           });
-      records
-    in
     let records =
       match result with
-      | Replayed records ->
+      | `Replayed records ->
           incr replayed;
           records
-      | Ran (run, path) ->
-          incr simulated;
-          (match path with
-          | Forked -> incr forked
-          | Fallback -> incr fallbacks
-          | Straight -> ());
-          if last.(index) >= 0 then Hashtbl.replace held index run;
-          journal_run run
-      | Duplicate r ->
-          let run = Hashtbl.find held r in
-          if last.(r) = index then Hashtbl.remove held r;
-          journal_run run
+      | `Ran (violations, conformance) ->
+          (match conformance with
+          | None -> ()
+          | Some c ->
+              incr conf_trials;
+              conf_total := !conf_total + c.Sieve.Runner.conf_total;
+              List.iter
+                (fun v ->
+                  let s = Signature.of_conformance v in
+                  if not (Hashtbl.mem conf_signatures s) then begin
+                    Hashtbl.replace conf_signatures s ();
+                    conf_signatures_rev := s :: !conf_signatures_rev
+                  end)
+                c.Sieve.Runner.conf_violations);
+          let records =
+            List.map
+              (fun (time, v) ->
+                {
+                  Journal.time;
+                  bug = Sieve.Oracle.bug_id v;
+                  signature = Signature.of_violation v;
+                  detail = Sieve.Oracle.describe v;
+                })
+              violations
+          in
+          Journal.append writer
+            (Journal.Trial
+               {
+                 trial = index;
+                 case = trial.case_id;
+                 origin = trial.origin;
+                 seed = trial.seed;
+                 strategy;
+                 violations = records;
+               });
+          records
     in
     if records <> [] then incr with_violations;
     List.iter
@@ -642,20 +640,27 @@ let run ?(jobs = 1) ?(out = "_hunt") ?(resume = false) ?budget ?(seed = 42L)
             findings = List.length !findings_rev;
           }
   in
-  Fun.protect
-    ~finally:(fun () -> Journal.close writer)
-    (fun () -> Pool.map_ordered ~jobs ~tasks:trials ~f:work ~emit:settle);
+  (* The journal's trials settle from it; the engine runs the rest. *)
+  let resumed = Hashtbl.length done_trials in
+  let simulated, forking =
+    Fun.protect
+      ~finally:(fun () -> Journal.close writer)
+      (fun () ->
+        for index = 0 to resumed - 1 do
+          settle index (`Replayed (Hashtbl.find done_trials index))
+        done;
+        execute ~jobs ~check_conformance
+          (Array.init (n - resumed) (fun k ->
+               let trial = trials.(resumed + k) in
+               (trial.case_id, trial.test)))
+          ~emit:(fun k violations conformance ->
+            settle (resumed + k) (`Ran (violations, conformance))))
+  in
   {
     trials = n;
-    executed = !executed;
-    simulated = !simulated;
-    forking =
-      {
-        forked = !forked;
-        fallbacks = !fallbacks;
-        images = ladder.images;
-        image_bytes = ladder.image_bytes;
-      };
+    executed = n - resumed;
+    simulated;
+    forking;
     shrinking =
       {
         shrunk = !shrunk;

@@ -1,46 +1,40 @@
-(** The campaign driver: parallel, persistent, resumable, coverage-guided.
+(** The campaign engine ({!execute}) and the hunt built on it ({!run}).
 
-    A campaign turns a set of corpus cases into one global trial list:
-    per case, the causal planner's candidates are ordered by coverage
-    gain ({!Schedule.order}), then cases are interleaved round-robin; a
-    budget beyond the candidate count is filled with seed-derived
-    random-fault exploration trials. Per-trial seeds are split off the
-    campaign seed by index ({!Dsim.Rng.split}), so nothing depends on
-    completion order.
+    A trial of {!execute} is a deterministic function of its group and
+    its strategy (the trials of a group share spec and horizon, and a
+    test's name never enters the run), so each distinct (group,
+    strategy) pair is simulated once, by its {e representative}: the
+    lowest-index trial with that pair, compared structurally. A
+    duplicate settles after its representative, from its run. Nor does
+    a run re-simulate the prefix it shares with its group's unperturbed
+    reference run. Before dispatch, each group's reference
+    world (cluster, oracle and, with [check_conformance], monitor, as the
+    trials have them, with no strategy) runs through rungs 1 s of virtual
+    time apart, compiling a {!Dsim.Snapshot} image at each rung that at
+    least 16 runs would fork from: their latest rung strictly before
+    their {!Sieve.Strategy.first_perturbation}. A run forks from the
+    latest compiled rung before its first perturbation
+    ({!Sieve.Runner.run_forked}); runs perturbed before the first
+    compiled rung, and runs whose image does not fit in the minor heap,
+    run straight. Forked runs settle exactly what straight runs would.
 
-    Trials execute on worker domains ({!Pool.map_ordered}); results
-    settle on the driver domain in trial order, appending to the
+    {!run} turns a set of corpus cases into one global trial list
+    ({!plan}): per case, the causal planner's candidates are ordered by
+    coverage gain ({!Schedule.order}), then cases are interleaved
+    round-robin; a budget beyond the candidate count is filled with
+    seed-derived random-fault exploration trials. Per-trial seeds are
+    split off the campaign seed by index ({!Dsim.Rng.split}), so nothing
+    depends on completion order. The trials run through {!execute},
+    grouped by case, and settle in trial order, appending to the
     {!Journal} as they go. The first trial to expose each distinct
     violation signature ({!Signature.of_violation}) becomes a finding:
-    its strategy is shrunk with {!Sieve.Minimize.minimize} and a
+    its strategy is shrunk with {!Sieve.Minimize.shrink} and a
     self-contained artifact directory
     ([OUT/findings/<signature>/{artifact,finding}.json], via
     {!Sieve.Runner.artifact}) is emitted. Later trials hitting the same
-    signature deduplicate against it.
-
-    A trial is a deterministic function of its case and its strategy (a
-    trial's name and seed never enter the run), and the planner proposes
-    some strategies more than once, so each distinct (case, strategy)
-    pair is simulated once: by its {e representative}, the lowest-index
-    trial with that pair, compared structurally, that the run does not
-    replay from the journal. Workers skip duplicates; a duplicate settles
-    after its representative and is journaled, counted and
-    conformance-tallied from the representative's run, exactly as if it
-    had been simulated again.
-
-    A simulated run does not re-simulate the prefix it shares with its
-    case's unperturbed reference run either. Before dispatch, each case
-    builds one reference world (its cluster, oracle and, with
-    [check_conformance], monitor, as the trials have them, with no
-    strategy) and runs it through rungs 1 s of virtual time apart,
-    compiling a {!Dsim.Snapshot} image at each rung that at least 16
-    runs would fork from: their latest rung strictly before their
-    {!Sieve.Strategy.first_perturbation}. A run then forks from the
-    latest compiled rung before its first perturbation
-    ({!Sieve.Runner.run_forked}) and runs to its horizon; runs perturbed
-    before the first compiled rung, and runs whose image does not fit
-    in the minor heap, run straight. Forked runs settle exactly what
-    straight runs would.
+    signature deduplicate against it. On resume, the journal, written in
+    trial order, holds a prefix of the trials: they settle from it, and
+    only the rest run.
 
     A new finding's own runs fork too, from one image per exposing trial
     ({!Sieve.Runner.prefix}): the case's world without a monitor, just
@@ -101,7 +95,7 @@ type finding = {
   strategy : string;
   minimized : string;
   shrink_runs : int;
-      (** candidate evaluations {!Sieve.Minimize.minimize} spent, repeats
+      (** candidate evaluations {!Sieve.Minimize.shrink} spent, repeats
           included, though a repeat is not simulated again *)
 }
 
@@ -125,6 +119,22 @@ type forking = {
 (** How the simulated runs got the prefix before their first
     perturbation. Outside the journal: forked and straight runs settle
     the same bytes. *)
+
+val execute :
+  jobs:int ->
+  check_conformance:bool ->
+  ?stop_at:(Sieve.Oracle.violation -> bool) ->
+  (string * Sieve.Runner.test) array ->
+  emit:(int -> (int * Sieve.Oracle.violation) list -> Sieve.Runner.conformance option -> unit) ->
+  int * forking
+(** Runs the trials, each a group label and a test, on up to [jobs]
+    worker domains ({!Pool.map_ordered}) and calls [emit i violations
+    conformance] for [i = 0, 1, ...] on the calling domain, so what a
+    caller does with them is the same at any job count: trial [i]'s
+    timed oracle violations and, with [check_conformance], its monitor's
+    result ({!Sieve.Runner.run_test}). With [stop_at], the run ends after
+    emitting the first trial with a violation satisfying it. Returns how
+    many runs were simulated, and how they forked. *)
 
 type shrinking = {
   shrunk : int;  (** findings whose strategy was shrunk in this campaign *)
@@ -170,9 +180,10 @@ val run :
 (** Runs the campaign. [jobs] worker domains (default 1); [out] is the
     artifact directory (default ["_hunt"]), holding [journal.jsonl] and
     [findings/]. With [resume] the existing journal's completed trials
-    are skipped (the header must match the campaign and every journaled
-    trial's strategy must match the plan's — ordering flags like
-    [hazard_rank] included — else the run fails with a clear error);
+    are skipped (the header must match the campaign, the journaled
+    trials must be a prefix of the plan's in order, and each one's
+    strategy must match the plan's — ordering flags like [hazard_rank]
+    included — else the run fails with a clear error);
     without it any existing journal is overwritten. [minimize_budget]
     caps shrink executions per finding (default 200; [0] skips
     minimization). [hazard_rank] orders dispatch by the static hazard

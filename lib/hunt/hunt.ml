@@ -1,15 +1,17 @@
 (** Hunt: the parallel, persistent, coverage-guided campaign engine.
 
-    {!Runner.run_campaign} is a sequential in-memory loop that forgets
-    everything at exit; Hunt is what Section 7's "campaigns of deliberate
-    perturbations" need at scale. {!Pool} fans trials out across OCaml 5
-    domains (every trial is an independent deterministic simulation);
-    {!Journal} persists every result crash-safely as JSONL; {!Schedule}
-    dispatches candidates by coverage gain over the (component × object
-    × pattern) space; {!Signature} deduplicates violations into
-    findings; {!Campaign} ties it together — resumable, byte-for-byte
-    reproducible across job counts, minimizing each new finding and
-    emitting a self-contained artifact directory for it. *)
+    Every campaign over a candidate list runs on {!Campaign.execute}:
+    {!Pool} fans its trials out across OCaml 5 domains (each one an
+    independent deterministic simulation), and they settle in trial
+    order, each distinct run simulated once and forked from its
+    reference run's prefix, stopping at a target when asked. The hunt,
+    {!Campaign.run}, is what Section 7's "campaigns of deliberate
+    perturbations" need at scale: {!Journal} persists every result
+    crash-safely as JSONL; {!Schedule} dispatches candidates by coverage
+    gain over the (component × object × pattern) space; {!Signature}
+    deduplicates violations into findings; the hunt is resumable,
+    byte-for-byte reproducible across job counts, and minimizes each
+    new finding into a self-contained artifact directory. *)
 
 module Signature = Signature
 module Journal = Journal

@@ -46,22 +46,32 @@ let fixes_are_targeted () =
    being told the strategy. *)
 let planner_finds_ext_rs () =
   let case = Sieve.Bugs.ext_rs_surplus () in
-  let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-  let plans =
-    Sieve.Planner.candidates ~config:(Sieve.Bugs.kube_config case) ~events
-      ~horizon:case.Sieve.Bugs.horizon ()
+  let reference = Sieve.Bugs.reference_test_of_case case in
+  let trials =
+    Array.of_list
+      (List.map
+         (fun (p : Sieve.Planner.plan) ->
+           (case.Sieve.Bugs.id, { reference with Sieve.Runner.strategy = p.strategy }))
+         (Sieve.Family.candidates Sieve.Family.Planner ~spec:case.Sieve.Bugs.spec
+            ~horizon:case.Sieve.Bugs.horizon (Sieve.Runner.reference_commits reference)))
   in
-  let arr = Array.of_list plans in
-  let result =
-    Sieve.Runner.run_campaign
-      ~make_test:(fun i ->
-        Sieve.Runner.base_test ~config:(Sieve.Bugs.kube_config case) ~workload:(Sieve.Bugs.kube_workload case)
-          ~horizon:case.Sieve.Bugs.horizon arr.(i).Sieve.Planner.strategy)
-      ~candidates:(Array.length arr) ~target:case.Sieve.Bugs.matches ()
+  (* Jobs 1 and 2 emit the same trials and stop at the same one. *)
+  let first_hit jobs =
+    let emitted = ref [] and found = ref None in
+    ignore
+      (Hunt.Campaign.execute ~jobs ~check_conformance:false ~stop_at:case.Sieve.Bugs.matches
+         trials ~emit:(fun i violations _ ->
+           emitted := i :: !emitted;
+           if List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) violations then
+             found := Some (i + 1)));
+    (List.rev !emitted, !found)
   in
+  let emitted, found = first_hit 1 in
   Alcotest.(check bool)
-    (Printf.sprintf "found within %d tests" result.Sieve.Runner.tests_run)
-    true (result.Sieve.Runner.found <> None)
+    (Printf.sprintf "found within %d tests" (List.length emitted))
+    true (found <> None);
+  Alcotest.(check (pair (list int) (option int))) "jobs 2 emits what jobs 1 emits" (emitted, found)
+    (first_hit 2)
 
 let suites =
   let case_tests =

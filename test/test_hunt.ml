@@ -169,6 +169,25 @@ let campaign_resume_refuses_foreign_journal () =
       Alcotest.(check bool) "clear error" true
         (String.length msg > 0 && String.sub msg 0 4 = "hunt")
 
+(* A journal is written in trial order, so resume replays a prefix of
+   the plan; one with a trial missing in the middle was not written by
+   this campaign. *)
+let campaign_resume_refuses_a_gap () =
+  ignore (campaign ~out:"_hunt_test/res-gap" ());
+  let lines = String.split_on_char '\n' (read_file "_hunt_test/res-gap/journal.jsonl") in
+  let is_trial_3 line =
+    match Result.map Hunt.Journal.entry_of_json (Dsim.Json.parse line) with
+    | Ok (Some (Hunt.Journal.Trial { trial = 3; _ })) -> true
+    | _ -> false
+  in
+  write_file "_hunt_test/res-gap/journal.jsonl"
+    (String.concat "\n" (List.filter (fun line -> not (is_trial_3 line)) lines));
+  match campaign ~resume:true ~out:"_hunt_test/res-gap" () with
+  | _ -> Alcotest.fail "expected resume to refuse a journal missing trial 3"
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the trial out of order" true
+        (String.starts_with ~prefix:"hunt: _hunt_test/res-gap/journal.jsonl holds trial 4" msg)
+
 let campaign_dedups_findings () =
   let summary = campaign ~out:"_hunt_test/dedup" () in
   let entries, _ = Hunt.Journal.load "_hunt_test/dedup/journal.jsonl" in
@@ -371,22 +390,15 @@ let corpus_candidates =
     (Array.of_list
        (List.map
           (fun (case : Sieve.Bugs.case) ->
-            let horizon = case.Sieve.Bugs.horizon in
+            let spec = case.Sieve.Bugs.spec in
             let commits =
               Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case)
             in
-            let events =
-              List.map (fun (c : Sieve.Runner.commit) -> (c.time, c.key, c.op)) commits
-            in
-            match case.Sieve.Bugs.spec with
-            | Sieve.Substrate.Kube { config; _ } ->
-                ( case.Sieve.Bugs.id,
-                  Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()),
-                  fun () -> Sieve.Coverage.create ~config ~events )
-            | Sieve.Substrate.Hbase { config; _ } ->
-                ( case.Sieve.Bugs.id,
-                  Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()),
-                  fun () -> Sieve.Coverage.create_hbase ~config ~events ))
+            ( case.Sieve.Bugs.id,
+              Array.of_list
+                (Sieve.Family.candidates Sieve.Family.Planner_causal ~spec
+                   ~horizon:case.Sieve.Bugs.horizon commits),
+              fun () -> Sieve.Family.space spec commits ))
           (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated () @ Sieve.Bugs.hbase ())))
 
 (* Bounds the naive reference's quadratic cost per instance. *)
@@ -461,6 +473,8 @@ let suites =
         Alcotest.test_case "resume converges on the full run" `Slow campaign_resume_converges;
         Alcotest.test_case "resume refuses a foreign journal" `Quick
           campaign_resume_refuses_foreign_journal;
+        Alcotest.test_case "resume refuses a journal with a gap" `Quick
+          campaign_resume_refuses_a_gap;
         Alcotest.test_case "findings dedup by signature" `Slow campaign_dedups_findings;
       ] );
     ( "hunt.duplicates",

@@ -50,9 +50,9 @@ let digests_match_fixture () =
   Alcotest.(check int) "15 cases x 3 variants x 2 monitor settings" 90 (List.length expected);
   List.iter2 (fun e a -> Alcotest.(check string) "observable digest" e a) expected actual
 
-(* Planner candidates: for every case, the plain list (from the
-   reference events, as campaign/coverage/explore use it) and the causal
-   list (from the reference commits, as hunt uses it). One line per
+(* Planner candidates: for every case, the plain list (the planner
+   family, as campaign/coverage/explore use it) and the causal list (the
+   planner+causal family, as hunt uses it), both from {!Sieve.Family}. One line per
    (case, list): "<id> <plain|causal> <count> <md5>", the md5 over each
    plan's description and rationale. Regenerate like the digests above,
    by printing [planner_lines ()]. *)
@@ -69,18 +69,12 @@ let planner_lines () =
   in
   List.concat_map
     (fun (case : Sieve.Bugs.case) ->
-      let horizon = case.Sieve.Bugs.horizon in
       let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
-      let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-      let plain, causal =
-        match case.Sieve.Bugs.spec with
-        | Sieve.Substrate.Kube { config; _ } ->
-            ( Sieve.Planner.candidates ~config ~events ~horizon (),
-              Sieve.Planner.candidates_causal ~config ~commits ~horizon () )
-        | Sieve.Substrate.Hbase { config; _ } ->
-            ( Sieve.Planner.candidates_hbase ~config ~events ~horizon (),
-              Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon () )
+      let family family =
+        Sieve.Family.candidates family ~spec:case.Sieve.Bugs.spec ~horizon:case.Sieve.Bugs.horizon
+          commits
       in
+      let plain = family Sieve.Family.Planner and causal = family Sieve.Family.Planner_causal in
       [
         Printf.sprintf "%s plain %s" case.Sieve.Bugs.id (digest plain);
         Printf.sprintf "%s causal %s" case.Sieve.Bugs.id (digest causal);
@@ -96,8 +90,8 @@ let planner_matches_fixture () =
   List.iter2 (fun e a -> Alcotest.(check string) "planner digest" e a) expected actual
 
 (* Baseline candidates: for every case, CrashTuner, CoFI and 400 seeded
-   random plans over the case's own fault targets, taken the way the CLI
-   takes them. One line per (case, baseline): "<id> <baseline> <count>
+   random plans over the case's own fault targets, as {!Sieve.Family}
+   gives them to the CLI and the bench. One line per (case, baseline): "<id> <baseline> <count>
    <md5>", the md5 over each strategy's description. *)
 let baselines_lines () =
   let digest strategies =
@@ -106,15 +100,19 @@ let baselines_lines () =
   in
   List.concat_map
     (fun (case : Sieve.Bugs.case) ->
-      let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-      let components, apiservers = Sieve.Baselines.targets case.Sieve.Bugs.spec in
-      let line name strategies = Printf.sprintf "%s %s %s" case.Sieve.Bugs.id name (digest strategies) in
+      let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
+      let line name family =
+        Printf.sprintf "%s %s %s" case.Sieve.Bugs.id name
+          (digest
+             (List.map
+                (fun (p : Sieve.Planner.plan) -> p.strategy)
+                (Sieve.Family.candidates family ~spec:case.Sieve.Bugs.spec
+                   ~horizon:case.Sieve.Bugs.horizon commits)))
+      in
       [
-        line "crashtuner" (Sieve.Baselines.crashtuner ~events ~components);
-        line "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers);
-        line "random"
-          (Sieve.Baselines.random_faults ~seed:42L ~components ~apiservers
-             ~horizon:case.Sieve.Bugs.horizon ~n:400);
+        line "crashtuner" Sieve.Family.Crashtuner;
+        line "cofi" Sieve.Family.Cofi;
+        line "random" Sieve.Family.Random;
       ])
     (cases ())
 
