@@ -259,20 +259,15 @@ let bugs () =
   let rows cases =
     List.map
       (fun case ->
-        let reference = Sieve.Runner.run_test (Sieve.Bugs.reference_test_of_case case) in
-        let sieve = Sieve.Runner.run_test (Sieve.Bugs.test_of_case case) in
-        let fixed = Sieve.Runner.run_test (Sieve.Bugs.fixed_test_of_case case) in
-        let hit (o : Sieve.Runner.outcome) =
-          List.find_opt (fun (_, v) -> case.Sieve.Bugs.matches v) o.Sieve.Runner.violations
-        in
+        let r = Sieve.Bugs.reproduce case in
         [
           case.Sieve.Bugs.id;
           pattern_name case.Sieve.Bugs.pattern;
-          (if reference.Sieve.Runner.violations = [] then "clean" else "VIOLATION!");
-          (match hit sieve with
-          | Some (t, _) -> Printf.sprintf "yes @ %.1f s" (float_of_int t /. 1e6)
+          (if r.reference_clean then "clean" else "VIOLATION!");
+          (match r.exposed_at with
+          | Some t -> Printf.sprintf "yes @ %.1f s" (float_of_int t /. 1e6)
           | None -> "NO");
-          (match hit fixed with None -> "closed" | Some _ -> "STILL OPEN");
+          (if r.fix_closes then "closed" else "STILL OPEN");
         ])
       cases
   in
@@ -512,54 +507,32 @@ let epochs () =
 let seals () =
   Sieve.Report.section
     "T-SEAL — epoch seals in vivo: which corpus bugs the 6.2 protocol closes";
+  let row id pattern (plain, sealed) =
+    [
+      id;
+      pattern;
+      (if plain then "reproduced" else "clean");
+      (if sealed then "still reproduced" else "CLOSED");
+    ]
+  in
   let rows =
     List.map
       (fun case ->
-        let run config =
-          Sieve.Runner.run_test
-            (Sieve.Runner.base_test ~config ~workload:(Sieve.Bugs.kube_workload case)
-               ~horizon:case.Sieve.Bugs.horizon case.Sieve.Bugs.sieve_strategy)
-        in
-        let hit (o : Sieve.Runner.outcome) =
-          List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) o.Sieve.Runner.violations
-        in
-        let plain = run (Sieve.Bugs.kube_config case) in
-        let sealed =
-          run { (Sieve.Bugs.kube_config case) with Kube.Cluster.api_epoch_seal = Some 5 }
-        in
-        [
-          case.Sieve.Bugs.id;
-          pattern_name case.Sieve.Bugs.pattern;
-          (if hit plain then "reproduced" else "clean");
-          (if hit sealed then "still reproduced" else "CLOSED");
-        ])
+        row case.Sieve.Bugs.id
+          (pattern_name case.Sieve.Bugs.pattern)
+          (Sieve.Bugs.seal_hits ~granularity:5 case))
       (Sieve.Bugs.all_with_extras ())
   in
   (* CA-400/402 are staleness-pattern bugs whose corpus strategies use the
      drop *vector*; show that the pure-delay vector for the same bug
      survives seals. *)
   let delay_variant =
-    let case = Sieve.Bugs.ca_402 () in
     let strategy =
       Sieve.Strategy.staleness ~dst:"cassop" ~key_prefix:Kube.Resource.pods_prefix
         ~from:(sec 3) ~until:(sec 5) ~extra:(ms 1_200) ()
     in
-    let run config =
-      Sieve.Runner.run_test
-        (Sieve.Runner.base_test ~config ~workload:(Sieve.Bugs.kube_workload case)
-           ~horizon:case.Sieve.Bugs.horizon strategy)
-    in
-    let hit (o : Sieve.Runner.outcome) =
-      List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) o.Sieve.Runner.violations
-    in
-    let plain = run (Sieve.Bugs.kube_config case) in
-    let sealed = run { (Sieve.Bugs.kube_config case) with Kube.Cluster.api_epoch_seal = Some 5 } in
-    [
-      "CA-402 (delay vector)";
-      "staleness";
-      (if hit plain then "reproduced" else "clean");
-      (if hit sealed then "still reproduced" else "CLOSED");
-    ]
+    row "CA-402 (delay vector)" "staleness"
+      (Sieve.Bugs.seal_hits ~strategy ~granularity:5 (Sieve.Bugs.ca_402 ()))
   in
   Printf.printf
     "\n(apiserver watch streams seal every 5 revisions and at every bookmark tick;\n\

@@ -69,23 +69,16 @@ let bugs_cmd =
         let rows =
           List.map
             (fun case ->
-              let hit (o : Sieve.Runner.outcome) =
-                List.find_opt (fun (_, v) -> case.Sieve.Bugs.matches v) o.Sieve.Runner.violations
-              in
-              let reference = Sieve.Runner.run_test (Sieve.Bugs.reference_test_of_case case) in
-              let sieve = Sieve.Runner.run_test (Sieve.Bugs.test_of_case case) in
-              let fixed = Sieve.Runner.run_test (Sieve.Bugs.fixed_test_of_case case) in
-              let ok =
-                reference.Sieve.Runner.violations = [] && hit sieve <> None && hit fixed = None
-              in
+              let r = Sieve.Bugs.reproduce case in
+              let ok = r.reference_clean && Option.is_some r.exposed_at && r.fix_closes in
               if not ok then incr failures;
               [
                 case.Sieve.Bugs.id;
-                (if reference.Sieve.Runner.violations = [] then "clean" else "VIOLATION");
-                (match hit sieve with
-                | Some (t, _) -> Printf.sprintf "reproduced @ %.1fs" (float_of_int t /. 1e6)
+                (if r.reference_clean then "clean" else "VIOLATION");
+                (match r.exposed_at with
+                | Some t -> Printf.sprintf "reproduced @ %.1fs" (float_of_int t /. 1e6)
                 | None -> "MISSED");
-                (match hit fixed with None -> "closed" | Some _ -> "OPEN");
+                (if r.fix_closes then "closed" else "OPEN");
                 (if ok then "ok" else "FAIL");
               ])
             cases
@@ -419,23 +412,12 @@ let seals_cmd =
     let rows =
       List.map
         (fun case ->
-          let run config =
-            Sieve.Runner.run_test
-              (Sieve.Runner.base_test ~config ~workload:(Sieve.Bugs.kube_workload case)
-                 ~horizon:case.Sieve.Bugs.horizon case.Sieve.Bugs.sieve_strategy)
-          in
-          let hit (o : Sieve.Runner.outcome) =
-            List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) o.Sieve.Runner.violations
-          in
-          let sealed =
-            run
-              { (Sieve.Bugs.kube_config case) with Kube.Cluster.api_epoch_seal = Some granularity }
-          in
+          let plain, sealed = Sieve.Bugs.seal_hits ~granularity case in
           [
             case.Sieve.Bugs.id;
             pattern_name case.Sieve.Bugs.pattern;
-            (if hit (run (Sieve.Bugs.kube_config case)) then "reproduced" else "clean");
-            (if hit sealed then "still reproduced" else "CLOSED");
+            (if plain then "reproduced" else "clean");
+            (if sealed then "still reproduced" else "CLOSED");
           ])
         (Sieve.Bugs.all_with_extras ())
     in

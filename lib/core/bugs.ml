@@ -170,6 +170,33 @@ let fixed_test_of_case case =
     strategy = case.sieve_strategy;
   }
 
+let hit case (outcome : Runner.outcome) =
+  List.find_opt (fun (_, v) -> case.matches v) outcome.Runner.violations
+
+type reproduction = { reference_clean : bool; exposed_at : int option; fix_closes : bool }
+
+let reproduce case =
+  let reference = Runner.run_test (reference_test_of_case case) in
+  let focused = Runner.run_test (test_of_case case) in
+  let fixed = Runner.run_test (fixed_test_of_case case) in
+  {
+    reference_clean = reference.Runner.violations = [];
+    exposed_at = Option.map fst (hit case focused);
+    fix_closes = Option.is_none (hit case fixed);
+  }
+
+let seal_hits ?strategy ~granularity case =
+  let strategy = Option.value strategy ~default:case.sieve_strategy in
+  let hits config =
+    Option.is_some
+      (hit case
+         (Runner.run_test
+            (Runner.base_test ~config ~workload:(kube_workload case) ~horizon:case.horizon
+               strategy)))
+  in
+  let config = kube_config case in
+  (hits config, hits { config with Kube.Cluster.api_epoch_seal = Some granularity })
+
 (* ------------------------------------------------------------------ *)
 (* Extension corpus: partial-history bug instances beyond the paper's
    five case studies, found in the extra controllers this reproduction

@@ -60,9 +60,27 @@ val test_of_case : case -> Runner.test
 val reference_test_of_case : case -> Runner.test
 (** The same scenario with no perturbation (must be violation-free). *)
 
-val fixed_test_of_case : case -> Runner.test
-(** The Sieve strategy against the fixed configuration (must be
-    violation-free if the fix is real). *)
+type reproduction = {
+  reference_clean : bool;  (** the reference run records no violation at all *)
+  exposed_at : int option;
+      (** virtual time of the focused run's first violation [matches]
+          accepts; [None] when the strategy misses the bug *)
+  fix_closes : bool;  (** the fixed run records no violation [matches] accepts *)
+}
+
+val reproduce : case -> reproduction
+(** Runs the case's reference test, its focused test, and its focused
+    strategy against [fixed_spec] (named ["<id>/fixed"]), in that order
+    ({!Runner.run_test}): the bug reproduces when the reference is
+    clean, the focused run exposes it and the fix closes it. *)
+
+val seal_hits : ?strategy:Strategy.t -> granularity:int -> case -> bool * bool
+(** Whether [matches] fires on a kube case run under [strategy] (default
+    its focused one) with its config as it is, and with the apiservers
+    sealing their watch streams every [granularity] revisions (Section
+    6.2's epochs): the pair (without seals, with seals).
+    @raise Invalid_argument on a non-kube case, or when [granularity] is
+    not positive. *)
 
 (** {2 Extension corpus}
 

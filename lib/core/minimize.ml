@@ -117,11 +117,11 @@ let shrink ~prefix ~test ~target ~budget ~exposed =
   let fails strategy =
     (exposed && strategy == test.Runner.strategy)
     ||
-    let verdict = Runner.verdict ~prefix ~target { test with Runner.strategy } in
+    let outcome = Runner.run_test ?prefix ~stop_at:target { test with Runner.strategy } in
     incr simulated;
-    if verdict.Runner.forked then incr forked;
-    if verdict.Runner.stopped then incr stopped;
-    verdict.Runner.fired
+    if outcome.Runner.forked then incr forked;
+    if outcome.Runner.stopped then incr stopped;
+    List.exists (fun (_, v) -> target v) outcome.Runner.violations
   in
   let strategy, executions = greedy ~budget ~fails test.Runner.strategy in
   {

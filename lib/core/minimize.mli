@@ -42,16 +42,17 @@ val shrink :
   budget:int ->
   exposed:bool ->
   shrunk
-(** {!greedy} over {!Runner.verdict} runs of [test] with each candidate
-    strategy: each stops once its target has fired, and forks from
-    [prefix] when it can (a prefix of [test], {!Runner.prefix}). With
+(** {!greedy} over {!Runner.run_test} runs of [test] with each candidate
+    strategy: each stops once its target has fired ([stop_at]), and
+    forks from [prefix] when it can (a prefix of [test],
+    {!Runner.prefix}). With
     [exposed] the caller has already seen [test] trigger the target, so
     the loop's first evaluation takes that verdict instead of running
     the test again; it still counts as an execution. [budget] caps
     executions. The input test must trigger the target; otherwise it is
-    returned unchanged with one execution. A verdict equals the one a
-    full straight run gives, so the result is the same with or without
-    a prefix. *)
+    returned unchanged with one execution. Whether a candidate triggers
+    the target is the same as in a full straight run, so the result is
+    the same with or without a prefix. *)
 
 val minimize :
   test:Runner.test ->

@@ -22,6 +22,8 @@ type outcome = {
   live : Substrate.live;
   conformance : conformance option;
   hooks : Conformance.Handle.t option;
+  forked : bool;
+  stopped : bool;
 }
 
 let kube_cluster outcome = Substrate.kube outcome.live
@@ -66,8 +68,91 @@ let install world strategy =
   | Substrate.Kube_live cluster -> Strategy.apply cluster strategy
   | Substrate.Hbase_live cluster -> Strategy.apply_hbase cluster strategy
 
-let finish ~check_conformance test world =
-  Substrate.run ~until:test.horizon world.w_live;
+(* --- prefixes ------------------------------------------------------ *)
+
+type prefix = { image : world Dsim.Snapshot.image; at : int; monitor : bool }
+
+let prefixes ?(check_conformance = false) spec instants =
+  if List.sort_uniq compare instants <> instants then
+    invalid_arg "Runner.prefixes: instants must be strictly ascending";
+  if instants = [] then []
+  else begin
+    let world = attach ~with_monitor:check_conformance ~diagnose:false spec in
+    Substrate.start world.w_live;
+    Substrate.schedule world.w_live spec;
+    List.map
+      (fun at ->
+        Substrate.run ~until:at world.w_live;
+        Gc.minor ();
+        { image = Dsim.Snapshot.compile world; at; monitor = check_conformance })
+      instants
+  end
+
+(* The exposing run equals the reference run up to [first - 1], and so
+   does every run whose strategy starts later. The horizon caps the
+   instant for a strategy that perturbs nothing before it. *)
+let prefix test =
+  let first = Strategy.first_perturbation test.strategy in
+  if first <= 1 then None
+  else Some (List.hd (prefixes test.spec [ min (first - 1) test.horizon ]))
+
+let prefix_bytes p = Dsim.Snapshot.bytes p.image
+
+(* --- running ------------------------------------------------------- *)
+
+(* The test's world forked from the prefix, or [None] to run straight.
+   A prefix of another world raises even when the run would not fork. *)
+let fork ~check_conformance ~diagnose p test =
+  if diagnose then invalid_arg "Runner.run_test: a prefix does not track divergence";
+  if p.monitor <> check_conformance then
+    invalid_arg "Runner.run_test: the prefix's monitor differs from the run's";
+  if Strategy.first_perturbation test.strategy <= p.at then None
+  else Dsim.Snapshot.instantiate p.image
+
+(* One oracle check period: a run with a target stops at most this much
+   virtual time after the target fired. *)
+let slice = 100_000
+
+let run_test ?(check_conformance = false) ?(diagnose = false) ?prefix ?stop_at test =
+  let forked =
+    match prefix with None -> None | Some p -> fork ~check_conformance ~diagnose p test
+  in
+  let world =
+    match forked with
+    | Some world ->
+        (* Fault actions fire first at their instant, so a strategy
+           installed after the fork orders as one installed before
+           [start]. *)
+        install world test.strategy;
+        world
+    | None ->
+        let world = attach ~with_monitor:(check_conformance || diagnose) ~diagnose test.spec in
+        (* The strategy goes in before [start]: HBase's boot commit
+           already consults the interceptor, at time 0. *)
+        install world test.strategy;
+        Substrate.start world.w_live;
+        Substrate.schedule world.w_live test.spec;
+        world
+  in
+  let stopped =
+    match stop_at with
+    | None ->
+        Substrate.run ~until:test.horizon world.w_live;
+        false
+    | Some target ->
+        (* Nothing runs between two bounded runs, so slices fire the
+           events of one run to the horizon, in its order. A run's
+           violations only accumulate, so the first slice that holds the
+           target's settles whether it fires. *)
+        let rec go until =
+          let until = min test.horizon until in
+          Substrate.run ~until world.w_live;
+          if List.exists (fun (_, v) -> target v) (world.w_violations ()) then
+            until < test.horizon
+          else until < test.horizon && go (until + slice)
+        in
+        go (Dsim.Engine.now (Substrate.engine world.w_live) + slice)
+  in
   Option.iter Conformance.Handle.finish world.w_hooks;
   {
     test;
@@ -86,106 +171,9 @@ let finish ~check_conformance test world =
            world.w_hooks
        else None);
     hooks = world.w_hooks;
+    forked = Option.is_some forked;
+    stopped;
   }
-
-(* A test's world with its strategy installed, started and scheduled:
-   nothing has run yet. *)
-let straight ~with_monitor ~diagnose test =
-  let world = attach ~with_monitor ~diagnose test.spec in
-  (* The strategy goes in before [start]: HBase's boot commit already
-     consults the interceptor, at time 0. *)
-  install world test.strategy;
-  Substrate.start world.w_live;
-  Substrate.schedule world.w_live test.spec;
-  world
-
-let run_test ?(check_conformance = false) ?(diagnose = false) test =
-  finish ~check_conformance test
-    (straight ~with_monitor:(check_conformance || diagnose) ~diagnose test)
-
-(* --- forking ------------------------------------------------------- *)
-
-let reference_world ?(check_conformance = false) spec =
-  let world = attach ~with_monitor:check_conformance ~diagnose:false spec in
-  Substrate.start world.w_live;
-  Substrate.schedule world.w_live spec;
-  world
-
-let advance world ~until = Substrate.run ~until world.w_live
-
-let compile world =
-  Gc.minor ();
-  Dsim.Snapshot.compile world
-
-let run_forked ?(check_conformance = false) image test =
-  match Dsim.Snapshot.instantiate image with
-  | None -> None
-  | Some world ->
-      install world test.strategy;
-      Some (finish ~check_conformance test world)
-
-(* --- finding runs -------------------------------------------------- *)
-
-type prefix = { image : world Dsim.Snapshot.image; at : int }
-
-(* The exposing run equals the reference run up to [first - 1], and so
-   does every run whose strategy starts later. The horizon caps [at]
-   for a strategy that perturbs nothing before it. *)
-let prefix test =
-  let first = Strategy.first_perturbation test.strategy in
-  if first <= 1 then None
-  else begin
-    let world = reference_world test.spec in
-    let at = min (first - 1) test.horizon in
-    advance world ~until:at;
-    Some { image = compile world; at }
-  end
-
-let prefix_bytes p = Dsim.Snapshot.bytes p.image
-
-(* The test's world forked from the prefix, its strategy installed; [None]
-   when the test perturbs at or before the prefix's instant, or the
-   image does not fit the minor heap. *)
-let fork prefix test =
-  match prefix with
-  | Some p when Strategy.first_perturbation test.strategy > p.at ->
-      Option.map
-        (fun world ->
-          install world test.strategy;
-          world)
-        (Dsim.Snapshot.instantiate p.image)
-  | Some _ | None -> None
-
-let run_from ~prefix test =
-  match fork prefix test with
-  | Some world -> finish ~check_conformance:false test world
-  | None -> run_test test
-
-(* One oracle check period: a verdict is read at most this much virtual
-   time after the target fired. *)
-let slice = 100_000
-
-type verdict = { fired : bool; forked : bool; stopped : bool }
-
-let verdict ~prefix ~target test =
-  let world, forked =
-    match fork prefix test with
-    | Some world -> (world, true)
-    | None -> (straight ~with_monitor:false ~diagnose:false test, false)
-  in
-  (* Nothing runs between two bounded runs, so consecutive bounds fire
-     the events of one run to the horizon, in its order. A run's
-     violations only accumulate, so the first slice that holds the
-     target's settles the verdict. *)
-  let rec go until =
-    let until = min test.horizon until in
-    Substrate.run ~until world.w_live;
-    if List.exists (fun (_, v) -> target v) (world.w_violations ()) then
-      { fired = true; forked; stopped = until < test.horizon }
-    else if until >= test.horizon then { fired = false; forked; stopped = false }
-    else go (until + slice)
-  in
-  go (Dsim.Engine.now (Substrate.engine world.w_live) + slice)
 
 (* A run can end in an oracle trip, a conformance trip, or both: either
    one anchors the causal walk, the oracle's entry preferred when both

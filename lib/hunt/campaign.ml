@@ -253,17 +253,17 @@ let representatives (trials : (string * Sieve.Runner.test) array) =
   Array.iteri (fun i r -> if r <> i then last.(r) <- i) rep;
   (rep, last)
 
-(* Simulated runs fork from compiled snapshots of their group's reference
-   run ({!Sieve.Runner.run_forked}) instead of re-simulating the prefix
-   before their first perturbation. Each group's reference world runs
-   through rungs [rung_spacing] of virtual time apart. A run's rung is
-   the latest one strictly before its first perturbation and before the
+(* Simulated runs fork from prefixes of their group's reference run
+   ({!Sieve.Runner.prefixes}) instead of re-simulating what comes before
+   their first perturbation. Each group's reference world runs through
+   rungs [rung_spacing] of virtual time apart. A run's rung is the
+   latest one strictly before its first perturbation and before the
    horizon; a rung is compiled only if at least [rung_min_runs] runs
    have it as theirs, since a compile costs memory and each fork saves
    only its run's prefix. A run whose rung is not compiled forks from
    the latest compiled rung below it, or runs straight if there is
-   none. Returns each trial's image, if it forks, and the images' count
-   and size. *)
+   none. Returns each trial's prefix, if it forks, and the images'
+   count and size. *)
 let rung_spacing = 1_000_000
 
 let rung_min_runs = 16
@@ -288,22 +288,23 @@ let ladder ~check_conformance (trials : (string * Sieve.Runner.test) array) ~sim
       let last = (test.horizon - 1) / rung_spacing in
       let counts = Array.make (last + 1) 0 in
       List.iter (fun (_, rung) -> counts.(rung) <- counts.(rung) + 1) runs;
-      if Array.exists (fun c -> c >= rung_min_runs) counts then begin
-        let world = Sieve.Runner.reference_world ~check_conformance test.spec in
-        (* [latest.(k)]: the image of the latest kept rung at or below k. *)
-        let latest = Array.make (last + 1) None in
-        for k = 1 to last do
-          latest.(k) <- latest.(k - 1);
-          if counts.(k) >= rung_min_runs then begin
-            Sieve.Runner.advance world ~until:(k * rung_spacing);
-            let image = Sieve.Runner.compile world in
-            incr images;
-            image_bytes := !image_bytes + Dsim.Snapshot.bytes image;
-            latest.(k) <- Some image
-          end
-        done;
-        List.iter (fun (index, rung) -> fork_of.(index) <- latest.(rung)) runs
-      end)
+      let kept = List.filter (fun k -> counts.(k) >= rung_min_runs) (List.init last succ) in
+      let prefixes =
+        Sieve.Runner.prefixes ~check_conformance test.spec
+          (List.map (fun k -> k * rung_spacing) kept)
+      in
+      (* [latest.(k)]: the prefix of the latest kept rung at or below k. *)
+      let latest = Array.make (last + 1) None in
+      List.iter2
+        (fun k p ->
+          incr images;
+          image_bytes := !image_bytes + Sieve.Runner.prefix_bytes p;
+          latest.(k) <- Some p)
+        kept prefixes;
+      for k = 1 to last do
+        if Option.is_none latest.(k) then latest.(k) <- latest.(k - 1)
+      done;
+      List.iter (fun (index, rung) -> fork_of.(index) <- latest.(rung)) runs)
     groups;
   (fork_of, { forked = 0; fallbacks = 0; images = !images; image_bytes = !image_bytes })
 
@@ -319,16 +320,12 @@ let execute ~jobs ~check_conformance ?stop_at trials ~emit =
   let work index (_, test) =
     if rep.(index) <> index then None
     else
-      let forked =
-        Option.bind fork_of.(index) (fun image ->
-            Sieve.Runner.run_forked ~check_conformance image test)
-      in
-      let outcome, path =
-        match forked with
-        | Some outcome -> (outcome, Forked)
-        | None ->
-            ( Sieve.Runner.run_test ~check_conformance test,
-              if Option.is_some fork_of.(index) then Fallback else Straight )
+      let prefix = fork_of.(index) in
+      let outcome = Sieve.Runner.run_test ~check_conformance ?prefix test in
+      let path =
+        if outcome.Sieve.Runner.forked then Forked
+        else if Option.is_some prefix then Fallback
+        else Straight
       in
       Some ((outcome.Sieve.Runner.violations, outcome.Sieve.Runner.conformance), path)
   in
@@ -377,7 +374,7 @@ let emit_artifact ~out ~(finding : finding) ~prefix ~(test : Sieve.Runner.test) 
     Filename.concat (Filename.concat out "findings") (Signature.to_dirname finding.signature)
   in
   mkdir_p dir;
-  let outcome = Sieve.Runner.run_from ~prefix test in
+  let outcome = Sieve.Runner.run_test ?prefix test in
   write_file
     (Filename.concat dir "artifact.json")
     (Dsim.Json.to_string (Sieve.Runner.artifact outcome) ^ "\n");

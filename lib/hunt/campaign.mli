@@ -7,16 +7,15 @@
     lowest-index trial with that pair, compared structurally. A
     duplicate settles after its representative, from its run. Nor does
     a run re-simulate the prefix it shares with its group's unperturbed
-    reference run. Before dispatch, each group's reference
-    world (cluster, oracle and, with [check_conformance], monitor, as the
-    trials have them, with no strategy) runs through rungs 1 s of virtual
-    time apart, compiling a {!Dsim.Snapshot} image at each rung that at
+    reference run. Before dispatch, one {!Sieve.Runner.prefixes} call
+    per group (with [check_conformance], as the trials have it) compiles
+    its reference world at each rung, 1 s of virtual time apart, that at
     least 16 runs would fork from: their latest rung strictly before
-    their {!Sieve.Strategy.first_perturbation}. A run forks from the
-    latest compiled rung before its first perturbation
-    ({!Sieve.Runner.run_forked}); runs perturbed before the first
-    compiled rung, and runs whose image does not fit in the minor heap,
-    run straight. Forked runs settle exactly what straight runs would.
+    their {!Sieve.Strategy.first_perturbation}. A run gets the latest
+    kept rung before its first perturbation as its [prefix]
+    ({!Sieve.Runner.run_test}); runs perturbed before the first kept
+    rung run straight, and so do runs whose image does not fit in the
+    minor heap. Forked runs settle exactly what straight runs would.
 
     {!run} turns a set of corpus cases into one global trial list
     ({!plan}): per case, the causal planner's candidates are ordered by
@@ -36,15 +35,16 @@
     trial order, holds a prefix of the trials: they settle from it, and
     only the rest run.
 
-    A new finding's own runs fork too, from one image per exposing trial
-    ({!Sieve.Runner.prefix}): the case's world without a monitor, just
-    before the trial's first perturbation, built on the driver domain
-    while the trial settles and dropped once its findings are written.
-    Every shrink candidate starts from it when its strategy perturbs
-    later, which the shrink steps guarantee, and stops once its target
-    has fired ({!Sieve.Runner.verdict}); the artifact run forks from it
-    too ({!Sieve.Runner.run_from}). Cards run straight: they track
-    divergence, a different world.
+    A new finding's own runs fork too, from one prefix per exposing
+    trial ({!Sieve.Runner.prefix}): the case's world without a monitor,
+    just before the trial's first perturbation, built on the driver
+    domain while the trial settles and dropped once its findings are
+    written. Every shrink candidate starts from it when its strategy
+    perturbs later, which the shrink steps guarantee, and stops once its
+    target has fired ({!Sieve.Minimize.shrink}); the artifact run forks
+    from it too. Both go through {!Sieve.Runner.run_test}, as the
+    campaign's runs do. Cards run straight: they track divergence, a
+    different world.
 
     Because trials are deterministic, seeds are index-derived, and the
     journal is written in trial order, the journal is byte-identical
@@ -114,7 +114,7 @@ type forking = {
       (** runs that had an image but ran straight: it did not fit in the
           minor heap *)
   images : int;  (** images compiled, over all cases *)
-  image_bytes : int;  (** their total size ({!Dsim.Snapshot.bytes}) *)
+  image_bytes : int;  (** their total size ({!Sieve.Runner.prefix_bytes}) *)
 }
 (** How the simulated runs got the prefix before their first
     perturbation. Outside the journal: forked and straight runs settle
@@ -132,9 +132,11 @@ val execute :
     conformance] for [i = 0, 1, ...] on the calling domain, so what a
     caller does with them is the same at any job count: trial [i]'s
     timed oracle violations and, with [check_conformance], its monitor's
-    result ({!Sieve.Runner.run_test}). With [stop_at], the run ends after
-    emitting the first trial with a violation satisfying it. Returns how
-    many runs were simulated, and how they forked. *)
+    result. Each representative runs through {!Sieve.Runner.run_test}
+    with [check_conformance] and its rung's prefix, if it has one. With
+    [stop_at], the campaign ends after emitting the first trial with a
+    violation satisfying it; each trial still runs to its horizon.
+    Returns how many runs were simulated, and how they forked. *)
 
 type shrinking = {
   shrunk : int;  (** findings whose strategy was shrunk in this campaign *)

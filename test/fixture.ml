@@ -10,3 +10,12 @@ let read_lines path =
         List.rev acc
   in
   go []
+
+(* A case's focused strategy against its fixed spec: the third run of
+   [Sieve.Bugs.reproduce], with its name. *)
+let fixed_test_of_case (case : Sieve.Bugs.case) =
+  {
+    (Sieve.Bugs.test_of_case case) with
+    Sieve.Runner.name = case.Sieve.Bugs.id ^ "/fixed";
+    spec = case.Sieve.Bugs.fixed_spec;
+  }

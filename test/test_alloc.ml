@@ -23,20 +23,20 @@ let case id =
    run. *)
 let forked_hb_assign =
   let open Sieve in
-  let image =
+  let prefix =
     lazy
-      (let world = Runner.reference_world ~check_conformance:true (case "HB-ASSIGN").Bugs.spec in
-       Runner.advance world ~until:1_000_000;
-       Runner.compile world)
+      (List.hd
+         (Runner.prefixes ~check_conformance:true (case "HB-ASSIGN").Bugs.spec [ 1_000_000 ]))
   in
   ( "HB-ASSIGN sieve conformance forked at 1 s",
     fun () ->
-      match
-        Runner.run_forked ~check_conformance:true (Lazy.force image)
+      let outcome =
+        Runner.run_test ~check_conformance:true ~prefix:(Lazy.force prefix)
           (Bugs.test_of_case (case "HB-ASSIGN"))
-      with
-      | Some outcome -> outcome
-      | None -> Alcotest.fail "the 1 s HB-ASSIGN image did not fit the minor heap" )
+      in
+      if not outcome.Runner.forked then
+        Alcotest.fail "the 1 s HB-ASSIGN image did not fit the minor heap";
+      outcome )
 
 let runs =
   let open Sieve in

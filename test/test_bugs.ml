@@ -3,16 +3,11 @@
    (iii) stays closed when the corresponding fix is enabled. Also the
    baseline generators. *)
 
-let hit case (outcome : Sieve.Runner.outcome) =
-  List.exists (fun (_, v) -> case.Sieve.Bugs.matches v) outcome.Sieve.Runner.violations
-
 let check_case case () =
-  let reference = Sieve.Runner.run_test (Sieve.Bugs.reference_test_of_case case) in
-  Alcotest.(check int) "reference run clean" 0 (List.length reference.Sieve.Runner.violations);
-  let sieve = Sieve.Runner.run_test (Sieve.Bugs.test_of_case case) in
-  Alcotest.(check bool) "sieve strategy reproduces the bug" true (hit case sieve);
-  let fixed = Sieve.Runner.run_test (Sieve.Bugs.fixed_test_of_case case) in
-  Alcotest.(check bool) "fix closes the bug" false (hit case fixed)
+  let r = Sieve.Bugs.reproduce case in
+  Alcotest.(check bool) "reference run clean" true r.reference_clean;
+  Alcotest.(check bool) "sieve strategy reproduces the bug" true (Option.is_some r.exposed_at);
+  Alcotest.(check bool) "fix closes the bug" true r.fix_closes
 
 let corpus_metadata () =
   let cases = Sieve.Bugs.all () in

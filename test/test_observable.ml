@@ -13,7 +13,7 @@ let variants =
   [
     ("bug", Sieve.Bugs.test_of_case);
     ("reference", Sieve.Bugs.reference_test_of_case);
-    ("fixed", Sieve.Bugs.fixed_test_of_case);
+    ("fixed", Fixture.fixed_test_of_case);
   ]
 
 let digest (o : Sieve.Runner.outcome) =

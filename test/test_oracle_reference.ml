@@ -452,7 +452,7 @@ let trials () =
       [
         Sieve.Bugs.test_of_case case;
         Sieve.Bugs.reference_test_of_case case;
-        Sieve.Bugs.fixed_test_of_case case;
+        Fixture.fixed_test_of_case case;
       ])
     cases
   @ List.concat_map (random_trials ~n:30) cases

@@ -1,7 +1,7 @@
 (* A finding's runs: shrink candidates and the artifact run fork from a
-   prefix image of the case's unperturbed world, and a candidate's
-   verdict stops at its target. Everything a campaign keeps from them
-   must equal what full straight runs give. *)
+   prefix image of the case's unperturbed world, and a candidate's run
+   stops at its target. Everything a campaign keeps from them must equal
+   what full straight runs give. *)
 
 let case id =
   match Sieve.Bugs.find id with Some case -> case | None -> failwith ("unknown case " ^ id)
@@ -47,16 +47,16 @@ let finding_runs_match_straight ~name ?budget ~expect ids () =
       let artifact o = Dsim.Json.to_string (Sieve.Runner.artifact o) in
       Alcotest.(check string) (what ^ ": artifact.json")
         (artifact (Sieve.Runner.run_test got.test))
-        (artifact (Sieve.Runner.run_from ~prefix got.test)))
+        (artifact (Sieve.Runner.run_test ?prefix got.test)))
     findings
 
-(* --- verdicts against full runs --------------------------------------- *)
+(* --- runs stopped at a target against full runs ------------------------ *)
 
-(* Every 8th distinct run of a gate's plan: its verdict, straight and
-   forked from a prefix of its own test, for the signature of its last
-   violation (a target that fires, when it has one) and for a target
-   that never fires, against its full straight run. Returns the number
-   of forked verdicts checked. *)
+(* Every 8th distinct run of a gate's plan: whether it fires, run with
+   [stop_at] straight and forked from a prefix of its own test, for the
+   signature of its last violation (a target that fires, when it has
+   one) and for a target that never fires, against its full straight
+   run. Returns the number of forked runs checked. *)
 let verdicts_agree ~ids ?budget () =
   let planned = Hunt.Campaign.plan ?budget ~seed:42L ~cases:(List.map case ids) () in
   let seen = Hashtbl.create 1024 in
@@ -86,12 +86,13 @@ let verdicts_agree ~ids ?budget () =
           (fun (what, target) ->
             let want = fired target full in
             let check how prefix =
-              let v = Sieve.Runner.verdict ~prefix ~target test in
-              if v.fired <> want then
-                Alcotest.failf "%s (%s), %s target, %s: verdict %b, full run %b" test.name
+              let v = Sieve.Runner.run_test ?prefix ~stop_at:target test in
+              if fired target v <> want then
+                Alcotest.failf "%s (%s), %s target, %s: fired %b, full run %b" test.name
                   (Sieve.Strategy.describe test.strategy)
-                  what how v.fired want;
-              if v.stopped && not v.fired then Alcotest.failf "%s: stopped without firing" test.name;
+                  what how (fired target v) want;
+              if v.stopped && not (fired target v) then
+                Alcotest.failf "%s: stopped without firing" test.name;
               v
             in
             ignore (check "straight" None);
@@ -178,7 +179,7 @@ let slices_end_where_one_run_does () =
 (* A prefix taken just before K8s-59848's first perturbation: a
    candidate that perturbs at or before its instant runs straight, one
    that perturbs right after it forks, and both give the full run's
-   verdict and outcome. *)
+   violations and trace. *)
 let early_candidates_run_straight () =
   let c = case "K8s-59848" in
   let test = Sieve.Bugs.test_of_case c in
@@ -193,13 +194,13 @@ let early_candidates_run_straight () =
       in
       let candidate = { test with Sieve.Runner.strategy } in
       let what = Printf.sprintf "crash at first %+d us" (at - first) in
-      let v = Sieve.Runner.verdict ~prefix ~target:c.matches candidate in
+      let v = Sieve.Runner.run_test ?prefix ~stop_at:c.matches candidate in
       Alcotest.(check bool) (what ^ ": forked") forks v.forked;
       let full = Sieve.Runner.run_test candidate in
-      Alcotest.(check bool) (what ^ ": verdict") (fired c.matches full) v.fired;
+      Alcotest.(check bool) (what ^ ": fired") (fired c.matches full) (fired c.matches v);
       Alcotest.(check string) (what ^ ": trace")
         (Sieve.Runner.trace_jsonl full)
-        (Sieve.Runner.trace_jsonl (Sieve.Runner.run_from ~prefix candidate)))
+        (Sieve.Runner.trace_jsonl (Sieve.Runner.run_test ?prefix candidate)))
     [ (first - 2, false); (first - 1, false); (first, true) ]
 
 let suites =

@@ -8,7 +8,7 @@ let variants =
   [
     ("bug", Sieve.Bugs.test_of_case);
     ("reference", Sieve.Bugs.reference_test_of_case);
-    ("fixed", Sieve.Bugs.fixed_test_of_case);
+    ("fixed", Fixture.fixed_test_of_case);
   ]
 
 (* "<id> <variant>" and the run, tracking divergences. *)

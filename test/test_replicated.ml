@@ -442,7 +442,7 @@ let replica_pushes_caused_by_their_commit () =
         [
           ("bug", Sieve.Bugs.test_of_case);
           ("reference", Sieve.Bugs.reference_test_of_case);
-          ("fixed", Sieve.Bugs.fixed_test_of_case);
+          ("fixed", Fixture.fixed_test_of_case);
         ])
     (Sieve.Bugs.replicated ())
 

@@ -206,29 +206,26 @@ let forked_equals_straight ~ids ?budget () =
           sampled
       in
       let rungs = List.sort_uniq compare (List.map rung runs) in
-      let world = Sieve.Runner.reference_world ~check_conformance:true (case id).Sieve.Bugs.spec in
-      let images =
-        List.map
-          (fun k ->
-            Sieve.Runner.advance world ~until:(k * 1_000_000);
-            (k, Sieve.Runner.compile world))
-          rungs
+      let prefixes =
+        List.combine rungs
+          (Sieve.Runner.prefixes ~check_conformance:true (case id).Sieve.Bugs.spec
+             (List.map (fun k -> k * 1_000_000) rungs))
       in
       List.iter
         (fun (t : Hunt.Campaign.trial) ->
-          let image = List.assoc (rung t) images in
-          match Sieve.Runner.run_forked ~check_conformance:true image t.test with
-          | None -> Alcotest.failf "%s: the image did not fit the minor heap" t.test.name
-          | Some fork ->
-              incr forked;
-              let straight = Sieve.Runner.run_test ~check_conformance:true t.test in
-              List.iter2
-                (fun (what, want) (_, got) ->
-                  if not (String.equal want got) then
-                    Alcotest.failf "%s (%s) forked at %d s: %s differ" t.test.name
-                      (Sieve.Strategy.describe t.test.strategy)
-                      (rung t) what)
-                (observed straight) (observed fork))
+          let prefix = List.assoc (rung t) prefixes in
+          let fork = Sieve.Runner.run_test ~check_conformance:true ~prefix t.test in
+          if not fork.forked then
+            Alcotest.failf "%s: the image did not fit the minor heap" t.test.name;
+          incr forked;
+          let straight = Sieve.Runner.run_test ~check_conformance:true t.test in
+          List.iter2
+            (fun (what, want) (_, got) ->
+              if not (String.equal want got) then
+                Alcotest.failf "%s (%s) forked at %d s: %s differ" t.test.name
+                  (Sieve.Strategy.describe t.test.strategy)
+                  (rung t) what)
+            (observed straight) (observed fork))
         runs)
     ids;
   !forked
@@ -244,6 +241,80 @@ let hbase_explore_gate_forks () =
     forked_equals_straight ~ids:[ "HB-ASSIGN"; "HB-WATCH"; "HB-FOLLOWER" ] ~budget:2000 ()
   in
   Alcotest.(check bool) (Printf.sprintf "%d forked runs checked" forked) true (forked >= 150)
+
+(* --- the fork site --------------------------------------------------- *)
+
+(* A prefix must hold the run's own world: one with a monitor for a run
+   with [check_conformance] and one without otherwise, and none at all
+   for a run that tracks divergence. A mismatch raises, whether or not
+   the run would fork. *)
+let mismatched_prefixes_raise () =
+  let test = Sieve.Bugs.test_of_case (case "REP-STALE") in
+  let plain = List.hd (Sieve.Runner.prefixes test.spec [ 1_000_000 ]) in
+  let monitored =
+    List.hd (Sieve.Runner.prefixes ~check_conformance:true test.spec [ 1_000_000 ])
+  in
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | _ -> Alcotest.failf "%s: ran" what
+      | exception Invalid_argument _ -> ())
+    [
+      ( "a monitor-carrying prefix on a run without check_conformance",
+        fun () -> ignore (Sieve.Runner.run_test ~prefix:monitored test) );
+      ( "a monitor-less prefix on a run with check_conformance",
+        fun () -> ignore (Sieve.Runner.run_test ~check_conformance:true ~prefix:plain test) );
+      ( "a monitor-less prefix on a diagnosed run",
+        fun () -> ignore (Sieve.Runner.run_test ~diagnose:true ~prefix:plain test) );
+      ( "a monitor-carrying prefix on a diagnosed run",
+        fun () ->
+          ignore
+            (Sieve.Runner.run_test ~check_conformance:true ~diagnose:true ~prefix:monitored test)
+      );
+      ( "instants out of order",
+        fun () -> ignore (Sieve.Runner.prefixes test.spec [ 2_000_000; 1_000_000 ]) );
+      ( "a repeated instant",
+        fun () -> ignore (Sieve.Runner.prefixes test.spec [ 1_000_000; 1_000_000 ]) );
+    ]
+
+(* HB-FOLLOWER's focused test perturbs at 0.8 s, before a 1 s prefix of
+   its world: it runs straight and leaves the straight run's bytes. *)
+let perturbed_before_the_prefix_runs_straight () =
+  let test = Sieve.Bugs.test_of_case (case "HB-FOLLOWER") in
+  Alcotest.(check int) "first perturbation" 800_000
+    (Sieve.Strategy.first_perturbation test.strategy);
+  let prefix = List.hd (Sieve.Runner.prefixes test.spec [ 1_000_000 ]) in
+  let run = Sieve.Runner.run_test ~prefix test in
+  Alcotest.(check bool) "forked" false run.forked;
+  List.iter2
+    (fun (what, want) (_, got) -> Alcotest.(check string) what want got)
+    (observed (Sieve.Runner.run_test test))
+    (observed run)
+
+(* Under a 4k-word minor heap a rung's image does not fit: the run falls
+   back to running straight, with the straight run's bytes. *)
+let too_big_an_image_runs_straight () =
+  let test = Sieve.Bugs.test_of_case (case "REP-STALE") in
+  let rung = (Sieve.Strategy.first_perturbation test.strategy - 1) / 1_000_000 in
+  Alcotest.(check bool) "the focused test has a rung" true (rung >= 1);
+  let prefix =
+    List.hd (Sieve.Runner.prefixes ~check_conformance:true test.spec [ rung * 1_000_000 ])
+  in
+  Alcotest.(check bool) "forks at the default minor heap" true
+    (Sieve.Runner.run_test ~check_conformance:true ~prefix test).forked;
+  let straight = Sieve.Runner.run_test ~check_conformance:true test in
+  let previous = Gc.get () in
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Gc.set previous)
+      (fun () ->
+        Gc.set { previous with Gc.minor_heap_size = 4_096 };
+        Sieve.Runner.run_test ~check_conformance:true ~prefix test)
+  in
+  Alcotest.(check bool) "forked" false run.forked;
+  List.iter2
+    (fun (what, want) (_, got) -> Alcotest.(check string) what want got)
+    (observed straight) (observed run)
 
 let suites =
   [
@@ -265,5 +336,10 @@ let suites =
           rep_gate_forks;
         Alcotest.test_case "hbase-explore gate: every 8th distinct run, forked equals straight"
           `Quick hbase_explore_gate_forks;
+        Alcotest.test_case "a prefix of another world raises" `Quick mismatched_prefixes_raise;
+        Alcotest.test_case "a run perturbed before its prefix runs straight" `Quick
+          perturbed_before_the_prefix_runs_straight;
+        Alcotest.test_case "an image beyond the minor heap runs straight" `Quick
+          too_big_an_image_runs_straight;
       ] );
   ]
